@@ -20,9 +20,7 @@ use std::io::Write;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedomd_core::{FedOmdConfig, FedRun};
 use fedomd_data::{generate, SynthParams};
-use fedomd_federated::{
-    setup_federation_planted, CohortConfig, FederationConfig, PipelineConfig, TrainConfig,
-};
+use fedomd_federated::{setup_federation_planted, CohortConfig, FederationConfig, TrainConfig};
 
 const PARTIES: usize = 5000;
 const COHORTS: [usize; 3] = [100, 1000, 5000];
@@ -84,24 +82,6 @@ fn run_size(c: &mut Criterion, size: usize) {
                 .run()
         })
     });
-    // The same round with the fold-on-arrival driver: bit-identical
-    // numbers, the pair measures the overlap win at cohort scale.
-    let piped = TrainConfig {
-        pipeline: PipelineConfig::on(),
-        ..cfg.clone()
-    };
-    group.bench_with_input(
-        BenchmarkId::new("round_pipelined", size),
-        &piped,
-        |b, cfg| {
-            b.iter(|| {
-                FedRun::new(&clients, ds.n_classes)
-                    .train(cfg.clone())
-                    .omd(FedOmdConfig::paper())
-                    .run()
-            })
-        },
-    );
     record_rss(size);
     group.finish();
 }

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedomd_bench::{table4_rows, Algo};
 use fedomd_core::{run_fedomd_observed, FedOmdConfig};
 use fedomd_data::{generate, spec, DatasetName};
-use fedomd_federated::{setup_federation, FederationConfig, PipelineConfig, TrainConfig};
+use fedomd_federated::{setup_federation, FederationConfig, TrainConfig};
 use fedomd_telemetry::{JsonlObserver, NullObserver};
 use fedomd_transport::InProcChannel;
 
@@ -41,37 +41,6 @@ fn bench_round(c: &mut Criterion) {
     });
     group.bench_function("fedomd_cmd_off", |b| {
         b.iter(|| off.run(&clients, ds.n_classes, &cfg))
-    });
-    // Pipelined vs phase-sequential round driver: same numbers (golden
-    // pinned), the pair measures what overlapping client training with the
-    // streaming fold buys in-process on this box.
-    let piped = TrainConfig {
-        pipeline: PipelineConfig::on(),
-        ..cfg.clone()
-    };
-    group.bench_function("fedomd_pipeline_off", |b| {
-        b.iter(|| {
-            run_fedomd_observed(
-                &clients,
-                ds.n_classes,
-                &cfg,
-                &FedOmdConfig::paper(),
-                &mut InProcChannel::new(),
-                &mut NullObserver,
-            )
-        })
-    });
-    group.bench_function("fedomd_pipeline_on", |b| {
-        b.iter(|| {
-            run_fedomd_observed(
-                &clients,
-                ds.n_classes,
-                &piped,
-                &FedOmdConfig::paper(),
-                &mut InProcChannel::new(),
-                &mut NullObserver,
-            )
-        })
     });
     // Telemetry overhead: the same two FedOMD rounds with the zero-cost
     // NullObserver vs a JsonlObserver serialising every event to a sink

@@ -105,7 +105,7 @@ fn discard_frame(r: &mut impl Read, scratch: &mut Vec<u8>) {
 /// its CPU belongs in the measurement: frames are encoded once outside
 /// the timed region, downlinks are drained unread, and the stagger is a
 /// sleep rather than compute. What remains on this box is the server's
-/// own work — and the idle arrival spread the pipelined server folds in.
+/// own work — and the idle arrival spread the server folds in.
 fn fake_client(addr: String, id: u32, digest: u64, stagger: Duration, frames: RoundFrames) {
     let mut stream = TcpStream::connect(&addr).expect("fake client connect");
     // Same socket discipline as `run_client`: without it the tiny length
@@ -235,20 +235,15 @@ fn bench_net_round(c: &mut Criterion) {
     group.bench_function("tcp_loopback_two_rounds", |b| {
         b.iter(|| tcp_run(&run, &ds.name, &clients, ds.n_classes))
     });
-    group.bench_function("tcp_loopback_pipelined_two_rounds", |b| {
-        let piped = run.clone().with_pipelined(true);
-        b.iter(|| tcp_run(&piped, &ds.name, &clients, ds.n_classes))
-    });
 
     // Heterogeneous client workloads: 6 scripted clients whose ~4 MB
-    // WeightUpdates land 16 ms apart. The sequential server buffers the
-    // whole cohort, then decodes-what-remains and folds after the last
-    // arrival; the pipelined one decodes and folds each frame inside the
-    // arrival gaps, so per-upload server work vanishes from the round's
-    // critical path. The stagger must exceed the per-upload server cost
-    // (~6 ms decode + ~6 ms fold on this class of box): narrower gaps
-    // oversubscribe the CPU, folds queue past the last arrival, and the
-    // overlap the pair is probing disappears into scheduler contention.
+    // WeightUpdates land 16 ms apart. The server decodes and folds each
+    // frame inside the arrival gaps, so per-upload server work stays off
+    // the round's critical path. The stagger must exceed the per-upload
+    // server cost (~6 ms decode + ~6 ms fold on this class of box):
+    // narrower gaps oversubscribe the CPU, folds queue past the last
+    // arrival, and the overlap the bench is probing disappears into
+    // scheduler contention.
     let hetero = {
         let train = TrainConfig {
             rounds: 6,
@@ -257,7 +252,7 @@ fn bench_net_round(c: &mut Criterion) {
             ..TrainConfig::mini(0)
         };
         // No CMD: the stats exchange is off the measured path, leaving
-        // exactly the weight-upload fold the pair is probing.
+        // exactly the weight-upload fold the bench is probing.
         let omd = FedOmdConfig {
             use_cmd: false,
             ..FedOmdConfig::paper()
@@ -275,12 +270,8 @@ fn bench_net_round(c: &mut Criterion) {
         .map(|id| hetero_frames(id, hetero.train.rounds, &params))
         .collect();
     let step = Duration::from_millis(16);
-    group.bench_function("tcp_hetero_sequential", |b| {
+    group.bench_function("tcp_hetero", |b| {
         b.iter(|| hetero_tcp_run(&hetero, "hetero-bench", step, &frames))
-    });
-    group.bench_function("tcp_hetero_pipelined", |b| {
-        let piped = hetero.clone().with_pipelined(true);
-        b.iter(|| hetero_tcp_run(&piped, "hetero-bench", step, &frames))
     });
     group.finish();
 }

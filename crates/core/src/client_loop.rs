@@ -4,20 +4,20 @@
 //! round it records its forward pass, takes part in the 2-round statistics
 //! exchange, optimises `CE + α·L_ortho + β·d_CMD`, uploads its weights,
 //! installs the aggregated global model, and ships the round's loss and
-//! eval counts as a `Metrics` frame. The math is line-for-line the
-//! in-process loop's (`crate::trainer`) — the loss terms are built by the
-//! same shared helpers — so over a faithful transport a multi-process run
-//! reproduces the in-process numbers exactly.
+//! eval counts as a `Metrics` frame. The Phase-3 objective and step are
+//! the in-process loop's own function (`crate::trainer::optimise_client`),
+//! so over a faithful transport a multi-process run reproduces the
+//! in-process numbers exactly.
 //!
 //! The loop is *resumable by construction*: it takes an explicit
 //! `start_round` and a caller-owned [`ClientSession`], so the `fedomd-net`
 //! reconnect logic can re-enter it after a server loss, optionally after
 //! installing a fresher global model into the session.
 
-use fedomd_autograd::{CmdTargets, Tape, Var, Workspace};
+use fedomd_autograd::{CmdTargets, Tape, Workspace};
 use fedomd_federated::helpers::{count_correct, predict};
 use fedomd_federated::{ClientData, TrainConfig};
-use fedomd_nn::{Adam, Model, Optimizer};
+use fedomd_nn::{Adam, Model};
 use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_tensor::Matrix;
 use fedomd_transport::{from_tensors, to_tensors, Channel, Control, Envelope, Payload};
@@ -25,7 +25,7 @@ use fedomd_transport::{from_tensors, to_tensors, Channel, Control, Envelope, Pay
 use crate::config::FedOmdConfig;
 use crate::deploy::build_fedomd_model;
 use crate::protocol::{build_targets, client_means, client_moments_about, GlobalStats};
-use crate::trainer::{sum_cmd, sum_terms};
+use crate::trainer::optimise_client;
 
 /// One client's training state, owned by the caller so it survives
 /// transport reconnects.
@@ -158,66 +158,27 @@ pub fn run_fedomd_client_rounds(
             None
         };
 
-        // --- Phase 3: loss, backward, local step (trainer math, verbatim
-        // via the shared helpers) ---
+        // --- Phase 3: loss, backward, local step (the trainer's own
+        // `optimise_client`) ---
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let ce = tape.softmax_cross_entropy(out.logits, &client.labels, &client.splits.train);
-        let mut loss = ce;
-        let mut ortho_term: Option<Var> = None;
-        if omd.use_ortho {
-            if let Some(pen) = sum_terms(&mut tape, out.ortho_weight_vars.to_vec(), |t, w| {
-                t.ortho_penalty(w)
-            }) {
-                let scaled = tape.scale(pen, omd.alpha);
-                ortho_term = Some(scaled);
-                loss = tape.add(loss, scaled);
-            }
-        }
-        let mut cmd_term: Option<Var> = None;
-        if let Some(targets) = &targets {
-            let n_constrained = if omd.cmd_first_layer_only {
-                1
-            } else {
-                out.hidden.len()
-            };
-            if let Some(cmd) = sum_cmd(
-                &mut tape,
-                &out.hidden[..n_constrained],
-                &targets[..n_constrained],
-                omd.width,
-                omd.cmd_mean_scale,
-            ) {
-                let scaled = tape.scale(cmd, omd.beta);
-                cmd_term = Some(scaled);
-                loss = tape.add(loss, scaled);
-            }
-        }
-        tape.backward(loss);
-        let grads: Vec<Matrix> = out
-            .param_vars
-            .iter()
-            .map(|&v| tape.grad_or_zeros(v))
-            .collect();
-        let mut params = session.model.params();
-        session.opt.step(&mut params, &grads);
-        session.model.set_params(&params);
-        session.model.post_step();
-        for g in grads {
-            tape.recycle_matrix(g);
-        }
-        for p in params {
-            tape.recycle_matrix(p);
-        }
-        let total_loss = tape.scalar(loss);
+        let (ws, (total_loss, ce, ortho, cmd)) = optimise_client(
+            omd,
+            tape,
+            &out,
+            session.model.as_mut(),
+            &mut session.opt,
+            client,
+            targets.as_deref(),
+        );
+        session.ws = ws;
         obs.on_event(&RoundEvent::LocalStepDone {
             client: id,
             epoch: 0,
             loss: total_loss as f64,
-            ce: tape.scalar(ce) as f64,
-            ortho: ortho_term.map_or(0.0, |v| tape.scalar(v)) as f64,
-            cmd: cmd_term.map_or(0.0, |v| tape.scalar(v)) as f64,
+            ce: ce as f64,
+            ortho: ortho as f64,
+            cmd: cmd as f64,
         });
-        session.ws = tape.recycle();
         sw.finish(obs);
 
         // --- Phase 4: weights up, aggregated global model down ---

@@ -161,20 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_ignores_the_pipeline_flag() {
-        // Pipelining changes wall-clock, never the numbers, so a pipelined
-        // server must keep admitting sequential clients (and vice versa).
-        let cfg = TrainConfig::mini(0);
-        let omd = FedOmdConfig::paper();
-        let mut piped = cfg.clone();
-        piped.pipeline = fedomd_federated::PipelineConfig::on();
-        assert_eq!(
-            run_config_digest(&cfg, &omd, "cora_mini", 3),
-            run_config_digest(&piped, &omd, "cora_mini", 3)
-        );
-    }
-
-    #[test]
     fn shared_builder_reproduces_identical_inits() {
         let cfg = TrainConfig::mini(0);
         let omd = FedOmdConfig::paper();

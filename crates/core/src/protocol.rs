@@ -29,16 +29,14 @@
 //! lands in lane `i % AGG_LANES`, and `finish` folds the lane partials in
 //! lane order before the single division. Because the lane an item maps to
 //! depends only on its push index — never on thread count or arrival
-//! timing — the sequential streaming path, the parallel sharded tree
-//! ([`MeanAccumulator::push_batch`] reduces each lane's partial on its own
-//! worker), and the batch wrappers ([`aggregate_means`],
-//! [`aggregate_means_sharded`]) all build identical lane partials and
-//! produce bit-identical results.
+//! timing — the result is a function of the push order alone: the
+//! streaming round loops and the batch references ([`aggregate_means`],
+//! [`aggregate_moments`]) build identical lane partials and produce
+//! bit-identical results.
 
 use fedomd_autograd::CmdTargets;
 use fedomd_tensor::stats::{central_moments_upto, column_means};
 use fedomd_tensor::Matrix;
-use rayon::prelude::*;
 use std::fmt;
 
 /// Number of fixed reduction lanes in the streaming accumulators.
@@ -148,7 +146,7 @@ fn fold_means(acc: &mut [Vec<f64>], means: &[Vec<f32>], n_samples: usize) {
 /// `push` one `(means, n_samples)` payload per client as it arrives —
 /// payloads are consumed, never retained — then `finish` to obtain the
 /// sample-weighted global means. See the module docs for the lane scheme
-/// that keeps streaming, sharded, and batch reductions bit-identical.
+/// that keeps streaming and batch reductions bit-identical.
 #[derive(Clone, Debug, Default)]
 pub struct MeanAccumulator {
     /// `lanes[lane][layer][dim]`, f64 partial sums of `Σ n_i · m_i`.
@@ -211,39 +209,6 @@ impl MeanAccumulator {
         Ok(())
     }
 
-    /// Sharded-tree fold of a batch: each of the [`AGG_LANES`] lanes
-    /// reduces its stride of the batch on its own worker, in batch order.
-    /// Bit-identical to pushing the batch sequentially, because every item
-    /// keeps the lane its global push index assigns it.
-    pub fn push_batch(&mut self, batch: &[(Vec<Vec<f32>>, usize)]) -> Result<(), ProtocolError> {
-        let Some((first, _)) = batch.first() else {
-            return Ok(());
-        };
-        if self.pushed == 0 {
-            self.init_shape(first);
-        }
-        for (means, _) in batch {
-            self.check_shape(means)?;
-        }
-        let base = (self.pushed % AGG_LANES as u64) as usize;
-        self.lanes
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(lane, acc)| {
-                let mut j = (lane + AGG_LANES - base) % AGG_LANES;
-                while j < batch.len() {
-                    let (means, n) = &batch[j];
-                    fold_means(acc, means, *n);
-                    j += AGG_LANES;
-                }
-            });
-        for (_, n) in batch {
-            self.total_samples += *n as u64;
-        }
-        self.pushed += batch.len() as u64;
-        Ok(())
-    }
-
     /// Folds the lane partials in lane order and divides by the total
     /// sample count: the weighted global means.
     pub fn finish(self) -> Result<Vec<Vec<f32>>, ProtocolError> {
@@ -275,7 +240,7 @@ impl MeanAccumulator {
 
 /// Server side of round 1 (Eq. 10): sample-weighted average of client
 /// means, per layer. Batch wrapper over [`MeanAccumulator`] — the
-/// sequential reference the streaming and sharded paths are pinned
+/// sequential reference the streaming round loops are pinned
 /// bit-identical to.
 pub fn aggregate_means(
     client_stats: &[(Vec<Vec<f32>>, usize)],
@@ -284,17 +249,6 @@ pub fn aggregate_means(
     for (means, n) in client_stats {
         acc.push(means, *n)?;
     }
-    acc.finish()
-}
-
-/// Sharded-tree variant of [`aggregate_means`]: reduces per-lane partials
-/// in parallel before the deterministic final fold. Bit-identical to the
-/// batch reference.
-pub fn aggregate_means_sharded(
-    client_stats: &[(Vec<Vec<f32>>, usize)],
-) -> Result<Vec<Vec<f32>>, ProtocolError> {
-    let mut acc = MeanAccumulator::new();
-    acc.push_batch(client_stats)?;
     acc.finish()
 }
 
@@ -413,39 +367,6 @@ impl MomentAccumulator {
         Ok(())
     }
 
-    /// Sharded-tree fold of a batch; see [`MeanAccumulator::push_batch`].
-    pub fn push_batch(
-        &mut self,
-        batch: &[(Vec<Vec<Vec<f32>>>, usize)],
-    ) -> Result<(), ProtocolError> {
-        let Some((first, _)) = batch.first() else {
-            return Ok(());
-        };
-        if self.pushed == 0 {
-            self.init_shape(first);
-        }
-        for (moments, _) in batch {
-            self.check_shape(moments)?;
-        }
-        let base = (self.pushed % AGG_LANES as u64) as usize;
-        self.lanes
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(lane, acc)| {
-                let mut j = (lane + AGG_LANES - base) % AGG_LANES;
-                while j < batch.len() {
-                    let (moments, n) = &batch[j];
-                    fold_moments(acc, moments, *n);
-                    j += AGG_LANES;
-                }
-            });
-        for (_, n) in batch {
-            self.total_samples += *n as u64;
-        }
-        self.pushed += batch.len() as u64;
-        Ok(())
-    }
-
     /// Folds the lane partials in lane order and divides by the total
     /// sample count: the weighted global moments.
     pub fn finish(self) -> Result<Vec<Vec<Vec<f32>>>, ProtocolError> {
@@ -490,15 +411,6 @@ pub fn aggregate_moments(
     for (moments, n) in client_stats {
         acc.push(moments, *n)?;
     }
-    acc.finish()
-}
-
-/// Sharded-tree variant of [`aggregate_moments`]; bit-identical to it.
-pub fn aggregate_moments_sharded(
-    client_stats: &[(Vec<Vec<Vec<f32>>>, usize)],
-) -> Result<Vec<Vec<Vec<f32>>>, ProtocolError> {
-    let mut acc = MomentAccumulator::new();
-    acc.push_batch(client_stats)?;
     acc.finish()
 }
 
@@ -631,7 +543,7 @@ mod tests {
         assert_eq!(exchange(&[], 5).unwrap_err(), ProtocolError::NoClients);
         assert_eq!(aggregate_means(&[]).unwrap_err(), ProtocolError::NoClients);
         assert_eq!(
-            aggregate_moments_sharded(&[]).unwrap_err(),
+            aggregate_moments(&[]).unwrap_err(),
             ProtocolError::NoClients
         );
     }
@@ -704,9 +616,9 @@ mod tests {
 
     /// Overwrites a few entries with NaN/±∞. The aggregation paths make
     /// no finiteness checks, so a poisoned upload must flow through the
-    /// streaming, sharded, and batch folds bit-identically — the same
-    /// IEEE operations in the same order — rather than diverging in just
-    /// one of them.
+    /// streaming and batch folds bit-identically — the same IEEE
+    /// operations in the same order — rather than diverging in one of
+    /// them.
     fn poison_slice(values: &mut [f32], seed: u64) {
         const SPECIALS: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
         let mut rng = seeded(seed);
@@ -717,11 +629,11 @@ mod tests {
     }
 
     proptest! {
-        /// The streaming accumulator, the parallel sharded tree, and the
-        /// batch reference agree bit for bit on ragged sample counts —
-        /// including agreeing on the error when every count is zero.
+        /// The streaming accumulator and the batch reference agree bit for
+        /// bit on ragged sample counts — including agreeing on the error
+        /// when every count is zero.
         #[test]
-        fn mean_streaming_sharded_batch_bit_identical(
+        fn mean_streaming_batch_bit_identical(
             seed in 0u64..1_000_000,
             dims in proptest::collection::vec(1usize..6, 1..4),
             samples in proptest::collection::vec(0usize..50, 1..24),
@@ -733,7 +645,6 @@ mod tests {
                 .collect();
 
             let batch = aggregate_means(&payloads);
-            let sharded = aggregate_means_sharded(&payloads);
             let mut acc = MeanAccumulator::new();
             for (m, n) in &payloads {
                 acc.push(m, *n).unwrap();
@@ -742,24 +653,21 @@ mod tests {
 
             match batch {
                 Ok(ref b) => {
-                    let s = sharded.unwrap();
                     let t = streaming.unwrap();
                     for l in 0..b.len() {
                         for d in 0..b[l].len() {
-                            prop_assert_eq!(b[l][d].to_bits(), s[l][d].to_bits());
                             prop_assert_eq!(b[l][d].to_bits(), t[l][d].to_bits());
                         }
                     }
                 }
                 Err(e) => {
-                    prop_assert_eq!(sharded.unwrap_err(), e);
                     prop_assert_eq!(streaming.unwrap_err(), e);
                 }
             }
         }
 
         #[test]
-        fn moment_streaming_sharded_batch_bit_identical(
+        fn moment_streaming_batch_bit_identical(
             seed in 0u64..1_000_000,
             dims in proptest::collection::vec(1usize..5, 1..3),
             orders in 1usize..5,
@@ -774,7 +682,6 @@ mod tests {
                 .collect();
 
             let batch = aggregate_moments(&payloads);
-            let sharded = aggregate_moments_sharded(&payloads);
             let mut acc = MomentAccumulator::new();
             for (m, n) in &payloads {
                 acc.push(m, *n).unwrap();
@@ -783,66 +690,30 @@ mod tests {
 
             match batch {
                 Ok(ref b) => {
-                    let s = sharded.unwrap();
                     let t = streaming.unwrap();
                     for l in 0..b.len() {
                         for o in 0..b[l].len() {
                             for d in 0..b[l][o].len() {
-                                prop_assert_eq!(b[l][o][d].to_bits(), s[l][o][d].to_bits());
                                 prop_assert_eq!(b[l][o][d].to_bits(), t[l][o][d].to_bits());
                             }
                         }
                     }
                 }
                 Err(e) => {
-                    prop_assert_eq!(sharded.unwrap_err(), e);
                     prop_assert_eq!(streaming.unwrap_err(), e);
                 }
             }
         }
 
-        /// Splitting the same stream into arbitrary interleavings of
-        /// `push` and `push_batch` never changes the result.
-        #[test]
-        fn chunked_pushes_match_one_shot(
-            seed in 0u64..1_000_000,
-            dims in proptest::collection::vec(1usize..5, 1..3),
-            samples in proptest::collection::vec(1usize..50, 2..20),
-            split in 1usize..19,
-        ) {
-            let payloads: Vec<(Vec<Vec<f32>>, usize)> = samples
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| (mean_payload(&dims, seed.wrapping_add(i as u64)), n))
-                .collect();
-            let split = split.min(payloads.len());
-
-            let one_shot = aggregate_means(&payloads).unwrap();
-
-            let mut acc = MeanAccumulator::new();
-            for (m, n) in &payloads[..split] {
-                acc.push(m, *n).unwrap();
-            }
-            acc.push_batch(&payloads[split..]).unwrap();
-            let mixed = acc.finish().unwrap();
-
-            for l in 0..one_shot.len() {
-                for d in 0..one_shot[l].len() {
-                    prop_assert_eq!(one_shot[l][d].to_bits(), mixed[l][d].to_bits());
-                }
-            }
-        }
-
-        /// A poisoned mean upload (NaN/±∞ entries) corrupts the
-        /// sequential, `push_batch`, sharded, and batch paths identically
-        /// — bit for bit, NaN payloads included.
+        /// A poisoned mean upload (NaN/±∞ entries) corrupts the streaming
+        /// and batch paths identically — bit for bit, NaN payloads
+        /// included.
         #[test]
         fn mean_nonfinite_payloads_stay_bit_identical(
             seed in 0u64..1_000_000,
             dims in proptest::collection::vec(1usize..6, 1..4),
             samples in proptest::collection::vec(1usize..50, 2..24),
             victim in 0usize..24,
-            split in 1usize..23,
         ) {
             let mut payloads: Vec<(Vec<Vec<f32>>, usize)> = samples
                 .iter()
@@ -853,28 +724,18 @@ mod tests {
             for (l, layer) in payloads[victim].0.iter_mut().enumerate() {
                 poison_slice(layer, seed ^ (l as u64 + 1));
             }
-            let split = split.min(payloads.len());
 
             let batch = aggregate_means(&payloads).unwrap();
-            let sharded = aggregate_means_sharded(&payloads).unwrap();
             let mut seq = MeanAccumulator::new();
             for (m, n) in &payloads {
                 seq.push(m, *n).unwrap();
             }
             let seq = seq.finish().unwrap();
-            let mut mixed = MeanAccumulator::new();
-            for (m, n) in &payloads[..split] {
-                mixed.push(m, *n).unwrap();
-            }
-            mixed.push_batch(&payloads[split..]).unwrap();
-            let mixed = mixed.finish().unwrap();
 
             for l in 0..batch.len() {
                 for d in 0..batch[l].len() {
                     let want = batch[l][d].to_bits();
-                    prop_assert_eq!(want, sharded[l][d].to_bits());
                     prop_assert_eq!(want, seq[l][d].to_bits());
-                    prop_assert_eq!(want, mixed[l][d].to_bits());
                 }
             }
         }
@@ -888,7 +749,6 @@ mod tests {
             orders in 1usize..5,
             samples in proptest::collection::vec(1usize..50, 2..24),
             victim in 0usize..24,
-            split in 1usize..23,
         ) {
             let mut payloads: Vec<(Vec<Vec<Vec<f32>>>, usize)> = samples
                 .iter()
@@ -903,29 +763,19 @@ mod tests {
                     poison_slice(ord, seed ^ ((l * 8 + o) as u64 + 1));
                 }
             }
-            let split = split.min(payloads.len());
 
             let batch = aggregate_moments(&payloads).unwrap();
-            let sharded = aggregate_moments_sharded(&payloads).unwrap();
             let mut seq = MomentAccumulator::new();
             for (m, n) in &payloads {
                 seq.push(m, *n).unwrap();
             }
             let seq = seq.finish().unwrap();
-            let mut mixed = MomentAccumulator::new();
-            for (m, n) in &payloads[..split] {
-                mixed.push(m, *n).unwrap();
-            }
-            mixed.push_batch(&payloads[split..]).unwrap();
-            let mixed = mixed.finish().unwrap();
 
             for l in 0..batch.len() {
                 for o in 0..batch[l].len() {
                     for d in 0..batch[l][o].len() {
                         let want = batch[l][o][d].to_bits();
-                        prop_assert_eq!(want, sharded[l][o][d].to_bits());
                         prop_assert_eq!(want, seq[l][o][d].to_bits());
-                        prop_assert_eq!(want, mixed[l][o][d].to_bits());
                     }
                 }
             }

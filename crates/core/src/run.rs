@@ -35,7 +35,7 @@
 use std::path::{Path, PathBuf};
 
 use fedomd_federated::{
-    ClientData, CohortConfig, GenericOpts, Persistence, PipelineConfig, RunResult, TrainConfig,
+    ClientData, CohortConfig, GenericOpts, Persistence, RunResult, TrainConfig,
 };
 use fedomd_nn::CheckpointError;
 use fedomd_telemetry::{NullObserver, RoundObserver};
@@ -114,14 +114,6 @@ impl RunConfig {
     /// participation).
     pub fn with_cohort(mut self, cohort: CohortConfig) -> Self {
         self.train.cohort = cohort;
-        self
-    }
-
-    /// Overlaps client training with server-side streaming folds
-    /// (default off). Bit-identical to the sequential path — only
-    /// wall-clock and server memory change.
-    pub fn with_pipelined(mut self, enabled: bool) -> Self {
-        self.train.pipeline = PipelineConfig { enabled };
         self
     }
 }
@@ -358,14 +350,12 @@ mod tests {
             .with_patience(5)
             .with_seed(11)
             .with_cohort(CohortConfig::fraction(0.2, 4))
-            .with_pipelined(true)
             .with_omd(FedOmdConfig::cmd_only());
         assert_eq!(c.train.rounds, 9);
         assert_eq!(c.train.patience, 5);
         assert_eq!(c.train.seed, 11);
         assert_eq!(c.train.cohort.sample_frac, 0.2);
         assert_eq!(c.train.cohort.seed, 4);
-        assert!(c.train.pipeline.enabled);
         assert!(!c.omd.use_ortho);
     }
 }

@@ -15,11 +15,13 @@
 //! `WeightUpdate` → `Metrics`; downlinks interleave as in Algorithm 1,
 //! plus one terminal `Control` verdict (`Ack` = continue, `EndRound` =
 //! early stop) that replaces the in-process loop's shared `stopped` flag.
-//! Every phase degrades to partial aggregation: the channel decides when
-//! to stop waiting (its per-phase deadline), the driver aggregates whoever
-//! made it.
+//! Every phase runs through the one [`Collector`] fold loop — frames fold
+//! into the streaming accumulators as they land, in ascending sender
+//! order — and degrades to partial aggregation: the collector closes a
+//! phase once every sender it awaits has reported or left, the channel's
+//! deadline bounds the wait, and the driver aggregates whoever made it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use fedomd_federated::engine::RoundDriver;
 use fedomd_federated::helpers::UpdateAccumulator;
@@ -36,9 +38,7 @@ use fedomd_transport::{
 use fedomd_metrics::Stopwatch;
 
 use crate::config::FedOmdConfig;
-use crate::protocol::{
-    aggregate_means_sharded, aggregate_moments_sharded, MeanAccumulator, MomentAccumulator,
-};
+use crate::protocol::{MeanAccumulator, MomentAccumulator};
 
 /// Options of the standalone server driver.
 #[derive(Clone, Copy, Debug)]
@@ -113,6 +113,7 @@ pub fn run_fedomd_server(
     }
     let mut chan = ObservedChannel::new(chan);
     let mut collector = Collector::default();
+    let everyone: Vec<u32> = (0..m as u32).collect();
 
     for round in start_round..cfg.rounds {
         // A checkpoint taken after early stopping resumes already-stopped.
@@ -128,70 +129,41 @@ pub fn run_fedomd_server(
         // --- Phase 2 (server side): the 2-round statistics exchange ---
         if omd.use_cmd {
             let sw = PhaseStopwatch::start(Phase::Comms);
-            let all_ids: Vec<u32> = (0..m as u32).collect();
+            // The server remembers each reporter's sample count: round-2
+            // moments are weighted by the n_i announced in round 1.
             let mut round1_n: BTreeMap<u32, usize> = BTreeMap::new();
-            let r1_participants;
-            let means_res;
-            if cfg.pipeline.enabled {
-                // Fold each report the moment it lands: the streaming
-                // accumulator replaces the whole-cohort buffer, and the
-                // push order is the same ascending-sender order the batch
-                // fold consumes, so the average is bit-identical while
-                // peak memory stays O(model + reorder window).
-                let mut mean_acc = MeanAccumulator::new();
-                let comms = &mut driver.comms;
-                collector.phase_fold(
-                    &mut chan,
-                    r,
-                    &all_ids,
-                    |e| matches!(e.payload, Payload::StatsRound1 { .. }),
-                    |env| {
-                        comms.record(
-                            Direction::Uplink,
-                            TrafficClass::Stats,
-                            env.encoded_len() as u64,
-                        );
-                        if let Payload::StatsRound1 { means, n_samples } = env.payload {
-                            // A malformed payload degrades exactly like a
-                            // dropped frame.
-                            if mean_acc.push(&means, n_samples as usize).is_ok() {
-                                round1_n.insert(env.sender, n_samples as usize);
-                            }
-                        }
-                    },
-                );
-                r1_participants = mean_acc.pushed() as usize;
-                means_res = mean_acc.finish();
-            } else {
-                let mut round1: Vec<(Vec<Vec<f32>>, usize)> = Vec::new();
-                for env in collector.phase(&mut chan, r, m, |e| {
-                    matches!(e.payload, Payload::StatsRound1 { .. })
-                }) {
+            let mut mean_acc = MeanAccumulator::new();
+            collector.fold(
+                &mut chan,
+                r,
+                &everyone,
+                |e| matches!(e.payload, Payload::StatsRound1 { .. }),
+                |env| {
                     driver.comms.record(
                         Direction::Uplink,
                         TrafficClass::Stats,
                         env.encoded_len() as u64,
                     );
                     if let Payload::StatsRound1 { means, n_samples } = env.payload {
-                        round1_n.insert(env.sender, n_samples as usize);
-                        round1.push((means, n_samples as usize));
+                        // A malformed payload degrades exactly like a
+                        // dropped frame.
+                        if mean_acc.push(&means, n_samples as usize).is_ok() {
+                            round1_n.insert(env.sender, n_samples as usize);
+                        }
                     }
-                }
-                r1_participants = round1.len();
-                means_res = aggregate_means_sharded(&round1);
-            }
+                },
+            );
             chan.flush_into(obs);
             obs.on_event(&RoundEvent::StatsRound1Done {
-                participants: r1_participants,
+                participants: mean_acc.pushed() as usize,
             });
 
             // An empty phase (or all-zero sample counts) yields Err: no
             // means go down, so no client will report moments — close the
             // second phase without a wait.
-            if let Ok(means) = means_res {
-                let cohort: Vec<u32> = (0..m as u32).collect();
+            if let Ok(means) = mean_acc.finish() {
                 let bytes = chan.download_many(
-                    &cohort,
+                    &everyone,
                     Envelope {
                         round: r,
                         sender: SERVER_SENDER,
@@ -208,61 +180,31 @@ pub fn run_fedomd_server(
                 }
                 chan.flush_into(obs);
 
-                let r2_participants;
-                let moments_res;
-                if cfg.pipeline.enabled {
-                    let mut moment_acc = MomentAccumulator::new();
-                    let comms = &mut driver.comms;
-                    collector.phase_fold(
-                        &mut chan,
-                        r,
-                        &all_ids,
-                        |e| matches!(e.payload, Payload::StatsRound2 { .. }),
-                        |env| {
-                            comms.record(
-                                Direction::Uplink,
-                                TrafficClass::Stats,
-                                env.encoded_len() as u64,
-                            );
-                            if let Payload::StatsRound2 { moments } = env.payload {
-                                // Round-2 moments are weighted by the n_i
-                                // announced in round 1; an unannounced
-                                // reporter is ignored.
-                                if let Some(&n) = round1_n.get(&env.sender) {
-                                    let _ok = moment_acc.push(&moments, n).is_ok();
-                                }
-                            }
-                        },
-                    );
-                    r2_participants = moment_acc.pushed() as usize;
-                    moments_res = moment_acc.finish();
-                } else {
-                    let mut round2: Vec<(Vec<Vec<Vec<f32>>>, usize)> = Vec::new();
-                    for env in collector.phase(&mut chan, r, m, |e| {
-                        matches!(e.payload, Payload::StatsRound2 { .. })
-                    }) {
+                let mut moment_acc = MomentAccumulator::new();
+                collector.fold(
+                    &mut chan,
+                    r,
+                    &everyone,
+                    |e| matches!(e.payload, Payload::StatsRound2 { .. }),
+                    |env| {
                         driver.comms.record(
                             Direction::Uplink,
                             TrafficClass::Stats,
                             env.encoded_len() as u64,
                         );
                         if let Payload::StatsRound2 { moments } = env.payload {
-                            // Round-2 moments are weighted by the n_i
-                            // announced in round 1; an unannounced reporter
-                            // is ignored.
+                            // An unannounced reporter is ignored.
                             if let Some(&n) = round1_n.get(&env.sender) {
-                                round2.push((moments, n));
+                                let _ok = moment_acc.push(&moments, n).is_ok();
                             }
                         }
-                    }
-                    r2_participants = round2.len();
-                    moments_res = aggregate_moments_sharded(&round2);
-                }
+                    },
+                );
                 chan.flush_into(obs);
                 obs.on_event(&RoundEvent::StatsRound2Done {
-                    participants: r2_participants,
+                    participants: moment_acc.pushed() as usize,
                 });
-                if let Ok(moments) = moments_res {
+                if let Ok(moments) = moment_acc.finish() {
                     if track {
                         last_stats = Some(StatsCache {
                             means: means.clone(),
@@ -270,7 +212,7 @@ pub fn run_fedomd_server(
                         });
                     }
                     let bytes = chan.download_many(
-                        &cohort,
+                        &everyone,
                         Envelope {
                             round: r,
                             sender: SERVER_SENDER,
@@ -288,8 +230,6 @@ pub fn run_fedomd_server(
                     chan.flush_into(obs);
                 }
             } else {
-                // Nothing to average: no means went down, so no client
-                // will report moments — close the phase without a wait.
                 obs.on_event(&RoundEvent::StatsRound2Done { participants: 0 });
             }
             sw.finish(obs);
@@ -298,70 +238,45 @@ pub fn run_fedomd_server(
         // --- Phase 4 (server side): FedAvg over whoever arrived ---
         // With a non-full cohort the phase awaits only the sampled
         // senders; a same-round update from an unsampled sender is left
-        // unmatched (and discarded when the round closes). Envelopes come
-        // back sender-sorted, and the sharded batch fold is bit-identical
-        // to a sequential fold in that order, so the result matches the
-        // in-process loop's ascending-client aggregation exactly.
-        let cohort = opts.cohort.sample(r, m);
-        let mut in_cohort = vec![false; m];
-        for &i in &cohort {
-            in_cohort[i] = true;
-        }
+        // unmatched (and discarded when the round closes). Each update
+        // lands in the streaming accumulator the moment its
+        // ascending-sender turn comes up, so the server folds fast
+        // clients' uploads while stragglers are still training — the wait
+        // is the overlap the `FoldOverlap` segment measures — and the
+        // result matches the in-process loop's ascending-client
+        // aggregation exactly.
+        let sw = PhaseStopwatch::start(Phase::FoldOverlap);
+        let cohort: Vec<u32> = opts
+            .cohort
+            .sample(r, m)
+            .into_iter()
+            .map(|i| i as u32)
+            .collect();
         let mut agg = UpdateAccumulator::new();
-        if cfg.pipeline.enabled {
-            // Fold-on-arrival: each update lands in the streaming
-            // accumulator the moment its ascending-sender turn comes up
-            // (out-of-order arrivals wait in the collector's reorder
-            // window), so the server folds fast clients' uploads while
-            // stragglers are still training — the whole wait is the
-            // overlap the `FoldOverlap` telemetry segment measures — and
-            // never materialises the O(cohort·model) payload buffer.
-            let sw = PhaseStopwatch::start(Phase::FoldOverlap);
-            let cohort_ids: Vec<u32> = cohort.iter().map(|&i| i as u32).collect();
-            let comms = &mut driver.comms;
-            collector.phase_fold(
-                &mut chan,
-                r,
-                &cohort_ids,
-                |e| {
-                    matches!(e.payload, Payload::WeightUpdate { .. })
-                        && in_cohort.get(e.sender as usize).copied().unwrap_or(false)
-                },
-                |env| {
-                    comms.record(
-                        Direction::Uplink,
-                        TrafficClass::Weights,
-                        env.encoded_len() as u64,
-                    );
-                    if let Payload::WeightUpdate { params } = env.payload {
-                        agg.push(&from_tensors(params), 1.0);
-                    }
-                },
-            );
-            chan.flush_into(obs);
-            sw.finish(obs);
-        } else {
-            let sw = PhaseStopwatch::start(Phase::Comms);
-            let mut sets: Vec<(Vec<Matrix>, f64)> = Vec::new();
-            for env in collector.phase(&mut chan, r, cohort.len(), |e| {
+        collector.fold(
+            &mut chan,
+            r,
+            &cohort,
+            |e| {
                 matches!(e.payload, Payload::WeightUpdate { .. })
-                    && in_cohort.get(e.sender as usize).copied().unwrap_or(false)
-            }) {
+                    && cohort.binary_search(&e.sender).is_ok()
+            },
+            |env| {
                 driver.comms.record(
                     Direction::Uplink,
                     TrafficClass::Weights,
                     env.encoded_len() as u64,
                 );
                 if let Payload::WeightUpdate { params } = env.payload {
-                    sets.push((from_tensors(params), 1.0));
+                    // Shapes off a socket are hostile until checked: an
+                    // update that does not match the first-folded one
+                    // degrades exactly like a dropped frame.
+                    let _ok = agg.try_push(&from_tensors(params), 1.0).is_ok();
                 }
-            }
-            chan.flush_into(obs);
-            sw.finish(obs);
-            let sw = PhaseStopwatch::start(Phase::Aggregation);
-            agg.push_batch(&sets);
-            sw.finish(obs);
-        }
+            },
+        );
+        chan.flush_into(obs);
+        sw.finish(obs);
         let sw = PhaseStopwatch::start(Phase::Aggregation);
         let participants = agg.pushed();
         let global = agg.finish();
@@ -372,9 +287,8 @@ pub fn run_fedomd_server(
             }
             obs.on_event(&RoundEvent::AggregationDone { participants });
             let sw = PhaseStopwatch::start(Phase::Comms);
-            let cohort: Vec<u32> = (0..m as u32).collect();
             let bytes = chan.download_many(
-                &cohort,
+                &everyone,
                 Envelope {
                     round: r,
                     sender: SERVER_SENDER,
@@ -399,31 +313,35 @@ pub fn run_fedomd_server(
         let mut losses: Vec<f64> = Vec::new();
         let mut val = (0u64, 0u64);
         let mut test = (0u64, 0u64);
-        for env in collector.phase(&mut chan, r, m, |e| {
-            matches!(e.payload, Payload::Metrics { .. })
-        }) {
-            driver.comms.record(
-                Direction::Uplink,
-                TrafficClass::Stats,
-                env.encoded_len() as u64,
-            );
-            if let Payload::Metrics {
-                train_loss,
-                val_correct,
-                val_total,
-                test_correct,
-                test_total,
-            } = env.payload
-            {
-                losses.push(train_loss as f64);
-                val.0 += val_correct;
-                val.1 += val_total;
-                test.0 += test_correct;
-                test.1 += test_total;
-            }
-        }
+        collector.fold(
+            &mut chan,
+            r,
+            &everyone,
+            |e| matches!(e.payload, Payload::Metrics { .. }),
+            |env| {
+                driver.comms.record(
+                    Direction::Uplink,
+                    TrafficClass::Stats,
+                    env.encoded_len() as u64,
+                );
+                if let Payload::Metrics {
+                    train_loss,
+                    val_correct,
+                    val_total,
+                    test_correct,
+                    test_total,
+                } = env.payload
+                {
+                    losses.push(train_loss as f64);
+                    val.0 += val_correct;
+                    val.1 += val_total;
+                    test.0 += test_correct;
+                    test.1 += test_total;
+                }
+            },
+        );
         chan.flush_into(obs);
-        // Sender-sorted f64 sum over f32 readings: the same float summation
+        // Sender-ordered f64 sum over f32 readings: the same float summation
         // the in-process loop performs over its client-ordered losses.
         let mean_loss = if losses.is_empty() {
             0.0
@@ -470,9 +388,8 @@ pub fn run_fedomd_server(
             } else {
                 Control::Ack
             };
-            let cohort: Vec<u32> = (0..m as u32).collect();
             let bytes = chan.download_many(
-                &cohort,
+                &everyone,
                 Envelope {
                     round: r,
                     sender: SERVER_SENDER,
@@ -493,180 +410,105 @@ pub fn run_fedomd_server(
     driver.finish_observed("FedOMD", obs)
 }
 
-/// Phase-aware uplink collector.
+/// Phase-aware uplink collector: the one server-side collection loop, and
+/// the owner of the *when does a phase close* rule.
 ///
 /// A fast client may deliver its whole round — both statistics reports,
 /// its weight update, and its metrics — before a slow one delivers
-/// anything, so a single `server_collect` can surface frames of several
-/// phases at once. The collector keeps the out-of-phase surplus in a
-/// stash and serves each phase the first matching frame per sender,
-/// sender-sorted.
+/// anything, so a single collect can surface frames of several phases at
+/// once. The collector keeps the out-of-phase surplus in a stash and
+/// serves each phase the first matching frame per sender.
 #[derive(Default)]
 struct Collector {
     stash: Vec<Envelope>,
 }
 
 impl Collector {
-    /// Collects up to `expected` round-`round` frames matching `want`
-    /// (which sees the whole envelope, so admission can filter on sender —
-    /// e.g. cohort membership — as well as payload kind), one per sender,
-    /// drawing from the stash first and then from the channel until the
-    /// transport's live-peer count is satisfied or the channel reports
-    /// nothing new (its deadline elapsed with stragglers still missing —
-    /// the partial-aggregation path).
-    fn phase(
-        &mut self,
-        chan: &mut ObservedChannel<'_>,
-        round: u64,
-        expected: usize,
-        want: impl Fn(&Envelope) -> bool,
-    ) -> Vec<Envelope> {
-        let mut got: Vec<Envelope> = Vec::new();
-        let take = |env: Envelope, got: &mut Vec<Envelope>, stash: &mut Vec<Envelope>| {
-            if env.round == round
-                && want(&env)
-                && !got.iter().any(|g: &Envelope| g.sender == env.sender)
-            {
-                got.push(env);
-            } else if env.round >= round {
-                stash.push(env);
-            }
-            // Frames of closed rounds are silently discarded here; the
-            // transport already counted them dropped when it admitted the
-            // round's deadline.
-        };
-        for env in std::mem::take(&mut self.stash) {
-            take(env, &mut got, &mut self.stash);
-        }
-        loop {
-            // A transport that tracks liveness caps the wait at its live
-            // peer count: once a departed party shrinks the cohort, the
-            // phase closes as soon as everyone remaining has reported,
-            // instead of burning a full collect deadline per phase on
-            // peers that are gone.
-            let target = chan
-                .awaited_peers(round)
-                .map_or(expected, |live| live.min(expected));
-            if got.len() >= target {
-                break;
-            }
-            let batch = chan.server_collect(round);
-            if batch.is_empty() {
-                break;
-            }
-            for env in batch {
-                take(env, &mut got, &mut self.stash);
-            }
-        }
-        got.sort_by_key(|e| e.sender);
-        got
-    }
-
-    /// Fold-on-arrival variant of [`Self::phase`]: applies `fold` to each
-    /// admitted envelope in ascending sender order — the exact order the
-    /// batch variant's final sort produces — buffering out-of-order
-    /// arrivals in a reorder window keyed by sender, so the phase never
-    /// materialises more than the window while fast senders' payloads are
-    /// consumed immediately. `candidates` is the ascending list of senders
-    /// the phase may admit (the cohort for the weight phase). An admitted
-    /// sender stuck behind a gap (an earlier candidate that never reports)
-    /// folds when the phase closes, still ascending.
+    /// Runs one uplink phase: applies `fold` to the first round-`round`
+    /// frame matching `want` from each sender, in ascending sender order.
+    /// `want` sees the whole envelope, so admission can filter on sender
+    /// (cohort membership) as well as payload kind. `candidates` is the
+    /// ascending list of senders the phase awaits. Out-of-order arrivals
+    /// wait in a reorder window keyed by sender, so fast senders' payloads
+    /// are consumed as they land and the phase never holds more than the
+    /// window; an admitted sender stuck behind a gap (an earlier candidate
+    /// that never reports) folds when the phase closes, still ascending.
     ///
-    /// Close conditions match [`Self::phase`]: enough admissions to cover
-    /// `min(awaited_peers, candidates.len())`, or a collect that comes
-    /// back empty (the transport's deadline elapsed / every live peer
-    /// reported — the partial-aggregation path). Polls
-    /// [`Channel::server_collect_some`], so a transport that can return
-    /// single frames feeds the fold as uploads land rather than at phase
-    /// end. Returns the number of envelopes folded.
-    fn phase_fold(
+    /// **Close rule.** The phase closes when every candidate has been
+    /// seen or is no longer live for the round, or when the transport's
+    /// deadline passes. The collector decides *who* is still missing and
+    /// names them to [`Channel::server_await`]; the transport only blocks
+    /// and answers liveness — an empty batch means none of the named
+    /// senders can still deliver (or time is up). The rule is about which
+    /// senders, never how many: a departed sender that already reported
+    /// must not let the phase close one live sender early, and a stray
+    /// frame from a sender the phase does not await must not stand in for
+    /// one it does.
+    fn fold(
         &mut self,
         chan: &mut ObservedChannel<'_>,
         round: u64,
         candidates: &[u32],
         want: impl Fn(&Envelope) -> bool,
         mut fold: impl FnMut(Envelope),
-    ) -> usize {
-        let expected = candidates.len();
+    ) {
         let mut window: BTreeMap<u32, Envelope> = BTreeMap::new();
-        let mut seen: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
+        let mut seen: BTreeSet<u32> = BTreeSet::new();
+        let mut missing: Vec<u32> = candidates.to_vec();
         let mut next = 0usize;
-        let mut folded = 0usize;
-        let admit = |env: Envelope,
-                     window: &mut BTreeMap<u32, Envelope>,
-                     seen: &mut std::collections::BTreeSet<u32>,
-                     stash: &mut Vec<Envelope>| {
-            if env.round == round && want(&env) && seen.insert(env.sender) {
-                window.insert(env.sender, env);
-            } else if env.round >= round {
-                stash.push(env);
-            }
-            // Frames of closed rounds are silently discarded, as in
-            // `phase`.
-        };
-        for env in std::mem::take(&mut self.stash) {
-            admit(env, &mut window, &mut seen, &mut self.stash);
-        }
+        let mut batch = std::mem::take(&mut self.stash);
         loop {
+            for env in batch {
+                if env.round == round && want(&env) {
+                    // First frame per sender wins. A duplicate is dropped
+                    // here rather than stashed: no later phase can want it.
+                    if seen.insert(env.sender) {
+                        window.insert(env.sender, env);
+                    }
+                } else if env.round >= round {
+                    self.stash.push(env);
+                }
+                // Frames of closed rounds are silently discarded; the
+                // transport already counted them dropped when it admitted
+                // the round's deadline.
+            }
             // Fold the contiguous arrived prefix of the candidate list.
             while next < candidates.len() {
                 let Some(env) = window.remove(&candidates[next]) else {
                     break;
                 };
                 fold(env);
-                folded += 1;
                 next += 1;
             }
-            let target = chan
-                .awaited_peers(round)
-                .map_or(expected, |live| live.min(expected));
-            if seen.len() >= target {
+            missing.retain(|id| !seen.contains(id));
+            if missing.is_empty() {
                 break;
             }
-            let batch = chan.server_collect_some(round);
+            batch = chan.server_await(round, &missing);
             if batch.is_empty() {
                 break;
-            }
-            for env in batch {
-                admit(env, &mut window, &mut seen, &mut self.stash);
             }
         }
         // Close: whatever waited behind a gap folds now, ascending.
         while let Some((_, env)) = window.pop_first() {
             fold(env);
-            folded += 1;
         }
-        folded
     }
 }
 
-/// Drives [`Collector::phase`] — the batch collection path — over `chan`
-/// with a fresh collector. Public so the exhaustive interleaving harness
-/// (`tests/interleaving.rs`) can push the private collector through every
-/// arrival permutation and compare against the sequential oracle; the
-/// round loop itself keeps using its long-lived collector directly.
-pub fn drive_phase(
-    chan: &mut dyn Channel,
-    round: u64,
-    expected: usize,
-    want: impl Fn(&Envelope) -> bool,
-) -> Vec<Envelope> {
-    let mut observed = ObservedChannel::new(chan);
-    Collector::default().phase(&mut observed, round, expected, want)
-}
-
-/// Drives [`Collector::phase_fold`] — the fold-on-arrival path — over
-/// `chan` with a fresh collector; the interleaving counterpart of
-/// [`drive_phase`]. Returns the number of envelopes folded.
+/// Drives [`Collector::fold`] over `chan` with a fresh collector. Public
+/// so the exhaustive interleaving harness (`tests/interleaving.rs`) can
+/// push the private collector through every arrival permutation; the round
+/// loop itself keeps using its long-lived collector directly.
 pub fn drive_phase_fold(
     chan: &mut dyn Channel,
     round: u64,
     candidates: &[u32],
     want: impl Fn(&Envelope) -> bool,
     fold: impl FnMut(Envelope),
-) -> usize {
+) {
     let mut observed = ObservedChannel::new(chan);
-    Collector::default().phase_fold(&mut observed, round, candidates, want, fold)
+    Collector::default().fold(&mut observed, round, candidates, want, fold)
 }
 
 #[cfg(test)]
@@ -677,6 +519,7 @@ mod tests {
     use fedomd_nn::AdamState;
     use fedomd_telemetry::NullObserver;
     use fedomd_transport::{ChannelState, InProcChannel, Tensor};
+    use std::collections::VecDeque;
 
     fn weight_env(round: u64, sender: u32, v: f32) -> Envelope {
         Envelope {
@@ -706,216 +549,201 @@ mod tests {
         }
     }
 
+    /// A server-side transport mock for the collector's contract: one
+    /// pre-loaded frame per `server_await`, in raw arrival order — the
+    /// finest-grained interleaving a transport can produce — and liveness
+    /// answered per sender. A real transport would block when the queue is
+    /// empty and a named sender is live; the mock counts that as a stall
+    /// (the wait would have run into the phase deadline) and returns.
+    struct Scripted {
+        frames: VecDeque<Envelope>,
+        live: BTreeSet<u32>,
+        awaits: usize,
+        stalls: usize,
+    }
+
+    impl Scripted {
+        fn new(frames: Vec<Envelope>, live: &[u32]) -> Self {
+            Self {
+                frames: frames.into(),
+                live: live.iter().copied().collect(),
+                awaits: 0,
+                stalls: 0,
+            }
+        }
+    }
+
+    impl Channel for Scripted {
+        fn upload(&mut self, env: Envelope) -> usize {
+            self.frames.push_back(env);
+            0
+        }
+        fn server_collect(&mut self, _round: u64) -> Vec<Envelope> {
+            self.frames.drain(..).collect()
+        }
+        fn server_await(&mut self, _round: u64, missing: &[u32]) -> Vec<Envelope> {
+            self.awaits += 1;
+            assert!(!missing.is_empty(), "awaited with nobody missing");
+            if let Some(env) = self.frames.pop_front() {
+                return vec![env];
+            }
+            if missing.iter().any(|id| self.live.contains(id)) {
+                self.stalls += 1;
+            }
+            Vec::new()
+        }
+        fn download(&mut self, _to: u32, _env: Envelope) -> usize {
+            0
+        }
+        fn client_collect(&mut self, _id: u32, _round: u64) -> Vec<Envelope> {
+            Vec::new()
+        }
+        fn stats(&self) -> fedomd_transport::NetStats {
+            fedomd_transport::NetStats::default()
+        }
+    }
+
+    fn is_weight(e: &Envelope) -> bool {
+        matches!(e.payload, Payload::WeightUpdate { .. })
+    }
+
+    fn is_metrics(e: &Envelope) -> bool {
+        matches!(e.payload, Payload::Metrics { .. })
+    }
+
+    /// Runs one collector phase over `chan`, returning the fold order.
+    fn fold_phase(
+        c: &mut Collector,
+        chan: &mut dyn Channel,
+        candidates: &[u32],
+        want: impl Fn(&Envelope) -> bool,
+    ) -> Vec<u32> {
+        let mut observed = ObservedChannel::new(chan);
+        let mut order = Vec::new();
+        c.fold(&mut observed, 0, candidates, want, |env| {
+            order.push(env.sender)
+        });
+        order
+    }
+
     #[test]
     fn collector_splits_interleaved_phases_per_sender() {
-        let mut inner = InProcChannel::new();
+        let mut chan = InProcChannel::new();
         // Sender 1 races ahead: its weight update and metrics land before
         // sender 0's weight update.
-        inner.upload(weight_env(0, 1, 1.0));
-        inner.upload(metrics_env(0, 1, 0.5, 3, 4));
-        inner.upload(weight_env(0, 0, 0.0));
-        let mut chan = ObservedChannel::new(&mut inner);
+        chan.upload(weight_env(0, 1, 1.0));
+        chan.upload(metrics_env(0, 1, 0.5, 3, 4));
+        chan.upload(weight_env(0, 0, 0.0));
         let mut c = Collector::default();
-        let weights = c.phase(&mut chan, 0, 2, |e| {
-            matches!(e.payload, Payload::WeightUpdate { .. })
-        });
-        assert_eq!(weights.len(), 2);
-        assert_eq!(weights[0].sender, 0, "must be sender-sorted");
-        assert_eq!(weights[1].sender, 1);
+        let weights = fold_phase(&mut c, &mut chan, &[0, 1], is_weight);
+        assert_eq!(weights, [0, 1], "must fold sender-ascending");
         // The metrics frame was stashed, not lost: the next phase gets it
         // without touching the (now empty) channel.
-        let metrics = c.phase(&mut chan, 0, 1, |e| {
-            matches!(e.payload, Payload::Metrics { .. })
-        });
-        assert_eq!(metrics.len(), 1);
-        assert_eq!(metrics[0].sender, 1);
+        let metrics = fold_phase(&mut c, &mut chan, &[1], is_metrics);
+        assert_eq!(metrics, [1]);
+        assert!(c.stash.is_empty());
     }
 
     #[test]
-    fn collector_stops_at_the_live_peer_count() {
-        // A transport that knows only one of the three configured parties
-        // is still connected: once that party reported, the phase must
-        // close without calling collect again — the extra call is what
-        // used to burn a full phase deadline per phase after a departure.
-        struct OneLive {
-            inner: InProcChannel,
-            collects: usize,
-        }
-        impl Channel for OneLive {
-            fn upload(&mut self, env: Envelope) -> usize {
-                self.inner.upload(env)
-            }
-            fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
-                self.collects += 1;
-                self.inner.server_collect(round)
-            }
-            fn download(&mut self, to: u32, env: Envelope) -> usize {
-                self.inner.download(to, env)
-            }
-            fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope> {
-                self.inner.client_collect(id, round)
-            }
-            fn awaited_peers(&self, _round: u64) -> Option<usize> {
-                Some(1)
-            }
-            fn stats(&self) -> fedomd_transport::NetStats {
-                self.inner.stats()
-            }
-        }
-        let mut chan = OneLive {
-            inner: InProcChannel::new(),
-            collects: 0,
-        };
-        chan.inner.upload(weight_env(0, 0, 1.0));
-        let mut observed = ObservedChannel::new(&mut chan);
-        let mut c = Collector::default();
-        let got = c.phase(&mut observed, 0, 3, |e| {
-            matches!(e.payload, Payload::WeightUpdate { .. })
-        });
-        assert_eq!(got.len(), 1);
-        drop(observed);
-        assert_eq!(chan.collects, 1, "no re-collect for departed parties");
-    }
-
-    #[test]
-    fn phase_fold_folds_out_of_order_arrivals_ascending() {
-        use std::collections::VecDeque;
-        // A transport that surfaces one frame per collect, in raw arrival
-        // order — the shape `server_collect_some` takes over TCP.
-        struct Trickle {
-            frames: VecDeque<Envelope>,
-        }
-        impl Channel for Trickle {
-            fn upload(&mut self, env: Envelope) -> usize {
-                self.frames.push_back(env);
-                1
-            }
-            fn server_collect(&mut self, _round: u64) -> Vec<Envelope> {
-                self.frames.drain(..).collect()
-            }
-            fn server_collect_some(&mut self, _round: u64) -> Vec<Envelope> {
-                self.frames.pop_front().into_iter().collect()
-            }
-            fn download(&mut self, _to: u32, _env: Envelope) -> usize {
-                0
-            }
-            fn client_collect(&mut self, _id: u32, _round: u64) -> Vec<Envelope> {
-                Vec::new()
-            }
-            fn stats(&self) -> fedomd_transport::NetStats {
-                fedomd_transport::NetStats::default()
-            }
-        }
-        let mut t = Trickle {
-            frames: VecDeque::new(),
-        };
+    fn out_of_order_arrivals_fold_ascending() {
         // Arrival order 2, 0, 1: the window must hold 2 until 0 and 1 fold.
-        t.upload(weight_env(0, 2, 2.0));
-        t.upload(weight_env(0, 0, 0.0));
-        t.upload(weight_env(0, 1, 1.0));
-        let mut chan = ObservedChannel::new(&mut t);
+        let frames = vec![
+            weight_env(0, 2, 2.0),
+            weight_env(0, 0, 0.0),
+            weight_env(0, 1, 1.0),
+        ];
+        let mut chan = Scripted::new(frames, &[0, 1, 2]);
+        let order = fold_phase(&mut Collector::default(), &mut chan, &[0, 1, 2], is_weight);
+        assert_eq!(order, [0, 1, 2], "fold order must be ascending");
+        assert_eq!(chan.awaits, 3, "closes on the last sender, no extra wait");
+        assert_eq!(chan.stalls, 0);
+    }
+
+    #[test]
+    fn phase_closes_once_every_missing_sender_has_departed() {
+        // Two of three parties departed; the third's upload is in. The
+        // phase must close without a blocking wait — and the survivor,
+        // stuck in the window behind the gap the departed senders left,
+        // must still fold.
+        let mut chan = Scripted::new(vec![weight_env(0, 2, 2.0)], &[2]);
+        let order = fold_phase(&mut Collector::default(), &mut chan, &[0, 1, 2], is_weight);
+        assert_eq!(order, [2], "the survivor's update must not be stranded");
+        assert_eq!(chan.stalls, 0, "nobody live was missing");
+    }
+
+    #[test]
+    fn a_departed_sender_that_reported_does_not_close_the_phase_early() {
+        // Sender 0 reported and then left; sender 1 is live and late. A
+        // head count (one live peer, one frame seen) would close here and
+        // lose sender 1's update; the set rule keeps waiting for it.
+        let mut chan = Scripted::new(vec![weight_env(0, 0, 0.0)], &[1]);
+        let order = fold_phase(&mut Collector::default(), &mut chan, &[0, 1], is_weight);
+        assert_eq!(order, [0]);
+        assert_eq!(chan.stalls, 1, "the live straggler must be waited for");
+    }
+
+    #[test]
+    fn duplicate_frames_are_dropped_on_admission_not_stashed() {
+        let k = 5;
+        let mut frames = vec![weight_env(0, 0, 0.0)];
+        frames.extend((0..k).map(|i| weight_env(0, 0, 10.0 + i as f32)));
+        frames.push(weight_env(0, 1, 1.0));
+        let mut chan = Scripted::new(frames, &[0, 1]);
         let mut c = Collector::default();
-        let mut order = Vec::new();
-        let folded = c.phase_fold(
+        let order = fold_phase(&mut c, &mut chan, &[0, 1], is_weight);
+        assert_eq!(order, [0, 1], "one fold per sender, first frame wins");
+        assert!(
+            c.stash.is_empty(),
+            "{} duplicates piled up in the stash",
+            c.stash.len()
+        );
+    }
+
+    #[test]
+    fn a_mis_shaped_update_degrades_like_a_dropped_frame() {
+        use fedomd_telemetry::MemoryObserver;
+        // Sender 1's update decodes fine but its tensor is 2×1 where the
+        // first-folded update fixed 1×2: the round must drop it and
+        // average the two good updates, not panic the round thread.
+        let mut chan = InProcChannel::new();
+        chan.upload(weight_env(0, 0, 0.0));
+        chan.upload(Envelope {
+            round: 0,
+            sender: 1,
+            payload: Payload::WeightUpdate {
+                params: vec![Tensor {
+                    rows: 2,
+                    cols: 1,
+                    data: vec![100.0, 100.0],
+                }],
+            },
+        });
+        chan.upload(weight_env(0, 2, 2.0));
+        for id in 0..3 {
+            chan.upload(metrics_env(0, id, 1.0, 1, 4));
+        }
+        let cfg = TrainConfig {
+            rounds: 1,
+            ..TrainConfig::mini(0)
+        };
+        let mut mem = MemoryObserver::new();
+        let r = run_fedomd_server(
+            &ServerOpts::new(3),
+            &cfg,
+            &FedOmdConfig::ortho_only(),
             &mut chan,
-            0,
-            &[0, 1, 2],
-            |e| matches!(e.payload, Payload::WeightUpdate { .. }),
-            |env| order.push(env.sender),
+            &mut mem,
+            Persistence::default(),
         );
-        assert_eq!(folded, 3);
-        assert_eq!(order, vec![0, 1, 2], "fold order must be ascending");
-    }
-
-    #[test]
-    fn disconnect_mid_fold_closes_at_the_live_peer_count() {
-        // Two of three parties depart after the third uploads (their
-        // generation-stamped `Left` events shrink `awaited_peers` to 1).
-        // The partially-folded phase must close without another collect —
-        // and the survivor, stuck in the window behind the gap left by the
-        // departed senders, must still fold.
-        struct OneLive {
-            inner: InProcChannel,
-            collects: usize,
+        assert_eq!(r.comms.rounds, 1);
+        assert!(mem
+            .events
+            .contains(&RoundEvent::AggregationDone { participants: 2 }));
+        let down = chan.client_collect(0, 0);
+        match &down[0].payload {
+            Payload::GlobalModel { params } => assert_eq!(params[0].data, vec![1.0, 2.0]),
+            other => panic!("unexpected {}", other.kind()),
         }
-        impl Channel for OneLive {
-            fn upload(&mut self, env: Envelope) -> usize {
-                self.inner.upload(env)
-            }
-            fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
-                self.collects += 1;
-                self.inner.server_collect(round)
-            }
-            fn server_collect_some(&mut self, round: u64) -> Vec<Envelope> {
-                self.server_collect(round)
-            }
-            fn download(&mut self, to: u32, env: Envelope) -> usize {
-                self.inner.download(to, env)
-            }
-            fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope> {
-                self.inner.client_collect(id, round)
-            }
-            fn awaited_peers(&self, _round: u64) -> Option<usize> {
-                Some(1)
-            }
-            fn stats(&self) -> fedomd_transport::NetStats {
-                self.inner.stats()
-            }
-        }
-        let mut chan = OneLive {
-            inner: InProcChannel::new(),
-            collects: 0,
-        };
-        chan.inner.upload(weight_env(0, 2, 2.0));
-        let mut observed = ObservedChannel::new(&mut chan);
-        let mut c = Collector::default();
-        let mut order = Vec::new();
-        let folded = c.phase_fold(
-            &mut observed,
-            0,
-            &[0, 1, 2],
-            |e| matches!(e.payload, Payload::WeightUpdate { .. }),
-            |env| order.push(env.sender),
-        );
-        assert_eq!(folded, 1, "the survivor's update must not be stranded");
-        assert_eq!(order, vec![2]);
-        drop(observed);
-        assert_eq!(chan.collects, 1, "no re-collect for departed parties");
-    }
-
-    #[test]
-    fn pipelined_server_round_matches_the_sequential_server_round() {
-        use fedomd_federated::PipelineConfig;
-        // The same queued uplink, drained by both server paths: every
-        // RunResult artefact (pooled eval, history, byte accounting) must
-        // agree bit for bit.
-        let run_once = |pipelined: bool| {
-            let mut chan = InProcChannel::new();
-            chan.upload(weight_env(0, 0, 0.0));
-            chan.upload(weight_env(0, 1, 2.0));
-            chan.upload(metrics_env(0, 0, 1.0, 1, 4));
-            chan.upload(metrics_env(0, 1, 3.0, 2, 4));
-            let mut cfg = TrainConfig {
-                rounds: 1,
-                ..TrainConfig::mini(0)
-            };
-            if pipelined {
-                cfg.pipeline = PipelineConfig::on();
-            }
-            run_fedomd_server(
-                &ServerOpts::new(2),
-                &cfg,
-                &FedOmdConfig::ortho_only(),
-                &mut chan,
-                &mut NullObserver,
-                Persistence::default(),
-            )
-        };
-        let seq = run_once(false);
-        let piped = run_once(true);
-        assert_eq!(seq.history, piped.history);
-        assert_eq!(seq.val_acc, piped.val_acc);
-        assert_eq!(seq.comms, piped.comms);
     }
 
     #[test]

@@ -47,8 +47,7 @@ use rayon::prelude::*;
 
 use fedomd_autograd::{CmdTargets, Tape, Var, Workspace};
 use fedomd_federated::engine::RoundDriver;
-use fedomd_federated::helpers::UpdateAccumulator;
-use fedomd_federated::pipeline::fold_in_order;
+use fedomd_federated::helpers::{fold_weight_update, UpdateAccumulator};
 use fedomd_federated::{
     ClientData, Direction, Persistence, ResumeState, RunResult, StatsCache, TrafficClass,
     TrainConfig,
@@ -85,22 +84,8 @@ pub fn run_fedomd_observed(
     )
 }
 
-/// Folds one uplinked weight update into the streaming FedAvg accumulator.
-fn fold_weight_update(agg: &mut UpdateAccumulator, env: Envelope) {
-    match env.payload {
-        Payload::WeightUpdate { params } => agg.push(&from_tensors(params), 1.0),
-        // LINT: allow(panic) protocol invariant: every channel impl routes
-        // only client uplink frames to `server_collect`, and FedOMD
-        // clients upload nothing but `WeightUpdate` in the weight phase —
-        // any other payload here is a routing bug that must fail loudly.
-        // LINT: allow(msg-wildcard) same invariant: the wildcard cannot
-        // swallow a frame, it panics naming the unexpected kind.
-        other => panic!("server expected WeightUpdate, got {}", other.kind()),
-    }
-}
-
 /// Reports each sampled client's Phase-3 loss decomposition to `obs`.
-fn emit_local_steps(losses: &[Option<(f32, f32, f32, f32)>], obs: &mut dyn RoundObserver) {
+fn emit_local_steps(losses: &[Option<StepLosses>], obs: &mut dyn RoundObserver) {
     for (client, &(loss, ce, ortho, cmd)) in losses
         .iter()
         .enumerate()
@@ -394,194 +379,60 @@ pub fn run_fedomd_resumable(
         };
 
         // --- Phase 3: losses, backward, local steps (cohort, parallel) ---
-        // One sampled client's backward/step turn, shared verbatim between
-        // the phase-sequential sweep and the pipelined overlap sweep so
-        // the two paths compute identical bits. Returns the (total, ce,
-        // scaled ortho, scaled cmd) loss readings.
-        let optimise_client = |session: (Tape, ForwardOut),
-                               model: &mut Box<dyn Model>,
-                               opt: &mut Adam,
-                               client: &ClientData,
-                               targets_ref: &Option<Vec<CmdTargets>>,
-                               ws: &mut Workspace|
-         -> (f32, f32, f32, f32) {
-            let (mut tape, out) = session;
-            let ce = tape.softmax_cross_entropy(out.logits, &client.labels, &client.splits.train);
-            let mut loss = ce;
-            let mut ortho_term: Option<Var> = None;
-            if omd.use_ortho {
-                if let Some(pen) = sum_terms(&mut tape, out.ortho_weight_vars.to_vec(), |t, w| {
-                    t.ortho_penalty(w)
-                }) {
-                    let scaled = tape.scale(pen, omd.alpha);
-                    ortho_term = Some(scaled);
-                    loss = tape.add(loss, scaled);
-                }
-            }
-            let mut cmd_term: Option<Var> = None;
-            if let Some(targets) = targets_ref {
-                let n_constrained = if omd.cmd_first_layer_only {
-                    1
-                } else {
-                    out.hidden.len()
-                };
-                if let Some(cmd) = sum_cmd(
-                    &mut tape,
-                    &out.hidden[..n_constrained],
-                    &targets[..n_constrained],
-                    omd.width,
-                    omd.cmd_mean_scale,
-                ) {
-                    let scaled = tape.scale(cmd, omd.beta);
-                    cmd_term = Some(scaled);
-                    loss = tape.add(loss, scaled);
-                }
-            }
-            tape.backward(loss);
-
-            let grads: Vec<Matrix> = out
-                .param_vars
-                .iter()
-                .map(|&v| tape.grad_or_zeros(v))
-                .collect();
-            let mut params = model.params();
-            opt.step(&mut params, &grads);
-            model.set_params(&params);
-            model.post_step();
-            for g in grads {
-                tape.recycle_matrix(g);
-            }
-            for p in params {
-                tape.recycle_matrix(p);
-            }
-            let scalars = (
-                tape.scalar(loss),
-                tape.scalar(ce),
-                ortho_term.map_or(0.0, |v| tape.scalar(v)),
-                cmd_term.map_or(0.0, |v| tape.scalar(v)),
-            );
-            *ws = tape.recycle();
-            scalars
-        };
-
         // Per sampled client: (total, ce, scaled ortho, scaled cmd) loss
         // readings; `None` for clients outside the cohort.
-        let losses: Vec<Option<(f32, f32, f32, f32)>>;
-        let mut piped_agg: Option<UpdateAccumulator> = None;
-        if cfg.pipeline.enabled {
-            // Pipelined Phase 3→4: each rayon worker hands its freshly
-            // stepped parameters to the fold thread the moment it leaves
-            // `optimise_client`, and the fold thread performs the same
-            // upload → collect → fold channel call sequence, in the same
-            // ascending cohort order, as the sequential Phase 4 below —
-            // so the aggregate is bit-identical and only the wall-clock
-            // overlaps.
-            let cohort_ids: Vec<u32> = cohort.iter().map(|&i| i as u32).collect();
-            let sw = PhaseStopwatch::start(Phase::FoldOverlap);
-            let start = Stopwatch::start();
-            let comms = &mut driver.comms;
-            let chan_ref = &mut chan;
-            let (agg, piped_losses) = fold_in_order(
-                &cohort_ids,
-                UpdateAccumulator::new(),
-                |agg: &mut UpdateAccumulator, id, params| {
-                    let bytes = chan_ref.upload(Envelope {
-                        round: round as u64,
-                        sender: id,
-                        payload: Payload::WeightUpdate { params },
-                    });
-                    comms.record(Direction::Uplink, TrafficClass::Weights, bytes as u64);
-                    for env in chan_ref.server_collect(round as u64) {
-                        fold_weight_update(agg, env);
-                    }
-                },
-                |tx| -> Vec<Option<(f32, f32, f32, f32)>> {
-                    sessions
-                        .into_par_iter()
-                        .zip(models.par_iter_mut())
-                        .zip(optimizers.par_iter_mut())
-                        .zip(clients.par_iter())
-                        .zip(targets.par_iter())
-                        .zip(workspaces.par_iter_mut())
-                        .enumerate()
-                        .map(
-                            |(i, (((((session, model), opt), client), targets_ref), ws))| {
-                                let session = session?;
-                                let scalars =
-                                    optimise_client(session, model, opt, client, targets_ref, ws);
-                                // LINT: allow(panic) the fold thread provably
-                                // outlives the optimise sweep (scoped thread,
-                                // drains the channel until all senders drop), so
-                                // a send failure is unreachable; propagating it
-                                // as a panic beats silently losing an update.
-                                tx.send((i as u32, to_tensors(&model.params())))
-                                    .expect("fold thread outlives the optimise sweep");
-                                Some(scalars)
-                            },
-                        )
-                        .collect()
-                },
-            );
-            piped_agg = Some(agg);
-            losses = piped_losses;
-            driver.timer.add("client", start.elapsed());
-            emit_local_steps(&losses, obs);
-            sw.finish(obs);
-        } else {
-            let sw = PhaseStopwatch::start(Phase::LocalTrain);
-            let start = Stopwatch::start();
-            losses = sessions
-                .into_par_iter()
-                .zip(models.par_iter_mut())
-                .zip(optimizers.par_iter_mut())
-                .zip(clients.par_iter())
-                .zip(targets.par_iter())
-                .zip(workspaces.par_iter_mut())
-                .map(|(((((session, model), opt), client), targets_ref), ws)| {
-                    let session = session?;
-                    Some(optimise_client(
-                        session,
-                        model,
-                        opt,
-                        client,
-                        targets_ref,
-                        ws,
-                    ))
-                })
-                .collect();
-            driver.timer.add("client", start.elapsed());
-            emit_local_steps(&losses, obs);
-            sw.finish(obs);
-        }
+        let sw = PhaseStopwatch::start(Phase::LocalTrain);
+        let start = Stopwatch::start();
+        let losses: Vec<Option<StepLosses>> = sessions
+            .into_par_iter()
+            .zip(models.par_iter_mut())
+            .zip(optimizers.par_iter_mut())
+            .zip(clients.par_iter())
+            .zip(targets.par_iter())
+            .zip(workspaces.par_iter_mut())
+            .map(|(((((session, model), opt), client), targets), ws)| {
+                let (tape, out) = session?;
+                let (recycled, step) = optimise_client(
+                    omd,
+                    tape,
+                    &out,
+                    model.as_mut(),
+                    opt,
+                    client,
+                    targets.as_deref(),
+                );
+                *ws = recycled;
+                Some(step)
+            })
+            .collect();
+        driver.timer.add("client", start.elapsed());
+        emit_local_steps(&losses, obs);
+        sw.finish(obs);
 
         // --- Phase 4: FedAvg over the channel (partial under faults) ---
         // Interleaved upload → collect → fold: the uplink queue holds at
         // most one weight update at a time and the accumulator keeps
         // AGG_LANES f64 partials, so server aggregation memory is
-        // O(model) regardless of cohort size. On the pipelined path the
-        // whole interleave already ran during the overlap; only the
-        // straggler drain below remains.
+        // O(model) regardless of cohort size.
         let start = Stopwatch::start();
         let sw = PhaseStopwatch::start(Phase::Comms);
-        let mut agg = piped_agg.take().unwrap_or_default();
-        if !cfg.pipeline.enabled {
-            for (i, mo) in models.iter().enumerate() {
-                if !in_cohort[i] {
-                    continue;
-                }
-                let bytes = chan.upload(Envelope {
-                    round: round as u64,
-                    sender: i as u32,
-                    payload: Payload::WeightUpdate {
-                        params: to_tensors(&mo.params()),
-                    },
-                });
-                driver
-                    .comms
-                    .record(Direction::Uplink, TrafficClass::Weights, bytes as u64);
-                for env in chan.server_collect(round as u64) {
-                    fold_weight_update(&mut agg, env);
-                }
+        let mut agg = UpdateAccumulator::new();
+        for (i, mo) in models.iter().enumerate() {
+            if !in_cohort[i] {
+                continue;
+            }
+            let bytes = chan.upload(Envelope {
+                round: round as u64,
+                sender: i as u32,
+                payload: Payload::WeightUpdate {
+                    params: to_tensors(&mo.params()),
+                },
+            });
+            driver
+                .comms
+                .record(Direction::Uplink, TrafficClass::Weights, bytes as u64);
+            for env in chan.server_collect(round as u64) {
+                fold_weight_update(&mut agg, env);
             }
         }
         // Straggler drain: both in-process channels resolve every pending
@@ -664,14 +515,87 @@ pub fn run_fedomd_resumable(
     driver.finish_observed("FedOMD", obs)
 }
 
+/// One Phase-3 step's `(total, ce, scaled ortho, scaled cmd)` loss readings.
+pub(crate) type StepLosses = (f32, f32, f32, f32);
+
+/// One client's Phase-3 turn (Algorithm 1 lines 19–20): builds
+/// `CE + α·L_ortho + β·d_CMD` (Eq. 12) on the forward pass recorded in
+/// `tape`/`out`, runs backward, and takes the Adam step. `targets` is
+/// `None` when the client never received this round's global statistics —
+/// it then trains without the CMD term. Returns the tape's recycled buffer
+/// pool and the loss readings.
+///
+/// The single definition of the local objective: the in-process trainer
+/// and the multi-process client loop (`crate::client_loop`) both call it,
+/// so the two deployments cannot drift apart.
+pub(crate) fn optimise_client(
+    omd: &FedOmdConfig,
+    mut tape: Tape,
+    out: &ForwardOut,
+    model: &mut dyn Model,
+    opt: &mut Adam,
+    client: &ClientData,
+    targets: Option<&[CmdTargets]>,
+) -> (Workspace, StepLosses) {
+    let ce = tape.softmax_cross_entropy(out.logits, &client.labels, &client.splits.train);
+    let mut loss = ce;
+    let mut ortho_term: Option<Var> = None;
+    if omd.use_ortho {
+        if let Some(pen) = sum_terms(&mut tape, out.ortho_weight_vars.to_vec(), |t, w| {
+            t.ortho_penalty(w)
+        }) {
+            let scaled = tape.scale(pen, omd.alpha);
+            ortho_term = Some(scaled);
+            loss = tape.add(loss, scaled);
+        }
+    }
+    let mut cmd_term: Option<Var> = None;
+    if let Some(targets) = targets {
+        let n_constrained = if omd.cmd_first_layer_only {
+            1
+        } else {
+            out.hidden.len()
+        };
+        if let Some(cmd) = sum_cmd(
+            &mut tape,
+            &out.hidden[..n_constrained],
+            &targets[..n_constrained],
+            omd.width,
+            omd.cmd_mean_scale,
+        ) {
+            let scaled = tape.scale(cmd, omd.beta);
+            cmd_term = Some(scaled);
+            loss = tape.add(loss, scaled);
+        }
+    }
+    tape.backward(loss);
+
+    let grads: Vec<Matrix> = out
+        .param_vars
+        .iter()
+        .map(|&v| tape.grad_or_zeros(v))
+        .collect();
+    let mut params = model.params();
+    opt.step(&mut params, &grads);
+    model.set_params(&params);
+    model.post_step();
+    for g in grads {
+        tape.recycle_matrix(g);
+    }
+    for p in params {
+        tape.recycle_matrix(p);
+    }
+    let losses = (
+        tape.scalar(loss),
+        tape.scalar(ce),
+        ortho_term.map_or(0.0, |v| tape.scalar(v)),
+        cmd_term.map_or(0.0, |v| tape.scalar(v)),
+    );
+    (tape.recycle(), losses)
+}
+
 /// Sums `make(tape, v)` over `vars` on the tape (None when empty).
-/// Shared with the multi-process client loop (`crate::client_loop`), whose
-/// Phase-3 objective must be term-for-term the one built here.
-pub(crate) fn sum_terms(
-    tape: &mut Tape,
-    vars: Vec<Var>,
-    make: impl Fn(&mut Tape, Var) -> Var,
-) -> Option<Var> {
+fn sum_terms(tape: &mut Tape, vars: Vec<Var>, make: impl Fn(&mut Tape, Var) -> Var) -> Option<Var> {
     let mut acc: Option<Var> = None;
     for v in vars {
         let term = make(tape, v);
@@ -684,8 +608,7 @@ pub(crate) fn sum_terms(
 }
 
 /// Sums the per-layer CMD losses (Algorithm 1 line 19's `Σ_l`).
-/// Shared with the multi-process client loop (`crate::client_loop`).
-pub(crate) fn sum_cmd(
+fn sum_cmd(
     tape: &mut Tape,
     hidden: &[Var],
     targets: &[CmdTargets],
@@ -945,65 +868,6 @@ mod tests {
             r.comms.uplink_bytes,
             full.comms.uplink_bytes
         );
-    }
-
-    #[test]
-    fn pipelined_fedomd_matches_sequential_bit_for_bit() {
-        use fedomd_federated::PipelineConfig;
-        let (clients, k) = mini_clients(4, 10);
-        let mut cfg = quick_cfg(10);
-        cfg.rounds = 8;
-        for cohort in [CohortConfig::full(), CohortConfig::fraction(0.5, 11)] {
-            cfg.cohort = cohort;
-            let seq = run(&clients, k, &cfg, &FedOmdConfig::paper());
-            let piped = run(
-                &clients,
-                k,
-                &TrainConfig {
-                    pipeline: PipelineConfig::on(),
-                    ..cfg.clone()
-                },
-                &FedOmdConfig::paper(),
-            );
-            // The overlap replays the sequential Phase-4 channel calls in
-            // the same ascending order, so every artefact agrees exactly.
-            assert_eq!(seq.test_acc, piped.test_acc);
-            assert_eq!(seq.val_acc, piped.val_acc);
-            assert_eq!(seq.best_round, piped.best_round);
-            assert_eq!(seq.history, piped.history);
-            assert_eq!(seq.comms, piped.comms);
-        }
-    }
-
-    #[test]
-    fn pipelined_fedomd_matches_sequential_under_faults() {
-        use fedomd_federated::PipelineConfig;
-        use fedomd_transport::{FaultConfig, SimNetChannel};
-        let (clients, k) = mini_clients(3, 11);
-        let mut cfg = quick_cfg(11);
-        cfg.rounds = 15;
-        let fault = FaultConfig {
-            seed: 9,
-            drop_prob: 0.2,
-            max_retries: 1,
-            ..Default::default()
-        };
-        let run_with = |cfg: &TrainConfig| {
-            let mut sim = SimNetChannel::new(fault.clone());
-            run_over(&clients, k, cfg, &FedOmdConfig::paper(), &mut sim)
-        };
-        let seq = run_with(&cfg);
-        let piped = run_with(&TrainConfig {
-            pipeline: PipelineConfig::on(),
-            ..cfg.clone()
-        });
-        // Identical channel calls in identical order ⇒ the same fault
-        // stream decisions, so a straggler-degraded partial round replays
-        // exactly too.
-        assert!(seq.comms.dropped_messages > 0, "fault config must bite");
-        assert_eq!(seq.test_acc, piped.test_acc);
-        assert_eq!(seq.history, piped.history);
-        assert_eq!(seq.comms, piped.comms);
     }
 
     #[test]

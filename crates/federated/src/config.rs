@@ -180,32 +180,6 @@ impl fmt::Display for CohortConfigError {
 
 impl std::error::Error for CohortConfigError {}
 
-/// Round-pipelining switches.
-///
-/// With `enabled`, the round drivers overlap client training with
-/// server-side streaming folds: in-process, rayon workers hand each
-/// finished update to a dedicated fold thread over a bounded channel;
-/// over TCP, the server folds per-connection frames on arrival instead
-/// of buffering the whole cohort. Either way the fold order stays
-/// ascending sender id (out-of-order arrivals wait in a reorder
-/// window), so a pipelined run is bit-identical to the sequential one —
-/// the flag changes wall-clock and server memory, never the numbers.
-/// That is also why it is excluded from the TCP run-config digest: a
-/// pipelined server accepts sequential clients and vice versa.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Fold uploads while later clients are still training (default off:
-    /// the phase-sequential path is the seed-pinned reference).
-    pub enabled: bool,
-}
-
-impl PipelineConfig {
-    /// Fold-on-arrival on.
-    pub fn on() -> Self {
-        Self { enabled: true }
-    }
-}
-
 /// Federated training hyper-parameters (paper §5.1 defaults via
 /// [`TrainConfig::paper`], fast defaults via [`TrainConfig::mini`]).
 #[derive(Clone, Debug)]
@@ -231,8 +205,6 @@ pub struct TrainConfig {
     pub eval_every: usize,
     /// Per-round client sampling (default: full participation).
     pub cohort: CohortConfig,
-    /// Train/fold overlap (default: off, the phase-sequential path).
-    pub pipeline: PipelineConfig,
 }
 
 impl TrainConfig {
@@ -248,7 +220,6 @@ impl TrainConfig {
             seed,
             eval_every: 1,
             cohort: CohortConfig::full(),
-            pipeline: PipelineConfig::default(),
         }
     }
 
@@ -264,7 +235,6 @@ impl TrainConfig {
             seed,
             eval_every: 2,
             cohort: CohortConfig::full(),
-            pipeline: PipelineConfig::default(),
         }
     }
 

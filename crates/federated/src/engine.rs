@@ -31,8 +31,7 @@ use fedomd_tensor::Matrix;
 use crate::client::ClientData;
 use crate::comms::{CommsLog, Direction, TrafficClass};
 use crate::config::{RoundStats, RunResult, TrainConfig};
-use crate::helpers::{evaluate, local_step, UpdateAccumulator};
-use crate::pipeline::fold_in_order;
+use crate::helpers::{evaluate, fold_weight_update, local_step, UpdateAccumulator};
 use fedomd_telemetry::{
     NullObserver, ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver,
 };
@@ -339,17 +338,6 @@ impl RoundDriver {
     }
 }
 
-/// Folds one uplink envelope into the server's streaming accumulator.
-fn fold_weight_update(agg: &mut UpdateAccumulator, env: Envelope) {
-    match env.payload {
-        Payload::WeightUpdate { params } => agg.push(&from_tensors(params), 1.0),
-        // LINT: allow(panic) protocol invariant: clients in the FedAvg
-        // family upload nothing but `WeightUpdate`; another payload on
-        // the server's uplink is a routing bug that must fail loudly.
-        other => panic!("server expected WeightUpdate, got {}", other.kind()),
-    }
-}
-
 /// Reports each sampled client's per-epoch losses to the observer.
 fn emit_local_steps(epoch_losses: &[Option<Vec<f32>>], obs: &mut dyn RoundObserver) {
     for (client, losses) in epoch_losses
@@ -512,125 +500,47 @@ pub fn run_generic_resumable(
         let prox_mu = opts.prox_mu;
         let local_epochs = cfg.local_epochs;
         let global_ref = &global_snapshot;
-        // One sampled client's full local-training turn for this round;
-        // shared verbatim between the phase-sequential sweep and the
-        // pipelined overlap sweep so the two paths compute identical bits.
-        let train_client = |model: &mut Box<dyn Model>,
-                            opt: &mut Adam,
-                            client: &ClientData,
-                            ws: &mut Workspace|
-         -> Vec<f32> {
-            let mut losses = Vec::with_capacity(local_epochs);
-            for _ in 0..local_epochs {
-                losses.push(local_step(
-                    model,
-                    client,
-                    opt,
-                    ws,
-                    |tape, out| {
-                        if prox_mu <= 0.0 {
-                            return Vec::new();
-                        }
-                        out.param_vars
-                            .iter()
-                            .zip(global_ref)
-                            .map(|(&v, g)| {
-                                let d = tape.sq_diff(v, g);
-                                tape.scale(d, prox_mu)
-                            })
-                            .collect()
-                    },
-                    |_| {},
-                ));
-            }
-            losses
-        };
-
-        let pipelined = cfg.pipeline.enabled && opts.aggregate;
-        let epoch_losses: Vec<Option<Vec<f32>>>;
-        let mut piped_agg: Option<UpdateAccumulator> = None;
-        if pipelined {
-            // Train/fold overlap: rayon workers hand their finished
-            // parameters to a dedicated fold thread the moment they leave
-            // `train_client`, and the fold thread performs the *same*
-            // upload → collect → fold channel call sequence, in the same
-            // ascending cohort order, as the sequential branch below —
-            // `fold_in_order`'s reorder window absorbs out-of-order
-            // finishes. Identical calls in identical order mean identical
-            // bits (even a fault-simulating channel draws the same
-            // decisions), only the wall-clock overlaps.
-            let cohort_ids: Vec<u32> = in_cohort
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &active)| active.then_some(i as u32))
-                .collect();
-            let sw = PhaseStopwatch::start(Phase::FoldOverlap);
-            let start = Stopwatch::start();
-            let comms = &mut driver.comms;
-            let chan_ref = &mut chan;
-            let (agg, losses) = fold_in_order(
-                &cohort_ids,
-                UpdateAccumulator::new(),
-                |agg: &mut UpdateAccumulator, id, params| {
-                    let bytes = chan_ref.upload(Envelope {
-                        round: round as u64,
-                        sender: id,
-                        payload: Payload::WeightUpdate { params },
-                    });
-                    comms.record(Direction::Uplink, TrafficClass::Weights, bytes as u64);
-                    for env in chan_ref.server_collect(round as u64) {
-                        fold_weight_update(agg, env);
-                    }
-                },
-                |tx| -> Vec<Option<Vec<f32>>> {
-                    models
-                        .par_iter_mut()
-                        .zip(optimizers.par_iter_mut())
-                        .zip(clients.par_iter())
-                        .zip(workspaces.par_iter_mut())
-                        .zip(in_cohort.par_iter())
-                        .enumerate()
-                        .map(|(i, ((((model, opt), client), ws), &active))| {
-                            if !active {
-                                return None;
+        let sw = PhaseStopwatch::start(Phase::LocalTrain);
+        let start = Stopwatch::start();
+        let epoch_losses: Vec<Option<Vec<f32>>> = models
+            .par_iter_mut()
+            .zip(optimizers.par_iter_mut())
+            .zip(clients.par_iter())
+            .zip(workspaces.par_iter_mut())
+            .zip(in_cohort.par_iter())
+            .map(|((((model, opt), client), ws), &active)| {
+                if !active {
+                    return None;
+                }
+                let mut losses = Vec::with_capacity(local_epochs);
+                for _ in 0..local_epochs {
+                    losses.push(local_step(
+                        model,
+                        client,
+                        opt,
+                        ws,
+                        |tape, out| {
+                            if prox_mu <= 0.0 {
+                                return Vec::new();
                             }
-                            let losses = train_client(model, opt, client, ws);
-                            // LINT: allow(panic) the fold thread provably
-                            // outlives the sweep: the scoped receiver drains
-                            // until every sender drops, so a failed send
-                            // here is a harness bug that must fail loudly.
-                            tx.send((i as u32, to_tensors(&model.params())))
-                                .expect("fold thread outlives the training sweep");
-                            Some(losses)
-                        })
-                        .collect()
-                },
-            );
-            piped_agg = Some(agg);
-            epoch_losses = losses;
-            driver.timer.add("client", start.elapsed());
-            emit_local_steps(&epoch_losses, obs);
-            sw.finish(obs);
-        } else {
-            let sw = PhaseStopwatch::start(Phase::LocalTrain);
-            let start = Stopwatch::start();
-            epoch_losses = models
-                .par_iter_mut()
-                .zip(optimizers.par_iter_mut())
-                .zip(clients.par_iter())
-                .zip(workspaces.par_iter_mut())
-                .zip(in_cohort.par_iter())
-                .map(|((((model, opt), client), ws), &active)| {
-                    if !active {
-                        return None;
-                    }
-                    Some(train_client(model, opt, client, ws))
-                })
-                .collect();
-            driver.timer.add("client", start.elapsed());
-            emit_local_steps(&epoch_losses, obs);
-            sw.finish(obs);
-        }
+                            out.param_vars
+                                .iter()
+                                .zip(global_ref)
+                                .map(|(&v, g)| {
+                                    let d = tape.sq_diff(v, g);
+                                    tape.scale(d, prox_mu)
+                                })
+                                .collect()
+                        },
+                        |_| {},
+                    ));
+                }
+                Some(losses)
+            })
+            .collect();
+        driver.timer.add("client", start.elapsed());
+        emit_local_steps(&epoch_losses, obs);
+        sw.finish(obs);
 
         if opts.aggregate {
             let start = Stopwatch::start();
@@ -641,28 +551,24 @@ pub fn run_generic_resumable(
             // O(model) regardless of cohort size. Fold order is ascending
             // sender (uploads happen in client order; a collect returns
             // sender-sorted envelopes), so the float summation order is
-            // deterministic and matches a one-shot batch collect. On the
-            // pipelined path all of that already happened during the
-            // overlap; only the straggler drain below remains.
-            let mut agg = piped_agg.take().unwrap_or_default();
-            if !pipelined {
-                for (i, mo) in models.iter().enumerate() {
-                    if !in_cohort[i] {
-                        continue;
-                    }
-                    let bytes = chan.upload(Envelope {
-                        round: round as u64,
-                        sender: i as u32,
-                        payload: Payload::WeightUpdate {
-                            params: to_tensors(&mo.params()),
-                        },
-                    });
-                    driver
-                        .comms
-                        .record(Direction::Uplink, TrafficClass::Weights, bytes as u64);
-                    for env in chan.server_collect(round as u64) {
-                        fold_weight_update(&mut agg, env);
-                    }
+            // deterministic and matches a one-shot batch collect.
+            let mut agg = UpdateAccumulator::new();
+            for (i, mo) in models.iter().enumerate() {
+                if !in_cohort[i] {
+                    continue;
+                }
+                let bytes = chan.upload(Envelope {
+                    round: round as u64,
+                    sender: i as u32,
+                    payload: Payload::WeightUpdate {
+                        params: to_tensors(&mo.params()),
+                    },
+                });
+                driver
+                    .comms
+                    .record(Direction::Uplink, TrafficClass::Weights, bytes as u64);
+                for env in chan.server_collect(round as u64) {
+                    fold_weight_update(&mut agg, env);
                 }
             }
             // Straggler drain for channel impls that buffer past the
@@ -1060,78 +966,6 @@ mod tests {
         let r2 = run(fault);
         assert_eq!(r.test_acc, r2.test_acc);
         assert_eq!(r.comms, r2.comms);
-    }
-
-    #[test]
-    fn pipelined_rounds_match_the_sequential_path_bit_for_bit() {
-        use crate::config::{CohortConfig, PipelineConfig};
-        let (cl, k) = clients(4);
-        let mut cfg = quick_cfg();
-        cfg.rounds = 10;
-        let opts = GenericOpts {
-            name: "FedGCN",
-            model: ModelKind::Gcn,
-            aggregate: true,
-            prox_mu: 0.0,
-        };
-        for cohort in [CohortConfig::full(), CohortConfig::fraction(0.5, 3)] {
-            cfg.cohort = cohort;
-            let seq = run_generic(&cl, k, &cfg, &opts);
-            let piped = run_generic(
-                &cl,
-                k,
-                &TrainConfig {
-                    pipeline: PipelineConfig::on(),
-                    ..cfg.clone()
-                },
-                &opts,
-            );
-            // Fold-on-arrival replays the exact channel call sequence of
-            // the sequential loop, so everything — accuracies, history,
-            // byte accounting — must agree to the bit.
-            assert_eq!(seq.test_acc, piped.test_acc);
-            assert_eq!(seq.val_acc, piped.val_acc);
-            assert_eq!(seq.best_round, piped.best_round);
-            assert_eq!(seq.history, piped.history);
-            assert_eq!(seq.comms, piped.comms);
-        }
-    }
-
-    #[test]
-    fn pipelined_rounds_match_sequential_under_a_lossy_channel() {
-        use crate::config::PipelineConfig;
-        use fedomd_transport::{FaultConfig, SimNetChannel};
-        let (cl, k) = clients(3);
-        let mut cfg = quick_cfg();
-        cfg.rounds = 20;
-        let opts = GenericOpts {
-            name: "FedGCN",
-            model: ModelKind::Gcn,
-            aggregate: true,
-            prox_mu: 0.0,
-        };
-        let fault = FaultConfig {
-            seed: 5,
-            drop_prob: 0.25,
-            max_retries: 1,
-            ..Default::default()
-        };
-        let run = |cfg: &TrainConfig| {
-            let mut sim = SimNetChannel::new(fault.clone());
-            run_generic_with(&cl, k, cfg, &opts, &mut sim)
-        };
-        let seq = run(&cfg);
-        let piped = run(&TrainConfig {
-            pipeline: PipelineConfig::on(),
-            ..cfg.clone()
-        });
-        // Identical channel calls in identical order ⇒ the fault stream
-        // draws the same drop decisions, so even a degraded partial round
-        // replays exactly.
-        assert!(seq.comms.dropped_messages > 0, "fault config must bite");
-        assert_eq!(seq.test_acc, piped.test_acc);
-        assert_eq!(seq.history, piped.history);
-        assert_eq!(seq.comms, piped.comms);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Shared machinery for every federated algorithm: prediction, weighted
 //! evaluation, the FedAvg reduction (batch [`fedavg`] and streaming
-//! [`UpdateAccumulator`]), and the single-client training step.
+//! [`UpdateAccumulator`]), the in-process weight-phase fold, and the
+//! single-client training step.
 
 use fedomd_autograd::{Tape, Var, Workspace};
 use fedomd_metrics::accuracy::argmax_row;
 use fedomd_nn::{ForwardOut, Model, Optimizer};
 use fedomd_tensor::Matrix;
-use rayon::prelude::*;
+use fedomd_transport::{from_tensors, Envelope, Payload};
+use std::fmt;
 
 use crate::client::ClientData;
 
@@ -91,10 +93,9 @@ pub const AGG_LANES: usize = 8;
 ///
 /// Accumulates `Σ_i w_i · W_i` in f64 across [`AGG_LANES`] fixed lanes
 /// (push `i` lands in lane `i % AGG_LANES`); [`finish`](Self::finish)
-/// folds the lanes in lane order and divides by `Σ w_i` once. Because the
-/// lane an update maps to depends only on its push index, the sequential
-/// streaming path and the parallel sharded tree
-/// ([`push_batch`](Self::push_batch)) are bit-identical.
+/// folds the lanes in lane order and divides by `Σ w_i` once. The lane an
+/// update maps to depends only on its push index, so the result is a
+/// function of the push order alone.
 #[derive(Clone, Debug, Default)]
 pub struct UpdateAccumulator {
     /// `lanes[lane][param][element]`.
@@ -136,62 +137,49 @@ impl UpdateAccumulator {
             .collect();
     }
 
-    fn check_shape(&self, params: &[Matrix]) {
-        assert_eq!(
-            params.len(),
-            self.shapes.len(),
-            "UpdateAccumulator: param arity mismatch"
-        );
-        for (p, &s) in params.iter().zip(&self.shapes) {
-            assert_eq!(p.shape(), s, "UpdateAccumulator: shape mismatch");
+    fn check_shape(&self, params: &[Matrix]) -> Result<(), UpdateShapeError> {
+        if params.len() != self.shapes.len() {
+            return Err(UpdateShapeError::Arity {
+                expected: self.shapes.len(),
+                got: params.len(),
+            });
         }
+        for (param, (p, &expected)) in params.iter().zip(&self.shapes).enumerate() {
+            if p.shape() != expected {
+                return Err(UpdateShapeError::Shape {
+                    param,
+                    expected,
+                    got: p.shape(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Folds one client's parameters with FedAvg weight `weight`. The
-    /// first push fixes the expected shapes; later pushes must match.
-    pub fn push(&mut self, params: &[Matrix], weight: f64) {
+    /// first fold fixes the expected shapes; a later update that does not
+    /// match is rejected and leaves the accumulator untouched — the entry
+    /// point for updates decoded off a socket, where a mismatch is a
+    /// hostile or broken peer rather than a bug in this program.
+    pub fn try_push(&mut self, params: &[Matrix], weight: f64) -> Result<(), UpdateShapeError> {
         assert!(weight >= 0.0, "UpdateAccumulator: negative weight");
         if self.pushed == 0 {
             self.init_shape(params);
         } else {
-            self.check_shape(params);
+            self.check_shape(params)?;
         }
         let lane = self.pushed % AGG_LANES;
         fold_update(&mut self.lanes[lane], params, weight);
         self.total_weight += weight;
         self.pushed += 1;
+        Ok(())
     }
 
-    /// Sharded-tree fold of a batch: each lane reduces its stride of the
-    /// batch on its own worker, in batch order — bit-identical to pushing
-    /// the batch sequentially.
-    pub fn push_batch(&mut self, batch: &[(Vec<Matrix>, f64)]) {
-        let Some((first, _)) = batch.first() else {
-            return;
-        };
-        if self.pushed == 0 {
-            self.init_shape(first);
-        }
-        for (params, weight) in batch {
-            assert!(*weight >= 0.0, "UpdateAccumulator: negative weight");
-            self.check_shape(params);
-        }
-        let base = self.pushed % AGG_LANES;
-        self.lanes
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(lane, acc)| {
-                let mut j = (lane + AGG_LANES - base) % AGG_LANES;
-                while j < batch.len() {
-                    let (params, weight) = &batch[j];
-                    fold_update(acc, params, *weight);
-                    j += AGG_LANES;
-                }
-            });
-        for (_, weight) in batch {
-            self.total_weight += *weight;
-        }
-        self.pushed += batch.len();
+    /// [`Self::try_push`] for in-process callers, whose clients all build
+    /// the same model: a mismatch there is a bug and panics.
+    pub fn push(&mut self, params: &[Matrix], weight: f64) {
+        let folded = self.try_push(params, weight);
+        assert!(folded.is_ok(), "UpdateAccumulator: {}", folded.unwrap_err());
     }
 
     /// Folds the lane partials in lane order, divides by the total weight,
@@ -221,6 +209,55 @@ impl UpdateAccumulator {
                 })
                 .collect(),
         )
+    }
+}
+
+/// A weight update whose tensor list does not match the shapes the
+/// accumulator's first fold fixed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum UpdateShapeError {
+    /// The update carries a different number of parameter matrices.
+    Arity { expected: usize, got: usize },
+    /// Parameter `param` has a different `(rows, cols)`.
+    Shape {
+        param: usize,
+        expected: (usize, usize),
+        got: (usize, usize),
+    },
+}
+
+impl fmt::Display for UpdateShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UpdateShapeError::Arity { expected, got } => {
+                write!(f, "param arity mismatch: expected {expected}, got {got}")
+            }
+            UpdateShapeError::Shape {
+                param,
+                expected,
+                got,
+            } => write!(
+                f,
+                "shape mismatch at param {param}: expected {expected:?}, got {got:?}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for UpdateShapeError {}
+
+/// Folds one uplinked weight update into the in-process server's
+/// streaming FedAvg accumulator (shared by every in-process round loop).
+pub fn fold_weight_update(agg: &mut UpdateAccumulator, env: Envelope) {
+    match env.payload {
+        Payload::WeightUpdate { params } => agg.push(&from_tensors(params), 1.0),
+        // LINT: allow(panic) protocol invariant: every channel impl routes
+        // only client uplink frames to `server_collect`, and in-process
+        // clients upload nothing but `WeightUpdate` in the weight phase —
+        // any other payload here is a routing bug that must fail loudly.
+        // LINT: allow(msg-wildcard) same invariant: the wildcard cannot
+        // swallow a frame, it panics naming the unexpected kind.
+        other => panic!("server expected WeightUpdate, got {}", other.kind()),
     }
 }
 
@@ -380,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn update_accumulator_streaming_matches_sharded_bitwise() {
+    fn update_accumulator_sits_within_tolerance_of_batch_fedavg() {
         let mut rng = seeded(11);
         use rand::Rng;
         let batch: Vec<(Vec<Matrix>, f64)> = (0..23)
@@ -392,80 +429,53 @@ mod tests {
                 (params, rng.gen_range(0.0..3.0f64))
             })
             .collect();
-
-        let mut seq = UpdateAccumulator::new();
+        let mut acc = UpdateAccumulator::new();
         for (params, w) in &batch {
-            seq.push(params, *w);
+            acc.push(params, *w);
         }
-        let seq = seq.finish().expect("23 updates");
-
-        let mut tree = UpdateAccumulator::new();
-        // Split across push and push_batch to cover the mixed path.
-        for (params, w) in &batch[..5] {
-            tree.push(params, *w);
-        }
-        tree.push_batch(&batch[5..]);
-        let tree = tree.finish().expect("23 updates");
-
-        for (a, b) in seq.iter().zip(&tree) {
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-
-        // And both sit within float tolerance of the f32 batch fedavg.
+        let streamed = acc.finish().expect("23 updates");
         let sets: Vec<Vec<Matrix>> = batch.iter().map(|(p, _)| p.clone()).collect();
         let weights: Vec<f64> = batch.iter().map(|(_, w)| *w).collect();
         let reference = fedavg(&sets, &weights);
-        for (a, b) in seq.iter().zip(&reference) {
+        for (a, b) in streamed.iter().zip(&reference) {
             a.assert_close(b, 1e-5);
         }
     }
 
     #[test]
-    fn update_accumulator_nonfinite_updates_stay_bit_identical() {
-        let mut rng = seeded(13);
-        use rand::Rng;
-        const SPECIALS: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
-        let batch: Vec<(Vec<Matrix>, f64)> = (0..23)
-            .map(|i| {
-                let mut vals: Vec<f32> = (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                // A few poisoned clients: their NaN/±∞ entries must
-                // corrupt every aggregation path identically, not just
-                // some of them.
-                if i % 7 == 0 {
-                    vals[rng.gen_range(0..6usize)] = SPECIALS[rng.gen_range(0..SPECIALS.len())];
-                }
-                let params = vec![
-                    Matrix::from_vec(2, 3, vals),
-                    Matrix::from_vec(1, 4, (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect()),
-                ];
-                (params, rng.gen_range(0.0..3.0f64))
+    fn try_push_rejects_a_mis_shaped_update_and_stays_usable() {
+        let good = vec![Matrix::from_vec(1, 2, vec![1.0, 2.0])];
+        let mut acc = UpdateAccumulator::new();
+        acc.try_push(&good, 1.0)
+            .expect("first fold fixes the shape");
+        assert_eq!(
+            acc.try_push(&[Matrix::from_vec(2, 1, vec![9.0, 9.0])], 1.0),
+            Err(UpdateShapeError::Shape {
+                param: 0,
+                expected: (1, 2),
+                got: (2, 1)
             })
-            .collect();
+        );
+        assert_eq!(
+            acc.try_push(&[], 1.0),
+            Err(UpdateShapeError::Arity {
+                expected: 1,
+                got: 0
+            })
+        );
+        // A rejected update leaves no trace: count, weight and sums.
+        acc.try_push(&[Matrix::from_vec(1, 2, vec![3.0, 4.0])], 1.0)
+            .expect("well-formed");
+        assert_eq!(acc.pushed(), 2);
+        let avg = acc.finish().expect("two updates");
+        assert_eq!(avg[0].as_slice(), &[2.0, 3.0]);
+    }
 
-        let mut seq = UpdateAccumulator::new();
-        for (params, w) in &batch {
-            seq.push(params, *w);
-        }
-        let seq = seq.finish().expect("23 updates");
-
-        for split in [1usize, 5, 11, 22] {
-            let mut mixed = UpdateAccumulator::new();
-            for (params, w) in &batch[..split] {
-                mixed.push(params, *w);
-            }
-            mixed.push_batch(&batch[split..]);
-            let mixed = mixed.finish().expect("23 updates");
-
-            let mut saw_nonfinite = false;
-            for (a, b) in seq.iter().zip(&mixed) {
-                for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                    saw_nonfinite |= !x.is_finite();
-                }
-            }
-            assert!(saw_nonfinite, "the poison must reach the aggregate");
-        }
+    #[test]
+    #[should_panic(expected = "shape mismatch at param 0")]
+    fn push_panics_on_a_mis_shaped_in_process_update() {
+        let mut acc = UpdateAccumulator::new();
+        acc.push(&[Matrix::from_vec(1, 2, vec![1.0, 2.0])], 1.0);
+        acc.push(&[Matrix::from_vec(2, 1, vec![1.0, 2.0])], 1.0);
     }
 }

@@ -20,16 +20,13 @@ pub mod config;
 pub mod engine;
 pub mod helpers;
 pub mod heterogeneity;
-pub mod pipeline;
 pub mod secure_agg;
 
 pub use client::{
     client_shard, setup_federation, setup_federation_planted, ClientData, FederationConfig,
 };
 pub use comms::{CommsLog, Direction, TrafficClass};
-pub use config::{
-    CohortConfig, CohortConfigError, PipelineConfig, RoundStats, RunResult, TrainConfig,
-};
+pub use config::{CohortConfig, CohortConfigError, RoundStats, RunResult, TrainConfig};
 pub use engine::{
     run_generic_observed, run_generic_resumable, CheckpointSink, DriverState, GenericOpts,
     ModelKind, Persistence, ResumeState, StatsCache,

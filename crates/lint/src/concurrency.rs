@@ -1,7 +1,7 @@
 //! Concurrency discipline rules over the item-level parser.
 //!
 //! Three rule families (DESIGN.md §17) guard the workspace's concurrent
-//! surface — the thread-per-client TCP deployment, the fold pipeline, and
+//! surface — the thread-per-client TCP deployment, the server fold loop, and
 //! whatever the roadmap's codec work adds next:
 //!
 //! * **lock-order** — every nested lock acquisition (`B` acquired while a
@@ -22,7 +22,7 @@
 //!   `// LINT: allow(detached-thread) <reason>`.
 //!
 //! Scoped spawns (`thread::scope`'s `s.spawn(…)`) are exempt: the scope
-//! joins them by construction — exactly the shape `fold_in_order` uses.
+//! joins them by construction.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -3,7 +3,7 @@
 //! ```text
 //! fedomd-server --addr 127.0.0.1:7447 --clients 3 [--dataset cora-mini]
 //!               [--seed 0] [--rounds N] [--checkpoint PATH [--every K] [--resume]]
-//!               [--phase-timeout-ms MS] [--pipelined] [--quiet]
+//!               [--phase-timeout-ms MS] [--quiet]
 //! ```
 //!
 //! The server never touches the dataset: it aggregates whatever its
@@ -34,7 +34,6 @@ struct Args {
     every: usize,
     resume: bool,
     phase_timeout_ms: Option<u64>,
-    pipelined: bool,
     quiet: bool,
 }
 
@@ -49,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         every: 10,
         resume: false,
         phase_timeout_ms: None,
-        pipelined: false,
         quiet: false,
     };
     let mut it = std::env::args().skip(1);
@@ -89,13 +87,12 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--phase-timeout-ms: {e}"))?,
                 )
             }
-            "--pipelined" => args.pipelined = true,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: fedomd-server --addr HOST:PORT --clients N [--dataset NAME] \
                      [--seed S] [--rounds R] [--checkpoint PATH [--every K] [--resume]] \
-                     [--phase-timeout-ms MS] [--pipelined] [--quiet]"
+                     [--phase-timeout-ms MS] [--quiet]"
                         .into(),
                 )
             }
@@ -132,9 +129,6 @@ fn main() -> ExitCode {
     if let Some(rounds) = args.rounds {
         run.train.rounds = rounds;
     }
-    // Excluded from the handshake digest: pipelined servers and
-    // sequential clients interoperate (the numbers are identical).
-    run = run.with_pipelined(args.pipelined);
     let mut net = NetConfig::default();
     if let Some(ms) = args.phase_timeout_ms {
         net.phase_timeout = Duration::from_millis(ms);

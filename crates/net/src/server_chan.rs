@@ -7,15 +7,18 @@
 //! round driver's thread, so the driver itself stays single-threaded and
 //! free of socket code.
 //!
-//! `server_collect` is the only place the server waits: it blocks until
-//! every currently connected client has delivered a frame for the round
-//! (or the phase deadline passes), then routes the arrivals through
+//! `server_await` is the only place the server waits. The round driver's
+//! collector names the senders a phase is still missing; the channel
+//! blocks until a frame for the round lands, until none of the named
+//! senders is connected any more (a `Left` wakes it), or until the phase
+//! deadline passes, then routes the arrivals through
 //! [`admit_by_deadline`] — the same admit/drop accounting the in-process
 //! fault simulator uses — so a straggler or disconnect degrades the
-//! round to partial aggregation instead of wedging it.
+//! round to partial aggregation instead of wedging it. The channel knows
+//! nothing about phases: it answers liveness per sender and blocks.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -239,7 +242,7 @@ impl TcpServerChannel {
                     return;
                 }
                 match collecting {
-                    Some(c) => c.take(id, env, len, &mut self.carry),
+                    Some(c) => c.take(env, len, &mut self.carry),
                     None => self.carry.push((env, len)),
                 }
             }
@@ -247,23 +250,24 @@ impl TcpServerChannel {
     }
 }
 
-/// The in-flight bookkeeping of one `server_collect` call.
+/// The in-flight bookkeeping of one `server_await` call.
 struct CollectState {
     round: u64,
-    /// Milliseconds since the phase opened (the arrival stamps).
+    /// Milliseconds since the call began (the arrival stamps).
     elapsed_ms: f64,
     /// `(arrival_ms, (envelope, frame bytes))`, the
     /// [`admit_by_deadline`] input shape.
     batch: Vec<(f64, (Envelope, usize))>,
-    /// Clients that delivered a frame for `round` during this call.
-    reported: BTreeSet<u32>,
+    /// Whether a frame for `round` is in the batch — what the caller is
+    /// blocked on.
+    landed: bool,
 }
 
 impl CollectState {
-    fn take(&mut self, id: u32, env: Envelope, len: usize, carry: &mut Vec<(Envelope, usize)>) {
+    fn take(&mut self, env: Envelope, len: usize, carry: &mut Vec<(Envelope, usize)>) {
         match env.round.cmp(&self.round) {
             Ordering::Equal => {
-                self.reported.insert(id);
+                self.landed = true;
                 self.batch.push((self.elapsed_ms, (env, len)));
             }
             Ordering::Greater => carry.push((env, len)),
@@ -280,111 +284,56 @@ impl Channel for TcpServerChannel {
         0
     }
 
+    /// With no collector to name senders, awaits every connected peer.
     fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
+        let connected: Vec<u32> = self.peers.keys().copied().collect();
+        self.server_await(round, &connected)
+    }
+
+    fn server_await(&mut self, round: u64, missing: &[u32]) -> Vec<Envelope> {
         self.shared.begin_round(round);
         // LINT: allow(wall-clock) the phase deadline over a real network
         // is necessarily wall time; every admit/drop decision it feeds
         // still goes through the shared `admit_by_deadline` helper.
-        let phase_start = Instant::now();
+        let start = Instant::now();
         let deadline_ms = self.phase_timeout.as_secs_f64() * 1e3;
 
         let mut c = CollectState {
             round,
             elapsed_ms: 0.0,
             batch: Vec::new(),
-            reported: BTreeSet::new(),
+            landed: false,
         };
         // Frames carried over from earlier collects count as instant.
         for (env, len) in std::mem::take(&mut self.carry) {
-            c.take(env.sender, env, len, &mut self.carry);
+            c.take(env, len, &mut self.carry);
         }
         // Drain whatever is already queued — join/leave notices and
-        // frames that raced ahead of this collect — before deciding who
-        // is still awaited.
+        // frames that raced ahead of this call — before deciding whether
+        // anyone is still worth waiting for.
         while let Ok(ev) = self.rx.try_recv() {
             self.apply(ev, Some(&mut c));
         }
 
-        loop {
-            let waiting_on = self
-                .peers
+        // Block while the caller has nothing to work with and a sender it
+        // named could still deliver. Liveness is re-read after every
+        // event, so the `Left` of the last named sender ends the wait.
+        while !c.landed
+            && missing
                 .iter()
-                .any(|(id, p)| p.active_from <= round && !c.reported.contains(id));
-            if !waiting_on {
-                break;
-            }
-            let Some(left) = self.phase_timeout.checked_sub(phase_start.elapsed()) else {
+                .any(|id| self.peers.get(id).is_some_and(|p| p.active_from <= round))
+        {
+            let Some(left) = self.phase_timeout.checked_sub(start.elapsed()) else {
                 break;
             };
             match self.rx.recv_timeout(left) {
                 Ok(ev) => {
-                    c.elapsed_ms = phase_start.elapsed().as_secs_f64() * 1e3;
+                    c.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
                     self.apply(ev, Some(&mut c));
                 }
                 Err(RecvTimeoutError::Timeout) => break,
                 // All producer threads are gone (shutdown): whatever is
                 // batched is all there will ever be.
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-
-        let mut envs: Vec<Envelope> =
-            admit_by_deadline(c.batch, deadline_ms, &mut self.stats, |(_, len)| *len)
-                .into_iter()
-                .map(|(env, _)| env)
-                .collect();
-        envs.sort_by_key(|e| e.sender);
-        envs
-    }
-
-    /// Early-returning collect for the fold-on-arrival server loop:
-    /// returns as soon as at least one round-`round` frame has been
-    /// admitted (often a single fast client's upload), so the caller can
-    /// fold it while stragglers are still training. Returns an empty batch
-    /// only when nothing more is coming — no live peer is active for the
-    /// round and unreported in this call, the phase deadline elapsed, or
-    /// every producer thread is gone.
-    fn server_collect_some(&mut self, round: u64) -> Vec<Envelope> {
-        self.shared.begin_round(round);
-        // LINT: allow(wall-clock) same phase-deadline clock as
-        // `server_collect`; every admit/drop decision still flows through
-        // the shared `admit_by_deadline` helper.
-        let phase_start = Instant::now();
-        let deadline_ms = self.phase_timeout.as_secs_f64() * 1e3;
-
-        let mut c = CollectState {
-            round,
-            elapsed_ms: 0.0,
-            batch: Vec::new(),
-            reported: BTreeSet::new(),
-        };
-        // Frames carried over from earlier collects count as instant.
-        for (env, len) in std::mem::take(&mut self.carry) {
-            c.take(env.sender, env, len, &mut self.carry);
-        }
-        while let Ok(ev) = self.rx.try_recv() {
-            self.apply(ev, Some(&mut c));
-        }
-
-        // Block only while the batch is still empty: one admitted frame
-        // is enough for the caller to make fold progress.
-        while c.reported.is_empty() {
-            let waiting_on = self
-                .peers
-                .iter()
-                .any(|(id, p)| p.active_from <= round && !c.reported.contains(id));
-            if !waiting_on {
-                break;
-            }
-            let Some(left) = self.phase_timeout.checked_sub(phase_start.elapsed()) else {
-                break;
-            };
-            match self.rx.recv_timeout(left) {
-                Ok(ev) => {
-                    c.elapsed_ms = phase_start.elapsed().as_secs_f64() * 1e3;
-                    self.apply(ev, Some(&mut c));
-                }
-                Err(RecvTimeoutError::Timeout) => break,
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
@@ -506,15 +455,6 @@ impl Channel for TcpServerChannel {
         Vec::new()
     }
 
-    fn awaited_peers(&self, round: u64) -> Option<usize> {
-        Some(
-            self.peers
-                .values()
-                .filter(|p| p.active_from <= round)
-                .count(),
-        )
-    }
-
     fn stats(&self) -> NetStats {
         self.stats
     }
@@ -527,7 +467,7 @@ impl Channel for TcpServerChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use crossbeam::channel::{unbounded, Sender};
     use fedomd_transport::Tensor;
     use std::net::TcpListener;
 
@@ -569,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn collect_waits_for_every_live_peer_and_sorts() {
+    fn collect_drains_the_queue_and_sorts() {
         let (tx, rx) = unbounded();
         let shared = Arc::new(SyncShared::new(0));
         let mut chan = TcpServerChannel::new(rx, Duration::from_secs(5), shared);
@@ -600,59 +540,99 @@ mod tests {
         assert_eq!(chan.stats().dropped_frames, 0);
     }
 
-    #[test]
-    fn collect_some_returns_the_first_frame_without_waiting_for_stragglers() {
+    /// A channel with `ids` joined (all active from round 0), a 5 s phase
+    /// deadline the blocking-contract tests must never get near, and the
+    /// far socket halves that keep the connections open.
+    fn joined(ids: &[u32]) -> (Sender<Inbound>, TcpServerChannel, Vec<TcpStream>) {
         let (tx, rx) = unbounded();
         let shared = Arc::new(SyncShared::new(0));
-        // Would block the full 5 s per call if `server_collect_some` waited
-        // for every live peer the way `server_collect` does.
-        let mut chan = TcpServerChannel::new(rx, Duration::from_secs(5), shared);
-        let (w0, _k0) = sock_pair();
-        let (w1, _k1) = sock_pair();
-        tx.send(Inbound::Joined {
-            id: 0,
-            gen: 1,
-            writer: w0,
-            active_from: 0,
-        })
-        .unwrap();
-        tx.send(Inbound::Joined {
-            id: 1,
-            gen: 1,
-            writer: w1,
-            active_from: 0,
-        })
-        .unwrap();
-        tx.send(frame_ev(0, 1)).unwrap();
-        let got = chan.server_collect_some(0);
-        assert_eq!(got.len(), 1, "one admitted frame is enough to return");
-        assert_eq!(got[0].sender, 1);
-        // The straggler's frame satisfies the next call.
-        tx.send(frame_ev(0, 0)).unwrap();
-        let got = chan.server_collect_some(0);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].sender, 0);
-        assert_eq!(chan.stats().delivered_frames, 2);
+        let chan = TcpServerChannel::new(rx, Duration::from_secs(5), shared);
+        let mut keep = Vec::new();
+        for &id in ids {
+            let (writer, far) = sock_pair();
+            keep.push(far);
+            tx.send(Inbound::Joined {
+                id,
+                gen: 1,
+                writer,
+                active_from: 0,
+            })
+            .unwrap();
+        }
+        (tx, chan, keep)
     }
 
     #[test]
-    fn collect_some_returns_empty_once_no_awaited_peer_remains() {
-        let (tx, rx) = unbounded();
-        let shared = Arc::new(SyncShared::new(0));
-        let mut chan = TcpServerChannel::new(rx, Duration::from_secs(5), shared);
-        let (w0, _k0) = sock_pair();
+    fn await_returns_the_first_frame_without_waiting_for_stragglers() {
+        let (tx, mut chan, _keep) = joined(&[0, 1]);
+        tx.send(frame_ev(0, 1)).unwrap();
+        let t = Instant::now();
+        let got = chan.server_await(0, &[0, 1]);
+        assert_eq!(got.len(), 1, "one landed frame is enough to return");
+        assert_eq!(got[0].sender, 1);
+        // The straggler's frame satisfies the next call.
+        tx.send(frame_ev(0, 0)).unwrap();
+        let got = chan.server_await(0, &[0]);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].sender, 0);
+        assert_eq!(chan.stats().delivered_frames, 2);
+        assert!(t.elapsed() < Duration::from_secs(1), "must not wait");
+    }
+
+    #[test]
+    fn await_returns_at_once_when_every_named_sender_has_departed() {
+        let (tx, mut chan, _keep) = joined(&[0, 1]);
+        tx.send(Inbound::Left { id: 0, gen: 1 }).unwrap();
+        tx.send(Inbound::Left { id: 1, gen: 1 }).unwrap();
+        // Empty batch = "nobody you named can still deliver": the signal
+        // the collector closes the phase on. It must not cost the deadline.
+        let t = Instant::now();
+        assert!(chan.server_await(0, &[0, 1]).is_empty());
+        assert!(t.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_left_for_the_last_awaited_sender_wakes_a_blocked_await() {
+        let (tx, mut chan, _keep) = joined(&[0, 1]);
+        let leaver = std::thread::spawn(move || {
+            // Long enough that the await below is blocked in `recv_timeout`
+            // when the notice lands (if it is not, the drain path sees it —
+            // the assertion holds either way).
+            std::thread::sleep(Duration::from_millis(100));
+            tx.send(Inbound::Left { id: 1, gen: 1 }).unwrap();
+            tx
+        });
+        let t = Instant::now();
+        assert!(chan.server_await(0, &[1]).is_empty());
+        assert!(
+            t.elapsed() < Duration::from_secs(1),
+            "the Left must wake it"
+        );
+        assert_eq!(chan.n_peers(), 1);
+        let _tx = leaver.join().expect("leaver thread");
+    }
+
+    #[test]
+    fn live_but_silent_peers_that_are_not_named_do_not_hold_the_await() {
+        let (tx, mut chan, mut keep) = joined(&[0, 1]);
+        // Client 2 joined mid-run and only participates from round 3.
+        let (w2, k2) = sock_pair();
+        keep.push(k2);
         tx.send(Inbound::Joined {
-            id: 0,
+            id: 2,
             gen: 1,
-            writer: w0,
-            active_from: 0,
+            writer: w2,
+            active_from: 3,
         })
         .unwrap();
-        tx.send(Inbound::Left { id: 0, gen: 1 }).unwrap();
-        // Empty batch = the transport's "nothing more is coming" signal the
-        // fold loop closes the phase on; it must not burn the phase timeout.
-        let got = chan.server_collect_some(0);
-        assert!(got.is_empty());
+        tx.send(Inbound::Left { id: 1, gen: 1 }).unwrap();
+        // Peer 0 is connected and silent, but the caller is not missing
+        // it (it already reported in an earlier call); the departed peer
+        // and the not-yet-active one cannot deliver. Nothing to wait for.
+        let t = Instant::now();
+        assert!(chan.server_await(0, &[1, 2]).is_empty());
+        assert!(t.elapsed() < Duration::from_secs(1));
+        assert_eq!(chan.n_peers(), 2);
     }
 
     #[test]
@@ -683,46 +663,6 @@ mod tests {
         let got = chan.server_collect(2);
         assert_eq!(got.len(), 1);
         assert_eq!(chan.stats().dropped_frames, 1);
-    }
-
-    #[test]
-    fn departed_and_future_peers_are_not_waited_for() {
-        let (tx, rx) = unbounded();
-        let shared = Arc::new(SyncShared::new(0));
-        let mut chan = TcpServerChannel::new(rx, Duration::from_secs(5), shared);
-        let (w0, _k0) = sock_pair();
-        let (w1, _k1) = sock_pair();
-        let (w2, _k2) = sock_pair();
-        tx.send(Inbound::Joined {
-            id: 0,
-            gen: 1,
-            writer: w0,
-            active_from: 0,
-        })
-        .unwrap();
-        tx.send(Inbound::Joined {
-            id: 1,
-            gen: 1,
-            writer: w1,
-            active_from: 0,
-        })
-        .unwrap();
-        // Client 2 joined mid-run and only participates from round 3.
-        tx.send(Inbound::Joined {
-            id: 2,
-            gen: 1,
-            writer: w2,
-            active_from: 3,
-        })
-        .unwrap();
-        tx.send(frame_ev(0, 0)).unwrap();
-        tx.send(Inbound::Left { id: 1, gen: 1 }).unwrap();
-        // Would block the full 5 s if the departed or the future peer were
-        // still counted as awaited.
-        let got = chan.server_collect(0);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].sender, 0);
-        assert_eq!(chan.n_peers(), 2);
     }
 
     #[test]
@@ -831,37 +771,6 @@ mod tests {
         tx.send(Inbound::Left { id: 0, gen: 2 }).unwrap();
         let _ = chan.server_collect(1);
         assert_eq!(chan.n_peers(), 0);
-    }
-
-    #[test]
-    fn awaited_peers_tracks_liveness_and_activation() {
-        let (tx, rx) = unbounded();
-        let shared = Arc::new(SyncShared::new(0));
-        let mut chan = TcpServerChannel::new(rx, Duration::from_millis(50), shared);
-        assert_eq!(chan.awaited_peers(0), Some(0));
-        let (w0, _k0) = sock_pair();
-        let (w1, _k1) = sock_pair();
-        tx.send(Inbound::Joined {
-            id: 0,
-            gen: 1,
-            writer: w0,
-            active_from: 0,
-        })
-        .unwrap();
-        // A mid-run joiner only counts from its activation round.
-        tx.send(Inbound::Joined {
-            id: 1,
-            gen: 2,
-            writer: w1,
-            active_from: 3,
-        })
-        .unwrap();
-        chan.wait_for_peers(2, Duration::from_secs(1));
-        assert_eq!(chan.awaited_peers(0), Some(1));
-        assert_eq!(chan.awaited_peers(3), Some(2));
-        tx.send(Inbound::Left { id: 0, gen: 1 }).unwrap();
-        let _ = chan.server_collect(0);
-        assert_eq!(chan.awaited_peers(0), Some(0), "departures shrink it");
     }
 
     #[test]

@@ -20,5 +20,4 @@ pub use models::gcn::Gcn;
 pub use models::mlp::Mlp;
 pub use models::ortho_gcn::{OrthoGcn, OrthoGcnConfig};
 pub use models::sage::GraphSage;
-pub use models::sgc::Sgc;
 pub use optim::{Adam, AdamState, Optimizer, Sgd};

@@ -6,10 +6,8 @@
 //! * [`ortho_gcn::OrthoGcn`] — the paper's local model (its Table 1):
 //!   GCNConv in, a stack of OrthoConv hidden layers, GCNConv out.
 //! * [`sage::GraphSage`] — the mean-aggregator SAGE used by FedSage+.
-//! * [`sgc::Sgc`] — the linearised k-hop model of §4.3's derivation.
 
 pub mod gcn;
 pub mod mlp;
 pub mod ortho_gcn;
 pub mod sage;
-pub mod sgc;

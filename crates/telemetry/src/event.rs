@@ -20,9 +20,9 @@ pub enum Phase {
     Aggregation,
     /// Validation/test evaluation.
     Eval,
-    /// Pipelined-round overlap segment: client training and server-side
-    /// folding running concurrently (covers both, since they share the
-    /// wall-clock interval).
+    /// The TCP server's weight phase: remote clients train while the
+    /// server folds the uploads that already landed (covers both, since
+    /// they share the wall-clock interval).
     FoldOverlap,
 }
 

@@ -54,6 +54,16 @@ impl<'a> ObservedChannel<'a> {
     pub fn pending_events(&self) -> &[RoundEvent] {
         &self.events
     }
+
+    /// Reports every pending upload whose sender is absent from `envs`
+    /// (the collect answering for it) as dropped.
+    fn match_uploads(&mut self, envs: &[Envelope]) {
+        for (sender, kind, bytes) in self.pending_up.drain(..) {
+            if !envs.iter().any(|e| e.sender == sender) {
+                self.events.push(RoundEvent::FrameDropped { kind, bytes });
+            }
+        }
+    }
 }
 
 impl Channel for ObservedChannel<'_> {
@@ -71,25 +81,17 @@ impl Channel for ObservedChannel<'_> {
 
     fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
         let envs = self.inner.server_collect(round);
-        for (sender, kind, bytes) in self.pending_up.drain(..) {
-            if !envs.iter().any(|e| e.sender == sender) {
-                self.events.push(RoundEvent::FrameDropped { kind, bytes });
-            }
-        }
+        self.match_uploads(&envs);
         envs
     }
 
-    fn server_collect_some(&mut self, round: u64) -> Vec<Envelope> {
-        let envs = self.inner.server_collect_some(round);
-        // Same positional matching as `server_collect`. In-process round
+    fn server_await(&mut self, round: u64, missing: &[u32]) -> Vec<Envelope> {
+        let envs = self.inner.server_await(round, missing);
+        // Same positional matching as `server_collect`: in-process round
         // loops pair every upload with an immediate collect, and the TCP
         // server never uploads through its own channel, so `pending_up`
         // holds at most the frames this very call is answering for.
-        for (sender, kind, bytes) in self.pending_up.drain(..) {
-            if !envs.iter().any(|e| e.sender == sender) {
-                self.events.push(RoundEvent::FrameDropped { kind, bytes });
-            }
-        }
+        self.match_uploads(&envs);
         envs
     }
 
@@ -135,10 +137,6 @@ impl Channel for ObservedChannel<'_> {
             self.events.push(RoundEvent::FrameDropped { kind, bytes });
         }
         envs
-    }
-
-    fn awaited_peers(&self, round: u64) -> Option<usize> {
-        self.inner.awaited_peers(round)
     }
 
     fn stats(&self) -> NetStats {

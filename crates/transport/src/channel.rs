@@ -52,12 +52,7 @@ pub struct ChannelState {
 }
 
 /// A bidirectional star topology between one server and `n` clients.
-///
-/// `Send` is a supertrait so a `&mut dyn Channel` can cross into the
-/// dedicated fold thread of a pipelined round (see `fedomd-federated`'s
-/// `pipeline` module) — every existing channel is a plain data structure
-/// or socket owner, so the bound costs nothing.
-pub trait Channel: Send {
+pub trait Channel {
     /// Client `env.sender` uploads to the server. Returns the encoded
     /// frame size in bytes (what the client actually put on the wire).
     fn upload(&mut self, env: Envelope) -> usize;
@@ -67,17 +62,18 @@ pub trait Channel: Send {
     /// downstream aggregation order is deterministic.
     fn server_collect(&mut self, round: u64) -> Vec<Envelope>;
 
-    /// Like [`Channel::server_collect`], but may return as soon as *at
-    /// least one* current-round upload has been admitted rather than
-    /// waiting for the whole cohort — the primitive a fold-on-arrival
-    /// server loop polls so it can fold early uploads while stragglers
-    /// are still training. Returns an empty batch only when the
-    /// transport has concluded no further round-`round` uplink is
-    /// coming (deadline passed, or every live peer already reported).
-    /// The default simply delegates to the batch collect, which is
-    /// correct (one "batch" containing everything) for lockstep
-    /// in-process channels.
-    fn server_collect_some(&mut self, round: u64) -> Vec<Envelope> {
+    /// The blocking half of a server phase: the caller (the round
+    /// driver's collector, which owns the *when does a phase close*
+    /// rule) names the senders it is still `missing`, and the transport
+    /// returns as soon as at least one round-`round` upload is in hand —
+    /// from anyone, named or not; sorting frames into phases is the
+    /// caller's job. An empty batch ends the wait: none of the `missing`
+    /// senders is live for the round any more, or the transport's
+    /// deadline passed. Lockstep in-process channels have neither
+    /// liveness nor a clock, so the default is the plain collect —
+    /// everything queued, and empty once drained.
+    fn server_await(&mut self, round: u64, missing: &[u32]) -> Vec<Envelope> {
+        let _ = missing;
         self.server_collect(round)
     }
 
@@ -103,17 +99,6 @@ pub trait Channel: Send {
     /// Client `id` gathers the frames addressed to it for `round`; empty
     /// when everything addressed to it was dropped.
     fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope>;
-
-    /// Number of peers the server can still expect round-`round` uplink
-    /// from, when the transport tracks liveness (`None`: no liveness
-    /// notion — assume the configured cohort). The server's round driver
-    /// uses this to close a phase once every live peer has reported,
-    /// instead of waiting out the phase deadline for parties the
-    /// transport already knows are gone.
-    fn awaited_peers(&self, round: u64) -> Option<usize> {
-        let _ = round;
-        None
-    }
 
     /// Counters so far.
     fn stats(&self) -> NetStats;

@@ -5,25 +5,11 @@
 # crosses a real process boundary — the loopback golden tests
 # (tests/net_golden.rs) run the same entry points from threads.
 #
-#   scripts/net_smoke.sh [sequential|pipelined]
+#   scripts/net_smoke.sh
 #
-# `pipelined` starts the server with --pipelined (fold-on-arrival round
-# driver, DESIGN.md §16); the clients are identical in both modes — the
-# handshake digest deliberately ignores the flag. Default: sequential.
 # NET_SMOKE_ROUNDS overrides the round budget (default 4).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-MODE="${1:-sequential}"
-SERVER_FLAGS=()
-case "$MODE" in
-    sequential) ;;
-    pipelined) SERVER_FLAGS+=(--pipelined) ;;
-    *)
-        echo "net_smoke: unknown mode '$MODE' (want sequential or pipelined)" >&2
-        exit 2
-        ;;
-esac
 
 ROUNDS="${NET_SMOKE_ROUNDS:-4}"
 BIN=target/release
@@ -44,7 +30,7 @@ ADDR=""
 for _try in 1 2 3 4 5; do
     port=$((21000 + (RANDOM % 20000)))
     timeout 240 "$BIN/fedomd-server" --addr "127.0.0.1:$port" --clients 3 \
-        --rounds "$ROUNDS" --phase-timeout-ms 10000 --quiet "${SERVER_FLAGS[@]+"${SERVER_FLAGS[@]}"}" &
+        --rounds "$ROUNDS" --phase-timeout-ms 10000 --quiet &
     SERVER=$!
     sleep 0.5
     if kill -0 "$SERVER" 2>/dev/null; then
@@ -83,4 +69,4 @@ trap - EXIT
 if [[ "$fail" -ne 0 ]]; then
     exit 1
 fi
-echo "net_smoke: OK (1 server + 3 clients over 127.0.0.1, $ROUNDS rounds, $MODE)"
+echo "net_smoke: OK (1 server + 3 clients over 127.0.0.1, $ROUNDS rounds)"

@@ -4,8 +4,8 @@
 #   scripts/sanitize.sh
 #
 # Runs the tests that exercise real threads and channels — the TCP
-# deployment golden tests (`net_golden`) and the fold pipeline's
-# proptests and exhaustive interleaving sweep — under TSan. TSan needs a
+# deployment golden tests (`net_golden`) and the collector's exhaustive
+# interleaving sweep — under TSan. TSan needs a
 # nightly toolchain with the rust-src component (`-Z build-std` rebuilds
 # std with instrumentation); when none is installed this script prints a
 # clear skip message and exits 0, so it is safe to wire as a non-blocking
@@ -43,10 +43,7 @@ run() {
 # The TCP deployment: thread-per-connection readers, acceptor, bounded
 # inbound queue, generation-stamped eviction.
 run -p fedomd-suite --test net_golden
-# The fold pipeline: scoped fold thread + reorder window, spot-checked
-# orders (the in-crate proptests) and the exhaustive n ≤ 5 sweeps.
-run -p fedomd-federated --lib pipeline
-run -p fedomd-federated --test interleaving
+# The server collector's reorder window: the exhaustive n ≤ 5 sweep.
 run -p fedomd-core --test interleaving
 
 echo "sanitize: OK"

@@ -11,7 +11,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
-cargo test -q --workspace
+# --no-fail-fast: one red test binary must never hide the rest.
+cargo test -q --workspace --no-fail-fast
 # Massive-cohort smoke (DESIGN.md §15): a 2000-party planted federation
 # completes sampled rounds with streaming aggregation. Ignored by default
 # (it is release-speed work), run explicitly here in release mode.
@@ -30,18 +31,27 @@ cargo run -q --release -p fedomd-lint -- --inventory --check
 
 # Exhaustive interleaving sweep (DESIGN.md §17): every arrival permutation
 # and straggler subset for cohorts n ≤ 5 folds bit-identically to the
-# sequential batch path, on both `fold_in_order` and the server collector.
+# sort-by-sender oracle through the server collector.
 # (Already part of `cargo test --workspace` above; run explicitly so a
 # sweep failure is attributable at a glance. n = 6 stays `--ignored`.)
-cargo test -q --release -p fedomd-federated --test interleaving
 cargo test -q --release -p fedomd-core --test interleaving
 
+# Contention step (DESIGN.md §16): the TCP goldens and the interleaving
+# sweep must hold with both cores saturated, not just on a quiet box.
+# The goldens fail on wall time if any phase sits out its deadline.
+scripts/contention.sh 5
+
 # Multi-process deployment smoke (DESIGN.md §14): 1 fedomd-server and
-# 3 fedomd-client OS processes complete a short run over 127.0.0.1 —
-# once phase-sequential, once with the fold-on-arrival pipelined server
-# (DESIGN.md §16).
-scripts/net_smoke.sh sequential
-scripts/net_smoke.sh pipelined
+# 3 fedomd-client OS processes complete a short run over 127.0.0.1.
+scripts/net_smoke.sh
+
+# The round-level benchmark (BENCHMARK.json) is a package of its own, so
+# the workspace build above does not cover it: build it offline and run
+# its self-checks (metric plumbing, then one tiny pass over every
+# workload).
+cargo build --release --offline --manifest-path examples/roundbench/Cargo.toml
+cargo run -q --release --offline --manifest-path examples/roundbench/Cargo.toml -- --selftest
+cargo run -q --release --offline --manifest-path examples/roundbench/Cargo.toml -- --smoke
 
 if cargo fmt --version >/dev/null 2>&1; then
     cargo fmt --check

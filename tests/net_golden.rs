@@ -14,7 +14,7 @@
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fedomd_core::{ClientOutcome, FedRun, RunCheckpoint, RunConfig};
 use fedomd_data::{generate, spec, DatasetName};
@@ -75,19 +75,33 @@ fn spawn_client(
     })
 }
 
-/// One full loopback federation: a server (with its own config — e.g.
-/// `--pipelined` on) plus one client thread per shard, each running
-/// `client_runs[id]`. Panics unless every client finishes cleanly.
+/// The server's per-phase deadline in [`run_loopback`]. Generous on
+/// purpose: no phase of a healthy run comes near it, and a phase closed
+/// by the deadline costs at least this much wall time — which is what
+/// lets the goldens below turn a stall into a failure of its own.
+const PHASE_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// What one [`run_loopback`] federation produced.
+struct Loopback {
+    result: fedomd_federated::RunResult,
+    reports: Vec<ClientReport>,
+    wall: Duration,
+}
+
+/// One full loopback federation: a server plus one client thread per
+/// shard, each running `client_runs[id]`. Panics unless every client
+/// finishes cleanly.
 fn run_loopback(
     server_run: &RunConfig,
     client_runs: &[RunConfig],
     name: &str,
     clients: &[ClientData],
     n_classes: usize,
-) -> fedomd_federated::RunResult {
+) -> Loopback {
+    let started = Instant::now();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
-    let net = quick_net(Duration::from_secs(20));
+    let net = quick_net(PHASE_TIMEOUT);
     let server = {
         let (run, name) = (server_run.clone(), name.to_string());
         let opts = ServeOpts {
@@ -116,94 +130,93 @@ fn run_loopback(
         .join()
         .expect("server thread")
         .expect("server run completes");
-    for (id, worker) in workers.into_iter().enumerate() {
-        let report = worker.join().expect("client thread");
-        assert_eq!(report.outcome, ClientOutcome::Finished, "client {id}");
+    let reports: Vec<ClientReport> = workers
+        .into_iter()
+        .enumerate()
+        .map(|(id, worker)| {
+            let report = worker.join().expect("client thread");
+            assert_eq!(report.outcome, ClientOutcome::Finished, "client {id}");
+            report
+        })
+        .collect();
+    Loopback {
+        result,
+        reports,
+        wall: started.elapsed(),
     }
-    result
+}
+
+/// Runs the same loopback federation twice and pins what a fold loop with
+/// a correct close rule guarantees whatever the socket timing: the two
+/// runs agree bit for bit, every scheduled round ran, and neither run
+/// spent a phase deadline — any deadline-closed phase costs at least
+/// [`PHASE_TIMEOUT`], so the wall-time bound makes a stall a failure in
+/// its own right instead of a slow pass. Returns both runs.
+fn replay_twice_without_a_stall(
+    run: &RunConfig,
+    client_runs: &[RunConfig],
+    name: &str,
+    clients: &[ClientData],
+    n_classes: usize,
+) -> [Loopback; 2] {
+    let runs = [
+        run_loopback(run, client_runs, name, clients, n_classes),
+        run_loopback(run, client_runs, name, clients, n_classes),
+    ];
+    let [a, b] = &runs;
+    assert_eq!(a.result.test_acc, b.result.test_acc, "test accuracy");
+    assert_eq!(a.result.val_acc, b.result.val_acc, "val accuracy");
+    assert_eq!(a.result.best_round, b.result.best_round, "best round");
+    assert_eq!(a.result.history, b.result.history, "evaluation history");
+    for lb in &runs {
+        assert_eq!(
+            lb.result.comms.rounds as usize, run.train.rounds,
+            "every scheduled round must run"
+        );
+        assert!(
+            lb.wall < PHASE_TIMEOUT,
+            "a phase sat out its deadline: the run took {:?}",
+            lb.wall
+        );
+    }
+    runs
 }
 
 #[test]
-fn a_pipelined_server_reproduces_the_sequential_tcp_run() {
-    let (name, clients, n_classes) = mini_setup(4);
-    let run = RunConfig::mini(4).with_rounds(10).with_patience(40);
-    let same: Vec<RunConfig> = vec![run.clone(); clients.len()];
-
-    let sequential = run_loopback(&run, &same, &name, &clients, n_classes);
-    assert!(sequential.improved(), "sequential run must actually learn");
-    // The handshake digest excludes the pipeline flag, so unmodified
-    // sequential clients are admitted by the fold-on-arrival server.
-    let pipelined = run_loopback(
-        &run.clone().with_pipelined(true),
-        &same,
-        &name,
-        &clients,
-        n_classes,
-    );
-
-    assert_eq!(pipelined.test_acc, sequential.test_acc, "test accuracy");
-    assert_eq!(pipelined.val_acc, sequential.val_acc, "val accuracy");
-    assert_eq!(pipelined.best_round, sequential.best_round, "best round");
-    assert_eq!(pipelined.history, sequential.history, "evaluation history");
-}
-
-#[test]
-fn a_pipelined_server_reproduces_the_cohort_sampled_tcp_run() {
+fn the_cohort_sampled_tcp_run_replays_bit_for_bit_without_a_stall() {
     let (name, clients, n_classes) = mini_setup(5);
-    // Cohort sampling exercises the sparse-candidate weight fold: only the
-    // sampled senders appear in the reorder window's expected schedule.
+    // Cohort sampling exercises the sparse-candidate weight fold: only
+    // the sampled senders are awaited, while every client still uploads —
+    // so the unsampled sender's update lands late, among the metrics
+    // frames (the stall this golden guards against).
     let run = RunConfig::mini(5)
         .with_rounds(8)
         .with_patience(40)
         .with_cohort(fedomd_federated::CohortConfig::fraction(0.67, 9));
     let same: Vec<RunConfig> = vec![run.clone(); clients.len()];
 
-    let sequential = run_loopback(&run, &same, &name, &clients, n_classes);
-    let pipelined = run_loopback(
-        &run.clone().with_pipelined(true),
-        &same,
-        &name,
-        &clients,
-        n_classes,
-    );
-
-    assert_eq!(pipelined.test_acc, sequential.test_acc, "test accuracy");
-    assert_eq!(pipelined.val_acc, sequential.val_acc, "val accuracy");
-    assert_eq!(pipelined.best_round, sequential.best_round, "best round");
-    assert_eq!(pipelined.history, sequential.history, "evaluation history");
+    let runs = replay_twice_without_a_stall(&run, &same, &name, &clients, n_classes);
+    for lb in &runs {
+        for (id, report) in lb.reports.iter().enumerate() {
+            assert_eq!(report.reconnects, 0, "client {id} must never reconnect");
+        }
+    }
 }
 
 #[test]
-fn a_departing_client_degrades_under_a_pipelined_server() {
+fn a_departing_client_run_replays_bit_for_bit_without_a_stall() {
     let (name, clients, n_classes) = mini_setup(6);
-    let rounds = 8;
-    let run = RunConfig::mini(6).with_rounds(rounds).with_patience(40);
-    // Client 2 leaves after 3 of the 8 rounds, so the fold loop must close
-    // each later phase at the shrunken live-peer count instead of burning
-    // the 20 s deadline waiting on a reorder-window slot that never fills.
+    let run = RunConfig::mini(6).with_rounds(8).with_patience(40);
+    // Client 2 leaves after 3 of the 8 rounds, so every later phase must
+    // close on the two senders still live instead of burning the deadline
+    // on a reorder-window slot that never fills. Which frames fold is
+    // round-deterministic (client 2 contributes exactly rounds 0–2), so
+    // even the degraded tail replays bit for bit.
     let mut client_runs: Vec<RunConfig> = vec![run.clone(); clients.len()];
     client_runs[2].train.rounds = 3;
 
-    let sequential = run_loopback(&run, &client_runs, &name, &clients, n_classes);
-    let pipelined = run_loopback(
-        &run.clone().with_pipelined(true),
-        &client_runs,
-        &name,
-        &clients,
-        n_classes,
-    );
-
-    assert_eq!(
-        pipelined.comms.rounds as usize, rounds,
-        "the departure must degrade the federation, not wedge it"
-    );
-    // Which frames fold is round-deterministic (client 2 contributes
-    // exactly rounds 0–2 in both runs), so even the degraded tail is
-    // bit-identical across the two server modes.
-    assert_eq!(pipelined.test_acc, sequential.test_acc, "test accuracy");
-    assert_eq!(pipelined.val_acc, sequential.val_acc, "val accuracy");
-    assert_eq!(pipelined.history, sequential.history, "evaluation history");
-    assert!(pipelined.improved(), "two live parties must still learn");
+    let [first, _] = replay_twice_without_a_stall(&run, &client_runs, &name, &clients, n_classes);
+    assert!(first.result.improved(), "two live parties must still learn");
 }
 
 #[test]
