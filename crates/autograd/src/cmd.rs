@@ -168,19 +168,10 @@ fn cmd_grad_rows_generic<const ORDERS: usize>(
 /// AVX2 instantiation: identical Rust code, wider auto-vectorisation.
 /// Plain lane-wise IEEE mul/add/sub without contraction keeps it
 /// bit-identical to [`cmd_grad_rows_generic`].
-///
-/// # Safety
-/// Callers must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely because of `#[target_feature(enable = "avx2")]`
-// — executing AVX2 instructions on a CPU without them is UB. The only
-// call site (`run_cmd_grad_rows`) is gated on `is_x86_feature_detected!`
-// evaluated once in `cmd_grad_weighted`. All memory access goes through
-// the shared safe `cmd_grad_rows_body`: plain slices, every index
-// bounds-checked — no raw pointers, no alignment assumptions.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn cmd_grad_rows_avx2<const ORDERS: usize>(
+fn cmd_grad_rows_avx2<const ORDERS: usize>(
     z_data: &[f32],
     m: &[f32],
     g0: &[f32],
@@ -195,6 +186,7 @@ unsafe fn cmd_grad_rows_avx2<const ORDERS: usize>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
+#[allow(unsafe_code, reason = "AVX2 dispatch after runtime detection")]
 fn run_cmd_grad_rows<const ORDERS: usize>(
     avx2: bool,
     z_data: &[f32],

@@ -23,6 +23,9 @@
 //! and unpooled execution are bit-identical (see the `workspace` module
 //! docs for the argument).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod check;
 pub mod cmd;
 pub mod tape;

@@ -79,7 +79,7 @@ proptest! {
                 (true, true) => t.add(l1, l2),
                 (true, false) => l1,
                 (false, true) => l2,
-                _ => unreachable!(),
+                (false, false) => panic!("no loss term selected"),
             };
             t.backward(loss);
             t.grad(av).cloned().expect("grad")

@@ -18,6 +18,11 @@
 //! `Arc` pointer identity *and keep the source `Arc` alive*, so a freed
 //! allocation can never alias a stale cache slot.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the pool is looked up by size; its one iteration sums lengths, in any order"
+)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 

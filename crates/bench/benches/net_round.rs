@@ -4,6 +4,11 @@
 //! handshake, three client threads, teardown — which is exactly what a
 //! `fedomd-server` + `fedomd-client` restart costs.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "server and clients on joined threads"
+)]
+
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;

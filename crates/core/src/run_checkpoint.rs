@@ -54,6 +54,12 @@ fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
         .ok_or_else(|| parse_err(format!("missing field `{key}`")))
 }
 
+/// An optional field: `None` when the value is `null`.
+fn non_null<'a>(doc: &'a Json, key: &str) -> Result<Option<&'a Json>, CheckpointError> {
+    let v = field(doc, key)?;
+    Ok(if let Json::Null = v { None } else { Some(v) })
+}
+
 fn get_u64(doc: &Json, key: &str) -> Result<u64, CheckpointError> {
     field(doc, key)?
         .as_u64()
@@ -97,7 +103,9 @@ fn get_f64(doc: &Json, key: &str) -> Result<f64, CheckpointError> {
         Json::Str(s) if s == "-inf" => Ok(f64::NEG_INFINITY),
         Json::Str(s) if s == "inf" => Ok(f64::INFINITY),
         Json::Str(s) if s == "nan" => Ok(f64::NAN),
-        _ => Err(parse_err(format!("field `{key}`: expected number"))),
+        Json::Null | Json::Bool(_) | Json::Str(_) | Json::Arr(_) | Json::Obj(_) => {
+            Err(parse_err(format!("field `{key}`: expected number")))
+        }
     }
 }
 
@@ -383,14 +391,10 @@ impl RunCheckpoint {
                 model_steps.len()
             )));
         }
-        let global = match field(doc, "global")? {
-            Json::Null => None,
-            v => Some(matrices_from_json(v, "global")?),
-        };
-        let stats = match field(doc, "stats")? {
-            Json::Null => None,
-            v => Some(stats_from_json(v)?),
-        };
+        let global = non_null(doc, "global")?
+            .map(|v| matrices_from_json(v, "global"))
+            .transpose()?;
+        let stats = non_null(doc, "stats")?.map(stats_from_json).transpose()?;
         Ok(Self {
             version,
             algorithm,
@@ -467,12 +471,15 @@ impl CheckpointSink for FileCheckpointer {
     fn save(&mut self, state: ResumeState, obs: &mut dyn RoundObserver) {
         let round = state.next_round.saturating_sub(1) as u64;
         let ckpt = RunCheckpoint::new(self.algorithm.clone(), self.seed, state);
+        #[expect(
+            clippy::panic,
+            reason = "documented contract (see `# Panics`): silently losing snapshots \
+                      would defeat the crash-safety the caller asked for, and \
+                      `CheckpointSink::save` has no error channel by design — round \
+                      loops stay ignorant of I/O"
+        )]
         let bytes = ckpt
             .save(&self.path)
-            // LINT: allow(panic) documented contract (see `# Panics`):
-            // silently losing snapshots would defeat the crash-safety the
-            // caller asked for, and `CheckpointSink::save` has no error
-            // channel by design — round loops stay ignorant of I/O.
             .unwrap_or_else(|e| panic!("run checkpoint save failed: {e}"));
         obs.on_event(&RoundEvent::CheckpointSaved {
             round,

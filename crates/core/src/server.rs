@@ -77,6 +77,9 @@ impl ServerOpts {
 /// server's durable state is the driver bookkeeping, the channel cursor,
 /// and the last aggregated global model/statistics, which is what a
 /// reconnecting client needs to rejoin.
+///
+/// # Panics
+/// Panics with no clients or an invalid cohort configuration.
 pub fn run_fedomd_server(
     opts: &ServerOpts,
     cfg: &TrainConfig,
@@ -86,8 +89,10 @@ pub fn run_fedomd_server(
     mut persist: Persistence<'_>,
 ) -> RunResult {
     assert!(opts.n_clients > 0, "run_fedomd_server: no clients");
-    let cohort = opts.cohort.validate(opts.n_clients);
-    assert!(cohort.is_ok(), "run_fedomd_server: {}", cohort.unwrap_err());
+    #[expect(clippy::panic, reason = "documented contract (see `# Panics`)")]
+    if let Err(e) = opts.cohort.validate(opts.n_clients) {
+        panic!("run_fedomd_server: {e}");
+    }
     let m = opts.n_clients;
     let track = persist.sink.is_some();
     let mut last_global: Option<Vec<Matrix>> = None;

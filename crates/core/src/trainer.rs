@@ -112,6 +112,9 @@ fn emit_local_steps(losses: &[Option<StepLosses>], obs: &mut dyn RoundObserver) 
 /// uninterrupted: every RNG stream — including the cohort sampler — is
 /// derived from `(seed, round)` or a checkpointed cursor, and snapshots
 /// land on round boundaries where the channel has no frames in flight.
+///
+/// # Panics
+/// Panics with no clients or an invalid cohort configuration.
 pub fn run_fedomd_resumable(
     clients: &[ClientData],
     n_classes: usize,
@@ -122,8 +125,10 @@ pub fn run_fedomd_resumable(
     mut persist: Persistence<'_>,
 ) -> RunResult {
     assert!(!clients.is_empty(), "run_fedomd: no clients");
-    let cohort = cfg.validate(clients.len());
-    assert!(cohort.is_ok(), "run_fedomd: {}", cohort.unwrap_err());
+    #[expect(clippy::panic, reason = "documented contract (see `# Panics`)")]
+    if let Err(e) = cfg.validate(clients.len()) {
+        panic!("run_fedomd: {e}");
+    }
     let f = clients[0].input.n_features();
     // Common global init (the server distributes W₀, paper Phase 1),
     // through the same constructor a standalone `fedomd-client` process

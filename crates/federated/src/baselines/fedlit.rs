@@ -80,13 +80,14 @@ fn federated_edge_kmeans(clients: &[ClientData], seed: u64) -> Vec<Vec<usize>> {
                     (0..N_TYPES).map(|_| (vec![0.0; f], 0)).collect();
                 for (e, &(u, v)) in c.edges.iter().enumerate() {
                     let emb = edge_embedding(&c.input.x, u, v);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "squared distances of finite embeddings are finite (so \
+                                  the partial_cmp is total), and N_TYPES is a positive \
+                                  constant (so min_by over the range is never empty)"
+                    )]
                     let t = (0..N_TYPES)
                         .min_by(|&a, &b| {
-                            // LINT: allow(panic) arithmetic invariants:
-                            // squared distances of finite embeddings are
-                            // finite (so the partial_cmp is total), and
-                            // N_TYPES is a positive constant (so min_by
-                            // over the range is never empty).
                             sq_dist(&emb, &centroids[a])
                                 .partial_cmp(&sq_dist(&emb, &centroids[b]))
                                 .expect("finite distances")
@@ -179,8 +180,11 @@ impl Model for FedLitModel {
                 Some(acc) => tape.add(acc, term),
             });
         }
-        // LINT: allow(panic) `self.ops` holds one operator per edge type
-        // and N_TYPES is a positive constant, so the accumulator is Some.
+        #[expect(
+            clippy::expect_used,
+            reason = "`self.ops` holds one operator per edge type and N_TYPES is a \
+                      positive constant, so the accumulator is Some"
+        )]
         let h = tape.relu(h_sum.expect("at least one type"));
 
         let mut logit_sum = None;
@@ -195,7 +199,10 @@ impl Model for FedLitModel {
                 Some(acc) => tape.add(acc, term),
             });
         }
-        // LINT: allow(panic) as above: the per-type loop ran at least once.
+        #[expect(
+            clippy::expect_used,
+            reason = "as above: the per-type loop ran at least once"
+        )]
         let logits = logit_sum.expect("at least one type");
 
         param_vars.extend(w0_vars);

@@ -91,8 +91,11 @@ impl NeighGen {
         let lf = tape.scale(lf, 1.0 / n);
         let loss = tape.add(lc, lf);
         tape.backward(loss);
-        // LINT: allow(panic) both params were registered on this tape and
-        // participate in `loss`, so `backward` always writes their grads.
+        #[expect(
+            clippy::expect_used,
+            reason = "both params were registered on this tape and participate in \
+                      `loss`, so `backward` always writes their grads"
+        )]
         let grads = vec![
             tape.grad(wc).cloned().expect("wc grad"),
             tape.grad(wf).cloned().expect("wf grad"),

@@ -155,8 +155,11 @@ pub fn run_baseline_observed(
         Baseline::Scaffold => scaffold::run_scaffold_observed(clients, n_classes, cfg, obs),
         Baseline::FedSagePlus => fedsage::run_fedsage_plus_observed(clients, n_classes, cfg, obs),
         Baseline::FedLit => fedlit::run_fedlit_observed(clients, n_classes, cfg, obs),
-        // LINT: allow(panic) the `generic_opts` guard above returned for
-        // every generic variant; only the three bespoke loops reach here.
+        #[expect(
+            clippy::unreachable,
+            reason = "the `generic_opts` guard above returned for every generic variant; \
+                      only the three bespoke loops reach here"
+        )]
         _ => unreachable!("generic baselines handled above"),
     }
 }

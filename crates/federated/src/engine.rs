@@ -409,6 +409,9 @@ pub fn run_generic_observed(
 /// round, and hands `persist.sink` a [`ResumeState`] snapshot every
 /// `sink.every()` rounds. A resumed run is bit-identical to the same run
 /// left uninterrupted.
+///
+/// # Panics
+/// Panics with no clients or an invalid cohort configuration.
 pub fn run_generic_resumable(
     clients: &[ClientData],
     n_classes: usize,
@@ -419,8 +422,10 @@ pub fn run_generic_resumable(
     mut persist: Persistence<'_>,
 ) -> RunResult {
     assert!(!clients.is_empty(), "run_generic: no clients");
-    let cohort = cfg.validate(clients.len());
-    assert!(cohort.is_ok(), "run_generic: {}", cohort.unwrap_err());
+    #[expect(clippy::panic, reason = "documented contract (see `# Panics`)")]
+    if let Err(e) = cfg.validate(clients.len()) {
+        panic!("run_generic: {e}");
+    }
     let mut models: Vec<Box<dyn Model>> = clients
         .iter()
         .enumerate()

@@ -176,10 +176,16 @@ impl UpdateAccumulator {
     }
 
     /// [`Self::try_push`] for in-process callers, whose clients all build
-    /// the same model: a mismatch there is a bug and panics.
+    /// the same model.
+    ///
+    /// # Panics
+    /// Panics where [`Self::try_push`] would return an error: a mismatch
+    /// between in-process clients is a bug.
     pub fn push(&mut self, params: &[Matrix], weight: f64) {
-        let folded = self.try_push(params, weight);
-        assert!(folded.is_ok(), "UpdateAccumulator: {}", folded.unwrap_err());
+        #[expect(clippy::panic, reason = "documented contract (see `# Panics`)")]
+        if let Err(e) = self.try_push(params, weight) {
+            panic!("UpdateAccumulator: {e}");
+        }
     }
 
     /// Folds the lane partials in lane order, divides by the total weight,
@@ -251,12 +257,14 @@ impl std::error::Error for UpdateShapeError {}
 pub fn fold_weight_update(agg: &mut UpdateAccumulator, env: Envelope) {
     match env.payload {
         Payload::WeightUpdate { params } => agg.push(&from_tensors(params), 1.0),
-        // LINT: allow(panic) protocol invariant: every channel impl routes
-        // only client uplink frames to `server_collect`, and in-process
-        // clients upload nothing but `WeightUpdate` in the weight phase —
-        // any other payload here is a routing bug that must fail loudly.
-        // LINT: allow(msg-wildcard) same invariant: the wildcard cannot
-        // swallow a frame, it panics naming the unexpected kind.
+        #[expect(
+            clippy::panic,
+            reason = "protocol invariant: every channel impl routes only client uplink \
+                      frames to `server_collect`, and in-process clients upload nothing \
+                      but `WeightUpdate` in the weight phase — any other payload here \
+                      is a routing bug that must fail loudly, and the wildcard panics \
+                      naming the unexpected kind instead of swallowing the frame"
+        )]
         other => panic!("server expected WeightUpdate, got {}", other.kind()),
     }
 }

@@ -12,6 +12,8 @@
 //! run is reproducible bit-for-bit.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod baselines;
 pub mod client;

@@ -153,15 +153,18 @@ pub fn secure_weighted_sum_frames(
         "secure_weighted_sum_frames: every upload was dropped"
     );
     let mut senders = Vec::with_capacity(received.len());
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "protocol invariant of the masking round: every masked upload is \
+                  exactly one WeightUpdate tensor by construction (see `mask_upload`); \
+                  anything else is a routing bug the simulation wants loud"
+    )]
     let uploads: Vec<Matrix> = received
         .into_iter()
         .map(|env| {
             senders.push(env.sender);
             match env.payload {
-                // LINT: allow(panic) protocol invariant of the masking
-                // round: every masked upload is exactly one WeightUpdate
-                // tensor by construction (see `mask_upload`); anything
-                // else is a routing bug the simulation wants loud.
                 Payload::WeightUpdate { mut params } => params
                     .pop()
                     .expect("one tensor per masked upload")

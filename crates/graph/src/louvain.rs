@@ -175,6 +175,10 @@ fn one_level(
 
 /// Renumbers labels to be dense `0..k`, first-seen order.
 fn renumber(labels: &[usize]) -> Vec<usize> {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "looked up by key, never iterated: ids follow first-seen order"
+    )]
     let mut map = std::collections::HashMap::new();
     let mut next = 0usize;
     labels

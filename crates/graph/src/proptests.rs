@@ -89,7 +89,7 @@ proptest! {
         labels in proptest::collection::vec(0usize..5, 3..200), seed in 0u64..20
     ) {
         let s = split_nodes(&labels, SplitRatios::mini(), seed);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &i in s.train.iter().chain(&s.val).chain(&s.test) {
             prop_assert!(i < labels.len());
             prop_assert!(seen.insert(i), "index {} duplicated", i);

@@ -125,7 +125,7 @@ mod tests {
     fn splits_are_disjoint() {
         let l = labels(500, 5);
         let s = split_nodes(&l, SplitRatios::paper(), 3);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for idx in s.train.iter().chain(&s.val).chain(&s.test) {
             assert!(seen.insert(*idx), "index {idx} appears twice");
         }
@@ -156,7 +156,7 @@ mod tests {
     fn every_class_reaches_train_when_possible() {
         let l = labels(700, 7);
         let s = split_nodes(&l, SplitRatios::paper(), 1);
-        let classes: std::collections::HashSet<usize> = s.train.iter().map(|&i| l[i]).collect();
+        let classes: std::collections::BTreeSet<usize> = s.train.iter().map(|&i| l[i]).collect();
         assert_eq!(classes.len(), 7);
     }
 

@@ -4,6 +4,7 @@
 //! EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
+#![allow(clippy::disallowed_methods, reason = "this crate owns the wall clock")]
 
 pub mod accuracy;
 pub mod f1;

@@ -6,10 +6,10 @@ use std::time::{Duration, Instant};
 /// A started wall-clock measurement.
 ///
 /// This is the only sanctioned way for round-loop code to read the clock:
-/// `fedomd-metrics` is one of the three crates the workspace linter
-/// (`fedomd-lint`, wall-clock rule) allows `Instant::now` in, so training
-/// and protocol crates measure phases with a `Stopwatch` and charge the
-/// result to a [`Timer`] bucket instead of touching `std::time` directly.
+/// `clippy.toml` bans `Instant::now` in library code outside
+/// `fedomd-metrics` and `fedomd-telemetry`, so training and protocol crates
+/// measure phases with a `Stopwatch` and charge the result to a [`Timer`]
+/// bucket instead of touching `std::time` directly.
 /// Use it for split measurements where [`Timer::time`]'s closure shape
 /// does not fit (e.g. a phase whose start and end straddle borrows).
 #[derive(Clone, Copy, Debug)]

@@ -1,7 +1,7 @@
 //! The client's half of the [`Channel`] trait over TCP.
 //!
 //! One background thread owns the read half of the connection and decodes
-//! frames into a crossbeam queue; the training thread consumes the queue
+//! frames into a bounded queue; the training thread consumes the queue
 //! through [`TcpClientChannel::client_collect`] and writes uploads
 //! directly. When the connection dies the reader thread exits, the queue
 //! disconnects, and every subsequent collect returns empty immediately —
@@ -10,12 +10,17 @@
 
 use std::cmp::Ordering;
 use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use fedomd_transport::{admit_by_deadline, Channel, ChannelState, Envelope, NetStats};
 
 use crate::stream::{read_frame, write_prefixed};
+
+/// Slots in the downlink queue. Bounded: if the training loop stalls, the
+/// reader parks on a full queue (TCP backpressure) instead of buffering
+/// frames without limit; 256 covers many phases of server traffic.
+const READER_QUEUE_SLOTS: usize = 256;
 
 /// [`Channel`] adapter between one client's round loop and its server
 /// connection.
@@ -38,13 +43,13 @@ impl TcpClientChannel {
         phase_timeout: Duration,
     ) -> std::io::Result<Self> {
         let mut read_half = stream.try_clone()?;
-        // Bounded: if the training loop stalls, the reader parks on a full
-        // queue (TCP backpressure) instead of buffering frames without
-        // limit; 256 covers many phases of server traffic.
-        let (tx, rx) = crossbeam::channel::bounded(256);
-        // LINT: allow(detached-thread) reader with no handle to keep: it
-        // exits on EOF or error once `Drop` shuts the socket down, and
-        // joining it from `Drop` could block a dying client on the peer.
+        let (tx, rx) = sync_channel(READER_QUEUE_SLOTS);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reader with no handle to keep: it exits on EOF or error once \
+                      `Drop` shuts the socket down, and joining it from `Drop` could \
+                      block a dying client on the peer"
+        )]
         std::thread::spawn(move || {
             // Exits (dropping `tx`, disconnecting the queue) on EOF, any
             // I/O error, or a frame that fails the codec.
@@ -110,9 +115,12 @@ impl Channel for TcpClientChannel {
     }
 
     fn client_collect(&mut self, _id: u32, round: u64) -> Vec<Envelope> {
-        // LINT: allow(wall-clock) the phase deadline over a real network
-        // is necessarily wall time; every admit/drop decision it feeds
-        // still goes through the shared `admit_by_deadline` helper.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the phase deadline over a real network is necessarily wall time; \
+                      every admit/drop decision it feeds still goes through the shared \
+                      `admit_by_deadline` helper"
+        )]
         let phase_start = Instant::now();
         let deadline_ms = self.phase_timeout.as_secs_f64() * 1e3;
 

@@ -4,15 +4,14 @@
 //! `fedomd-client` binaries are thin CLI shells over these two functions,
 //! and the loopback golden tests call them directly from threads.
 
-use std::collections::BTreeMap;
 use std::io::ErrorKind;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::Sender;
 use fedomd_core::{
     run_config_digest, run_fedomd_client_rounds, run_fedomd_server, ClientOutcome, ClientSession,
     FileCheckpointer, RunCheckpoint, RunConfig, ServerOpts,
@@ -23,7 +22,7 @@ use fedomd_transport::{from_tensors, to_tensors, Envelope, Payload, SERVER_SENDE
 
 use crate::client_chan::TcpClientChannel;
 use crate::error::NetError;
-use crate::server_chan::{Inbound, SyncShared, TcpServerChannel};
+use crate::server_chan::{inbound_queue, Inbound, SyncShared, TcpServerChannel};
 use crate::stream::{read_frame, write_prefixed, Hello, Welcome, PROTOCOL_VERSION};
 
 /// Transport knobs shared by both processes.
@@ -93,50 +92,6 @@ pub struct ClientOpts {
     pub id: u32,
     /// Transport knobs.
     pub net: NetConfig,
-}
-
-/// Live-connection registry the acceptor and the reader threads share.
-///
-/// Each admitted connection is stamped with a monotonically increasing
-/// generation token. A handshake for an id that is still registered does
-/// **not** reject the newcomer: the old connection may be half-open (a
-/// client that died without a FIN, a NAT reset) and would otherwise hold
-/// the id hostage forever, turning every rejoin into a fatal "already
-/// connected". Instead the newest connection wins — the stale entry's
-/// socket is shut down so its blocked reader unblocks and exits — and a
-/// reader only deregisters the id while its own generation is still the
-/// registered one.
-#[derive(Default)]
-struct Registry {
-    next_gen: u64,
-    live: BTreeMap<u32, LiveConn>,
-}
-
-struct LiveConn {
-    gen: u64,
-    /// Clone of the connection's stream, held only so an eviction can
-    /// shut the old socket down and release its reader thread.
-    stream: TcpStream,
-}
-
-impl Registry {
-    /// Registers a connection for `id`, evicting (and shutting down) any
-    /// stale connection holding the id. Returns the new generation.
-    fn register(&mut self, id: u32, stream: TcpStream) -> u64 {
-        self.next_gen += 1;
-        let gen = self.next_gen;
-        if let Some(old) = self.live.insert(id, LiveConn { gen, stream }) {
-            let _ = old.stream.shutdown(Shutdown::Both);
-        }
-        gen
-    }
-
-    /// Removes `id` only if `gen` is still its registered connection.
-    fn deregister(&mut self, id: u32, gen: u64) {
-        if self.live.get(&id).map(|c| c.gen) == Some(gen) {
-            self.live.remove(&id);
-        }
-    }
 }
 
 /// What a client process did, for logging and the tests.
@@ -226,17 +181,16 @@ pub fn serve_on(
         shared.preload_model(env.encode());
     }
 
-    // Bounded so slow server-side folding applies backpressure to the
-    // per-connection readers instead of buffering unboundedly; 1024
-    // in-flight frames comfortably covers a full phase from every client.
-    let (tx, rx) = crossbeam::channel::bounded(1024);
+    let (tx, rx) = inbound_queue();
     let stop = Arc::new(AtomicBool::new(false));
-    let registry: Arc<parking_lot::Mutex<Registry>> = Arc::default();
     listener.set_nonblocking(true)?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "joined once the rounds are done, below"
+    )]
     let acceptor = {
         let stop = Arc::clone(&stop);
         let shared = Arc::clone(&shared);
-        let registry = Arc::clone(&registry);
         let n_clients = opts.n_clients;
         let max_frame = opts.net.max_frame_bytes;
         std::thread::spawn(move || {
@@ -245,9 +199,7 @@ pub fn serve_on(
                     Ok((stream, _)) => {
                         // A failed handshake just drops the connection;
                         // the client retries or gives up on its own.
-                        let _ = admit(
-                            stream, digest, n_clients, max_frame, &tx, &shared, &registry,
-                        );
+                        let _ = admit(stream, digest, n_clients, max_frame, &tx, &shared);
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(10));
@@ -277,6 +229,8 @@ pub fn serve_on(
     };
     let result = run_fedomd_server(&sopts, &run.train, &run.omd, &mut chan, obs, persist);
 
+    // Closing the inbound queue first wakes an acceptor blocked on it.
+    drop(chan);
     stop.store(true, Ordering::Relaxed);
     let _ = acceptor.join();
     Ok(result)
@@ -289,9 +243,8 @@ fn admit(
     digest: u64,
     n_clients: usize,
     max_frame: u32,
-    tx: &Sender<Inbound>,
+    tx: &SyncSender<Inbound>,
     shared: &Arc<SyncShared>,
-    registry: &Arc<parking_lot::Mutex<Registry>>,
 ) -> Result<(), NetError> {
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
@@ -320,9 +273,10 @@ fn admit(
     }
     let id = hello.client_id;
     // A re-handshake for a registered id is a reconnect, not an error:
-    // latest wins, the stale connection is shut down (see [`Registry`]).
+    // latest wins, the stale connection is shut down (see
+    // [`SyncShared::register`]).
     let shutdown_handle = stream.try_clone()?;
-    let gen = registry.lock().register(id, shutdown_handle);
+    let gen = shared.register(id, shutdown_handle);
     let active_from = shared.join_round();
     let model = shared.model_frame();
     let ok = (|| -> Result<(), NetError> {
@@ -348,15 +302,18 @@ fn admit(
         Ok(())
     })();
     if ok.is_err() {
-        registry.lock().deregister(id, gen);
+        shared.deregister(id, gen);
         return ok;
     }
     let tx = tx.clone();
-    let registry = Arc::clone(registry);
-    // LINT: allow(detached-thread) per-connection reader with no handle to
-    // keep: it exits on EOF/error/eviction shutdown of its own socket and
-    // announces the departure itself via `Inbound::Left`; the acceptor
-    // that spawned it must not block on departed peers.
+    let shared = Arc::clone(shared);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-connection reader with no handle to keep: it exits on \
+                  EOF/error/eviction shutdown of its own socket and announces \
+                  the departure itself via `Inbound::Left`; the acceptor that \
+                  spawned it must not block on departed peers"
+    )]
     std::thread::spawn(move || {
         // Exits on EOF, I/O error, an invalid frame, or an eviction's
         // shutdown — all the same to the federation: this connection is
@@ -366,7 +323,7 @@ fn admit(
                 break;
             }
         }
-        registry.lock().deregister(id, gen);
+        shared.deregister(id, gen);
         let _ = tx.send(Inbound::Left { id, gen });
     });
     Ok(())
@@ -407,13 +364,15 @@ pub fn run_client(
         }
         if welcome.has_model {
             let (env, _) = read_frame(&mut stream, opts.net.max_frame_bytes)?;
+            #[expect(
+                clippy::wildcard_enum_match_arm,
+                reason = "the handshake slot admits exactly one frame type; anything else \
+                          is a typed protocol error naming the offending kind, not a drop"
+            )]
             match env.payload {
                 Payload::GlobalModel { params } => {
                     session.model.set_params(&from_tensors(params));
                 }
-                // LINT: allow(msg-wildcard) the handshake slot admits
-                // exactly one frame type; anything else is a typed
-                // protocol error naming the offending kind, not a drop.
                 other => {
                     return Err(NetError::Protocol(format!(
                         "expected the handshake model frame, got {}",
@@ -448,7 +407,7 @@ pub fn run_client(
                 // The loop re-handshakes; the server's Welcome, not the
                 // local round counter, decides where training resumes.
             }
-            outcome => {
+            outcome @ (ClientOutcome::Finished | ClientOutcome::Stopped) => {
                 return Ok(ClientReport {
                     outcome,
                     reconnects,
@@ -493,9 +452,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let digest = 0xF00D;
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = inbound_queue();
         let shared = Arc::new(SyncShared::new(0));
-        let registry: Arc<parking_lot::Mutex<Registry>> = Arc::default();
 
         let handshake = || -> TcpStream {
             let mut client = TcpStream::connect(addr).expect("connect");
@@ -507,7 +465,7 @@ mod tests {
             .write_to(&mut client)
             .expect("hello");
             let (server_side, _) = listener.accept().expect("accept");
-            admit(server_side, digest, 1, 1024, &tx, &shared, &registry).expect("admit");
+            admit(server_side, digest, 1, 1024, &tx, &shared).expect("admit");
             client
         };
 

@@ -24,6 +24,10 @@
 //! 3-client loopback run reproduces the in-process accuracy and history.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// Tests may match loosely; the library must name every variant it handles.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod client_chan;
 pub mod deploy;

@@ -2,7 +2,7 @@
 //!
 //! Connection handling lives in [`crate::deploy`]: an acceptor thread
 //! performs the handshake and spawns one reader thread per client, and
-//! everything those threads learn funnels into a single crossbeam queue
+//! everything those threads learn funnels into a single bounded queue
 //! of [`Inbound`] events. [`TcpServerChannel`] consumes that queue on the
 //! round driver's thread, so the driver itself stays single-threaded and
 //! free of socket code.
@@ -20,14 +20,25 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use fedomd_transport::{admit_by_deadline, Channel, ChannelState, Envelope, NetStats, Payload};
 
 use crate::stream::write_prefixed;
+
+/// Slots in the inbound queue. Bounded so slow server-side folding parks
+/// the per-connection readers (TCP backpressure) instead of buffering
+/// without limit; 1024 in-flight frames covers a full phase from every
+/// client.
+const INBOUND_QUEUE_SLOTS: usize = 1024;
+
+/// The queue the acceptor and reader threads feed [`TcpServerChannel`].
+pub(crate) fn inbound_queue() -> (SyncSender<Inbound>, Receiver<Inbound>) {
+    sync_channel(INBOUND_QUEUE_SLOTS)
+}
 
 /// One event from the acceptor or a per-connection reader thread.
 ///
@@ -78,11 +89,15 @@ pub enum Inbound {
     },
 }
 
-/// State the round thread shares with the acceptor so a client joining
-/// mid-run can be told where the federation currently is.
-#[derive(Default)]
+/// State the round thread shares with the acceptor and the reader
+/// threads: where the federation currently is, for a client joining
+/// mid-run, and which connection holds each client id.
+///
+/// This is the server's only lock. Every method takes it for a few field
+/// updates and releases it before returning, so it is never held across
+/// a blocking call and no lock order exists to get wrong.
 pub struct SyncShared {
-    inner: parking_lot::Mutex<SyncState>,
+    inner: Mutex<SyncState>,
 }
 
 #[derive(Default)]
@@ -98,31 +113,47 @@ struct SyncState {
     /// resumed checkpoint), handed to joining clients so they start from
     /// the federation's current weights.
     model_frame: Option<Vec<u8>>,
+    /// Generation stamped on the most recently admitted connection.
+    last_gen: u64,
+    /// The connection currently holding each client id.
+    live: BTreeMap<u32, LiveConn>,
+}
+
+struct LiveConn {
+    gen: u64,
+    /// Clone of the connection's stream, held only so an eviction can
+    /// shut the old socket down and release its reader thread.
+    stream: TcpStream,
 }
 
 impl SyncShared {
     /// Fresh shared state for a run entering at `initial_round`.
     pub fn new(initial_round: u64) -> Self {
         Self {
-            inner: parking_lot::Mutex::new(SyncState {
+            inner: Mutex::new(SyncState {
                 round: initial_round,
-                started: false,
                 initial_round,
-                model_frame: None,
+                ..SyncState::default()
             }),
         }
     }
 
+    /// The guarded state. A panic elsewhere cannot leave it half-updated
+    /// (every writer sets whole fields), so a poisoned lock is still good.
+    fn state(&self) -> MutexGuard<'_, SyncState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Called by the channel at the top of every collect.
     fn begin_round(&self, round: u64) {
-        let mut s = self.inner.lock();
+        let mut s = self.state();
         s.round = round;
         s.started = true;
     }
 
     /// Stores the latest encoded `GlobalModel` frame.
     fn set_model(&self, frame: Vec<u8>) {
-        self.inner.lock().model_frame = Some(frame);
+        self.state().model_frame = Some(frame);
     }
 
     /// Seeds the model frame before the run starts (checkpoint resume).
@@ -134,7 +165,7 @@ impl SyncShared {
     /// while the loop has not started, otherwise the round after the one
     /// in flight (whose uplink phases it already missed).
     pub fn join_round(&self) -> u64 {
-        let s = self.inner.lock();
+        let s = self.state();
         if s.started {
             s.round + 1
         } else {
@@ -144,7 +175,32 @@ impl SyncShared {
 
     /// Latest global-model frame, if any aggregation completed yet.
     pub fn model_frame(&self) -> Option<Vec<u8>> {
-        self.inner.lock().model_frame.clone()
+        self.state().model_frame.clone()
+    }
+
+    /// Registers a connection for `id` and returns its generation token.
+    ///
+    /// A handshake for an id that is still registered does **not** reject
+    /// the newcomer: the old connection may be half-open (a client that
+    /// died without a FIN, a NAT reset) and would otherwise hold the id
+    /// hostage forever. Instead the newest connection wins, and the stale
+    /// entry's socket is shut down so its blocked reader unblocks and exits.
+    pub(crate) fn register(&self, id: u32, stream: TcpStream) -> u64 {
+        let mut s = self.state();
+        s.last_gen += 1;
+        let gen = s.last_gen;
+        if let Some(old) = s.live.insert(id, LiveConn { gen, stream }) {
+            let _ = old.stream.shutdown(Shutdown::Both);
+        }
+        gen
+    }
+
+    /// Removes `id` only if `gen` is still its registered connection.
+    pub(crate) fn deregister(&self, id: u32, gen: u64) {
+        let mut s = self.state();
+        if s.live.get(&id).map(|c| c.gen) == Some(gen) {
+            s.live.remove(&id);
+        }
     }
 }
 
@@ -188,8 +244,10 @@ impl TcpServerChannel {
     /// Startup barrier: processes inbound events until `n` clients are
     /// connected or `timeout` passes. Returns the connected count.
     pub fn wait_for_peers(&mut self, n: usize, timeout: Duration) -> usize {
-        // LINT: allow(wall-clock) startup barrier over real sockets; the
-        // round math never sees this clock.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "startup barrier over real sockets; the round math never sees this clock"
+        )]
         let start = Instant::now();
         while self.peers.len() < n {
             let Some(left) = timeout.checked_sub(start.elapsed()) else {
@@ -292,9 +350,12 @@ impl Channel for TcpServerChannel {
 
     fn server_await(&mut self, round: u64, missing: &[u32]) -> Vec<Envelope> {
         self.shared.begin_round(round);
-        // LINT: allow(wall-clock) the phase deadline over a real network
-        // is necessarily wall time; every admit/drop decision it feeds
-        // still goes through the shared `admit_by_deadline` helper.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the phase deadline over a real network is necessarily wall time; \
+                      every admit/drop decision it feeds still goes through the shared \
+                      `admit_by_deadline` helper"
+        )]
         let start = Instant::now();
         let deadline_ms = self.phase_timeout.as_secs_f64() * 1e3;
 
@@ -465,11 +526,12 @@ impl Channel for TcpServerChannel {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests bound wall time")]
 mod tests {
     use super::*;
-    use crossbeam::channel::{unbounded, Sender};
     use fedomd_transport::Tensor;
     use std::net::TcpListener;
+    use std::sync::mpsc::TrySendError;
 
     fn sock_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -510,7 +572,7 @@ mod tests {
 
     #[test]
     fn collect_drains_the_queue_and_sorts() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = inbound_queue();
         let shared = Arc::new(SyncShared::new(0));
         let mut chan = TcpServerChannel::new(rx, Duration::from_secs(5), shared);
         let (w0, _k0) = sock_pair();
@@ -543,8 +605,8 @@ mod tests {
     /// A channel with `ids` joined (all active from round 0), a 5 s phase
     /// deadline the blocking-contract tests must never get near, and the
     /// far socket halves that keep the connections open.
-    fn joined(ids: &[u32]) -> (Sender<Inbound>, TcpServerChannel, Vec<TcpStream>) {
-        let (tx, rx) = unbounded();
+    fn joined(ids: &[u32]) -> (SyncSender<Inbound>, TcpServerChannel, Vec<TcpStream>) {
+        let (tx, rx) = inbound_queue();
         let shared = Arc::new(SyncShared::new(0));
         let chan = TcpServerChannel::new(rx, Duration::from_secs(5), shared);
         let mut keep = Vec::new();
@@ -637,7 +699,7 @@ mod tests {
 
     #[test]
     fn future_frames_carry_and_stale_frames_drop() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = inbound_queue();
         let shared = Arc::new(SyncShared::new(0));
         let mut chan = TcpServerChannel::new(rx, Duration::from_millis(50), shared);
         let (w0, _k0) = sock_pair();
@@ -667,7 +729,7 @@ mod tests {
 
     #[test]
     fn download_snoops_the_model_and_counts_unknown_peers_dropped() {
-        let (_tx, rx) = unbounded();
+        let (_tx, rx) = inbound_queue();
         let shared = Arc::new(SyncShared::new(0));
         let mut chan = TcpServerChannel::new(rx, Duration::from_millis(10), Arc::clone(&shared));
         let model = Envelope {
@@ -692,7 +754,7 @@ mod tests {
 
     #[test]
     fn download_many_encodes_once_and_delivers_to_every_live_peer() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = inbound_queue();
         let shared = Arc::new(SyncShared::new(0));
         let mut chan = TcpServerChannel::new(rx, Duration::from_millis(50), Arc::clone(&shared));
         let (w0, mut far0) = sock_pair();
@@ -736,7 +798,7 @@ mod tests {
 
     #[test]
     fn a_stale_left_does_not_evict_a_rejoined_peer() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = inbound_queue();
         let shared = Arc::new(SyncShared::new(0));
         let mut chan = TcpServerChannel::new(rx, Duration::from_millis(50), shared);
         let (w1, _k1) = sock_pair();
@@ -771,6 +833,19 @@ mod tests {
         tx.send(Inbound::Left { id: 0, gen: 2 }).unwrap();
         let _ = chan.server_collect(1);
         assert_eq!(chan.n_peers(), 0);
+    }
+
+    #[test]
+    fn a_full_inbound_queue_pushes_back_on_its_producers() {
+        let (tx, _rx) = inbound_queue();
+        for gen in 0..INBOUND_QUEUE_SLOTS as u64 {
+            tx.try_send(Inbound::Left { id: 0, gen })
+                .expect("a free slot");
+        }
+        assert!(matches!(
+            tx.try_send(Inbound::Left { id: 0, gen: 0 }),
+            Err(TrySendError::Full(_))
+        ));
     }
 
     #[test]

@@ -88,20 +88,10 @@ fn spmm_rows_generic(
 /// AVX2 instantiation: identical Rust code, wider auto-vectorisation.
 /// Plain lane-wise IEEE mul/add without contraction keeps it bit-identical
 /// to [`spmm_rows_generic`].
-///
-/// # Safety
-/// Callers must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely because of `#[target_feature(enable = "avx2")]`
-// — executing AVX2 instructions on a CPU without them is UB. The only
-// call site (`run_spmm_rows`) is gated on `is_x86_feature_detected!`
-// evaluated in `Csr::spmm_body` / `Csr::spmm_blocked`. All memory access
-// goes through the shared safe `spmm_rows_body`: CSR arrays and the dense
-// operand are plain slices with every index bounds-checked — no raw
-// pointers, no alignment assumptions.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn spmm_rows_avx2(
+fn spmm_rows_avx2(
     indptr: &[usize],
     indices: &[u32],
     values: &[f32],
@@ -115,6 +105,7 @@ unsafe fn spmm_rows_avx2(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
+#[allow(unsafe_code, reason = "AVX2 dispatch after runtime detection")]
 fn run_spmm_rows(
     avx2: bool,
     indptr: &[usize],
@@ -186,9 +177,13 @@ impl Csr {
         let mut last: Option<(usize, usize)> = None;
         for (r, c, v) in entries {
             if last == Some((r, c)) {
-                // LINT: allow(panic) `last == Some` only after a prior
-                // iteration pushed onto `values`, so `last_mut` is `Some`.
-                *values.last_mut().expect("values nonempty when last is set") += v;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`last == Some` only after a prior iteration pushed onto \
+                              `values`, so `last_mut` is `Some`"
+                )]
+                let summed = values.last_mut().expect("values nonempty when last is set");
+                *summed += v;
             } else {
                 indptr[r + 1] += 1;
                 indices.push(c as u32);

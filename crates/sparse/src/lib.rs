@@ -6,6 +6,9 @@
 //! rayon-parallel sparse-dense product ([`Csr::spmm`]), and the
 //! normalisation constructors ([`normalized_adjacency`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod csr;
 pub mod norm;
 

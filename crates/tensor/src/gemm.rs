@@ -217,24 +217,14 @@ fn microkernel_generic(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usiz
 /// AVX2 instantiation: identical Rust code, wider auto-vectorisation.
 /// Lane-wise IEEE arithmetic without contraction keeps it bit-identical
 /// to [`microkernel_generic`].
-///
-/// # Safety
-/// Callers must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely because of `#[target_feature(enable = "avx2")]`
-// — executing AVX2 instructions on a CPU without them is UB. The only
-// call site (`run_microkernel`) is gated on `is_x86_feature_detected!`
-// evaluated once in `gemm_packed`. All memory access goes through the
-// shared safe `microkernel_body`: slices `a`/`b` are packed panels of
-// exactly `kc·MR` / `kc·NR` elements and every index is bounds-checked,
-// so there is no pointer arithmetic and no alignment requirement beyond
-// what `&[f32]` already guarantees.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn microkernel_avx2(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
+fn microkernel_avx2(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
     microkernel_body(kc, a, b, c, ldc);
 }
 
 #[inline(always)]
+#[allow(unsafe_code, reason = "AVX2 dispatch after runtime detection")]
 fn run_microkernel(avx2: bool, kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
     #[cfg(target_arch = "x86_64")]
     if avx2 {
@@ -282,19 +272,9 @@ fn microkernel_direct_body<const MRE: usize>(
 
 /// AVX2 instantiation of the direct-A microkernel (see
 /// [`microkernel_avx2`] for the bit-identity argument).
-///
-/// # Safety
-/// Callers must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely because of `#[target_feature(enable = "avx2")]`;
-// the only call site (`run_microkernel_direct`) is gated on
-// `is_x86_feature_detected!` from `gemm_packed`. The body is the safe
-// `microkernel_direct_body`: `a[r·lda + kk]` stays in bounds because the
-// caller slices `a` to start at the tile's first row with `lda` the
-// source row stride and `r < MRE ≤ MR` rows remaining, and every access
-// is bounds-checked — no raw pointers, no alignment assumptions.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn microkernel_direct_avx2<const MRE: usize>(
+fn microkernel_direct_avx2<const MRE: usize>(
     kc: usize,
     a: &[f32],
     lda: usize,
@@ -306,6 +286,7 @@ unsafe fn microkernel_direct_avx2<const MRE: usize>(
 }
 
 #[inline(always)]
+#[allow(unsafe_code, reason = "AVX2 dispatch after runtime detection")]
 fn run_microkernel_direct<const MRE: usize>(
     avx2: bool,
     kc: usize,
@@ -346,8 +327,11 @@ fn run_tile_direct(
         3 => run_microkernel_direct::<3>(avx2, kc, a, lda, b_panel, c, ldc),
         2 => run_microkernel_direct::<2>(avx2, kc, a, lda, b_panel, c, ldc),
         1 => run_microkernel_direct::<1>(avx2, kc, a, lda, b_panel, c, ldc),
-        // LINT: allow(panic) mr_eff = min(MR - i, MR) with MR = 4: the
-        // dispatch above is exhaustive for every reachable value.
+        #[expect(
+            clippy::unreachable,
+            reason = "mr_eff = min(MR - i, MR) with MR = 4: the dispatch above is \
+                      exhaustive for every reachable value"
+        )]
         _ => unreachable!("mr_eff bounded by MR"),
     };
     if nr_eff == NR {
@@ -537,20 +521,9 @@ fn tn_stripe_generic(
 /// AVX2 instantiation: identical Rust code, wider auto-vectorisation.
 /// Lane-wise IEEE arithmetic without contraction keeps it bit-identical
 /// to [`tn_stripe_generic`].
-///
-/// # Safety
-/// Callers must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely because of `#[target_feature(enable = "avx2")]`
-// — executing AVX2 instructions on a CPU without them is UB. The only
-// call site (`run_tn_stripe`) is gated on `is_x86_feature_detected!`
-// evaluated once in `gemm_tn_direct`. The body is the safe
-// `tn_stripe_body`: `a_data[l·k + i0 .. +we]` stays in bounds because
-// the stripe partition derives `we ≤ k − i0`, `bp` is the packed panel
-// of exactly `m·NR` elements, and every access is bounds-checked — no
-// raw pointers, no alignment assumptions.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn tn_stripe_avx2(
+fn tn_stripe_avx2(
     a_data: &[f32],
     k: usize,
     m: usize,
@@ -564,6 +537,7 @@ unsafe fn tn_stripe_avx2(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
+#[allow(unsafe_code, reason = "AVX2 dispatch after runtime detection")]
 fn run_tn_stripe(
     avx2: bool,
     a_data: &[f32],

@@ -11,6 +11,9 @@
 //! [`rng::seeded`], a ChaCha8 generator whose stream is stable across
 //! platforms and releases.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod activation;
 pub mod gemm;
 pub mod init;

@@ -112,19 +112,9 @@ fn moment_sweep_generic<const ORDERS: usize>(
 /// AVX2 instantiation: identical Rust code, wider auto-vectorisation.
 /// The chain is plain lane-wise IEEE mul/add without contraction, so it
 /// stays bit-identical to [`moment_sweep_generic`].
-///
-/// # Safety
-/// Callers must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely because of `#[target_feature(enable = "avx2")]`
-// — executing AVX2 instructions on a CPU without them is UB. The only
-// call site (`run_moment_sweep`) is gated on `is_x86_feature_detected!`
-// evaluated once in `central_moments_upto`. All memory access goes
-// through the shared safe `moment_sweep_body`: `data`/`center`/`out` are
-// ordinary slices with every index bounds-checked — no raw pointers, no
-// alignment assumptions beyond `&[f32]`/`&mut [f64]`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn moment_sweep_avx2<const ORDERS: usize>(
+fn moment_sweep_avx2<const ORDERS: usize>(
     data: &[f32],
     rows: usize,
     cols: usize,
@@ -138,6 +128,7 @@ unsafe fn moment_sweep_avx2<const ORDERS: usize>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
+#[allow(unsafe_code, reason = "AVX2 dispatch after runtime detection")]
 fn run_moment_sweep<const ORDERS: usize>(
     avx2: bool,
     data: &[f32],

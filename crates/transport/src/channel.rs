@@ -158,11 +158,14 @@ pub fn admit_by_deadline<T>(
 /// a decode failure is a codec bug, not a network fault — it panics rather
 /// than being silently dropped.
 pub(crate) fn decode_round(frames: &[Vec<u8>], round: u64) -> Vec<Envelope> {
+    #[expect(
+        clippy::expect_used,
+        reason = "frames come from `Envelope::encode` in the same process (see doc \
+                  above): a decode failure is a codec bug that must fail loudly, not a \
+                  recoverable network fault"
+    )]
     let mut out: Vec<Envelope> = frames
         .iter()
-        // LINT: allow(panic) frames come from `Envelope::encode` in the
-        // same process (see doc above): a decode failure is a codec bug
-        // that must fail loudly, not a recoverable network fault.
         .map(|bytes| Envelope::decode(bytes).expect("in-process frame must decode"))
         .filter(|env| env.round == round)
         .collect();

@@ -318,9 +318,8 @@ impl Payload {
                 test_correct: r.get_u64()?,
                 test_total: r.get_u64()?,
             }),
-            // LINT: allow(msg-wildcard) the decoder's catch-all is the loud
-            // failure the rule wants: an unknown tag becomes a typed
-            // `UnknownMsgType` error, never a silently dropped frame.
+            // The catch-all is the loud failure: an unknown tag becomes a
+            // typed `UnknownMsgType` error, never a silently dropped frame.
             other => Err(WireError::UnknownMsgType(other)),
         }
     }

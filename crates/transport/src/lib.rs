@@ -18,6 +18,10 @@
 //!   deadline that degrades rounds to partial aggregation).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// Tests may match loosely; the library must name every variant it handles.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod channel;
 pub mod frame;

@@ -57,7 +57,7 @@ fn all_eight_algorithms_run_and_report_sane_metrics() {
         }
     }
     // Names are distinct and match the table labels.
-    let names: std::collections::HashSet<_> =
+    let names: std::collections::BTreeSet<_> =
         results.iter().map(|r| r.algorithm.as_str()).collect();
     assert_eq!(names.len(), 8);
     assert!(names.contains("FedOMD"));

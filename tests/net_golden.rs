@@ -11,6 +11,11 @@
 //! spawning subprocesses (scripts/net_smoke.sh covers the multi-process
 //! variant).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "joined threads; stalls fail on wall time"
+)]
+
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
