@@ -1,54 +1,25 @@
 //! The client half of a multi-process FedOMD deployment.
 //!
-//! [`run_fedomd_client_rounds`] is one party's side of Algorithm 1: per
-//! round it records its forward pass, takes part in the 2-round statistics
-//! exchange, optimises `CE + α·L_ortho + β·d_CMD`, uploads its weights,
-//! installs the aggregated global model, and ships the round's loss and
-//! eval counts as a `Metrics` frame. The Phase-3 objective and step are
-//! the in-process loop's own function (`crate::trainer::optimise_client`),
-//! so over a faithful transport a multi-process run reproduces the
-//! in-process numbers exactly.
+//! [`run_fedomd_client_rounds`] is one party's side of Algorithm 1, driven
+//! over a [`Channel`]: each round it reads the frame a protocol step needs,
+//! calls the [`ClientSession`] method for that step — the same methods the
+//! in-process loop sweeps — and writes the frame it returns, ending with
+//! the round's loss and eval counts as a `Metrics` frame. Over a faithful
+//! transport a multi-process run therefore reproduces the in-process
+//! numbers exactly.
 //!
 //! The loop is *resumable by construction*: it takes an explicit
 //! `start_round` and a caller-owned [`ClientSession`], so the `fedomd-net`
 //! reconnect logic can re-enter it after a server loss, optionally after
 //! installing a fresher global model into the session.
 
-use fedomd_autograd::{CmdTargets, Tape, Workspace};
-use fedomd_federated::helpers::{count_correct, predict};
 use fedomd_federated::{ClientData, TrainConfig};
-use fedomd_nn::{Adam, Model};
 use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
-use fedomd_tensor::Matrix;
-use fedomd_transport::{from_tensors, to_tensors, Channel, Control, Envelope, Payload};
+use fedomd_transport::{Channel, Control, Envelope, Payload};
 
 use crate::config::FedOmdConfig;
-use crate::deploy::build_fedomd_model;
-use crate::protocol::{build_targets, client_means, client_moments_about, GlobalStats};
-use crate::trainer::optimise_client;
-
-/// One client's training state, owned by the caller so it survives
-/// transport reconnects.
-pub struct ClientSession {
-    /// The local Ortho-GCN.
-    pub model: Box<dyn Model>,
-    /// The local optimiser (per-client state, never shipped).
-    pub opt: Adam,
-    /// Reusable autograd buffer pool.
-    pub ws: Workspace,
-}
-
-impl ClientSession {
-    /// A fresh session with the federation's common init (the same
-    /// `build_fedomd_model` every process calls).
-    pub fn new(cfg: &TrainConfig, omd: &FedOmdConfig, in_dim: usize, n_classes: usize) -> Self {
-        Self {
-            model: build_fedomd_model(cfg, omd, in_dim, n_classes),
-            opt: Adam::new(cfg.lr, cfg.weight_decay),
-            ws: Workspace::new(),
-        }
-    }
-}
+use crate::protocol::GlobalStats;
+use crate::session::{ClientSession, EvalCounts};
 
 /// Why [`run_fedomd_client_rounds`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,108 +65,70 @@ pub fn run_fedomd_client_rounds(
             round: round as u64,
         });
         let r = round as u64;
+        let up = |payload| Envelope {
+            round: r,
+            sender: id,
+            payload,
+        };
 
-        // --- Phase 1: forward pass ---
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let mut tape = Tape::with_workspace(std::mem::take(&mut session.ws));
-        let out = session.model.forward(&mut tape, &client.input);
+        session.forward(client);
         sw.finish(obs);
 
-        // --- Phase 2: the 2-round statistics exchange ---
-        let targets: Option<Vec<CmdTargets>> = if omd.use_cmd {
+        // --- The 2-round statistics exchange ---
+        let mut stats: Option<GlobalStats> = None;
+        if omd.use_cmd {
             let sw = PhaseStopwatch::start(Phase::Comms);
-            let hidden: Vec<&Matrix> = out.hidden.iter().map(|&h| tape.value(h)).collect();
-            chan.upload(Envelope {
-                round: r,
-                sender: id,
-                payload: Payload::StatsRound1 {
-                    means: client_means(&hidden),
-                    n_samples: hidden.first().map_or(0, |z| z.rows()) as u64,
-                },
-            });
+            if let Some(means) = session.means() {
+                chan.upload(up(means));
+            }
             // First GlobalStats down: the means. A slow client may find the
             // full statistics already queued behind them — both shapes are
             // accepted here, keyed on whether the moment list is empty.
-            let mut gmeans: Option<Vec<Vec<f32>>> = None;
-            let mut full: Option<GlobalStats> = None;
-            if let Some(env) = collect_matching(&mut chan, id, r, &mut stash, |p| {
-                matches!(p, Payload::GlobalStats { .. })
-            }) {
-                if let Payload::GlobalStats { means, moments } = env.payload {
-                    if moments.is_empty() {
-                        gmeans = Some(means);
-                    } else {
-                        full = Some(GlobalStats { means, moments });
-                    }
+            let mut global_means: Option<Vec<Vec<f32>>> = None;
+            if let Some(Payload::GlobalStats { means, moments }) =
+                collect_matching(&mut chan, id, r, &mut stash, |p| {
+                    matches!(p, Payload::GlobalStats { .. })
+                })
+            {
+                if moments.is_empty() {
+                    global_means = Some(means);
+                } else {
+                    stats = Some(GlobalStats { means, moments });
                 }
             }
-            if full.is_none() {
-                if let Some(means) = &gmeans {
-                    chan.upload(Envelope {
-                        round: r,
-                        sender: id,
-                        payload: Payload::StatsRound2 {
-                            moments: client_moments_about(&hidden, means, omd.max_moment),
-                        },
-                    });
-                    if let Some(env) = collect_matching(
-                        &mut chan,
-                        id,
-                        r,
-                        &mut stash,
-                        |p| matches!(p, Payload::GlobalStats { moments, .. } if !moments.is_empty()),
-                    ) {
-                        if let Payload::GlobalStats { means, moments } = env.payload {
-                            full = Some(GlobalStats { means, moments });
-                        }
-                    }
+            if let Some(moments) = global_means.as_ref().and_then(|g| session.moments(g)) {
+                chan.upload(up(moments));
+                if let Some(Payload::GlobalStats { means, moments }) = collect_matching(
+                    &mut chan,
+                    id,
+                    r,
+                    &mut stash,
+                    |p| matches!(p, Payload::GlobalStats { moments, .. } if !moments.is_empty()),
+                ) {
+                    stats = Some(GlobalStats { means, moments });
                 }
             }
             chan.flush_into(obs);
             sw.finish(obs);
-            full.map(|gs| build_targets(&gs))
-        } else {
-            None
-        };
+        }
 
-        // --- Phase 3: loss, backward, local step (the trainer's own
-        // `optimise_client`) ---
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let (ws, (total_loss, ce, ortho, cmd)) = optimise_client(
-            omd,
-            tape,
-            &out,
-            session.model.as_mut(),
-            &mut session.opt,
-            client,
-            targets.as_deref(),
-        );
-        session.ws = ws;
-        obs.on_event(&RoundEvent::LocalStepDone {
-            client: id,
-            epoch: 0,
-            loss: total_loss as f64,
-            ce: ce as f64,
-            ortho: ortho as f64,
-            cmd: cmd as f64,
-        });
+        let losses = session.step(client, stats.as_ref());
+        if let Some(l) = &losses {
+            obs.on_event(&l.event(id));
+        }
         sw.finish(obs);
 
-        // --- Phase 4: weights up, aggregated global model down ---
+        // --- Weights up, aggregated global model down ---
         let sw = PhaseStopwatch::start(Phase::Comms);
-        chan.upload(Envelope {
-            round: r,
-            sender: id,
-            payload: Payload::WeightUpdate {
-                params: to_tensors(&session.model.params()),
-            },
-        });
-        if let Some(env) = collect_matching(&mut chan, id, r, &mut stash, |p| {
-            matches!(p, Payload::GlobalModel { .. })
-        }) {
-            if let Payload::GlobalModel { params } = env.payload {
-                session.model.set_params(&from_tensors(params));
-            }
+        chan.upload(up(session.weights()));
+        if let Some(Payload::GlobalModel { params }) =
+            collect_matching(&mut chan, id, r, &mut stash, |p| {
+                matches!(p, Payload::GlobalModel { .. })
+            })
+        {
+            session.install(params);
         }
         chan.flush_into(obs);
         sw.finish(obs);
@@ -204,25 +137,19 @@ pub fn run_fedomd_client_rounds(
         // counts shipped for the server's pooled accuracy. ---
         let counts = if round.is_multiple_of(cfg.eval_every) {
             let sw = PhaseStopwatch::start(Phase::Eval);
-            let logits = predict(session.model.as_ref(), client);
-            let (vc, vt) = count_correct(&logits, &client.labels, &client.splits.val);
-            let (tc, tt) = count_correct(&logits, &client.labels, &client.splits.test);
+            let counts = session.eval_counts(client);
             sw.finish(obs);
-            (vc as u64, vt as u64, tc as u64, tt as u64)
+            counts
         } else {
-            (0, 0, 0, 0)
+            EvalCounts::default()
         };
-        chan.upload(Envelope {
-            round: r,
-            sender: id,
-            payload: Payload::Metrics {
-                train_loss: total_loss,
-                val_correct: counts.0,
-                val_total: counts.1,
-                test_correct: counts.2,
-                test_total: counts.3,
-            },
-        });
+        chan.upload(up(Payload::Metrics {
+            train_loss: losses.map_or(f32::NAN, |l| l.total),
+            val_correct: counts.val.0,
+            val_total: counts.val.1,
+            test_correct: counts.test.0,
+            test_total: counts.test.1,
+        }));
         chan.flush_into(obs);
 
         // --- Verdict: continue, stop, or conclude the server is gone. On
@@ -230,41 +157,36 @@ pub fn run_fedomd_client_rounds(
         if round + 1 >= cfg.rounds {
             continue;
         }
-        match collect_matching(&mut chan, id, r, &mut stash, |p| {
+        let verdict = collect_matching(&mut chan, id, r, &mut stash, |p| {
             matches!(p, Payload::Control(_))
-        }) {
-            Some(env) => {
-                if let Payload::Control(Control::EndRound) = env.payload {
-                    chan.flush_into(obs);
-                    return ClientOutcome::Stopped;
-                }
-                chan.flush_into(obs);
-            }
-            None => {
-                chan.flush_into(obs);
-                return ClientOutcome::ServerLost { round: round + 1 };
-            }
+        });
+        chan.flush_into(obs);
+        let Some(verdict) = verdict else {
+            return ClientOutcome::ServerLost { round: round + 1 };
+        };
+        if verdict == Payload::Control(Control::EndRound) {
+            return ClientOutcome::Stopped;
         }
     }
     ClientOutcome::Finished
 }
 
-/// Takes the first round-`round` frame matching `want` — from the stash
-/// first, then from the channel until it reports nothing new (deadline).
-/// Non-matching current-or-future frames are stashed for later phases;
-/// frames of closed rounds are discarded.
+/// Takes the payload of the first round-`round` frame matching `want` —
+/// from the stash first, then from the channel until it reports nothing
+/// new (deadline). Non-matching current-or-future frames are stashed for
+/// later phases; frames of closed rounds are discarded.
 fn collect_matching(
     chan: &mut ObservedChannel<'_>,
     id: u32,
     round: u64,
     stash: &mut Vec<Envelope>,
     want: impl Fn(&Payload) -> bool,
-) -> Option<Envelope> {
+) -> Option<Payload> {
     if let Some(pos) = stash
         .iter()
         .position(|e| e.round == round && want(&e.payload))
     {
-        return Some(stash.remove(pos));
+        return Some(stash.remove(pos).payload);
     }
     stash.retain(|e| e.round >= round);
     loop {
@@ -275,7 +197,7 @@ fn collect_matching(
         let mut found = None;
         for env in batch {
             if found.is_none() && env.round == round && want(&env.payload) {
-                found = Some(env);
+                found = Some(env.payload);
             } else if env.round >= round {
                 stash.push(env);
             }
@@ -290,9 +212,11 @@ fn collect_matching(
 mod tests {
     use super::*;
     use fedomd_data::{generate, spec, DatasetName};
+    use fedomd_federated::helpers::{count_correct, predict};
     use fedomd_federated::{client_shard, FederationConfig};
     use fedomd_telemetry::NullObserver;
-    use fedomd_transport::{InProcChannel, SERVER_SENDER};
+    use fedomd_tensor::Matrix;
+    use fedomd_transport::{to_tensors, InProcChannel, SERVER_SENDER};
 
     fn one_shard() -> (ClientData, usize) {
         let ds = generate(&spec(DatasetName::CoraMini), 0);

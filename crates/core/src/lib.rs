@@ -41,9 +41,10 @@ pub mod protocol;
 pub mod run;
 pub mod run_checkpoint;
 pub mod server;
+pub mod session;
 pub mod trainer;
 
-pub use client_loop::{run_fedomd_client_rounds, ClientOutcome, ClientSession};
+pub use client_loop::{run_fedomd_client_rounds, ClientOutcome};
 pub use config::FedOmdConfig;
 pub use deploy::{build_fedomd_model, run_config_digest};
 pub use fedomd_nn::CheckpointError;
@@ -54,4 +55,5 @@ pub use protocol::{
 pub use run::{FedRun, RunConfig};
 pub use run_checkpoint::{FileCheckpointer, RunCheckpoint};
 pub use server::{drive_phase_fold, run_fedomd_server, ServerOpts};
+pub use session::{ClientSession, EvalCounts, Rejected, ServerRound, StepLosses};
 pub use trainer::{run_fedomd_observed, run_fedomd_resumable};

@@ -39,12 +39,10 @@ use fedomd_tensor::stats::{central_moments_upto, column_means};
 use fedomd_tensor::Matrix;
 use std::fmt;
 
-/// Number of fixed reduction lanes in the streaming accumulators.
-///
-/// A constant (rather than the worker-pool width) so the shard-reduction
-/// order — and therefore the bit pattern of every aggregate — is the same
-/// on every machine and at every parallelism level.
-pub const AGG_LANES: usize = 8;
+/// Number of fixed reduction lanes in the streaming accumulators: one
+/// constant for every aggregate in the system, shared with
+/// [`fedomd_federated::UpdateAccumulator`].
+pub use fedomd_federated::helpers::AGG_LANES;
 
 /// Typed failure of a server-side aggregation (replaces the panics the
 /// aggregation entry points used to raise on malformed input).
@@ -131,13 +129,54 @@ pub fn client_means(hidden: &[&Matrix]) -> Vec<Vec<f32>> {
     hidden.iter().map(|z| column_means(z)).collect()
 }
 
-/// Folds one round-1 payload into a lane partial: `acc += n · means`.
-fn fold_means(acc: &mut [Vec<f64>], means: &[Vec<f32>], n_samples: usize) {
-    let w = n_samples as f64;
-    for (lane_layer, layer) in acc.iter_mut().zip(means) {
-        for (a, &m) in lane_layer.iter_mut().zip(layer) {
+/// The fixed-lane `f64` partial sums behind both statistics accumulators,
+/// over payloads flattened in row-major order: push `i` folds `n · payload`
+/// into lane `i % AGG_LANES`.
+#[derive(Clone, Debug, Default)]
+struct Lanes {
+    /// `lanes[lane][element]`.
+    lanes: Vec<Vec<f64>>,
+    total_samples: u64,
+    pushed: u64,
+}
+
+impl Lanes {
+    /// Folds one flattened payload of `len` elements, weighted by its
+    /// sample count.
+    fn push<'a>(&mut self, len: usize, values: impl Iterator<Item = &'a f32>, n_samples: usize) {
+        if self.pushed == 0 {
+            self.lanes = vec![vec![0.0f64; len]; AGG_LANES];
+        }
+        let w = n_samples as f64;
+        let lane = &mut self.lanes[(self.pushed % AGG_LANES as u64) as usize];
+        for (a, &m) in lane.iter_mut().zip(values) {
             *a += w * m as f64;
         }
+        self.total_samples += n_samples as u64;
+        self.pushed += 1;
+    }
+
+    /// Folds the lane partials in lane order and divides by the total
+    /// sample count, element by element.
+    fn finish(&self) -> Result<std::vec::IntoIter<f32>, ProtocolError> {
+        if self.pushed == 0 {
+            return Err(ProtocolError::NoClients);
+        }
+        if self.total_samples == 0 {
+            return Err(ProtocolError::ZeroTotalSamples);
+        }
+        let total = self.total_samples as f64;
+        let len = self.lanes.first().map_or(0, Vec::len);
+        let avg: Vec<f32> = (0..len)
+            .map(|e| {
+                let mut sum = 0.0f64;
+                for lane in &self.lanes {
+                    sum += lane[e];
+                }
+                (sum / total) as f32
+            })
+            .collect();
+        Ok(avg.into_iter())
     }
 }
 
@@ -149,12 +188,9 @@ fn fold_means(acc: &mut [Vec<f64>], means: &[Vec<f32>], n_samples: usize) {
 /// that keeps streaming and batch reductions bit-identical.
 #[derive(Clone, Debug, Default)]
 pub struct MeanAccumulator {
-    /// `lanes[lane][layer][dim]`, f64 partial sums of `Σ n_i · m_i`.
-    lanes: Vec<Vec<Vec<f64>>>,
+    lanes: Lanes,
     /// Per-layer dimension, fixed by the first push.
     dims: Vec<usize>,
-    total_samples: u64,
-    pushed: u64,
 }
 
 impl MeanAccumulator {
@@ -164,76 +200,47 @@ impl MeanAccumulator {
 
     /// Payloads folded so far.
     pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    fn init_shape(&mut self, means: &[Vec<f32>]) {
-        self.dims = means.iter().map(|m| m.len()).collect();
-        self.lanes = (0..AGG_LANES)
-            .map(|_| self.dims.iter().map(|&d| vec![0.0f64; d]).collect())
-            .collect();
-    }
-
-    fn check_shape(&self, means: &[Vec<f32>]) -> Result<(), ProtocolError> {
-        if means.len() != self.dims.len() {
-            return Err(ProtocolError::LayerArity {
-                expected: self.dims.len(),
-                got: means.len(),
-            });
-        }
-        for (layer, (m, &dim)) in means.iter().zip(&self.dims).enumerate() {
-            if m.len() != dim {
-                return Err(ProtocolError::Dimension {
-                    layer,
-                    expected: dim,
-                    got: m.len(),
-                });
-            }
-        }
-        Ok(())
+        self.lanes.pushed
     }
 
     /// Folds one client's means, weighted by its sample count. The first
     /// push fixes the expected shape; later pushes are validated against
     /// it (and leave the accumulator untouched when they mismatch).
     pub fn push(&mut self, means: &[Vec<f32>], n_samples: usize) -> Result<(), ProtocolError> {
-        if self.pushed == 0 {
-            self.init_shape(means);
-        } else {
-            self.check_shape(means)?;
+        let dims: Vec<usize> = means.iter().map(Vec::len).collect();
+        if self.lanes.pushed == 0 {
+            self.dims = dims;
+        } else if dims.len() != self.dims.len() {
+            return Err(ProtocolError::LayerArity {
+                expected: self.dims.len(),
+                got: dims.len(),
+            });
+        } else if let Some((layer, (&expected, &got))) = self
+            .dims
+            .iter()
+            .zip(&dims)
+            .enumerate()
+            .find(|(_, (e, g))| e != g)
+        {
+            return Err(ProtocolError::Dimension {
+                layer,
+                expected,
+                got,
+            });
         }
-        let lane = (self.pushed % AGG_LANES as u64) as usize;
-        fold_means(&mut self.lanes[lane], means, n_samples);
-        self.total_samples += n_samples as u64;
-        self.pushed += 1;
+        let len = self.dims.iter().sum();
+        self.lanes.push(len, means.iter().flatten(), n_samples);
         Ok(())
     }
 
     /// Folds the lane partials in lane order and divides by the total
     /// sample count: the weighted global means.
     pub fn finish(self) -> Result<Vec<Vec<f32>>, ProtocolError> {
-        if self.pushed == 0 {
-            return Err(ProtocolError::NoClients);
-        }
-        if self.total_samples == 0 {
-            return Err(ProtocolError::ZeroTotalSamples);
-        }
-        let total = self.total_samples as f64;
+        let mut avg = self.lanes.finish()?;
         Ok(self
             .dims
             .iter()
-            .enumerate()
-            .map(|(l, &dim)| {
-                (0..dim)
-                    .map(|d| {
-                        let mut sum = 0.0f64;
-                        for lane in &self.lanes {
-                            sum += lane[l][d];
-                        }
-                        (sum / total) as f32
-                    })
-                    .collect()
-            })
+            .map(|&d| avg.by_ref().take(d).collect())
             .collect())
     }
 }
@@ -271,29 +278,14 @@ pub fn client_moments_about(
         .collect()
 }
 
-/// Folds one round-2 payload into a lane partial: `acc += n · moments`.
-fn fold_moments(acc: &mut [Vec<Vec<f64>>], moments: &[Vec<Vec<f32>>], n_samples: usize) {
-    let w = n_samples as f64;
-    for (lane_layer, layer) in acc.iter_mut().zip(moments) {
-        for (lane_order, order) in lane_layer.iter_mut().zip(layer) {
-            for (a, &m) in lane_order.iter_mut().zip(order) {
-                *a += w * m as f64;
-            }
-        }
-    }
-}
-
 /// Streaming fold of round-2 client central moments — the
 /// `moments[layer][order][dim]` counterpart of [`MeanAccumulator`], with
 /// the same lane scheme and bit-identity guarantees.
 #[derive(Clone, Debug, Default)]
 pub struct MomentAccumulator {
-    /// `lanes[lane][layer][order][dim]`.
-    lanes: Vec<Vec<Vec<Vec<f64>>>>,
+    lanes: Lanes,
     /// `dims[layer][order]`, fixed by the first push.
     dims: Vec<Vec<usize>>,
-    total_samples: u64,
-    pushed: u64,
 }
 
 impl MomentAccumulator {
@@ -303,47 +295,30 @@ impl MomentAccumulator {
 
     /// Payloads folded so far.
     pub fn pushed(&self) -> u64 {
-        self.pushed
+        self.lanes.pushed
     }
 
-    fn init_shape(&mut self, moments: &[Vec<Vec<f32>>]) {
-        self.dims = moments
-            .iter()
-            .map(|layer| layer.iter().map(|o| o.len()).collect())
-            .collect();
-        self.lanes = (0..AGG_LANES)
-            .map(|_| {
-                self.dims
-                    .iter()
-                    .map(|layer| layer.iter().map(|&d| vec![0.0f64; d]).collect())
-                    .collect()
-            })
-            .collect();
-    }
-
-    fn check_shape(&self, moments: &[Vec<Vec<f32>>]) -> Result<(), ProtocolError> {
-        if moments.len() != self.dims.len() {
+    fn check_shape(&self, dims: &[Vec<usize>]) -> Result<(), ProtocolError> {
+        if dims.len() != self.dims.len() {
             return Err(ProtocolError::LayerArity {
                 expected: self.dims.len(),
-                got: moments.len(),
+                got: dims.len(),
             });
         }
-        for (layer, (got_layer, want_layer)) in moments.iter().zip(&self.dims).enumerate() {
-            if got_layer.len() != want_layer.len() {
+        for (layer, (want, got)) in self.dims.iter().zip(dims).enumerate() {
+            if want.len() != got.len() {
                 return Err(ProtocolError::OrderArity {
                     layer,
-                    expected: want_layer.len(),
-                    got: got_layer.len(),
+                    expected: want.len(),
+                    got: got.len(),
                 });
             }
-            for (o, &dim) in got_layer.iter().zip(want_layer) {
-                if o.len() != dim {
-                    return Err(ProtocolError::Dimension {
-                        layer,
-                        expected: dim,
-                        got: o.len(),
-                    });
-                }
+            if let Some((&expected, &got)) = want.iter().zip(got).find(|(e, g)| e != g) {
+                return Err(ProtocolError::Dimension {
+                    layer,
+                    expected,
+                    got,
+                });
             }
         }
         Ok(())
@@ -355,47 +330,32 @@ impl MomentAccumulator {
         moments: &[Vec<Vec<f32>>],
         n_samples: usize,
     ) -> Result<(), ProtocolError> {
-        if self.pushed == 0 {
-            self.init_shape(moments);
+        let dims: Vec<Vec<usize>> = moments
+            .iter()
+            .map(|layer| layer.iter().map(Vec::len).collect())
+            .collect();
+        if self.lanes.pushed == 0 {
+            self.dims = dims;
         } else {
-            self.check_shape(moments)?;
+            self.check_shape(&dims)?;
         }
-        let lane = (self.pushed % AGG_LANES as u64) as usize;
-        fold_moments(&mut self.lanes[lane], moments, n_samples);
-        self.total_samples += n_samples as u64;
-        self.pushed += 1;
+        let len = self.dims.iter().flatten().sum();
+        self.lanes
+            .push(len, moments.iter().flatten().flatten(), n_samples);
         Ok(())
     }
 
     /// Folds the lane partials in lane order and divides by the total
     /// sample count: the weighted global moments.
     pub fn finish(self) -> Result<Vec<Vec<Vec<f32>>>, ProtocolError> {
-        if self.pushed == 0 {
-            return Err(ProtocolError::NoClients);
-        }
-        if self.total_samples == 0 {
-            return Err(ProtocolError::ZeroTotalSamples);
-        }
-        let total = self.total_samples as f64;
+        let mut avg = self.lanes.finish()?;
         Ok(self
             .dims
             .iter()
-            .enumerate()
-            .map(|(l, layer)| {
+            .map(|layer| {
                 layer
                     .iter()
-                    .enumerate()
-                    .map(|(o, &dim)| {
-                        (0..dim)
-                            .map(|d| {
-                                let mut sum = 0.0f64;
-                                for lane in &self.lanes {
-                                    sum += lane[l][o][d];
-                                }
-                                (sum / total) as f32
-                            })
-                            .collect()
-                    })
+                    .map(|&d| avg.by_ref().take(d).collect())
                     .collect()
             })
             .collect())

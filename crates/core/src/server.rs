@@ -1,44 +1,39 @@
 //! The server half of a multi-process FedOMD deployment.
 //!
 //! [`run_fedomd_server`] drives Algorithm 1 rounds **without owning any
-//! client**: it aggregates whatever statistics, weight updates, and round
-//! metrics arrive over the [`Channel`], broadcasts the global artefacts
-//! back, and keeps the exact history / early-stopping / checkpoint
-//! bookkeeping of the in-process loop (`crate::trainer`). Clients run
+//! client**: it feeds the statistics and weight updates that arrive over
+//! the [`Channel`] to a [`ServerRound`], broadcasts what that answers, and
+//! keeps the history / early-stopping / checkpoint bookkeeping of the
+//! in-process loop (`crate::trainer`), whose server side is the same
+//! `ServerRound`. Clients run
 //! [`crate::client_loop::run_fedomd_client_rounds`] in their own
 //! processes; over a faithful transport the pooled accuracies and round
-//! history reproduce the in-process run bit for bit, because every
-//! aggregation here consumes sender-sorted inputs in the same order the
-//! in-process loop iterates its clients.
+//! history reproduce the in-process run bit for bit.
 //!
 //! Per round, uplink phases in order: `StatsRound1` → `StatsRound2` →
 //! `WeightUpdate` → `Metrics`; downlinks interleave as in Algorithm 1,
 //! plus one terminal `Control` verdict (`Ack` = continue, `EndRound` =
 //! early stop) that replaces the in-process loop's shared `stopped` flag.
 //! Every phase runs through the one [`Collector`] fold loop — frames fold
-//! into the streaming accumulators as they land, in ascending sender
-//! order — and degrades to partial aggregation: the collector closes a
-//! phase once every sender it awaits has reported or left, the channel's
-//! deadline bounds the wait, and the driver aggregates whoever made it.
+//! as they land, in ascending sender order — and degrades to partial
+//! aggregation: the collector closes a phase once every sender it awaits
+//! has reported or left, the channel's deadline bounds the wait, and the
+//! round aggregates whoever made it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use fedomd_federated::engine::RoundDriver;
-use fedomd_federated::helpers::UpdateAccumulator;
 use fedomd_federated::{
-    CohortConfig, Direction, Persistence, ResumeState, RunResult, StatsCache, TrafficClass,
+    CohortConfig, CommsLog, Direction, Persistence, ResumeState, RunResult, TrafficClass,
     TrainConfig,
 };
 use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
-use fedomd_tensor::Matrix;
-use fedomd_transport::{
-    from_tensors, to_tensors, Channel, Control, Envelope, Payload, SERVER_SENDER,
-};
+use fedomd_transport::{Channel, Control, Envelope, Payload, SERVER_SENDER};
 
 use fedomd_metrics::Stopwatch;
 
 use crate::config::FedOmdConfig;
-use crate::protocol::{MeanAccumulator, MomentAccumulator};
+use crate::session::{EvalCounts, ServerRound};
 
 /// Options of the standalone server driver.
 #[derive(Clone, Copy, Debug)]
@@ -94,28 +89,7 @@ pub fn run_fedomd_server(
         panic!("run_fedomd_server: {e}");
     }
     let m = opts.n_clients;
-    let track = persist.sink.is_some();
-    let mut last_global: Option<Vec<Matrix>> = None;
-    let mut last_stats: Option<StatsCache> = None;
-
-    let mut driver;
-    let start_round;
-    if let Some(resume) = persist.resume.take() {
-        chan.restore_state(&resume.channel);
-        last_global = resume.global;
-        last_stats = resume.stats;
-        driver = RoundDriver::resume(cfg, resume.driver);
-        start_round = resume.next_round;
-    } else {
-        driver = RoundDriver::new(cfg);
-        start_round = 0;
-    }
-    driver.announce("FedOMD", m, obs);
-    if start_round > 0 {
-        obs.on_event(&RoundEvent::Resumed {
-            round: start_round as u64,
-        });
-    }
+    let (mut driver, mut server, start_round) = open_run(cfg, m, &mut persist, chan, obs);
     let mut chan = ObservedChannel::new(chan);
     let mut collector = Collector::default();
     let everyone: Vec<u32> = (0..m as u32).collect();
@@ -130,126 +104,57 @@ pub fn run_fedomd_server(
         });
         let r = round as u64;
         let start = Stopwatch::start();
+        let mut phase = |chan: &mut ObservedChannel<'_>,
+                         server: &mut ServerRound,
+                         comms: &mut CommsLog,
+                         candidates: &[u32],
+                         kind: fn(&Payload) -> bool| {
+            let want =
+                |e: &Envelope| kind(&e.payload) && candidates.binary_search(&e.sender).is_ok();
+            collector.fold(chan, r, candidates, want, |env| {
+                let class = traffic_class(&env.payload);
+                comms.record(Direction::Uplink, class, env.encoded_len() as u64);
+                let _admitted = server.admit(env).is_ok();
+            });
+        };
 
-        // --- Phase 2 (server side): the 2-round statistics exchange ---
+        // --- The 2-round statistics exchange (server side) ---
         if omd.use_cmd {
             let sw = PhaseStopwatch::start(Phase::Comms);
-            // The server remembers each reporter's sample count: round-2
-            // moments are weighted by the n_i announced in round 1.
-            let mut round1_n: BTreeMap<u32, usize> = BTreeMap::new();
-            let mut mean_acc = MeanAccumulator::new();
-            collector.fold(
-                &mut chan,
-                r,
-                &everyone,
-                |e| matches!(e.payload, Payload::StatsRound1 { .. }),
-                |env| {
-                    driver.comms.record(
-                        Direction::Uplink,
-                        TrafficClass::Stats,
-                        env.encoded_len() as u64,
-                    );
-                    if let Payload::StatsRound1 { means, n_samples } = env.payload {
-                        // A malformed payload degrades exactly like a
-                        // dropped frame.
-                        if mean_acc.push(&means, n_samples as usize).is_ok() {
-                            round1_n.insert(env.sender, n_samples as usize);
-                        }
-                    }
-                },
-            );
-            chan.flush_into(obs);
-            obs.on_event(&RoundEvent::StatsRound1Done {
-                participants: mean_acc.pushed() as usize,
+            phase(&mut chan, &mut server, &mut driver.comms, &everyone, |p| {
+                matches!(p, Payload::StatsRound1 { .. })
             });
-
-            // An empty phase (or all-zero sample counts) yields Err: no
-            // means go down, so no client will report moments — close the
-            // second phase without a wait.
-            if let Ok(means) = mean_acc.finish() {
-                let bytes = chan.download_many(
-                    &everyone,
-                    Envelope {
-                        round: r,
-                        sender: SERVER_SENDER,
-                        payload: Payload::GlobalStats {
-                            means: means.clone(),
-                            moments: Vec::new(),
-                        },
-                    },
-                );
-                for _ in 0..m {
-                    driver
-                        .comms
-                        .record(Direction::Downlink, TrafficClass::Stats, bytes as u64);
-                }
+            chan.flush_into(obs);
+            let (done, down) = server.close_means();
+            obs.on_event(&done);
+            // An empty phase (or all-zero sample counts) sends no means
+            // down, so no client will report moments: the second phase
+            // closes without a wait.
+            if let Some(payload) = down {
+                broadcast(&mut chan, &mut driver.comms, r, &everyone, payload);
                 chan.flush_into(obs);
-
-                let mut moment_acc = MomentAccumulator::new();
-                collector.fold(
-                    &mut chan,
-                    r,
-                    &everyone,
-                    |e| matches!(e.payload, Payload::StatsRound2 { .. }),
-                    |env| {
-                        driver.comms.record(
-                            Direction::Uplink,
-                            TrafficClass::Stats,
-                            env.encoded_len() as u64,
-                        );
-                        if let Payload::StatsRound2 { moments } = env.payload {
-                            // An unannounced reporter is ignored.
-                            if let Some(&n) = round1_n.get(&env.sender) {
-                                let _ok = moment_acc.push(&moments, n).is_ok();
-                            }
-                        }
-                    },
-                );
-                chan.flush_into(obs);
-                obs.on_event(&RoundEvent::StatsRound2Done {
-                    participants: moment_acc.pushed() as usize,
+                phase(&mut chan, &mut server, &mut driver.comms, &everyone, |p| {
+                    matches!(p, Payload::StatsRound2 { .. })
                 });
-                if let Ok(moments) = moment_acc.finish() {
-                    if track {
-                        last_stats = Some(StatsCache {
-                            means: means.clone(),
-                            moments: moments.clone(),
-                        });
-                    }
-                    let bytes = chan.download_many(
-                        &everyone,
-                        Envelope {
-                            round: r,
-                            sender: SERVER_SENDER,
-                            payload: Payload::GlobalStats {
-                                means: means.clone(),
-                                moments: moments.clone(),
-                            },
-                        },
-                    );
-                    for _ in 0..m {
-                        driver
-                            .comms
-                            .record(Direction::Downlink, TrafficClass::Stats, bytes as u64);
-                    }
-                    chan.flush_into(obs);
-                }
-            } else {
-                obs.on_event(&RoundEvent::StatsRound2Done { participants: 0 });
+                chan.flush_into(obs);
+            }
+            let (done, down) = server.close_moments();
+            obs.on_event(&done);
+            if let Some(payload) = down {
+                broadcast(&mut chan, &mut driver.comms, r, &everyone, payload);
+                chan.flush_into(obs);
             }
             sw.finish(obs);
         }
 
-        // --- Phase 4 (server side): FedAvg over whoever arrived ---
+        // --- FedAvg over whoever arrived ---
         // With a non-full cohort the phase awaits only the sampled
         // senders; a same-round update from an unsampled sender is left
-        // unmatched (and discarded when the round closes). Each update
-        // lands in the streaming accumulator the moment its
-        // ascending-sender turn comes up, so the server folds fast
-        // clients' uploads while stragglers are still training — the wait
-        // is the overlap the `FoldOverlap` segment measures — and the
-        // result matches the in-process loop's ascending-client
-        // aggregation exactly.
+        // unmatched (and discarded when the round closes). Each update is
+        // folded the moment its ascending-sender turn comes up, so the
+        // server folds fast clients' uploads while stragglers are still
+        // training — the wait is the overlap the `FoldOverlap` segment
+        // measures.
         let sw = PhaseStopwatch::start(Phase::FoldOverlap);
         let cohort: Vec<u32> = opts
             .cohort
@@ -257,67 +162,26 @@ pub fn run_fedomd_server(
             .into_iter()
             .map(|i| i as u32)
             .collect();
-        let mut agg = UpdateAccumulator::new();
-        collector.fold(
-            &mut chan,
-            r,
-            &cohort,
-            |e| {
-                matches!(e.payload, Payload::WeightUpdate { .. })
-                    && cohort.binary_search(&e.sender).is_ok()
-            },
-            |env| {
-                driver.comms.record(
-                    Direction::Uplink,
-                    TrafficClass::Weights,
-                    env.encoded_len() as u64,
-                );
-                if let Payload::WeightUpdate { params } = env.payload {
-                    // Shapes off a socket are hostile until checked: an
-                    // update that does not match the first-folded one
-                    // degrades exactly like a dropped frame.
-                    let _ok = agg.try_push(&from_tensors(params), 1.0).is_ok();
-                }
-            },
-        );
+        phase(&mut chan, &mut server, &mut driver.comms, &cohort, |p| {
+            matches!(p, Payload::WeightUpdate { .. })
+        });
         chan.flush_into(obs);
         sw.finish(obs);
         let sw = PhaseStopwatch::start(Phase::Aggregation);
-        let participants = agg.pushed();
-        let global = agg.finish();
+        let (done, down) = server.close_updates();
         sw.finish(obs);
-        if let Some(global) = global {
-            if track {
-                last_global = Some(global.clone());
-            }
-            obs.on_event(&RoundEvent::AggregationDone { participants });
+        obs.on_event(&done);
+        if let Some(payload) = down {
             let sw = PhaseStopwatch::start(Phase::Comms);
-            let bytes = chan.download_many(
-                &everyone,
-                Envelope {
-                    round: r,
-                    sender: SERVER_SENDER,
-                    payload: Payload::GlobalModel {
-                        params: to_tensors(&global),
-                    },
-                },
-            );
-            for _ in 0..m {
-                driver
-                    .comms
-                    .record(Direction::Downlink, TrafficClass::Weights, bytes as u64);
-            }
+            broadcast(&mut chan, &mut driver.comms, r, &everyone, payload);
             chan.flush_into(obs);
             sw.finish(obs);
-        } else {
-            obs.on_event(&RoundEvent::AggregationDone { participants: 0 });
         }
 
         // --- Round outcome: losses and pooled eval counts from the
         // clients; this collect doubles as the end-of-round barrier. ---
         let mut losses: Vec<f64> = Vec::new();
-        let mut val = (0u64, 0u64);
-        let mut test = (0u64, 0u64);
+        let mut counts = EvalCounts::default();
         collector.fold(
             &mut chan,
             r,
@@ -338,10 +202,10 @@ pub fn run_fedomd_server(
                 } = env.payload
                 {
                     losses.push(train_loss as f64);
-                    val.0 += val_correct;
-                    val.1 += val_total;
-                    test.0 += test_correct;
-                    test.1 += test_total;
+                    counts += EvalCounts {
+                        val: (val_correct, val_total),
+                        test: (test_correct, test_total),
+                    };
                 }
             },
         );
@@ -353,33 +217,13 @@ pub fn run_fedomd_server(
         } else {
             losses.iter().sum::<f64>() / losses.len() as f64
         };
-        let eval = if driver.eval_due(round) && !losses.is_empty() {
-            // Pooled accuracy is a ratio of integer sums — order-free, so
-            // it matches `evaluate()` exactly whatever the arrival order.
-            let frac = |(c, t): (u64, u64)| if t == 0 { 0.0 } else { c as f64 / t as f64 };
-            Some((frac(val), frac(test)))
-        } else {
-            None
-        };
+        let eval = (driver.eval_due(round) && !losses.is_empty()).then(|| counts.accuracy());
         driver.comms.sync_dropped(chan.stats().dropped_frames);
         driver.timer.add("server", start.elapsed());
         driver.end_round_metrics(round, mean_loss, eval, obs);
-
-        if let Some(sink) = persist.sink.as_mut() {
-            if sink.every() > 0 && (round + 1).is_multiple_of(sink.every()) {
-                let state = ResumeState {
-                    next_round: round + 1,
-                    params: Vec::new(),
-                    optim: Vec::new(),
-                    model_steps: Vec::new(),
-                    driver: driver.snapshot(),
-                    channel: chan.export_state(),
-                    global: last_global.clone(),
-                    stats: last_stats.clone(),
-                };
-                sink.save(state, obs);
-            }
-        }
+        save_if_due(&mut persist, round, obs, || {
+            server.checkpoint(round + 1, driver.snapshot(), chan.export_state(), &[])
+        });
         if opts.halt_after == Some(round) {
             // Simulated crash: the checkpoint (if due) is durable, the
             // verdict is not sent — clients stall, then reconnect.
@@ -393,19 +237,13 @@ pub fn run_fedomd_server(
             } else {
                 Control::Ack
             };
-            let bytes = chan.download_many(
+            broadcast(
+                &mut chan,
+                &mut driver.comms,
+                r,
                 &everyone,
-                Envelope {
-                    round: r,
-                    sender: SERVER_SENDER,
-                    payload: Payload::Control(verdict),
-                },
+                Payload::Control(verdict),
             );
-            for _ in 0..m {
-                driver
-                    .comms
-                    .record(Direction::Downlink, TrafficClass::Stats, bytes as u64);
-            }
             chan.flush_into(obs);
         }
         if driver.stopped() {
@@ -413,6 +251,82 @@ pub fn run_fedomd_server(
         }
     }
     driver.finish_observed("FedOMD", obs)
+}
+
+/// Opens a FedOMD run's server side, in-process or over TCP: restores the
+/// transport cursor, driver bookkeeping and last global model/statistics
+/// from `persist.resume` (or starts fresh), announces the run, and returns
+/// the driver, the server state and the first round to enter.
+pub(crate) fn open_run(
+    cfg: &TrainConfig,
+    n_clients: usize,
+    persist: &mut Persistence<'_>,
+    chan: &mut dyn Channel,
+    obs: &mut dyn RoundObserver,
+) -> (RoundDriver, ServerRound, usize) {
+    let mut server = ServerRound::new(persist.sink.is_some());
+    let (driver, start_round) = match persist.resume.take() {
+        Some(resume) => {
+            chan.restore_state(&resume.channel);
+            server.last_global = resume.global;
+            server.last_stats = resume.stats;
+            (RoundDriver::resume(cfg, resume.driver), resume.next_round)
+        }
+        None => (RoundDriver::new(cfg), 0),
+    };
+    driver.announce("FedOMD", n_clients, obs);
+    if start_round > 0 {
+        obs.on_event(&RoundEvent::Resumed {
+            round: start_round as u64,
+        });
+    }
+    (driver, server, start_round)
+}
+
+/// Hands `persist.sink` the snapshot `state()` when round `round` ends on
+/// its schedule.
+pub(crate) fn save_if_due(
+    persist: &mut Persistence<'_>,
+    round: usize,
+    obs: &mut dyn RoundObserver,
+    state: impl FnOnce() -> ResumeState,
+) {
+    if let Some(sink) = persist.sink.as_mut() {
+        if sink.every() > 0 && (round + 1).is_multiple_of(sink.every()) {
+            sink.save(state(), obs);
+        }
+    }
+}
+
+/// The class a frame's bytes are accounted under: model weights, or
+/// everything else (statistics, metrics, control).
+pub(crate) fn traffic_class(p: &Payload) -> TrafficClass {
+    if matches!(
+        p,
+        Payload::WeightUpdate { .. } | Payload::GlobalModel { .. }
+    ) {
+        TrafficClass::Weights
+    } else {
+        TrafficClass::Stats
+    }
+}
+
+/// Sends `payload` to every client in `to`, accounting one copy each.
+fn broadcast(
+    chan: &mut ObservedChannel<'_>,
+    comms: &mut CommsLog,
+    round: u64,
+    to: &[u32],
+    payload: Payload,
+) {
+    let class = traffic_class(&payload);
+    let env = Envelope {
+        round,
+        sender: SERVER_SENDER,
+        payload,
+    };
+    let bytes = chan.download_many(to, env);
+    comms.record(Direction::Downlink, class, (bytes * to.len()) as u64);
 }
 
 /// Phase-aware uplink collector: the one server-side collection loop, and
@@ -704,24 +618,17 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_mis_shaped_update_degrades_like_a_dropped_frame() {
+    /// Runs one round in which sender 1 uploads `bad` between two good
+    /// updates: the round must drop it and average the two good updates,
+    /// not panic the round thread or fold it.
+    fn a_bad_update_is_dropped(bad: Tensor) {
         use fedomd_telemetry::MemoryObserver;
-        // Sender 1's update decodes fine but its tensor is 2×1 where the
-        // first-folded update fixed 1×2: the round must drop it and
-        // average the two good updates, not panic the round thread.
         let mut chan = InProcChannel::new();
         chan.upload(weight_env(0, 0, 0.0));
         chan.upload(Envelope {
             round: 0,
             sender: 1,
-            payload: Payload::WeightUpdate {
-                params: vec![Tensor {
-                    rows: 2,
-                    cols: 1,
-                    data: vec![100.0, 100.0],
-                }],
-            },
+            payload: Payload::WeightUpdate { params: vec![bad] },
         });
         chan.upload(weight_env(0, 2, 2.0));
         for id in 0..3 {
@@ -749,6 +656,26 @@ mod tests {
             Payload::GlobalModel { params } => assert_eq!(params[0].data, vec![1.0, 2.0]),
             other => panic!("unexpected {}", other.kind()),
         }
+    }
+
+    #[test]
+    fn a_mis_shaped_update_degrades_like_a_dropped_frame() {
+        // Decodes fine, but 2×1 where the first-folded update fixed 1×2.
+        a_bad_update_is_dropped(Tensor {
+            rows: 2,
+            cols: 1,
+            data: vec![100.0, 100.0],
+        });
+    }
+
+    #[test]
+    fn a_non_finite_update_degrades_like_a_dropped_frame() {
+        // The right shape, but a NaN would poison the average.
+        a_bad_update_is_dropped(Tensor {
+            rows: 1,
+            cols: 2,
+            data: vec![f32::NAN, 1.0],
+        });
     }
 
     #[test]

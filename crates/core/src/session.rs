@@ -1,0 +1,595 @@
+//! The two halves of Algorithm 1 as I/O-free state: [`ClientSession`] is
+//! one party's side, [`ServerRound`] the server's.
+//!
+//! Each protocol step is one method that takes the payload it needs and
+//! returns the payload it produces. Neither half touches a `Channel`, a
+//! socket or the clock, so Algorithm 1 is written out once, here. The
+//! three round loops only move frames between these methods and account
+//! their bytes: the in-process sweep (`crate::trainer`), the TCP server
+//! (`crate::server`) and the TCP client (`crate::client_loop`).
+//!
+//! | Algorithm 1 | client | server |
+//! |-------------|--------|--------|
+//! | 3 | [`ClientSession::forward`] | |
+//! | 4–11 | [`ClientSession::means`] | [`ServerRound::admit`], [`ServerRound::close_means`] |
+//! | 12–18 | [`ClientSession::moments`] | [`ServerRound::admit`], [`ServerRound::close_moments`] |
+//! | 19–20 | [`ClientSession::step`] | |
+//! | 21, 25–29 | [`ClientSession::weights`], [`ClientSession::install`] | [`ServerRound::admit`], [`ServerRound::close_updates`] |
+//! | eval | [`ClientSession::eval_counts`] | [`EvalCounts::accuracy`] |
+
+use std::collections::BTreeMap;
+use std::ops::AddAssign;
+
+use fedomd_autograd::{CmdTargets, Tape, Var, Workspace};
+use fedomd_federated::helpers::{count_correct, predict, UpdateShapeError};
+use fedomd_federated::{
+    ClientData, DriverState, ResumeState, StatsCache, TrainConfig, UpdateAccumulator,
+};
+use fedomd_nn::{Adam, AdamState, ForwardOut, Model, Optimizer};
+use fedomd_telemetry::RoundEvent;
+use fedomd_tensor::Matrix;
+use fedomd_transport::{from_tensors, to_tensors, ChannelState, Envelope, Payload, Tensor};
+
+use crate::config::FedOmdConfig;
+use crate::deploy::build_fedomd_model;
+use crate::protocol::{
+    build_targets, client_means, client_moments_about, GlobalStats, MeanAccumulator,
+    MomentAccumulator, ProtocolError,
+};
+
+/// One client's training state, owned by the caller so it survives
+/// transport reconnects.
+pub struct ClientSession {
+    omd: FedOmdConfig,
+    /// The local Ortho-GCN.
+    pub(crate) model: Box<dyn Model>,
+    /// The local optimiser (per-client state, never shipped).
+    pub(crate) opt: Adam,
+    /// Reusable autograd buffer pool.
+    ws: Workspace,
+    /// This round's recorded forward pass, from [`Self::forward`] until
+    /// [`Self::step`] consumes it.
+    pending: Option<(Tape, ForwardOut)>,
+}
+
+impl ClientSession {
+    /// A fresh session with the federation's common init (the same
+    /// `build_fedomd_model` every process calls).
+    pub fn new(cfg: &TrainConfig, omd: &FedOmdConfig, in_dim: usize, n_classes: usize) -> Self {
+        Self {
+            omd: *omd,
+            model: build_fedomd_model(cfg, omd, in_dim, n_classes),
+            opt: Adam::new(cfg.lr, cfg.weight_decay),
+            ws: Workspace::new(),
+            pending: None,
+        }
+    }
+
+    /// Restores checkpointed client state. The Newton–Schulz cadence counts
+    /// optimiser steps, so the counter is restored with the parameters.
+    pub(crate) fn restore(&mut self, params: &[Matrix], steps: u64, optim: AdamState) {
+        self.model.set_params(params);
+        self.model.set_steps(steps as usize);
+        self.opt.set_state(optim);
+    }
+
+    /// Line 3: records this round's forward pass on a tape drawn from the
+    /// session's buffer pool.
+    pub fn forward(&mut self, client: &ClientData) {
+        let mut tape = Tape::with_workspace(std::mem::take(&mut self.ws));
+        let out = self.model.forward(&mut tape, &client.input);
+        self.pending = Some((tape, out));
+    }
+
+    fn hidden(&self) -> Option<Vec<&Matrix>> {
+        let (tape, out) = self.pending.as_ref()?;
+        Some(out.hidden.iter().map(|&h| tape.value(h)).collect())
+    }
+
+    /// Lines 4–7: the `StatsRound1` upload, per-layer activation means and
+    /// the local sample count. `None` before [`Self::forward`].
+    pub fn means(&self) -> Option<Payload> {
+        let hidden = self.hidden()?;
+        Some(Payload::StatsRound1 {
+            means: client_means(&hidden),
+            n_samples: hidden.first().map_or(0, |z| z.rows()) as u64,
+        })
+    }
+
+    /// Lines 12–13: the `StatsRound2` upload, central moments about the
+    /// global means. `None` before [`Self::forward`].
+    pub fn moments(&self, global_means: &[Vec<f32>]) -> Option<Payload> {
+        let hidden = self.hidden()?;
+        Some(Payload::StatsRound2 {
+            moments: client_moments_about(&hidden, global_means, self.omd.max_moment),
+        })
+    }
+
+    /// Lines 19–20 on the pending forward pass: `CE + α·L_ortho + β·d_CMD`,
+    /// backward, Adam step. Without this round's global statistics the
+    /// client trains without the CMD term. `None` before [`Self::forward`].
+    pub fn step(&mut self, client: &ClientData, stats: Option<&GlobalStats>) -> Option<StepLosses> {
+        let (tape, out) = self.pending.take()?;
+        let targets = stats.map(build_targets);
+        let (ws, losses) = optimise_client(
+            &self.omd,
+            tape,
+            &out,
+            self.model.as_mut(),
+            &mut self.opt,
+            client,
+            targets.as_deref(),
+        );
+        self.ws = ws;
+        Some(losses)
+    }
+
+    /// Line 21: the `WeightUpdate` upload.
+    pub fn weights(&self) -> Payload {
+        Payload::WeightUpdate {
+            params: to_tensors(&self.model.params()),
+        }
+    }
+
+    /// Installs the aggregated global model.
+    pub fn install(&mut self, params: Vec<Tensor>) {
+        self.model.set_params(&from_tensors(params));
+    }
+
+    /// Pooled-evaluation counts of the current model on `client`.
+    pub fn eval_counts(&self, client: &ClientData) -> EvalCounts {
+        let logits = predict(self.model.as_ref(), client);
+        let count = |mask: &[usize]| {
+            let (c, t) = count_correct(&logits, &client.labels, mask);
+            (c as u64, t as u64)
+        };
+        EvalCounts {
+            val: count(&client.splits.val),
+            test: count(&client.splits.test),
+        }
+    }
+}
+
+/// One local step's loss readings: the total and its CE, scaled-ortho and
+/// scaled-CMD terms.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StepLosses {
+    pub total: f32,
+    pub ce: f32,
+    pub ortho: f32,
+    pub cmd: f32,
+}
+
+impl StepLosses {
+    /// The `LocalStepDone` event reporting this step for `client`.
+    pub fn event(&self, client: u32) -> RoundEvent {
+        RoundEvent::LocalStepDone {
+            client,
+            epoch: 0,
+            loss: self.total as f64,
+            ce: self.ce as f64,
+            ortho: self.ortho as f64,
+            cmd: self.cmd as f64,
+        }
+    }
+}
+
+/// `(correct, total)` over validation and test nodes. Pooled accuracy is a
+/// ratio of integer sums, so it does not depend on summation order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EvalCounts {
+    pub val: (u64, u64),
+    pub test: (u64, u64),
+}
+
+impl AddAssign for EvalCounts {
+    fn add_assign(&mut self, o: Self) {
+        self.val = (self.val.0 + o.val.0, self.val.1 + o.val.1);
+        self.test = (self.test.0 + o.test.0, self.test.1 + o.test.1);
+    }
+}
+
+impl EvalCounts {
+    /// Pooled `(val_acc, test_acc)`; 0 for an empty split.
+    pub fn accuracy(&self) -> (f64, f64) {
+        let frac = |(c, t): (u64, u64)| if t == 0 { 0.0 } else { c as f64 / t as f64 };
+        (frac(self.val), frac(self.test))
+    }
+}
+
+/// Why [`ServerRound::admit`] refused an envelope. A refused envelope
+/// degrades exactly like a dropped frame: nothing of it is folded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rejected {
+    /// A statistics payload whose shape differs from the first folded one.
+    StatsShape(ProtocolError),
+    /// A weight update whose shapes differ from the first folded one.
+    UpdateShape(UpdateShapeError),
+    /// The payload carries a NaN or an infinity.
+    NonFinite,
+    /// Central moments from a sender with no round-1 sample count.
+    Unannounced,
+    /// A payload kind the server does not fold.
+    Unexpected(&'static str),
+}
+
+/// The server's side of one round: streaming folds of the uplink phases,
+/// each closed into the payload to send down.
+///
+/// Envelopes must be admitted in ascending sender order within a phase;
+/// with the fixed-lane accumulators the result is then a function of which
+/// envelopes were admitted, never of when they arrived.
+#[derive(Default)]
+pub struct ServerRound {
+    /// Keep the last global model and statistics for checkpoints.
+    track: bool,
+    means: MeanAccumulator,
+    moments: MomentAccumulator,
+    updates: UpdateAccumulator,
+    /// Each round-1 reporter's sample count: round-2 moments are weighted
+    /// by the `n_i` announced in round 1.
+    round1_n: BTreeMap<u32, usize>,
+    global_means: Option<Vec<Vec<f32>>>,
+    pub(crate) last_global: Option<Vec<Matrix>>,
+    pub(crate) last_stats: Option<StatsCache>,
+}
+
+impl ServerRound {
+    /// A server that keeps the last global model and statistics when
+    /// `track` is set.
+    pub fn new(track: bool) -> Self {
+        Self {
+            track,
+            ..Self::default()
+        }
+    }
+
+    /// Folds one uplink envelope into its phase's accumulator. Shapes off a
+    /// socket are hostile until checked, and so are values: an envelope
+    /// that does not match the first folded one, or carries a NaN or an
+    /// infinity, is refused and leaves the round untouched.
+    pub fn admit(&mut self, env: Envelope) -> Result<(), Rejected> {
+        let kind = env.payload.kind();
+        match env.payload {
+            Payload::StatsRound1 { means, n_samples } => {
+                finite(means.iter().map(Vec::as_slice))?;
+                let n = n_samples as usize;
+                self.means.push(&means, n).map_err(Rejected::StatsShape)?;
+                self.round1_n.insert(env.sender, n);
+            }
+            Payload::StatsRound2 { moments } => {
+                let &n = self
+                    .round1_n
+                    .get(&env.sender)
+                    .ok_or(Rejected::Unannounced)?;
+                finite(moments.iter().flatten().map(Vec::as_slice))?;
+                self.moments
+                    .push(&moments, n)
+                    .map_err(Rejected::StatsShape)?;
+            }
+            Payload::WeightUpdate { params } => {
+                finite(params.iter().map(|t| t.data.as_slice()))?;
+                self.updates
+                    .try_push(&from_tensors(params), 1.0)
+                    .map_err(Rejected::UpdateShape)?;
+            }
+            Payload::GlobalModel { .. }
+            | Payload::GlobalStats { .. }
+            | Payload::Control(_)
+            | Payload::Metrics { .. } => return Err(Rejected::Unexpected(kind)),
+        }
+        Ok(())
+    }
+
+    /// Closes stats round 1: the `StatsRound1Done` report and the global
+    /// means to send down (`None` for an empty round).
+    pub fn close_means(&mut self) -> (RoundEvent, Option<Payload>) {
+        let acc = std::mem::replace(&mut self.means, MeanAccumulator::new());
+        let done = RoundEvent::StatsRound1Done {
+            participants: acc.pushed() as usize,
+        };
+        self.global_means = acc.finish().ok();
+        let down = self
+            .global_means
+            .as_ref()
+            .map(|means| Payload::GlobalStats {
+                means: means.clone(),
+                moments: Vec::new(),
+            });
+        (done, down)
+    }
+
+    /// Closes stats round 2: the `StatsRound2Done` report and the full
+    /// global statistics to send down (`None` when either round was empty).
+    pub fn close_moments(&mut self) -> (RoundEvent, Option<Payload>) {
+        let acc = std::mem::replace(&mut self.moments, MomentAccumulator::new());
+        self.round1_n.clear();
+        let done = RoundEvent::StatsRound2Done {
+            participants: acc.pushed() as usize,
+        };
+        let Some((means, moments)) = self.global_means.take().zip(acc.finish().ok()) else {
+            return (done, None);
+        };
+        if self.track {
+            self.last_stats = Some(StatsCache {
+                means: means.clone(),
+                moments: moments.clone(),
+            });
+        }
+        (done, Some(Payload::GlobalStats { means, moments }))
+    }
+
+    /// Closes the weight phase: the `AggregationDone` report and the FedAvg
+    /// global model to broadcast (`None` for an empty round, which leaves
+    /// every local model as it is).
+    pub fn close_updates(&mut self) -> (RoundEvent, Option<Payload>) {
+        let acc = std::mem::replace(&mut self.updates, UpdateAccumulator::new());
+        let participants = acc.pushed();
+        let Some(global) = acc.finish() else {
+            return (RoundEvent::AggregationDone { participants: 0 }, None);
+        };
+        let down = Payload::GlobalModel {
+            params: to_tensors(&global),
+        };
+        if self.track {
+            self.last_global = Some(global);
+        }
+        (RoundEvent::AggregationDone { participants }, Some(down))
+    }
+
+    /// The run state after round `next_round - 1`, with the state of every
+    /// client in `sessions` (none on a TCP server, whose clients are
+    /// elsewhere).
+    pub fn checkpoint(
+        &self,
+        next_round: usize,
+        driver: DriverState,
+        channel: ChannelState,
+        sessions: &[ClientSession],
+    ) -> ResumeState {
+        ResumeState {
+            next_round,
+            params: sessions.iter().map(|s| s.model.params()).collect(),
+            optim: sessions.iter().map(|s| s.opt.state()).collect(),
+            model_steps: sessions.iter().map(|s| s.model.steps() as u64).collect(),
+            driver,
+            channel,
+            global: self.last_global.clone(),
+            stats: self.last_stats.clone(),
+        }
+    }
+}
+
+/// Refuses a payload holding a NaN or an infinity.
+fn finite<'a>(slices: impl IntoIterator<Item = &'a [f32]>) -> Result<(), Rejected> {
+    // `fold` rather than `all` so the inner loop has no early exit and
+    // vectorises.
+    if slices
+        .into_iter()
+        .all(|s| s.iter().fold(true, |ok, v| ok & v.is_finite()))
+    {
+        Ok(())
+    } else {
+        Err(Rejected::NonFinite)
+    }
+}
+
+/// One client's Phase-3 turn: builds `CE + α·L_ortho + β·d_CMD` (Eq. 12) on
+/// the forward pass recorded in `tape`/`out`, runs backward, and takes the
+/// Adam step. `targets` is `None` when the client never received this
+/// round's global statistics. Returns the tape's recycled buffer pool and
+/// the loss readings.
+fn optimise_client(
+    omd: &FedOmdConfig,
+    mut tape: Tape,
+    out: &ForwardOut,
+    model: &mut dyn Model,
+    opt: &mut Adam,
+    client: &ClientData,
+    targets: Option<&[CmdTargets]>,
+) -> (Workspace, StepLosses) {
+    let ce = tape.softmax_cross_entropy(out.logits, &client.labels, &client.splits.train);
+    let mut loss = ce;
+    let mut ortho_term: Option<Var> = None;
+    if omd.use_ortho {
+        if let Some(pen) = tape_sum(&mut tape, out.ortho_weight_vars.iter(), |t, &w| {
+            t.ortho_penalty(w)
+        }) {
+            let scaled = tape.scale(pen, omd.alpha);
+            ortho_term = Some(scaled);
+            loss = tape.add(loss, scaled);
+        }
+    }
+    let mut cmd_term: Option<Var> = None;
+    if let Some(targets) = targets {
+        let n_constrained = if omd.cmd_first_layer_only {
+            1
+        } else {
+            out.hidden.len()
+        };
+        // Algorithm 1 line 19's `Σ_l` over the constrained layers.
+        let layers = out.hidden[..n_constrained]
+            .iter()
+            .zip(&targets[..n_constrained]);
+        if let Some(cmd) = tape_sum(&mut tape, layers, |t, (&h, target)| {
+            t.cmd_loss_weighted(h, target, omd.width, omd.cmd_mean_scale)
+        }) {
+            let scaled = tape.scale(cmd, omd.beta);
+            cmd_term = Some(scaled);
+            loss = tape.add(loss, scaled);
+        }
+    }
+    tape.backward(loss);
+
+    let grads: Vec<Matrix> = out
+        .param_vars
+        .iter()
+        .map(|&v| tape.grad_or_zeros(v))
+        .collect();
+    let mut params = model.params();
+    opt.step(&mut params, &grads);
+    model.set_params(&params);
+    model.post_step();
+    for g in grads {
+        tape.recycle_matrix(g);
+    }
+    for p in params {
+        tape.recycle_matrix(p);
+    }
+    let losses = StepLosses {
+        total: tape.scalar(loss),
+        ce: tape.scalar(ce),
+        ortho: ortho_term.map_or(0.0, |v| tape.scalar(v)),
+        cmd: cmd_term.map_or(0.0, |v| tape.scalar(v)),
+    };
+    (tape.recycle(), losses)
+}
+
+/// Sums `make(tape, item)` over `items` on the tape, each term added as
+/// soon as it is built (`None` when empty).
+fn tape_sum<T>(
+    tape: &mut Tape,
+    items: impl IntoIterator<Item = T>,
+    make: impl Fn(&mut Tape, T) -> Var,
+) -> Option<Var> {
+    let mut acc: Option<Var> = None;
+    for item in items {
+        let term = make(tape, item);
+        acc = Some(match acc {
+            None => term,
+            Some(a) => tape.add(a, term),
+        });
+    }
+    acc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FedRun;
+    use fedomd_data::{generate, spec, DatasetName};
+    use fedomd_federated::engine::RoundDriver;
+    use fedomd_federated::{setup_federation, FederationConfig};
+    use fedomd_telemetry::NullObserver;
+
+    fn env(sender: usize, payload: Payload) -> Envelope {
+        Envelope {
+            round: 0,
+            sender: sender as u32,
+            payload,
+        }
+    }
+
+    fn global_stats(down: Option<Payload>) -> GlobalStats {
+        match down {
+            Some(Payload::GlobalStats { means, moments }) => GlobalStats { means, moments },
+            other => panic!("expected global statistics, got {other:?}"),
+        }
+    }
+
+    /// The protocol is the methods: four rounds of three sessions and a
+    /// server, called directly with no channel anywhere, land on the bits
+    /// of the in-process run, which only moves frames between them.
+    #[test]
+    fn an_io_free_round_is_the_in_process_run() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let clients = setup_federation(&ds, &FederationConfig::mini(3, 0));
+        let cfg = TrainConfig {
+            rounds: 4,
+            patience: 4,
+            eval_every: 1,
+            ..TrainConfig::mini(0)
+        };
+        let omd = FedOmdConfig::paper();
+        let f = clients[0].input.n_features();
+        let mut sessions: Vec<ClientSession> = clients
+            .iter()
+            .map(|_| ClientSession::new(&cfg, &omd, f, ds.n_classes))
+            .collect();
+        let mut server = ServerRound::new(false);
+        let mut driver = RoundDriver::new(&cfg);
+        for round in 0..cfg.rounds {
+            for (s, client) in sessions.iter_mut().zip(&clients) {
+                s.forward(client);
+            }
+            for (i, s) in sessions.iter().enumerate() {
+                server.admit(env(i, s.means().unwrap())).unwrap();
+            }
+            let means = global_stats(server.close_means().1).means;
+            for (i, s) in sessions.iter().enumerate() {
+                server.admit(env(i, s.moments(&means).unwrap())).unwrap();
+            }
+            let stats = global_stats(server.close_moments().1);
+            let mut loss = 0.0f64;
+            for (s, client) in sessions.iter_mut().zip(&clients) {
+                loss += s.step(client, Some(&stats)).unwrap().total as f64;
+            }
+            for (i, s) in sessions.iter().enumerate() {
+                server.admit(env(i, s.weights())).unwrap();
+            }
+            let Some(Payload::GlobalModel { params }) = server.close_updates().1 else {
+                panic!("no global model");
+            };
+            let mut counts = EvalCounts::default();
+            for (s, client) in sessions.iter_mut().zip(&clients) {
+                s.install(params.clone());
+                counts += s.eval_counts(client);
+            }
+            let mean_loss = loss / sessions.len() as f64;
+            driver.end_round_metrics(round, mean_loss, Some(counts.accuracy()), &mut NullObserver);
+        }
+        let direct = driver.finish_observed("FedOMD", &mut NullObserver);
+
+        let run = FedRun::new(&clients, ds.n_classes)
+            .train(cfg)
+            .omd(omd)
+            .run();
+        assert_eq!(direct.test_acc.to_bits(), run.test_acc.to_bits());
+        assert_eq!(direct.history.len(), run.history.len());
+        for (a, b) in direct.history.iter().zip(&run.history) {
+            assert_eq!(a.round, b.round);
+            assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits());
+            assert_eq!(a.val_acc.to_bits(), b.val_acc.to_bits());
+            assert_eq!(a.test_acc.to_bits(), b.test_acc.to_bits());
+        }
+    }
+
+    #[test]
+    fn admission_refuses_poisoned_unannounced_and_downlink_payloads() {
+        let mut server = ServerRound::new(false);
+        let means = |v: f32| Payload::StatsRound1 {
+            means: vec![vec![v, 1.0]],
+            n_samples: 4,
+        };
+        assert_eq!(
+            server.admit(env(0, means(f32::INFINITY))),
+            Err(Rejected::NonFinite)
+        );
+        server.admit(env(1, means(0.5))).unwrap();
+        let moments = Payload::StatsRound2 {
+            moments: vec![vec![vec![0.1, 0.2]]],
+        };
+        assert_eq!(
+            server.admit(env(0, moments.clone())),
+            Err(Rejected::Unannounced)
+        );
+        let poisoned = Payload::StatsRound2 {
+            moments: vec![vec![vec![f32::NAN, 0.2]]],
+        };
+        assert_eq!(server.admit(env(1, poisoned)), Err(Rejected::NonFinite));
+        server.admit(env(1, moments)).unwrap();
+        assert_eq!(
+            server.admit(env(1, Payload::Control(fedomd_transport::Control::Ack))),
+            Err(Rejected::Unexpected("Control"))
+        );
+        // Only the clean payloads were folded.
+        assert_eq!(
+            server.close_means().0,
+            RoundEvent::StatsRound1Done { participants: 1 }
+        );
+        assert_eq!(
+            server.close_moments().0,
+            RoundEvent::StatsRound2Done { participants: 1 }
+        );
+    }
+}

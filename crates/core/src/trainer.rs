@@ -1,67 +1,41 @@
-//! The FedOMD training loop (Algorithm 1).
+//! The in-process FedOMD run (Algorithm 1): one [`ClientSession`] per
+//! client and one [`ServerRound`], driven in lockstep over a [`Channel`].
 //!
-//! Per communication round:
+//! Per communication round the driver samples the cohort
+//! ([`fedomd_federated::CohortConfig`]), sweeps the cohort's sessions
+//! through the forward pass, carries both statistics rounds and the weight
+//! upload as encoded frames between the sessions and the server, sweeps the
+//! cohort through its local step, and broadcasts the FedAvg model to *every*
+//! client — spectators included — so pooled evaluation always sees a
+//! synchronised federation. The protocol steps themselves are the session
+//! and server methods (`crate::session`); this loop only moves frames and
+//! accounts their bytes.
 //!
-//! 1. **Sample** the round's cohort ([`fedomd_federated::CohortConfig`]):
-//!    a seeded, deterministic subset of clients participates; the rest sit
-//!    the round out (FedAvg partial participation).
-//! 2. **Forward** (cohort, parallel): each sampled client records its
-//!    Ortho-GCN forward pass on a fresh tape, producing logits and the
-//!    hidden activations `Z^1..Z^{L-1}` (line 3).
-//! 3. **Exchange** (2 rounds, lines 4–18): activation means up, global
-//!    means down; central moments about the global mean up, global moments
-//!    down — giving every sampled client the CMD targets.
-//! 4. **Optimise** (cohort, parallel, lines 19–20): total loss
-//!    `CE + α·L_ortho + β·d_CMD` (Eq. 12), backward, Adam step.
-//! 5. **FedAvg** (server, lines 26–29): uniform weight averaging. The
-//!    aggregated model is broadcast to *all* clients — participants and
-//!    spectators alike — so pooled evaluation always sees a synchronised
-//!    federation.
-//!
-//! Every exchange (phases 3 and 5) travels as encoded `fedomd-transport`
-//! frames over a [`Channel`], and the server never materialises the
-//! O(clients × model) vector of payloads: each envelope is folded into a
-//! streaming accumulator ([`crate::protocol::MeanAccumulator`] /
-//! [`crate::protocol::MomentAccumulator`] /
-//! [`fedomd_federated::UpdateAccumulator`]) as it is collected, so peak
-//! server aggregation memory stays O(model) even at 1k–10k client
-//! cohorts. With the default in-process channel the run is deterministic
-//! per seed, while a simulated lossy channel degrades gracefully: a round
-//! aggregates over whichever clients actually arrived, and a client that
-//! misses the global statistics simply trains without the CMD term that
+//! Each upload is collected and folded before the next is sent, so the
+//! uplink queue never holds more than one payload and server aggregation
+//! memory stays O(model) at any cohort size. With the default in-process
+//! channel the run is deterministic per seed; a simulated lossy channel
+//! degrades gracefully: a round aggregates whoever arrived, and a client
+//! that misses the global statistics trains without the CMD term that
 //! round.
 //!
-//! Every milestone — round starts, per-client local steps with the CE /
-//! ortho / CMD loss decomposition, frame sends and drops, both statistics
-//! rounds, aggregation, evaluation — is reported to a
-//! [`RoundObserver`] (`fedomd-telemetry`). Observers are pure sinks, so
-//! any observer yields the exact same `RunResult` as
-//! [`fedomd_telemetry::NullObserver`] (golden-tested). The [`crate::FedRun`] builder is the entry point;
-//! [`run_fedomd_observed`] / [`run_fedomd_resumable`] are the loop it
-//! dispatches to.
+//! Every milestone is reported to a [`RoundObserver`]. Observers are pure
+//! sinks, so any observer yields the exact same `RunResult` as
+//! [`fedomd_telemetry::NullObserver`] (golden-tested). The
+//! [`crate::FedRun`] builder is the entry point.
 
 use fedomd_metrics::Stopwatch;
-use std::collections::BTreeMap;
 
 use rayon::prelude::*;
 
-use fedomd_autograd::{CmdTargets, Tape, Var, Workspace};
-use fedomd_federated::engine::RoundDriver;
-use fedomd_federated::helpers::{fold_weight_update, UpdateAccumulator};
-use fedomd_federated::{
-    ClientData, Direction, Persistence, ResumeState, RunResult, StatsCache, TrafficClass,
-    TrainConfig,
-};
-use fedomd_nn::{Adam, ForwardOut, Model, Optimizer};
+use fedomd_federated::{ClientData, CommsLog, Direction, Persistence, RunResult, TrainConfig};
 use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
-use fedomd_tensor::Matrix;
-use fedomd_transport::{from_tensors, to_tensors, Channel, Envelope, Payload, SERVER_SENDER};
+use fedomd_transport::{Channel, Envelope, Payload, SERVER_SENDER};
 
 use crate::config::FedOmdConfig;
-use crate::protocol::{
-    build_targets, client_means, client_moments_about, GlobalStats, MeanAccumulator,
-    MomentAccumulator,
-};
+use crate::protocol::GlobalStats;
+use crate::server::{open_run, save_if_due, traffic_class};
+use crate::session::{ClientSession, EvalCounts, ServerRound, StepLosses};
 
 /// Runs FedOMD with every statistics and weight exchange travelling as
 /// encoded frames over `chan` and every round milestone reported to `obs`.
@@ -84,34 +58,17 @@ pub fn run_fedomd_observed(
     )
 }
 
-/// Reports each sampled client's Phase-3 loss decomposition to `obs`.
-fn emit_local_steps(losses: &[Option<StepLosses>], obs: &mut dyn RoundObserver) {
-    for (client, &(loss, ce, ortho, cmd)) in losses
-        .iter()
-        .enumerate()
-        .filter_map(|(i, l)| l.as_ref().map(|l| (i, l)))
-    {
-        obs.on_event(&RoundEvent::LocalStepDone {
-            client: client as u32,
-            epoch: 0,
-            loss: loss as f64,
-            ce: ce as f64,
-            ortho: ortho as f64,
-            cmd: cmd as f64,
-        });
-    }
-}
-
 /// [`run_fedomd_observed`] with checkpoint/resume wiring: restores
 /// `persist.resume` (per-client parameters, Adam moments, driver
 /// bookkeeping, channel fault-stream cursor) before the loop, enters at
-/// the restored round, and hands `persist.sink` a [`ResumeState`] snapshot
-/// every `sink.every()` rounds — including the last aggregated global
-/// model and global statistics, so a served checkpoint carries the full
-/// round outcome. A resumed run is bit-identical to the same run left
-/// uninterrupted: every RNG stream — including the cohort sampler — is
-/// derived from `(seed, round)` or a checkpointed cursor, and snapshots
-/// land on round boundaries where the channel has no frames in flight.
+/// the restored round, and hands `persist.sink` a
+/// [`fedomd_federated::ResumeState`] snapshot every `sink.every()` rounds —
+/// including the last aggregated global model and global statistics, so a
+/// served checkpoint carries the full round outcome. A resumed run is
+/// bit-identical to the same run left uninterrupted: every RNG stream —
+/// including the cohort sampler — is derived from `(seed, round)` or a
+/// checkpointed cursor, and snapshots land on round boundaries where the
+/// channel has no frames in flight.
 ///
 /// # Panics
 /// Panics with no clients or an invalid cohort configuration.
@@ -129,66 +86,31 @@ pub fn run_fedomd_resumable(
     if let Err(e) = cfg.validate(clients.len()) {
         panic!("run_fedomd: {e}");
     }
+    let m = clients.len();
     let f = clients[0].input.n_features();
-    // Common global init (the server distributes W₀, paper Phase 1),
-    // through the same constructor a standalone `fedomd-client` process
-    // uses, so the two deployments cannot drift apart.
-    let mut models: Vec<Box<dyn Model>> = clients
+    let mut sessions: Vec<ClientSession> = clients
         .iter()
-        .map(|_| crate::deploy::build_fedomd_model(cfg, omd, f, n_classes))
+        .map(|_| ClientSession::new(cfg, omd, f, n_classes))
         .collect();
-    let mut optimizers: Vec<Adam> = models
-        .iter()
-        .map(|_| Adam::new(cfg.lr, cfg.weight_decay))
-        .collect();
-
-    // The last aggregated global model / statistics, tracked only when a
-    // sink wants snapshots (pure bookkeeping: never read by the loop).
-    let track = persist.sink.is_some();
-    let mut last_global: Option<Vec<Matrix>> = None;
-    let mut last_stats: Option<StatsCache> = None;
-
-    let mut driver;
-    let start_round;
-    if let Some(resume) = persist.resume.take() {
+    if let Some(resume) = persist.resume.as_mut() {
         assert_eq!(
             resume.params.len(),
-            models.len(),
-            "resume: checkpoint has {} clients, federation has {}",
-            resume.params.len(),
-            models.len()
+            m,
+            "resume: checkpoint has {} clients, federation has {m}",
+            resume.params.len()
         );
-        for (mo, p) in models.iter_mut().zip(&resume.params) {
-            mo.set_params(p);
+        let optim = std::mem::take(&mut resume.optim);
+        for (((s, p), &steps), st) in sessions
+            .iter_mut()
+            .zip(&resume.params)
+            .zip(&resume.model_steps)
+            .zip(optim)
+        {
+            s.restore(p, steps, st);
         }
-        // The Newton–Schulz cadence counts optimiser steps; restoring the
-        // parameters without the counter would shift every later NS pass.
-        for (mo, &steps) in models.iter_mut().zip(&resume.model_steps) {
-            mo.set_steps(steps as usize);
-        }
-        for (opt, st) in optimizers.iter_mut().zip(resume.optim) {
-            opt.set_state(st);
-        }
-        chan.restore_state(&resume.channel);
-        last_global = resume.global;
-        last_stats = resume.stats;
-        driver = RoundDriver::resume(cfg, resume.driver);
-        start_round = resume.next_round;
-    } else {
-        driver = RoundDriver::new(cfg);
-        start_round = 0;
     }
-    let m = clients.len();
-    driver.announce("FedOMD", m, obs);
-    if start_round > 0 {
-        obs.on_event(&RoundEvent::Resumed {
-            round: start_round as u64,
-        });
-    }
+    let (mut driver, mut server, start_round) = open_run(cfg, m, &mut persist, chan, obs);
     let mut chan = ObservedChannel::new(chan);
-    // One buffer pool per client, threaded through the forward tape and
-    // the backward/step tape of every round the client is sampled into.
-    let mut workspaces: Vec<Workspace> = models.iter().map(|_| Workspace::new()).collect();
 
     for round in start_round..cfg.rounds {
         // A checkpoint taken after early stopping resumes already-stopped.
@@ -198,179 +120,69 @@ pub fn run_fedomd_resumable(
         obs.on_event(&RoundEvent::RoundStarted {
             round: round as u64,
         });
-        // The round's cohort: pure function of (cohort seed, round), so a
-        // resumed run replays the same participation schedule.
-        let cohort = cfg.cohort.sample(round as u64, m);
+        let r = round as u64;
+        // The round's cohort: pure function of (cohort seed, round),
+        // ascending, so a resumed run replays the same participation.
+        let cohort = cfg.cohort.sample(r, m);
         let mut in_cohort = vec![false; m];
         for &i in &cohort {
             in_cohort[i] = true;
         }
 
-        // --- Phase 1: forward passes (cohort, parallel) ---
+        // --- Forward passes (cohort, parallel) ---
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
         let start = Stopwatch::start();
-        let sessions: Vec<Option<(Tape, ForwardOut)>> = models
-            .par_iter()
+        sessions
+            .par_iter_mut()
             .zip(clients.par_iter())
-            .zip(workspaces.par_iter_mut())
             .zip(in_cohort.par_iter())
-            .map(|(((model, client), ws), &active)| {
-                if !active {
-                    return None;
+            .for_each(|((s, client), &active)| {
+                if active {
+                    s.forward(client);
                 }
-                let mut tape = Tape::with_workspace(std::mem::take(ws));
-                let out = model.forward(&mut tape, &client.input);
-                Some((tape, out))
-            })
-            .collect();
+            });
         driver.timer.add("client", start.elapsed());
         sw.finish(obs);
 
-        // --- Phase 2: the 2-round statistics exchange, over the channel ---
-        // The server folds every envelope into a streaming accumulator as
-        // it is collected; no per-client payload vector is materialised.
-        let targets: Vec<Option<Vec<CmdTargets>>> = if omd.use_cmd {
+        // --- The 2-round statistics exchange, to and from the cohort ---
+        let mut stats: Vec<Option<GlobalStats>> = vec![None; m];
+        if omd.use_cmd {
             let sw = PhaseStopwatch::start(Phase::Comms);
             let start = Stopwatch::start();
-            let per_client_hidden: Vec<Option<Vec<&Matrix>>> = sessions
-                .iter()
-                .map(|s| {
-                    s.as_ref()
-                        .map(|(tape, out)| out.hidden.iter().map(|&h| tape.value(h)).collect())
-                })
-                .collect();
-            let r = round as u64;
-
-            // Round 1 up: per-layer means and the local sample count. Each
-            // upload is collected and folded immediately, so the uplink
-            // queue never holds more than one stats payload.
-            // The server remembers each reporter's sample count: round-2
-            // moments are weighted by the n_i announced in round 1.
-            let mut round1_n: BTreeMap<u32, usize> = BTreeMap::new();
-            let mut mean_acc = MeanAccumulator::new();
-            for (i, h) in per_client_hidden.iter().enumerate() {
-                let Some(h) = h else { continue };
-                let bytes = chan.upload(Envelope {
-                    round: r,
-                    sender: i as u32,
-                    payload: Payload::StatsRound1 {
-                        means: client_means(h),
-                        n_samples: h.first().map_or(0, |z| z.rows()) as u64,
-                    },
-                });
-                driver
-                    .comms
-                    .record(Direction::Uplink, TrafficClass::Stats, bytes as u64);
-                for env in chan.server_collect(r) {
-                    if let Payload::StatsRound1 { means, n_samples } = env.payload {
-                        // A malformed payload (impossible in-process:
-                        // every client builds the same model shape)
-                        // degrades exactly like a dropped frame.
-                        if mean_acc.push(&means, n_samples as usize).is_ok() {
-                            round1_n.insert(env.sender, n_samples as usize);
-                        }
-                    }
+            for &i in &cohort {
+                if let Some(means) = sessions[i].means() {
+                    up(&mut chan, &mut driver.comms, &mut server, r, i, means);
                 }
             }
             chan.flush_into(obs);
-            obs.on_event(&RoundEvent::StatsRound1Done {
-                participants: mean_acc.pushed() as usize,
-            });
-            let global_means: Option<Vec<Vec<f32>>> = mean_acc.finish().ok();
-
-            // Round 1 down: global means, to the cohort (moments are not
-            // known yet, so the GlobalStats frame carries an empty moment
-            // list).
-            let mut client_gmeans: Vec<Option<Vec<Vec<f32>>>> = (0..m).map(|_| None).collect();
-            if let Some(means) = &global_means {
+            let (done, down) = server.close_means();
+            obs.on_event(&done);
+            let mut global_means: Vec<Option<Vec<Vec<f32>>>> = vec![None; m];
+            if let Some(payload) = down {
                 for &i in &cohort {
-                    let bytes = chan.download(
-                        i as u32,
-                        Envelope {
-                            round: r,
-                            sender: SERVER_SENDER,
-                            payload: Payload::GlobalStats {
-                                means: means.clone(),
-                                moments: Vec::new(),
-                            },
-                        },
-                    );
-                    driver
-                        .comms
-                        .record(Direction::Downlink, TrafficClass::Stats, bytes as u64);
-                    for env in chan.client_collect(i as u32, r) {
-                        if let Payload::GlobalStats { means, .. } = env.payload {
-                            client_gmeans[i] = Some(means);
+                    for got in send(&mut chan, &mut driver.comms, r, i, payload.clone()) {
+                        if let Payload::GlobalStats { means, .. } = got {
+                            global_means[i] = Some(means);
                         }
                     }
                 }
             }
             chan.flush_into(obs);
-
-            // Round 2 up: central moments about the global mean, folded on
-            // arrival. A client that never received the means sits this
-            // round out.
-            let mut moment_acc = MomentAccumulator::new();
-            for (i, h) in per_client_hidden.iter().enumerate() {
-                let Some(h) = h else { continue };
-                let Some(means) = &client_gmeans[i] else {
-                    continue;
-                };
-                let bytes = chan.upload(Envelope {
-                    round: r,
-                    sender: i as u32,
-                    payload: Payload::StatsRound2 {
-                        moments: client_moments_about(h, means, omd.max_moment),
-                    },
-                });
-                driver
-                    .comms
-                    .record(Direction::Uplink, TrafficClass::Stats, bytes as u64);
-                for env in chan.server_collect(r) {
-                    if let Payload::StatsRound2 { moments } = env.payload {
-                        if let Some(&n) = round1_n.get(&env.sender) {
-                            let _ok = moment_acc.push(&moments, n).is_ok();
-                        }
-                    }
+            // A client that never received the means sits round 2 out.
+            for &i in &cohort {
+                let global = global_means[i].as_ref();
+                if let Some(moments) = global.and_then(|g| sessions[i].moments(g)) {
+                    up(&mut chan, &mut driver.comms, &mut server, r, i, moments);
                 }
             }
             chan.flush_into(obs);
-            obs.on_event(&RoundEvent::StatsRound2Done {
-                participants: moment_acc.pushed() as usize,
-            });
-
-            // Round 2 down: the full global stats, to the cohort; each
-            // client that receives them builds its CMD targets, the rest
-            // train without the term.
-            let mut per_client: Vec<Option<Vec<CmdTargets>>> = (0..m).map(|_| None).collect();
-            if let Some(means) = &global_means {
-                if let Ok(moments) = moment_acc.finish() {
-                    if track {
-                        last_stats = Some(StatsCache {
-                            means: means.clone(),
-                            moments: moments.clone(),
-                        });
-                    }
-                    for &i in &cohort {
-                        let bytes = chan.download(
-                            i as u32,
-                            Envelope {
-                                round: r,
-                                sender: SERVER_SENDER,
-                                payload: Payload::GlobalStats {
-                                    means: means.clone(),
-                                    moments: moments.clone(),
-                                },
-                            },
-                        );
-                        driver
-                            .comms
-                            .record(Direction::Downlink, TrafficClass::Stats, bytes as u64);
-                        for env in chan.client_collect(i as u32, r) {
-                            if let Payload::GlobalStats { means, moments } = env.payload {
-                                per_client[i] =
-                                    Some(build_targets(&GlobalStats { means, moments }));
-                            }
+            let (done, down) = server.close_moments();
+            obs.on_event(&done);
+            if let Some(payload) = down {
+                for &i in &cohort {
+                    for got in send(&mut chan, &mut driver.comms, r, i, payload.clone()) {
+                        if let Payload::GlobalStats { means, moments } = got {
+                            stats[i] = Some(GlobalStats { means, moments });
                         }
                     }
                 }
@@ -378,141 +190,84 @@ pub fn run_fedomd_resumable(
             chan.flush_into(obs);
             driver.timer.add("server", start.elapsed());
             sw.finish(obs);
-            per_client
-        } else {
-            (0..m).map(|_| None).collect()
-        };
+        }
 
-        // --- Phase 3: losses, backward, local steps (cohort, parallel) ---
-        // Per sampled client: (total, ce, scaled ortho, scaled cmd) loss
-        // readings; `None` for clients outside the cohort.
+        // --- Local steps (cohort, parallel) ---
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
         let start = Stopwatch::start();
         let losses: Vec<Option<StepLosses>> = sessions
-            .into_par_iter()
-            .zip(models.par_iter_mut())
-            .zip(optimizers.par_iter_mut())
+            .par_iter_mut()
             .zip(clients.par_iter())
-            .zip(targets.par_iter())
-            .zip(workspaces.par_iter_mut())
-            .map(|(((((session, model), opt), client), targets), ws)| {
-                let (tape, out) = session?;
-                let (recycled, step) = optimise_client(
-                    omd,
-                    tape,
-                    &out,
-                    model.as_mut(),
-                    opt,
-                    client,
-                    targets.as_deref(),
-                );
-                *ws = recycled;
-                Some(step)
-            })
+            .zip(stats.par_iter())
+            .map(|((s, client), stats)| s.step(client, stats.as_ref()))
             .collect();
         driver.timer.add("client", start.elapsed());
-        emit_local_steps(&losses, obs);
+        for (i, l) in losses.iter().enumerate() {
+            if let Some(l) = l {
+                obs.on_event(&l.event(i as u32));
+            }
+        }
         sw.finish(obs);
 
-        // --- Phase 4: FedAvg over the channel (partial under faults) ---
-        // Interleaved upload → collect → fold: the uplink queue holds at
-        // most one weight update at a time and the accumulator keeps
-        // AGG_LANES f64 partials, so server aggregation memory is
-        // O(model) regardless of cohort size.
+        // --- FedAvg over the channel (partial under faults) ---
         let start = Stopwatch::start();
         let sw = PhaseStopwatch::start(Phase::Comms);
-        let mut agg = UpdateAccumulator::new();
-        for (i, mo) in models.iter().enumerate() {
-            if !in_cohort[i] {
-                continue;
-            }
-            let bytes = chan.upload(Envelope {
-                round: round as u64,
-                sender: i as u32,
-                payload: Payload::WeightUpdate {
-                    params: to_tensors(&mo.params()),
-                },
-            });
-            driver
-                .comms
-                .record(Direction::Uplink, TrafficClass::Weights, bytes as u64);
-            for env in chan.server_collect(round as u64) {
-                fold_weight_update(&mut agg, env);
-            }
+        for &i in &cohort {
+            let weights = sessions[i].weights();
+            up(&mut chan, &mut driver.comms, &mut server, r, i, weights);
         }
         // Straggler drain: both in-process channels resolve every pending
         // frame at the first collect after its upload, but a buffering
         // channel impl may surface late arrivals here.
-        for env in chan.server_collect(round as u64) {
-            fold_weight_update(&mut agg, env);
+        for env in chan.server_collect(r) {
+            let _admitted = server.admit(env).is_ok();
         }
         chan.flush_into(obs);
         sw.finish(obs);
-        let participants = agg.pushed();
         let sw = PhaseStopwatch::start(Phase::Aggregation);
-        let global = agg.finish();
+        let (done, down) = server.close_updates();
         sw.finish(obs);
-        if let Some(global) = global {
-            if track {
-                last_global = Some(global.clone());
-            }
-            obs.on_event(&RoundEvent::AggregationDone { participants });
-            let sw = PhaseStopwatch::start(Phase::Comms);
+        obs.on_event(&done);
+        if let Some(payload) = down {
             // Broadcast to every client — spectators included — so the
             // federation stays synchronised for pooled evaluation.
-            for (i, mo) in models.iter_mut().enumerate() {
-                let bytes = chan.download(
-                    i as u32,
-                    Envelope {
-                        round: round as u64,
-                        sender: SERVER_SENDER,
-                        payload: Payload::GlobalModel {
-                            params: to_tensors(&global),
-                        },
-                    },
-                );
-                driver
-                    .comms
-                    .record(Direction::Downlink, TrafficClass::Weights, bytes as u64);
-                for env in chan.client_collect(i as u32, round as u64) {
-                    if let Payload::GlobalModel { params } = env.payload {
-                        mo.set_params(&from_tensors(params));
+            let sw = PhaseStopwatch::start(Phase::Comms);
+            for (i, s) in sessions.iter_mut().enumerate() {
+                for got in send(&mut chan, &mut driver.comms, r, i, payload.clone()) {
+                    if let Payload::GlobalModel { params } = got {
+                        s.install(params);
                     }
                 }
             }
             chan.flush_into(obs);
             sw.finish(obs);
-        } else {
-            obs.on_event(&RoundEvent::AggregationDone { participants: 0 });
         }
         driver.comms.sync_dropped(chan.stats().dropped_frames);
         driver.timer.add("server", start.elapsed());
 
-        let active: Vec<f64> = losses
-            .iter()
-            .filter_map(|l| l.map(|(loss, ..)| loss as f64))
-            .collect();
+        let active: Vec<f64> = losses.iter().flatten().map(|l| l.total as f64).collect();
         let mean_loss = if active.is_empty() {
             f64::NAN
         } else {
             active.iter().sum::<f64>() / active.len() as f64
         };
-        driver.end_round_observed(round, mean_loss, &models, clients, obs);
-        if let Some(sink) = persist.sink.as_mut() {
-            if sink.every() > 0 && (round + 1).is_multiple_of(sink.every()) {
-                let state = ResumeState {
-                    next_round: round + 1,
-                    params: models.iter().map(|mo| mo.params()).collect(),
-                    optim: optimizers.iter().map(Adam::state).collect(),
-                    model_steps: models.iter().map(|mo| mo.steps() as u64).collect(),
-                    driver: driver.snapshot(),
-                    channel: chan.export_state(),
-                    global: last_global.clone(),
-                    stats: last_stats.clone(),
-                };
-                sink.save(state, obs);
+        let eval = if driver.eval_due(round) {
+            let sw = PhaseStopwatch::start(Phase::Eval);
+            let start = Stopwatch::start();
+            let mut counts = EvalCounts::default();
+            for (s, client) in sessions.iter().zip(clients) {
+                counts += s.eval_counts(client);
             }
-        }
+            driver.timer.add("inference", start.elapsed());
+            sw.finish(obs);
+            Some(counts.accuracy())
+        } else {
+            None
+        };
+        driver.end_round_metrics(round, mean_loss, eval, obs);
+        save_if_due(&mut persist, round, obs, || {
+            server.checkpoint(round + 1, driver.snapshot(), chan.export_state(), &sessions)
+        });
         if driver.stopped() {
             break;
         }
@@ -520,116 +275,46 @@ pub fn run_fedomd_resumable(
     driver.finish_observed("FedOMD", obs)
 }
 
-/// One Phase-3 step's `(total, ce, scaled ortho, scaled cmd)` loss readings.
-pub(crate) type StepLosses = (f32, f32, f32, f32);
-
-/// One client's Phase-3 turn (Algorithm 1 lines 19–20): builds
-/// `CE + α·L_ortho + β·d_CMD` (Eq. 12) on the forward pass recorded in
-/// `tape`/`out`, runs backward, and takes the Adam step. `targets` is
-/// `None` when the client never received this round's global statistics —
-/// it then trains without the CMD term. Returns the tape's recycled buffer
-/// pool and the loss readings.
-///
-/// The single definition of the local objective: the in-process trainer
-/// and the multi-process client loop (`crate::client_loop`) both call it,
-/// so the two deployments cannot drift apart.
-pub(crate) fn optimise_client(
-    omd: &FedOmdConfig,
-    mut tape: Tape,
-    out: &ForwardOut,
-    model: &mut dyn Model,
-    opt: &mut Adam,
-    client: &ClientData,
-    targets: Option<&[CmdTargets]>,
-) -> (Workspace, StepLosses) {
-    let ce = tape.softmax_cross_entropy(out.logits, &client.labels, &client.splits.train);
-    let mut loss = ce;
-    let mut ortho_term: Option<Var> = None;
-    if omd.use_ortho {
-        if let Some(pen) = sum_terms(&mut tape, out.ortho_weight_vars.to_vec(), |t, w| {
-            t.ortho_penalty(w)
-        }) {
-            let scaled = tape.scale(pen, omd.alpha);
-            ortho_term = Some(scaled);
-            loss = tape.add(loss, scaled);
-        }
+/// Client `sender` uploads `payload`; the server collects and admits.
+fn up(
+    chan: &mut ObservedChannel<'_>,
+    comms: &mut CommsLog,
+    server: &mut ServerRound,
+    round: u64,
+    sender: usize,
+    payload: Payload,
+) {
+    let class = traffic_class(&payload);
+    let env = Envelope {
+        round,
+        sender: sender as u32,
+        payload,
+    };
+    comms.record(Direction::Uplink, class, chan.upload(env) as u64);
+    for env in chan.server_collect(round) {
+        let _admitted = server.admit(env).is_ok();
     }
-    let mut cmd_term: Option<Var> = None;
-    if let Some(targets) = targets {
-        let n_constrained = if omd.cmd_first_layer_only {
-            1
-        } else {
-            out.hidden.len()
-        };
-        if let Some(cmd) = sum_cmd(
-            &mut tape,
-            &out.hidden[..n_constrained],
-            &targets[..n_constrained],
-            omd.width,
-            omd.cmd_mean_scale,
-        ) {
-            let scaled = tape.scale(cmd, omd.beta);
-            cmd_term = Some(scaled);
-            loss = tape.add(loss, scaled);
-        }
-    }
-    tape.backward(loss);
-
-    let grads: Vec<Matrix> = out
-        .param_vars
-        .iter()
-        .map(|&v| tape.grad_or_zeros(v))
-        .collect();
-    let mut params = model.params();
-    opt.step(&mut params, &grads);
-    model.set_params(&params);
-    model.post_step();
-    for g in grads {
-        tape.recycle_matrix(g);
-    }
-    for p in params {
-        tape.recycle_matrix(p);
-    }
-    let losses = (
-        tape.scalar(loss),
-        tape.scalar(ce),
-        ortho_term.map_or(0.0, |v| tape.scalar(v)),
-        cmd_term.map_or(0.0, |v| tape.scalar(v)),
-    );
-    (tape.recycle(), losses)
 }
 
-/// Sums `make(tape, v)` over `vars` on the tape (None when empty).
-fn sum_terms(tape: &mut Tape, vars: Vec<Var>, make: impl Fn(&mut Tape, Var) -> Var) -> Option<Var> {
-    let mut acc: Option<Var> = None;
-    for v in vars {
-        let term = make(tape, v);
-        acc = Some(match acc {
-            None => term,
-            Some(a) => tape.add(a, term),
-        });
-    }
-    acc
-}
-
-/// Sums the per-layer CMD losses (Algorithm 1 line 19's `Σ_l`).
-fn sum_cmd(
-    tape: &mut Tape,
-    hidden: &[Var],
-    targets: &[CmdTargets],
-    width: f32,
-    mean_scale: f32,
-) -> Option<Var> {
-    assert_eq!(hidden.len(), targets.len(), "sum_cmd: layer arity mismatch");
-    let mut acc: Option<Var> = None;
-    for (&h, t) in hidden.iter().zip(targets) {
-        let term = tape.cmd_loss_weighted(h, t, width, mean_scale);
-        acc = Some(match acc {
-            None => term,
-            Some(a) => tape.add(a, term),
-        });
-    }
-    acc
+/// The server sends `payload` to client `to`; returns what it collects.
+fn send(
+    chan: &mut ObservedChannel<'_>,
+    comms: &mut CommsLog,
+    round: u64,
+    to: usize,
+    payload: Payload,
+) -> impl Iterator<Item = Payload> {
+    let class = traffic_class(&payload);
+    let env = Envelope {
+        round,
+        sender: SERVER_SENDER,
+        payload,
+    };
+    let bytes = chan.download(to as u32, env);
+    comms.record(Direction::Downlink, class, bytes as u64);
+    chan.client_collect(to as u32, round)
+        .into_iter()
+        .map(|env| env.payload)
 }
 #[cfg(test)]
 mod tests {

@@ -12,11 +12,11 @@
 //! sends and drops, aggregation, evaluation, early stopping — is reported
 //! to a [`RoundObserver`] (`fedomd-telemetry`). Observers are pure sinks:
 //! a run with any observer is bit-identical to the same run with
-//! [`NullObserver`], which the golden tests pin. Per-round client sampling
-//! ([`crate::CohortConfig`]) restricts training and uploads to a seeded
-//! cohort, and the server folds each arriving weight update into a
-//! streaming [`crate::helpers::UpdateAccumulator`] so aggregation memory
-//! stays O(model) at any cohort size. The `FedRun` builder in
+//! [`fedomd_telemetry::NullObserver`], which the golden tests pin.
+//! Per-round client sampling ([`crate::CohortConfig`]) restricts training
+//! and uploads to a seeded cohort, and the server folds each arriving
+//! weight update into a streaming [`crate::helpers::UpdateAccumulator`] so
+//! aggregation memory stays O(model) at any cohort size. The `FedRun` builder in
 //! `fedomd-core` is the user-facing entry point.
 
 use fedomd_metrics::Stopwatch;
@@ -32,9 +32,7 @@ use crate::client::ClientData;
 use crate::comms::{CommsLog, Direction, TrafficClass};
 use crate::config::{RoundStats, RunResult, TrainConfig};
 use crate::helpers::{evaluate, fold_weight_update, local_step, UpdateAccumulator};
-use fedomd_telemetry::{
-    NullObserver, ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver,
-};
+use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_transport::{
     from_tensors, to_tensors, Channel, ChannelState, Envelope, Payload, SERVER_SENDER,
 };
@@ -301,17 +299,6 @@ impl RoundDriver {
         });
     }
 
-    /// [`Self::end_round_observed`] without telemetry.
-    pub fn end_round(
-        &mut self,
-        round: usize,
-        mean_train_loss: f64,
-        models: &[Box<dyn Model>],
-        clients: &[ClientData],
-    ) {
-        self.end_round_observed(round, mean_train_loss, models, clients, &mut NullObserver);
-    }
-
     /// Finalises into a [`RunResult`], reporting `RunFinished` to `obs`.
     pub fn finish_observed(self, algorithm: &str, obs: &mut dyn RoundObserver) -> RunResult {
         obs.on_event(&RoundEvent::RunFinished {
@@ -330,11 +317,6 @@ impl RoundDriver {
             comms: self.comms,
             timing: self.timer,
         }
-    }
-
-    /// [`Self::finish_observed`] without telemetry.
-    pub fn finish(self, algorithm: &str) -> RunResult {
-        self.finish_observed(algorithm, &mut NullObserver)
     }
 }
 
@@ -658,6 +640,7 @@ mod tests {
     use super::*;
     use crate::client::{setup_federation, FederationConfig};
     use fedomd_data::{generate, spec, DatasetName};
+    use fedomd_telemetry::NullObserver;
     use fedomd_transport::InProcChannel;
 
     fn clients(m: usize) -> (Vec<ClientData>, usize) {

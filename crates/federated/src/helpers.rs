@@ -81,9 +81,11 @@ pub fn fedavg(param_sets: &[Vec<Matrix>], weights: &[f64]) -> Vec<Matrix> {
     out
 }
 
-/// Fixed lane count of [`UpdateAccumulator`] — the same shard-reduction
-/// scheme as `fedomd_core::protocol`'s statistics accumulators, so every
-/// aggregate in the system folds in the same machine-independent order.
+/// Fixed lane count of every streaming aggregate: [`UpdateAccumulator`]
+/// and `fedomd_core::protocol`'s statistics accumulators. A constant
+/// (rather than the worker-pool width) so the reduction order, and
+/// therefore the bit pattern of every aggregate, is the same on every
+/// machine and at every parallelism level.
 pub const AGG_LANES: usize = 8;
 
 /// Streaming FedAvg (paper Eq. 2 / Algorithm 1 line 27): folds one

@@ -18,7 +18,7 @@ use fedomd_core::{
 };
 use fedomd_federated::{ClientData, Persistence, ResumeState, RunResult};
 use fedomd_telemetry::RoundObserver;
-use fedomd_transport::{from_tensors, to_tensors, Envelope, Payload, SERVER_SENDER};
+use fedomd_transport::{to_tensors, Envelope, Payload, SERVER_SENDER};
 
 use crate::client_chan::TcpClientChannel;
 use crate::error::NetError;
@@ -370,9 +370,7 @@ pub fn run_client(
                           is a typed protocol error naming the offending kind, not a drop"
             )]
             match env.payload {
-                Payload::GlobalModel { params } => {
-                    session.model.set_params(&from_tensors(params));
-                }
+                Payload::GlobalModel { params } => session.install(params),
                 other => {
                     return Err(NetError::Protocol(format!(
                         "expected the handshake model frame, got {}",

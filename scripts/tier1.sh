@@ -6,42 +6,66 @@
 # Builds the whole workspace in release mode, runs the full test suite
 # (including the UNSAFE_INVENTORY.md drift test) and the workspace lints
 # (DESIGN.md §13). rustfmt is checked when installed.
+#
+# Each step prints as its own collapsible `::group::` in a GitHub Actions
+# log (plain text elsewhere), so a failure stays attributable to the step
+# that caused it while CI runs every step exactly once, through this
+# script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "::group::Release build"
 cargo build --release --workspace
+echo "::endgroup::"
+
+echo "::group::Workspace tests"
 # --no-fail-fast: one red test binary must never hide the rest.
 cargo test -q --workspace --no-fail-fast
-# Massive-cohort smoke (DESIGN.md §15): a 2000-party planted federation
-# completes sampled rounds with streaming aggregation. Ignored by default
-# (it is release-speed work), run explicitly here in release mode.
+echo "::endgroup::"
+
+echo "::group::Massive-cohort smoke (2000-party sampled rounds)"
+# DESIGN.md §15: a 2000-party planted federation completes sampled rounds
+# with streaming aggregation. Ignored by default (it is release-speed
+# work), run explicitly here in release mode.
 cargo test -q --release --test end_to_end -- --ignored
+echo "::endgroup::"
+
+echo "::group::Benches compile"
 # Benches are tier-1 compile targets: a PR must not break them even if it
 # never runs them (perf runs go through scripts/bench.sh).
 cargo bench --workspace --no-run
+echo "::endgroup::"
 
-# Workspace invariants (DESIGN.md §13): unsafe hygiene, unordered maps,
-# wall-clock reads, unjoined threads, unbounded queues, panics and
-# protocol wildcards are rustc/clippy lints, configured in the crate
-# roots, the root Cargo.toml and clippy.toml.
+echo "::group::Workspace invariant lints (clippy)"
+# DESIGN.md §13: unsafe hygiene, unordered maps, wall-clock reads,
+# unjoined threads, unbounded queues, panics and protocol wildcards are
+# rustc/clippy lints, configured in the crate roots, the root Cargo.toml
+# and clippy.toml.
 cargo clippy --workspace --all-targets -- -D warnings
+echo "::endgroup::"
 
-# Exhaustive interleaving sweep (DESIGN.md §17): every arrival permutation
-# and straggler subset for cohorts n ≤ 5 folds bit-identically to the
-# sort-by-sender oracle through the server collector.
-# (Already part of `cargo test --workspace` above; run explicitly so a
-# sweep failure is attributable at a glance. n = 6 stays `--ignored`.)
+echo "::group::Exhaustive fold interleaving sweep (n ≤ 5)"
+# DESIGN.md §17: every arrival permutation and straggler subset for
+# cohorts n ≤ 5 folds bit-identically to the sort-by-sender oracle
+# through the server collector. (Also part of the workspace tests, in
+# debug; this is the release build. n = 6 stays `--ignored`.)
 cargo test -q --release -p fedomd-core --test interleaving
+echo "::endgroup::"
 
-# Contention step (DESIGN.md §16): the TCP goldens and the interleaving
-# sweep must hold with both cores saturated, not just on a quiet box.
-# The goldens fail on wall time if any phase sits out its deadline.
+echo "::group::Contention step (net_golden + interleaving under load)"
+# DESIGN.md §16: the TCP goldens and the interleaving sweep must hold
+# with both cores saturated, not just on a quiet box. The goldens fail on
+# wall time if any phase sits out its deadline.
 scripts/contention.sh 5
+echo "::endgroup::"
 
-# Multi-process deployment smoke (DESIGN.md §14): 1 fedomd-server and
-# 3 fedomd-client OS processes complete a short run over 127.0.0.1.
+echo "::group::Multi-process deployment smoke (fedomd-server + 3 clients)"
+# DESIGN.md §14: 1 fedomd-server and 3 fedomd-client OS processes
+# complete a short run over 127.0.0.1.
 scripts/net_smoke.sh
+echo "::endgroup::"
 
+echo "::group::roundbench builds offline and passes its self-checks"
 # The round-level benchmark (BENCHMARK.json) is a package of its own, so
 # the workspace build above does not cover it: build it offline and run
 # its self-checks (metric plumbing, then one tiny pass over every
@@ -49,11 +73,14 @@ scripts/net_smoke.sh
 cargo build --release --offline --manifest-path examples/roundbench/Cargo.toml
 cargo run -q --release --offline --manifest-path examples/roundbench/Cargo.toml -- --selftest
 cargo run -q --release --offline --manifest-path examples/roundbench/Cargo.toml -- --smoke
+echo "::endgroup::"
 
+echo "::group::Formatting"
 if cargo fmt --version >/dev/null 2>&1; then
     cargo fmt --check
 else
     echo "tier1: rustfmt unavailable, skipping cargo fmt --check"
 fi
+echo "::endgroup::"
 
 echo "tier1: OK"
