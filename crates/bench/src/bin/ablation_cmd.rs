@@ -4,10 +4,9 @@
 //! around the calibrated default. This is the experiment behind the
 //! calibration notes in EXPERIMENTS.md.
 
-use fedomd_bench::{seeded_cell, Algo, HarnessOpts};
+use fedomd_bench::{seeded_cell, Algo, ExperimentRecord, HarnessOpts, Table};
 use fedomd_core::FedOmdConfig;
 use fedomd_data::DatasetName;
-use fedomd_metrics::{ExperimentRecord, Table};
 
 const M: usize = 3;
 

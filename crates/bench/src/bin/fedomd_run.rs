@@ -1,5 +1,5 @@
 //! General-purpose CLI: run any algorithm on any dataset/party-count
-//! combination and print accuracy, macro-F1, traffic, and timing.
+//! combination and print accuracy, traffic, and per-phase timing.
 //!
 //! ```text
 //! cargo run --release -p fedomd-bench --bin fedomd_run -- \
@@ -12,7 +12,8 @@
 //! `--telemetry <path>` writes the full round-event stream as JSONL (one
 //! event per line, see DESIGN.md §10); `--verbose` prints per-evaluation
 //! round lines to stderr. Both are pure observers: attaching them does not
-//! change any reported number.
+//! change any reported number. The client / server / inference times are the
+//! run's `PhaseDone` segments, folded by [`PhaseTotals`] as Table 3 does.
 //!
 //! `--checkpoint <path>` snapshots the full run state to `path` every
 //! `--checkpoint-every N` rounds (default 1); `--resume <path>` picks a
@@ -21,12 +22,12 @@
 //! FedAvg-family baselines (fedmlp, fedprox, locgcn, fedgcn); the bespoke
 //! loops (scaffold, fedsage+, fedlit) reject the flags.
 
+use fedomd_bench::PhaseTotals;
 use fedomd_core::{FedOmdConfig, FedRun, RunConfig};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::baselines::{run_baseline_observed, Baseline};
-use fedomd_federated::helpers::predict;
+use fedomd_federated::helpers::argmax_row;
 use fedomd_federated::{setup_federation, FederationConfig, TrainConfig};
-use fedomd_metrics::argmax_row;
 use fedomd_telemetry::{ConsoleObserver, JsonlObserver, RoundObserver, TeeObserver};
 
 struct Args {
@@ -181,21 +182,23 @@ fn main() {
         }
         fed_run.run()
     };
+    let mut totals = PhaseTotals::default();
     let result = match (&mut jsonl, &mut console) {
-        (Some(j), Some(c)) => run(&mut TeeObserver::new(j, c)),
-        (Some(j), None) => run(j),
-        (None, Some(c)) => run(c),
-        (None, None) => run(&mut fedomd_telemetry::NullObserver),
+        (Some(j), Some(c)) => run(&mut TeeObserver::new(
+            &mut totals,
+            &mut TeeObserver::new(j, c),
+        )),
+        (Some(j), None) => run(&mut TeeObserver::new(&mut totals, j)),
+        (None, Some(c)) => run(&mut TeeObserver::new(&mut totals, c)),
+        (None, None) => run(&mut totals),
     };
     drop(jsonl); // flush the JSONL buffer before reporting
     if let Some(path) = &args.telemetry {
         eprintln!("telemetry trace written to {path}");
     }
 
-    // Macro-F1 of the *final* models is not retained by RunResult (it keeps
-    // the best-val checkpoint accuracy); report the label-skew context via
-    // a fresh FedOMD-free local majority baseline instead: the fraction a
-    // majority-class predictor would score on each party's test set.
+    // Label-skew context: the fraction a per-party majority-class predictor
+    // (majority of the party's train labels) scores on the test sets.
     let mut majority_correct = 0usize;
     let mut test_total = 0usize;
     for c in &clients {
@@ -212,7 +215,6 @@ fn main() {
             .count();
         test_total += c.splits.test.len();
     }
-    let _ = predict; // re-exported for downstream scripting via this crate
 
     println!("  test accuracy        : {:.2}%", 100.0 * result.test_acc);
     println!("  best round           : {}", result.best_round);
@@ -229,7 +231,7 @@ fn main() {
         "  stats share          : {:.3}%",
         100.0 * result.comms.stats_fraction()
     );
-    for (bucket, d) in result.timing.buckets() {
-        println!("  time[{bucket}]         : {:.1} ms", d.as_secs_f64() * 1e3);
-    }
+    println!("  time[client]         : {:.1} ms", totals.client_ms());
+    println!("  time[server]         : {:.1} ms", totals.server_ms());
+    println!("  time[inference]      : {:.1} ms", totals.inference_ms());
 }

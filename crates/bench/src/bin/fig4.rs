@@ -3,10 +3,9 @@
 //! party × class count matrix the paper renders as a bubble plot, plus a
 //! per-party feature-mean divergence to show feature non-i.i.d.-ness.
 
-use fedomd_bench::{dataset_for, fed_cfg, HarnessOpts};
+use fedomd_bench::{dataset_for, fed_cfg, ExperimentRecord, HarnessOpts, Table};
 use fedomd_data::ALL_PAPER;
 use fedomd_federated::setup_federation;
-use fedomd_metrics::{ExperimentRecord, Table};
 use fedomd_tensor::stats::l2_distance;
 
 const M: usize = 5;

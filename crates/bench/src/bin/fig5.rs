@@ -2,10 +2,9 @@
 //! round on Cora with 5 parties, for every algorithm. Emits one CSV-style
 //! series per algorithm (round, test accuracy).
 
-use fedomd_bench::{dataset_for, fed_cfg, table4_rows, train_cfg, HarnessOpts};
+use fedomd_bench::{dataset_for, fed_cfg, table4_rows, train_cfg, ExperimentRecord, HarnessOpts};
 use fedomd_data::DatasetName;
 use fedomd_federated::setup_federation;
-use fedomd_metrics::ExperimentRecord;
 
 const M: usize = 5;
 

@@ -1,10 +1,9 @@
 //! Regenerates **Figure 6**: sensitivity of FedOMD to the loss weights
 //! (α, β) on Cora and Computer with 3 parties — a grid of mean accuracies.
 
-use fedomd_bench::{seeded_cell, Algo, HarnessOpts};
+use fedomd_bench::{seeded_cell, Algo, ExperimentRecord, HarnessOpts, Table};
 use fedomd_core::FedOmdConfig;
 use fedomd_data::DatasetName;
-use fedomd_metrics::{ExperimentRecord, Table};
 
 const ALPHAS: [f32; 4] = [5e-5, 5e-4, 5e-3, 5e-2];
 const BETAS: [f32; 4] = [0.1, 1.0, 10.0, 100.0];

@@ -2,10 +2,9 @@
 //! hyper-parameter (which controls how fragmented the party subgraphs are)
 //! on FedOMD accuracy, for the four main datasets with 3 parties.
 
-use fedomd_bench::{seeded_cell, Algo, HarnessOpts};
+use fedomd_bench::{seeded_cell, Algo, ExperimentRecord, HarnessOpts, Table};
 use fedomd_core::FedOmdConfig;
 use fedomd_data::DatasetName;
-use fedomd_metrics::{ExperimentRecord, Table};
 
 const RESOLUTIONS: [f64; 6] = [0.5, 1.0, 2.0, 5.0, 20.0, 50.0];
 const M: usize = 3;

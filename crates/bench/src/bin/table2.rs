@@ -2,9 +2,8 @@
 //! dataset at the chosen scale and reports its measured statistics against
 //! the paper's targets.
 
-use fedomd_bench::{dataset_for, HarnessOpts, Scale};
+use fedomd_bench::{dataset_for, ExperimentRecord, HarnessOpts, Scale, Table};
 use fedomd_data::{spec, ALL_PAPER};
-use fedomd_metrics::{ExperimentRecord, Table};
 
 fn main() {
     let opts = HarnessOpts::parse();

@@ -1,12 +1,14 @@
 //! Regenerates **Table 3**: per-model computational/communication cost.
 //! Prints the paper's asymptotic expressions next to *measured* per-round
 //! client / server / inference wall-clock time and traffic from an
-//! instrumented short run (M = 3 parties on Cora at the chosen scale).
+//! instrumented short run (M = 3 parties on Cora at the chosen scale). The
+//! times are the run's `PhaseDone` segments, folded by [`PhaseTotals`].
 
-use fedomd_bench::{dataset_for, fed_cfg, table4_rows, train_cfg, HarnessOpts};
+use fedomd_bench::{
+    dataset_for, fed_cfg, table4_rows, train_cfg, ExperimentRecord, HarnessOpts, PhaseTotals, Table,
+};
 use fedomd_data::DatasetName;
 use fedomd_federated::setup_federation;
-use fedomd_metrics::{ExperimentRecord, Table};
 
 /// The asymptotic rows exactly as the paper's Table 3 states them.
 fn asymptotic(name: &str) -> (&'static str, &'static str, &'static str) {
@@ -54,13 +56,14 @@ fn main() {
         opts.scale.name()
     );
     for algo in table4_rows() {
-        let r = algo.run(&clients, ds.n_classes, &cfg);
+        let mut totals = PhaseTotals::default();
+        let r = algo.run_observed(&clients, ds.n_classes, &cfg, &mut totals);
         let rounds = r.comms.rounds.max(1) as f64;
         let evals = r.history.len().max(1) as f64;
         let (ca, sa, ia) = asymptotic(&algo.name());
-        let client_ms = r.timing.get("client").as_secs_f64() * 1000.0 / rounds;
-        let server_ms = r.timing.get("server").as_secs_f64() * 1000.0 / rounds;
-        let infer_ms = r.timing.get("inference").as_secs_f64() * 1000.0 / evals;
+        let client_ms = totals.client_ms() / rounds;
+        let server_ms = totals.server_ms() / rounds;
+        let infer_ms = totals.inference_ms() / evals;
         let mb_round = r.comms.total_bytes() as f64 / rounds / 1e6;
         let stats_pct = 100.0 * r.comms.stats_fraction();
         table.row(vec![

@@ -2,9 +2,8 @@
 //! baselines and FedOMD on Cora / Citeseer / Computer / Photo with party
 //! counts M ∈ {3, 5, 7, 9}, averaged over seeds (the paper uses 5).
 
-use fedomd_bench::{seeded_cell, table4_rows, HarnessOpts};
+use fedomd_bench::{seeded_cell, table4_rows, ExperimentRecord, HarnessOpts, Table};
 use fedomd_data::DatasetName;
-use fedomd_metrics::{ExperimentRecord, Table};
 
 const PARTIES: [usize; 4] = [3, 5, 7, 9];
 const DATASETS: [DatasetName; 4] = [

@@ -1,9 +1,8 @@
 //! Regenerates **Table 5**: many-party scaling on Coauthor-CS with
 //! M ∈ {20, 50}.
 
-use fedomd_bench::{seeded_cell, table4_rows, HarnessOpts};
+use fedomd_bench::{seeded_cell, table4_rows, ExperimentRecord, HarnessOpts, Table};
 use fedomd_data::DatasetName;
-use fedomd_metrics::{ExperimentRecord, Table};
 
 const PARTIES: [usize; 2] = [20, 50];
 

@@ -1,10 +1,9 @@
 //! Regenerates **Table 6**: the ablation of FedOMD's two mechanisms
 //! (orthogonalisation × CMD) on Cora and Citeseer, M ∈ {3, 5, 7, 9}.
 
-use fedomd_bench::{seeded_cell, Algo, HarnessOpts};
+use fedomd_bench::{seeded_cell, Algo, ExperimentRecord, HarnessOpts, Table};
 use fedomd_core::FedOmdConfig;
 use fedomd_data::DatasetName;
-use fedomd_metrics::{ExperimentRecord, Table};
 
 const PARTIES: [usize; 4] = [3, 5, 7, 9];
 

@@ -2,11 +2,10 @@
 //! (2..10 OrthoConv layers) on Computer and Photo versus the 2-layer
 //! FedGCN — the over-smoothing-resistance claim.
 
-use fedomd_bench::{seeded_cell, Algo, HarnessOpts};
+use fedomd_bench::{seeded_cell, Algo, ExperimentRecord, HarnessOpts, Table};
 use fedomd_core::FedOmdConfig;
 use fedomd_data::DatasetName;
 use fedomd_federated::baselines::Baseline;
-use fedomd_metrics::{ExperimentRecord, Table};
 
 const PARTIES: [usize; 4] = [3, 5, 7, 9];
 const DEPTHS: [usize; 5] = [2, 4, 6, 8, 10];

@@ -7,17 +7,29 @@
 //!   datasets and shorter training; paper uses Table 2-sized datasets and
 //!   the paper's 1000-round/patience-200 schedule.
 //! * `--seeds N` — number of seeds to average (default 3 mini / 5 paper).
-//! * `--json PATH` — also write the machine-readable
-//!   [`fedomd_metrics::ExperimentRecord`].
+//! * `--json PATH` — also write the machine-readable [`ExperimentRecord`].
 //! * `--quick` — clamp rounds to a handful (CI smoke mode).
+//!
+//! The binaries print [`Table`]s of seed [`Summary`] cells; Table 3's
+//! measured columns fold the run's phase timings through [`PhaseTotals`].
+
+mod phase_totals;
+mod record;
+mod stats;
+mod table;
+
+pub use phase_totals::PhaseTotals;
+pub use record::{CellRecord, ExperimentRecord};
+pub use stats::{mean_std, Summary};
+pub use table::Table;
 
 use std::path::PathBuf;
 
 use fedomd_core::{FedOmdConfig, FedRun};
 use fedomd_data::{generate, spec, Dataset, DatasetName};
-use fedomd_federated::baselines::{run_baseline, Baseline};
+use fedomd_federated::baselines::{run_baseline_observed, Baseline};
 use fedomd_federated::{setup_federation, ClientData, FederationConfig, RunResult, TrainConfig};
-use fedomd_metrics::{mean_std, ExperimentRecord, Summary};
+use fedomd_telemetry::{NullObserver, RoundObserver};
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,11 +163,23 @@ impl Algo {
 
     /// Runs the algorithm on a prepared federation.
     pub fn run(&self, clients: &[ClientData], n_classes: usize, cfg: &TrainConfig) -> RunResult {
+        self.run_observed(clients, n_classes, cfg, &mut NullObserver)
+    }
+
+    /// [`Self::run`], reporting the round milestones to `obs`.
+    pub fn run_observed(
+        &self,
+        clients: &[ClientData],
+        n_classes: usize,
+        cfg: &TrainConfig,
+        obs: &mut dyn RoundObserver,
+    ) -> RunResult {
         match self {
-            Algo::Baseline(b) => run_baseline(*b, clients, n_classes, cfg),
+            Algo::Baseline(b) => run_baseline_observed(*b, clients, n_classes, cfg, obs),
             Algo::FedOmd(c) => FedRun::new(clients, n_classes)
                 .train(cfg.clone())
                 .omd(*c)
+                .observer(obs)
                 .run(),
         }
     }

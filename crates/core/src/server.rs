@@ -30,8 +30,6 @@ use fedomd_federated::{
 use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_transport::{Channel, Control, Envelope, Payload, SERVER_SENDER};
 
-use fedomd_metrics::Stopwatch;
-
 use crate::config::FedOmdConfig;
 use crate::session::{EvalCounts, ServerRound};
 
@@ -103,7 +101,6 @@ pub fn run_fedomd_server(
             round: round as u64,
         });
         let r = round as u64;
-        let start = Stopwatch::start();
         let mut phase = |chan: &mut ObservedChannel<'_>,
                          server: &mut ServerRound,
                          comms: &mut CommsLog,
@@ -179,7 +176,9 @@ pub fn run_fedomd_server(
         }
 
         // --- Round outcome: losses and pooled eval counts from the
-        // clients; this collect doubles as the end-of-round barrier. ---
+        // clients; this collect doubles as the end-of-round barrier, so the
+        // wait is the clients' evaluation as seen from the server. ---
+        let sw = PhaseStopwatch::start(Phase::Comms);
         let mut losses: Vec<f64> = Vec::new();
         let mut counts = EvalCounts::default();
         collector.fold(
@@ -210,6 +209,7 @@ pub fn run_fedomd_server(
             },
         );
         chan.flush_into(obs);
+        sw.finish(obs);
         // Sender-ordered f64 sum over f32 readings: the same float summation
         // the in-process loop performs over its client-ordered losses.
         let mean_loss = if losses.is_empty() {
@@ -219,7 +219,6 @@ pub fn run_fedomd_server(
         };
         let eval = (driver.eval_due(round) && !losses.is_empty()).then(|| counts.accuracy());
         driver.comms.sync_dropped(chan.stats().dropped_frames);
-        driver.timer.add("server", start.elapsed());
         driver.end_round_metrics(round, mean_loss, eval, obs);
         save_if_due(&mut persist, round, obs, || {
             server.checkpoint(round + 1, driver.snapshot(), chan.export_state(), &[])
@@ -232,6 +231,7 @@ pub fn run_fedomd_server(
         // The verdict replaces the in-process loop's shared break: clients
         // wait for it on every round except their last scheduled one.
         if round + 1 < cfg.rounds {
+            let sw = PhaseStopwatch::start(Phase::Comms);
             let verdict = if driver.stopped() {
                 Control::EndRound
             } else {
@@ -245,6 +245,7 @@ pub fn run_fedomd_server(
                 Payload::Control(verdict),
             );
             chan.flush_into(obs);
+            sw.finish(obs);
         }
         if driver.stopped() {
             break;
@@ -436,7 +437,7 @@ mod tests {
     use fedomd_federated::engine::DriverState;
     use fedomd_federated::CommsLog;
     use fedomd_nn::AdamState;
-    use fedomd_telemetry::NullObserver;
+    use fedomd_telemetry::{MemoryObserver, NullObserver};
     use fedomd_transport::{ChannelState, InProcChannel, Tensor};
     use std::collections::VecDeque;
 
@@ -622,7 +623,6 @@ mod tests {
     /// updates: the round must drop it and average the two good updates,
     /// not panic the round thread or fold it.
     fn a_bad_update_is_dropped(bad: Tensor) {
-        use fedomd_telemetry::MemoryObserver;
         let mut chan = InProcChannel::new();
         chan.upload(weight_env(0, 0, 0.0));
         chan.upload(Envelope {
@@ -678,6 +678,22 @@ mod tests {
         });
     }
 
+    /// The phases of the `PhaseDone` segments in `events`.
+    fn phases(events: &[RoundEvent]) -> Vec<Phase> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                RoundEvent::PhaseDone { phase, .. } => Some(*phase),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Position of the first event equal to `ev`.
+    fn position(events: &[RoundEvent], ev: &RoundEvent) -> usize {
+        events.iter().position(|e| e == ev).expect("event present")
+    }
+
     #[test]
     fn aggregates_arrivals_and_records_pooled_eval() {
         // Two clients' round-0 uplink is already queued; a single-round
@@ -693,14 +709,22 @@ mod tests {
             ..TrainConfig::mini(0)
         };
         let omd = FedOmdConfig::ortho_only(); // no stats exchange
+        let mut mem = MemoryObserver::new();
         let r = run_fedomd_server(
             &ServerOpts::new(2),
             &cfg,
             &omd,
             &mut chan,
-            &mut NullObserver,
+            &mut mem,
             Persistence::default(),
         );
+        // After aggregation the round's time is the model broadcast and
+        // then the wait for the clients' metrics: both are timed.
+        let agg = position(
+            &mem.events,
+            &RoundEvent::AggregationDone { participants: 2 },
+        );
+        assert_eq!(phases(&mem.events[agg..]), [Phase::Comms, Phase::Comms]);
         assert_eq!(r.history.len(), 1);
         assert_eq!(r.history[0].train_loss, 2.0);
         assert_eq!(r.history[0].val_acc, 3.0 / 8.0);
@@ -716,6 +740,38 @@ mod tests {
                 other => panic!("unexpected {}", other.kind()),
             }
         }
+    }
+
+    #[test]
+    fn the_verdict_broadcast_is_timed() {
+        let mut chan = InProcChannel::new();
+        chan.upload(weight_env(0, 0, 1.0));
+        chan.upload(metrics_env(0, 0, 1.0, 1, 2));
+        let cfg = TrainConfig {
+            rounds: 2,
+            ..TrainConfig::mini(0)
+        };
+        let mut mem = MemoryObserver::new();
+        run_fedomd_server(
+            &ServerOpts::new(1),
+            &cfg,
+            &FedOmdConfig::ortho_only(),
+            &mut chan,
+            &mut mem,
+            Persistence::default(),
+        );
+        // Round 0 is not the last, so its verdict goes out after the
+        // round's bookkeeping, before round 1 starts.
+        let from = position(
+            &mem.events,
+            &RoundEvent::EvalDone {
+                round: 0,
+                val_acc: 0.5,
+                test_acc: 0.5,
+            },
+        );
+        let to = position(&mem.events, &RoundEvent::RoundStarted { round: 1 });
+        assert_eq!(phases(&mem.events[from..to]), [Phase::Comms]);
     }
 
     #[test]

@@ -24,8 +24,6 @@
 //! [`fedomd_telemetry::NullObserver`] (golden-tested). The
 //! [`crate::FedRun`] builder is the entry point.
 
-use fedomd_metrics::Stopwatch;
-
 use rayon::prelude::*;
 
 use fedomd_federated::{ClientData, CommsLog, Direction, Persistence, RunResult, TrainConfig};
@@ -131,7 +129,6 @@ pub fn run_fedomd_resumable(
 
         // --- Forward passes (cohort, parallel) ---
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let start = Stopwatch::start();
         sessions
             .par_iter_mut()
             .zip(clients.par_iter())
@@ -141,14 +138,12 @@ pub fn run_fedomd_resumable(
                     s.forward(client);
                 }
             });
-        driver.timer.add("client", start.elapsed());
         sw.finish(obs);
 
         // --- The 2-round statistics exchange, to and from the cohort ---
         let mut stats: Vec<Option<GlobalStats>> = vec![None; m];
         if omd.use_cmd {
             let sw = PhaseStopwatch::start(Phase::Comms);
-            let start = Stopwatch::start();
             for &i in &cohort {
                 if let Some(means) = sessions[i].means() {
                     up(&mut chan, &mut driver.comms, &mut server, r, i, means);
@@ -188,20 +183,17 @@ pub fn run_fedomd_resumable(
                 }
             }
             chan.flush_into(obs);
-            driver.timer.add("server", start.elapsed());
             sw.finish(obs);
         }
 
         // --- Local steps (cohort, parallel) ---
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let start = Stopwatch::start();
         let losses: Vec<Option<StepLosses>> = sessions
             .par_iter_mut()
             .zip(clients.par_iter())
             .zip(stats.par_iter())
             .map(|((s, client), stats)| s.step(client, stats.as_ref()))
             .collect();
-        driver.timer.add("client", start.elapsed());
         for (i, l) in losses.iter().enumerate() {
             if let Some(l) = l {
                 obs.on_event(&l.event(i as u32));
@@ -210,7 +202,6 @@ pub fn run_fedomd_resumable(
         sw.finish(obs);
 
         // --- FedAvg over the channel (partial under faults) ---
-        let start = Stopwatch::start();
         let sw = PhaseStopwatch::start(Phase::Comms);
         for &i in &cohort {
             let weights = sessions[i].weights();
@@ -243,7 +234,6 @@ pub fn run_fedomd_resumable(
             sw.finish(obs);
         }
         driver.comms.sync_dropped(chan.stats().dropped_frames);
-        driver.timer.add("server", start.elapsed());
 
         let active: Vec<f64> = losses.iter().flatten().map(|l| l.total as f64).collect();
         let mean_loss = if active.is_empty() {
@@ -253,12 +243,10 @@ pub fn run_fedomd_resumable(
         };
         let eval = if driver.eval_due(round) {
             let sw = PhaseStopwatch::start(Phase::Eval);
-            let start = Stopwatch::start();
             let mut counts = EvalCounts::default();
             for (s, client) in sessions.iter().zip(clients) {
                 counts += s.eval_counts(client);
             }
-            driver.timer.add("inference", start.elapsed());
             sw.finish(obs);
             Some(counts.accuracy())
         } else {

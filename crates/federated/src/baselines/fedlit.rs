@@ -14,7 +14,6 @@
 //! types" — with tiny parties the per-type subgraphs become sparse and
 //! unstable, which this implementation reproduces.
 
-use fedomd_metrics::Stopwatch;
 use std::sync::Arc;
 
 use rayon::prelude::*;
@@ -266,9 +265,7 @@ pub fn run_fedlit_observed(
 
     // Federated link-type clustering.
     let sw = PhaseStopwatch::start(Phase::Aggregation);
-    let start = Stopwatch::start();
     let assignments = federated_edge_kmeans(clients, cfg.seed);
-    driver.timer.add("server", start.elapsed());
     sw.finish(obs);
     for (c, _) in clients.iter().zip(&assignments) {
         // Each k-means iteration ships N_TYPES centroid sums (f floats each).
@@ -311,7 +308,6 @@ pub fn run_fedlit_observed(
             round: round as u64,
         });
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let start = Stopwatch::start();
         let losses: Vec<f32> = models
             .par_iter_mut()
             .zip(optimizers.par_iter_mut())
@@ -325,7 +321,6 @@ pub fn run_fedlit_observed(
                 loss
             })
             .collect();
-        driver.timer.add("client", start.elapsed());
         for (client, &loss) in losses.iter().enumerate() {
             obs.on_event(&RoundEvent::LocalStepDone {
                 client: client as u32,
@@ -339,13 +334,11 @@ pub fn run_fedlit_observed(
         sw.finish(obs);
 
         let sw = PhaseStopwatch::start(Phase::Aggregation);
-        let start = Stopwatch::start();
         let sets: Vec<Vec<Matrix>> = models.iter().map(|mo| mo.params()).collect();
         let global = fedavg(&sets, &vec![1.0; m]);
         for mo in models.iter_mut() {
             mo.set_params(&global);
         }
-        driver.timer.add("server", start.elapsed());
         sw.finish(obs);
         obs.on_event(&RoundEvent::AggregationDone { participants: m });
         for _ in 0..m {

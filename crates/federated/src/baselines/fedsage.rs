@@ -20,7 +20,6 @@
 //! FedSage+ ("demand ... massive samples to ... maintain sampling
 //! effectiveness").
 
-use fedomd_metrics::Stopwatch;
 use std::sync::Arc;
 
 use rayon::prelude::*;
@@ -230,7 +229,7 @@ pub fn run_fedsage_plus_observed(
     driver.announce("FedSage+", m, obs);
 
     // --- Phase 1+2: federated NeighGen training ---
-    let gen_start = Stopwatch::start();
+    let sw = PhaseStopwatch::start(Phase::LocalTrain);
     let supervision: Vec<(Matrix, Matrix, Matrix)> = clients
         .par_iter()
         .enumerate()
@@ -263,7 +262,7 @@ pub fn run_fedsage_plus_observed(
                 .record_scalars(Direction::Downlink, TrafficClass::Weights, gen_scalars);
         }
     }
-    driver.timer.add("client", gen_start.elapsed());
+    sw.finish(obs);
 
     // --- Phase 3: mend local graphs ---
     let mended: Vec<(ClientData, Arc<fedomd_sparse::Csr>)> = clients
@@ -297,7 +296,6 @@ pub fn run_fedsage_plus_observed(
             round: round as u64,
         });
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let start = Stopwatch::start();
         let losses: Vec<f32> = models
             .par_iter_mut()
             .zip(optimizers.par_iter_mut())
@@ -311,7 +309,6 @@ pub fn run_fedsage_plus_observed(
                 loss
             })
             .collect();
-        driver.timer.add("client", start.elapsed());
         for (client, &loss) in losses.iter().enumerate() {
             obs.on_event(&RoundEvent::LocalStepDone {
                 client: client as u32,
@@ -325,13 +322,11 @@ pub fn run_fedsage_plus_observed(
         sw.finish(obs);
 
         let sw = PhaseStopwatch::start(Phase::Aggregation);
-        let start = Stopwatch::start();
         let sets: Vec<Vec<Matrix>> = models.iter().map(|mo| mo.params()).collect();
         let global = fedavg(&sets, &vec![1.0; m]);
         for mo in models.iter_mut() {
             mo.set_params(&global);
         }
-        driver.timer.add("server", start.elapsed());
         sw.finish(obs);
         obs.on_event(&RoundEvent::AggregationDone { participants: m });
         for _ in 0..m {

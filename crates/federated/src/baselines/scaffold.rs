@@ -9,8 +9,6 @@
 //! deltas, which is why SCAFFOLD's server cost row in the paper's Table 3
 //! carries the extra `N·f²` term.
 
-use fedomd_metrics::Stopwatch;
-
 use rayon::prelude::*;
 
 use fedomd_autograd::Workspace;
@@ -87,7 +85,6 @@ pub fn run_scaffold_observed(
         });
         let global = models[0].params();
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let start = Stopwatch::start();
         let server_c_ref = &server_c;
         let global_ref = &global;
 
@@ -144,7 +141,6 @@ pub fn run_scaffold_observed(
                 (loss, delta)
             })
             .collect();
-        driver.timer.add("client", start.elapsed());
         for (client, (loss, _)) in outcomes.iter().enumerate() {
             obs.on_event(&RoundEvent::LocalStepDone {
                 client: client as u32,
@@ -159,7 +155,6 @@ pub fn run_scaffold_observed(
 
         // Server: aggregate weights and control deltas.
         let sw = PhaseStopwatch::start(Phase::Aggregation);
-        let start = Stopwatch::start();
         let param_sets: Vec<Vec<Matrix>> = models.iter().map(|mo| mo.params()).collect();
         let new_global = fedavg(&param_sets, &vec![1.0; m]);
         for (_, delta) in &outcomes {
@@ -170,7 +165,6 @@ pub fn run_scaffold_observed(
         for model in models.iter_mut() {
             model.set_params(&new_global);
         }
-        driver.timer.add("server", start.elapsed());
         sw.finish(obs);
         obs.on_event(&RoundEvent::AggregationDone { participants: m });
         for _ in 0..m {

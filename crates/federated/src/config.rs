@@ -3,7 +3,6 @@
 use std::fmt;
 
 use crate::comms::CommsLog;
-use fedomd_metrics::Timer;
 use fedomd_tensor::rng::{derive, seeded};
 use rand::Rng;
 
@@ -275,8 +274,6 @@ pub struct RunResult {
     pub history: Vec<RoundStats>,
     /// Total traffic.
     pub comms: CommsLog,
-    /// Wall-clock buckets: `"client"`, `"server"`, `"inference"`.
-    pub timing: Timer,
 }
 
 impl RunResult {
@@ -326,7 +323,6 @@ mod tests {
                 },
             ],
             comms: CommsLog::new(),
-            timing: Timer::new(),
         };
         assert!(base.improved());
         let mut flat = base.clone();

@@ -2,8 +2,9 @@
 //!
 //! [`RoundDriver`] centralises what every algorithm needs per round —
 //! evaluation, early stopping on validation accuracy, history for the
-//! convergence curves (paper Fig. 5), communication and wall-clock
-//! accounting — so each algorithm implements only its round body.
+//! convergence curves (paper Fig. 5), communication accounting — so each
+//! algorithm implements only its round body. Wall-clock time is reported
+//! only as `PhaseDone` segments to the observer.
 //! [`run_generic_observed`] is the complete runner for the FedAvg family
 //! (FedMLP, FedProx, LocGCN, FedGCN); SCAFFOLD, FedSage+, FedLIT, and
 //! FedOMD build their own bodies on the same driver.
@@ -18,8 +19,6 @@
 //! weight update into a streaming [`crate::helpers::UpdateAccumulator`] so
 //! aggregation memory stays O(model) at any cohort size. The `FedRun` builder in
 //! `fedomd-core` is the user-facing entry point.
-
-use fedomd_metrics::Stopwatch;
 
 use rayon::prelude::*;
 
@@ -61,9 +60,7 @@ pub struct GenericOpts {
 }
 
 /// The [`RoundDriver`]'s persistent bookkeeping, exportable for run
-/// checkpoints. The wall-clock timer is deliberately excluded — elapsed
-/// time is not reproducible, and the bit-identity guarantee covers
-/// everything else.
+/// checkpoints.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DriverState {
     /// Accuracy/loss history of the evaluated rounds so far.
@@ -155,8 +152,6 @@ pub struct RoundDriver {
     stopped: bool,
     /// Communication log (algorithms update it directly).
     pub comms: CommsLog,
-    /// Wall-clock buckets (algorithms update it directly).
-    pub timer: fedomd_metrics::Timer,
 }
 
 impl RoundDriver {
@@ -171,13 +166,10 @@ impl RoundDriver {
             rounds_since_improve: 0,
             stopped: false,
             comms: CommsLog::new(),
-            timer: fedomd_metrics::Timer::new(),
         }
     }
 
-    /// A driver continuing from a checkpointed [`DriverState`]. The timer
-    /// restarts from zero: wall-clock is the one run artefact that cannot
-    /// be (and is not promised to be) bit-identical across a resume.
+    /// A driver continuing from a checkpointed [`DriverState`].
     pub fn resume(cfg: &TrainConfig, state: DriverState) -> Self {
         Self {
             cfg: cfg.clone(),
@@ -188,7 +180,6 @@ impl RoundDriver {
             rounds_since_improve: state.rounds_since_improve,
             stopped: state.stopped,
             comms: state.comms,
-            timer: fedomd_metrics::Timer::new(),
         }
     }
 
@@ -237,9 +228,7 @@ impl RoundDriver {
     ) {
         let eval = if self.eval_due(round) {
             let sw = PhaseStopwatch::start(Phase::Eval);
-            let start = Stopwatch::start();
             let accs = evaluate(models, clients);
-            self.timer.add("inference", start.elapsed());
             sw.finish(obs);
             Some(accs)
         } else {
@@ -315,7 +304,6 @@ impl RoundDriver {
             best_round: self.best_round,
             history: self.history,
             comms: self.comms,
-            timing: self.timer,
         }
     }
 }
@@ -488,7 +476,6 @@ pub fn run_generic_resumable(
         let local_epochs = cfg.local_epochs;
         let global_ref = &global_snapshot;
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let start = Stopwatch::start();
         let epoch_losses: Vec<Option<Vec<f32>>> = models
             .par_iter_mut()
             .zip(optimizers.par_iter_mut())
@@ -525,12 +512,10 @@ pub fn run_generic_resumable(
                 Some(losses)
             })
             .collect();
-        driver.timer.add("client", start.elapsed());
         emit_local_steps(&epoch_losses, obs);
         sw.finish(obs);
 
         if opts.aggregate {
-            let start = Stopwatch::start();
             let sw = PhaseStopwatch::start(Phase::Comms);
             // Interleaved upload → collect → fold: the server folds each
             // arriving update into a streaming accumulator, so the uplink
@@ -598,7 +583,6 @@ pub fn run_generic_resumable(
                 obs.on_event(&RoundEvent::AggregationDone { participants: 0 });
             }
             driver.comms.sync_dropped(chan.stats().dropped_frames);
-            driver.timer.add("server", start.elapsed());
         }
 
         // Mean of each sampled client's last-epoch loss. `filter_map`

@@ -1,10 +1,9 @@
-//! Shared machinery for every federated algorithm: prediction, weighted
-//! evaluation, the FedAvg reduction (batch [`fedavg`] and streaming
+//! Shared machinery for every federated algorithm: prediction, argmax,
+//! weighted evaluation, the FedAvg reduction (batch [`fedavg`] and streaming
 //! [`UpdateAccumulator`]), the in-process weight-phase fold, and the
 //! single-client training step.
 
 use fedomd_autograd::{Tape, Var, Workspace};
-use fedomd_metrics::accuracy::argmax_row;
 use fedomd_nn::{ForwardOut, Model, Optimizer};
 use fedomd_tensor::Matrix;
 use fedomd_transport::{from_tensors, Envelope, Payload};
@@ -17,6 +16,22 @@ pub fn predict(model: &dyn Model, client: &ClientData) -> Matrix {
     let mut tape = Tape::new();
     let out = model.forward(&mut tape, &client.input);
     tape.value(out.logits).clone()
+}
+
+/// Index of the maximum element of a row (first on ties).
+///
+/// # Panics
+/// Panics on an empty row or non-finite values.
+pub fn argmax_row(row: &[f32]) -> usize {
+    assert!(!row.is_empty(), "argmax_row: empty row");
+    let mut best = 0;
+    for (i, &v) in row.iter().enumerate() {
+        assert!(v.is_finite(), "argmax_row: non-finite logit {v}");
+        if v > row[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 /// `(correct, total)` over the given local node indices.
@@ -396,6 +411,18 @@ mod tests {
         let (val, test) = evaluate(&models, std::slice::from_ref(&client));
         assert!((0.0..=1.0).contains(&val));
         assert!((0.0..=1.0).contains(&test));
+    }
+
+    #[test]
+    fn argmax_basic_and_ties() {
+        assert_eq!(argmax_row(&[0.1, 0.9, 0.5]), 1);
+        assert_eq!(argmax_row(&[1.0, 1.0]), 0); // first wins ties
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn argmax_rejects_nan() {
+        let _ = argmax_row(&[0.0, f32::NAN]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Zero-dependency JSON for the FedOMD workspace.
 //!
-//! Checkpoints ([`fedomd-nn`]), experiment records ([`fedomd-metrics`]),
+//! Checkpoints ([`fedomd-nn`]), experiment records ([`fedomd-bench`]),
 //! and matrix payloads ([`fedomd-tensor`]) all (de)serialise through this
 //! small document model instead of an external serde stack, so the
 //! workspace builds with no network access. The printer emits numbers via

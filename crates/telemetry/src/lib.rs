@@ -26,7 +26,6 @@
 //! and byte accounting to the same run with [`NullObserver`].
 
 #![forbid(unsafe_code)]
-#![allow(clippy::disallowed_methods, reason = "this crate owns the wall clock")]
 
 pub mod event;
 pub mod observed;

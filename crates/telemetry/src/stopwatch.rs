@@ -1,5 +1,14 @@
 //! [`PhaseStopwatch`]: measure a phase segment, emit one
 //! [`RoundEvent::PhaseDone`].
+//!
+//! Apart from `fedomd-net`'s attested socket deadlines, this file holds the
+//! library code's one wall-clock read: `clippy.toml` bans `Instant::now`
+//! everywhere else, so every round phase is timed here.
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned wall-clock read"
+)]
 
 use std::time::Instant;
 
@@ -30,15 +39,12 @@ impl PhaseStopwatch {
         }
     }
 
-    /// Stops and emits `PhaseDone`, returning the elapsed duration so the
-    /// caller can also feed legacy [`fedomd_metrics`]-style buckets.
-    pub fn finish(self, obs: &mut dyn RoundObserver) -> std::time::Duration {
-        let elapsed = self.started.elapsed();
+    /// Stops and emits `PhaseDone`.
+    pub fn finish(self, obs: &mut dyn RoundObserver) {
         obs.on_event(&RoundEvent::PhaseDone {
             phase: self.phase,
-            micros: elapsed.as_micros() as u64,
+            micros: self.started.elapsed().as_micros() as u64,
         });
-        elapsed
     }
 }
 
@@ -50,13 +56,10 @@ mod tests {
     #[test]
     fn finish_emits_exactly_one_phase_event() {
         let mut obs = MemoryObserver::new();
-        let d = PhaseStopwatch::start(Phase::Eval).finish(&mut obs);
+        PhaseStopwatch::start(Phase::Eval).finish(&mut obs);
         assert_eq!(obs.events.len(), 1);
         match &obs.events[0] {
-            RoundEvent::PhaseDone { phase, micros } => {
-                assert_eq!(*phase, Phase::Eval);
-                assert!(*micros <= d.as_micros() as u64 + 1);
-            }
+            RoundEvent::PhaseDone { phase, .. } => assert_eq!(*phase, Phase::Eval),
             other => panic!("expected PhaseDone, got {other:?}"),
         }
     }

@@ -36,6 +36,14 @@ echo "::group::Benches compile"
 cargo bench --workspace --no-run
 echo "::endgroup::"
 
+echo "::group::Table binaries smoke (table3, fedomd_run)"
+# Table 3's client / server / inference columns are the runs' PhaseDone
+# segments folded by fedomd_bench::PhaseTotals; run the two binaries that
+# print them so that path is exercised end to end.
+cargo run -q --release -p fedomd-bench --bin table3 -- --quick --seeds 1
+cargo run -q --release -p fedomd-bench --bin fedomd_run -- --rounds 2
+echo "::endgroup::"
+
 echo "::group::Workspace invariant lints (clippy)"
 # DESIGN.md §13: unsafe hygiene, unordered maps, wall-clock reads,
 # unjoined threads, unbounded queues, panics and protocol wildcards are

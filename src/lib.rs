@@ -8,7 +8,6 @@ pub use fedomd_core as core;
 pub use fedomd_data as data;
 pub use fedomd_federated as federated;
 pub use fedomd_graph as graph;
-pub use fedomd_metrics as metrics;
 pub use fedomd_nn as nn;
 pub use fedomd_sparse as sparse;
 pub use fedomd_tensor as tensor;
