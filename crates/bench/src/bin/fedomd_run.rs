@@ -50,7 +50,7 @@ fn usage() -> ! {
          \x20                --dataset <name[-mini]> [--parties M] [--seed S]\n\
          \x20                [--rounds R] [--resolution RES]\n\
          \x20                [--telemetry PATH.jsonl] [--verbose]\n\
-         \x20                [--checkpoint PATH.json] [--checkpoint-every N] [--resume PATH.json]"
+         \x20                [--checkpoint PATH.ckpt] [--checkpoint-every N] [--resume PATH.ckpt]"
     );
     std::process::exit(2)
 }

@@ -13,6 +13,7 @@
 //! reconnect logic can re-enter it after a server loss, optionally after
 //! installing a fresher global model into the session.
 
+use fedomd_federated::helpers::UpdateShapeError;
 use fedomd_federated::{ClientData, TrainConfig};
 use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_transport::{Channel, Control, Envelope, Payload};
@@ -45,7 +46,9 @@ pub enum ClientOutcome {
 /// this round, a missing global model means keeping the local weights —
 /// each phase simply times out at the channel's deadline. Only a missing
 /// *verdict* ends the loop (with [`ClientOutcome::ServerLost`]), because
-/// without it the client cannot know whether the run early-stopped.
+/// without it the client cannot know whether the run early-stopped. A
+/// global model whose shapes do not fit this client's model is an error:
+/// the server is serving another configuration.
 #[allow(clippy::too_many_arguments)]
 pub fn run_fedomd_client_rounds(
     id: u32,
@@ -56,7 +59,7 @@ pub fn run_fedomd_client_rounds(
     start_round: usize,
     chan: &mut dyn Channel,
     obs: &mut dyn RoundObserver,
-) -> ClientOutcome {
+) -> Result<ClientOutcome, UpdateShapeError> {
     let mut chan = ObservedChannel::new(chan);
     let mut stash: Vec<Envelope> = Vec::new();
 
@@ -128,7 +131,7 @@ pub fn run_fedomd_client_rounds(
                 matches!(p, Payload::GlobalModel { .. })
             })
         {
-            session.install(params);
+            session.install(params)?;
         }
         chan.flush_into(obs);
         sw.finish(obs);
@@ -162,13 +165,13 @@ pub fn run_fedomd_client_rounds(
         });
         chan.flush_into(obs);
         let Some(verdict) = verdict else {
-            return ClientOutcome::ServerLost { round: round + 1 };
+            return Ok(ClientOutcome::ServerLost { round: round + 1 });
         };
         if verdict == Payload::Control(Control::EndRound) {
-            return ClientOutcome::Stopped;
+            return Ok(ClientOutcome::Stopped);
         }
     }
-    ClientOutcome::Finished
+    Ok(ClientOutcome::Finished)
 }
 
 /// Takes the payload of the first round-`round` frame matching `want` —
@@ -253,7 +256,7 @@ mod tests {
             &mut chan,
             &mut NullObserver,
         );
-        assert_eq!(out, ClientOutcome::ServerLost { round: 1 });
+        assert_eq!(out, Ok(ClientOutcome::ServerLost { round: 1 }));
         let after = session.model.params();
         assert!(
             before
@@ -308,7 +311,7 @@ mod tests {
             &mut NullObserver,
         );
         // Single-round budget: the client finishes without a verdict.
-        assert_eq!(out, ClientOutcome::Finished);
+        assert_eq!(out, Ok(ClientOutcome::Finished));
         for (p, g) in session.model.params().iter().zip(&global) {
             assert_eq!(p.as_slice(), g.as_slice(), "global model not installed");
         }
@@ -368,6 +371,6 @@ mod tests {
             &mut chan,
             &mut NullObserver,
         );
-        assert_eq!(out, ClientOutcome::Stopped);
+        assert_eq!(out, Ok(ClientOutcome::Stopped));
     }
 }

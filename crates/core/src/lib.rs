@@ -47,13 +47,12 @@ pub mod trainer;
 pub use client_loop::{run_fedomd_client_rounds, ClientOutcome};
 pub use config::FedOmdConfig;
 pub use deploy::{build_fedomd_model, run_config_digest};
-pub use fedomd_nn::CheckpointError;
 pub use protocol::{
     aggregate_means, aggregate_moments, build_targets, client_means, client_moments_about,
     GlobalStats, MeanAccumulator, MomentAccumulator, ProtocolError, AGG_LANES,
 };
 pub use run::{FedRun, RunConfig};
-pub use run_checkpoint::{FileCheckpointer, RunCheckpoint};
+pub use run_checkpoint::{CheckpointError, FileCheckpointer, RunCheckpoint};
 pub use server::{drive_phase_fold, run_fedomd_server, ServerOpts};
 pub use session::{ClientSession, EvalCounts, Rejected, ServerRound, StepLosses};
 pub use trainer::{run_fedomd_observed, run_fedomd_resumable};

@@ -37,12 +37,11 @@ use std::path::{Path, PathBuf};
 use fedomd_federated::{
     ClientData, CohortConfig, GenericOpts, Persistence, RunResult, TrainConfig,
 };
-use fedomd_nn::CheckpointError;
 use fedomd_telemetry::{NullObserver, RoundObserver};
 use fedomd_transport::{Channel, InProcChannel};
 
 use crate::config::FedOmdConfig;
-use crate::run_checkpoint::{FileCheckpointer, RunCheckpoint};
+use crate::run_checkpoint::{CheckpointError, FileCheckpointer, RunCheckpoint};
 use crate::trainer::run_fedomd_resumable;
 
 /// The complete configuration of one federated run: the training schedule

@@ -1,4 +1,4 @@
-//! Run-level checkpointing: the [`RunCheckpoint`] file format and the
+//! Run-level checkpointing: the [`RunCheckpoint`] record and the
 //! [`FileCheckpointer`] sink that writes it.
 //!
 //! A run checkpoint is everything the paper's multi-hundred-round
@@ -10,31 +10,108 @@
 //! latest snapshot replays the remaining rounds **bit-identically** to the
 //! uninterrupted run — golden-tested in `tests/checkpoint_golden.rs`.
 //!
-//! Snapshots are written atomically ([`fedomd_jsonio::write_atomic`]:
-//! tmp-file, fsync, rename), so a crash mid-save leaves the previous valid
-//! snapshot in place; a file truncated by some other failure is rejected
-//! on load with [`CheckpointError::Parse`], never silently half-restored.
+//! The file is one binary record, little-endian, written with the wire
+//! codec (`fedomd_transport::{wire, frame}`), so an `f32` tensor has the
+//! same bytes at rest as in a frame and every value — `-0.0`, NaN
+//! payloads, infinities, subnormals — reloads bit for bit:
+//!
+//! ```text
+//! magic "FOMDCKPT" · u32 version · str algorithm · u64 seed · u64 next_round
+//! u32 clients × (tensors params · u64 adam.t · tensors adam.m · tensors adam.v · u64 model_steps)
+//! u32 history × (u64 round · f64 train_loss · f64 val_acc · f64 test_acc)
+//! f64 best_val · f64 best_test · u64 best_round · u64 rounds_since_improve · u8 stopped
+//! 5 × u64 comms · u64 channel.seq · 6 × u64 channel.stats
+//! u8 has_global [· tensors global] · u8 has_stats [· layers means · moments]
+//! u32 crc32 of every preceding byte
+//! ```
+//!
+//! `tensors` is the frame codec's parameter list (`u32` count, then per
+//! tensor `u32 rows · u32 cols · rows·cols × f32`); an `f64` is its
+//! `to_bits`. Snapshots are written atomically (tmp file, fsync, rename),
+//! so a crash mid-save leaves the previous valid snapshot in place. On
+//! load the checksum is verified before anything is decoded, and every
+//! count and tensor is bounded by the bytes actually present, so a torn or
+//! corrupt file is [`CheckpointError::Parse`], never a panic, a huge
+//! allocation or a silently half-restored run.
 
+use std::fmt;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use fedomd_federated::{
     CheckpointSink, CommsLog, DriverState, ResumeState, RoundStats, StatsCache,
 };
-use fedomd_jsonio::{obj, Json};
-use fedomd_nn::{AdamState, CheckpointError};
+use fedomd_nn::AdamState;
 use fedomd_telemetry::{RoundEvent, RoundObserver};
 use fedomd_tensor::Matrix;
-use fedomd_transport::{ChannelState, NetStats};
+use fedomd_transport::frame::{
+    decode_layers, decode_moments, decode_tensors, encode_layers, encode_moments, encode_tensors,
+};
+use fedomd_transport::wire::{crc32, ByteReader, ByteWriter};
+use fedomd_transport::{from_tensors, to_tensors, ChannelState, NetStats, WireError};
 
-/// Magic tag identifying a run-checkpoint document.
-const FORMAT: &str = "fedomd-run-checkpoint";
-/// Current format version; bumped on incompatible schema changes.
-const VERSION: u64 = 1;
+/// First bytes of every run checkpoint.
+const MAGIC: &[u8; 8] = b"FOMDCKPT";
+/// Current format version; bumped on incompatible layout changes.
+const VERSION: u64 = 2;
+/// Bytes of the trailing checksum.
+const CRC_BYTES: usize = 4;
+
+/// Why a run checkpoint could not be saved or loaded.
+///
+/// The variants partition the failure space along the axis a caller acts
+/// on: [`Io`](CheckpointError::Io) is environmental,
+/// [`Parse`](CheckpointError::Parse) means the bytes are not a valid
+/// snapshot (e.g. a file torn by a crash mid-write), and
+/// [`Mismatch`](CheckpointError::Mismatch) means a valid record of another
+/// format or version.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CheckpointError {
+    /// Filesystem failure: open, create, read, write, or rename.
+    Io(String),
+    /// The bytes are not a valid checkpoint: truncated, failing the
+    /// checksum, or structurally malformed.
+    Parse(String),
+    /// A checksummed record whose format tag or version differs.
+    Mismatch {
+        /// Which tag disagreed (`"format"` or `"version"`).
+        what: String,
+        /// Value carried by the checkpoint.
+        found: String,
+        /// Value this build expects.
+        expected: String,
+    },
+}
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointError::Io(msg) => write!(f, "checkpoint io: {msg}"),
+            CheckpointError::Parse(msg) => write!(f, "checkpoint parse: {msg}"),
+            CheckpointError::Mismatch {
+                what,
+                found,
+                expected,
+            } => write!(
+                f,
+                "checkpoint {what} mismatch: found {found:?}, expected {expected:?}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+impl From<WireError> for CheckpointError {
+    fn from(e: WireError) -> Self {
+        CheckpointError::Parse(e.to_string())
+    }
+}
 
 /// One durable snapshot of a federated run at a round boundary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunCheckpoint {
-    /// Schema version (currently 1).
+    /// Format version (currently 2).
     pub version: u64,
     /// Algorithm name (`"FedOMD"`, `"FedGCN"`, ...); checked on resume so
     /// a snapshot never restores into a different algorithm's run.
@@ -45,253 +122,182 @@ pub struct RunCheckpoint {
     pub state: ResumeState,
 }
 
-fn parse_err(msg: impl Into<String>) -> CheckpointError {
-    CheckpointError::Parse(msg.into())
+fn put_matrices(w: &mut ByteWriter, ms: &[Matrix]) {
+    encode_tensors(w, &to_tensors(ms));
 }
 
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
-    doc.get(key)
-        .ok_or_else(|| parse_err(format!("missing field `{key}`")))
+fn get_matrices(r: &mut ByteReader<'_>) -> Result<Vec<Matrix>, WireError> {
+    Ok(from_tensors(decode_tensors(r)?))
 }
 
-/// An optional field: `None` when the value is `null`.
-fn non_null<'a>(doc: &'a Json, key: &str) -> Result<Option<&'a Json>, CheckpointError> {
-    let v = field(doc, key)?;
-    Ok(if let Json::Null = v { None } else { Some(v) })
+fn put_f64(w: &mut ByteWriter, v: f64) {
+    w.put_u64(v.to_bits());
 }
 
-fn get_u64(doc: &Json, key: &str) -> Result<u64, CheckpointError> {
-    field(doc, key)?
-        .as_u64()
-        .ok_or_else(|| parse_err(format!("field `{key}`: expected unsigned integer")))
+fn get_f64(r: &mut ByteReader<'_>) -> Result<f64, WireError> {
+    Ok(f64::from_bits(r.get_u64()?))
 }
 
-fn get_usize(doc: &Json, key: &str) -> Result<usize, CheckpointError> {
-    Ok(get_u64(doc, key)? as usize)
+fn get_usize(r: &mut ByteReader<'_>) -> Result<usize, WireError> {
+    Ok(r.get_u64()? as usize)
 }
 
-fn get_bool(doc: &Json, key: &str) -> Result<bool, CheckpointError> {
-    field(doc, key)?
-        .as_bool()
-        .ok_or_else(|| parse_err(format!("field `{key}`: expected boolean")))
+/// A `0`/`1` byte; anything else is corruption, not `true`.
+fn get_flag(r: &mut ByteReader<'_>) -> Result<bool, WireError> {
+    match r.get_u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(WireError::Malformed(format!("flag byte {b}"))),
+    }
 }
 
-fn get_arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], CheckpointError> {
-    field(doc, key)?
-        .as_array()
-        .ok_or_else(|| parse_err(format!("field `{key}`: expected array")))
+/// A `u32` count of items at least `min_bytes` long each, refused when the
+/// remaining bytes cannot hold that many, so a corrupt count never sizes
+/// an allocation beyond the file.
+fn get_count(r: &mut ByteReader<'_>, min_bytes: usize) -> Result<usize, WireError> {
+    let n = r.get_u32()? as usize;
+    let needed = n.saturating_mul(min_bytes);
+    if needed > r.remaining() {
+        return Err(WireError::Truncated {
+            needed,
+            available: r.remaining(),
+        });
+    }
+    Ok(n)
 }
 
-/// JSON has no `-inf` (the printer would emit a lossy `null`), but
-/// `DriverState::best_val` starts at `f64::NEG_INFINITY` — non-finite
-/// values ride as sentinel strings instead.
-fn f64_to_json(v: f64) -> Json {
-    if v.is_finite() {
-        Json::Num(v)
-    } else if v == f64::NEG_INFINITY {
-        Json::Str("-inf".into())
-    } else if v == f64::INFINITY {
-        Json::Str("inf".into())
+fn put_state(w: &mut ByteWriter, s: &ResumeState) {
+    w.put_u64(s.next_round as u64);
+    // `params`, `optim` and `model_steps` are aligned per client.
+    w.put_u32(s.params.len() as u32);
+    for ((params, optim), &steps) in s.params.iter().zip(&s.optim).zip(&s.model_steps) {
+        put_matrices(w, params);
+        w.put_u64(optim.t);
+        put_matrices(w, &optim.m);
+        put_matrices(w, &optim.v);
+        w.put_u64(steps);
+    }
+    let d = &s.driver;
+    w.put_u32(d.history.len() as u32);
+    for h in &d.history {
+        w.put_u64(h.round as u64);
+        put_f64(w, h.train_loss);
+        put_f64(w, h.val_acc);
+        put_f64(w, h.test_acc);
+    }
+    put_f64(w, d.best_val);
+    put_f64(w, d.best_test);
+    w.put_u64(d.best_round as u64);
+    w.put_u64(d.rounds_since_improve as u64);
+    w.put_u8(u8::from(d.stopped));
+    let c = &d.comms;
+    for v in [
+        c.uplink_bytes,
+        c.downlink_bytes,
+        c.stats_uplink_bytes,
+        c.rounds,
+        c.dropped_messages,
+    ] {
+        w.put_u64(v);
+    }
+    let n = &s.channel.stats;
+    for v in [
+        s.channel.seq,
+        n.sent_frames,
+        n.sent_bytes,
+        n.delivered_frames,
+        n.delivered_bytes,
+        n.dropped_frames,
+        n.retries,
+    ] {
+        w.put_u64(v);
+    }
+    w.put_u8(u8::from(s.global.is_some()));
+    if let Some(global) = &s.global {
+        put_matrices(w, global);
+    }
+    w.put_u8(u8::from(s.stats.is_some()));
+    if let Some(stats) = &s.stats {
+        encode_layers(w, &stats.means);
+        encode_moments(w, &stats.moments);
+    }
+}
+
+fn get_state(r: &mut ByteReader<'_>) -> Result<ResumeState, WireError> {
+    let next_round = get_usize(r)?;
+    // Smallest client: three empty tensor lists and two u64s.
+    let n = get_count(r, 3 * 4 + 2 * 8)?;
+    let mut params = Vec::with_capacity(n);
+    let mut optim = Vec::with_capacity(n);
+    let mut model_steps = Vec::with_capacity(n);
+    for _ in 0..n {
+        params.push(get_matrices(r)?);
+        optim.push(AdamState {
+            t: r.get_u64()?,
+            m: get_matrices(r)?,
+            v: get_matrices(r)?,
+        });
+        model_steps.push(r.get_u64()?);
+    }
+    let n = get_count(r, 4 * 8)?;
+    let mut history = Vec::with_capacity(n);
+    for _ in 0..n {
+        history.push(RoundStats {
+            round: get_usize(r)?,
+            train_loss: get_f64(r)?,
+            val_acc: get_f64(r)?,
+            test_acc: get_f64(r)?,
+        });
+    }
+    let driver = DriverState {
+        history,
+        best_val: get_f64(r)?,
+        best_test: get_f64(r)?,
+        best_round: get_usize(r)?,
+        rounds_since_improve: get_usize(r)?,
+        stopped: get_flag(r)?,
+        comms: CommsLog {
+            uplink_bytes: r.get_u64()?,
+            downlink_bytes: r.get_u64()?,
+            stats_uplink_bytes: r.get_u64()?,
+            rounds: r.get_u64()?,
+            dropped_messages: r.get_u64()?,
+        },
+    };
+    let channel = ChannelState {
+        seq: r.get_u64()?,
+        stats: NetStats {
+            sent_frames: r.get_u64()?,
+            sent_bytes: r.get_u64()?,
+            delivered_frames: r.get_u64()?,
+            delivered_bytes: r.get_u64()?,
+            dropped_frames: r.get_u64()?,
+            retries: r.get_u64()?,
+        },
+    };
+    let global = if get_flag(r)? {
+        Some(get_matrices(r)?)
     } else {
-        Json::Str("nan".into())
-    }
-}
-
-fn get_f64(doc: &Json, key: &str) -> Result<f64, CheckpointError> {
-    match field(doc, key)? {
-        Json::Num(v) => Ok(*v),
-        Json::Str(s) if s == "-inf" => Ok(f64::NEG_INFINITY),
-        Json::Str(s) if s == "inf" => Ok(f64::INFINITY),
-        Json::Str(s) if s == "nan" => Ok(f64::NAN),
-        Json::Null | Json::Bool(_) | Json::Str(_) | Json::Arr(_) | Json::Obj(_) => {
-            Err(parse_err(format!("field `{key}`: expected number")))
-        }
-    }
-}
-
-fn vec_f32_to_json(v: &[f32]) -> Json {
-    Json::Arr(v.iter().map(|&x| Json::Num(x as f64)).collect())
-}
-
-fn vec_f32_from_json(v: &Json, what: &str) -> Result<Vec<f32>, CheckpointError> {
-    v.as_array()
-        .ok_or_else(|| parse_err(format!("{what}: expected array")))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .map(|f| f as f32)
-                .ok_or_else(|| parse_err(format!("{what}: expected number")))
+        None
+    };
+    let stats = if get_flag(r)? {
+        Some(StatsCache {
+            means: decode_layers(r)?,
+            moments: decode_moments(r)?,
         })
-        .collect()
-}
-
-fn matrices_to_json(ms: &[Matrix]) -> Json {
-    Json::Arr(ms.iter().map(Matrix::to_json).collect())
-}
-
-fn matrices_from_json(v: &Json, what: &str) -> Result<Vec<Matrix>, CheckpointError> {
-    v.as_array()
-        .ok_or_else(|| parse_err(format!("{what}: expected array")))?
-        .iter()
-        .map(|m| Matrix::from_json(m).map_err(CheckpointError::Parse))
-        .collect()
-}
-
-fn adam_to_json(s: &AdamState) -> Json {
-    obj([
-        ("t", s.t.into()),
-        ("m", matrices_to_json(&s.m)),
-        ("v", matrices_to_json(&s.v)),
-    ])
-}
-
-fn adam_from_json(doc: &Json) -> Result<AdamState, CheckpointError> {
-    Ok(AdamState {
-        t: get_u64(doc, "t")?,
-        m: matrices_from_json(field(doc, "m")?, "optim.m")?,
-        v: matrices_from_json(field(doc, "v")?, "optim.v")?,
+    } else {
+        None
+    };
+    Ok(ResumeState {
+        next_round,
+        params,
+        optim,
+        model_steps,
+        driver,
+        channel,
+        global,
+        stats,
     })
-}
-
-fn net_stats_to_json(s: &NetStats) -> Json {
-    obj([
-        ("sent_frames", s.sent_frames.into()),
-        ("sent_bytes", s.sent_bytes.into()),
-        ("delivered_frames", s.delivered_frames.into()),
-        ("delivered_bytes", s.delivered_bytes.into()),
-        ("dropped_frames", s.dropped_frames.into()),
-        ("retries", s.retries.into()),
-    ])
-}
-
-fn net_stats_from_json(doc: &Json) -> Result<NetStats, CheckpointError> {
-    Ok(NetStats {
-        sent_frames: get_u64(doc, "sent_frames")?,
-        sent_bytes: get_u64(doc, "sent_bytes")?,
-        delivered_frames: get_u64(doc, "delivered_frames")?,
-        delivered_bytes: get_u64(doc, "delivered_bytes")?,
-        dropped_frames: get_u64(doc, "dropped_frames")?,
-        retries: get_u64(doc, "retries")?,
-    })
-}
-
-fn channel_to_json(s: &ChannelState) -> Json {
-    obj([
-        ("seq", s.seq.into()),
-        ("stats", net_stats_to_json(&s.stats)),
-    ])
-}
-
-fn channel_from_json(doc: &Json) -> Result<ChannelState, CheckpointError> {
-    Ok(ChannelState {
-        seq: get_u64(doc, "seq")?,
-        stats: net_stats_from_json(field(doc, "stats")?)?,
-    })
-}
-
-fn comms_to_json(c: &CommsLog) -> Json {
-    obj([
-        ("uplink_bytes", c.uplink_bytes.into()),
-        ("downlink_bytes", c.downlink_bytes.into()),
-        ("stats_uplink_bytes", c.stats_uplink_bytes.into()),
-        ("rounds", c.rounds.into()),
-        ("dropped_messages", c.dropped_messages.into()),
-    ])
-}
-
-fn comms_from_json(doc: &Json) -> Result<CommsLog, CheckpointError> {
-    Ok(CommsLog {
-        uplink_bytes: get_u64(doc, "uplink_bytes")?,
-        downlink_bytes: get_u64(doc, "downlink_bytes")?,
-        stats_uplink_bytes: get_u64(doc, "stats_uplink_bytes")?,
-        rounds: get_u64(doc, "rounds")?,
-        dropped_messages: get_u64(doc, "dropped_messages")?,
-    })
-}
-
-fn round_stats_to_json(r: &RoundStats) -> Json {
-    obj([
-        ("round", r.round.into()),
-        ("train_loss", f64_to_json(r.train_loss)),
-        ("val_acc", f64_to_json(r.val_acc)),
-        ("test_acc", f64_to_json(r.test_acc)),
-    ])
-}
-
-fn round_stats_from_json(doc: &Json) -> Result<RoundStats, CheckpointError> {
-    Ok(RoundStats {
-        round: get_usize(doc, "round")?,
-        train_loss: get_f64(doc, "train_loss")?,
-        val_acc: get_f64(doc, "val_acc")?,
-        test_acc: get_f64(doc, "test_acc")?,
-    })
-}
-
-fn driver_to_json(d: &DriverState) -> Json {
-    obj([
-        (
-            "history",
-            Json::Arr(d.history.iter().map(round_stats_to_json).collect()),
-        ),
-        ("best_val", f64_to_json(d.best_val)),
-        ("best_test", f64_to_json(d.best_test)),
-        ("best_round", d.best_round.into()),
-        ("rounds_since_improve", d.rounds_since_improve.into()),
-        ("stopped", d.stopped.into()),
-        ("comms", comms_to_json(&d.comms)),
-    ])
-}
-
-fn driver_from_json(doc: &Json) -> Result<DriverState, CheckpointError> {
-    Ok(DriverState {
-        history: get_arr(doc, "history")?
-            .iter()
-            .map(round_stats_from_json)
-            .collect::<Result<_, _>>()?,
-        best_val: get_f64(doc, "best_val")?,
-        best_test: get_f64(doc, "best_test")?,
-        best_round: get_usize(doc, "best_round")?,
-        rounds_since_improve: get_usize(doc, "rounds_since_improve")?,
-        stopped: get_bool(doc, "stopped")?,
-        comms: comms_from_json(field(doc, "comms")?)?,
-    })
-}
-
-fn stats_to_json(s: &StatsCache) -> Json {
-    obj([
-        (
-            "means",
-            Json::Arr(s.means.iter().map(|m| vec_f32_to_json(m)).collect()),
-        ),
-        (
-            "moments",
-            Json::Arr(
-                s.moments
-                    .iter()
-                    .map(|layer| Json::Arr(layer.iter().map(|o| vec_f32_to_json(o)).collect()))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn stats_from_json(doc: &Json) -> Result<StatsCache, CheckpointError> {
-    let means = get_arr(doc, "means")?
-        .iter()
-        .map(|m| vec_f32_from_json(m, "stats.means"))
-        .collect::<Result<_, _>>()?;
-    let moments = get_arr(doc, "moments")?
-        .iter()
-        .map(|layer| {
-            layer
-                .as_array()
-                .ok_or_else(|| parse_err("stats.moments: expected array"))?
-                .iter()
-                .map(|o| vec_f32_from_json(o, "stats.moments"))
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(StatsCache { means, moments })
 }
 
 impl RunCheckpoint {
@@ -306,50 +312,42 @@ impl RunCheckpoint {
         }
     }
 
-    /// The JSON document form.
-    pub fn to_json(&self) -> Json {
-        let s = &self.state;
-        obj([
-            ("format", FORMAT.into()),
-            ("version", self.version.into()),
-            ("algorithm", self.algorithm.as_str().into()),
-            ("seed", self.seed.into()),
-            ("next_round", s.next_round.into()),
-            (
-                "params",
-                Json::Arr(s.params.iter().map(|p| matrices_to_json(p)).collect()),
-            ),
-            (
-                "optim",
-                Json::Arr(s.optim.iter().map(adam_to_json).collect()),
-            ),
-            (
-                "model_steps",
-                Json::Arr(s.model_steps.iter().map(|&v| v.into()).collect()),
-            ),
-            ("driver", driver_to_json(&s.driver)),
-            ("channel", channel_to_json(&s.channel)),
-            (
-                "global",
-                s.global.as_deref().map_or(Json::Null, matrices_to_json),
-            ),
-            ("stats", s.stats.as_ref().map_or(Json::Null, stats_to_json)),
-        ])
+    /// The checksummed binary record (layout in the module docs).
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_raw(MAGIC);
+        // A version no `u32` can hold is written as one no build reads.
+        w.put_u32(u32::try_from(self.version).unwrap_or(u32::MAX));
+        w.put_str(&self.algorithm);
+        w.put_u64(self.seed);
+        put_state(&mut w, &self.state);
+        let crc = crc32(w.as_slice());
+        w.put_u32(crc);
+        w.into_bytes()
     }
 
-    /// Parses the JSON document form, rejecting unknown formats/versions.
-    pub fn from_json(doc: &Json) -> Result<Self, CheckpointError> {
-        let format = field(doc, "format")?
-            .as_str()
-            .ok_or_else(|| parse_err("field `format`: expected string"))?;
-        if format != FORMAT {
+    /// Decodes a record written by [`Self::to_bytes`]. The checksum is
+    /// verified first, so any corruption is [`CheckpointError::Parse`]; a
+    /// checksummed record of another format or version is
+    /// [`CheckpointError::Mismatch`].
+    fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let body_len = bytes.len().saturating_sub(CRC_BYTES);
+        let (body, trailer) = bytes.split_at(body_len);
+        let stored = ByteReader::new(trailer).get_u32()?;
+        let computed = crc32(body);
+        if stored != computed {
+            return Err(WireError::BadChecksum { stored, computed }.into());
+        }
+        let mut r = ByteReader::new(body);
+        let magic = r.get_raw(MAGIC.len())?;
+        if magic != MAGIC {
             return Err(CheckpointError::Mismatch {
                 what: "format".into(),
-                found: format.into(),
-                expected: FORMAT.into(),
+                found: String::from_utf8_lossy(magic).into_owned(),
+                expected: String::from_utf8_lossy(MAGIC).into_owned(),
             });
         }
-        let version = get_u64(doc, "version")?;
+        let version = u64::from(r.get_u32()?);
         if version != VERSION {
             return Err(CheckpointError::Mismatch {
                 what: "version".into(),
@@ -357,66 +355,23 @@ impl RunCheckpoint {
                 expected: VERSION.to_string(),
             });
         }
-        let algorithm = field(doc, "algorithm")?
-            .as_str()
-            .ok_or_else(|| parse_err("field `algorithm`: expected string"))?
-            .to_string();
-        let seed = get_u64(doc, "seed")?;
-        let params = get_arr(doc, "params")?
-            .iter()
-            .map(|p| matrices_from_json(p, "params"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let optim = get_arr(doc, "optim")?
-            .iter()
-            .map(adam_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        if params.len() != optim.len() {
-            return Err(parse_err(format!(
-                "params/optim arity mismatch: {} vs {}",
-                params.len(),
-                optim.len()
-            )));
-        }
-        let model_steps = get_arr(doc, "model_steps")?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .ok_or_else(|| parse_err("model_steps: expected unsigned integer"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if model_steps.len() != params.len() {
-            return Err(parse_err(format!(
-                "params/model_steps arity mismatch: {} vs {}",
-                params.len(),
-                model_steps.len()
-            )));
-        }
-        let global = non_null(doc, "global")?
-            .map(|v| matrices_from_json(v, "global"))
-            .transpose()?;
-        let stats = non_null(doc, "stats")?.map(stats_from_json).transpose()?;
+        let algorithm = r.get_str()?;
+        let seed = r.get_u64()?;
+        let state = get_state(&mut r)?;
+        r.expect_end()?;
         Ok(Self {
             version,
             algorithm,
             seed,
-            state: ResumeState {
-                next_round: get_usize(doc, "next_round")?,
-                params,
-                optim,
-                model_steps,
-                driver: driver_from_json(field(doc, "driver")?)?,
-                channel: channel_from_json(field(doc, "channel")?)?,
-                global,
-                stats,
-            },
+            state,
         })
     }
 
     /// Writes the checkpoint to `path` atomically (tmp + fsync + rename).
-    /// Returns the serialised size in bytes.
+    /// Returns the record's size in bytes.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, CheckpointError> {
         let path = path.as_ref();
-        fedomd_jsonio::write_atomic(path, &self.to_json().to_compact())
+        write_atomic(path, &self.to_bytes())
             .map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))
     }
 
@@ -425,11 +380,31 @@ impl RunCheckpoint {
     /// [`CheckpointError::Parse`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))?;
-        let doc = Json::parse(&text).map_err(CheckpointError::Parse)?;
-        Self::from_json(&doc)
+        let bytes =
+            std::fs::read(path).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))?;
+        Self::from_bytes(&bytes)
     }
+}
+
+/// Writes `bytes` to `path` atomically: they go to a `.tmp` sibling, are
+/// synced to disk, and only then renamed over `path`. A crash at any point
+/// leaves either the previous file or the complete new one, never a torn
+/// hybrid. Returns the number of bytes written.
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<u64> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    // The data must be durable before the rename publishes it; otherwise a
+    // power cut could leave a fully-renamed but empty file.
+    f.sync_all()?;
+    drop(f);
+    std::fs::rename(&tmp, path)?;
+    // The rename is durable only once the directory entry is.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    Ok(bytes.len() as u64)
 }
 
 /// The [`CheckpointSink`] that run loops hand their snapshots to: wraps
@@ -551,57 +526,212 @@ mod tests {
         }
     }
 
+    /// Encoded bytes of every tensor in a parameter list.
+    fn tensors_len(ms: &[Matrix]) -> usize {
+        4 + ms.iter().map(|m| 8 + 4 * m.len()).sum::<usize>()
+    }
+
+    fn bits(ms: &[Matrix]) -> Vec<u32> {
+        ms.iter()
+            .flat_map(|m| m.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// Recomputes the trailing checksum after a deliberate edit.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - CRC_BYTES;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    fn is_parse(r: Result<RunCheckpoint, CheckpointError>) -> bool {
+        matches!(r, Err(CheckpointError::Parse(_)))
+    }
+
     #[test]
-    fn json_roundtrip_is_exact() {
+    fn bytes_roundtrip_is_exact() {
         let ckpt = RunCheckpoint::new("FedOMD", 7, sample_state());
-        let doc = Json::parse(&ckpt.to_json().to_compact()).expect("valid json");
-        let back = RunCheckpoint::from_json(&doc).expect("decode");
+        let back = RunCheckpoint::from_bytes(&ckpt.to_bytes()).expect("decode");
         assert_eq!(back, ckpt);
     }
 
     #[test]
-    fn serialization_is_byte_identical_across_runs() {
-        // Determinism regression guard: two independent serializations of
-        // equal checkpoints must produce the exact same bytes. Field order
-        // is fixed by construction (ordered `obj` tuples, never map
-        // iteration order), so any unordered container sneaking into the
-        // emission path shows up here as byte drift.
-        let a = RunCheckpoint::new("FedOMD", 7, sample_state())
-            .to_json()
-            .to_compact();
-        let b = RunCheckpoint::new("FedOMD", 7, sample_state())
-            .to_json()
-            .to_compact();
-        assert_eq!(a.as_bytes(), b.as_bytes());
-
-        // A decode → re-encode cycle must also reproduce the bytes.
-        let re = RunCheckpoint::from_json(&Json::parse(&a).expect("valid json"))
-            .expect("decode")
-            .to_json()
-            .to_compact();
-        assert_eq!(re.as_bytes(), a.as_bytes());
-    }
-
-    #[test]
-    fn neg_infinity_best_val_survives_the_sentinel_encoding() {
-        // A checkpoint taken before the first eval carries -inf.
+    fn special_values_reload_bit_for_bit() {
+        let odd = [
+            -0.0,
+            f32::NAN,
+            f32::from_bits(0x7fc0_0001), // NaN with a non-canonical payload
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1), // smallest subnormal
+        ];
+        let m = Matrix::from_vec(2, 3, odd.to_vec());
         let mut state = sample_state();
+        state.params[0][1] = m.clone();
+        state.optim[1].m[0] = m.clone();
+        state.optim[1].v[1] = m.clone();
+        state.global = Some(vec![m.clone()]);
+        state.stats = Some(StatsCache {
+            means: vec![odd.to_vec()],
+            moments: vec![vec![odd.to_vec(), odd[..2].to_vec()]],
+        });
+        state.driver.history[0].train_loss = f64::NAN;
+        state.driver.history[0].val_acc = -0.0;
+        state.driver.history[0].test_acc = f64::NEG_INFINITY;
         state.driver.best_val = f64::NEG_INFINITY;
-        state.driver.history.clear();
-        let ckpt = RunCheckpoint::new("FedGCN", 1, state);
-        let doc = Json::parse(&ckpt.to_json().to_compact()).unwrap();
-        let back = RunCheckpoint::from_json(&doc).expect("decode");
-        assert_eq!(back.state.driver.best_val, f64::NEG_INFINITY);
+        state.driver.best_test = f64::from_bits(0x7ff8_0000_0000_0001);
+        let ckpt = RunCheckpoint::new("FedOMD", 7, state);
+
+        let dir = scratch_dir();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("special.ckpt");
+        ckpt.save(&path).expect("a non-finite run still saves");
+        let back = RunCheckpoint::load(&path).expect("and loads");
+        let _ = std::fs::remove_file(&path);
+
+        let (a, b) = (&ckpt.state, &back.state);
+        for (x, y) in a.params.iter().zip(&b.params) {
+            assert_eq!(bits(x), bits(y), "params");
+        }
+        for (x, y) in a.optim.iter().zip(&b.optim) {
+            assert_eq!(bits(&x.m), bits(&y.m), "adam m");
+            assert_eq!(bits(&x.v), bits(&y.v), "adam v");
+        }
+        assert_eq!(
+            bits(a.global.as_deref().unwrap_or_default()),
+            bits(b.global.as_deref().unwrap_or_default()),
+            "global"
+        );
+        let stat_bits = |s: &Option<StatsCache>| -> Vec<u32> {
+            let s = s.as_ref().expect("stats");
+            s.means
+                .iter()
+                .chain(s.moments.iter().flatten())
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(stat_bits(&a.stats), stat_bits(&b.stats), "stats");
+        let f64_bits = |d: &DriverState| -> Vec<u64> {
+            d.history
+                .iter()
+                .flat_map(|h| [h.train_loss, h.val_acc, h.test_acc])
+                .chain([d.best_val, d.best_test])
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(f64_bits(&a.driver), f64_bits(&b.driver), "driver f64s");
     }
 
     #[test]
-    fn none_global_and_stats_roundtrip_as_null() {
+    fn serialization_is_byte_identical_across_runs() {
+        // Determinism regression guard: two independent encodings of equal
+        // checkpoints, and a decode → re-encode cycle, produce the same
+        // bytes.
+        let a = RunCheckpoint::new("FedOMD", 7, sample_state()).to_bytes();
+        let b = RunCheckpoint::new("FedOMD", 7, sample_state()).to_bytes();
+        assert_eq!(a, b);
+        let re = RunCheckpoint::from_bytes(&a).expect("decode").to_bytes();
+        assert_eq!(re, a);
+    }
+
+    #[test]
+    fn encoded_size_is_closed_form() {
+        let s = sample_state();
+        let ckpt = RunCheckpoint::new("FedOMD", 7, s.clone());
+        let header = MAGIC.len() + 4 + (4 + "FedOMD".len()) + 8 + 8;
+        let clients: usize = s
+            .params
+            .iter()
+            .zip(&s.optim)
+            .map(|(p, o)| tensors_len(p) + 8 + tensors_len(&o.m) + tensors_len(&o.v) + 8)
+            .sum();
+        let driver = 4 + 32 * s.driver.history.len() + 8 + 8 + 8 + 8 + 1 + 5 * 8;
+        let channel = 7 * 8;
+        let global = 1 + s.global.as_deref().map_or(0, tensors_len);
+        let stats = 1 + s.stats.as_ref().map_or(0, |st| {
+            let layers = |ls: &[Vec<f32>]| 4 + ls.iter().map(|l| 4 + 4 * l.len()).sum::<usize>();
+            layers(&st.means) + 4 + st.moments.iter().map(|l| layers(l)).sum::<usize>()
+        });
+        let expected = header + 4 + clients + driver + channel + global + stats + CRC_BYTES;
+        assert_eq!(ckpt.to_bytes().len(), expected);
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_is_a_parse_error() {
+        // One client and one-element tensors keep the 255 flips of every
+        // byte quick in a debug build; every section is still present.
+        let one = || vec![Matrix::from_vec(1, 1, vec![0.5])];
+        let mut s = sample_state();
+        s.params = vec![one()];
+        s.optim = vec![AdamState {
+            t: 4,
+            m: one(),
+            v: one(),
+        }];
+        s.model_steps = vec![4];
+        s.global = Some(one());
+        s.stats = Some(StatsCache {
+            means: vec![vec![0.25]],
+            moments: vec![vec![vec![0.1]]],
+        });
+        let good = RunCheckpoint::new("FedOMD", 7, s).to_bytes();
+        assert!(good.len() <= 4096, "{} bytes", good.len());
+        for len in 0..good.len() {
+            assert!(
+                is_parse(RunCheckpoint::from_bytes(&good[..len])),
+                "truncation to {len} bytes"
+            );
+        }
+        let mut bad = good.clone();
+        for i in 0..good.len() {
+            for mask in 1..=255u8 {
+                bad[i] = good[i] ^ mask;
+                assert!(
+                    is_parse(RunCheckpoint::from_bytes(&bad)),
+                    "byte {i} ^ {mask:#04x}"
+                );
+            }
+            bad[i] = good[i];
+        }
+    }
+
+    #[test]
+    fn an_overflowing_tensor_header_is_refused_without_allocating() {
+        // A checksummed record whose first client tensor claims 2³¹ × 2³¹
+        // elements: `rows * cols * 4` wraps to 0 in 64 bits, so only a
+        // bound against the bytes present keeps this from a
+        // capacity-overflow panic.
+        let mut w = ByteWriter::new();
+        w.put_raw(MAGIC);
+        w.put_u32(VERSION as u32);
+        w.put_str("FedOMD");
+        w.put_u64(7); // seed
+        w.put_u64(1); // next_round
+        w.put_u32(1); // one client
+        w.put_u32(1); // one parameter tensor
+        w.put_u32(1 << 31);
+        w.put_u32(1 << 31);
+        w.put_u32(0); // room for the checksum
+        let bytes = reseal(w.into_bytes());
+        assert!(is_parse(RunCheckpoint::from_bytes(&bytes)));
+
+        // A client count no file this size could hold is refused the same
+        // way, before any per-client vector is sized.
+        let mut bytes = bytes;
+        let count_at = MAGIC.len() + 4 + 4 + "FedOMD".len() + 8 + 8;
+        bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(is_parse(RunCheckpoint::from_bytes(&reseal(bytes))));
+    }
+
+    #[test]
+    fn none_global_and_stats_roundtrip() {
         let mut state = sample_state();
         state.global = None;
         state.stats = None;
         let ckpt = RunCheckpoint::new("FedMLP", 0, state);
-        let doc = Json::parse(&ckpt.to_json().to_compact()).unwrap();
-        let back = RunCheckpoint::from_json(&doc).expect("decode");
+        let back = RunCheckpoint::from_bytes(&ckpt.to_bytes()).expect("decode");
         assert_eq!(back.state.global, None);
         assert_eq!(back.state.stats, None);
     }
@@ -616,16 +746,16 @@ mod tests {
     fn file_roundtrip_and_overwrite() {
         let dir = scratch_dir();
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("run.ckpt.json");
+        let path = dir.join("run.ckpt");
         let a = RunCheckpoint::new("FedOMD", 7, sample_state());
-        a.save(&path).expect("save");
+        assert_eq!(a.save(&path).expect("save"), a.to_bytes().len() as u64);
         let mut later = sample_state();
         later.next_round = 8;
         let b = RunCheckpoint::new("FedOMD", 7, later);
         b.save(&path).expect("overwrite");
         let back = RunCheckpoint::load(&path).expect("load");
         assert_eq!(back, b);
-        assert!(!dir.join("run.ckpt.json.tmp").exists());
+        assert!(!dir.join("run.ckpt.tmp").exists(), "tmp file renamed away");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -633,11 +763,9 @@ mod tests {
     fn truncated_file_is_a_typed_parse_error() {
         let dir = scratch_dir();
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("truncated.ckpt.json");
-        let text = RunCheckpoint::new("FedOMD", 7, sample_state())
-            .to_json()
-            .to_compact();
-        std::fs::write(&path, &text[..text.len() / 2]).expect("write");
+        let path = dir.join("truncated.ckpt");
+        let bytes = RunCheckpoint::new("FedOMD", 7, sample_state()).to_bytes();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("write");
         let err = RunCheckpoint::load(&path).expect_err("must fail");
         assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
         let _ = std::fs::remove_file(&path);
@@ -645,25 +773,24 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_typed_io_error() {
-        let err = RunCheckpoint::load("/nonexistent/fedomd/run.ckpt.json").expect_err("must fail");
+        let err = RunCheckpoint::load("/nonexistent/fedomd/run.ckpt").expect_err("must fail");
         assert!(matches!(err, CheckpointError::Io(_)), "{err}");
     }
 
     #[test]
     fn wrong_format_and_version_are_mismatches() {
-        let ckpt = RunCheckpoint::new("FedOMD", 7, sample_state());
-        let mut doc = ckpt.to_json().to_compact();
-        doc = doc.replacen(FORMAT, "something-else", 1);
-        let err = RunCheckpoint::from_json(&Json::parse(&doc).unwrap()).expect_err("format");
+        let good = RunCheckpoint::new("FedOMD", 7, sample_state()).to_bytes();
+        let mut bad = good.clone();
+        bad[..MAGIC.len()].copy_from_slice(b"NOTACKPT");
+        let err = RunCheckpoint::from_bytes(&reseal(bad)).expect_err("format");
         assert!(
             matches!(err, CheckpointError::Mismatch { ref what, .. } if what == "format"),
             "{err}"
         );
 
-        let mut bad = ckpt.clone();
-        bad.version = VERSION + 1;
-        let err = RunCheckpoint::from_json(&Json::parse(&bad.to_json().to_compact()).unwrap())
-            .expect_err("version");
+        let mut newer = RunCheckpoint::new("FedOMD", 7, sample_state());
+        newer.version = VERSION + 1;
+        let err = RunCheckpoint::from_bytes(&newer.to_bytes()).expect_err("version");
         assert!(
             matches!(err, CheckpointError::Mismatch { ref what, .. } if what == "version"),
             "{err}"
@@ -674,7 +801,7 @@ mod tests {
     fn file_checkpointer_emits_checkpoint_saved() {
         let dir = scratch_dir();
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("sink.ckpt.json");
+        let path = dir.join("sink.ckpt");
         let mut sink = FileCheckpointer::new(&path, 2, "FedOMD", 7);
         assert_eq!(sink.every(), 2);
         let mut mem = MemoryObserver::new();
@@ -687,7 +814,7 @@ mod tests {
                 bytes,
             } => {
                 assert_eq!(*round, 3, "next_round 4 covers rounds 0..=3");
-                assert!(p.ends_with("sink.ckpt.json"));
+                assert!(p.ends_with("sink.ckpt"));
                 assert_eq!(*bytes, std::fs::metadata(&path).unwrap().len());
             }
             other => panic!("expected CheckpointSaved, got {other:?}"),

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::ops::AddAssign;
 
 use fedomd_autograd::{CmdTargets, Tape, Var, Workspace};
-use fedomd_federated::helpers::{count_correct, predict, UpdateShapeError};
+use fedomd_federated::helpers::{check_shapes, count_correct, predict, UpdateShapeError};
 use fedomd_federated::{
     ClientData, DriverState, ResumeState, StatsCache, TrainConfig, UpdateAccumulator,
 };
@@ -47,6 +47,9 @@ pub struct ClientSession {
     pub(crate) opt: Adam,
     /// Reusable autograd buffer pool.
     ws: Workspace,
+    /// The model's parameter shapes, against which an incoming global
+    /// model is checked.
+    shapes: Vec<(usize, usize)>,
     /// This round's recorded forward pass, from [`Self::forward`] until
     /// [`Self::step`] consumes it.
     pending: Option<(Tape, ForwardOut)>,
@@ -56,9 +59,11 @@ impl ClientSession {
     /// A fresh session with the federation's common init (the same
     /// `build_fedomd_model` every process calls).
     pub fn new(cfg: &TrainConfig, omd: &FedOmdConfig, in_dim: usize, n_classes: usize) -> Self {
+        let model = build_fedomd_model(cfg, omd, in_dim, n_classes);
         Self {
             omd: *omd,
-            model: build_fedomd_model(cfg, omd, in_dim, n_classes),
+            shapes: model.params().iter().map(Matrix::shape).collect(),
+            model,
             opt: Adam::new(cfg.lr, cfg.weight_decay),
             ws: Workspace::new(),
             pending: None,
@@ -131,9 +136,16 @@ impl ClientSession {
         }
     }
 
-    /// Installs the aggregated global model.
-    pub fn install(&mut self, params: Vec<Tensor>) {
+    /// Installs the aggregated global model. Parameters off a socket are
+    /// hostile until checked: a list whose arity or shapes differ from this
+    /// model's is refused and the model keeps its weights.
+    pub fn install(&mut self, params: Vec<Tensor>) -> Result<(), UpdateShapeError> {
+        check_shapes(
+            &self.shapes,
+            params.iter().map(|t| (t.rows as usize, t.cols as usize)),
+        )?;
         self.model.set_params(&from_tensors(params));
+        Ok(())
     }
 
     /// Pooled-evaluation counts of the current model on `client`.
@@ -213,6 +225,17 @@ pub enum Rejected {
     Unexpected(&'static str),
 }
 
+impl From<UpdateShapeError> for Rejected {
+    fn from(e: UpdateShapeError) -> Self {
+        match e {
+            UpdateShapeError::NonFinite => Rejected::NonFinite,
+            UpdateShapeError::Arity { .. } | UpdateShapeError::Shape { .. } => {
+                Rejected::UpdateShape(e)
+            }
+        }
+    }
+}
+
 /// The server's side of one round: streaming folds of the uplink phases,
 /// each closed into the payload to send down.
 ///
@@ -247,7 +270,9 @@ impl ServerRound {
     /// Folds one uplink envelope into its phase's accumulator. Shapes off a
     /// socket are hostile until checked, and so are values: an envelope
     /// that does not match the first folded one, or carries a NaN or an
-    /// infinity, is refused and leaves the round untouched.
+    /// infinity, is refused and leaves the round untouched. Weight updates
+    /// are judged by [`UpdateAccumulator::try_push`], the rule every
+    /// transport shares.
     pub fn admit(&mut self, env: Envelope) -> Result<(), Rejected> {
         let kind = env.payload.kind();
         match env.payload {
@@ -268,10 +293,7 @@ impl ServerRound {
                     .map_err(Rejected::StatsShape)?;
             }
             Payload::WeightUpdate { params } => {
-                finite(params.iter().map(|t| t.data.as_slice()))?;
-                self.updates
-                    .try_push(&from_tensors(params), 1.0)
-                    .map_err(Rejected::UpdateShape)?;
+                self.updates.try_push(&from_tensors(params), 1.0)?;
             }
             Payload::GlobalModel { .. }
             | Payload::GlobalStats { .. }
@@ -532,7 +554,7 @@ mod tests {
             };
             let mut counts = EvalCounts::default();
             for (s, client) in sessions.iter_mut().zip(&clients) {
-                s.install(params.clone());
+                s.install(params.clone()).unwrap();
                 counts += s.eval_counts(client);
             }
             let mean_loss = loss / sessions.len() as f64;
@@ -552,6 +574,44 @@ mod tests {
             assert_eq!(a.val_acc.to_bits(), b.val_acc.to_bits());
             assert_eq!(a.test_acc.to_bits(), b.test_acc.to_bits());
         }
+    }
+
+    #[test]
+    fn install_refuses_a_mis_shaped_global_model_and_keeps_the_weights() {
+        let cfg = TrainConfig::mini(0);
+        let mut s = ClientSession::new(&cfg, &FedOmdConfig::paper(), cfg.hidden_dim + 5, 3);
+        let before = s.model.params();
+        let bits = |ps: &[Matrix]| -> Vec<u32> {
+            ps.iter()
+                .flat_map(|p| p.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let mut global: Vec<Matrix> = before
+            .iter()
+            .map(|p| Matrix::zeros(p.rows(), p.cols()))
+            .collect();
+        global[0] = global[0].transpose();
+        let (rows, cols) = before[0].shape();
+        assert_eq!(
+            s.install(to_tensors(&global)),
+            Err(UpdateShapeError::Shape {
+                param: 0,
+                expected: (rows, cols),
+                got: (cols, rows),
+            })
+        );
+        assert_eq!(
+            s.install(to_tensors(&global[1..])),
+            Err(UpdateShapeError::Arity {
+                expected: before.len(),
+                got: before.len() - 1,
+            })
+        );
+        assert_eq!(bits(&s.model.params()), bits(&before), "model was touched");
+
+        global[0] = global[0].transpose();
+        s.install(to_tensors(&global)).unwrap();
+        assert_eq!(bits(&s.model.params()), bits(&global));
     }
 
     #[test]

@@ -226,7 +226,9 @@ pub fn run_fedomd_resumable(
             for (i, s) in sessions.iter_mut().enumerate() {
                 for got in send(&mut chan, &mut driver.comms, r, i, payload.clone()) {
                     if let Payload::GlobalModel { params } = got {
-                        s.install(params);
+                        // A refused model degrades like a lost downlink
+                        // frame: the client keeps its weights.
+                        let _installed = s.install(params).is_ok();
                     }
                 }
             }

@@ -940,6 +940,73 @@ mod tests {
         assert_eq!(r.comms, r2.comms);
     }
 
+    /// Client 0 diverged: every weight it uploads is NaN.
+    struct Poisoned(InProcChannel);
+
+    impl Channel for Poisoned {
+        fn upload(&mut self, mut env: Envelope) -> usize {
+            if let Payload::WeightUpdate { params } = &mut env.payload {
+                if env.sender == 0 {
+                    for t in params.iter_mut() {
+                        t.data.fill(f32::NAN);
+                    }
+                }
+            }
+            self.0.upload(env)
+        }
+        fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
+            self.0.server_collect(round)
+        }
+        fn download(&mut self, to: u32, env: Envelope) -> usize {
+            self.0.download(to, env)
+        }
+        fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope> {
+            self.0.client_collect(id, round)
+        }
+        fn stats(&self) -> fedomd_transport::NetStats {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn a_non_finite_upload_is_dropped_like_a_lost_frame() {
+        use fedomd_telemetry::MemoryObserver;
+        let (cl, k) = clients(3);
+        let cfg = TrainConfig {
+            rounds: 4,
+            patience: 4,
+            eval_every: 1,
+            ..TrainConfig::mini(0)
+        };
+        let mut mem = MemoryObserver::new();
+        let r = run_generic_observed(
+            &cl,
+            k,
+            &cfg,
+            &GenericOpts {
+                name: "FedGCN",
+                model: ModelKind::Gcn,
+                aggregate: true,
+                prox_mu: 0.0,
+            },
+            &mut Poisoned(InProcChannel::new()),
+            &mut mem,
+        );
+        let folds: Vec<&RoundEvent> = mem
+            .events
+            .iter()
+            .filter(|e| matches!(e, RoundEvent::AggregationDone { .. }))
+            .collect();
+        assert_eq!(folds.len(), cfg.rounds);
+        for e in folds {
+            assert_eq!(*e, RoundEvent::AggregationDone { participants: 2 });
+        }
+        assert_eq!(r.history.len(), cfg.rounds);
+        for h in &r.history {
+            assert!(h.train_loss.is_finite() && h.val_acc.is_finite() && h.test_acc.is_finite());
+        }
+    }
+
     #[test]
     fn frame_accounting_is_at_least_the_scalar_estimate() {
         let (cl, k) = clients(3);

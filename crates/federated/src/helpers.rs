@@ -154,36 +154,22 @@ impl UpdateAccumulator {
             .collect();
     }
 
-    fn check_shape(&self, params: &[Matrix]) -> Result<(), UpdateShapeError> {
-        if params.len() != self.shapes.len() {
-            return Err(UpdateShapeError::Arity {
-                expected: self.shapes.len(),
-                got: params.len(),
-            });
-        }
-        for (param, (p, &expected)) in params.iter().zip(&self.shapes).enumerate() {
-            if p.shape() != expected {
-                return Err(UpdateShapeError::Shape {
-                    param,
-                    expected,
-                    got: p.shape(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Folds one client's parameters with FedAvg weight `weight`. The
     /// first fold fixes the expected shapes; a later update that does not
-    /// match is rejected and leaves the accumulator untouched — the entry
-    /// point for updates decoded off a socket, where a mismatch is a
-    /// hostile or broken peer rather than a bug in this program.
+    /// match, or any update holding a NaN or an infinity, is refused and
+    /// leaves the accumulator untouched. This is the one admission rule
+    /// for weight updates, on every transport: a refused update is a
+    /// hostile or diverged peer, and degrades the round like a lost frame.
     pub fn try_push(&mut self, params: &[Matrix], weight: f64) -> Result<(), UpdateShapeError> {
         assert!(weight >= 0.0, "UpdateAccumulator: negative weight");
+        if self.pushed > 0 {
+            check_shapes(&self.shapes, params.iter().map(Matrix::shape))?;
+        }
+        if !params.iter().all(Matrix::all_finite) {
+            return Err(UpdateShapeError::NonFinite);
+        }
         if self.pushed == 0 {
             self.init_shape(params);
-        } else {
-            self.check_shape(params)?;
         }
         let lane = self.pushed % AGG_LANES;
         fold_update(&mut self.lanes[lane], params, weight);
@@ -192,12 +178,10 @@ impl UpdateAccumulator {
         Ok(())
     }
 
-    /// [`Self::try_push`] for in-process callers, whose clients all build
-    /// the same model.
+    /// [`Self::try_push`] for callers whose updates cannot be refused.
     ///
     /// # Panics
-    /// Panics where [`Self::try_push`] would return an error: a mismatch
-    /// between in-process clients is a bug.
+    /// Panics where [`Self::try_push`] would return an error.
     pub fn push(&mut self, params: &[Matrix], weight: f64) {
         #[expect(clippy::panic, reason = "documented contract (see `# Panics`)")]
         if let Err(e) = self.try_push(params, weight) {
@@ -235,8 +219,8 @@ impl UpdateAccumulator {
     }
 }
 
-/// A weight update whose tensor list does not match the shapes the
-/// accumulator's first fold fixed.
+/// Why a parameter list was refused: its tensors do not match the
+/// expected shapes, or it holds a value no average can absorb.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateShapeError {
     /// The update carries a different number of parameter matrices.
@@ -247,6 +231,31 @@ pub enum UpdateShapeError {
         expected: (usize, usize),
         got: (usize, usize),
     },
+    /// The update carries a NaN or an infinity.
+    NonFinite,
+}
+
+/// Checks a parameter list's `(rows, cols)` against `expected`, in order.
+pub fn check_shapes(
+    expected: &[(usize, usize)],
+    got: impl ExactSizeIterator<Item = (usize, usize)>,
+) -> Result<(), UpdateShapeError> {
+    if got.len() != expected.len() {
+        return Err(UpdateShapeError::Arity {
+            expected: expected.len(),
+            got: got.len(),
+        });
+    }
+    for (param, (got, &expected)) in got.zip(expected).enumerate() {
+        if got != expected {
+            return Err(UpdateShapeError::Shape {
+                param,
+                expected,
+                got,
+            });
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for UpdateShapeError {
@@ -263,6 +272,7 @@ impl fmt::Display for UpdateShapeError {
                 f,
                 "shape mismatch at param {param}: expected {expected:?}, got {got:?}"
             ),
+            UpdateShapeError::NonFinite => write!(f, "non-finite parameter value"),
         }
     }
 }
@@ -271,9 +281,13 @@ impl std::error::Error for UpdateShapeError {}
 
 /// Folds one uplinked weight update into the in-process server's
 /// streaming FedAvg accumulator (shared by every in-process round loop).
+/// An update [`UpdateAccumulator::try_push`] refuses is dropped, exactly
+/// like a frame lost in transit.
 pub fn fold_weight_update(agg: &mut UpdateAccumulator, env: Envelope) {
     match env.payload {
-        Payload::WeightUpdate { params } => agg.push(&from_tensors(params), 1.0),
+        Payload::WeightUpdate { params } => {
+            let _admitted = agg.try_push(&from_tensors(params), 1.0).is_ok();
+        }
         #[expect(
             clippy::panic,
             reason = "protocol invariant: every channel impl routes only client uplink \
@@ -506,6 +520,23 @@ mod tests {
         assert_eq!(acc.pushed(), 2);
         let avg = acc.finish().expect("two updates");
         assert_eq!(avg[0].as_slice(), &[2.0, 3.0]);
+    }
+
+    #[test]
+    fn try_push_refuses_a_non_finite_update_without_fixing_shapes() {
+        let mut acc = UpdateAccumulator::new();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(
+                acc.try_push(&[Matrix::from_vec(2, 1, vec![bad, 0.0])], 1.0),
+                Err(UpdateShapeError::NonFinite)
+            );
+        }
+        // The refused first push fixed nothing: a different shape folds.
+        acc.try_push(&[Matrix::from_vec(1, 2, vec![3.0, 4.0])], 1.0)
+            .expect("well-formed");
+        assert_eq!(acc.pushed(), 1);
+        let avg = acc.finish().expect("one update");
+        assert_eq!(avg[0].as_slice(), &[3.0, 4.0]);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Zero-dependency JSON for the FedOMD workspace.
 //!
-//! Checkpoints ([`fedomd-nn`]), experiment records ([`fedomd-bench`]),
-//! and matrix payloads ([`fedomd-tensor`]) all (de)serialise through this
+//! Experiment records ([`fedomd-bench`]), JSONL telemetry traces
+//! ([`fedomd-telemetry`]) and `bench_report` (de)serialise through this
 //! small document model instead of an external serde stack, so the
 //! workspace builds with no network access. The printer emits numbers via
-//! Rust's shortest-roundtrip float formatting, so every `f64` (and hence
-//! every `f32` widened to `f64`) survives a print → parse cycle exactly.
+//! Rust's shortest-roundtrip float formatting, so every finite `f64`
+//! survives a print → parse cycle exactly. Model state is not JSON: run
+//! checkpoints are binary records on the transport's bit-exact codec.
 
 #![forbid(unsafe_code)]
 
@@ -190,12 +191,6 @@ impl From<f64> for Json {
     }
 }
 
-impl From<f32> for Json {
-    fn from(v: f32) -> Self {
-        Json::Num(v as f64)
-    }
-}
-
 impl From<u64> for Json {
     fn from(v: u64) -> Self {
         Json::Num(v as f64)
@@ -234,28 +229,6 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
-}
-
-/// Writes `text` to `path` atomically: the bytes go to a `.tmp` sibling,
-/// are synced to disk, and only then renamed over `path`. A crash at any
-/// point leaves either the previous file or the complete new one — never a
-/// truncated hybrid. Returns the number of bytes written.
-pub fn write_atomic(path: impl AsRef<std::path::Path>, text: &str) -> std::io::Result<u64> {
-    use std::io::Write;
-
-    let path = path.as_ref();
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(text.as_bytes())?;
-    // The data must be durable before the rename publishes it; otherwise a
-    // power cut could leave a fully-renamed but empty file.
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)?;
-    Ok(text.len() as u64)
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
@@ -597,37 +570,7 @@ mod tests {
         assert_eq!(v.get("k").and_then(Json::as_u64), Some(1));
     }
 
-    #[test]
-    fn write_atomic_replaces_and_cleans_up() {
-        let dir = std::env::temp_dir().join("fedomd-jsonio-atomic-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("doc.json");
-        let tmp = dir.join("doc.json.tmp");
-
-        let n = write_atomic(&path, "{\"v\":1}").expect("first write");
-        assert_eq!(n, 7);
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"v\":1}");
-        assert!(!tmp.exists(), "tmp file must be renamed away");
-
-        // Overwrite: the new content fully replaces the old.
-        write_atomic(&path, "{\"v\":2}").expect("second write");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"v\":2}");
-        assert!(!tmp.exists());
-
-        let _ = std::fs::remove_file(&path);
-    }
-
     proptest! {
-        #[test]
-        fn f32_values_roundtrip_exactly(bits in 0u32..u32::MAX) {
-            let x = f32::from_bits(bits);
-            if x.is_finite() {
-                let printed = Json::from(x).to_compact();
-                let back = Json::parse(&printed).unwrap().as_f64().unwrap() as f32;
-                prop_assert_eq!(back.to_bits(), x.to_bits());
-            }
-        }
-
         #[test]
         fn f64_values_roundtrip_exactly(mantissa in 0u64..=u64::MAX) {
             let x = f64::from_bits(mantissa);

@@ -16,6 +16,7 @@ use fedomd_core::{
     run_config_digest, run_fedomd_client_rounds, run_fedomd_server, ClientOutcome, ClientSession,
     FileCheckpointer, RunCheckpoint, RunConfig, ServerOpts,
 };
+use fedomd_federated::helpers::UpdateShapeError;
 use fedomd_federated::{ClientData, Persistence, ResumeState, RunResult};
 use fedomd_telemetry::RoundObserver;
 use fedomd_transport::{to_tensors, Envelope, Payload, SERVER_SENDER};
@@ -370,7 +371,7 @@ pub fn run_client(
                           is a typed protocol error naming the offending kind, not a drop"
             )]
             match env.payload {
-                Payload::GlobalModel { params } => session.install(params),
+                Payload::GlobalModel { params } => session.install(params).map_err(refused)?,
                 other => {
                     return Err(NetError::Protocol(format!(
                         "expected the handshake model frame, got {}",
@@ -399,7 +400,9 @@ pub fn run_client(
             start_round,
             &mut chan,
             obs,
-        ) {
+        )
+        .map_err(refused)?
+        {
             ClientOutcome::ServerLost { .. } => {
                 reconnects += 1;
                 // The loop re-handshakes; the server's Welcome, not the
@@ -413,6 +416,13 @@ pub fn run_client(
             }
         }
     }
+}
+
+/// A global model that does not fit this client's model: the server is
+/// serving another configuration (e.g. resumed from a checkpoint taken
+/// under a different hidden width).
+fn refused(e: UpdateShapeError) -> NetError {
+    NetError::Protocol(format!("global model refused: {e}"))
 }
 
 /// Tries `connect_attempts` times, `connect_backoff` apart.

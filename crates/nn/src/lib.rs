@@ -8,13 +8,11 @@
 //! CMD constraint operates on, plus the hidden weight matrices subject to
 //! the orthogonality penalty (paper Eq. 6).
 
-pub mod checkpoint;
 pub mod model;
 pub mod models;
 pub mod optim;
 pub mod ortho;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
 pub use model::{ForwardOut, GraphInput, Model};
 pub use models::gcn::Gcn;
 pub use models::mlp::Mlp;

@@ -367,7 +367,7 @@ mod tests {
             RoundEvent::EarlyStopped { round: 7 },
             RoundEvent::CheckpointSaved {
                 round: 4,
-                path: "run.ckpt.json".into(),
+                path: "run.ckpt".into(),
                 bytes: 2048,
             },
             RoundEvent::Resumed { round: 5 },

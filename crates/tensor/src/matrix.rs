@@ -1,6 +1,5 @@
 //! The core dense matrix type: row-major, `f32`, heap-backed.
 
-use fedomd_jsonio::{obj, Json};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -217,7 +216,8 @@ impl Matrix {
 
     /// True when all elements are finite (no NaN / infinity).
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
+        // `fold` rather than `all`: no early exit, so the loop vectorises.
+        self.data.iter().fold(true, |ok, v| ok & v.is_finite())
     }
 
     /// Asserts element-wise closeness against `other` within `tol`.
@@ -239,54 +239,6 @@ impl Matrix {
                 );
             }
         }
-    }
-}
-
-impl Matrix {
-    /// The JSON wire format: `{"rows":R,"cols":C,"data":[...]}`.
-    ///
-    /// Elements are widened to `f64` for printing, which is exact, so a
-    /// [`Matrix::from_json`] roundtrip reproduces every `f32` bit-for-bit
-    /// (sign of zero excepted).
-    pub fn to_json(&self) -> Json {
-        obj([
-            ("rows", Json::from(self.rows)),
-            ("cols", Json::from(self.cols)),
-            (
-                "data",
-                Json::Arr(self.data.iter().map(|&v| Json::from(v)).collect()),
-            ),
-        ])
-    }
-
-    /// Parses the wire format, validating the length invariant.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let rows = v
-            .get("rows")
-            .and_then(Json::as_usize)
-            .ok_or("matrix json: missing or invalid field `rows`")?;
-        let cols = v
-            .get("cols")
-            .and_then(Json::as_usize)
-            .ok_or("matrix json: missing or invalid field `cols`")?;
-        let items = v
-            .get("data")
-            .and_then(Json::as_array)
-            .ok_or("matrix json: missing or invalid field `data`")?;
-        let mut data = Vec::with_capacity(items.len());
-        for item in items {
-            let x = item
-                .as_f64()
-                .ok_or("matrix json: non-numeric element in `data`")?;
-            data.push(x as f32);
-        }
-        if data.len() != rows * cols {
-            return Err(format!(
-                "matrix payload length {} does not match shape {rows}x{cols}",
-                data.len(),
-            ));
-        }
-        Ok(Self { rows, cols, data })
     }
 }
 
@@ -404,23 +356,6 @@ mod tests {
     fn col_extraction() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m.col(1), vec![2.0, 5.0]);
-    }
-
-    #[test]
-    fn json_roundtrip_is_exact() {
-        let m = Matrix::from_vec(2, 3, vec![1.5, -0.25, 3.0, 1.0e-7, -2.5e6, 0.1]);
-        let back = Matrix::from_json(&m.to_json()).expect("parses");
-        assert_eq!(back.shape(), m.shape());
-        for (a, b) in back.as_slice().iter().zip(m.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn json_length_invariant_is_validated() {
-        let doc = fedomd_jsonio::Json::parse(r#"{"rows":2,"cols":2,"data":[1,2,3]}"#).unwrap();
-        let err = Matrix::from_json(&doc).expect_err("must fail");
-        assert!(err.contains("does not match shape"), "{err}");
     }
 
     #[test]

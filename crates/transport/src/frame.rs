@@ -12,7 +12,9 @@
 //! single-byte corruption anywhere in the frame is rejected at decode.
 //! `f32` tensors travel as raw IEEE-754 bits, so an encode → decode cycle
 //! is bit-exact — the property that lets the in-process channel reproduce
-//! direct-function-call training runs bit for bit.
+//! direct-function-call training runs bit for bit. The tensor and layer
+//! encoders are public because run checkpoints store `f32` state with
+//! them too, so there is one byte form of a tensor, at rest and in flight.
 
 use crate::wire::{crc32, ByteReader, ByteWriter, WireError};
 use fedomd_tensor::Matrix;
@@ -89,7 +91,9 @@ impl Tensor {
         Matrix::from_vec(self.rows as usize, self.cols as usize, self.data)
     }
 
-    fn encode(&self, w: &mut ByteWriter) {
+    /// Writes `rows`, `cols` and the row-major elements as raw
+    /// little-endian bits: `8 + 4·rows·cols` bytes.
+    pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(self.rows);
         w.put_u32(self.cols);
         for &v in &self.data {
@@ -97,7 +101,9 @@ impl Tensor {
         }
     }
 
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+    /// Reads one tensor written by [`Tensor::encode`], refusing dims the
+    /// remaining bytes cannot hold before allocating anything.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let rows = r.get_u32()?;
         let cols = r.get_u32()?;
         // Untrusted dims: count elements in u64 (u32 × u32 cannot
@@ -233,10 +239,7 @@ impl Payload {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
             Payload::WeightUpdate { params } | Payload::GlobalModel { params } => {
-                w.put_u32(params.len() as u32);
-                for t in params {
-                    t.encode(w);
-                }
+                encode_tensors(w, params);
             }
             Payload::StatsRound1 { means, n_samples } => {
                 encode_layers(w, means);
@@ -275,11 +278,7 @@ impl Payload {
     fn decode(msg_type: u8, r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         match msg_type {
             1 | 4 => {
-                let n = r.get_u32()? as usize;
-                let mut params = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    params.push(Tensor::decode(r)?);
-                }
+                let params = decode_tensors(r)?;
                 Ok(if msg_type == 1 {
                     Payload::WeightUpdate { params }
                 } else {
@@ -325,14 +324,35 @@ impl Payload {
     }
 }
 
-fn encode_layers(w: &mut ByteWriter, layers: &[Vec<f32>]) {
+/// Writes a `u32`-counted list of tensors (a parameter list).
+pub fn encode_tensors(w: &mut ByteWriter, tensors: &[Tensor]) {
+    w.put_u32(tensors.len() as u32);
+    for t in tensors {
+        t.encode(w);
+    }
+}
+
+/// Reads a list written by [`encode_tensors`].
+pub fn decode_tensors(r: &mut ByteReader<'_>) -> Result<Vec<Tensor>, WireError> {
+    let n = r.get_u32()? as usize;
+    let mut out = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        out.push(Tensor::decode(r)?);
+    }
+    Ok(out)
+}
+
+/// Writes a `u32`-counted list of `u32`-counted `f32` runs (per-layer
+/// means).
+pub fn encode_layers(w: &mut ByteWriter, layers: &[Vec<f32>]) {
     w.put_u32(layers.len() as u32);
     for layer in layers {
         w.put_f32_slice(layer);
     }
 }
 
-fn decode_layers(r: &mut ByteReader<'_>) -> Result<Vec<Vec<f32>>, WireError> {
+/// Reads a list written by [`encode_layers`].
+pub fn decode_layers(r: &mut ByteReader<'_>) -> Result<Vec<Vec<f32>>, WireError> {
     let n = r.get_u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
@@ -341,14 +361,17 @@ fn decode_layers(r: &mut ByteReader<'_>) -> Result<Vec<Vec<f32>>, WireError> {
     Ok(out)
 }
 
-fn encode_moments(w: &mut ByteWriter, moments: &[Vec<Vec<f32>>]) {
+/// Writes per-layer, per-order moments: a `u32`-counted list of
+/// [`encode_layers`] lists.
+pub fn encode_moments(w: &mut ByteWriter, moments: &[Vec<Vec<f32>>]) {
     w.put_u32(moments.len() as u32);
     for layer in moments {
         encode_layers(w, layer);
     }
 }
 
-fn decode_moments(r: &mut ByteReader<'_>) -> Result<Vec<Vec<Vec<f32>>>, WireError> {
+/// Reads a list written by [`encode_moments`].
+pub fn decode_moments(r: &mut ByteReader<'_>) -> Result<Vec<Vec<Vec<f32>>>, WireError> {
     let n = r.get_u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {

@@ -1,16 +1,19 @@
-//! Deployment flow: train a federation, persist the global model, reload
-//! it into a fresh process, and verify the served predictions match.
+//! Deployment flow: train a federation with a run checkpoint on its last
+//! round, reload the snapshot, and serve the global model it carries.
 //!
 //! ```text
 //! cargo run --release --example train_and_checkpoint
 //! ```
+//!
+//! The served model is the checkpoint's `global` installed into a fresh
+//! Ortho-GCN. After the final broadcast every client holds that same model,
+//! so its predictions on party 0 must match those of the checkpointed
+//! client copy `params[0]` bit for bit.
 
-use fedomd_autograd::Tape;
-use fedomd_core::{FedOmdConfig, FedRun};
+use fedomd_core::{build_fedomd_model, FedOmdConfig, FedRun, RunCheckpoint};
 use fedomd_data::{generate, spec, DatasetName};
+use fedomd_federated::helpers::predict;
 use fedomd_federated::{setup_federation, FederationConfig, TrainConfig};
-use fedomd_nn::{Checkpoint, Model, OrthoGcn, OrthoGcnConfig};
-use fedomd_tensor::rng::seeded;
 
 fn main() {
     let dataset = generate(&spec(DatasetName::CoraMini), 0);
@@ -21,49 +24,53 @@ fn main() {
         ..TrainConfig::mini(0)
     };
     let omd = FedOmdConfig::paper();
+    let path = std::env::temp_dir().join(format!(
+        "fedomd-train-and-checkpoint-{}.ckpt",
+        std::process::id()
+    ));
 
-    // The federated run trains in place; to capture the trained weights we
-    // train a standalone Ortho-GCN the same way the federation initialises
-    // one, then run one more short federated session for the headline
-    // number.
     let result = FedRun::new(&clients, dataset.n_classes)
         .train(cfg.clone())
         .omd(omd)
+        .checkpoint_every(cfg.rounds, &path)
         .run();
     println!(
         "trained FedOMD: test accuracy {:.2}%",
         100.0 * result.test_acc
     );
 
-    // Capture/restore cycle on the model architecture used by the trainer.
-    let ocfg = OrthoGcnConfig {
-        in_dim: dataset.n_features(),
-        hidden_dim: cfg.hidden_dim,
-        out_dim: dataset.n_classes,
-        hidden_layers: omd.hidden_layers,
-        ns_interval: 0,
-        ns_iters: 0,
-    };
-    let tag = format!("ortho-gcn/{}-hidden/{}", omd.hidden_layers, cfg.hidden_dim);
-    let trained = OrthoGcn::new(ocfg, &mut seeded(123));
-    let path = std::env::temp_dir().join("fedomd-global.json");
-    Checkpoint::capture(&trained, &tag)
-        .save(&path)
-        .expect("save checkpoint");
-    println!("checkpoint written to {}", path.display());
-
-    let mut served = OrthoGcn::new(ocfg, &mut seeded(999)); // different init
-    Checkpoint::load(&path)
-        .expect("load checkpoint")
-        .restore(&mut served, &tag)
-        .expect("restore");
-
-    // Identical predictions on party 0's graph prove the round trip.
-    let mut t1 = Tape::new();
-    let a = trained.forward(&mut t1, &clients[0].input);
-    let mut t2 = Tape::new();
-    let b = served.forward(&mut t2, &clients[0].input);
-    t1.value(a.logits).assert_close(t2.value(b.logits), 1e-6);
-    println!("reloaded model reproduces the trained model's predictions exactly");
+    let ckpt = RunCheckpoint::load(&path).expect("load checkpoint");
     let _ = std::fs::remove_file(&path);
+    println!(
+        "checkpoint {}: {} algorithm, next round {}",
+        path.display(),
+        ckpt.algorithm,
+        ckpt.state.next_round
+    );
+    let global = ckpt
+        .state
+        .global
+        .as_deref()
+        .expect("a FedOMD checkpoint carries the global model");
+
+    let in_dim = dataset.n_features();
+    let mut served = build_fedomd_model(&cfg, &omd, in_dim, dataset.n_classes);
+    served.set_params(global);
+    let mut client0 = build_fedomd_model(&cfg, &omd, in_dim, dataset.n_classes);
+    client0.set_params(&ckpt.state.params[0]);
+
+    let bits = |m: &fedomd_tensor::Matrix| -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    let a = predict(served.as_ref(), &clients[0]);
+    let b = predict(client0.as_ref(), &clients[0]);
+    assert_eq!(
+        bits(&a),
+        bits(&b),
+        "served global model and client 0 disagree"
+    );
+    println!(
+        "served global model reproduces client 0's predictions bit for bit ({} logits)",
+        a.len()
+    );
 }

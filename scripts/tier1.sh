@@ -36,12 +36,23 @@ echo "::group::Benches compile"
 cargo bench --workspace --no-run
 echo "::endgroup::"
 
-echo "::group::Table binaries smoke (table3, fedomd_run)"
+echo "::group::Table binaries smoke (table3, fedomd_run, checkpoint, examples)"
 # Table 3's client / server / inference columns are the runs' PhaseDone
 # segments folded by fedomd_bench::PhaseTotals; run the two binaries that
 # print them so that path is exercised end to end.
 cargo run -q --release -p fedomd-bench --bin table3 -- --quick --seeds 1
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- --rounds 2
+# A run checkpoint through the binary (DESIGN.md §11): save every round,
+# then resume the two-round snapshot into a four-round run.
+ckpt_dir=$(mktemp -d)
+cargo run -q --release -p fedomd-bench --bin fedomd_run -- \
+    --rounds 2 --checkpoint "$ckpt_dir/run.ckpt" --checkpoint-every 1
+cargo run -q --release -p fedomd-bench --bin fedomd_run -- \
+    --rounds 4 --resume "$ckpt_dir/run.ckpt"
+rm -rf "$ckpt_dir"
+# Serves the global model of a reloaded run checkpoint and checks it
+# against the checkpointed client copy bit for bit.
+cargo run -q --release --example train_and_checkpoint
 echo "::endgroup::"
 
 echo "::group::Workspace invariant lints (clippy)"

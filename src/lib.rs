@@ -21,7 +21,7 @@ pub mod prelude {
     pub use fedomd_federated::{
         setup_federation, ClientData, FederationConfig, RunResult, TrainConfig,
     };
-    pub use fedomd_nn::{Checkpoint, Model};
+    pub use fedomd_nn::Model;
 }
 
 #[cfg(test)]

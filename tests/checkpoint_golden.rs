@@ -62,14 +62,14 @@ fn fedomd_kill_and_resume_is_bit_identical_inproc() {
 
     // The uninterrupted reference, snapshotting on the same cadence so its
     // final checkpoint file captures the final params and Adam state.
-    let full_path = dir.join("full.ckpt.json");
+    let full_path = dir.join("full.ckpt");
     let uninterrupted = FedRun::new(&clients, n_classes)
         .config(cfg(0, rounds))
         .checkpoint_every(k, &full_path)
         .run();
 
     // "Kill" the run at round k: cap the round budget there.
-    let kill_path = dir.join("killed.ckpt.json");
+    let kill_path = dir.join("killed.ckpt");
     let mut mem = MemoryObserver::new();
     FedRun::new(&clients, n_classes)
         .config(cfg(0, k))
@@ -80,7 +80,7 @@ fn fedomd_kill_and_resume_is_bit_identical_inproc() {
     assert_eq!(mem.count("resumed"), 0);
 
     // Resume with the full round budget.
-    let resumed_path = dir.join("resumed.ckpt.json");
+    let resumed_path = dir.join("resumed.ckpt");
     let mut mem = MemoryObserver::new();
     let resumed = FedRun::new(&clients, n_classes)
         .config(cfg(0, rounds))
@@ -111,7 +111,7 @@ fn fedomd_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
     let (clients, n_classes) = mini_setup(2);
     let (rounds, k) = (8, 4);
 
-    let full_path = dir.join("full.ckpt.json");
+    let full_path = dir.join("full.ckpt");
     let mut chan = SimNetChannel::new(lossy());
     let uninterrupted = FedRun::new(&clients, n_classes)
         .config(cfg(2, rounds))
@@ -123,7 +123,7 @@ fn fedomd_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
         "fault config must actually drop frames for this test to bite"
     );
 
-    let kill_path = dir.join("killed.ckpt.json");
+    let kill_path = dir.join("killed.ckpt");
     let mut chan = SimNetChannel::new(lossy());
     FedRun::new(&clients, n_classes)
         .config(cfg(2, k))
@@ -134,7 +134,7 @@ fn fedomd_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
     // The resumed leg starts from a *fresh* channel: restoring the
     // checkpointed ChannelState realigns the per-frame fault RNG cursor,
     // so the drop pattern of rounds k.. replays exactly.
-    let resumed_path = dir.join("resumed.ckpt.json");
+    let resumed_path = dir.join("resumed.ckpt");
     let mut chan = SimNetChannel::new(lossy());
     let resumed = FedRun::new(&clients, n_classes)
         .config(cfg(2, rounds))
@@ -164,7 +164,7 @@ fn generic_engine_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
         prox_mu: 0.0,
     };
 
-    let full_path = dir.join("full.ckpt.json");
+    let full_path = dir.join("full.ckpt");
     let mut chan = SimNetChannel::new(lossy());
     let uninterrupted = FedRun::new(&clients, n_classes)
         .config(cfg(3, rounds))
@@ -173,7 +173,7 @@ fn generic_engine_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
         .checkpoint_every(k, &full_path)
         .run();
 
-    let kill_path = dir.join("killed.ckpt.json");
+    let kill_path = dir.join("killed.ckpt");
     let mut chan = SimNetChannel::new(lossy());
     FedRun::new(&clients, n_classes)
         .config(cfg(3, k))
@@ -182,7 +182,7 @@ fn generic_engine_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
         .checkpoint_every(k, &kill_path)
         .run();
 
-    let resumed_path = dir.join("resumed.ckpt.json");
+    let resumed_path = dir.join("resumed.ckpt");
     let mut chan = SimNetChannel::new(lossy());
     let resumed = FedRun::new(&clients, n_classes)
         .config(cfg(3, rounds))
@@ -208,7 +208,7 @@ fn resuming_an_early_stopped_run_finishes_without_extra_rounds() {
     // Tiny patience with a generous cap: the run early-stops well before
     // 60 rounds, and the per-round snapshot captures the stopped state.
     let config = RunConfig::mini(5).with_rounds(60).with_patience(2);
-    let path = dir.join("run.ckpt.json");
+    let path = dir.join("run.ckpt");
     let stopped = FedRun::new(&clients, n_classes)
         .config(config.clone())
         .checkpoint_every(1, &path)
@@ -236,20 +236,20 @@ fn resuming_an_early_stopped_run_finishes_without_extra_rounds() {
 fn a_half_written_checkpoint_is_never_loaded() {
     let dir = scratch("atomicity");
     let (clients, n_classes) = mini_setup(1);
-    let path = dir.join("run.ckpt.json");
+    let path = dir.join("run.ckpt");
     FedRun::new(&clients, n_classes)
         .config(cfg(1, 2))
         .checkpoint_every(2, &path)
         .run();
     let good = RunCheckpoint::load(&path).expect("valid snapshot");
     // The atomic writer leaves no tmp file behind on success.
-    let tmp = dir.join("run.ckpt.json.tmp");
+    let tmp = dir.join("run.ckpt.tmp");
     assert!(!tmp.exists(), "tmp file must be renamed away");
 
     // Simulate a crash mid-save: a truncated tmp sibling appears. The real
     // checkpoint is untouched and still loads to the same state.
-    let text = good.to_json().to_compact();
-    std::fs::write(&tmp, &text[..text.len() / 3]).expect("plant tmp");
+    let bytes = std::fs::read(&path).expect("read snapshot");
+    std::fs::write(&tmp, &bytes[..bytes.len() / 3]).expect("plant tmp");
     assert_eq!(RunCheckpoint::load(&path).expect("still valid"), good);
 
     // Loading truncated JSON itself fails with a typed parse error, so a
@@ -263,7 +263,7 @@ fn a_half_written_checkpoint_is_never_loaded() {
     assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
 
     // A missing file is a typed io error, not a panic.
-    let err = RunCheckpoint::load(dir.join("absent.json")).expect_err("missing file");
+    let err = RunCheckpoint::load(dir.join("absent.ckpt")).expect_err("missing file");
     assert!(matches!(err, CheckpointError::Io(_)), "{err}");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -274,7 +274,7 @@ fn a_half_written_checkpoint_is_never_loaded() {
 fn resuming_under_a_different_seed_is_rejected() {
     let dir = scratch("seed-mismatch");
     let (clients, n_classes) = mini_setup(4);
-    let path = dir.join("run.ckpt.json");
+    let path = dir.join("run.ckpt");
     FedRun::new(&clients, n_classes)
         .config(cfg(4, 2))
         .checkpoint_every(2, &path)
@@ -291,7 +291,7 @@ fn resuming_under_a_different_seed_is_rejected() {
 fn resuming_into_a_different_algorithm_is_rejected() {
     let dir = scratch("algo-mismatch");
     let (clients, n_classes) = mini_setup(6);
-    let path = dir.join("run.ckpt.json");
+    let path = dir.join("run.ckpt");
     FedRun::new(&clients, n_classes)
         .config(cfg(6, 2))
         .checkpoint_every(2, &path)

@@ -362,7 +362,7 @@ fn a_departing_client_degrades_to_partial_aggregation() {
 #[test]
 fn a_killed_server_resumes_from_its_checkpoint_and_the_clients_reconnect() {
     let dir = scratch("kill-resume");
-    let path = dir.join("net.ckpt.json");
+    let path = dir.join("net.ckpt");
     let (name, clients, n_classes) = mini_setup(2);
     let rounds = 10;
     let run = RunConfig::mini(2).with_rounds(rounds).with_patience(40);
