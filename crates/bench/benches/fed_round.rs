@@ -3,11 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedomd_bench::{table4_rows, Algo};
-use fedomd_core::{run_fedomd_observed, FedOmdConfig};
+use fedomd_core::{FedOmdConfig, FedRun};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::{setup_federation, FederationConfig, TrainConfig};
-use fedomd_telemetry::{JsonlObserver, NullObserver};
-use fedomd_transport::InProcChannel;
+use fedomd_telemetry::JsonlObserver;
 
 fn bench_round(c: &mut Criterion) {
     let ds = generate(&spec(DatasetName::CoraMini), 0);
@@ -47,27 +46,20 @@ fn bench_round(c: &mut Criterion) {
     // (DESIGN.md §10 budgets the gap at <1% of round wall-clock).
     group.bench_function("fedomd_telemetry_off", |b| {
         b.iter(|| {
-            run_fedomd_observed(
-                &clients,
-                ds.n_classes,
-                &cfg,
-                &FedOmdConfig::paper(),
-                &mut InProcChannel::new(),
-                &mut NullObserver,
-            )
+            FedRun::new(&clients, ds.n_classes)
+                .train(cfg.clone())
+                .omd(FedOmdConfig::paper())
+                .run()
         })
     });
     group.bench_function("fedomd_telemetry_jsonl", |b| {
         b.iter(|| {
             let mut sink = JsonlObserver::new(std::io::sink());
-            run_fedomd_observed(
-                &clients,
-                ds.n_classes,
-                &cfg,
-                &FedOmdConfig::paper(),
-                &mut InProcChannel::new(),
-                &mut sink,
-            )
+            FedRun::new(&clients, ds.n_classes)
+                .train(cfg.clone())
+                .omd(FedOmdConfig::paper())
+                .observer(&mut sink)
+                .run()
         })
     });
     group.finish();

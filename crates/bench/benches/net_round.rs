@@ -15,14 +15,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedomd_core::{run_config_digest, run_fedomd_observed, FedOmdConfig, RunConfig};
+use fedomd_core::{run_config_digest, FedOmdConfig, FedRun, RunConfig};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::{setup_federation, ClientData, FederationConfig, RunResult, TrainConfig};
 use fedomd_net::{
     run_client, serve_on, ClientOpts, Hello, NetConfig, ServeOpts, Welcome, PROTOCOL_VERSION,
 };
 use fedomd_telemetry::NullObserver;
-use fedomd_transport::{Envelope, InProcChannel, Payload, Tensor};
+use fedomd_transport::{Envelope, Payload, Tensor};
 
 fn two_round_config() -> RunConfig {
     // Exactly two rounds, no early stopping, sparse eval — the same
@@ -227,14 +227,9 @@ fn bench_net_round(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("inproc_two_rounds", |b| {
         b.iter(|| {
-            run_fedomd_observed(
-                &clients,
-                ds.n_classes,
-                &run.train,
-                &run.omd,
-                &mut InProcChannel::new(),
-                &mut NullObserver,
-            )
+            FedRun::new(&clients, ds.n_classes)
+                .config(run.clone())
+                .run()
         })
     });
     group.bench_function("tcp_loopback_two_rounds", |b| {

@@ -156,7 +156,7 @@ fn main() {
     }
     let run = |obs: &mut dyn RoundObserver| {
         // The bespoke loops (SCAFFOLD, FedSage+, FedLIT) do not run on the
-        // shared engine; everything else routes through FedRun so the
+        // shared round; everything else routes through FedRun so the
         // checkpoint flags apply uniformly.
         if let (Some(b), None) = (baseline, generic) {
             return run_baseline_observed(b, &clients, ds.n_classes, &cfg, obs);

@@ -51,9 +51,9 @@ fn main() {
         }
         println!("## {}\n{}", ds.name, table.render());
 
-        let skew = fedomd_federated::heterogeneity::label_skew(&clients, ds.n_classes);
-        let shift = fedomd_federated::heterogeneity::feature_shift(&clients, 5);
-        let edge_loss = fedomd_federated::heterogeneity::cross_edge_loss(&clients, ds.n_edges());
+        let skew = fedomd_bench::heterogeneity::label_skew(&clients, ds.n_classes);
+        let shift = fedomd_bench::heterogeneity::feature_shift(&clients, 5);
+        let edge_loss = fedomd_bench::heterogeneity::cross_edge_loss(&clients, ds.n_edges());
         println!(
             "label skew (TV) {skew:.3} · feature shift (CMD) {shift:.4} · edges lost to cut {:.1}%\n",
             100.0 * edge_loss

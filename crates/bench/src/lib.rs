@@ -13,6 +13,7 @@
 //! The binaries print [`Table`]s of seed [`Summary`] cells; Table 3's
 //! measured columns fold the run's phase timings through [`PhaseTotals`].
 
+pub mod heterogeneity;
 mod phase_totals;
 mod record;
 mod stats;

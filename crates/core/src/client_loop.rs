@@ -14,13 +14,10 @@
 //! installing a fresher global model into the session.
 
 use fedomd_federated::helpers::UpdateShapeError;
-use fedomd_federated::{ClientData, TrainConfig};
+use fedomd_federated::protocol::GlobalStats;
+use fedomd_federated::{ClientData, ClientSession, EvalCounts, FedOmdConfig, TrainConfig};
 use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_transport::{Channel, Control, Envelope, Payload};
-
-use crate::config::FedOmdConfig;
-use crate::protocol::GlobalStats;
-use crate::session::{ClientSession, EvalCounts};
 
 /// Why [`run_fedomd_client_rounds`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,9 +114,9 @@ pub fn run_fedomd_client_rounds(
         }
 
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let losses = session.step(client, stats.as_ref());
-        if let Some(l) = &losses {
-            obs.on_event(&l.event(id));
+        let passes = session.step(client, stats.as_ref()).unwrap_or_default();
+        for (epoch, l) in passes.iter().enumerate() {
+            obs.on_event(&l.event(id, epoch as u32));
         }
         sw.finish(obs);
 
@@ -147,7 +144,7 @@ pub fn run_fedomd_client_rounds(
             EvalCounts::default()
         };
         chan.upload(up(Payload::Metrics {
-            train_loss: losses.map_or(f32::NAN, |l| l.total),
+            train_loss: passes.last().map_or(f32::NAN, |l| l.total),
             val_correct: counts.val.0,
             val_total: counts.val.1,
             test_correct: counts.test.0,
@@ -216,7 +213,7 @@ mod tests {
     use super::*;
     use fedomd_data::{generate, spec, DatasetName};
     use fedomd_federated::helpers::{count_correct, predict};
-    use fedomd_federated::{client_shard, FederationConfig};
+    use fedomd_federated::{client_shard, FederationConfig, Strategy};
     use fedomd_telemetry::NullObserver;
     use fedomd_tensor::Matrix;
     use fedomd_transport::{to_tensors, InProcChannel, SERVER_SENDER};
@@ -243,8 +240,8 @@ mod tests {
         let (shard, k) = one_shard();
         let cfg = quick_cfg(3);
         let omd = FedOmdConfig::paper();
-        let mut session = ClientSession::new(&cfg, &omd, shard.input.n_features(), k);
-        let before = session.model.params();
+        let mut session = ClientSession::new(&cfg, &Strategy::FedOmd(omd), 0, &shard, k);
+        let before = session.model().params();
         let mut chan = InProcChannel::new();
         let out = run_fedomd_client_rounds(
             0,
@@ -257,7 +254,7 @@ mod tests {
             &mut NullObserver,
         );
         assert_eq!(out, Ok(ClientOutcome::ServerLost { round: 1 }));
-        let after = session.model.params();
+        let after = session.model().params();
         assert!(
             before
                 .iter()
@@ -280,11 +277,11 @@ mod tests {
         let (shard, k) = one_shard();
         let cfg = quick_cfg(1);
         let omd = FedOmdConfig::ortho_only(); // no CMD: no stats exchange
-        let mut session = ClientSession::new(&cfg, &omd, shard.input.n_features(), k);
+        let mut session = ClientSession::new(&cfg, &Strategy::FedOmd(omd), 0, &shard, k);
         // A "global model" the server would broadcast: recognisably not
         // what the local step produces.
         let global: Vec<Matrix> = session
-            .model
+            .model()
             .params()
             .iter()
             .map(|p| Matrix::zeros(p.rows(), p.cols()))
@@ -312,12 +309,12 @@ mod tests {
         );
         // Single-round budget: the client finishes without a verdict.
         assert_eq!(out, Ok(ClientOutcome::Finished));
-        for (p, g) in session.model.params().iter().zip(&global) {
+        for (p, g) in session.model().params().iter().zip(&global) {
             assert_eq!(p.as_slice(), g.as_slice(), "global model not installed");
         }
         // Round 0 is on the eval schedule: the metrics frame must carry the
         // zero-model's actual pooled counts over this shard.
-        let logits = predict(session.model.as_ref(), &shard);
+        let logits = predict(session.model(), &shard);
         let (vc, vt) = count_correct(&logits, &shard.labels, &shard.splits.val);
         let (tc, tt) = count_correct(&logits, &shard.labels, &shard.splits.test);
         let uplink = chan.server_collect(0);
@@ -351,7 +348,7 @@ mod tests {
         let (shard, k) = one_shard();
         let cfg = quick_cfg(5);
         let omd = FedOmdConfig::ortho_only();
-        let mut session = ClientSession::new(&cfg, &omd, shard.input.n_features(), k);
+        let mut session = ClientSession::new(&cfg, &Strategy::FedOmd(omd), 0, &shard, k);
         let mut chan = InProcChannel::new();
         chan.download(
             0,

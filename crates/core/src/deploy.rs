@@ -1,5 +1,5 @@
-//! Shared pieces of the multi-process deployment: the common model
-//! constructor and the run-config digest the TCP handshake verifies.
+//! The run-config digest the multi-process deployment's TCP handshake
+//! verifies.
 //!
 //! A FedOMD federation only produces meaningful numbers when every
 //! process — the server and each client — agrees on the dataset, the cut,
@@ -9,33 +9,7 @@
 //! [`run_config_digest`] in its handshake and the server refuses peers
 //! whose digest differs.
 
-use fedomd_federated::TrainConfig;
-use fedomd_nn::{Model, OrthoGcn, OrthoGcnConfig};
-use fedomd_tensor::rng::{derive, seeded};
-
-use crate::config::FedOmdConfig;
-
-/// Constructs one client's FedOMD model exactly as the in-process trainer
-/// does: same architecture, same seeded init (`derive(seed, 0xF000)` —
-/// the server's distributed `W₀`, paper Phase 1). Every client building
-/// its model through this function starts bit-identical to every other,
-/// which is what lets a multi-process run reproduce the in-process one.
-pub fn build_fedomd_model(
-    cfg: &TrainConfig,
-    omd: &FedOmdConfig,
-    in_dim: usize,
-    n_classes: usize,
-) -> Box<dyn Model> {
-    let ocfg = OrthoGcnConfig {
-        in_dim,
-        hidden_dim: cfg.hidden_dim,
-        out_dim: n_classes,
-        hidden_layers: omd.hidden_layers,
-        ns_interval: 10,
-        ns_iters: 3,
-    };
-    Box::new(OrthoGcn::new(ocfg, &mut seeded(derive(cfg.seed, 0xF000))))
-}
+use fedomd_federated::{FedOmdConfig, TrainConfig};
 
 /// FNV-1a 64-bit digest over every configuration field that must agree
 /// between the server and a client for their runs to be mathematically
@@ -158,16 +132,5 @@ mod tests {
             run_config_digest(&cfg, &omd, "cora_mini", 3),
             run_config_digest(&short, &omd, "cora_mini", 3)
         );
-    }
-
-    #[test]
-    fn shared_builder_reproduces_identical_inits() {
-        let cfg = TrainConfig::mini(0);
-        let omd = FedOmdConfig::paper();
-        let a = build_fedomd_model(&cfg, &omd, 16, 4);
-        let b = build_fedomd_model(&cfg, &omd, 16, 4);
-        for (x, y) in a.params().iter().zip(b.params().iter()) {
-            assert_eq!(x.as_slice(), y.as_slice());
-        }
     }
 }

@@ -15,6 +15,12 @@
 //! orders 2..=5 computed about the returned global mean. Weights are then
 //! aggregated with FedAvg.
 //!
+//! The algorithm itself — the session halves, the statistics protocol and
+//! the in-process round — lives in `fedomd-federated`, where the FedAvg
+//! baselines run on the same round; this crate re-exports it and adds what
+//! only FedOMD runs: the TCP server and client drivers, the handshake
+//! digest, the run-checkpoint file and the [`FedRun`] builder.
+//!
 //! ```no_run
 //! use fedomd_core::{FedRun, RunConfig};
 //! use fedomd_data::{generate, spec, DatasetName};
@@ -35,24 +41,26 @@
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod client_loop;
-pub mod config;
 pub mod deploy;
-pub mod protocol;
 pub mod run;
 pub mod run_checkpoint;
 pub mod server;
-pub mod session;
-pub mod trainer;
+
+// Algorithm 1's session halves, the statistics protocol and FedOMD's
+// configuration live in `fedomd-federated`, next to the one in-process
+// round; their `fedomd_core::` paths stay.
+pub use fedomd_federated::{config, protocol, session};
 
 pub use client_loop::{run_fedomd_client_rounds, ClientOutcome};
-pub use config::FedOmdConfig;
-pub use deploy::{build_fedomd_model, run_config_digest};
-pub use protocol::{
+pub use deploy::run_config_digest;
+pub use fedomd_federated::protocol::{
     aggregate_means, aggregate_moments, build_targets, client_means, client_moments_about,
-    GlobalStats, MeanAccumulator, MomentAccumulator, ProtocolError, AGG_LANES,
+    GlobalStats, MeanAccumulator, MomentAccumulator, ProtocolError,
+};
+pub use fedomd_federated::{
+    build_fedomd_model, helpers::AGG_LANES, ClientSession, EvalCounts, FedOmdConfig, Rejected,
+    ServerRound, StepLosses,
 };
 pub use run::{FedRun, RunConfig};
 pub use run_checkpoint::{CheckpointError, FileCheckpointer, RunCheckpoint};
 pub use server::{drive_phase_fold, run_fedomd_server, ServerOpts};
-pub use session::{ClientSession, EvalCounts, Rejected, ServerRound, StepLosses};
-pub use trainer::{run_fedomd_observed, run_fedomd_resumable};

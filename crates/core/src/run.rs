@@ -35,22 +35,20 @@
 use std::path::{Path, PathBuf};
 
 use fedomd_federated::{
-    ClientData, CohortConfig, GenericOpts, Persistence, RunResult, TrainConfig,
+    ClientData, CohortConfig, FedOmdConfig, GenericOpts, Persistence, RunResult, Strategy,
+    TrainConfig,
 };
 use fedomd_telemetry::{NullObserver, RoundObserver};
 use fedomd_transport::{Channel, InProcChannel};
 
-use crate::config::FedOmdConfig;
 use crate::run_checkpoint::{CheckpointError, FileCheckpointer, RunCheckpoint};
-use crate::trainer::run_fedomd_resumable;
 
 /// The complete configuration of one federated run: the training schedule
 /// shared by every algorithm plus FedOMD's objective hyper-parameters.
 ///
-/// The split mirrors the crate boundary — [`TrainConfig`] lives in
-/// `fedomd-federated` because baselines share it, [`FedOmdConfig`] lives
-/// here because only FedOMD reads it — but call sites should not have to
-/// care, so this type carries both and forwards the common presets.
+/// Baselines read only [`TrainConfig`] and FedOMD reads both, but call
+/// sites should not have to care, so this type carries both and forwards
+/// the common presets.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Rounds, learning rate, patience, hidden width, seed (all
@@ -117,26 +115,6 @@ impl RunConfig {
     }
 }
 
-/// What a [`FedRun`] actually executes.
-enum RunKind {
-    /// FedOMD (Algorithm 1) — the default.
-    FedOmd,
-    /// The generic FedAvg-family loop with the given options (FedMLP,
-    /// FedProx, LocGCN, FedGCN).
-    Generic(GenericOpts),
-}
-
-impl RunKind {
-    /// The algorithm name stamped into checkpoints and validated on
-    /// resume.
-    fn algorithm(&self) -> &str {
-        match self {
-            RunKind::FedOmd => "FedOMD",
-            RunKind::Generic(opts) => opts.name,
-        }
-    }
-}
-
 /// Builder for one federated run.
 ///
 /// Composes the four independent axes — algorithm, configuration,
@@ -148,7 +126,8 @@ pub struct FedRun<'a> {
     clients: &'a [ClientData],
     n_classes: usize,
     config: RunConfig,
-    kind: RunKind,
+    /// The FedAvg-family options, `None` for FedOMD.
+    generic: Option<GenericOpts>,
     channel: Option<&'a mut dyn Channel>,
     observer: Option<&'a mut dyn RoundObserver>,
     ckpt_every: usize,
@@ -164,7 +143,7 @@ impl<'a> FedRun<'a> {
             clients,
             n_classes,
             config: RunConfig::paper(0),
-            kind: RunKind::FedOmd,
+            generic: None,
             channel: None,
             observer: None,
             ckpt_every: 0,
@@ -191,9 +170,9 @@ impl<'a> FedRun<'a> {
         self
     }
 
-    /// Runs the generic FedAvg-family loop instead of FedOMD.
+    /// Runs a FedAvg-family strategy instead of FedOMD.
     pub fn generic(mut self, opts: GenericOpts) -> Self {
-        self.kind = RunKind::Generic(opts);
+        self.generic = Some(opts);
         self
     }
 
@@ -245,7 +224,11 @@ impl<'a> FedRun<'a> {
         let mut default_obs = NullObserver;
         let chan: &mut dyn Channel = self.channel.unwrap_or(&mut default_chan);
         let obs: &mut dyn RoundObserver = self.observer.unwrap_or(&mut default_obs);
-        let algorithm = self.kind.algorithm();
+        let strategy = match self.generic {
+            Some(opts) => Strategy::FedAvg(opts),
+            None => Strategy::FedOmd(self.config.omd),
+        };
+        let algorithm = strategy.name();
         let resume = self.resume.map(|ckpt| {
             assert_eq!(
                 ckpt.algorithm, algorithm,
@@ -264,33 +247,21 @@ impl<'a> FedRun<'a> {
             resume,
             sink: sink.as_mut().map(|s| s as _),
         };
-        match self.kind {
-            RunKind::FedOmd => run_fedomd_resumable(
-                self.clients,
-                self.n_classes,
-                &self.config.train,
-                &self.config.omd,
-                chan,
-                obs,
-                persist,
-            ),
-            RunKind::Generic(opts) => fedomd_federated::run_generic_resumable(
-                self.clients,
-                self.n_classes,
-                &self.config.train,
-                &opts,
-                chan,
-                obs,
-                persist,
-            ),
-        }
+        fedomd_federated::run(
+            self.clients,
+            self.n_classes,
+            &self.config.train,
+            &strategy,
+            chan,
+            obs,
+            persist,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::run_fedomd_observed;
     use fedomd_federated::engine::ModelKind;
     use fedomd_federated::{setup_federation, FederationConfig};
     use fedomd_telemetry::MemoryObserver;
@@ -308,13 +279,14 @@ mod tests {
         let (clients, n_classes) = mini_setup();
         let cfg = RunConfig::mini(7).with_rounds(6);
         let a = FedRun::new(&clients, n_classes).config(cfg.clone()).run();
-        let b = run_fedomd_observed(
+        let b = fedomd_federated::run(
             &clients,
             n_classes,
             &cfg.train,
-            &cfg.omd,
+            &Strategy::FedOmd(cfg.omd),
             &mut InProcChannel::new(),
             &mut NullObserver,
+            Persistence::default(),
         );
         assert_eq!(a.test_acc, b.test_acc);
         assert_eq!(a.val_acc, b.val_acc);
@@ -340,6 +312,36 @@ mod tests {
         assert_eq!(mem.count("run_started"), 1);
         assert_eq!(mem.count("round_started"), 4);
         assert_eq!(mem.count("run_finished"), 1);
+    }
+
+    /// The FedAvg family's server tracks the global model as FedOMD's
+    /// does: its checkpoint carries the model every client installed.
+    #[test]
+    fn a_fedavg_checkpoint_carries_the_global_model() {
+        let (clients, n_classes) = mini_setup();
+        let path = std::env::temp_dir().join(format!(
+            "fedomd-run-fedavg-global-{}.ckpt",
+            std::process::id()
+        ));
+        FedRun::new(&clients, n_classes)
+            .config(RunConfig::mini(7).with_rounds(2))
+            .generic(GenericOpts {
+                name: "FedGCN",
+                model: ModelKind::Gcn,
+                aggregate: true,
+                prox_mu: 0.0,
+            })
+            .checkpoint_every(2, &path)
+            .run();
+        let state = RunCheckpoint::load(&path).unwrap().state;
+        let _ = std::fs::remove_file(&path);
+        let global = state
+            .global
+            .expect("a FedAvg checkpoint carries the global model");
+        assert_eq!(state.params.len(), clients.len());
+        for params in &state.params {
+            assert_eq!(params, &global);
+        }
     }
 
     #[test]

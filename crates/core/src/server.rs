@@ -4,8 +4,8 @@
 //! client**: it feeds the statistics and weight updates that arrive over
 //! the [`Channel`] to a [`ServerRound`], broadcasts what that answers, and
 //! keeps the history / early-stopping / checkpoint bookkeeping of the
-//! in-process loop (`crate::trainer`), whose server side is the same
-//! `ServerRound`. Clients run
+//! in-process loop ([`fedomd_federated::run`]), whose server side is the
+//! same `ServerRound`. Clients run
 //! [`crate::client_loop::run_fedomd_client_rounds`] in their own
 //! processes; over a faithful transport the pooled accuracies and round
 //! history reproduce the in-process run bit for bit.
@@ -22,16 +22,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fedomd_federated::engine::RoundDriver;
+use fedomd_federated::engine::{open_run, save_if_due, traffic_class};
 use fedomd_federated::{
-    CohortConfig, CommsLog, Direction, Persistence, ResumeState, RunResult, TrafficClass,
-    TrainConfig,
+    CohortConfig, CommsLog, Direction, EvalCounts, FedOmdConfig, Persistence, RunResult,
+    ServerRound, TrafficClass, TrainConfig,
 };
 use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_transport::{Channel, Control, Envelope, Payload, SERVER_SENDER};
-
-use crate::config::FedOmdConfig;
-use crate::session::{EvalCounts, ServerRound};
 
 /// Options of the standalone server driver.
 #[derive(Clone, Copy, Debug)]
@@ -65,7 +62,7 @@ impl ServerOpts {
 
 /// Runs the FedOMD server rounds over `chan` until the round budget or
 /// early stopping, with checkpoint/resume via `persist` exactly as
-/// [`crate::trainer::run_fedomd_resumable`] — except the snapshots carry
+/// [`fedomd_federated::run`] — except the snapshots carry
 /// no per-client state (`params`/`optim`/`model_steps` stay empty): the
 /// server's durable state is the driver bookkeeping, the channel cursor,
 /// and the last aggregated global model/statistics, which is what a
@@ -87,7 +84,7 @@ pub fn run_fedomd_server(
         panic!("run_fedomd_server: {e}");
     }
     let m = opts.n_clients;
-    let (mut driver, mut server, start_round) = open_run(cfg, m, &mut persist, chan, obs);
+    let (mut driver, mut server, start_round) = open_run(cfg, "FedOMD", m, &mut persist, chan, obs);
     let mut chan = ObservedChannel::new(chan);
     let mut collector = Collector::default();
     let everyone: Vec<u32> = (0..m as u32).collect();
@@ -217,9 +214,9 @@ pub fn run_fedomd_server(
         } else {
             losses.iter().sum::<f64>() / losses.len() as f64
         };
-        let eval = (driver.eval_due(round) && !losses.is_empty()).then(|| counts.accuracy());
+        let eval = (driver.eval_due(round) && !losses.is_empty()).then_some(counts);
         driver.comms.sync_dropped(chan.stats().dropped_frames);
-        driver.end_round_metrics(round, mean_loss, eval, obs);
+        driver.end_round(round, mean_loss, eval, obs);
         save_if_due(&mut persist, round, obs, || {
             server.checkpoint(round + 1, driver.snapshot(), chan.export_state(), &[])
         });
@@ -252,64 +249,6 @@ pub fn run_fedomd_server(
         }
     }
     driver.finish_observed("FedOMD", obs)
-}
-
-/// Opens a FedOMD run's server side, in-process or over TCP: restores the
-/// transport cursor, driver bookkeeping and last global model/statistics
-/// from `persist.resume` (or starts fresh), announces the run, and returns
-/// the driver, the server state and the first round to enter.
-pub(crate) fn open_run(
-    cfg: &TrainConfig,
-    n_clients: usize,
-    persist: &mut Persistence<'_>,
-    chan: &mut dyn Channel,
-    obs: &mut dyn RoundObserver,
-) -> (RoundDriver, ServerRound, usize) {
-    let mut server = ServerRound::new(persist.sink.is_some());
-    let (driver, start_round) = match persist.resume.take() {
-        Some(resume) => {
-            chan.restore_state(&resume.channel);
-            server.last_global = resume.global;
-            server.last_stats = resume.stats;
-            (RoundDriver::resume(cfg, resume.driver), resume.next_round)
-        }
-        None => (RoundDriver::new(cfg), 0),
-    };
-    driver.announce("FedOMD", n_clients, obs);
-    if start_round > 0 {
-        obs.on_event(&RoundEvent::Resumed {
-            round: start_round as u64,
-        });
-    }
-    (driver, server, start_round)
-}
-
-/// Hands `persist.sink` the snapshot `state()` when round `round` ends on
-/// its schedule.
-pub(crate) fn save_if_due(
-    persist: &mut Persistence<'_>,
-    round: usize,
-    obs: &mut dyn RoundObserver,
-    state: impl FnOnce() -> ResumeState,
-) {
-    if let Some(sink) = persist.sink.as_mut() {
-        if sink.every() > 0 && (round + 1).is_multiple_of(sink.every()) {
-            sink.save(state(), obs);
-        }
-    }
-}
-
-/// The class a frame's bytes are accounted under: model weights, or
-/// everything else (statistics, metrics, control).
-pub(crate) fn traffic_class(p: &Payload) -> TrafficClass {
-    if matches!(
-        p,
-        Payload::WeightUpdate { .. } | Payload::GlobalModel { .. }
-    ) {
-        TrafficClass::Weights
-    } else {
-        TrafficClass::Stats
-    }
 }
 
 /// Sends `payload` to every client in `to`, accounting one copy each.
@@ -436,6 +375,7 @@ mod tests {
     use super::*;
     use fedomd_federated::engine::DriverState;
     use fedomd_federated::CommsLog;
+    use fedomd_federated::ResumeState;
     use fedomd_nn::AdamState;
     use fedomd_telemetry::{MemoryObserver, NullObserver};
     use fedomd_transport::{ChannelState, InProcChannel, Tensor};

@@ -28,7 +28,7 @@ use crate::client::ClientData;
 use crate::comms::{Direction, TrafficClass};
 use crate::config::{RunResult, TrainConfig};
 use crate::engine::RoundDriver;
-use crate::helpers::{fedavg, local_step};
+use crate::helpers::{evaluate, fedavg, local_step};
 use fedomd_telemetry::{NullObserver, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 
 /// Number of latent link types.
@@ -351,7 +351,8 @@ pub fn run_fedlit_observed(
         }
 
         let mean_loss = losses.iter().map(|&l| l as f64).sum::<f64>() / losses.len() as f64;
-        driver.end_round_observed(round, mean_loss, &models, clients, obs);
+        let eval = driver.eval_if_due(round, obs, || evaluate(&models, clients));
+        driver.end_round(round, mean_loss, eval, obs);
         if driver.stopped() {
             break;
         }

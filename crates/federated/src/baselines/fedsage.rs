@@ -34,7 +34,7 @@ use crate::client::ClientData;
 use crate::comms::{Direction, TrafficClass};
 use crate::config::{RunResult, TrainConfig};
 use crate::engine::RoundDriver;
-use crate::helpers::{fedavg, local_step};
+use crate::helpers::{evaluate, fedavg, local_step};
 use fedomd_telemetry::{NullObserver, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 
 /// Fraction of nodes hidden to create generator supervision.
@@ -339,7 +339,8 @@ pub fn run_fedsage_plus_observed(
         }
 
         let mean_loss = losses.iter().map(|&l| l as f64).sum::<f64>() / losses.len() as f64;
-        driver.end_round_observed(round, mean_loss, &models, &mended_clients, obs);
+        let eval = driver.eval_if_due(round, obs, || evaluate(&models, &mended_clients));
+        driver.end_round(round, mean_loss, eval, obs);
         if driver.stopped() {
             break;
         }

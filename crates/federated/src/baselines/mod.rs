@@ -7,7 +7,7 @@ pub mod scaffold;
 
 use crate::client::ClientData;
 use crate::config::{RunResult, TrainConfig};
-use crate::engine::{run_generic_observed, GenericOpts, ModelKind};
+use crate::engine::{run, GenericOpts, ModelKind, Persistence, Strategy};
 use fedomd_telemetry::{NullObserver, RoundObserver};
 use fedomd_transport::InProcChannel;
 
@@ -69,10 +69,10 @@ impl Baseline {
         })
     }
 
-    /// The generic-engine options for the FedAvg-family baselines, `None`
-    /// for the bespoke loops (SCAFFOLD, FedSage+, FedLIT). Baselines with
-    /// options run on the shared engine and therefore support run
-    /// checkpoint/resume.
+    /// The [`Strategy::FedAvg`] options of the FedAvg-family baselines,
+    /// `None` for the bespoke loops (SCAFFOLD, FedSage+, FedLIT). Baselines
+    /// with options run on the shared round ([`crate::engine::run`]) and
+    /// therefore support run checkpoint/resume.
     pub fn generic_opts(self) -> Option<GenericOpts> {
         Some(match self {
             Baseline::FedMlp => GenericOpts {
@@ -108,12 +108,13 @@ impl Baseline {
     /// global snapshot; at one local epoch per round it is identically
     /// zero, so FedProx's own recipe (Li et al.) gets at least two.
     pub fn adjust_config(self, cfg: &TrainConfig) -> TrainConfig {
-        match self {
-            Baseline::FedProx => TrainConfig {
+        if self == Baseline::FedProx {
+            TrainConfig {
                 local_epochs: cfg.local_epochs.max(2),
                 ..cfg.clone()
-            },
-            _ => cfg.clone(),
+            }
+        } else {
+            cfg.clone()
         }
     }
 }
@@ -130,10 +131,10 @@ pub fn run_baseline(
 
 /// Runs one baseline end to end, reporting round milestones to `obs`.
 ///
-/// The FedAvg-family baselines run over the default in-process channel and
-/// report full frame-level telemetry; the bespoke loops (SCAFFOLD,
-/// FedSage+, FedLIT) report the round lifecycle, local steps, phases, and
-/// aggregation milestones.
+/// The FedAvg-family baselines run on the shared round over the default
+/// in-process channel and report full frame-level telemetry; the bespoke
+/// loops (SCAFFOLD, FedSage+, FedLIT) report the round lifecycle, local
+/// steps, phases, and aggregation milestones.
 pub fn run_baseline_observed(
     which: Baseline,
     clients: &[ClientData],
@@ -142,13 +143,14 @@ pub fn run_baseline_observed(
     obs: &mut dyn RoundObserver,
 ) -> RunResult {
     if let Some(opts) = which.generic_opts() {
-        return run_generic_observed(
+        return run(
             clients,
             n_classes,
             &which.adjust_config(cfg),
-            &opts,
+            &Strategy::FedAvg(opts),
             &mut InProcChannel::new(),
             obs,
+            Persistence::default(),
         );
     }
     match which {
@@ -157,10 +159,12 @@ pub fn run_baseline_observed(
         Baseline::FedLit => fedlit::run_fedlit_observed(clients, n_classes, cfg, obs),
         #[expect(
             clippy::unreachable,
-            reason = "the `generic_opts` guard above returned for every generic variant; \
-                      only the three bespoke loops reach here"
+            reason = "the `generic_opts` guard above returned for every FedAvg-family \
+                      variant; only the three bespoke loops reach here"
         )]
-        _ => unreachable!("generic baselines handled above"),
+        Baseline::FedMlp | Baseline::FedProx | Baseline::LocGcn | Baseline::FedGcn => {
+            unreachable!("FedAvg-family baselines handled above")
+        }
     }
 }
 

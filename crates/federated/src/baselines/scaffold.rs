@@ -20,7 +20,7 @@ use crate::client::ClientData;
 use crate::comms::{Direction, TrafficClass};
 use crate::config::{RunResult, TrainConfig};
 use crate::engine::{build_model, ModelKind, RoundDriver};
-use crate::helpers::{fedavg, local_step};
+use crate::helpers::{evaluate, fedavg, local_step};
 use fedomd_telemetry::{NullObserver, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 
 /// Runs SCAFFOLD to completion, without telemetry.
@@ -179,7 +179,8 @@ pub fn run_scaffold_observed(
 
         let mean_loss =
             outcomes.iter().map(|(l, _)| *l as f64).sum::<f64>() / outcomes.len() as f64;
-        driver.end_round_observed(round, mean_loss, &models, clients, obs);
+        let eval = driver.eval_if_due(round, obs, || evaluate(&models, clients));
+        driver.end_round(round, mean_loss, eval, obs);
         if driver.stopped() {
             break;
         }

@@ -1,4 +1,5 @@
-//! Training configuration and run results shared by every algorithm.
+//! Training configuration and run results shared by every algorithm, and
+//! FedOMD's objective hyper-parameters (paper §4.5, §5.1).
 
 use std::fmt;
 
@@ -245,6 +246,95 @@ impl TrainConfig {
     }
 }
 
+/// Hyper-parameters of FedOMD's objective and model.
+#[derive(Clone, Copy, Debug)]
+pub struct FedOmdConfig {
+    /// Weight of the orthogonality penalty (paper: `α = 0.0005`).
+    pub alpha: f32,
+    /// Weight of the CMD term (paper: `β = 10`).
+    pub beta: f32,
+    /// The assumed activation range `b − a` in Eq. 11 (ReLU activations of
+    /// row-normalised features stay within ~[0, 1], so 1.0).
+    pub width: f32,
+    /// Highest central-moment order exchanged (paper Algorithm 1: 5).
+    pub max_moment: u32,
+    /// Number of OrthoConv hidden layers (paper default 2; Table 7 sweeps
+    /// 2..10).
+    pub hidden_layers: usize,
+    /// Ablation switch: include the `α` orthogonality term (paper Table 6).
+    pub use_ortho: bool,
+    /// Ablation switch: include the `β` CMD term (paper Table 6).
+    pub use_cmd: bool,
+    /// Scale of Eq. 11's first (mean-alignment) term; 1.0 is the paper's
+    /// distance, 0.0 keeps only the order-≥2 shape moments. Exposed as an
+    /// extension knob because under strongly label-skewed Louvain cuts the
+    /// mean term fights the class signal (see EXPERIMENTS.md).
+    pub cmd_mean_scale: f32,
+    /// Apply the CMD constraint to the first hidden layer only instead of
+    /// all hidden layers (extension ablation: the input-feature shift the
+    /// constraint corrects lives in `Z¹`; deeper constraints also squeeze
+    /// class information).
+    pub cmd_first_layer_only: bool,
+}
+
+impl FedOmdConfig {
+    /// The paper's hyper-parameters with two calibrations: `β` is scaled
+    /// from 10 to 1 and the mean-alignment term of Eq. 11 is down-weighted
+    /// to 0.1.
+    ///
+    /// With this substrate's activation and loss scales, the printed
+    /// `β = 10` and the full-strength mean term dominate the cross-entropy
+    /// under strongly label-skewed Louvain cuts and *hurt* accuracy — the
+    /// calibration sweeps are recorded in EXPERIMENTS.md and regenerable
+    /// with the `ablation_cmd` bench binary. The order-≥2 moment terms keep
+    /// the paper's `1/(b−a)^j` weights. Use [`Self::strict_paper`] for the
+    /// literal constants.
+    pub fn paper() -> Self {
+        Self {
+            alpha: 5e-4,
+            beta: 1.0,
+            width: 1.0,
+            max_moment: 5,
+            hidden_layers: 2,
+            use_ortho: true,
+            use_cmd: true,
+            cmd_mean_scale: 0.1,
+            cmd_first_layer_only: false,
+        }
+    }
+
+    /// Eq. 11/12 exactly as printed (`β = 10`, mean term at full weight).
+    pub fn strict_paper() -> Self {
+        Self {
+            beta: 10.0,
+            cmd_mean_scale: 1.0,
+            ..Self::paper()
+        }
+    }
+
+    /// Ablation variant: orthogonality only (Table 6 row ✓/✗).
+    pub fn ortho_only() -> Self {
+        Self {
+            use_cmd: false,
+            ..Self::paper()
+        }
+    }
+
+    /// Ablation variant: CMD only (Table 6 row ✗/✓).
+    pub fn cmd_only() -> Self {
+        Self {
+            use_ortho: false,
+            ..Self::paper()
+        }
+    }
+}
+
+impl Default for FedOmdConfig {
+    fn default() -> Self {
+        Self::paper()
+    }
+}
+
 /// Accuracy snapshot at one evaluated round.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RoundStats {
@@ -432,5 +522,24 @@ mod tests {
         assert!(msg.contains('9') && msg.contains('4'), "got: {msg}");
         let msg = CohortConfigError::NonFiniteSampleFrac { got: f64::NAN }.to_string();
         assert!(msg.contains("NaN"), "got: {msg}");
+    }
+
+    #[test]
+    fn omd_paper_defaults() {
+        let c = FedOmdConfig::paper();
+        assert!((c.alpha - 5e-4).abs() < 1e-9);
+        assert!((c.beta - 1.0).abs() < 1e-9);
+        assert!((FedOmdConfig::strict_paper().beta - 10.0).abs() < 1e-9);
+        assert_eq!(c.max_moment, 5);
+        assert_eq!(c.hidden_layers, 2);
+        assert!(c.use_ortho && c.use_cmd);
+    }
+
+    #[test]
+    fn ablation_variants_flip_exactly_one_switch() {
+        assert!(!FedOmdConfig::ortho_only().use_cmd);
+        assert!(FedOmdConfig::ortho_only().use_ortho);
+        assert!(!FedOmdConfig::cmd_only().use_ortho);
+        assert!(FedOmdConfig::cmd_only().use_cmd);
     }
 }

@@ -1,15 +1,14 @@
 //! Shared machinery for every federated algorithm: prediction, argmax,
-//! weighted evaluation, the FedAvg reduction (batch [`fedavg`] and streaming
-//! [`UpdateAccumulator`]), the in-process weight-phase fold, and the
-//! single-client training step.
+//! pooled evaluation, the FedAvg reduction (batch [`fedavg`] and streaming
+//! [`UpdateAccumulator`]), and the single-client training step.
 
 use fedomd_autograd::{Tape, Var, Workspace};
 use fedomd_nn::{ForwardOut, Model, Optimizer};
 use fedomd_tensor::Matrix;
-use fedomd_transport::{from_tensors, Envelope, Payload};
 use std::fmt;
 
 use crate::client::ClientData;
+use crate::session::EvalCounts;
 
 /// Forward pass without gradient bookkeeping; returns the logits matrix.
 pub fn predict(model: &dyn Model, client: &ClientData) -> Matrix {
@@ -43,26 +42,32 @@ pub fn count_correct(logits: &Matrix, labels: &[usize], mask: &[usize]) -> (usiz
     (correct, mask.len())
 }
 
-/// Pooled (node-weighted) validation and test accuracy across all clients.
+/// `(correct, total)` of `model` over `client`'s validation and test nodes.
+pub fn eval_counts(model: &dyn Model, client: &ClientData) -> EvalCounts {
+    let logits = predict(model, client);
+    let count = |mask: &[usize]| {
+        let (c, t) = count_correct(&logits, &client.labels, mask);
+        (c as u64, t as u64)
+    };
+    EvalCounts {
+        val: count(&client.splits.val),
+        test: count(&client.splits.test),
+    }
+}
+
+/// Pooled (node-weighted) validation and test counts across all clients.
 ///
 /// This realises the paper's "average accuracy across parties" as the
-/// pooled accuracy over every party's val/test nodes, which is the stable
-/// variant under heavily skewed party sizes.
-pub fn evaluate(models: &[Box<dyn Model>], clients: &[ClientData]) -> (f64, f64) {
+/// pooled accuracy over every party's val/test nodes
+/// ([`EvalCounts::accuracy`]), which is the stable variant under heavily
+/// skewed party sizes.
+pub fn evaluate(models: &[Box<dyn Model>], clients: &[ClientData]) -> EvalCounts {
     assert_eq!(models.len(), clients.len(), "evaluate: arity mismatch");
-    let mut val = (0usize, 0usize);
-    let mut test = (0usize, 0usize);
+    let mut counts = EvalCounts::default();
     for (model, client) in models.iter().zip(clients) {
-        let logits = predict(model.as_ref(), client);
-        let (c, t) = count_correct(&logits, &client.labels, &client.splits.val);
-        val.0 += c;
-        val.1 += t;
-        let (c, t) = count_correct(&logits, &client.labels, &client.splits.test);
-        test.0 += c;
-        test.1 += t;
+        counts += eval_counts(model.as_ref(), client);
     }
-    let frac = |(c, t): (usize, usize)| if t == 0 { 0.0 } else { c as f64 / t as f64 };
-    (frac(val), frac(test))
+    counts
 }
 
 /// Weighted FedAvg: `W̄ = Σ_i λ_i W_i` with `λ` normalised to sum to 1
@@ -97,7 +102,7 @@ pub fn fedavg(param_sets: &[Vec<Matrix>], weights: &[f64]) -> Vec<Matrix> {
 }
 
 /// Fixed lane count of every streaming aggregate: [`UpdateAccumulator`]
-/// and `fedomd_core::protocol`'s statistics accumulators. A constant
+/// and [`crate::protocol`]'s statistics accumulators. A constant
 /// (rather than the worker-pool width) so the reduction order, and
 /// therefore the bit pattern of every aggregate, is the same on every
 /// machine and at every parallelism level.
@@ -279,27 +284,6 @@ impl fmt::Display for UpdateShapeError {
 
 impl std::error::Error for UpdateShapeError {}
 
-/// Folds one uplinked weight update into the in-process server's
-/// streaming FedAvg accumulator (shared by every in-process round loop).
-/// An update [`UpdateAccumulator::try_push`] refuses is dropped, exactly
-/// like a frame lost in transit.
-pub fn fold_weight_update(agg: &mut UpdateAccumulator, env: Envelope) {
-    match env.payload {
-        Payload::WeightUpdate { params } => {
-            let _admitted = agg.try_push(&from_tensors(params), 1.0).is_ok();
-        }
-        #[expect(
-            clippy::panic,
-            reason = "protocol invariant: every channel impl routes only client uplink \
-                      frames to `server_collect`, and in-process clients upload nothing \
-                      but `WeightUpdate` in the weight phase — any other payload here \
-                      is a routing bug that must fail loudly, and the wildcard panics \
-                      naming the unexpected kind instead of swallowing the frame"
-        )]
-        other => panic!("server expected WeightUpdate, got {}", other.kind()),
-    }
-}
-
 /// One local training step: forward, CE over the train mask, optional
 /// extra loss terms, backward, gradient adjustment hook, optimiser step.
 /// Returns the total scalar loss.
@@ -319,19 +303,58 @@ pub fn local_step(
 ) -> f32 {
     let mut tape = Tape::with_workspace(std::mem::take(ws));
     let out = model.forward(&mut tape, &client.input);
+    let (pool, loss) = finish_step(
+        tape,
+        &out,
+        model.as_mut(),
+        client,
+        opt,
+        extra_loss,
+        adjust_grads,
+    );
+    *ws = pool;
+    loss
+}
+
+/// [`local_step`] after its forward pass, which `tape` and `out` already
+/// record: the same operations in the same order. Returns the tape's
+/// recycled buffer pool and the total scalar loss.
+pub(crate) fn finish_step(
+    mut tape: Tape,
+    out: &ForwardOut,
+    model: &mut dyn Model,
+    client: &ClientData,
+    opt: &mut dyn Optimizer,
+    extra_loss: impl FnOnce(&mut Tape, &ForwardOut) -> Vec<Var>,
+    adjust_grads: impl FnOnce(&mut [Matrix]),
+) -> (Workspace, f32) {
     let mut loss = tape.softmax_cross_entropy(out.logits, &client.labels, &client.splits.train);
-    for term in extra_loss(&mut tape, &out) {
+    for term in extra_loss(&mut tape, out) {
         loss = tape.add(loss, term);
     }
-    tape.backward(loss);
+    descend(&mut tape, out, loss, model, opt, adjust_grads);
+    let scalar = tape.scalar(loss);
+    (tape.recycle(), scalar)
+}
 
+/// Backward from `loss`, the gradient hook, and one optimiser step on
+/// `model` followed by its post-step hook. Every gradient and parameter
+/// buffer goes back to the tape's pool.
+pub(crate) fn descend(
+    tape: &mut Tape,
+    out: &ForwardOut,
+    loss: Var,
+    model: &mut dyn Model,
+    opt: &mut dyn Optimizer,
+    adjust_grads: impl FnOnce(&mut [Matrix]),
+) {
+    tape.backward(loss);
     let mut grads: Vec<Matrix> = out
         .param_vars
         .iter()
         .map(|&v| tape.grad_or_zeros(v))
         .collect();
     adjust_grads(&mut grads);
-
     let mut params = model.params();
     opt.step(&mut params, &grads);
     model.set_params(&params);
@@ -342,9 +365,6 @@ pub fn local_step(
     for p in params {
         tape.recycle_matrix(p);
     }
-    let scalar = tape.scalar(loss);
-    *ws = tape.recycle();
-    scalar
 }
 
 #[cfg(test)]
@@ -422,7 +442,7 @@ mod tests {
             7,
             &mut rng,
         ))];
-        let (val, test) = evaluate(&models, std::slice::from_ref(&client));
+        let (val, test) = evaluate(&models, std::slice::from_ref(&client)).accuracy();
         assert!((0.0..=1.0).contains(&val));
         assert!((0.0..=1.0).contains(&test));
     }

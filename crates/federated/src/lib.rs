@@ -1,11 +1,16 @@
-//! The federated-learning substrate of the FedOMD reproduction.
+//! The federated-learning substrate of the FedOMD reproduction, and the
+//! one in-process round every FedAvg-family algorithm runs on.
 //!
 //! Provides the in-process federation simulator — per-party [`ClientData`]
-//! built by the Louvain cut, byte-accounted [`CommsLog`], the shared
-//! round-loop machinery ([`engine`]) — plus the seven baselines the paper
-//! compares against (its Table 4/5): FedMLP, FedProx, SCAFFOLD, LocGCN,
-//! FedGCN, FedSage+, and FedLIT. FedOMD itself lives in `fedomd-core`,
-//! built on the same machinery.
+//! built by the Louvain cut, byte-accounted [`CommsLog`] — and Algorithm 1
+//! as I/O-free state ([`session`]: a [`ClientSession`] per party and a
+//! [`ServerRound`], with the 2-round statistics exchange in [`protocol`]).
+//! [`engine::run`] sweeps them in lockstep for every [`Strategy`]: FedOMD,
+//! the paper's contribution, and the FedAvg-family baselines of its
+//! Table 4 (FedMLP, FedProx, LocGCN, FedGCN). The other three baselines
+//! (SCAFFOLD, FedSage+, FedLIT) have their own loops in [`baselines`].
+//! `fedomd-core` adds the TCP deployment, run checkpoint files and the
+//! `FedRun` builder.
 //!
 //! Clients train in parallel on rayon workers inside every communication
 //! round; all randomness is derived from the run seed, so a full federated
@@ -14,6 +19,8 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// Tests may match loosely; the library must name every variant it handles.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod baselines;
 pub mod client;
@@ -21,19 +28,23 @@ pub mod comms;
 pub mod config;
 pub mod engine;
 pub mod helpers;
-pub mod heterogeneity;
+pub mod protocol;
 pub mod secure_agg;
+pub mod session;
 
 pub use client::{
     client_shard, setup_federation, setup_federation_planted, ClientData, FederationConfig,
 };
 pub use comms::{CommsLog, Direction, TrafficClass};
-pub use config::{CohortConfig, CohortConfigError, RoundStats, RunResult, TrainConfig};
+pub use config::{
+    CohortConfig, CohortConfigError, FedOmdConfig, RoundStats, RunResult, TrainConfig,
+};
 pub use engine::{
-    run_generic_observed, run_generic_resumable, CheckpointSink, DriverState, GenericOpts,
-    ModelKind, Persistence, ResumeState, StatsCache,
+    build_fedomd_model, run, CheckpointSink, DriverState, GenericOpts, ModelKind, Persistence,
+    ResumeState, StatsCache, Strategy,
 };
 pub use helpers::UpdateAccumulator;
 pub use secure_agg::{
     aggregate_masked, secure_weighted_sum, secure_weighted_sum_frames, MaskingContext,
 };
+pub use session::{ClientSession, EvalCounts, Rejected, ServerRound, StepLosses};

@@ -156,6 +156,7 @@ pub fn secure_weighted_sum_frames(
     #[expect(
         clippy::expect_used,
         clippy::panic,
+        clippy::wildcard_enum_match_arm,
         reason = "protocol invariant of the masking round: every masked upload is \
                   exactly one WeightUpdate tensor by construction (see `mask_upload`); \
                   anything else is a routing bug the simulation wants loud"

@@ -49,6 +49,14 @@ cargo run -q --release -p fedomd-bench --bin fedomd_run -- \
     --rounds 2 --checkpoint "$ckpt_dir/run.ckpt" --checkpoint-every 1
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- \
     --rounds 4 --resume "$ckpt_dir/run.ckpt"
+# The FedAvg family on the shared round: FedProx's two local passes and
+# proximal anchor through a checkpoint that tracks the global model and a
+# resume, and LocGCN's round without a weight exchange.
+cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo fedprox \
+    --rounds 2 --checkpoint "$ckpt_dir/p.ckpt" --checkpoint-every 1
+cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo fedprox \
+    --rounds 4 --resume "$ckpt_dir/p.ckpt"
+cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo locgcn --rounds 2
 rm -rf "$ckpt_dir"
 # Serves the global model of a reloaded run checkpoint and checks it
 # against the checkpointed client copy bit for bit.

@@ -3,10 +3,11 @@
 //! zero-cost `NullObserver` — and the JSONL trace is parseable line by
 //! line and covers every executed round.
 
-use fedomd_core::{run_fedomd_observed, FedOmdConfig, FedRun, RunConfig};
+use fedomd_core::{FedOmdConfig, FedRun, RunConfig};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::{
-    setup_federation, ClientData, FederationConfig, GenericOpts, ModelKind, RunResult, TrainConfig,
+    run, setup_federation, ClientData, FederationConfig, GenericOpts, ModelKind, Persistence,
+    RunResult, Strategy, TrainConfig,
 };
 use fedomd_jsonio::Json;
 use fedomd_telemetry::{JsonlObserver, MemoryObserver, NullObserver, ObservedChannel};
@@ -45,13 +46,14 @@ fn null_observer_run_is_bit_identical_to_the_builder() {
         .train(cfg.clone())
         .omd(omd)
         .run();
-    let nulled = run_fedomd_observed(
+    let nulled = run(
         &clients,
         n_classes,
         &cfg,
-        &omd,
+        &Strategy::FedOmd(omd),
         &mut InProcChannel::new(),
         &mut NullObserver,
+        Persistence::default(),
     );
     assert_same_run(&baseline, &nulled);
 }
@@ -67,25 +69,27 @@ fn any_observer_is_a_pure_sink() {
         .run();
 
     let mut mem = MemoryObserver::new();
-    let observed = run_fedomd_observed(
+    let observed = run(
         &clients,
         n_classes,
         &cfg,
-        &omd,
+        &Strategy::FedOmd(omd),
         &mut InProcChannel::new(),
         &mut mem,
+        Persistence::default(),
     );
     assert_same_run(&baseline, &observed);
     assert!(mem.count("local_step_done") > 0);
 
     let mut jsonl = JsonlObserver::new(Vec::new());
-    let traced = run_fedomd_observed(
+    let traced = run(
         &clients,
         n_classes,
         &cfg,
-        &omd,
+        &Strategy::FedOmd(omd),
         &mut InProcChannel::new(),
         &mut jsonl,
+        Persistence::default(),
     );
     assert_same_run(&baseline, &traced);
 }
@@ -101,22 +105,24 @@ fn observers_do_not_perturb_a_lossy_channel_run() {
         max_retries: 1,
         ..Default::default()
     };
-    let baseline = run_fedomd_observed(
+    let baseline = run(
         &clients,
         n_classes,
         &cfg,
-        &omd,
+        &Strategy::FedOmd(omd),
         &mut SimNetChannel::new(faults.clone()),
         &mut NullObserver,
+        Persistence::default(),
     );
     let mut mem = MemoryObserver::new();
-    let observed = run_fedomd_observed(
+    let observed = run(
         &clients,
         n_classes,
         &cfg,
-        &omd,
+        &Strategy::FedOmd(omd),
         &mut SimNetChannel::new(faults),
         &mut mem,
+        Persistence::default(),
     );
     assert_same_run(&baseline, &observed);
     // The same fault stream replays, so the trace must agree with the
@@ -138,13 +144,14 @@ fn fedrun_builder_matches_the_raw_generic_loop() {
         aggregate: true,
         prox_mu: 0.0,
     };
-    let raw = fedomd_federated::run_generic_observed(
+    let raw = run(
         &clients,
         n_classes,
         &cfg,
-        &opts,
+        &Strategy::FedAvg(opts),
         &mut InProcChannel::new(),
         &mut NullObserver,
+        Persistence::default(),
     );
     let built = FedRun::new(&clients, n_classes)
         .config(RunConfig::mini(3).with_train(cfg))
@@ -159,13 +166,14 @@ fn jsonl_trace_parses_and_covers_every_round() {
     let rounds = 6;
     let cfg = short_cfg(4, rounds);
     let mut jsonl = JsonlObserver::new(Vec::new());
-    let result = run_fedomd_observed(
+    let result = run(
         &clients,
         n_classes,
         &cfg,
-        &FedOmdConfig::paper(),
+        &Strategy::FedOmd(FedOmdConfig::paper()),
         &mut InProcChannel::new(),
         &mut jsonl,
+        Persistence::default(),
     );
 
     let text = String::from_utf8(jsonl.into_inner()).expect("trace is utf-8");
@@ -245,13 +253,14 @@ fn early_stop_is_reported_as_an_event() {
         ..TrainConfig::mini(5)
     };
     let mut mem = MemoryObserver::new();
-    let result = run_fedomd_observed(
+    let result = run(
         &clients,
         n_classes,
         &cfg,
-        &FedOmdConfig::paper(),
+        &Strategy::FedOmd(FedOmdConfig::paper()),
         &mut InProcChannel::new(),
         &mut mem,
+        Persistence::default(),
     );
     if (result.comms.rounds as usize) < cfg.rounds {
         assert_eq!(mem.count("early_stopped"), 1);
