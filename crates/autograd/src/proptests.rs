@@ -4,9 +4,14 @@
 
 #![cfg(test)]
 
+use std::sync::Arc;
+
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 use crate::tape::Tape;
+use fedomd_sparse::Csr;
+use fedomd_tensor::gemm::{matmul, matmul_ref, matmul_tn, matmul_tn_ref};
 use fedomd_tensor::Matrix;
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -14,7 +19,103 @@ fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |v| Matrix::from_vec(rows, cols, v))
 }
 
+/// The value a special-entry code writes: NaN, +inf, -inf or -0.0.
+fn special(kind: u8) -> f32 {
+    match kind {
+        0 => f32::NAN,
+        1 => f32::INFINITY,
+        2 => f32::NEG_INFINITY,
+        _ => -0.0,
+    }
+}
+
+/// A `rows × cols` matrix of values in `[-2, 2)` with up to two entries
+/// overwritten by [`special`] values (none in about a third of cases).
+fn arb_poisoned(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
+    (arb_matrix(rows, cols), vec((0usize..4096, 0u8..4), 0..3)).prop_map(
+        move |(mut m, specials)| {
+            for (i, kind) in specials {
+                m.as_mut_slice()[i % (rows * cols)] = special(kind);
+            }
+            m
+        },
+    )
+}
+
+/// `(A, W, G)` for `Y = A·W` with upstream gradient `G`: `A` is 0–30 %
+/// non-zero, its zeros a mix of `+0.0` and `-0.0`, and every third row is
+/// emptied in about half the cases. Up to 96 × 40 × 20, so both sides of
+/// the dense dispatcher's small-product cut-off and of the SpMM register
+/// chunk are covered.
+fn arb_sparse_product() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
+    (1usize..96, 1usize..40, 1usize..20, 0u32..=30, 0u8..2).prop_flat_map(
+        |(m, k, n, pct, empty_rows)| {
+            let entries = vec((0u32..100, -2.0f32..2.0, 0u8..2), m * k);
+            (entries, arb_poisoned(k, n), arb_poisoned(m, n)).prop_map(move |(entries, w, g)| {
+                let a = Matrix::from_fn(m, k, |r, c| {
+                    let (roll, v, negative) = entries[r * k + c];
+                    if roll < pct && !(empty_rows == 1 && r % 3 == 0) {
+                        v
+                    } else if negative == 1 {
+                        -0.0
+                    } else {
+                        0.0
+                    }
+                });
+                (a, w, g)
+            })
+        },
+    )
+}
+
+fn assert_bits_eq(got: &Matrix, want: &Matrix) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.shape(), want.shape());
+    for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+        prop_assert_eq!(x.to_bits(), y.to_bits());
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The sparse input layer is the dense product, bit for bit: the
+    /// forward `A·W` and the weight gradient `Aᵀ·G` of `csr_matmul` equal
+    /// the dense dispatcher's and the serial reference kernels' on the
+    /// dense twin of `A`, non-finite `W` and `G` included.
+    #[test]
+    fn csr_matmul_is_the_dense_product(case in arb_sparse_product()) {
+        let (a, w, g) = case;
+        let (m, k) = a.shape();
+        let n = w.cols();
+        let mut nonzeros = Vec::new();
+        for r in 0..m {
+            for c in 0..k {
+                if a[(r, c)] != 0.0 {
+                    nonzeros.push((r, c, a[(r, c)]));
+                }
+            }
+        }
+        let csr = Arc::new(Csr::from_coo(m, k, nonzeros));
+        let dense = Arc::new(a);
+
+        let mut t = Tape::new();
+        let wv = t.param(w.clone());
+        let y = t.csr_matmul(&csr, &dense, wv);
+        // loss = 1ᵀ·(Y ⊙ G)·1, whose gradient with respect to Y is
+        // exactly G.
+        let yg = t.mask_mul(y, g.clone());
+        let ones_l = t.constant(Matrix::full(1, m, 1.0));
+        let ones_r = t.constant(Matrix::full(n, 1, 1.0));
+        let s = t.matmul(ones_l, yg);
+        let loss = t.matmul(s, ones_r);
+        t.backward(loss);
+
+        assert_bits_eq(t.value(y), &matmul(&dense, &w))?;
+        assert_bits_eq(t.value(y), &matmul_ref(&dense, &w))?;
+        let dw = t.grad(wv).expect("W gets a gradient");
+        assert_bits_eq(dw, &matmul_tn(&dense, &g))?;
+        assert_bits_eq(dw, &matmul_tn_ref(&dense, &g))?;
+    }
+
     /// d(sum(A·B))/dA is linear in B: doubling B doubles the gradient.
     #[test]
     fn matmul_gradient_linear_in_other_operand(

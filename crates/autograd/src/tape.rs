@@ -23,6 +23,13 @@ enum Op {
     MatMul(usize, usize),
     /// `Y = S · X` for a constant sparse `S`.
     SpMM(Arc<Csr>, usize),
+    /// `Y = A · W` for a constant CSR `A` with its dense twin (the
+    /// non-finite fallback).
+    CsrMatMul {
+        a: Arc<Csr>,
+        dense: Arc<Matrix>,
+        w: usize,
+    },
     /// `C = A + alpha · B` (same shapes).
     AddScaled(usize, usize, f32),
     /// Row-broadcast bias add: `Y = X + 1·bᵀ`, `b` is `1 × cols`.
@@ -223,6 +230,39 @@ impl Tape {
         s.spmm_into(vx, &mut value);
         let rg = self.rg(x);
         self.push(value, Op::SpMM(s, x.0), rg)
+    }
+
+    /// `Y = A · W` for a constant `A` held both as CSR (`a`) and dense
+    /// (`dense`, the same matrix) — the first layer's `Ŝ·X·W` on a
+    /// zero-heavy input. Bit-identical to [`Tape::matmul`] on
+    /// `constant(dense)`, without copying `dense` onto the tape.
+    ///
+    /// The forward runs through [`Csr::spmm_into`] and the weight gradient
+    /// `Aᵀ·G` through the workspace's cached transpose. Both accumulate the
+    /// stored entries in ascending `k` from `+0.0`, which is what the dense
+    /// zero-skip kernels do when the right operand is finite. When `W`
+    /// (forward) or `G` (backward) holds a NaN or ±inf, the dense kernels
+    /// add every `0 · x` term, so those products run on `dense` instead.
+    pub fn csr_matmul(&mut self, a: &Arc<Csr>, dense: &Arc<Matrix>, w: Var) -> Var {
+        debug_assert_eq!(
+            (a.rows(), a.cols()),
+            dense.shape(),
+            "csr_matmul: twin shapes differ"
+        );
+        let vw = &self.nodes[w.0].value;
+        let mut value = self.ws.take_uninit(a.rows(), vw.cols());
+        if vw.all_finite() {
+            a.spmm_into(vw, &mut value);
+        } else {
+            matmul_into(dense, vw, &mut value);
+        }
+        let rg = self.rg(w);
+        let op = Op::CsrMatMul {
+            a: a.clone(),
+            dense: dense.clone(),
+            w: w.0,
+        };
+        self.push(value, op, rg)
     }
 
     /// `a + b`.
@@ -457,6 +497,19 @@ impl Tape {
                     let mut d = self.ws.take_uninit(st.rows(), g.cols());
                     st.spmm_into(g, &mut d);
                     self.accumulate(x, d);
+                }
+            }
+            Op::CsrMatMul { a, dense, w } => {
+                let w = *w;
+                if self.nodes[w].requires_grad {
+                    let mut d = self.ws.take_uninit(a.cols(), g.cols());
+                    if g.all_finite() {
+                        let at = self.ws.transposed(a);
+                        at.spmm_into(g, &mut d);
+                    } else {
+                        matmul_tn_into(dense, g, &mut d);
+                    }
+                    self.accumulate(w, d);
                 }
             }
             Op::AddScaled(a, b, alpha) => {

@@ -143,6 +143,7 @@ fn type_operators(client: &ClientData, assign: &[usize]) -> Vec<Arc<Csr>> {
 }
 
 /// The per-type two-layer GCN of FedLIT.
+#[derive(Clone)]
 struct FedLitModel {
     ops: Vec<Arc<Csr>>,
     w0: Vec<Matrix>,
@@ -212,6 +213,10 @@ impl Model for FedLitModel {
             param_vars,
             ortho_weight_vars: Vec::new(),
         }
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Model> {
+        Box::new(self.clone())
     }
 
     fn params(&self) -> Vec<Matrix> {

@@ -72,13 +72,17 @@ impl FederationConfig {
 /// resolution, greedy community→party packing, induced subgraphs, per-party
 /// stratified splits.
 pub fn setup_federation(dataset: &Dataset, cfg: &FederationConfig) -> Vec<ClientData> {
+    bundle_parties(dataset, cfg, louvain_parties(dataset, cfg))
+}
+
+/// The Louvain cut of [`setup_federation`], before bundling.
+fn louvain_parties(dataset: &Dataset, cfg: &FederationConfig) -> Vec<PartySubgraph> {
     let louvain_cfg = LouvainConfig {
         resolution: cfg.resolution,
         seed: derive(cfg.seed, 0x10),
         ..Default::default()
     };
-    let parties = louvain_cut(&dataset.graph, cfg.n_parties, &louvain_cfg);
-    bundle_parties(dataset, cfg, parties)
+    louvain_cut(&dataset.graph, cfg.n_parties, &louvain_cfg)
 }
 
 /// Cuts `dataset` along its **planted** communities (`dataset.communities`)
@@ -111,8 +115,7 @@ pub fn setup_federation_planted(dataset: &Dataset, cfg: &FederationConfig) -> Ve
     bundle_parties(dataset, cfg, parties)
 }
 
-/// Turns party subgraphs into full client bundles: local labels/features,
-/// normalised operator, stratified splits.
+/// Turns party subgraphs into full client bundles.
 fn bundle_parties(
     dataset: &Dataset,
     cfg: &FederationConfig,
@@ -121,22 +124,31 @@ fn bundle_parties(
     parties
         .into_iter()
         .enumerate()
-        .map(|(i, p)| {
-            let labels: Vec<usize> = p.global_ids.iter().map(|&g| dataset.labels[g]).collect();
-            let features = dataset.features.select_rows(&p.global_ids);
-            let edges = p.graph.edges().to_vec();
-            let s = Arc::new(normalized_adjacency(p.graph.n_nodes(), &edges));
-            let input = GraphInput::new(s, features);
-            let splits = split_nodes(&labels, cfg.ratios, derive(cfg.seed, 0x20 + i as u64));
-            ClientData {
-                input,
-                labels,
-                splits,
-                global_ids: p.global_ids,
-                edges,
-            }
-        })
+        .map(|(i, p)| bundle_party(dataset, cfg, i, p))
         .collect()
+}
+
+/// Party `i`'s bundle: local labels/features, normalised operator (and
+/// the cached `Ŝ·X`), stratified splits.
+fn bundle_party(
+    dataset: &Dataset,
+    cfg: &FederationConfig,
+    i: usize,
+    p: PartySubgraph,
+) -> ClientData {
+    let labels: Vec<usize> = p.global_ids.iter().map(|&g| dataset.labels[g]).collect();
+    let features = dataset.features.select_rows(&p.global_ids);
+    let edges = p.graph.edges().to_vec();
+    let s = Arc::new(normalized_adjacency(p.graph.n_nodes(), &edges));
+    let input = GraphInput::new(s, features);
+    let splits = split_nodes(&labels, cfg.ratios, derive(cfg.seed, 0x20 + i as u64));
+    ClientData {
+        input,
+        labels,
+        splits,
+        global_ids: p.global_ids,
+        edges,
+    }
 }
 
 /// One client's shard of the federation: the `ClientData` that
@@ -145,14 +157,15 @@ fn bundle_parties(
 ///
 /// A multi-process `fedomd-client` calls this with its own id so every
 /// process regenerates the identical Louvain cut from the shared
-/// `(dataset, cfg)` and keeps only its slice — no shard files need to be
-/// distributed, and the cut is bitwise the one the in-process simulator
-/// uses (the deterministic-per-seed property of the cut itself).
+/// `(dataset, cfg)` and bundles only its own party — no shard files need
+/// to be distributed, and the cut is bitwise the one the in-process
+/// simulator uses (the deterministic-per-seed property of the cut itself).
 pub fn client_shard(dataset: &Dataset, cfg: &FederationConfig, id: usize) -> Option<ClientData> {
     if id >= cfg.n_parties {
         return None;
     }
-    setup_federation(dataset, cfg).into_iter().nth(id)
+    let party = louvain_parties(dataset, cfg).into_iter().nth(id)?;
+    Some(bundle_party(dataset, cfg, id, party))
 }
 
 #[cfg(test)]

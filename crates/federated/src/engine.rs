@@ -416,11 +416,7 @@ pub fn run(
         panic!("run: {e}");
     }
     let m = clients.len();
-    let mut sessions: Vec<ClientSession> = clients
-        .iter()
-        .enumerate()
-        .map(|(i, client)| ClientSession::new(cfg, strategy, i, client, n_classes))
-        .collect();
+    let mut sessions = ClientSession::federation(cfg, strategy, clients, n_classes);
     if let Some(resume) = persist.resume.as_mut() {
         assert_eq!(
             resume.params.len(),

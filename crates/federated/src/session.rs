@@ -78,24 +78,43 @@ impl ClientSession {
         client: &ClientData,
         n_classes: usize,
     ) -> Self {
-        let (model, passes) = match strategy {
-            Strategy::FedOmd(omd) => {
-                let in_dim = client.input.n_features();
-                (build_fedomd_model(cfg, omd, in_dim, n_classes), 1)
+        let model = initial_model(cfg, strategy, index, client, n_classes);
+        Self::with_model(cfg, strategy, model)
+    }
+
+    /// One fresh session per client, each equal to what [`Self::new`]
+    /// builds for it. A strategy that aggregates starts every client from
+    /// one common model, so that model is built once and cloned; LocGCN's
+    /// per-client models are built one by one.
+    pub(crate) fn federation(
+        cfg: &TrainConfig,
+        strategy: &Strategy,
+        clients: &[ClientData],
+        n_classes: usize,
+    ) -> Vec<Self> {
+        let common = match clients.first() {
+            Some(first) if strategy.aggregates() => {
+                Some(initial_model(cfg, strategy, 0, first, n_classes))
             }
-            Strategy::FedAvg(opts) => {
-                // Aggregating algorithms start from a common global init
-                // (paper Phase 1: the server distributes W₀); LocGCN trains
-                // independent local models from independent inits.
-                let salt = if opts.aggregate {
-                    0xA000
-                } else {
-                    0xA000 + 1 + index as u64
+            _ => None,
+        };
+        clients
+            .iter()
+            .enumerate()
+            .map(|(i, client)| {
+                let model = match &common {
+                    Some(m) => m.boxed_clone(),
+                    None => initial_model(cfg, strategy, i, client, n_classes),
                 };
-                let seed = derive(cfg.seed, salt);
-                let model = build_model(opts.model, client, n_classes, cfg.hidden_dim, seed);
-                (model, cfg.local_epochs.max(1))
-            }
+                Self::with_model(cfg, strategy, model)
+            })
+            .collect()
+    }
+
+    fn with_model(cfg: &TrainConfig, strategy: &Strategy, model: Box<dyn Model>) -> Self {
+        let passes = match strategy {
+            Strategy::FedOmd(_) => 1,
+            Strategy::FedAvg(_) => cfg.local_epochs.max(1),
         };
         Self {
             strategy: *strategy,
@@ -484,6 +503,31 @@ impl ServerRound {
     }
 }
 
+/// Client `index`'s initial model under `strategy`.
+fn initial_model(
+    cfg: &TrainConfig,
+    strategy: &Strategy,
+    index: usize,
+    client: &ClientData,
+    n_classes: usize,
+) -> Box<dyn Model> {
+    match strategy {
+        Strategy::FedOmd(omd) => build_fedomd_model(cfg, omd, client.input.n_features(), n_classes),
+        Strategy::FedAvg(opts) => {
+            // Aggregating algorithms start from a common global init
+            // (paper Phase 1: the server distributes W₀); LocGCN trains
+            // independent local models from independent inits.
+            let salt = if opts.aggregate {
+                0xA000
+            } else {
+                0xA000 + 1 + index as u64
+            };
+            let seed = derive(cfg.seed, salt);
+            build_model(opts.model, client, n_classes, cfg.hidden_dim, seed)
+        }
+    }
+}
+
 /// Refuses a payload holding a NaN or an infinity.
 fn finite<'a>(slices: impl IntoIterator<Item = &'a [f32]>) -> Result<(), Rejected> {
     // `fold` rather than `all` so the inner loop has no early exit and
@@ -705,6 +749,56 @@ mod tests {
                 assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits());
                 assert_eq!(a.val_acc.to_bits(), b.val_acc.to_bits());
                 assert_eq!(a.test_acc.to_bits(), b.test_acc.to_bits());
+            }
+        }
+    }
+
+    /// Cloning the one common initial model into every session gives each
+    /// client what building its own session gives it: the same parameters,
+    /// step counter and first local step. LocGCN's per-client models are
+    /// checked the same way.
+    #[test]
+    fn a_federation_of_cloned_sessions_equals_sessions_built_one_by_one() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let clients = setup_federation(&ds, &FederationConfig::mini(3, 0));
+        let cfg = TrainConfig::mini(0);
+        let k = ds.n_classes;
+        let bits = |s: &ClientSession| -> Vec<u32> {
+            s.model
+                .params()
+                .iter()
+                .flat_map(|p| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                .collect()
+        };
+        let strategies = [
+            Strategy::FedOmd(FedOmdConfig::paper()),
+            Strategy::FedAvg(Baseline::FedGcn.generic_opts().unwrap()),
+            Strategy::FedAvg(Baseline::LocGcn.generic_opts().unwrap()),
+        ];
+        for strategy in strategies {
+            let federation = ClientSession::federation(&cfg, &strategy, &clients, k);
+            assert_eq!(federation.len(), clients.len());
+            for (i, (mut cloned, client)) in federation.into_iter().zip(&clients).enumerate() {
+                let mut built = ClientSession::new(&cfg, &strategy, i, client, k);
+                assert_eq!(
+                    bits(&cloned),
+                    bits(&built),
+                    "{} client {i}",
+                    strategy.name()
+                );
+                assert_eq!(cloned.model.steps(), built.model.steps());
+                cloned.forward(client);
+                built.forward(client);
+                let a = cloned.step(client, None).unwrap();
+                let b = built.step(client, None).unwrap();
+                assert_eq!(a, b);
+                assert_eq!(
+                    bits(&cloned),
+                    bits(&built),
+                    "{} client {i}",
+                    strategy.name()
+                );
+                assert_eq!(cloned.model.steps(), built.model.steps());
             }
         }
     }

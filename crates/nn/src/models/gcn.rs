@@ -9,6 +9,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::model::{ForwardOut, GraphInput, Model};
 
 /// Two-layer GCN without biases (the standard Planetoid configuration).
+#[derive(Clone)]
 pub struct Gcn {
     w0: Matrix,
     w1: Matrix,
@@ -31,12 +32,11 @@ impl Gcn {
 
 impl Model for Gcn {
     fn forward(&self, tape: &mut Tape, input: &GraphInput) -> ForwardOut {
-        // First propagation Ŝ·X is cached in the input.
-        let sx = tape.constant_copied(&input.sx);
         let w0 = tape.param_copied(&self.w0);
         let w1 = tape.param_copied(&self.w1);
 
-        let h = tape.matmul(sx, w0);
+        // First propagation Ŝ·X is cached in the input.
+        let h = input.sx_matmul(tape, w0);
         let h = tape.relu(h);
         let hp = tape.spmm(input.s.clone(), h);
         let logits = tape.matmul(hp, w1);
@@ -47,6 +47,10 @@ impl Model for Gcn {
             param_vars: vec![w0, w1],
             ortho_weight_vars: Vec::new(),
         }
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Model> {
+        Box::new(self.clone())
     }
 
     fn params(&self) -> Vec<Matrix> {

@@ -9,6 +9,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::model::{ForwardOut, GraphInput, Model};
 
 /// `logits = ReLU(X·W1 + b1)·W2 + b2`.
+#[derive(Clone)]
 pub struct Mlp {
     w1: Matrix,
     b1: Matrix,
@@ -48,6 +49,10 @@ impl Model for Mlp {
             param_vars: vec![w1, b1, w2, b2],
             ortho_weight_vars: Vec::new(),
         }
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Model> {
+        Box::new(self.clone())
     }
 
     fn params(&self) -> Vec<Matrix> {

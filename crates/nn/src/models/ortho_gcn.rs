@@ -50,6 +50,7 @@ impl OrthoGcnConfig {
 }
 
 /// The Ortho-GCN model.
+#[derive(Clone)]
 pub struct OrthoGcn {
     cfg: OrthoGcnConfig,
     w_in: Matrix,
@@ -93,11 +94,10 @@ impl OrthoGcn {
 
 impl Model for OrthoGcn {
     fn forward(&self, tape: &mut Tape, input: &GraphInput) -> ForwardOut {
-        let sx = tape.constant_copied(&input.sx);
         let w_in = tape.param_copied(&self.w_in);
 
         // Layer 1 (GCNConv): Z¹ = ReLU(Ŝ·X·W⁰); Ŝ·X is cached.
-        let mut z = tape.matmul(sx, w_in);
+        let mut z = input.sx_matmul(tape, w_in);
         z = tape.relu(z);
 
         let mut hidden = vec![z];
@@ -132,6 +132,10 @@ impl Model for OrthoGcn {
             param_vars,
             ortho_weight_vars,
         }
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Model> {
+        Box::new(self.clone())
     }
 
     fn params(&self) -> Vec<Matrix> {

@@ -13,6 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::model::{ForwardOut, GraphInput, Model};
 
 /// Two SAGE layers with separate self/neighbour weights.
+#[derive(Clone)]
 pub struct GraphSage {
     w_self0: Matrix,
     w_neigh0: Matrix,
@@ -73,6 +74,10 @@ impl Model for GraphSage {
             param_vars: vec![ws0, wn0, ws1, wn1],
             ortho_weight_vars: Vec::new(),
         }
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Model> {
+        Box::new(self.clone())
     }
 
     fn params(&self) -> Vec<Matrix> {

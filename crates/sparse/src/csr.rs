@@ -1,5 +1,6 @@
 //! Compressed-sparse-row matrices and the parallel SpMM kernel.
 
+use fedomd_tensor::gemm::SPARSE_MAX_DENSITY;
 use fedomd_tensor::Matrix;
 use rayon::prelude::*;
 
@@ -203,6 +204,58 @@ impl Csr {
         };
         debug_assert!(out.validate().is_ok());
         out
+    }
+
+    /// `dense` as CSR when it is zero-heavy — fewer than
+    /// [`SPARSE_MAX_DENSITY`] of its entries non-zero, the test the dense
+    /// GEMM dispatcher applies to a left operand — else `None`.
+    ///
+    /// Stores exactly the `v != 0.0` entries (a `-0.0` is not stored), in
+    /// ascending column order: the terms, and the order, in which the
+    /// zero-skip GEMM kernels accumulate a product whose right operand is
+    /// finite. One pass: each row is compacted into a row-sized scratch
+    /// window and appended to buffers reserved at the density cap, and
+    /// the first row that reaches the cap ends the scan, so a dense
+    /// operand costs a partial scan and nothing is counted twice. The
+    /// compaction writes every entry and advances only past non-zeros, so
+    /// it does not branch on the data.
+    pub fn from_zero_heavy(dense: &Matrix) -> Option<Csr> {
+        let (rows, cols) = dense.shape();
+        // For an integer count, `nnz < d·len` ⟺ `nnz < ⌈d·len⌉`.
+        let cap = (SPARSE_MAX_DENSITY * dense.len() as f64).ceil() as usize;
+        if cap == 0 {
+            return None;
+        }
+        let mut indptr = vec![0usize; rows + 1];
+        let mut indices = Vec::with_capacity(cap);
+        let mut values = Vec::with_capacity(cap);
+        let mut row_idx = vec![0u32; cols];
+        let mut row_val = vec![0.0f32; cols];
+        for (r, row) in dense.as_slice().chunks_exact(cols).enumerate() {
+            let mut k = 0;
+            for (c, &v) in row.iter().enumerate() {
+                row_idx[k] = c as u32;
+                row_val[k] = v;
+                k += usize::from(v != 0.0);
+            }
+            if indices.len() + k >= cap {
+                return None;
+            }
+            indices.extend_from_slice(&row_idx[..k]);
+            values.extend_from_slice(&row_val[..k]);
+            indptr[r + 1] = indices.len();
+        }
+        indices.shrink_to_fit();
+        values.shrink_to_fit();
+        let out = Self {
+            rows,
+            cols,
+            indptr,
+            indices,
+            values,
+        };
+        debug_assert!(out.validate().is_ok());
+        Some(out)
     }
 
     /// An all-zero sparse matrix.
@@ -662,6 +715,65 @@ mod tests {
         }
     }
 
+    fn assert_bits_eq(a: &Matrix, b: &Matrix) {
+        assert_eq!(a.shape(), b.shape());
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn from_zero_heavy_round_trips_bitwise() {
+        // 6 of 40 entries non-zero, including ±inf, a subnormal and a
+        // negative value; rows 1 and 4 and columns 0, 5, 6, 7 are empty.
+        let mut m = Matrix::zeros(5, 8);
+        m[(0, 3)] = 1.5;
+        m[(0, 4)] = -2.25;
+        m[(2, 1)] = f32::INFINITY;
+        m[(2, 2)] = f32::MIN_POSITIVE / 8.0;
+        m[(3, 1)] = f32::NEG_INFINITY;
+        m[(3, 4)] = 7.0;
+        let s = Csr::from_zero_heavy(&m).expect("15 % dense");
+        s.validate().expect("valid");
+        assert_eq!(s.nnz(), 6);
+        assert_eq!(s.row(0), (&[3u32, 4][..], &[1.5f32, -2.25][..]));
+        assert_eq!(s.row_nnz(1), 0);
+        assert_eq!(s.row_nnz(4), 0);
+        assert_bits_eq(&s.to_dense(), &m);
+    }
+
+    #[test]
+    fn from_zero_heavy_keeps_a_quarter_dense_matrix_dense() {
+        let mut m = Matrix::zeros(4, 4);
+        for i in 0..3 {
+            m[(i, i)] = 1.0;
+        }
+        assert_eq!(Csr::from_zero_heavy(&m).map(|s| s.nnz()), Some(3));
+        m[(3, 3)] = 1.0; // exactly ¼ non-zero: not zero-heavy
+        assert!(Csr::from_zero_heavy(&m).is_none());
+        assert!(Csr::from_zero_heavy(&Matrix::full(3, 3, 1.0)).is_none());
+    }
+
+    #[test]
+    fn from_zero_heavy_does_not_store_negative_zero() {
+        let mut m = Matrix::zeros(3, 4);
+        m[(0, 1)] = -0.0;
+        m[(1, 2)] = -0.0;
+        m[(2, 0)] = 0.5;
+        let s = Csr::from_zero_heavy(&m).expect("zero-heavy");
+        assert_eq!(s.nnz(), 1);
+        assert_eq!(s.row(2), (&[0u32][..], &[0.5f32][..]));
+    }
+
+    #[test]
+    fn from_zero_heavy_handles_all_zero_and_empty_shapes() {
+        let z = Csr::from_zero_heavy(&Matrix::zeros(6, 3)).expect("all zero");
+        assert_eq!(z, Csr::zeros(6, 3));
+        // No entries at all: `0 < ¼·0` is false, as in the GEMM dispatcher.
+        assert!(Csr::from_zero_heavy(&Matrix::zeros(0, 5)).is_none());
+        assert!(Csr::from_zero_heavy(&Matrix::zeros(5, 0)).is_none());
+    }
+
     #[test]
     fn balanced_blocks_partition_and_balance() {
         // Power-law-ish degrees: one hub row, many light rows.
@@ -722,6 +834,31 @@ mod tests {
             let got = s.spmm(&x);
             let want = fedomd_tensor::gemm::matmul_naive(&s.to_dense(), &x);
             got.assert_close(&want, 1e-3);
+        }
+
+        /// The one-pass extraction keeps exactly the non-zeros, and only
+        /// below the density cap.
+        #[test]
+        fn prop_from_zero_heavy_is_the_nonzeros_below_the_cap(
+            rows in 0usize..12, cols in 0usize..12,
+            cells in proptest::collection::vec((0u32..100, -2.0f32..2.0), 144),
+            pct in 0u32..60,
+        ) {
+            let m = Matrix::from_fn(rows, cols, |r, c| {
+                let (roll, v) = cells[r * 12 + c];
+                if roll < pct { v } else if roll % 2 == 0 { -0.0 } else { 0.0 }
+            });
+            let mut entries = Vec::new();
+            for r in 0..rows {
+                for c in 0..cols {
+                    if m[(r, c)] != 0.0 {
+                        entries.push((r, c, m[(r, c)]));
+                    }
+                }
+            }
+            let zero_heavy = (entries.len() as f64) < SPARSE_MAX_DENSITY * m.len() as f64;
+            let want = zero_heavy.then(|| Csr::from_coo(rows, cols, entries));
+            prop_assert_eq!(Csr::from_zero_heavy(&m), want);
         }
 
         #[test]

@@ -65,6 +65,14 @@
 //! [`gemm_tn_skip_par`]. `matmul_nt` keeps no such path: its dot-product
 //! inner loop never had a skip to lose.
 //!
+//! The largest such product, a model's first layer `Ŝ·X·W`, no longer
+//! comes through here when `Ŝ·X` is zero-heavy: `fedomd_nn::GraphInput`
+//! extracts it to CSR once at set-up (`Csr::from_zero_heavy`, by the same
+//! [`SPARSE_MAX_DENSITY`] test) and the autograd tape runs the forward and
+//! the weight gradient as SpMM, which accumulates the skip kernels' terms
+//! in their order. It falls back to [`matmul`] / [`matmul_tn`] exactly
+//! when the skip kernels would not skip: a non-finite right operand.
+//!
 //! The pre-PR4 kernels are additionally retained serially as
 //! [`matmul_ref`] / [`matmul_tn_ref`] / [`matmul_nt_ref`]: they serve as
 //! the oracle for the bit-identity proptests below and as the dispatch
@@ -94,7 +102,9 @@ const SMALL_FLOPS: usize = 32 * 32 * 32;
 /// kernel is ~3× faster per MAC, so the skip (which eliminates MACs
 /// outright) wins once fewer than roughly a third of the terms survive;
 /// ¼ keeps a safety margin for the skip kernel's poorer vectorisation.
-const SPARSE_MAX_DENSITY: f64 = 0.25;
+/// `fedomd-sparse` reuses it to decide when a constant left operand is
+/// worth storing as CSR.
+pub const SPARSE_MAX_DENSITY: f64 = 0.25;
 /// Row-block size of the zero-skip kernels' parallel splitting (the
 /// pre-PR4 kernels' blocking, kept verbatim).
 const BLOCK: usize = 32;

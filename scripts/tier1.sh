@@ -79,6 +79,14 @@ echo "::group::Exhaustive fold interleaving sweep (n ≤ 5)"
 cargo test -q --release -p fedomd-core --test interleaving
 echo "::endgroup::"
 
+echo "::group::Sparse input layer equals the dense product (1024 cases)"
+# DESIGN.md §12: the CSR first layer's forward and weight gradient are
+# bit-identical to the dense GEMM dispatcher and the reference kernels,
+# non-finite weights and gradients included. (Also part of the workspace
+# tests at the stub's default 64 cases; this is the release build.)
+PROPTEST_CASES=1024 cargo test -q --release -p fedomd-autograd csr_matmul_is_the_dense_product
+echo "::endgroup::"
+
 echo "::group::Contention step (net_golden + interleaving under load)"
 # DESIGN.md §16: the TCP goldens and the interleaving sweep must hold
 # with both cores saturated, not just on a quiet box. The goldens fail on
