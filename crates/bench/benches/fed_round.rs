@@ -2,11 +2,11 @@
 //! counterpart of the paper's Table 3, under Criterion statistics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fedomd_bench::{table4_rows, Algo};
+use fedomd_bench::{run_row, table4_rows};
 use fedomd_core::{FedOmdConfig, FedRun};
 use fedomd_data::{generate, spec, DatasetName};
-use fedomd_federated::{setup_federation, FederationConfig, TrainConfig};
-use fedomd_telemetry::JsonlObserver;
+use fedomd_federated::{setup_federation, FederationConfig, Strategy, TrainConfig};
+use fedomd_telemetry::{JsonlObserver, NullObserver};
 
 fn bench_round(c: &mut Criterion) {
     let ds = generate(&spec(DatasetName::CoraMini), 0);
@@ -26,20 +26,20 @@ fn bench_round(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("two_rounds", algo.name()),
             &algo,
-            |b, algo| b.iter(|| algo.run(&clients, ds.n_classes, &cfg)),
+            |b, algo| b.iter(|| run_row(algo, &clients, ds.n_classes, &cfg, &mut NullObserver)),
         );
     }
     // FedOMD's stat exchange in isolation (CMD on, 5 orders) vs off.
-    let on = Algo::FedOmd(FedOmdConfig::paper());
-    let off = Algo::FedOmd(FedOmdConfig {
+    let on = Strategy::FedOmd(FedOmdConfig::paper());
+    let off = Strategy::FedOmd(FedOmdConfig {
         use_cmd: false,
         ..FedOmdConfig::paper()
     });
     group.bench_function("fedomd_cmd_on", |b| {
-        b.iter(|| on.run(&clients, ds.n_classes, &cfg))
+        b.iter(|| run_row(&on, &clients, ds.n_classes, &cfg, &mut NullObserver))
     });
     group.bench_function("fedomd_cmd_off", |b| {
-        b.iter(|| off.run(&clients, ds.n_classes, &cfg))
+        b.iter(|| run_row(&off, &clients, ds.n_classes, &cfg, &mut NullObserver))
     });
     // Telemetry overhead: the same two FedOMD rounds with the zero-cost
     // NullObserver vs a JsonlObserver serialising every event to a sink

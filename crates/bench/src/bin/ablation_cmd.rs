@@ -4,9 +4,10 @@
 //! around the calibrated default. This is the experiment behind the
 //! calibration notes in EXPERIMENTS.md.
 
-use fedomd_bench::{seeded_cell, Algo, ExperimentRecord, HarnessOpts, Table};
+use fedomd_bench::{seeded_cell, ExperimentRecord, HarnessOpts, Table};
 use fedomd_core::FedOmdConfig;
 use fedomd_data::DatasetName;
+use fedomd_federated::Strategy;
 
 const M: usize = 3;
 
@@ -70,7 +71,7 @@ fn main() {
     for ds_name in [DatasetName::Cora, DatasetName::Computer] {
         let mut table = Table::new(&["Variant", "accuracy"]);
         for (label, cfg) in &variants {
-            let s = seeded_cell(&Algo::FedOmd(*cfg), ds_name, M, 1.0, &opts);
+            let s = seeded_cell(&Strategy::FedOmd(*cfg), ds_name, M, 1.0, &opts);
             record.push(label, &format!("{ds_name:?}"), s.mean, s.std);
             table.row(vec![label.clone(), s.paper_cell()]);
             eprintln!("  [{ds_name:?}] {label}: {}", s.paper_cell());

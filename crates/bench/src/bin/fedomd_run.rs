@@ -18,14 +18,12 @@
 //! `--checkpoint <path>` snapshots the full run state to `path` every
 //! `--checkpoint-every N` rounds (default 1); `--resume <path>` picks a
 //! killed run back up from its latest snapshot, bit-identical to the
-//! uninterrupted run (DESIGN.md §11). Supported for FedOMD and the
-//! FedAvg-family baselines (fedmlp, fedprox, locgcn, fedgcn); the bespoke
-//! loops (scaffold, fedsage+, fedlit) reject the flags.
+//! uninterrupted run (DESIGN.md §11), for FedOMD and every baseline.
 
 use fedomd_bench::PhaseTotals;
 use fedomd_core::{FedOmdConfig, FedRun, RunConfig};
 use fedomd_data::{generate, spec, DatasetName};
-use fedomd_federated::baselines::{run_baseline_observed, Baseline};
+use fedomd_federated::baselines::Baseline;
 use fedomd_federated::helpers::argmax_row;
 use fedomd_federated::{setup_federation, FederationConfig, TrainConfig};
 use fedomd_telemetry::{ConsoleObserver, JsonlObserver, RoundObserver, TeeObserver};
@@ -142,34 +140,15 @@ fn main() {
     } else {
         Some(Baseline::parse(&args.algo).unwrap_or_else(|| usage()))
     };
-    let generic = baseline.and_then(Baseline::generic_opts);
-    if (args.checkpoint.is_some() || args.resume.is_some())
-        && baseline.is_some()
-        && generic.is_none()
-    {
-        eprintln!(
-            "fedomd_run: --checkpoint/--resume are not supported for {}: its bespoke \
-             loop keeps state the run checkpoint does not capture",
-            args.algo
-        );
-        std::process::exit(2);
-    }
     let run = |obs: &mut dyn RoundObserver| {
-        // The bespoke loops (SCAFFOLD, FedSage+, FedLIT) do not run on the
-        // shared round; everything else routes through FedRun so the
-        // checkpoint flags apply uniformly.
-        if let (Some(b), None) = (baseline, generic) {
-            return run_baseline_observed(b, &clients, ds.n_classes, &cfg, obs);
-        }
-        let train = baseline.map_or_else(|| cfg.clone(), |b| b.adjust_config(&cfg));
         let mut fed_run = FedRun::new(&clients, ds.n_classes)
             .config(RunConfig {
-                train,
+                train: cfg.clone(),
                 omd: FedOmdConfig::paper(),
             })
             .observer(obs);
-        if let Some(opts) = generic {
-            fed_run = fed_run.generic(opts);
+        if let Some(b) = baseline {
+            fed_run = fed_run.baseline(b);
         }
         if let Some(path) = &args.checkpoint {
             fed_run = fed_run.checkpoint_every(args.checkpoint_every, path);

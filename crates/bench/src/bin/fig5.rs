@@ -2,9 +2,12 @@
 //! round on Cora with 5 parties, for every algorithm. Emits one CSV-style
 //! series per algorithm (round, test accuracy).
 
-use fedomd_bench::{dataset_for, fed_cfg, table4_rows, train_cfg, ExperimentRecord, HarnessOpts};
+use fedomd_bench::{
+    dataset_for, fed_cfg, run_row, table4_rows, train_cfg, ExperimentRecord, HarnessOpts,
+};
 use fedomd_data::DatasetName;
 use fedomd_federated::setup_federation;
+use fedomd_telemetry::NullObserver;
 
 const M: usize = 5;
 
@@ -21,11 +24,11 @@ fn main() {
     println!("Figure 5 — test accuracy vs communication round (Cora, M={M})\n");
     println!("algorithm,round,test_acc_pct");
     for algo in table4_rows() {
-        let r = algo.run(&clients, ds.n_classes, &cfg);
+        let r = run_row(&algo, &clients, ds.n_classes, &cfg, &mut NullObserver);
         for h in &r.history {
             println!("{},{},{:.2}", algo.name(), h.round, 100.0 * h.test_acc);
             record.push(
-                &algo.name(),
+                algo.name(),
                 &format!("round{}", h.round),
                 100.0 * h.test_acc,
                 0.0,

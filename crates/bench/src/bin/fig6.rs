@@ -1,9 +1,10 @@
 //! Regenerates **Figure 6**: sensitivity of FedOMD to the loss weights
 //! (α, β) on Cora and Computer with 3 parties — a grid of mean accuracies.
 
-use fedomd_bench::{seeded_cell, Algo, ExperimentRecord, HarnessOpts, Table};
+use fedomd_bench::{seeded_cell, ExperimentRecord, HarnessOpts, Table};
 use fedomd_core::FedOmdConfig;
 use fedomd_data::DatasetName;
+use fedomd_federated::Strategy;
 
 const ALPHAS: [f32; 4] = [5e-5, 5e-4, 5e-3, 5e-2];
 const BETAS: [f32; 4] = [0.1, 1.0, 10.0, 100.0];
@@ -28,7 +29,7 @@ fn main() {
                     beta,
                     ..FedOmdConfig::paper()
                 };
-                let s = seeded_cell(&Algo::FedOmd(cfg), ds_name, M, 1.0, &opts);
+                let s = seeded_cell(&Strategy::FedOmd(cfg), ds_name, M, 1.0, &opts);
                 record.push(
                     &format!("alpha={alpha}"),
                     &format!("{ds_name:?}/beta={beta}"),

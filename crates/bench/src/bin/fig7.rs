@@ -2,16 +2,17 @@
 //! hyper-parameter (which controls how fragmented the party subgraphs are)
 //! on FedOMD accuracy, for the four main datasets with 3 parties.
 
-use fedomd_bench::{seeded_cell, Algo, ExperimentRecord, HarnessOpts, Table};
+use fedomd_bench::{seeded_cell, ExperimentRecord, HarnessOpts, Table};
 use fedomd_core::FedOmdConfig;
 use fedomd_data::DatasetName;
+use fedomd_federated::Strategy;
 
 const RESOLUTIONS: [f64; 6] = [0.5, 1.0, 2.0, 5.0, 20.0, 50.0];
 const M: usize = 3;
 
 fn main() {
     let opts = HarnessOpts::parse();
-    let algo = Algo::FedOmd(FedOmdConfig::paper());
+    let algo = Strategy::FedOmd(FedOmdConfig::paper());
     let mut record = ExperimentRecord::new("fig7", opts.scale.name(), &opts.seeds);
 
     println!("Figure 7 — Louvain resolution sweep, FedOMD mean accuracy (%), M={M}\n");

@@ -5,7 +5,8 @@
 //! times are the run's `PhaseDone` segments, folded by [`PhaseTotals`].
 
 use fedomd_bench::{
-    dataset_for, fed_cfg, table4_rows, train_cfg, ExperimentRecord, HarnessOpts, PhaseTotals, Table,
+    dataset_for, fed_cfg, run_row, table4_rows, train_cfg, ExperimentRecord, HarnessOpts,
+    PhaseTotals, Table,
 };
 use fedomd_data::DatasetName;
 use fedomd_federated::setup_federation;
@@ -57,17 +58,17 @@ fn main() {
     );
     for algo in table4_rows() {
         let mut totals = PhaseTotals::default();
-        let r = algo.run_observed(&clients, ds.n_classes, &cfg, &mut totals);
+        let r = run_row(&algo, &clients, ds.n_classes, &cfg, &mut totals);
         let rounds = r.comms.rounds.max(1) as f64;
         let evals = r.history.len().max(1) as f64;
-        let (ca, sa, ia) = asymptotic(&algo.name());
+        let (ca, sa, ia) = asymptotic(algo.name());
         let client_ms = totals.client_ms() / rounds;
         let server_ms = totals.server_ms() / rounds;
         let infer_ms = totals.inference_ms() / evals;
         let mb_round = r.comms.total_bytes() as f64 / rounds / 1e6;
         let stats_pct = 100.0 * r.comms.stats_fraction();
         table.row(vec![
-            algo.name(),
+            algo.name().to_string(),
             ca.into(),
             sa.into(),
             ia.into(),
@@ -77,11 +78,11 @@ fn main() {
             format!("{mb_round:.3}"),
             format!("{stats_pct:.2}"),
         ]);
-        record.push(&algo.name(), "client_ms_per_round", client_ms, 0.0);
-        record.push(&algo.name(), "server_ms_per_round", server_ms, 0.0);
-        record.push(&algo.name(), "inference_ms_per_eval", infer_ms, 0.0);
-        record.push(&algo.name(), "mb_per_round", mb_round, 0.0);
-        record.push(&algo.name(), "stats_pct_of_uplink", stats_pct, 0.0);
+        record.push(algo.name(), "client_ms_per_round", client_ms, 0.0);
+        record.push(algo.name(), "server_ms_per_round", server_ms, 0.0);
+        record.push(algo.name(), "inference_ms_per_eval", infer_ms, 0.0);
+        record.push(algo.name(), "mb_per_round", mb_round, 0.0);
+        record.push(algo.name(), "stats_pct_of_uplink", stats_pct, 0.0);
         eprintln!("  {} done", algo.name());
     }
     print!("{}", table.render());

@@ -30,10 +30,10 @@ fn main() {
         let mut table = Table::new(&header_refs);
 
         for algo in &rows {
-            let mut cells = vec![algo.name()];
+            let mut cells = vec![algo.name().to_string()];
             for &m in &PARTIES {
                 let s = seeded_cell(algo, ds_name, m, 1.0, &opts);
-                record.push(&algo.name(), &format!("{ds_name:?}/M={m}"), s.mean, s.std);
+                record.push(algo.name(), &format!("{ds_name:?}/M={m}"), s.mean, s.std);
                 cells.push(s.paper_cell());
                 eprintln!("  [{ds_name:?} M={m}] {}: {}", algo.name(), s.paper_cell());
             }

@@ -17,10 +17,10 @@ fn main() {
     );
     let mut table = Table::new(&["Model", "M=20", "M=50"]);
     for algo in &rows {
-        let mut cells = vec![algo.name()];
+        let mut cells = vec![algo.name().to_string()];
         for &m in &PARTIES {
             let s = seeded_cell(algo, DatasetName::CoauthorCs, m, 1.0, &opts);
-            record.push(&algo.name(), &format!("coauthor-cs/M={m}"), s.mean, s.std);
+            record.push(algo.name(), &format!("coauthor-cs/M={m}"), s.mean, s.std);
             cells.push(s.paper_cell());
             eprintln!("  [M={m}] {}: {}", algo.name(), s.paper_cell());
         }

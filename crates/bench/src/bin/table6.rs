@@ -1,9 +1,10 @@
 //! Regenerates **Table 6**: the ablation of FedOMD's two mechanisms
 //! (orthogonalisation × CMD) on Cora and Citeseer, M ∈ {3, 5, 7, 9}.
 
-use fedomd_bench::{seeded_cell, Algo, ExperimentRecord, HarnessOpts, Table};
+use fedomd_bench::{seeded_cell, ExperimentRecord, HarnessOpts, Table};
 use fedomd_core::FedOmdConfig;
 use fedomd_data::DatasetName;
+use fedomd_federated::Strategy;
 
 const PARTIES: [usize; 4] = [3, 5, 7, 9];
 
@@ -27,7 +28,7 @@ fn main() {
         let mut table = Table::new(&header_refs);
 
         for (label, cfg) in &variants {
-            let algo = Algo::FedOmd(*cfg);
+            let algo = Strategy::FedOmd(*cfg);
             let mut cells = vec![label.to_string()];
             for &m in &PARTIES {
                 let s = seeded_cell(&algo, ds_name, m, 1.0, &opts);

@@ -2,10 +2,11 @@
 //! (2..10 OrthoConv layers) on Computer and Photo versus the 2-layer
 //! FedGCN — the over-smoothing-resistance claim.
 
-use fedomd_bench::{seeded_cell, Algo, ExperimentRecord, HarnessOpts, Table};
+use fedomd_bench::{seeded_cell, ExperimentRecord, HarnessOpts, Table};
 use fedomd_core::FedOmdConfig;
 use fedomd_data::DatasetName;
 use fedomd_federated::baselines::Baseline;
+use fedomd_federated::Strategy;
 
 const PARTIES: [usize; 4] = [3, 5, 7, 9];
 const DEPTHS: [usize; 5] = [2, 4, 6, 8, 10];
@@ -29,7 +30,7 @@ fn main() {
                 hidden_layers: depth,
                 ..FedOmdConfig::paper()
             };
-            let algo = Algo::FedOmd(cfg);
+            let algo = Strategy::FedOmd(cfg);
             let label = format!("FedOMD {depth}-hidden");
             let mut cells = vec![label.clone()];
             for &m in &PARTIES {
@@ -41,7 +42,7 @@ fn main() {
             table.row(cells);
         }
         // Reference row: the 2-GCNConv FedGCN.
-        let algo = Algo::Baseline(Baseline::FedGcn);
+        let algo = Strategy::Baseline(Baseline::FedGcn);
         let mut cells = vec!["FedGCN 2-GCNConv".to_string()];
         for &m in &PARTIES {
             let s = seeded_cell(&algo, ds_name, m, 1.0, &opts);

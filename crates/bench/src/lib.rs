@@ -26,11 +26,13 @@ pub use table::Table;
 
 use std::path::PathBuf;
 
-use fedomd_core::{FedOmdConfig, FedRun};
 use fedomd_data::{generate, spec, Dataset, DatasetName};
-use fedomd_federated::baselines::{run_baseline_observed, Baseline};
-use fedomd_federated::{setup_federation, ClientData, FederationConfig, RunResult, TrainConfig};
+use fedomd_federated::{
+    setup_federation, ClientData, FedOmdConfig, FederationConfig, Persistence, RunResult, Strategy,
+    TrainConfig,
+};
 use fedomd_telemetry::{NullObserver, RoundObserver};
+use fedomd_transport::InProcChannel;
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,59 +133,35 @@ pub fn train_cfg(opts: &HarnessOpts, seed: u64) -> TrainConfig {
     cfg
 }
 
-/// An algorithm the tables compare: a baseline or FedOMD itself.
-#[derive(Clone, Copy, Debug)]
-pub enum Algo {
-    Baseline(Baseline),
-    FedOmd(FedOmdConfig),
-}
-
 /// The eight rows of the paper's Table 4 in order.
-pub fn table4_rows() -> Vec<Algo> {
-    let mut rows: Vec<Algo> = fedomd_federated::baselines::ALL_BASELINES
+pub fn table4_rows() -> Vec<Strategy> {
+    let mut rows: Vec<Strategy> = fedomd_federated::baselines::ALL_BASELINES
         .into_iter()
-        .map(Algo::Baseline)
+        .map(Strategy::Baseline)
         .collect();
-    rows.push(Algo::FedOmd(FedOmdConfig::paper()));
+    rows.push(Strategy::FedOmd(FedOmdConfig::paper()));
     rows
 }
 
-impl Algo {
-    /// Table row label.
-    pub fn name(&self) -> String {
-        match self {
-            Algo::Baseline(b) => b.name().to_string(),
-            Algo::FedOmd(c) => match (c.use_ortho, c.use_cmd) {
-                (true, true) => "FedOMD".to_string(),
-                (true, false) => "FedOMD (ortho only)".to_string(),
-                (false, true) => "FedOMD (CMD only)".to_string(),
-                (false, false) => "FedOMD (neither)".to_string(),
-            },
-        }
-    }
-
-    /// Runs the algorithm on a prepared federation.
-    pub fn run(&self, clients: &[ClientData], n_classes: usize, cfg: &TrainConfig) -> RunResult {
-        self.run_observed(clients, n_classes, cfg, &mut NullObserver)
-    }
-
-    /// [`Self::run`], reporting the round milestones to `obs`.
-    pub fn run_observed(
-        &self,
-        clients: &[ClientData],
-        n_classes: usize,
-        cfg: &TrainConfig,
-        obs: &mut dyn RoundObserver,
-    ) -> RunResult {
-        match self {
-            Algo::Baseline(b) => run_baseline_observed(*b, clients, n_classes, cfg, obs),
-            Algo::FedOmd(c) => FedRun::new(clients, n_classes)
-                .train(cfg.clone())
-                .omd(*c)
-                .observer(obs)
-                .run(),
-        }
-    }
+/// Runs one table row on a prepared federation over the in-process
+/// channel, reporting the round milestones to `obs`.
+pub fn run_row(
+    row: &Strategy,
+    clients: &[ClientData],
+    n_classes: usize,
+    cfg: &TrainConfig,
+    obs: &mut dyn RoundObserver,
+) -> RunResult {
+    let chan = &mut InProcChannel::new();
+    fedomd_federated::run(
+        clients,
+        n_classes,
+        cfg,
+        row,
+        chan,
+        obs,
+        Persistence::default(),
+    )
 }
 
 /// The federation cut for a scale: the paper's 1 % label rate at paper
@@ -204,7 +182,7 @@ pub fn fed_cfg(opts: &HarnessOpts, m: usize, resolution: f64, seed: u64) -> Fede
 /// Runs `algo` across all seeds on `(dataset, m, resolution)` and returns
 /// the accuracy summary in percent.
 pub fn seeded_cell(
-    algo: &Algo,
+    row: &Strategy,
     name: DatasetName,
     m: usize,
     resolution: f64,
@@ -217,7 +195,7 @@ pub fn seeded_cell(
             let ds = dataset_for(name, opts.scale, seed);
             let clients = setup_federation(&ds, &fed_cfg(opts, m, resolution, seed));
             let cfg = train_cfg(opts, seed);
-            100.0 * algo.run(&clients, ds.n_classes, &cfg).test_acc
+            100.0 * run_row(row, &clients, ds.n_classes, &cfg, &mut NullObserver).test_acc
         })
         .collect();
     mean_std(&accs)

@@ -213,7 +213,7 @@ mod tests {
     use super::*;
     use fedomd_data::{generate, spec, DatasetName};
     use fedomd_federated::helpers::{count_correct, predict};
-    use fedomd_federated::{client_shard, FederationConfig, Strategy};
+    use fedomd_federated::{client_shard, FederationConfig};
     use fedomd_telemetry::NullObserver;
     use fedomd_tensor::Matrix;
     use fedomd_transport::{to_tensors, InProcChannel, SERVER_SENDER};
@@ -240,7 +240,7 @@ mod tests {
         let (shard, k) = one_shard();
         let cfg = quick_cfg(3);
         let omd = FedOmdConfig::paper();
-        let mut session = ClientSession::new(&cfg, &Strategy::FedOmd(omd), 0, &shard, k);
+        let mut session = ClientSession::new(&cfg, &omd, &shard, k);
         let before = session.model().params();
         let mut chan = InProcChannel::new();
         let out = run_fedomd_client_rounds(
@@ -277,7 +277,7 @@ mod tests {
         let (shard, k) = one_shard();
         let cfg = quick_cfg(1);
         let omd = FedOmdConfig::ortho_only(); // no CMD: no stats exchange
-        let mut session = ClientSession::new(&cfg, &Strategy::FedOmd(omd), 0, &shard, k);
+        let mut session = ClientSession::new(&cfg, &omd, &shard, k);
         // A "global model" the server would broadcast: recognisably not
         // what the local step produces.
         let global: Vec<Matrix> = session
@@ -348,7 +348,7 @@ mod tests {
         let (shard, k) = one_shard();
         let cfg = quick_cfg(5);
         let omd = FedOmdConfig::ortho_only();
-        let mut session = ClientSession::new(&cfg, &Strategy::FedOmd(omd), 0, &shard, k);
+        let mut session = ClientSession::new(&cfg, &omd, &shard, k);
         let mut chan = InProcChannel::new();
         chan.download(
             0,

@@ -16,7 +16,7 @@
 //! aggregated with FedAvg.
 //!
 //! The algorithm itself — the session halves, the statistics protocol and
-//! the in-process round — lives in `fedomd-federated`, where the FedAvg
+//! the in-process round — lives in `fedomd-federated`, where the seven
 //! baselines run on the same round; this crate re-exports it and adds what
 //! only FedOMD runs: the TCP server and client drivers, the handshake
 //! digest, the run-checkpoint file and the [`FedRun`] builder.

@@ -1,9 +1,6 @@
-//! The unified run entry point: one builder for every algorithm, channel,
-//! and telemetry sink.
-//!
-//! Historically each loop grew a `run_*` / `run_*_with` / `run_*_observed`
-//! triple; [`FedRun`] folds those axes into one builder so call sites
-//! compose exactly the pieces they need:
+//! The unified run entry point: [`FedRun`], one builder for every
+//! algorithm, channel and telemetry sink, so call sites compose exactly
+//! the pieces they need:
 //!
 //! ```no_run
 //! use fedomd_core::{FedRun, RunConfig};
@@ -35,8 +32,7 @@
 use std::path::{Path, PathBuf};
 
 use fedomd_federated::{
-    ClientData, CohortConfig, FedOmdConfig, GenericOpts, Persistence, RunResult, Strategy,
-    TrainConfig,
+    Baseline, ClientData, CohortConfig, FedOmdConfig, Persistence, RunResult, Strategy, TrainConfig,
 };
 use fedomd_telemetry::{NullObserver, RoundObserver};
 use fedomd_transport::{Channel, InProcChannel};
@@ -117,17 +113,15 @@ impl RunConfig {
 
 /// Builder for one federated run.
 ///
-/// Composes the four independent axes — algorithm, configuration,
-/// transport channel, telemetry observer — that earlier `run_*` /
-/// `run_*_with` entry points hard-wired into separate functions.
-/// Construct with [`FedRun::new`], chain setters, finish with
-/// [`FedRun::run`].
+/// Composes four independent axes — algorithm, configuration, transport
+/// channel, telemetry observer. Construct with [`FedRun::new`], chain
+/// setters, finish with [`FedRun::run`].
 pub struct FedRun<'a> {
     clients: &'a [ClientData],
     n_classes: usize,
     config: RunConfig,
-    /// The FedAvg-family options, `None` for FedOMD.
-    generic: Option<GenericOpts>,
+    /// The baseline to run, `None` for FedOMD.
+    baseline: Option<Baseline>,
     channel: Option<&'a mut dyn Channel>,
     observer: Option<&'a mut dyn RoundObserver>,
     ckpt_every: usize,
@@ -143,7 +137,7 @@ impl<'a> FedRun<'a> {
             clients,
             n_classes,
             config: RunConfig::paper(0),
-            generic: None,
+            baseline: None,
             channel: None,
             observer: None,
             ckpt_every: 0,
@@ -170,9 +164,9 @@ impl<'a> FedRun<'a> {
         self
     }
 
-    /// Runs a FedAvg-family strategy instead of FedOMD.
-    pub fn generic(mut self, opts: GenericOpts) -> Self {
-        self.generic = Some(opts);
+    /// Runs one of the paper's baselines instead of FedOMD.
+    pub fn baseline(mut self, which: Baseline) -> Self {
+        self.baseline = Some(which);
         self
     }
 
@@ -224,8 +218,8 @@ impl<'a> FedRun<'a> {
         let mut default_obs = NullObserver;
         let chan: &mut dyn Channel = self.channel.unwrap_or(&mut default_chan);
         let obs: &mut dyn RoundObserver = self.observer.unwrap_or(&mut default_obs);
-        let strategy = match self.generic {
-            Some(opts) => Strategy::FedAvg(opts),
+        let strategy = match self.baseline {
+            Some(which) => Strategy::Baseline(which),
             None => Strategy::FedOmd(self.config.omd),
         };
         let algorithm = strategy.name();
@@ -262,7 +256,6 @@ impl<'a> FedRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedomd_federated::engine::ModelKind;
     use fedomd_federated::{setup_federation, FederationConfig};
     use fedomd_telemetry::MemoryObserver;
 
@@ -295,17 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_runs_generic_with_observer() {
+    fn builder_runs_a_baseline_with_observer() {
         let (clients, n_classes) = mini_setup();
         let mut mem = MemoryObserver::new();
         let r = FedRun::new(&clients, n_classes)
             .config(RunConfig::mini(7).with_rounds(4))
-            .generic(GenericOpts {
-                name: "FedMLP",
-                model: ModelKind::Mlp,
-                aggregate: true,
-                prox_mu: 0.0,
-            })
+            .baseline(Baseline::FedMlp)
             .observer(&mut mem)
             .run();
         assert_eq!(r.algorithm, "FedMLP");
@@ -314,8 +302,8 @@ mod tests {
         assert_eq!(mem.count("run_finished"), 1);
     }
 
-    /// The FedAvg family's server tracks the global model as FedOMD's
-    /// does: its checkpoint carries the model every client installed.
+    /// A baseline's server tracks the global model as FedOMD's does: its
+    /// checkpoint carries the model every client installed.
     #[test]
     fn a_fedavg_checkpoint_carries_the_global_model() {
         let (clients, n_classes) = mini_setup();
@@ -325,12 +313,7 @@ mod tests {
         ));
         FedRun::new(&clients, n_classes)
             .config(RunConfig::mini(7).with_rounds(2))
-            .generic(GenericOpts {
-                name: "FedGCN",
-                model: ModelKind::Gcn,
-                aggregate: true,
-                prox_mu: 0.0,
-            })
+            .baseline(Baseline::FedGcn)
             .checkpoint_every(2, &path)
             .run();
         let state = RunCheckpoint::load(&path).unwrap().state;

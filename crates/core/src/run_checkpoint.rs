@@ -3,7 +3,8 @@
 //!
 //! A run checkpoint is everything the paper's multi-hundred-round
 //! experiments need to survive a crash: the next round index, every
-//! client's model parameters and Adam moments, the driver's history and
+//! client's model parameters and optimiser state (Adam moments, or
+//! SCAFFOLD's SGD velocity and control variates), the driver's history and
 //! early-stopping state, the comms accounting, the transport's
 //! fault-stream cursor, and (for FedOMD) the last aggregated global model
 //! and global statistics. A run killed at round `k` and resumed from its
@@ -17,7 +18,9 @@
 //!
 //! ```text
 //! magic "FOMDCKPT" · u32 version · str algorithm · u64 seed · u64 next_round
-//! u32 clients × (tensors params · u64 adam.t · tensors adam.m · tensors adam.v · u64 model_steps)
+//! u32 clients × (tensors params · optimiser · u64 model_steps)
+//!   optimiser: u8 0 · u64 adam.t · tensors adam.m · tensors adam.v
+//!            | u8 1 · tensors sgd.velocity · tensors c_i · tensors c
 //! u32 history × (u64 round · f64 train_loss · f64 val_acc · f64 test_acc)
 //! f64 best_val · f64 best_test · u64 best_round · u64 rounds_since_improve · u8 stopped
 //! 5 × u64 comms · u64 channel.seq · 6 × u64 channel.stats
@@ -38,8 +41,9 @@ use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use fedomd_federated::protocol::GlobalStats;
 use fedomd_federated::{
-    CheckpointSink, CommsLog, DriverState, ResumeState, RoundStats, StatsCache,
+    CheckpointSink, CommsLog, DriverState, OptimState, ResumeState, RoundStats,
 };
 use fedomd_nn::AdamState;
 use fedomd_telemetry::{RoundEvent, RoundObserver};
@@ -53,7 +57,7 @@ use fedomd_transport::{from_tensors, to_tensors, ChannelState, NetStats, WireErr
 /// First bytes of every run checkpoint.
 const MAGIC: &[u8; 8] = b"FOMDCKPT";
 /// Current format version; bumped on incompatible layout changes.
-const VERSION: u64 = 2;
+const VERSION: u64 = 3;
 /// Bytes of the trailing checksum.
 const CRC_BYTES: usize = 4;
 
@@ -111,7 +115,7 @@ impl From<WireError> for CheckpointError {
 /// One durable snapshot of a federated run at a round boundary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunCheckpoint {
-    /// Format version (currently 2).
+    /// Format version (currently 3).
     pub version: u64,
     /// Algorithm name (`"FedOMD"`, `"FedGCN"`, ...); checked on resume so
     /// a snapshot never restores into a different algorithm's run.
@@ -172,9 +176,24 @@ fn put_state(w: &mut ByteWriter, s: &ResumeState) {
     w.put_u32(s.params.len() as u32);
     for ((params, optim), &steps) in s.params.iter().zip(&s.optim).zip(&s.model_steps) {
         put_matrices(w, params);
-        w.put_u64(optim.t);
-        put_matrices(w, &optim.m);
-        put_matrices(w, &optim.v);
+        match optim {
+            OptimState::Adam(adam) => {
+                w.put_u8(0);
+                w.put_u64(adam.t);
+                put_matrices(w, &adam.m);
+                put_matrices(w, &adam.v);
+            }
+            OptimState::Scaffold {
+                velocity,
+                local,
+                global,
+            } => {
+                w.put_u8(1);
+                put_matrices(w, velocity);
+                put_matrices(w, local);
+                put_matrices(w, global);
+            }
+        }
         w.put_u64(steps);
     }
     let d = &s.driver;
@@ -225,17 +244,27 @@ fn put_state(w: &mut ByteWriter, s: &ResumeState) {
 
 fn get_state(r: &mut ByteReader<'_>) -> Result<ResumeState, WireError> {
     let next_round = get_usize(r)?;
-    // Smallest client: three empty tensor lists and two u64s.
-    let n = get_count(r, 3 * 4 + 2 * 8)?;
+    // Smallest client: four empty tensor lists, the optimiser tag and the
+    // step counter.
+    let n = get_count(r, 4 * 4 + 1 + 8)?;
     let mut params = Vec::with_capacity(n);
     let mut optim = Vec::with_capacity(n);
     let mut model_steps = Vec::with_capacity(n);
     for _ in 0..n {
         params.push(get_matrices(r)?);
-        optim.push(AdamState {
-            t: r.get_u64()?,
-            m: get_matrices(r)?,
-            v: get_matrices(r)?,
+        // The optimiser tag: 0 is Adam, 1 is SCAFFOLD.
+        optim.push(if get_flag(r)? {
+            OptimState::Scaffold {
+                velocity: get_matrices(r)?,
+                local: get_matrices(r)?,
+                global: get_matrices(r)?,
+            }
+        } else {
+            OptimState::Adam(AdamState {
+                t: r.get_u64()?,
+                m: get_matrices(r)?,
+                v: get_matrices(r)?,
+            })
         });
         model_steps.push(r.get_u64()?);
     }
@@ -281,7 +310,7 @@ fn get_state(r: &mut ByteReader<'_>) -> Result<ResumeState, WireError> {
         None
     };
     let stats = if get_flag(r)? {
-        Some(StatsCache {
+        Some(GlobalStats {
             means: decode_layers(r)?,
             moments: decode_moments(r)?,
         })
@@ -475,15 +504,15 @@ mod tests {
             next_round: 4,
             params: vec![vec![m(1.0), m(2.0)], vec![m(3.0), m(4.0)]],
             optim: vec![
-                AdamState {
+                OptimState::Adam(AdamState {
                     t: 4,
                     m: vec![m(0.1), m(0.2)],
                     v: vec![m(0.3), m(0.4)],
-                },
-                AdamState {
-                    t: 4,
-                    m: vec![m(0.5), m(0.6)],
-                    v: vec![m(0.7), m(0.8)],
+                }),
+                OptimState::Scaffold {
+                    velocity: vec![m(0.5), m(0.6)],
+                    local: vec![m(0.7), m(0.8)],
+                    global: vec![m(0.9), m(1.1)],
                 },
             ],
             model_steps: vec![4, 4],
@@ -519,10 +548,27 @@ mod tests {
                 },
             },
             global: Some(vec![m(9.0)]),
-            stats: Some(StatsCache {
+            stats: Some(GlobalStats {
                 means: vec![vec![0.25, -0.5]],
                 moments: vec![vec![vec![0.1, 0.2], vec![0.3, 0.4]]],
             }),
+        }
+    }
+
+    /// Every tensor of one client's optimiser state, in record order.
+    fn optim_tensors(o: &OptimState) -> Vec<Matrix> {
+        match o {
+            OptimState::Adam(a) => a.m.iter().chain(&a.v).cloned().collect(),
+            OptimState::Scaffold {
+                velocity,
+                local,
+                global,
+            } => velocity
+                .iter()
+                .chain(local)
+                .chain(global)
+                .cloned()
+                .collect(),
         }
     }
 
@@ -569,10 +615,20 @@ mod tests {
         let m = Matrix::from_vec(2, 3, odd.to_vec());
         let mut state = sample_state();
         state.params[0][1] = m.clone();
-        state.optim[1].m[0] = m.clone();
-        state.optim[1].v[1] = m.clone();
+        state.optim = vec![
+            OptimState::Adam(AdamState {
+                t: 4,
+                m: vec![m.clone()],
+                v: vec![m.clone()],
+            }),
+            OptimState::Scaffold {
+                velocity: vec![m.clone()],
+                local: vec![m.clone()],
+                global: vec![m.clone()],
+            },
+        ];
         state.global = Some(vec![m.clone()]);
-        state.stats = Some(StatsCache {
+        state.stats = Some(GlobalStats {
             means: vec![odd.to_vec()],
             moments: vec![vec![odd.to_vec(), odd[..2].to_vec()]],
         });
@@ -595,15 +651,18 @@ mod tests {
             assert_eq!(bits(x), bits(y), "params");
         }
         for (x, y) in a.optim.iter().zip(&b.optim) {
-            assert_eq!(bits(&x.m), bits(&y.m), "adam m");
-            assert_eq!(bits(&x.v), bits(&y.v), "adam v");
+            assert_eq!(
+                bits(&optim_tensors(x)),
+                bits(&optim_tensors(y)),
+                "optimiser"
+            );
         }
         assert_eq!(
             bits(a.global.as_deref().unwrap_or_default()),
             bits(b.global.as_deref().unwrap_or_default()),
             "global"
         );
-        let stat_bits = |s: &Option<StatsCache>| -> Vec<u32> {
+        let stat_bits = |s: &Option<GlobalStats>| -> Vec<u32> {
             let s = s.as_ref().expect("stats");
             s.means
                 .iter()
@@ -645,7 +704,17 @@ mod tests {
             .params
             .iter()
             .zip(&s.optim)
-            .map(|(p, o)| tensors_len(p) + 8 + tensors_len(&o.m) + tensors_len(&o.v) + 8)
+            .map(|(p, o)| {
+                let optim = match o {
+                    OptimState::Adam(a) => 8 + tensors_len(&a.m) + tensors_len(&a.v),
+                    OptimState::Scaffold {
+                        velocity,
+                        local,
+                        global,
+                    } => tensors_len(velocity) + tensors_len(local) + tensors_len(global),
+                };
+                tensors_len(p) + 1 + optim + 8
+            })
             .sum();
         let driver = 4 + 32 * s.driver.history.len() + 8 + 8 + 8 + 8 + 1 + 5 * 8;
         let channel = 7 * 8;
@@ -660,19 +729,27 @@ mod tests {
 
     #[test]
     fn every_truncation_and_byte_flip_is_a_parse_error() {
-        // One client and one-element tensors keep the 255 flips of every
-        // byte quick in a debug build; every section is still present.
+        // Two clients (one per optimiser) and one-element tensors keep the
+        // 255 flips of every byte quick in a debug build; every section is
+        // still present.
         let one = || vec![Matrix::from_vec(1, 1, vec![0.5])];
         let mut s = sample_state();
-        s.params = vec![one()];
-        s.optim = vec![AdamState {
-            t: 4,
-            m: one(),
-            v: one(),
-        }];
-        s.model_steps = vec![4];
+        s.params = vec![one(), one()];
+        s.optim = vec![
+            OptimState::Adam(AdamState {
+                t: 4,
+                m: one(),
+                v: one(),
+            }),
+            OptimState::Scaffold {
+                velocity: one(),
+                local: one(),
+                global: one(),
+            },
+        ];
+        s.model_steps = vec![4, 4];
         s.global = Some(one());
-        s.stats = Some(StatsCache {
+        s.stats = Some(GlobalStats {
             means: vec![vec![0.25]],
             moments: vec![vec![vec![0.1]]],
         });
@@ -788,13 +865,27 @@ mod tests {
             "{err}"
         );
 
-        let mut newer = RunCheckpoint::new("FedOMD", 7, sample_state());
-        newer.version = VERSION + 1;
-        let err = RunCheckpoint::from_bytes(&newer.to_bytes()).expect_err("version");
-        assert!(
-            matches!(err, CheckpointError::Mismatch { ref what, .. } if what == "version"),
-            "{err}"
-        );
+        // A newer record, and a version-2 one (no optimiser tag, so no
+        // SCAFFOLD state), are both refused by version.
+        for version in [VERSION + 1, 2] {
+            let mut other = RunCheckpoint::new("FedOMD", 7, sample_state());
+            other.version = version;
+            let err = RunCheckpoint::from_bytes(&other.to_bytes()).expect_err("version");
+            assert!(
+                matches!(err, CheckpointError::Mismatch { ref what, .. } if what == "version"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unknown_optimiser_tag_is_a_parse_error() {
+        let mut bytes = RunCheckpoint::new("FedOMD", 7, sample_state()).to_bytes();
+        let params = &sample_state().params[0];
+        let tag_at = MAGIC.len() + 4 + 4 + "FedOMD".len() + 8 + 8 + 4 + tensors_len(params);
+        assert_eq!(bytes[tag_at], 0, "client 0 runs Adam");
+        bytes[tag_at] = 2;
+        assert!(is_parse(RunCheckpoint::from_bytes(&reseal(bytes))));
     }
 
     #[test]

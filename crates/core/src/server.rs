@@ -115,7 +115,7 @@ pub fn run_fedomd_server(
         // --- The 2-round statistics exchange (server side) ---
         if omd.use_cmd {
             let sw = PhaseStopwatch::start(Phase::Comms);
-            phase(&mut chan, &mut server, &mut driver.comms, &everyone, |p| {
+            phase(&mut chan, &mut server, driver.comms(), &everyone, |p| {
                 matches!(p, Payload::StatsRound1 { .. })
             });
             chan.flush_into(obs);
@@ -125,9 +125,9 @@ pub fn run_fedomd_server(
             // down, so no client will report moments: the second phase
             // closes without a wait.
             if let Some(payload) = down {
-                broadcast(&mut chan, &mut driver.comms, r, &everyone, payload);
+                broadcast(&mut chan, driver.comms(), r, &everyone, payload);
                 chan.flush_into(obs);
-                phase(&mut chan, &mut server, &mut driver.comms, &everyone, |p| {
+                phase(&mut chan, &mut server, driver.comms(), &everyone, |p| {
                     matches!(p, Payload::StatsRound2 { .. })
                 });
                 chan.flush_into(obs);
@@ -135,7 +135,7 @@ pub fn run_fedomd_server(
             let (done, down) = server.close_moments();
             obs.on_event(&done);
             if let Some(payload) = down {
-                broadcast(&mut chan, &mut driver.comms, r, &everyone, payload);
+                broadcast(&mut chan, driver.comms(), r, &everyone, payload);
                 chan.flush_into(obs);
             }
             sw.finish(obs);
@@ -156,7 +156,7 @@ pub fn run_fedomd_server(
             .into_iter()
             .map(|i| i as u32)
             .collect();
-        phase(&mut chan, &mut server, &mut driver.comms, &cohort, |p| {
+        phase(&mut chan, &mut server, driver.comms(), &cohort, |p| {
             matches!(p, Payload::WeightUpdate { .. })
         });
         chan.flush_into(obs);
@@ -167,7 +167,7 @@ pub fn run_fedomd_server(
         obs.on_event(&done);
         if let Some(payload) = down {
             let sw = PhaseStopwatch::start(Phase::Comms);
-            broadcast(&mut chan, &mut driver.comms, r, &everyone, payload);
+            broadcast(&mut chan, driver.comms(), r, &everyone, payload);
             chan.flush_into(obs);
             sw.finish(obs);
         }
@@ -184,7 +184,7 @@ pub fn run_fedomd_server(
             &everyone,
             |e| matches!(e.payload, Payload::Metrics { .. }),
             |env| {
-                driver.comms.record(
+                driver.comms().record(
                     Direction::Uplink,
                     TrafficClass::Stats,
                     env.encoded_len() as u64,
@@ -215,7 +215,7 @@ pub fn run_fedomd_server(
             losses.iter().sum::<f64>() / losses.len() as f64
         };
         let eval = (driver.eval_due(round) && !losses.is_empty()).then_some(counts);
-        driver.comms.sync_dropped(chan.stats().dropped_frames);
+        driver.comms().sync_dropped(chan.stats().dropped_frames);
         driver.end_round(round, mean_loss, eval, obs);
         save_if_due(&mut persist, round, obs, || {
             server.checkpoint(round + 1, driver.snapshot(), chan.export_state(), &[])
@@ -236,7 +236,7 @@ pub fn run_fedomd_server(
             };
             broadcast(
                 &mut chan,
-                &mut driver.comms,
+                driver.comms(),
                 r,
                 &everyone,
                 Payload::Control(verdict),
@@ -376,7 +376,6 @@ mod tests {
     use fedomd_federated::engine::DriverState;
     use fedomd_federated::CommsLog;
     use fedomd_federated::ResumeState;
-    use fedomd_nn::AdamState;
     use fedomd_telemetry::{MemoryObserver, NullObserver};
     use fedomd_transport::{ChannelState, InProcChannel, Tensor};
     use std::collections::VecDeque;
@@ -797,7 +796,7 @@ mod tests {
         let resume = ResumeState {
             next_round: 3,
             params: Vec::new(),
-            optim: Vec::<AdamState>::new(),
+            optim: Vec::new(),
             model_steps: Vec::new(),
             driver: prior,
             channel: ChannelState::default(),

@@ -7,8 +7,12 @@
 //! weights, and layers sum over types:
 //! `H = ReLU(Σ_t Ŝ_t·X·W⁰_t)`, `logits = Σ_t Ŝ_t·H·W¹_t`.
 //! Centroids are aggregated on the server between k-means iterations (the
-//! `N·f²`-ish extra server cost in the paper's Table 3 row), then weights
-//! are trained with plain FedAvg.
+//! `N·f²`-ish extra server cost in the paper's Table 3 row): each client
+//! uploads one `StatsRound1` per latent type, its mean edge embedding
+//! weighted by its edge count, and the server folds them through
+//! [`MeanAccumulator`] and sends the centroids down as `GlobalStats`. The
+//! weights are then trained with plain FedAvg on the one round
+//! ([`crate::engine::run`]).
 //!
 //! The paper observes FedLIT needs "massive samples to cluster latent link
 //! types" — with tiny parties the per-type subgraphs become sparse and
@@ -18,18 +22,19 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use fedomd_autograd::{Tape, Workspace};
-use fedomd_nn::{Adam, ForwardOut, GraphInput, Model};
+use fedomd_autograd::{Tape, Var};
+use fedomd_nn::{ForwardOut, GraphInput, Model};
 use fedomd_sparse::{normalized_adjacency, Csr};
+use fedomd_telemetry::{Phase, PhaseStopwatch, RoundObserver};
 use fedomd_tensor::rng::{derive, seeded};
 use fedomd_tensor::{xavier_uniform, Matrix};
+use fedomd_transport::{Envelope, Payload, SERVER_SENDER};
 
 use crate::client::ClientData;
-use crate::comms::{Direction, TrafficClass};
-use crate::config::{RunResult, TrainConfig};
-use crate::engine::RoundDriver;
-use crate::helpers::{evaluate, fedavg, local_step};
-use fedomd_telemetry::{NullObserver, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
+use crate::comms::{CommsLog, Direction};
+use crate::config::TrainConfig;
+use crate::engine::charge;
+use crate::protocol::MeanAccumulator;
 
 /// Number of latent link types.
 const N_TYPES: usize = 3;
@@ -49,14 +54,47 @@ fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Federated k-means over all clients' edge embeddings: clients assign
-/// locally, upload (sum, count) per centroid, server averages. Returns per
-/// client the type of each local edge.
-/// Per-client k-means scratch: (edge-type assignment, per-centroid sums).
-type LocalKmeans = (Vec<usize>, Vec<(Vec<f64>, usize)>);
+/// One client's k-means step: the type of each local edge (its nearest
+/// centroid), and per type the sum and count of its edge embeddings.
+fn assign(c: &ClientData, centroids: &[Vec<f32>]) -> (Vec<usize>, Vec<(Vec<f64>, usize)>) {
+    let f = c.input.n_features();
+    let mut types = vec![0usize; c.edges.len()];
+    let mut sums: Vec<(Vec<f64>, usize)> = (0..N_TYPES).map(|_| (vec![0.0; f], 0)).collect();
+    for (e, &(u, v)) in c.edges.iter().enumerate() {
+        let emb = edge_embedding(&c.input.x, u, v);
+        #[expect(
+            clippy::expect_used,
+            reason = "squared distances of finite embeddings are finite (so \
+                      the partial_cmp is total), and N_TYPES is a positive \
+                      constant (so min_by over the range is never empty)"
+        )]
+        let t = (0..N_TYPES)
+            .min_by(|&a, &b| {
+                sq_dist(&emb, &centroids[a])
+                    .partial_cmp(&sq_dist(&emb, &centroids[b]))
+                    .expect("finite distances")
+            })
+            .expect("N_TYPES > 0");
+        types[e] = t;
+        sums[t].1 += 1;
+        for (s, x) in sums[t].0.iter_mut().zip(&emb) {
+            *s += *x as f64;
+        }
+    }
+    (types, sums)
+}
 
-fn federated_edge_kmeans(clients: &[ClientData], seed: u64) -> Vec<Vec<usize>> {
-    let f = clients[0].input.n_features();
+/// Federated k-means over all clients' edge embeddings: clients assign
+/// locally and upload their per-type means weighted by edge count, the
+/// server averages them into the next centroids. The last of the
+/// `KMEANS_ITERS` assignments needs no exchange. Charges every frame to
+/// `comms` and returns per client the type of each local edge.
+fn federated_edge_kmeans(
+    clients: &[ClientData],
+    seed: u64,
+    comms: &mut CommsLog,
+) -> Vec<Vec<usize>> {
+    let f = clients.first().map_or(0, |c| c.input.n_features());
     // Initialise centroids from a deterministic spread of one client's edges.
     let mut rng = seeded(derive(seed, 0xE000));
     let mut centroids: Vec<Vec<f32>> = (0..N_TYPES)
@@ -67,61 +105,48 @@ fn federated_edge_kmeans(clients: &[ClientData], seed: u64) -> Vec<Vec<usize>> {
         })
         .collect();
 
-    let mut assignments: Vec<Vec<usize>> = clients.iter().map(|c| vec![0; c.edges.len()]).collect();
-
-    for _ in 0..KMEANS_ITERS {
-        // Local assignment + local sums.
-        let locals: Vec<LocalKmeans> = clients
-            .par_iter()
-            .map(|c| {
-                let mut assign = vec![0usize; c.edges.len()];
-                let mut sums: Vec<(Vec<f64>, usize)> =
-                    (0..N_TYPES).map(|_| (vec![0.0; f], 0)).collect();
-                for (e, &(u, v)) in c.edges.iter().enumerate() {
-                    let emb = edge_embedding(&c.input.x, u, v);
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "squared distances of finite embeddings are finite (so \
-                                  the partial_cmp is total), and N_TYPES is a positive \
-                                  constant (so min_by over the range is never empty)"
-                    )]
-                    let t = (0..N_TYPES)
-                        .min_by(|&a, &b| {
-                            sq_dist(&emb, &centroids[a])
-                                .partial_cmp(&sq_dist(&emb, &centroids[b]))
-                                .expect("finite distances")
-                        })
-                        .expect("N_TYPES > 0");
-                    assign[e] = t;
-                    sums[t].1 += 1;
-                    for (s, x) in sums[t].0.iter_mut().zip(&emb) {
-                        *s += *x as f64;
-                    }
-                }
-                (assign, sums)
-            })
-            .collect();
-
-        // Server: merge sums into new centroids.
-        for t in 0..N_TYPES {
-            let mut total = vec![0.0f64; f];
-            let mut count = 0usize;
-            for (_, sums) in &locals {
-                count += sums[t].1;
-                for (a, b) in total.iter_mut().zip(&sums[t].0) {
-                    *a += *b;
-                }
-            }
-            if count > 0 {
-                centroids[t] = total
+    for _ in 1..KMEANS_ITERS {
+        let locals: Vec<_> = clients.par_iter().map(|c| assign(c, &centroids)).collect();
+        // Server: fold each type's means into its new centroid; a type no
+        // client saw keeps its centroid.
+        let mut accs: Vec<MeanAccumulator> = (0..N_TYPES).map(|_| MeanAccumulator::new()).collect();
+        for (i, (_, sums)) in locals.into_iter().enumerate() {
+            for (acc, (sum, n)) in accs.iter_mut().zip(sums) {
+                let means = vec![sum
                     .into_iter()
-                    .map(|v| (v / count as f64) as f32)
-                    .collect();
+                    .map(|v| if n > 0 { (v / n as f64) as f32 } else { 0.0 })
+                    .collect()];
+                let _folded = acc.push(&means, n).is_ok();
+                let up = Envelope {
+                    round: 0,
+                    sender: i as u32,
+                    payload: Payload::StatsRound1 {
+                        means,
+                        n_samples: n as u64,
+                    },
+                };
+                charge(comms, Direction::Uplink, &up, 1);
             }
         }
-        assignments = locals.into_iter().map(|(a, _)| a).collect();
+        for (centroid, acc) in centroids.iter_mut().zip(accs) {
+            if let Some(mean) = acc.finish().ok().and_then(|l| l.into_iter().next()) {
+                *centroid = mean;
+            }
+        }
+        let down = Envelope {
+            round: 0,
+            sender: SERVER_SENDER,
+            payload: Payload::GlobalStats {
+                means: centroids.clone(),
+                moments: Vec::new(),
+            },
+        };
+        charge(comms, Direction::Downlink, &down, clients.len());
     }
-    assignments
+    clients
+        .par_iter()
+        .map(|c| assign(c, &centroids).0)
+        .collect()
 }
 
 /// Per-type propagation operators for one client (self-loops everywhere so
@@ -163,19 +188,17 @@ impl FedLitModel {
     }
 }
 
-impl Model for FedLitModel {
-    fn forward(&self, tape: &mut Tape, input: &GraphInput) -> ForwardOut {
-        let x = tape.constant_copied(&input.x);
-        let mut param_vars = Vec::with_capacity(2 * self.ops.len());
-
-        let mut h_sum = None;
-        let mut w0_vars = Vec::with_capacity(self.ops.len());
-        for (op, w0) in self.ops.iter().zip(&self.w0) {
-            let w = tape.param_copied(w0);
-            w0_vars.push(w);
-            let sx = tape.spmm(op.clone(), x);
-            let term = tape.matmul(sx, w);
-            h_sum = Some(match h_sum {
+impl FedLitModel {
+    /// One layer's pre-activation `Σ_t Ŝ_t·input·W_t`, recording each
+    /// type's weight in `vars`.
+    fn type_sum(&self, tape: &mut Tape, input: Var, ws: &[Matrix], vars: &mut Vec<Var>) -> Var {
+        let mut sum = None;
+        for (op, w) in self.ops.iter().zip(ws) {
+            let w = tape.param_copied(w);
+            vars.push(w);
+            let propagated = tape.spmm(op.clone(), input);
+            let term = tape.matmul(propagated, w);
+            sum = Some(match sum {
                 None => term,
                 Some(acc) => tape.add(acc, term),
             });
@@ -185,28 +208,17 @@ impl Model for FedLitModel {
             reason = "`self.ops` holds one operator per edge type and N_TYPES is a \
                       positive constant, so the accumulator is Some"
         )]
-        let h = tape.relu(h_sum.expect("at least one type"));
+        sum.expect("at least one type")
+    }
+}
 
-        let mut logit_sum = None;
-        let mut w1_vars = Vec::with_capacity(self.ops.len());
-        for (op, w1) in self.ops.iter().zip(&self.w1) {
-            let w = tape.param_copied(w1);
-            w1_vars.push(w);
-            let sh = tape.spmm(op.clone(), h);
-            let term = tape.matmul(sh, w);
-            logit_sum = Some(match logit_sum {
-                None => term,
-                Some(acc) => tape.add(acc, term),
-            });
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "as above: the per-type loop ran at least once"
-        )]
-        let logits = logit_sum.expect("at least one type");
-
-        param_vars.extend(w0_vars);
-        param_vars.extend(w1_vars);
+impl Model for FedLitModel {
+    fn forward(&self, tape: &mut Tape, input: &GraphInput) -> ForwardOut {
+        let x = tape.constant_copied(&input.x);
+        let mut param_vars = Vec::with_capacity(2 * self.ops.len());
+        let pre = self.type_sum(tape, x, &self.w0, &mut param_vars);
+        let h = tape.relu(pre);
+        let logits = self.type_sum(tape, h, &self.w1, &mut param_vars);
         ForwardOut {
             logits,
             hidden: vec![h],
@@ -224,150 +236,51 @@ impl Model for FedLitModel {
     }
 
     fn set_params(&mut self, params: &[Matrix]) {
-        let t = self.ops.len();
         assert_eq!(
             params.len(),
-            2 * t,
-            "FedLitModel::set_params: expected {} matrices",
-            2 * t
+            2 * self.ops.len(),
+            "FedLitModel::set_params: arity"
         );
-        for (i, w) in self.w0.iter_mut().enumerate() {
-            assert_eq!(
-                params[i].shape(),
-                w.shape(),
-                "FedLitModel::set_params: w0 shape"
-            );
-            *w = params[i].clone();
-        }
-        for (i, w) in self.w1.iter_mut().enumerate() {
-            assert_eq!(
-                params[t + i].shape(),
-                w.shape(),
-                "FedLitModel::set_params: w1 shape"
-            );
-            *w = params[t + i].clone();
+        for (w, p) in self.w0.iter_mut().chain(&mut self.w1).zip(params) {
+            assert_eq!(w.shape(), p.shape(), "FedLitModel::set_params: shape");
+            w.clone_from(p);
         }
     }
 }
 
-/// Runs FedLIT to completion, without telemetry.
-pub fn run_fedlit(clients: &[ClientData], n_classes: usize, cfg: &TrainConfig) -> RunResult {
-    run_fedlit_observed(clients, n_classes, cfg, &mut NullObserver)
-}
-
-/// Runs FedLIT to completion, reporting round milestones to `obs`.
-pub fn run_fedlit_observed(
+/// FedLIT's set-up: the federated link-type clustering (timed as a
+/// [`Phase::Aggregation`] segment, its frames charged to `comms`), then
+/// per client a [`FedLitModel`] over its own type operators, all from one
+/// common init.
+pub(crate) fn setup(
+    cfg: &TrainConfig,
     clients: &[ClientData],
     n_classes: usize,
-    cfg: &TrainConfig,
+    comms: &mut CommsLog,
     obs: &mut dyn RoundObserver,
-) -> RunResult {
-    assert!(!clients.is_empty(), "run_fedlit: no clients");
-    let m = clients.len();
-    let f = clients[0].input.n_features();
-    let mut driver = RoundDriver::new(cfg);
-    driver.announce("FedLIT", m, obs);
-
-    // Federated link-type clustering.
+) -> Vec<Box<dyn Model>> {
     let sw = PhaseStopwatch::start(Phase::Aggregation);
-    let assignments = federated_edge_kmeans(clients, cfg.seed);
+    let assignments = federated_edge_kmeans(clients, cfg.seed, comms);
     sw.finish(obs);
-    for (c, _) in clients.iter().zip(&assignments) {
-        // Each k-means iteration ships N_TYPES centroid sums (f floats each).
-        driver.comms.record_scalars(
-            Direction::Uplink,
-            TrafficClass::Stats,
-            KMEANS_ITERS * N_TYPES * f,
-        );
-        driver.comms.record_scalars(
-            Direction::Downlink,
-            TrafficClass::Stats,
-            KMEANS_ITERS * N_TYPES * f,
-        );
-        let _ = c;
-    }
-
-    let mut models: Vec<Box<dyn Model>> = clients
+    clients
         .iter()
         .zip(&assignments)
         .map(|(c, assign)| {
-            let ops = type_operators(c, assign);
             Box::new(FedLitModel::new(
-                ops,
-                f,
+                type_operators(c, assign),
+                c.input.n_features(),
                 cfg.hidden_dim,
                 n_classes,
                 derive(cfg.seed, 0xE100),
             )) as Box<dyn Model>
         })
-        .collect();
-    let mut optimizers: Vec<Adam> = models
-        .iter()
-        .map(|_| Adam::new(cfg.lr, cfg.weight_decay))
-        .collect();
-    let n_scalars = models[0].n_scalars();
-    let mut workspaces: Vec<Workspace> = models.iter().map(|_| Workspace::new()).collect();
-
-    for round in 0..cfg.rounds {
-        obs.on_event(&RoundEvent::RoundStarted {
-            round: round as u64,
-        });
-        let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let losses: Vec<f32> = models
-            .par_iter_mut()
-            .zip(optimizers.par_iter_mut())
-            .zip(clients.par_iter())
-            .zip(workspaces.par_iter_mut())
-            .map(|(((model, opt), client), ws)| {
-                let mut loss = 0.0;
-                for _ in 0..cfg.local_epochs {
-                    loss = local_step(model, client, opt, ws, |_, _| Vec::new(), |_| {});
-                }
-                loss
-            })
-            .collect();
-        for (client, &loss) in losses.iter().enumerate() {
-            obs.on_event(&RoundEvent::LocalStepDone {
-                client: client as u32,
-                epoch: (cfg.local_epochs.max(1) - 1) as u32,
-                loss: loss as f64,
-                ce: loss as f64,
-                ortho: 0.0,
-                cmd: 0.0,
-            });
-        }
-        sw.finish(obs);
-
-        let sw = PhaseStopwatch::start(Phase::Aggregation);
-        let sets: Vec<Vec<Matrix>> = models.iter().map(|mo| mo.params()).collect();
-        let global = fedavg(&sets, &vec![1.0; m]);
-        for mo in models.iter_mut() {
-            mo.set_params(&global);
-        }
-        sw.finish(obs);
-        obs.on_event(&RoundEvent::AggregationDone { participants: m });
-        for _ in 0..m {
-            driver
-                .comms
-                .record_scalars(Direction::Uplink, TrafficClass::Weights, n_scalars);
-            driver
-                .comms
-                .record_scalars(Direction::Downlink, TrafficClass::Weights, n_scalars);
-        }
-
-        let mean_loss = losses.iter().map(|&l| l as f64).sum::<f64>() / losses.len() as f64;
-        let eval = driver.eval_if_due(round, obs, || evaluate(&models, clients));
-        driver.end_round(round, mean_loss, eval, obs);
-        if driver.stopped() {
-            break;
-        }
-    }
-    driver.finish_observed("FedLIT", obs)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::{run_baseline, Baseline};
     use crate::client::{setup_federation, FederationConfig};
     use fedomd_data::{generate, spec, DatasetName};
 
@@ -382,7 +295,7 @@ mod tests {
     #[test]
     fn kmeans_assigns_every_edge_a_type() {
         let (clients, _) = mini_clients();
-        let assigns = federated_edge_kmeans(&clients, 0);
+        let assigns = federated_edge_kmeans(&clients, 0, &mut CommsLog::new());
         assert_eq!(assigns.len(), clients.len());
         for (c, a) in clients.iter().zip(&assigns) {
             assert_eq!(a.len(), c.edges.len());
@@ -393,7 +306,7 @@ mod tests {
     #[test]
     fn type_operators_cover_all_types() {
         let (clients, _) = mini_clients();
-        let assigns = federated_edge_kmeans(&clients, 0);
+        let assigns = federated_edge_kmeans(&clients, 0, &mut CommsLog::new());
         let ops = type_operators(&clients[0], &assigns[0]);
         assert_eq!(ops.len(), N_TYPES);
         for op in &ops {
@@ -406,7 +319,7 @@ mod tests {
     #[test]
     fn fedlit_model_forward_shapes() {
         let (clients, k) = mini_clients();
-        let assigns = federated_edge_kmeans(&clients, 0);
+        let assigns = federated_edge_kmeans(&clients, 0, &mut CommsLog::new());
         let ops = type_operators(&clients[0], &assigns[0]);
         let f = clients[0].input.n_features();
         let model = FedLitModel::new(ops, f, 16, k, 0);
@@ -424,7 +337,7 @@ mod tests {
             patience: 25,
             ..TrainConfig::mini(0)
         };
-        let r = run_fedlit(&clients, k, &cfg);
+        let r = run_baseline(Baseline::FedLit, &clients, k, &cfg);
         assert!(r.test_acc.is_finite());
         assert!(
             r.test_acc > 1.0 / k as f64,
@@ -434,6 +347,40 @@ mod tests {
         assert!(
             r.comms.stats_uplink_bytes > 0,
             "centroid traffic not accounted"
+        );
+    }
+
+    #[test]
+    fn kmeans_traffic_is_one_frame_per_type_up_and_one_down() {
+        let (clients, _) = mini_clients();
+        let mut comms = CommsLog::new();
+        federated_edge_kmeans(&clients, 0, &mut comms);
+        let f = clients[0].input.n_features();
+        let exchanges = (KMEANS_ITERS - 1) * clients.len();
+        let up = Envelope {
+            round: 0,
+            sender: 0,
+            payload: Payload::StatsRound1 {
+                means: vec![vec![0.0; f]],
+                n_samples: 1,
+            },
+        };
+        let down = Envelope {
+            round: 0,
+            sender: SERVER_SENDER,
+            payload: Payload::GlobalStats {
+                means: vec![vec![0.0; f]; N_TYPES],
+                moments: Vec::new(),
+            },
+        };
+        assert_eq!(
+            comms.uplink_bytes,
+            (exchanges * N_TYPES * up.encoded_len()) as u64
+        );
+        assert_eq!(comms.stats_uplink_bytes, comms.uplink_bytes);
+        assert_eq!(
+            comms.downlink_bytes,
+            (exchanges * down.encoded_len()) as u64
         );
     }
 }

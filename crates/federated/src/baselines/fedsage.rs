@@ -9,11 +9,12 @@
 //! 2. **NeighGen** — a linear generator (count head + feature head) is
 //!    trained on the impaired graph; the "+" federation of the original
 //!    paper (cross-client feature gradients) becomes FedAvg over the
-//!    generator weights.
+//!    generator weights, folded by the server's [`ServerRound`].
 //! 3. **Mend** — the generator runs on the intact local graph; nodes with
 //!    high predicted missing-count receive synthetic neighbours with the
 //!    predicted features.
-//! 4. **Train** — FedAvg over [`GraphSage`] on the mended graphs.
+//! 4. **Train** — FedAvg over [`GraphSage`] on the mended graphs, on the
+//!    one round ([`crate::engine::run`]).
 //!
 //! Under the paper's 1 % label rate the generator is trained from very few
 //! reliable nodes, which is exactly the failure mode §5.2 attributes to
@@ -24,18 +25,19 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use fedomd_autograd::{Tape, Workspace};
+use fedomd_autograd::Tape;
 use fedomd_nn::{Adam, GraphSage, Model, Optimizer};
 use fedomd_sparse::row_normalized_adjacency;
+use fedomd_telemetry::{Phase, PhaseStopwatch, RoundObserver};
 use fedomd_tensor::rng::{derive, seeded};
 use fedomd_tensor::{xavier_uniform, Matrix};
+use fedomd_transport::{from_tensors, to_tensors, Envelope, Payload, SERVER_SENDER};
 
 use crate::client::ClientData;
-use crate::comms::{Direction, TrafficClass};
-use crate::config::{RunResult, TrainConfig};
-use crate::engine::RoundDriver;
-use crate::helpers::{evaluate, fedavg, local_step};
-use fedomd_telemetry::{NullObserver, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
+use crate::comms::{CommsLog, Direction};
+use crate::config::TrainConfig;
+use crate::engine::charge;
+use crate::session::ServerRound;
 
 /// Fraction of nodes hidden to create generator supervision.
 const HIDE_FRACTION: f64 = 0.25;
@@ -69,14 +71,14 @@ impl NeighGen {
         self.w_feat = p[1].clone();
     }
 
-    /// One Adam step on the impaired-graph supervision; returns the loss.
+    /// One Adam step on the impaired-graph supervision.
     fn train_step(
         &mut self,
         opt: &mut Adam,
         x_impaired: &Matrix,
         target_counts: &Matrix,
         target_feats: &Matrix,
-    ) -> f32 {
+    ) {
         let n = x_impaired.rows().max(1) as f32;
         let mut tape = Tape::new();
         let x = tape.constant(x_impaired.clone());
@@ -102,7 +104,6 @@ impl NeighGen {
         let mut params = self.params();
         opt.step(&mut params, &grads);
         self.set_params(&params);
-        tape.scalar(loss)
     }
 
     /// Predicted (counts, features) on the intact graph.
@@ -210,23 +211,19 @@ fn mend(client: &ClientData, gen: &NeighGen, seed: u64) -> (ClientData, Arc<fedo
     )
 }
 
-/// Runs FedSage+ to completion, without telemetry.
-pub fn run_fedsage_plus(clients: &[ClientData], n_classes: usize, cfg: &TrainConfig) -> RunResult {
-    run_fedsage_plus_observed(clients, n_classes, cfg, &mut NullObserver)
-}
-
-/// Runs FedSage+ to completion, reporting round milestones to `obs`.
-pub fn run_fedsage_plus_observed(
+/// FedSage+'s set-up: federated NeighGen training (timed as a
+/// [`Phase::LocalTrain`] segment, its frames charged to `comms`), then the
+/// mended shards, each with a [`GraphSage`] over its own mean aggregator,
+/// all from one common init.
+pub(crate) fn setup(
+    cfg: &TrainConfig,
     clients: &[ClientData],
     n_classes: usize,
-    cfg: &TrainConfig,
+    comms: &mut CommsLog,
     obs: &mut dyn RoundObserver,
-) -> RunResult {
-    assert!(!clients.is_empty(), "run_fedsage_plus: no clients");
+) -> (Vec<ClientData>, Vec<Box<dyn Model>>) {
     let m = clients.len();
-    let f = clients[0].input.n_features();
-    let mut driver = RoundDriver::new(cfg);
-    driver.announce("FedSage+", m, obs);
+    let f = clients.first().map_or(0, |c| c.input.n_features());
 
     // --- Phase 1+2: federated NeighGen training ---
     let sw = PhaseStopwatch::start(Phase::LocalTrain);
@@ -243,23 +240,33 @@ pub fn run_fedsage_plus_observed(
         gens.par_iter_mut()
             .zip(gen_opts.par_iter_mut())
             .zip(supervision.par_iter())
-            .for_each(|((g, opt), (x, tc, tf))| {
-                g.train_step(opt, x, tc, tf);
-            });
+            .for_each(|((g, opt), (x, tc, tf))| g.train_step(opt, x, tc, tf));
         // The "+": federate the generator itself.
-        let sets: Vec<Vec<Matrix>> = gens.iter().map(|g| g.params()).collect();
-        let global = fedavg(&sets, &vec![1.0; m]);
-        for g in &mut gens {
-            g.set_params(&global);
+        let mut server = ServerRound::new(false);
+        for (i, g) in gens.iter().enumerate() {
+            let up = Envelope {
+                round: 0,
+                sender: i as u32,
+                payload: Payload::WeightUpdate {
+                    params: to_tensors(&g.params()),
+                },
+            };
+            charge(comms, Direction::Uplink, &up, 1);
+            let _admitted = server.admit(up).is_ok();
         }
-        let gen_scalars = f + f * f;
-        for _ in 0..m {
-            driver
-                .comms
-                .record_scalars(Direction::Uplink, TrafficClass::Weights, gen_scalars);
-            driver
-                .comms
-                .record_scalars(Direction::Downlink, TrafficClass::Weights, gen_scalars);
+        if let (_, Some(down)) = server.close_updates() {
+            let down = Envelope {
+                round: 0,
+                sender: SERVER_SENDER,
+                payload: down,
+            };
+            charge(comms, Direction::Downlink, &down, m);
+            if let Payload::GlobalModel { params } = down.payload {
+                let global = from_tensors(params);
+                for g in &mut gens {
+                    g.set_params(&global);
+                }
+            }
         }
     }
     sw.finish(obs);
@@ -271,88 +278,26 @@ pub fn run_fedsage_plus_observed(
         .enumerate()
         .map(|(i, (c, g))| mend(c, g, derive(cfg.seed, 0xC300 + i as u64)))
         .collect();
-    let mended_clients: Vec<ClientData> = mended.iter().map(|(c, _)| c.clone()).collect();
 
-    // --- Phase 4: FedAvg over GraphSage on the mended graphs ---
-    let mut models: Vec<Box<dyn Model>> = mended
-        .iter()
-        .map(|(_, agg)| {
+    // --- Phase 4's local models: GraphSage on the mended graphs ---
+    mended
+        .into_iter()
+        .map(|(c, agg)| {
             let mut rng = seeded(derive(cfg.seed, 0xC400));
-            Box::new(
-                GraphSage::new(f, cfg.hidden_dim, n_classes, &mut rng)
-                    .with_mean_aggregator(agg.clone()),
-            ) as Box<dyn Model>
+            let model =
+                GraphSage::new(f, cfg.hidden_dim, n_classes, &mut rng).with_mean_aggregator(agg);
+            (c, Box::new(model) as Box<dyn Model>)
         })
-        .collect();
-    let mut optimizers: Vec<Adam> = models
-        .iter()
-        .map(|_| Adam::new(cfg.lr, cfg.weight_decay))
-        .collect();
-    let n_scalars = models[0].n_scalars();
-    let mut workspaces: Vec<Workspace> = models.iter().map(|_| Workspace::new()).collect();
-
-    for round in 0..cfg.rounds {
-        obs.on_event(&RoundEvent::RoundStarted {
-            round: round as u64,
-        });
-        let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let losses: Vec<f32> = models
-            .par_iter_mut()
-            .zip(optimizers.par_iter_mut())
-            .zip(mended_clients.par_iter())
-            .zip(workspaces.par_iter_mut())
-            .map(|(((model, opt), client), ws)| {
-                let mut loss = 0.0;
-                for _ in 0..cfg.local_epochs {
-                    loss = local_step(model, client, opt, ws, |_, _| Vec::new(), |_| {});
-                }
-                loss
-            })
-            .collect();
-        for (client, &loss) in losses.iter().enumerate() {
-            obs.on_event(&RoundEvent::LocalStepDone {
-                client: client as u32,
-                epoch: (cfg.local_epochs.max(1) - 1) as u32,
-                loss: loss as f64,
-                ce: loss as f64,
-                ortho: 0.0,
-                cmd: 0.0,
-            });
-        }
-        sw.finish(obs);
-
-        let sw = PhaseStopwatch::start(Phase::Aggregation);
-        let sets: Vec<Vec<Matrix>> = models.iter().map(|mo| mo.params()).collect();
-        let global = fedavg(&sets, &vec![1.0; m]);
-        for mo in models.iter_mut() {
-            mo.set_params(&global);
-        }
-        sw.finish(obs);
-        obs.on_event(&RoundEvent::AggregationDone { participants: m });
-        for _ in 0..m {
-            driver
-                .comms
-                .record_scalars(Direction::Uplink, TrafficClass::Weights, n_scalars);
-            driver
-                .comms
-                .record_scalars(Direction::Downlink, TrafficClass::Weights, n_scalars);
-        }
-
-        let mean_loss = losses.iter().map(|&l| l as f64).sum::<f64>() / losses.len() as f64;
-        let eval = driver.eval_if_due(round, obs, || evaluate(&models, &mended_clients));
-        driver.end_round(round, mean_loss, eval, obs);
-        if driver.stopped() {
-            break;
-        }
-    }
-    driver.finish_observed("FedSage+", obs)
+        .unzip()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::{run_baseline, Baseline};
     use crate::client::{setup_federation, FederationConfig};
     use fedomd_data::{generate, spec, DatasetName};
+    use fedomd_telemetry::NullObserver;
 
     fn mini_clients() -> (Vec<ClientData>, usize) {
         let ds = generate(&spec(DatasetName::CoraMini), 0);
@@ -402,7 +347,7 @@ mod tests {
             patience: 25,
             ..TrainConfig::mini(0)
         };
-        let r = run_fedsage_plus(&clients, k, &cfg);
+        let r = run_baseline(Baseline::FedSagePlus, &clients, k, &cfg);
         assert!(r.test_acc.is_finite());
         assert!(
             r.test_acc > 1.0 / k as f64,
@@ -410,5 +355,27 @@ mod tests {
             r.test_acc
         );
         assert!(r.comms.uplink_bytes > 0);
+    }
+
+    #[test]
+    fn neighgen_traffic_is_one_weight_frame_each_way_per_epoch() {
+        let (clients, k) = mini_clients();
+        let mut comms = CommsLog::new();
+        let cfg = TrainConfig::mini(0);
+        let (mended, models) = setup(&cfg, &clients, k, &mut comms, &mut NullObserver);
+        assert_eq!((mended.len(), models.len()), (clients.len(), clients.len()));
+        let f = clients[0].input.n_features();
+        let frame = Envelope {
+            round: 0,
+            sender: 0,
+            payload: Payload::WeightUpdate {
+                params: to_tensors(&NeighGen::new(f, 0).params()),
+            },
+        }
+        .encoded_len();
+        let per_way = (GEN_EPOCHS * clients.len() * frame) as u64;
+        assert_eq!(comms.uplink_bytes, per_way);
+        assert_eq!(comms.downlink_bytes, per_way);
+        assert_eq!(comms.stats_uplink_bytes, 0);
     }
 }

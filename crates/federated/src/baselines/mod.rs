@@ -1,17 +1,20 @@
-//! The seven baselines of the paper's Tables 4/5, all exposed through the
-//! uniform entry point [`run_baseline`].
+//! The seven baselines of the paper's Tables 4/5, each a
+//! [`Strategy::Baseline`] of the one round ([`crate::engine::run`]) and
+//! exposed through the uniform entry point [`run_baseline`]. The
+//! algorithm-specific mechanisms live with the session: SCAFFOLD's control
+//! variates in [`crate::session`], FedLIT's link-type clustering and
+//! FedSage+'s neighbour generation in [`fedlit`] and [`fedsage`].
 
 pub mod fedlit;
 pub mod fedsage;
-pub mod scaffold;
 
 use crate::client::ClientData;
 use crate::config::{RunResult, TrainConfig};
-use crate::engine::{run, GenericOpts, ModelKind, Persistence, Strategy};
+use crate::engine::{run, Persistence, Strategy};
 use fedomd_telemetry::{NullObserver, RoundObserver};
 use fedomd_transport::InProcChannel;
 
-/// Every baseline algorithm (FedOMD itself lives in `fedomd-core`).
+/// Every baseline algorithm (FedOMD is [`Strategy::FedOmd`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Baseline {
     /// 2-layer MLP + FedAvg.
@@ -69,52 +72,21 @@ impl Baseline {
         })
     }
 
-    /// The [`Strategy::FedAvg`] options of the FedAvg-family baselines,
-    /// `None` for the bespoke loops (SCAFFOLD, FedSage+, FedLIT). Baselines
-    /// with options run on the shared round ([`crate::engine::run`]) and
-    /// therefore support run checkpoint/resume.
-    pub fn generic_opts(self) -> Option<GenericOpts> {
-        Some(match self {
-            Baseline::FedMlp => GenericOpts {
-                name: "FedMLP",
-                model: ModelKind::Mlp,
-                aggregate: true,
-                prox_mu: 0.0,
-            },
-            Baseline::FedProx => GenericOpts {
-                name: "FedProx",
-                model: ModelKind::Mlp,
-                aggregate: true,
-                prox_mu: 0.01,
-            },
-            Baseline::LocGcn => GenericOpts {
-                name: "LocGCN",
-                model: ModelKind::Gcn,
-                aggregate: false,
-                prox_mu: 0.0,
-            },
-            Baseline::FedGcn => GenericOpts {
-                name: "FedGCN",
-                model: ModelKind::Gcn,
-                aggregate: true,
-                prox_mu: 0.0,
-            },
-            Baseline::Scaffold | Baseline::FedSagePlus | Baseline::FedLit => return None,
-        })
+    /// Local passes a round: `local_epochs`, at least one. FedProx's
+    /// proximal term only acts once local weights drift from the round's
+    /// starting model; at one pass a round it is identically zero, so
+    /// FedProx's own recipe (Li et al.) gets at least two.
+    pub fn passes(self, cfg: &TrainConfig) -> usize {
+        let min = if self == Baseline::FedProx { 2 } else { 1 };
+        cfg.local_epochs.max(min)
     }
 
-    /// The baseline-specific training-schedule adjustment. FedProx's
-    /// proximal term only acts once local weights drift from the round's
-    /// global snapshot; at one local epoch per round it is identically
-    /// zero, so FedProx's own recipe (Li et al.) gets at least two.
-    pub fn adjust_config(self, cfg: &TrainConfig) -> TrainConfig {
+    /// FedProx's proximal coefficient `μ`; 0 for every other baseline.
+    pub fn prox_mu(self) -> f32 {
         if self == Baseline::FedProx {
-            TrainConfig {
-                local_epochs: cfg.local_epochs.max(2),
-                ..cfg.clone()
-            }
+            0.01
         } else {
-            cfg.clone()
+            0.0
         }
     }
 }
@@ -129,12 +101,11 @@ pub fn run_baseline(
     run_baseline_observed(which, clients, n_classes, cfg, &mut NullObserver)
 }
 
-/// Runs one baseline end to end, reporting round milestones to `obs`.
+/// Runs one baseline end to end over the default in-process channel,
+/// reporting round milestones and frame-level telemetry to `obs`.
 ///
-/// The FedAvg-family baselines run on the shared round over the default
-/// in-process channel and report full frame-level telemetry; the bespoke
-/// loops (SCAFFOLD, FedSage+, FedLIT) report the round lifecycle, local
-/// steps, phases, and aggregation milestones.
+/// # Panics
+/// Panics with no clients or an invalid cohort configuration.
 pub fn run_baseline_observed(
     which: Baseline,
     clients: &[ClientData],
@@ -142,35 +113,91 @@ pub fn run_baseline_observed(
     cfg: &TrainConfig,
     obs: &mut dyn RoundObserver,
 ) -> RunResult {
-    if let Some(opts) = which.generic_opts() {
-        return run(
-            clients,
-            n_classes,
-            &which.adjust_config(cfg),
-            &Strategy::FedAvg(opts),
-            &mut InProcChannel::new(),
-            obs,
-            Persistence::default(),
-        );
-    }
-    match which {
-        Baseline::Scaffold => scaffold::run_scaffold_observed(clients, n_classes, cfg, obs),
-        Baseline::FedSagePlus => fedsage::run_fedsage_plus_observed(clients, n_classes, cfg, obs),
-        Baseline::FedLit => fedlit::run_fedlit_observed(clients, n_classes, cfg, obs),
-        #[expect(
-            clippy::unreachable,
-            reason = "the `generic_opts` guard above returned for every FedAvg-family \
-                      variant; only the three bespoke loops reach here"
-        )]
-        Baseline::FedMlp | Baseline::FedProx | Baseline::LocGcn | Baseline::FedGcn => {
-            unreachable!("FedAvg-family baselines handled above")
-        }
-    }
+    run(
+        clients,
+        n_classes,
+        cfg,
+        &Strategy::Baseline(which),
+        &mut InProcChannel::new(),
+        obs,
+        Persistence::default(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{setup_federation, FederationConfig};
+    use crate::config::CohortConfig;
+    use fedomd_data::{generate, spec, DatasetName};
+    use fedomd_telemetry::{MemoryObserver, RoundEvent};
+    use std::collections::BTreeSet;
+
+    /// A 2-of-3 cohort trains only the sampled clients, every round, for
+    /// SCAFFOLD, FedLIT and FedSage+ too.
+    #[test]
+    fn a_sampled_cohort_trains_only_its_members() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let clients = setup_federation(&ds, &FederationConfig::mini(3, 0));
+        let cfg = TrainConfig {
+            rounds: 4,
+            patience: 4,
+            eval_every: 1,
+            cohort: CohortConfig::fraction(2.0 / 3.0, 5),
+            ..TrainConfig::mini(0)
+        };
+        for which in [Baseline::Scaffold, Baseline::FedLit, Baseline::FedSagePlus] {
+            let mut mem = MemoryObserver::new();
+            let r = run_baseline_observed(which, &clients, ds.n_classes, &cfg, &mut mem);
+            assert_eq!(r.history.len(), cfg.rounds, "{which:?}");
+            let mut trained: Vec<BTreeSet<u32>> = Vec::new();
+            for e in &mem.events {
+                match e {
+                    RoundEvent::RoundStarted { .. } => trained.push(BTreeSet::new()),
+                    RoundEvent::LocalStepDone { client, .. } => {
+                        trained.last_mut().expect("inside a round").insert(*client);
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(trained.len(), cfg.rounds, "{which:?}");
+            for (round, got) in trained.iter().enumerate() {
+                let cohort = cfg.cohort.sample(round as u64, clients.len());
+                assert_eq!(cohort.len(), 2);
+                let want: BTreeSet<u32> = cohort.iter().map(|&i| i as u32).collect();
+                assert_eq!(got, &want, "{which:?} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn scaffold_learns_above_chance() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let clients = setup_federation(&ds, &FederationConfig::mini(3, 0));
+        let cfg = TrainConfig {
+            rounds: 40,
+            patience: 30,
+            ..TrainConfig::mini(0)
+        };
+        let r = run_baseline(Baseline::Scaffold, &clients, ds.n_classes, &cfg);
+        assert!(r.test_acc > 1.0 / ds.n_classes as f64, "acc {}", r.test_acc);
+        assert!(r.test_acc.is_finite());
+        assert!(r.comms.uplink_bytes > 0);
+    }
+
+    #[test]
+    fn scaffold_is_deterministic() {
+        let ds = generate(&spec(DatasetName::CoraMini), 1);
+        let clients = setup_federation(&ds, &FederationConfig::mini(2, 1));
+        let cfg = TrainConfig {
+            rounds: 8,
+            ..TrainConfig::mini(1)
+        };
+        let a = run_baseline(Baseline::Scaffold, &clients, ds.n_classes, &cfg);
+        let b = run_baseline(Baseline::Scaffold, &clients, ds.n_classes, &cfg);
+        assert_eq!(a.test_acc, b.test_acc);
+        assert_eq!(a.history, b.history);
+    }
 
     #[test]
     fn names_match_paper_tables() {
@@ -188,24 +215,21 @@ mod tests {
     }
 
     #[test]
-    fn generic_opts_cover_exactly_the_fedavg_family() {
-        for b in ALL_BASELINES {
-            match b {
-                Baseline::Scaffold | Baseline::FedSagePlus | Baseline::FedLit => {
-                    assert!(b.generic_opts().is_none(), "{:?} is bespoke", b)
-                }
-                _ => assert_eq!(b.generic_opts().expect("generic").name, b.name()),
-            }
-        }
-    }
-
-    #[test]
-    fn only_fedprox_adjusts_the_schedule() {
+    fn only_fedprox_has_a_proximal_term_and_a_second_pass() {
         let cfg = TrainConfig::mini(0);
-        assert_eq!(Baseline::FedProx.adjust_config(&cfg).local_epochs, 2);
-        assert_eq!(
-            Baseline::FedGcn.adjust_config(&cfg).local_epochs,
-            cfg.local_epochs
-        );
+        for b in ALL_BASELINES {
+            let (passes, mu) = if b == Baseline::FedProx {
+                (2, 0.01)
+            } else {
+                (cfg.local_epochs, 0.0)
+            };
+            assert_eq!(b.passes(&cfg), passes, "{b:?}");
+            assert_eq!(b.prox_mu(), mu, "{b:?}");
+        }
+        let idle = TrainConfig {
+            local_epochs: 0,
+            ..cfg
+        };
+        assert_eq!(Baseline::FedGcn.passes(&idle), 1);
     }
 }

@@ -8,13 +8,8 @@
 //! All recording funnels through one entry point, [`CommsLog::record`]:
 //! a [`Direction`] (which way the bytes flew), a [`TrafficClass`] (model
 //! weights vs. distribution statistics — the split Table 3 is about), and
-//! a byte count. Two byte sources exist:
-//!
-//! * the size of an actual encoded transport frame (header + payload +
-//!   checksum) as produced by `fedomd-transport` — what the transported
-//!   training loops record, always ≥ the scalar estimate;
-//! * the scalar estimate [`CommsLog::record_scalars`] (`4 × n_scalars`) —
-//!   for baselines that have not moved onto a channel.
+//! the size of an encoded transport frame (header + payload + checksum)
+//! as produced by `fedomd-transport`.
 
 /// Which way bytes crossed the star topology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,8 +49,6 @@ pub struct CommsLog {
     pub dropped_messages: u64,
 }
 
-const SCALAR_BYTES: u64 = 4;
-
 impl CommsLog {
     /// An empty log.
     pub fn new() -> Self {
@@ -76,12 +69,6 @@ impl CommsLog {
             }
             Direction::Downlink => self.downlink_bytes += bytes,
         }
-    }
-
-    /// Records `n_scalars` values at the scalar estimate of 4 bytes each
-    /// (for paths that do not ship real encoded frames).
-    pub fn record_scalars(&mut self, dir: Direction, class: TrafficClass, n_scalars: usize) {
-        self.record(dir, class, n_scalars as u64 * SCALAR_BYTES);
     }
 
     /// Overwrites the dropped-message count with the transport's current
@@ -108,18 +95,6 @@ impl CommsLog {
             self.stats_uplink_bytes as f64 / self.uplink_bytes as f64
         }
     }
-
-    /// Merges another log, e.g. per-client partial logs of the *same* run:
-    /// byte and drop counters add up (each log saw disjoint traffic), while
-    /// `rounds` takes the max (the logs describe the same round sequence,
-    /// not consecutive ones).
-    pub fn merge(&mut self, other: &CommsLog) {
-        self.uplink_bytes += other.uplink_bytes;
-        self.downlink_bytes += other.downlink_bytes;
-        self.stats_uplink_bytes += other.stats_uplink_bytes;
-        self.rounds = self.rounds.max(other.rounds);
-        self.dropped_messages += other.dropped_messages;
-    }
 }
 
 #[cfg(test)]
@@ -127,10 +102,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_recording_counts_four_bytes_per_scalar() {
+    fn record_sums_per_direction() {
         let mut log = CommsLog::new();
-        log.record_scalars(Direction::Uplink, TrafficClass::Weights, 100);
-        log.record_scalars(Direction::Downlink, TrafficClass::Weights, 50);
+        log.record(Direction::Uplink, TrafficClass::Weights, 400);
+        log.record(Direction::Downlink, TrafficClass::Weights, 200);
         assert_eq!(log.uplink_bytes, 400);
         assert_eq!(log.downlink_bytes, 200);
         assert_eq!(log.total_bytes(), 600);
@@ -140,8 +115,8 @@ mod tests {
     #[test]
     fn stats_are_a_sub_bucket_of_uplink() {
         let mut log = CommsLog::new();
-        log.record_scalars(Direction::Uplink, TrafficClass::Weights, 1000);
-        log.record_scalars(Direction::Uplink, TrafficClass::Stats, 10);
+        log.record(Direction::Uplink, TrafficClass::Weights, 4000);
+        log.record(Direction::Uplink, TrafficClass::Stats, 40);
         assert_eq!(log.uplink_bytes, 4040);
         assert_eq!(log.stats_uplink_bytes, 40);
         assert!((log.stats_fraction() - 40.0 / 4040.0).abs() < 1e-12);
@@ -168,29 +143,6 @@ mod tests {
         assert_eq!(log.uplink_bytes, 492);
         assert_eq!(log.stats_uplink_bytes, 66);
         assert_eq!(log.downlink_bytes, 492);
-        // A frame is never smaller than the scalar estimate of its payload.
-        assert!(frame_bytes > 100 * SCALAR_BYTES);
-    }
-
-    #[test]
-    fn merge_sums_bytes_and_drops_but_maxes_rounds() {
-        let mut a = CommsLog::new();
-        a.record_scalars(Direction::Uplink, TrafficClass::Weights, 1);
-        a.end_round();
-        a.end_round();
-        a.sync_dropped(3);
-        let mut b = CommsLog::new();
-        b.record_scalars(Direction::Uplink, TrafficClass::Stats, 2);
-        b.end_round();
-        b.sync_dropped(2);
-        a.merge(&b);
-        // Bytes sum: the two logs measured disjoint traffic of one run.
-        assert_eq!(a.uplink_bytes, 4 + 8);
-        assert_eq!(a.stats_uplink_bytes, 8);
-        // Rounds max: both logs watched the same round sequence.
-        assert_eq!(a.rounds, 2);
-        // Drops sum, like bytes.
-        assert_eq!(a.dropped_messages, 5);
     }
 
     #[test]

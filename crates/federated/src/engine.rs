@@ -2,9 +2,10 @@
 //!
 //! [`run`] drives one [`ClientSession`] per client and one [`ServerRound`]
 //! in lockstep over a [`Channel`]. A [`Strategy`] says what it trains:
-//! FedOMD (Algorithm 1), or a FedAvg-family baseline (FedMLP, FedProx,
-//! LocGCN, FedGCN), which is the same round without the statistics
-//! exchange and with its own local model and objective.
+//! FedOMD (Algorithm 1), or one of the paper's seven baselines, which run
+//! the same round without the statistics exchange and with their own local
+//! model, objective and optimiser ([`Baseline`]). FedLIT and FedSage+ first
+//! run a federated set-up exchange ([`ClientSession::federation`]).
 //!
 //! Per communication round the loop samples the cohort
 //! ([`crate::CohortConfig`]), sweeps the cohort's sessions through the
@@ -24,15 +25,15 @@
 //! global model was lost keeps its weights, and a client that misses the
 //! global statistics trains without the CMD term that round.
 //!
-//! [`RoundDriver`] centralises what every algorithm needs per round —
+//! [`RoundDriver`] centralises what every loop needs per round —
 //! evaluation, early stopping on validation accuracy, history for the
-//! convergence curves (paper Fig. 5), communication accounting. SCAFFOLD,
-//! FedSage+, FedLIT and `fedomd-core`'s TCP server build their own bodies
-//! on the same driver. Every milestone is reported to a [`RoundObserver`];
-//! observers are pure sinks, so a run with any observer is bit-identical
-//! to the same run with [`fedomd_telemetry::NullObserver`] (golden-tested).
-//! Wall-clock time is reported only as `PhaseDone` segments. The `FedRun`
-//! builder in `fedomd-core` is the user-facing entry point.
+//! convergence curves (paper Fig. 5), communication accounting; `run` and
+//! `fedomd-core`'s TCP server build on it. Every milestone is reported to a
+//! [`RoundObserver`]; observers are pure sinks, so a run with any observer
+//! is bit-identical to the same run with
+//! [`fedomd_telemetry::NullObserver`] (golden-tested). Wall-clock time is
+//! reported only as `PhaseDone` segments. The `FedRun` builder in
+//! `fedomd-core` is the user-facing entry point.
 
 use rayon::prelude::*;
 
@@ -40,6 +41,7 @@ use fedomd_nn::{AdamState, Gcn, Mlp, Model, OrthoGcn, OrthoGcnConfig};
 use fedomd_tensor::rng::{derive, seeded};
 use fedomd_tensor::Matrix;
 
+use crate::baselines::Baseline;
 use crate::client::ClientData;
 use crate::comms::{CommsLog, Direction, TrafficClass};
 use crate::config::{FedOmdConfig, RoundStats, RunResult, TrainConfig};
@@ -48,40 +50,26 @@ use crate::session::{ClientSession, EvalCounts, ServerRound, StepLosses};
 use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_transport::{Channel, ChannelState, Envelope, Payload, SERVER_SENDER};
 
-/// Which local architecture a FedAvg-family strategy instantiates.
+/// Which plain architecture [`build_model`] instantiates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ModelKind {
-    /// 2-layer MLP (FedMLP / FedProx / SCAFFOLD family).
+    /// 2-layer MLP (FedMLP / FedProx / SCAFFOLD).
     Mlp,
-    /// 2-layer GCN (LocGCN / FedGCN family).
+    /// 2-layer GCN (LocGCN / FedGCN).
     Gcn,
 }
 
-/// Options of a FedAvg-family strategy.
-#[derive(Clone, Copy, Debug)]
-pub struct GenericOpts {
-    /// Algorithm name stamped on the result.
-    pub name: &'static str,
-    /// Local architecture.
-    pub model: ModelKind,
-    /// Aggregate weights at the server each round (false = LocGCN's
-    /// isolated local training).
-    pub aggregate: bool,
-    /// FedProx proximal coefficient `μ` (0 disables the term).
-    pub prox_mu: f32,
-}
-
-/// What [`run`] trains: the local model and objective, and which phases
-/// of Algorithm 1 a round runs.
+/// What [`run`] trains: the local model, objective and optimiser, and
+/// which phases of Algorithm 1 a round runs.
 #[derive(Clone, Copy, Debug)]
 pub enum Strategy {
     /// FedOMD: an Ortho-GCN trained one pass a round on `CE + α·L_ortho +
     /// β·d_CMD`, with the two-round statistics exchange when `use_cmd`.
     FedOmd(FedOmdConfig),
-    /// A FedAvg-family baseline: `local_epochs` passes a round on CE, plus
-    /// `μ·Σ‖W − W₀‖²` for FedProx; weights are aggregated unless the
-    /// options say otherwise (LocGCN).
-    FedAvg(GenericOpts),
+    /// One of the paper's seven baselines: `local_epochs` passes a round
+    /// on CE (plus FedProx's proximal term, or SCAFFOLD's control
+    /// variates); weights are aggregated except by LocGCN.
+    Baseline(Baseline),
 }
 
 impl Strategy {
@@ -89,7 +77,7 @@ impl Strategy {
     pub fn name(&self) -> &'static str {
         match self {
             Strategy::FedOmd(_) => "FedOMD",
-            Strategy::FedAvg(opts) => opts.name,
+            Strategy::Baseline(b) => b.name(),
         }
     }
 
@@ -101,10 +89,7 @@ impl Strategy {
 
     /// Whether a round uploads and aggregates weights (lines 21, 25–29).
     pub(crate) fn aggregates(&self) -> bool {
-        match self {
-            Strategy::FedOmd(_) => true,
-            Strategy::FedAvg(opts) => opts.aggregate,
-        }
+        !matches!(self, Strategy::Baseline(Baseline::LocGcn))
     }
 }
 
@@ -128,16 +113,6 @@ pub struct DriverState {
     pub comms: CommsLog,
 }
 
-/// FedOMD's cached global statistics (means + central moments per hidden
-/// layer), in plain vector form so a checkpoint can carry them.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StatsCache {
-    /// Per hidden layer: the global feature means.
-    pub means: Vec<Vec<f32>>,
-    /// Per hidden layer, per order (2..=K): the global central moments.
-    pub moments: Vec<Vec<Vec<f32>>>,
-}
-
 /// Everything a run needs to continue from a round boundary exactly as if
 /// it had never stopped. Captured after round `next_round - 1` completed
 /// (history recorded, comms synced, no frames in flight).
@@ -147,12 +122,11 @@ pub struct ResumeState {
     pub next_round: usize,
     /// Per-client model parameters.
     pub params: Vec<Vec<Matrix>>,
-    /// Per-client Adam state, aligned with `params`.
-    pub optim: Vec<AdamState>,
+    /// Per-client optimiser state, aligned with `params`.
+    pub optim: Vec<OptimState>,
     /// Per-client optimiser step counters, for models whose behaviour
     /// depends on the step index beyond their parameters (OrthoGcn's
-    /// periodic Newton–Schulz). Always zero for the stateless FedAvg-family
-    /// models (MLP, GCN).
+    /// periodic Newton–Schulz). Always zero for the baselines' models.
     pub model_steps: Vec<u64>,
     /// Driver bookkeeping (history, early stopping, comms).
     pub driver: DriverState,
@@ -161,7 +135,23 @@ pub struct ResumeState {
     /// Last aggregated global model (Algorithm 1 line 27).
     pub global: Option<Vec<Matrix>>,
     /// Last global statistics exchange (FedOMD, lines 4–18).
-    pub stats: Option<StatsCache>,
+    pub stats: Option<GlobalStats>,
+}
+
+/// One client's optimiser state in a [`ResumeState`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum OptimState {
+    /// Adam's step counter and moments (FedOMD and every baseline but
+    /// SCAFFOLD).
+    Adam(AdamState),
+    /// SCAFFOLD's momentum-SGD velocity (empty before the first step), its
+    /// control variate `c_i` and its copy of the server variate `c`, each
+    /// aligned with the parameters.
+    Scaffold {
+        velocity: Vec<Matrix>,
+        local: Vec<Matrix>,
+        global: Vec<Matrix>,
+    },
 }
 
 /// Where periodic [`ResumeState`] snapshots go. Implemented by
@@ -188,24 +178,17 @@ pub struct Persistence<'a> {
     pub sink: Option<&'a mut dyn CheckpointSink>,
 }
 
-/// Round-loop bookkeeping shared by every algorithm.
+/// Round-loop bookkeeping shared by every loop: the persistent
+/// [`DriverState`] and the schedule it is kept against.
 pub struct RoundDriver {
     cfg: TrainConfig,
-    history: Vec<RoundStats>,
-    best_val: f64,
-    best_test: f64,
-    best_round: usize,
-    rounds_since_improve: usize,
-    stopped: bool,
-    /// Communication log (algorithms update it directly).
-    pub comms: CommsLog,
+    state: DriverState,
 }
 
 impl RoundDriver {
     /// A fresh driver for one run.
     pub fn new(cfg: &TrainConfig) -> Self {
-        Self {
-            cfg: cfg.clone(),
+        let fresh = DriverState {
             history: Vec::new(),
             best_val: f64::NEG_INFINITY,
             best_test: 0.0,
@@ -213,69 +196,36 @@ impl RoundDriver {
             rounds_since_improve: 0,
             stopped: false,
             comms: CommsLog::new(),
-        }
+        };
+        Self::resume(cfg, fresh)
     }
 
     /// A driver continuing from a checkpointed [`DriverState`].
     pub fn resume(cfg: &TrainConfig, state: DriverState) -> Self {
         Self {
             cfg: cfg.clone(),
-            history: state.history,
-            best_val: state.best_val,
-            best_test: state.best_test,
-            best_round: state.best_round,
-            rounds_since_improve: state.rounds_since_improve,
-            stopped: state.stopped,
-            comms: state.comms,
+            state,
         }
     }
 
     /// Snapshots the persistent bookkeeping for a run checkpoint.
     pub fn snapshot(&self) -> DriverState {
-        DriverState {
-            history: self.history.clone(),
-            best_val: self.best_val,
-            best_test: self.best_test,
-            best_round: self.best_round,
-            rounds_since_improve: self.rounds_since_improve,
-            stopped: self.stopped,
-            comms: self.comms,
-        }
+        self.state.clone()
+    }
+
+    /// The communication log, which the loops record their traffic into.
+    pub fn comms(&mut self) -> &mut CommsLog {
+        &mut self.state.comms
     }
 
     /// True once early stopping has triggered.
     pub fn stopped(&self) -> bool {
-        self.stopped
-    }
-
-    /// Emits the run-start event for an algorithm driving this round loop.
-    pub fn announce(&self, algorithm: &str, n_clients: usize, obs: &mut dyn RoundObserver) {
-        obs.on_event(&RoundEvent::RunStarted {
-            algorithm: algorithm.to_string(),
-            n_clients,
-            max_rounds: self.cfg.rounds,
-        });
+        self.state.stopped
     }
 
     /// True when `round` is on the evaluation schedule.
     pub fn eval_due(&self, round: usize) -> bool {
         round.is_multiple_of(self.cfg.eval_every)
-    }
-
-    /// The pooled counts `counts()` for a round on the evaluation schedule,
-    /// timed as a [`Phase::Eval`] segment; `None` off schedule.
-    pub fn eval_if_due(
-        &self,
-        round: usize,
-        obs: &mut dyn RoundObserver,
-        counts: impl FnOnce() -> EvalCounts,
-    ) -> Option<EvalCounts> {
-        self.eval_due(round).then(|| {
-            let sw = PhaseStopwatch::start(Phase::Eval);
-            let counts = counts();
-            sw.finish(obs);
-            counts
-        })
     }
 
     /// Ends a round: records the pooled `eval` counts (`None` off the
@@ -291,28 +241,29 @@ impl RoundDriver {
         eval: Option<EvalCounts>,
         obs: &mut dyn RoundObserver,
     ) {
-        self.comms.end_round();
+        let state = &mut self.state;
+        state.comms.end_round();
         if let Some((val, test)) = eval.map(|c| c.accuracy()) {
             obs.on_event(&RoundEvent::EvalDone {
                 round: round as u64,
                 val_acc: val,
                 test_acc: test,
             });
-            self.history.push(RoundStats {
+            state.history.push(RoundStats {
                 round,
                 train_loss: mean_train_loss,
                 val_acc: val,
                 test_acc: test,
             });
-            if val > self.best_val + 1e-12 {
-                self.best_val = val;
-                self.best_test = test;
-                self.best_round = round;
-                self.rounds_since_improve = 0;
+            if val > state.best_val + 1e-12 {
+                state.best_val = val;
+                state.best_test = test;
+                state.best_round = round;
+                state.rounds_since_improve = 0;
             } else {
-                self.rounds_since_improve += self.cfg.eval_every;
-                if self.rounds_since_improve >= self.cfg.patience {
-                    self.stopped = true;
+                state.rounds_since_improve += self.cfg.eval_every;
+                if state.rounds_since_improve >= self.cfg.patience {
+                    state.stopped = true;
                     obs.on_event(&RoundEvent::EarlyStopped {
                         round: round as u64,
                     });
@@ -321,28 +272,29 @@ impl RoundDriver {
         }
         obs.on_event(&RoundEvent::RoundFinished {
             round: round as u64,
-            uplink_bytes: self.comms.uplink_bytes,
-            downlink_bytes: self.comms.downlink_bytes,
-            dropped_messages: self.comms.dropped_messages,
+            uplink_bytes: state.comms.uplink_bytes,
+            downlink_bytes: state.comms.downlink_bytes,
+            dropped_messages: state.comms.dropped_messages,
         });
     }
 
     /// Finalises into a [`RunResult`], reporting `RunFinished` to `obs`.
     pub fn finish_observed(self, algorithm: &str, obs: &mut dyn RoundObserver) -> RunResult {
+        let state = self.state;
         obs.on_event(&RoundEvent::RunFinished {
             algorithm: algorithm.to_string(),
-            test_acc: self.best_test,
-            val_acc: self.best_val.max(0.0),
-            best_round: self.best_round as u64,
-            rounds: self.comms.rounds,
+            test_acc: state.best_test,
+            val_acc: state.best_val.max(0.0),
+            best_round: state.best_round as u64,
+            rounds: state.comms.rounds,
         });
         RunResult {
             algorithm: algorithm.to_string(),
-            test_acc: self.best_test,
-            val_acc: self.best_val.max(0.0),
-            best_round: self.best_round,
-            history: self.history,
-            comms: self.comms,
+            test_acc: state.best_test,
+            val_acc: state.best_val.max(0.0),
+            best_round: state.best_round,
+            history: state.history,
+            comms: state.comms,
         }
     }
 }
@@ -390,7 +342,7 @@ pub fn build_fedomd_model(
 /// frames over `chan` and every round milestone reported to `obs`.
 ///
 /// `persist` wires checkpoint/resume: the loop restores `persist.resume`
-/// (per-client parameters, Adam moments, driver bookkeeping, channel
+/// (per-client parameters and optimiser state, driver bookkeeping, channel
 /// fault-stream cursor), enters at the restored round, and hands
 /// `persist.sink` a [`ResumeState`] every `sink.every()` rounds — including
 /// the last aggregated global model and global statistics. A resumed run
@@ -400,7 +352,8 @@ pub fn build_fedomd_model(
 /// channel has no frames in flight.
 ///
 /// # Panics
-/// Panics with no clients or an invalid cohort configuration.
+/// Panics with no clients, an invalid cohort configuration, or a resume
+/// snapshot whose clients or optimiser state do not fit the federation.
 pub fn run(
     clients: &[ClientData],
     n_classes: usize,
@@ -416,27 +369,40 @@ pub fn run(
         panic!("run: {e}");
     }
     let m = clients.len();
-    let mut sessions = ClientSession::federation(cfg, strategy, clients, n_classes);
-    if let Some(resume) = persist.resume.as_mut() {
-        assert_eq!(
-            resume.params.len(),
-            m,
-            "resume: checkpoint has {} clients, federation has {m}",
-            resume.params.len()
-        );
-        let optim = std::mem::take(&mut resume.optim);
-        for (((s, p), &steps), st) in sessions
-            .iter_mut()
-            .zip(&resume.params)
-            .zip(&resume.model_steps)
-            .zip(optim)
-        {
-            s.restore(p, steps, st);
-        }
-    }
     let algorithm = strategy.name();
+    let resume = persist.resume.as_mut().map(|r| {
+        let optim = std::mem::take(&mut r.optim);
+        (
+            std::mem::take(&mut r.params),
+            std::mem::take(&mut r.model_steps),
+            optim,
+        )
+    });
     let (mut driver, mut server, start_round) =
         open_run(cfg, algorithm, m, &mut persist, chan, obs);
+    // The set-up is a pure function of (seed, shards): a resumed run
+    // re-derives it, and its checkpointed comms already hold its bytes,
+    // while a fresh run's comms start from them.
+    let (mut sessions, shards, setup) =
+        ClientSession::federation(cfg, strategy, clients, n_classes, obs);
+    match resume {
+        Some((params, steps, optim)) => {
+            assert_eq!(
+                params.len(),
+                m,
+                "resume: checkpoint has {} clients, federation has {m}",
+                params.len()
+            );
+            for (((s, p), steps), st) in sessions.iter_mut().zip(&params).zip(steps).zip(optim) {
+                assert!(
+                    s.restore(p, steps, st),
+                    "resume: checkpoint optimiser state does not fit {algorithm}"
+                );
+            }
+        }
+        None => *driver.comms() = setup,
+    }
+    let clients = &shards[..];
     let mut chan = ObservedChannel::new(chan);
 
     for round in start_round..cfg.rounds {
@@ -475,7 +441,7 @@ pub fn run(
             let sw = PhaseStopwatch::start(Phase::Comms);
             for &i in &cohort {
                 if let Some(means) = sessions[i].means() {
-                    up(&mut chan, &mut driver.comms, &mut server, r, i, means);
+                    up(&mut chan, driver.comms(), &mut server, r, i, means);
                 }
             }
             chan.flush_into(obs);
@@ -484,7 +450,7 @@ pub fn run(
             let mut global_means: Vec<Option<Vec<Vec<f32>>>> = vec![None; m];
             if let Some(payload) = down {
                 for &i in &cohort {
-                    for got in send(&mut chan, &mut driver.comms, r, i, payload.clone()) {
+                    for got in send(&mut chan, driver.comms(), r, i, payload.clone()) {
                         if let Payload::GlobalStats { means, .. } = got {
                             global_means[i] = Some(means);
                         }
@@ -496,7 +462,7 @@ pub fn run(
             for &i in &cohort {
                 let global = global_means[i].as_ref();
                 if let Some(moments) = global.and_then(|g| sessions[i].moments(g)) {
-                    up(&mut chan, &mut driver.comms, &mut server, r, i, moments);
+                    up(&mut chan, driver.comms(), &mut server, r, i, moments);
                 }
             }
             chan.flush_into(obs);
@@ -504,7 +470,7 @@ pub fn run(
             obs.on_event(&done);
             if let Some(payload) = down {
                 for &i in &cohort {
-                    for got in send(&mut chan, &mut driver.comms, r, i, payload.clone()) {
+                    for got in send(&mut chan, driver.comms(), r, i, payload.clone()) {
                         if let Payload::GlobalStats { means, moments } = got {
                             stats[i] = Some(GlobalStats { means, moments });
                         }
@@ -535,7 +501,7 @@ pub fn run(
             let sw = PhaseStopwatch::start(Phase::Comms);
             for &i in &cohort {
                 let weights = sessions[i].weights();
-                up(&mut chan, &mut driver.comms, &mut server, r, i, weights);
+                up(&mut chan, driver.comms(), &mut server, r, i, weights);
             }
             // Straggler drain: both in-process channels resolve every
             // pending frame at the first collect after its upload, but a
@@ -554,7 +520,7 @@ pub fn run(
                 // federation stays synchronised for pooled evaluation.
                 let sw = PhaseStopwatch::start(Phase::Comms);
                 for (i, s) in sessions.iter_mut().enumerate() {
-                    for got in send(&mut chan, &mut driver.comms, r, i, payload.clone()) {
+                    for got in send(&mut chan, driver.comms(), r, i, payload.clone()) {
                         if let Payload::GlobalModel { params } = got {
                             // A refused model degrades like a lost downlink
                             // frame: the client keeps its weights.
@@ -565,7 +531,7 @@ pub fn run(
                 chan.flush_into(obs);
                 sw.finish(obs);
             }
-            driver.comms.sync_dropped(chan.stats().dropped_frames);
+            driver.comms().sync_dropped(chan.stats().dropped_frames);
         }
 
         // The mean of each trained client's last-pass loss.
@@ -579,11 +545,13 @@ pub fn run(
         } else {
             active.iter().sum::<f64>() / active.len() as f64
         };
-        let eval = driver.eval_if_due(round, obs, || {
+        let eval = driver.eval_due(round).then(|| {
+            let sw = PhaseStopwatch::start(Phase::Eval);
             let mut counts = EvalCounts::default();
             for (s, client) in sessions.iter().zip(clients) {
                 counts += s.eval_counts(client);
             }
+            sw.finish(obs);
             counts
         });
         driver.end_round(round, mean_loss, eval, obs);
@@ -621,7 +589,11 @@ pub fn open_run(
         }
         None => (RoundDriver::new(cfg), 0),
     };
-    driver.announce(algorithm, n_clients, obs);
+    obs.on_event(&RoundEvent::RunStarted {
+        algorithm: algorithm.to_string(),
+        n_clients,
+        max_rounds: cfg.rounds,
+    });
     if start_round > 0 {
         obs.on_event(&RoundEvent::Resumed {
             round: start_round as u64,
@@ -655,6 +627,17 @@ pub fn traffic_class(p: &Payload) -> TrafficClass {
         TrafficClass::Weights
     } else {
         TrafficClass::Stats
+    }
+}
+
+/// Charges `copies` frames of `env` to `comms` at its encoded size: the
+/// set-up exchanges of FedLIT and FedSage+, which fold in-process rather
+/// than over the run's channel.
+pub(crate) fn charge(comms: &mut CommsLog, dir: Direction, env: &Envelope, copies: usize) {
+    let class = traffic_class(&env.payload);
+    let bytes = env.encoded_len() as u64;
+    for _ in 0..copies {
+        comms.record(dir, class, bytes);
     }
 }
 
@@ -731,30 +714,30 @@ mod tests {
         clients: &[ClientData],
         n_classes: usize,
         cfg: &TrainConfig,
-        opts: &GenericOpts,
+        which: Baseline,
     ) -> RunResult {
-        run_fedavg_with(clients, n_classes, cfg, opts, &mut InProcChannel::new())
+        run_fedavg_with(clients, n_classes, cfg, which, &mut InProcChannel::new())
     }
 
     fn run_fedavg_with(
         clients: &[ClientData],
         n_classes: usize,
         cfg: &TrainConfig,
-        opts: &GenericOpts,
+        which: Baseline,
         chan: &mut dyn Channel,
     ) -> RunResult {
-        run_fedavg_observed(clients, n_classes, cfg, opts, chan, &mut NullObserver)
+        run_fedavg_observed(clients, n_classes, cfg, which, chan, &mut NullObserver)
     }
 
     fn run_fedavg_observed(
         clients: &[ClientData],
         n_classes: usize,
         cfg: &TrainConfig,
-        opts: &GenericOpts,
+        which: Baseline,
         chan: &mut dyn Channel,
         obs: &mut dyn RoundObserver,
     ) -> RunResult {
-        let strategy = Strategy::FedAvg(*opts);
+        let strategy = Strategy::Baseline(which);
         run(
             clients,
             n_classes,
@@ -782,12 +765,7 @@ mod tests {
             &cl,
             k,
             &cfg,
-            &GenericOpts {
-                name: "FedMLP",
-                model: ModelKind::Mlp,
-                aggregate: true,
-                prox_mu: 0.0,
-            },
+            Baseline::FedMlp,
             &mut InProcChannel::new(),
             &mut mem,
         );
@@ -804,17 +782,7 @@ mod tests {
     #[test]
     fn fedgcn_like_run_learns() {
         let (cl, k) = clients(3);
-        let r = run_fedavg(
-            &cl,
-            k,
-            &quick_cfg(),
-            &GenericOpts {
-                name: "FedGCN",
-                model: ModelKind::Gcn,
-                aggregate: true,
-                prox_mu: 0.0,
-            },
-        );
+        let r = run_fedavg(&cl, k, &quick_cfg(), Baseline::FedGcn);
         assert!(
             r.test_acc > 1.2 / k as f64,
             "accuracy {} barely above chance",
@@ -828,17 +796,7 @@ mod tests {
     #[test]
     fn locgcn_run_has_no_traffic() {
         let (cl, k) = clients(3);
-        let r = run_fedavg(
-            &cl,
-            k,
-            &quick_cfg(),
-            &GenericOpts {
-                name: "LocGCN",
-                model: ModelKind::Gcn,
-                aggregate: false,
-                prox_mu: 0.0,
-            },
-        );
+        let r = run_fedavg(&cl, k, &quick_cfg(), Baseline::LocGcn);
         assert_eq!(r.comms.uplink_bytes, 0);
         assert_eq!(r.comms.downlink_bytes, 0);
         assert!(r.test_acc > 0.0);
@@ -849,52 +807,10 @@ mod tests {
         let (cl, k) = clients(3);
         let mut cfg = quick_cfg();
         cfg.rounds = 15;
-        let r = run_fedavg(
-            &cl,
-            k,
-            &cfg,
-            &GenericOpts {
-                name: "FedProx",
-                model: ModelKind::Mlp,
-                aggregate: true,
-                prox_mu: 0.01,
-            },
-        );
+        let r = run_fedavg(&cl, k, &cfg, Baseline::FedProx);
         assert!(r.test_acc.is_finite());
         assert!((0.0..=1.0).contains(&r.test_acc));
         assert_eq!(r.algorithm, "FedProx");
-    }
-
-    #[test]
-    fn prox_term_slows_drift_from_global() {
-        // With a huge μ the proximal pull keeps the weights pinned to the
-        // shared init, so after many rounds the training loss must stay
-        // above the unconstrained (μ = 0) run's.
-        let (cl, k) = clients(2);
-        // Multiple local epochs so the weights actually drift from the
-        // snapshot within a round (with one epoch the term is zero).
-        let cfg = TrainConfig {
-            rounds: 30,
-            patience: 30,
-            eval_every: 1,
-            local_epochs: 3,
-            ..TrainConfig::mini(0)
-        };
-        let loss_with = |mu: f32| {
-            let r = run_fedavg(
-                &cl,
-                k,
-                &cfg,
-                &GenericOpts {
-                    name: "x",
-                    model: ModelKind::Mlp,
-                    aggregate: true,
-                    prox_mu: mu,
-                },
-            );
-            r.history.last().expect("history").train_loss
-        };
-        assert!(loss_with(1000.0) > loss_with(0.0));
     }
 
     #[test]
@@ -906,17 +822,7 @@ mod tests {
             eval_every: 1,
             ..TrainConfig::mini(0)
         };
-        let r = run_fedavg(
-            &cl,
-            k,
-            &cfg,
-            &GenericOpts {
-                name: "FedMLP",
-                model: ModelKind::Mlp,
-                aggregate: true,
-                prox_mu: 0.0,
-            },
-        );
+        let r = run_fedavg(&cl, k, &cfg, Baseline::FedMlp);
         assert!(
             (r.history.len() as u64) < 200,
             "patience 6 should stop well before 200 rounds (ran {})",
@@ -929,14 +835,9 @@ mod tests {
         let (cl, k) = clients(3);
         let mut cfg = quick_cfg();
         cfg.rounds = 10;
-        let opts = GenericOpts {
-            name: "FedMLP",
-            model: ModelKind::Mlp,
-            aggregate: true,
-            prox_mu: 0.0,
-        };
-        let a = run_fedavg(&cl, k, &cfg, &opts);
-        let b = run_fedavg(&cl, k, &cfg, &opts);
+        let opts = Baseline::FedMlp;
+        let a = run_fedavg(&cl, k, &cfg, opts);
+        let b = run_fedavg(&cl, k, &cfg, opts);
         assert_eq!(a.test_acc, b.test_acc);
         assert_eq!(a.history.len(), b.history.len());
         for (x, y) in a.history.iter().zip(&b.history) {
@@ -951,14 +852,9 @@ mod tests {
         cfg.rounds = 10;
         cfg.patience = 40;
         cfg.cohort = CohortConfig::fraction(0.5, 3);
-        let opts = GenericOpts {
-            name: "FedMLP",
-            model: ModelKind::Mlp,
-            aggregate: true,
-            prox_mu: 0.0,
-        };
-        let a = run_fedavg(&cl, k, &cfg, &opts);
-        let b = run_fedavg(&cl, k, &cfg, &opts);
+        let opts = Baseline::FedMlp;
+        let a = run_fedavg(&cl, k, &cfg, opts);
+        let b = run_fedavg(&cl, k, &cfg, opts);
         assert!(a.test_acc.is_finite());
         assert_eq!(a.test_acc, b.test_acc);
         assert_eq!(a.history, b.history);
@@ -971,7 +867,7 @@ mod tests {
                 cohort: CohortConfig::full(),
                 ..cfg.clone()
             },
-            &opts,
+            opts,
         );
         assert!(a.comms.uplink_bytes < full.comms.uplink_bytes);
     }
@@ -982,15 +878,10 @@ mod tests {
         let (cl, k) = clients(3);
         let mut cfg = quick_cfg();
         cfg.rounds = 12;
-        let opts = GenericOpts {
-            name: "FedGCN",
-            model: ModelKind::Gcn,
-            aggregate: true,
-            prox_mu: 0.0,
-        };
-        let a = run_fedavg(&cl, k, &cfg, &opts);
+        let opts = Baseline::FedGcn;
+        let a = run_fedavg(&cl, k, &cfg, opts);
         let mut sim = SimNetChannel::new(FaultConfig::default());
-        let b = run_fedavg_with(&cl, k, &cfg, &opts, &mut sim);
+        let b = run_fedavg_with(&cl, k, &cfg, opts, &mut sim);
         // Same frames, same arrival order, no drops: everything —
         // accuracies, history, and even the byte accounting — must agree.
         assert_eq!(a.test_acc, b.test_acc);
@@ -1006,12 +897,7 @@ mod tests {
         let (cl, k) = clients(3);
         let mut cfg = quick_cfg();
         cfg.rounds = 40;
-        let opts = GenericOpts {
-            name: "FedGCN",
-            model: ModelKind::Gcn,
-            aggregate: true,
-            prox_mu: 0.0,
-        };
+        let opts = Baseline::FedGcn;
         let fault = FaultConfig {
             seed: 5,
             drop_prob: 0.25,
@@ -1020,7 +906,7 @@ mod tests {
         };
         let run = |fault: FaultConfig| {
             let mut sim = SimNetChannel::new(fault);
-            run_fedavg_with(&cl, k, &cfg, &opts, &mut sim)
+            run_fedavg_with(&cl, k, &cfg, opts, &mut sim)
         };
         let r = run(fault.clone());
         assert!(
@@ -1082,12 +968,7 @@ mod tests {
             &cl,
             k,
             &cfg,
-            &GenericOpts {
-                name: "FedGCN",
-                model: ModelKind::Gcn,
-                aggregate: true,
-                prox_mu: 0.0,
-            },
+            Baseline::FedGcn,
             &mut Poisoned(InProcChannel::new()),
             &mut mem,
         );
@@ -1111,13 +992,8 @@ mod tests {
         let (cl, k) = clients(3);
         let mut cfg = quick_cfg();
         cfg.rounds = 8;
-        let opts = GenericOpts {
-            name: "FedGCN",
-            model: ModelKind::Gcn,
-            aggregate: true,
-            prox_mu: 0.0,
-        };
-        let r = run_fedavg(&cl, k, &cfg, &opts);
+        let opts = Baseline::FedGcn;
+        let r = run_fedavg(&cl, k, &cfg, opts);
         let n_scalars =
             build_model(ModelKind::Gcn, &cl[0], k, cfg.hidden_dim, 0).n_scalars() as u64;
         // Every round each of the 3 clients uploads its full model; the

@@ -1,5 +1,5 @@
 //! Shared machinery for every federated algorithm: prediction, argmax,
-//! pooled evaluation, the FedAvg reduction (batch [`fedavg`] and streaming
+//! per-client evaluation counts, the FedAvg reduction (batch [`fedavg`] and streaming
 //! [`UpdateAccumulator`]), and the single-client training step.
 
 use fedomd_autograd::{Tape, Var, Workspace};
@@ -53,21 +53,6 @@ pub fn eval_counts(model: &dyn Model, client: &ClientData) -> EvalCounts {
         val: count(&client.splits.val),
         test: count(&client.splits.test),
     }
-}
-
-/// Pooled (node-weighted) validation and test counts across all clients.
-///
-/// This realises the paper's "average accuracy across parties" as the
-/// pooled accuracy over every party's val/test nodes
-/// ([`EvalCounts::accuracy`]), which is the stable variant under heavily
-/// skewed party sizes.
-pub fn evaluate(models: &[Box<dyn Model>], clients: &[ClientData]) -> EvalCounts {
-    assert_eq!(models.len(), clients.len(), "evaluate: arity mismatch");
-    let mut counts = EvalCounts::default();
-    for (model, client) in models.iter().zip(clients) {
-        counts += eval_counts(model.as_ref(), client);
-    }
-    counts
 }
 
 /// Weighted FedAvg: `W̄ = Σ_i λ_i W_i` with `λ` normalised to sum to 1
@@ -284,41 +269,11 @@ impl fmt::Display for UpdateShapeError {
 
 impl std::error::Error for UpdateShapeError {}
 
-/// One local training step: forward, CE over the train mask, optional
-/// extra loss terms, backward, gradient adjustment hook, optimiser step.
-/// Returns the total scalar loss.
-///
-/// `extra_loss` may append additional scalar nodes (already weighted) that
-/// are summed into the objective. `adjust_grads` can rewrite the gradient
-/// list (SCAFFOLD's control variates). `ws` is the client's buffer pool:
-/// the step's tape draws every intermediate from it and recycles them back
-/// on return, so consecutive steps reuse the same allocations.
-pub fn local_step(
-    model: &mut Box<dyn Model>,
-    client: &ClientData,
-    opt: &mut dyn Optimizer,
-    ws: &mut Workspace,
-    extra_loss: impl FnOnce(&mut Tape, &ForwardOut) -> Vec<Var>,
-    adjust_grads: impl FnOnce(&mut [Matrix]),
-) -> f32 {
-    let mut tape = Tape::with_workspace(std::mem::take(ws));
-    let out = model.forward(&mut tape, &client.input);
-    let (pool, loss) = finish_step(
-        tape,
-        &out,
-        model.as_mut(),
-        client,
-        opt,
-        extra_loss,
-        adjust_grads,
-    );
-    *ws = pool;
-    loss
-}
-
-/// [`local_step`] after its forward pass, which `tape` and `out` already
-/// record: the same operations in the same order. Returns the tape's
-/// recycled buffer pool and the total scalar loss.
+/// One local training step on the forward pass `tape` and `out` record:
+/// CE over the train mask plus the `extra_loss` terms (already weighted),
+/// backward, the `adjust_grads` hook (SCAFFOLD's control variates), and an
+/// optimiser step. Returns the tape's recycled buffer pool, which the
+/// client's next tape draws from, and the total scalar loss.
 pub(crate) fn finish_step(
     mut tape: Tape,
     out: &ForwardOut,
@@ -402,47 +357,42 @@ mod tests {
     }
 
     #[test]
-    fn local_step_reduces_loss() {
+    fn finish_step_reduces_loss() {
         let client = one_client();
         let mut rng = seeded(1);
-        let mut model: Box<dyn Model> =
-            Box::new(Mlp::new(client.input.n_features(), 16, 7, &mut rng));
+        let mut model = Mlp::new(client.input.n_features(), 16, 7, &mut rng);
         let mut opt = Sgd::new(0.1, 0.0);
         let mut ws = Workspace::new();
-        let first = local_step(
-            &mut model,
-            &client,
-            &mut opt,
-            &mut ws,
-            |_, _| vec![],
-            |_| {},
-        );
-        let mut last = first;
-        for _ in 0..30 {
-            last = local_step(
+        let mut losses = Vec::new();
+        for _ in 0..31 {
+            let mut tape = Tape::with_workspace(std::mem::take(&mut ws));
+            let out = model.forward(&mut tape, &client.input);
+            let (pool, loss) = finish_step(
+                tape,
+                &out,
                 &mut model,
                 &client,
                 &mut opt,
-                &mut ws,
                 |_, _| vec![],
                 |_| {},
             );
+            ws = pool;
+            losses.push(loss);
         }
+        let (first, last) = (losses[0], losses[30]);
         assert!(last < first, "loss did not decrease: {first} -> {last}");
         assert!(ws.pooled_buffers() > 0, "steps should recycle buffers");
     }
 
     #[test]
-    fn evaluate_returns_fractions_in_unit_interval() {
+    fn eval_counts_give_fractions_in_unit_interval() {
         let client = one_client();
         let mut rng = seeded(2);
-        let models: Vec<Box<dyn Model>> = vec![Box::new(Mlp::new(
-            client.input.n_features(),
-            8,
-            7,
-            &mut rng,
-        ))];
-        let (val, test) = evaluate(&models, std::slice::from_ref(&client)).accuracy();
+        let model = Mlp::new(client.input.n_features(), 8, 7, &mut rng);
+        let counts = eval_counts(&model, &client);
+        assert_eq!(counts.val.1, client.splits.val.len() as u64);
+        assert_eq!(counts.test.1, client.splits.test.len() as u64);
+        let (val, test) = counts.accuracy();
         assert!((0.0..=1.0).contains(&val));
         assert!((0.0..=1.0).contains(&test));
     }

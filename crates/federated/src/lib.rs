@@ -1,14 +1,14 @@
 //! The federated-learning substrate of the FedOMD reproduction, and the
-//! one in-process round every FedAvg-family algorithm runs on.
+//! one in-process round every algorithm runs on.
 //!
 //! Provides the in-process federation simulator — per-party [`ClientData`]
 //! built by the Louvain cut, byte-accounted [`CommsLog`] — and Algorithm 1
 //! as I/O-free state ([`session`]: a [`ClientSession`] per party and a
 //! [`ServerRound`], with the 2-round statistics exchange in [`protocol`]).
 //! [`engine::run`] sweeps them in lockstep for every [`Strategy`]: FedOMD,
-//! the paper's contribution, and the FedAvg-family baselines of its
-//! Table 4 (FedMLP, FedProx, LocGCN, FedGCN). The other three baselines
-//! (SCAFFOLD, FedSage+, FedLIT) have their own loops in [`baselines`].
+//! the paper's contribution, and all seven baselines of its Table 4
+//! ([`baselines`]: FedMLP, SCAFFOLD, FedProx, LocGCN, FedGCN, FedLIT,
+//! FedSage+).
 //! `fedomd-core` adds the TCP deployment, run checkpoint files and the
 //! `FedRun` builder.
 //!
@@ -32,6 +32,7 @@ pub mod protocol;
 pub mod secure_agg;
 pub mod session;
 
+pub use baselines::Baseline;
 pub use client::{
     client_shard, setup_federation, setup_federation_planted, ClientData, FederationConfig,
 };
@@ -40,8 +41,8 @@ pub use config::{
     CohortConfig, CohortConfigError, FedOmdConfig, RoundStats, RunResult, TrainConfig,
 };
 pub use engine::{
-    build_fedomd_model, run, CheckpointSink, DriverState, GenericOpts, ModelKind, Persistence,
-    ResumeState, StatsCache, Strategy,
+    build_fedomd_model, run, CheckpointSink, DriverState, ModelKind, OptimState, Persistence,
+    ResumeState, Strategy,
 };
 pub use helpers::UpdateAccumulator;
 pub use secure_agg::{

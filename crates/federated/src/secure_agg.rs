@@ -6,8 +6,9 @@
 //! (Bonawitz et al.-style, without dropout recovery): every ordered pair
 //! of clients `(i, j)` derives a shared mask stream from a common seed;
 //! client `i` *adds* the stream for `j > i` and *subtracts* it for
-//! `j < i`, so all masks cancel exactly in the server's sum while each
-//! individual upload is indistinguishable from noise.
+//! `j < i`, so all masks cancel in the server's sum — up to f32 rounding,
+//! which the tests bound at 1e-4 — while each individual upload is
+//! indistinguishable from noise.
 //!
 //! FedOMD's statistics exchange (means and central moments) is a sum of
 //! per-client vectors scaled by `n_i / Σn`, so the same masking protects
@@ -52,8 +53,10 @@ impl MaskingContext {
             let sign = if other > self.client { 1.0f32 } else { -1.0 };
             let mut rng = seeded(self.pair_seed(self.client, other));
             for v in values.as_mut_slice() {
-                // Uniform masks in a fixed range: cancellation is exact in
-                // f32 because the identical stream is added and subtracted.
+                // Uniform masks in a fixed range: the identical stream is
+                // added by one party and subtracted by the other, so the
+                // masks cancel up to f32 rounding of the masked sums
+                // (within 1e-4 of the plaintext sum in the tests).
                 *v += sign * rng.gen_range(-1.0f32..1.0);
             }
         }
@@ -191,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn masks_cancel_exactly_in_the_sum() {
+    fn masks_cancel_in_the_sum_up_to_rounding() {
         let values: Vec<Matrix> = (0..4).map(|i| randm(3, 5, i)).collect();
         let weights = vec![0.25f32; 4];
         let secure = secure_weighted_sum(&values, &weights, 99, 0);

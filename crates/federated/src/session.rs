@@ -9,9 +9,9 @@
 //! `fedomd-core`'s TCP server and TCP client.
 //!
 //! A session trains whatever its [`Strategy`] names: FedOMD's Ortho-GCN on
-//! Eq. 12, or a FedAvg-family model on CE (plus FedProx's proximal term).
-//! The FedAvg family skips the statistics steps (lines 4–18), and LocGCN
-//! the weight exchange too.
+//! Eq. 12, or a baseline's model on CE (plus FedProx's proximal term, or
+//! SCAFFOLD's control variates). The baselines skip the statistics steps
+//! (lines 4–18), and LocGCN the weight exchange too.
 //!
 //! | Algorithm 1 | client | server |
 //! |-------------|--------|--------|
@@ -22,24 +22,27 @@
 //! | 21, 25–29 | [`ClientSession::weights`], [`ClientSession::install`] | [`ServerRound::admit`], [`ServerRound::close_updates`] |
 //! | eval | [`ClientSession::eval_counts`] | [`EvalCounts::accuracy`] |
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::AddAssign;
 
 use fedomd_autograd::{CmdTargets, Tape, Var, Workspace};
-use fedomd_nn::{Adam, AdamState, ForwardOut, Model};
-use fedomd_telemetry::RoundEvent;
+use fedomd_nn::{Adam, ForwardOut, Model, Optimizer, Sgd};
+use fedomd_telemetry::{RoundEvent, RoundObserver};
+use fedomd_tensor::ops::axpy;
 use fedomd_tensor::rng::derive;
 use fedomd_tensor::Matrix;
 use fedomd_transport::{from_tensors, to_tensors, ChannelState, Envelope, Payload, Tensor};
 
+use crate::baselines::{fedlit, fedsage, Baseline};
 use crate::client::ClientData;
+use crate::comms::CommsLog;
 use crate::config::{FedOmdConfig, TrainConfig};
 use crate::engine::{
-    build_fedomd_model, build_model, DriverState, ResumeState, StatsCache, Strategy,
+    build_fedomd_model, build_model, DriverState, ModelKind, OptimState, ResumeState, Strategy,
 };
 use crate::helpers::{
-    check_shapes, descend, eval_counts, finish_step, local_step, UpdateAccumulator,
-    UpdateShapeError,
+    check_shapes, descend, eval_counts, finish_step, UpdateAccumulator, UpdateShapeError,
 };
 use crate::protocol::{
     build_targets, client_means, client_moments_about, GlobalStats, MeanAccumulator,
@@ -50,17 +53,19 @@ use crate::protocol::{
 /// transport reconnects.
 pub struct ClientSession {
     strategy: Strategy,
-    /// Local passes a round: one for FedOMD, `local_epochs` (at least one)
-    /// for the FedAvg family.
+    /// Local passes a round: one for FedOMD, [`Baseline::passes`] for a
+    /// baseline.
     passes: usize,
+    /// FedProx's proximal coefficient `μ` (0 disables the term).
+    prox_mu: f32,
     /// The local model.
     pub(crate) model: Box<dyn Model>,
     /// The local optimiser (per-client state, never shipped).
-    pub(crate) opt: Adam,
+    opt: LocalOptim,
     /// Reusable autograd buffer pool.
     ws: Workspace,
-    /// The model's parameter shapes, against which an incoming global
-    /// model is checked.
+    /// The parameter shapes of an upload and of the global model: the
+    /// model's, and for SCAFFOLD the model's twice (`w ‖ Δc`).
     shapes: Vec<(usize, usize)>,
     /// This round's recorded forward pass, from [`Self::forward`] until
     /// [`Self::step`] consumes it.
@@ -68,60 +73,74 @@ pub struct ClientSession {
 }
 
 impl ClientSession {
-    /// Client `index`'s fresh session: FedOMD's common init (the same
-    /// [`crate::engine::build_fedomd_model`] every process calls), or the
-    /// FedAvg family's (common when aggregating, per client for LocGCN).
+    /// A fresh FedOMD session on `client`: the common init every process
+    /// builds ([`crate::engine::build_fedomd_model`]), which is what lets
+    /// a deployment's clients build their sessions one by one. Baseline
+    /// sessions come from [`Self::federation`].
     pub fn new(
         cfg: &TrainConfig,
-        strategy: &Strategy,
-        index: usize,
+        omd: &FedOmdConfig,
         client: &ClientData,
         n_classes: usize,
     ) -> Self {
-        let model = initial_model(cfg, strategy, index, client, n_classes);
-        Self::with_model(cfg, strategy, model)
+        let model = build_fedomd_model(cfg, omd, client.input.n_features(), n_classes);
+        Self::with_model(cfg, &Strategy::FedOmd(*omd), model, 1.0)
     }
 
-    /// One fresh session per client, each equal to what [`Self::new`]
-    /// builds for it. A strategy that aggregates starts every client from
-    /// one common model, so that model is built once and cloned; LocGCN's
-    /// per-client models are built one by one.
-    pub(crate) fn federation(
+    /// One fresh session per client; the shards they train and evaluate
+    /// on (the clients' own, or FedSage+'s mended graphs); and the traffic
+    /// of the set-up exchange, in encoded frame bytes. A strategy that
+    /// starts every client from one common model builds it once and clones
+    /// it; LocGCN builds independent models. FedLIT and FedSage+ first run
+    /// their federated set-up exchange, timed as `PhaseDone` segments on
+    /// `obs`; it is a pure function of the seed and the shards, so a
+    /// resumed run re-derives it.
+    pub(crate) fn federation<'c>(
         cfg: &TrainConfig,
         strategy: &Strategy,
-        clients: &[ClientData],
+        clients: &'c [ClientData],
         n_classes: usize,
-    ) -> Vec<Self> {
-        let common = match clients.first() {
-            Some(first) if strategy.aggregates() => {
-                Some(initial_model(cfg, strategy, 0, first, n_classes))
-            }
-            _ => None,
-        };
-        clients
-            .iter()
-            .enumerate()
-            .map(|(i, client)| {
-                let model = match &common {
-                    Some(m) => m.boxed_clone(),
-                    None => initial_model(cfg, strategy, i, client, n_classes),
-                };
-                Self::with_model(cfg, strategy, model)
-            })
-            .collect()
+        obs: &mut dyn RoundObserver,
+    ) -> (Vec<Self>, Cow<'c, [ClientData]>, CommsLog) {
+        let mut setup = CommsLog::new();
+        let (shards, models) = initial_models(cfg, strategy, clients, n_classes, &mut setup, obs);
+        let m = clients.len();
+        let share = cfg.cohort.cohort_size(m) as f32 / m as f32;
+        let sessions = models
+            .map(|model| Self::with_model(cfg, strategy, model, share))
+            .collect();
+        (sessions, shards, setup)
     }
 
-    fn with_model(cfg: &TrainConfig, strategy: &Strategy, model: Box<dyn Model>) -> Self {
-        let passes = match strategy {
-            Strategy::FedOmd(_) => 1,
-            Strategy::FedAvg(_) => cfg.local_epochs.max(1),
+    /// A session around `model`; `share` is the fraction of the federation
+    /// one round's cohort is (SCAFFOLD's server-variate step).
+    fn with_model(
+        cfg: &TrainConfig,
+        strategy: &Strategy,
+        model: Box<dyn Model>,
+        share: f32,
+    ) -> Self {
+        let mut shapes: Vec<(usize, usize)> = model.params().iter().map(Matrix::shape).collect();
+        let adam = || LocalOptim::Adam(Adam::new(cfg.lr, cfg.weight_decay));
+        let (passes, prox_mu, opt) = match strategy {
+            Strategy::FedOmd(_) => (1, 0.0, adam()),
+            Strategy::Baseline(b) => {
+                let opt = if *b == Baseline::Scaffold {
+                    shapes.extend_from_within(..);
+                    LocalOptim::Scaffold(Box::new(Scaffold::new(cfg, &model.params(), share)))
+                } else {
+                    adam()
+                };
+                (b.passes(cfg), b.prox_mu(), opt)
+            }
         };
         Self {
             strategy: *strategy,
             passes,
-            shapes: model.params().iter().map(Matrix::shape).collect(),
+            prox_mu,
+            shapes,
             model,
-            opt: Adam::new(cfg.lr, cfg.weight_decay),
+            opt,
             ws: Workspace::new(),
             pending: None,
         }
@@ -129,10 +148,40 @@ impl ClientSession {
 
     /// Restores checkpointed client state. The Newton–Schulz cadence counts
     /// optimiser steps, so the counter is restored with the parameters.
-    pub(crate) fn restore(&mut self, params: &[Matrix], steps: u64, optim: AdamState) {
+    /// Returns `false`, touching nothing, when `optim` belongs to another
+    /// optimiser.
+    pub(crate) fn restore(&mut self, params: &[Matrix], steps: u64, optim: OptimState) -> bool {
+        match (&mut self.opt, optim) {
+            (LocalOptim::Adam(adam), OptimState::Adam(state)) => adam.set_state(state),
+            (
+                LocalOptim::Scaffold(sc),
+                OptimState::Scaffold {
+                    velocity,
+                    local,
+                    global,
+                },
+            ) => {
+                sc.sgd.set_state(velocity);
+                (sc.local, sc.global) = (local, global);
+            }
+            (LocalOptim::Adam(_), OptimState::Scaffold { .. })
+            | (LocalOptim::Scaffold(_), OptimState::Adam(_)) => return false,
+        }
         self.model.set_params(params);
         self.model.set_steps(steps as usize);
-        self.opt.set_state(optim);
+        true
+    }
+
+    /// The optimiser state a run checkpoint stores.
+    pub(crate) fn optim_state(&self) -> OptimState {
+        match &self.opt {
+            LocalOptim::Adam(adam) => OptimState::Adam(adam.state()),
+            LocalOptim::Scaffold(sc) => OptimState::Scaffold {
+                velocity: sc.sgd.state(),
+                local: sc.local.clone(),
+                global: sc.global.clone(),
+            },
+        }
     }
 
     /// Line 3: records this round's forward pass on a tape drawn from the
@@ -159,7 +208,7 @@ impl ClientSession {
     }
 
     /// Lines 12–13: the `StatsRound2` upload, central moments about the
-    /// global means. `None` before [`Self::forward`], and for a FedAvg-family
+    /// global means. `None` before [`Self::forward`], and for a baseline
     /// session, which has no moment order.
     pub fn moments(&self, global_means: &[Vec<f32>]) -> Option<Payload> {
         let Strategy::FedOmd(omd) = &self.strategy else {
@@ -172,14 +221,15 @@ impl ClientSession {
     }
 
     /// Lines 19–20: finishes the pending forward pass with a backward pass
-    /// and an Adam step, then takes the strategy's remaining passes, each a
-    /// forward, backward and step. Returns one reading per pass; `None`
-    /// before [`Self::forward`].
+    /// and an optimiser step, then takes the strategy's remaining passes,
+    /// each a forward, backward and step. Returns one reading per pass;
+    /// `None` before [`Self::forward`].
     ///
     /// FedOMD's objective is `CE + α·L_ortho + β·d_CMD`; without this
     /// round's global statistics the client trains without the CMD term.
-    /// The FedAvg family's is CE, plus FedProx's `μ·Σ‖W − W₀‖²` anchored
-    /// on the weights this round's forward pass ran on.
+    /// A baseline's is CE, plus FedProx's `μ·Σ‖W − W₀‖²` anchored on the
+    /// weights this round's forward pass ran on. SCAFFOLD corrects every
+    /// gradient by `c − c_i` and then refreshes `c_i`.
     pub fn step(
         &mut self,
         client: &ClientData,
@@ -187,6 +237,13 @@ impl ClientSession {
     ) -> Option<Vec<StepLosses>> {
         let (tape, out) = self.pending.take()?;
         let model = &mut self.model;
+        let (opt, drift) = match &mut self.opt {
+            LocalOptim::Adam(adam) => (adam as &mut dyn Optimizer, None),
+            LocalOptim::Scaffold(sc) => (
+                &mut sc.sgd as &mut dyn Optimizer,
+                Some((&sc.local, &sc.global)),
+            ),
+        };
         match &self.strategy {
             Strategy::FedOmd(omd) => {
                 let targets = stats.map(build_targets);
@@ -195,22 +252,23 @@ impl ClientSession {
                     tape,
                     &out,
                     model.as_mut(),
-                    &mut self.opt,
+                    opt,
                     client,
                     targets.as_deref(),
                 );
                 self.ws = ws;
                 Some(vec![losses])
             }
-            Strategy::FedAvg(opts) => {
+            Strategy::Baseline(_) => {
                 // The anchor is copied only when the term is on: an empty
                 // anchor adds no terms.
-                let anchor = if opts.prox_mu > 0.0 {
+                let anchor = if self.prox_mu > 0.0 {
                     model.params()
                 } else {
                     Vec::new()
                 };
-                let mu = opts.prox_mu;
+                let start = drift.is_some().then(|| model.params());
+                let mu = self.prox_mu;
                 let prox = |tape: &mut Tape, out: &ForwardOut| -> Vec<Var> {
                     out.param_vars
                         .iter()
@@ -221,43 +279,60 @@ impl ClientSession {
                         })
                         .collect()
                 };
-                let (ws, total) = finish_step(
-                    tape,
-                    &out,
-                    model.as_mut(),
-                    client,
-                    &mut self.opt,
-                    prox,
-                    |_| {},
-                );
-                self.ws = ws;
-                let mut passes = vec![StepLosses::total_only(total)];
-                for _ in 1..self.passes {
-                    let total =
-                        local_step(model, client, &mut self.opt, &mut self.ws, prox, |_| {});
+                let correct = |grads: &mut [Matrix]| {
+                    if let Some((local, global)) = drift {
+                        correct_drift(grads, local, global);
+                    }
+                };
+                let mut passes = Vec::with_capacity(self.passes);
+                let (mut tape, mut out) = (tape, out);
+                loop {
+                    let (ws, total) =
+                        finish_step(tape, &out, model.as_mut(), client, opt, prox, correct);
                     passes.push(StepLosses::total_only(total));
+                    if passes.len() >= self.passes {
+                        self.ws = ws;
+                        break;
+                    }
+                    tape = Tape::with_workspace(ws);
+                    out = model.forward(&mut tape, &client.input);
+                }
+                if let (LocalOptim::Scaffold(sc), Some(start)) = (&mut self.opt, start) {
+                    sc.refresh(&start, &model.params(), self.passes);
                 }
                 Some(passes)
             }
         }
     }
 
-    /// Line 21: the `WeightUpdate` upload.
+    /// Line 21: the `WeightUpdate` upload (SCAFFOLD's is `w ‖ Δc_i`).
     pub fn weights(&self) -> Payload {
+        let mut params = self.model.params();
+        if let LocalOptim::Scaffold(sc) = &self.opt {
+            params.extend_from_slice(&sc.delta);
+        }
         Payload::WeightUpdate {
-            params: to_tensors(&self.model.params()),
+            params: to_tensors(&params),
         }
     }
 
-    /// Installs the aggregated global model. Parameters off a socket are
-    /// hostile until checked: a list whose arity or shapes differ from this
-    /// model's is refused and the model keeps its weights.
+    /// Installs the aggregated global model (SCAFFOLD's is `w̄ ‖ mean Δc`).
+    /// Parameters off a socket are hostile until checked: a list whose
+    /// arity or shapes differ from this session's uploads is refused and
+    /// the model keeps its weights.
     pub fn install(&mut self, params: Vec<Tensor>) -> Result<(), UpdateShapeError> {
         check_shapes(
             &self.shapes,
             params.iter().map(|t| (t.rows as usize, t.cols as usize)),
         )?;
-        self.model.set_params(&from_tensors(params));
+        let mut params = from_tensors(params);
+        if let LocalOptim::Scaffold(sc) = &mut self.opt {
+            // `c ← c + (|S|/N)·mean Δc`.
+            for (c, d) in sc.global.iter_mut().zip(params.split_off(params.len() / 2)) {
+                axpy(c, sc.share, &d);
+            }
+        }
+        self.model.set_params(&params);
         Ok(())
     }
 
@@ -272,8 +347,100 @@ impl ClientSession {
     }
 }
 
+/// A session's optimiser: Adam, or SCAFFOLD's momentum SGD with its
+/// control variates.
+enum LocalOptim {
+    Adam(Adam),
+    Scaffold(Box<Scaffold>),
+}
+
+/// SCAFFOLD (Karimireddy et al. 2020, paper ref. 16): FedAvg over the MLP
+/// with control variates correcting client drift. Client `i` descends
+/// along `g − c_i + c`; after its `K` passes it refreshes its variate with
+/// option II, `c_i⁺ = c_i − c + (w₀ − w)/(K·η)` where `w₀` is the round's
+/// starting model, and uploads `Δc_i = c_i⁺ − c_i` after its weights. The
+/// server's FedAvg of the uploads is `w̄ ‖ mean Δc`, and every client
+/// moves its copy of `c` by `(|S|/N)·mean Δc` — exactly `(1/N)·Σ_S Δc_i`
+/// over a cohort `S` that all arrived. The doubled uplink is why
+/// SCAFFOLD's row in the paper's Table 3 carries the extra `N·f²` term.
+struct Scaffold {
+    sgd: Sgd,
+    /// `c_i`.
+    local: Vec<Matrix>,
+    /// This client's copy of the server variate `c`.
+    global: Vec<Matrix>,
+    /// This round's `Δc_i`.
+    delta: Vec<Matrix>,
+    /// `|S|/N`, the fraction of the federation one round's cohort is.
+    share: f32,
+}
+
+impl Scaffold {
+    fn new(cfg: &TrainConfig, params: &[Matrix], share: f32) -> Self {
+        let zeros = || -> Vec<Matrix> {
+            params
+                .iter()
+                .map(|p| Matrix::zeros(p.rows(), p.cols()))
+                .collect()
+        };
+        Self {
+            // Option II reads the accumulated gradient out of the weight
+            // delta, which adaptive optimisers (Adam) break badly.
+            // Momentum-SGD at 3× the federation's base rate keeps the
+            // refresh meaningful (momentum folds into an effective step
+            // size) while training at a pace comparable to the Adam-based
+            // baselines.
+            sgd: Sgd::with_momentum(cfg.lr * 3.0, 0.9, cfg.weight_decay),
+            local: zeros(),
+            global: zeros(),
+            delta: zeros(),
+            share,
+        }
+    }
+
+    /// Option II after `passes` local passes from `start` to `now`.
+    fn refresh(&mut self, start: &[Matrix], now: &[Matrix], passes: usize) {
+        let inv = 1.0 / (passes as f32 * self.sgd.learning_rate());
+        for ((((c_i, c), d), w0), w) in self
+            .local
+            .iter_mut()
+            .zip(&self.global)
+            .zip(&mut self.delta)
+            .zip(start)
+            .zip(now)
+        {
+            for ((((ci, &c), d), &w0), &w) in c_i
+                .as_mut_slice()
+                .iter_mut()
+                .zip(c.as_slice())
+                .zip(d.as_mut_slice())
+                .zip(w0.as_slice())
+                .zip(w.as_slice())
+            {
+                let new = *ci - c + (w0 - w) * inv;
+                *d = new - *ci;
+                *ci = new;
+            }
+        }
+    }
+}
+
+/// SCAFFOLD's drift correction, `g ← g + c − c_i`.
+fn correct_drift(grads: &mut [Matrix], local: &[Matrix], global: &[Matrix]) {
+    for ((g, c_i), c) in grads.iter_mut().zip(local).zip(global) {
+        for ((gv, &cv_i), &cv) in g
+            .as_mut_slice()
+            .iter_mut()
+            .zip(c_i.as_slice())
+            .zip(c.as_slice())
+        {
+            *gv += cv - cv_i;
+        }
+    }
+}
+
 /// One local pass's loss readings: the total and its CE, scaled-ortho and
-/// scaled-CMD terms. A FedAvg-family pass reports its whole objective as
+/// scaled-CMD terms. A baseline pass reports its whole objective as
 /// `ce`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StepLosses {
@@ -375,7 +542,7 @@ pub struct ServerRound {
     round1_n: BTreeMap<u32, usize>,
     global_means: Option<Vec<Vec<f32>>>,
     pub(crate) last_global: Option<Vec<Matrix>>,
-    pub(crate) last_stats: Option<StatsCache>,
+    pub(crate) last_stats: Option<GlobalStats>,
 }
 
 impl ServerRound {
@@ -454,7 +621,7 @@ impl ServerRound {
             return (done, None);
         };
         if self.track {
-            self.last_stats = Some(StatsCache {
+            self.last_stats = Some(GlobalStats {
                 means: means.clone(),
                 moments: moments.clone(),
             });
@@ -493,7 +660,7 @@ impl ServerRound {
         ResumeState {
             next_round,
             params: sessions.iter().map(|s| s.model.params()).collect(),
-            optim: sessions.iter().map(|s| s.opt.state()).collect(),
+            optim: sessions.iter().map(ClientSession::optim_state).collect(),
             model_steps: sessions.iter().map(|s| s.model.steps() as u64).collect(),
             driver,
             channel,
@@ -503,29 +670,64 @@ impl ServerRound {
     }
 }
 
-/// Client `index`'s initial model under `strategy`.
-fn initial_model(
+/// Initial models, one taken per client in client order.
+type InitialModels = Box<dyn Iterator<Item = Box<dyn Model>>>;
+
+/// Every client's initial model under `strategy`, and the shards they
+/// train on. Each strategy keeps its own seed salt, so every init has the
+/// bits it always had. A common init is cloned as the caller takes each
+/// model, so a clone is wrapped into its session while it is still in
+/// cache.
+fn initial_models<'c>(
     cfg: &TrainConfig,
     strategy: &Strategy,
-    index: usize,
-    client: &ClientData,
+    clients: &'c [ClientData],
     n_classes: usize,
-) -> Box<dyn Model> {
-    match strategy {
-        Strategy::FedOmd(omd) => build_fedomd_model(cfg, omd, client.input.n_features(), n_classes),
-        Strategy::FedAvg(opts) => {
-            // Aggregating algorithms start from a common global init
-            // (paper Phase 1: the server distributes W₀); LocGCN trains
-            // independent local models from independent inits.
-            let salt = if opts.aggregate {
-                0xA000
-            } else {
-                0xA000 + 1 + index as u64
-            };
-            let seed = derive(cfg.seed, salt);
-            build_model(opts.model, client, n_classes, cfg.hidden_dim, seed)
-        }
-    }
+    setup: &mut CommsLog,
+    obs: &mut dyn RoundObserver,
+) -> (Cow<'c, [ClientData]>, InitialModels) {
+    let Some(first) = clients.first() else {
+        return (Cow::Borrowed(clients), Box::new(std::iter::empty()));
+    };
+    let plain = |kind, client, salt| {
+        build_model(
+            kind,
+            client,
+            n_classes,
+            cfg.hidden_dim,
+            derive(cfg.seed, salt),
+        )
+    };
+    // Aggregating algorithms start from a common global init (paper Phase
+    // 1: the server distributes W₀).
+    let common = match strategy {
+        Strategy::FedOmd(omd) => build_fedomd_model(cfg, omd, first.input.n_features(), n_classes),
+        Strategy::Baseline(b) => match b {
+            Baseline::FedMlp | Baseline::FedProx => plain(ModelKind::Mlp, first, 0xA000),
+            Baseline::FedGcn => plain(ModelKind::Gcn, first, 0xA000),
+            Baseline::Scaffold => plain(ModelKind::Mlp, first, 0xB000),
+            // LocGCN trains independent local models from independent
+            // inits.
+            Baseline::LocGcn => {
+                let models: Vec<_> = clients
+                    .iter()
+                    .enumerate()
+                    .map(|(i, c)| plain(ModelKind::Gcn, c, 0xA000 + 1 + i as u64))
+                    .collect();
+                return (Cow::Borrowed(clients), Box::new(models.into_iter()));
+            }
+            Baseline::FedLit => {
+                let models = fedlit::setup(cfg, clients, n_classes, setup, obs);
+                return (Cow::Borrowed(clients), Box::new(models.into_iter()));
+            }
+            Baseline::FedSagePlus => {
+                let (mended, models) = fedsage::setup(cfg, clients, n_classes, setup, obs);
+                return (Cow::Owned(mended), Box::new(models.into_iter()));
+            }
+        },
+    };
+    let models = (0..clients.len()).map(move |_| common.boxed_clone());
+    (Cow::Borrowed(clients), Box::new(models))
 }
 
 /// Refuses a payload holding a NaN or an infinity.
@@ -552,7 +754,7 @@ fn optimise_client(
     mut tape: Tape,
     out: &ForwardOut,
     model: &mut dyn Model,
-    opt: &mut Adam,
+    opt: &mut dyn Optimizer,
     client: &ClientData,
     targets: Option<&[CmdTargets]>,
 ) -> (Workspace, StepLosses) {
@@ -648,11 +850,9 @@ mod tests {
         cfg: &TrainConfig,
         strategy: &Strategy,
     ) -> RunResult {
-        let mut sessions: Vec<ClientSession> = clients
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ClientSession::new(cfg, strategy, i, c, n_classes))
-            .collect();
+        let (mut sessions, shards, _) =
+            ClientSession::federation(cfg, strategy, clients, n_classes, &mut NullObserver);
+        let clients = &shards[..];
         let mut server = ServerRound::new(false);
         let mut driver = RoundDriver::new(cfg);
         for round in 0..cfg.rounds {
@@ -698,9 +898,9 @@ mod tests {
 
     /// The protocol is the methods: four rounds of three sessions and a
     /// server, called directly, land on the bits of the in-process run,
-    /// which only moves frames between them — for FedOMD and for the
-    /// FedAvg family, multi-pass FedProx and non-aggregating LocGCN
-    /// included.
+    /// which only moves frames between them — for FedOMD and for every
+    /// baseline: multi-pass FedProx and SCAFFOLD, non-aggregating LocGCN,
+    /// and FedLIT and FedSage+ after their set-up exchange.
     #[test]
     fn an_io_free_round_is_the_in_process_run() {
         let ds = generate(&spec(DatasetName::CoraMini), 0);
@@ -729,12 +929,15 @@ mod tests {
             (Baseline::FedGcn, 1),
             (Baseline::FedProx, 2),
             (Baseline::LocGcn, 1),
+            (Baseline::Scaffold, 2),
+            (Baseline::FedLit, 1),
+            (Baseline::FedSagePlus, 1),
         ] {
             let cfg = TrainConfig {
                 local_epochs: epochs,
                 ..cfg.clone()
             };
-            let strategy = Strategy::FedAvg(which.generic_opts().unwrap());
+            let strategy = Strategy::Baseline(which);
             pairs.push((
                 direct_run(&clients, k, &cfg, &strategy),
                 run_baseline(which, &clients, k, &cfg),
@@ -753,54 +956,156 @@ mod tests {
         }
     }
 
-    /// Cloning the one common initial model into every session gives each
-    /// client what building its own session gives it: the same parameters,
-    /// step counter and first local step. LocGCN's per-client models are
-    /// checked the same way.
+    fn bits(ps: &[Matrix]) -> Vec<u32> {
+        ps.iter()
+            .flat_map(|p| p.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// Every strategy keeps its init: FedOMD's federation clones what
+    /// [`ClientSession::new`] builds (same parameters, step counter and
+    /// first local step), and each plain baseline's models carry the bits
+    /// of their own seed salt.
     #[test]
-    fn a_federation_of_cloned_sessions_equals_sessions_built_one_by_one() {
+    fn federation_inits_keep_their_seed_salts() {
         let ds = generate(&spec(DatasetName::CoraMini), 0);
         let clients = setup_federation(&ds, &FederationConfig::mini(3, 0));
         let cfg = TrainConfig::mini(0);
         let k = ds.n_classes;
-        let bits = |s: &ClientSession| -> Vec<u32> {
-            s.model
-                .params()
-                .iter()
-                .flat_map(|p| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
-                .collect()
+        let omd = FedOmdConfig::paper();
+        let federation = |strategy: Strategy| {
+            ClientSession::federation(&cfg, &strategy, &clients, k, &mut NullObserver).0
         };
-        let strategies = [
-            Strategy::FedOmd(FedOmdConfig::paper()),
-            Strategy::FedAvg(Baseline::FedGcn.generic_opts().unwrap()),
-            Strategy::FedAvg(Baseline::LocGcn.generic_opts().unwrap()),
-        ];
-        for strategy in strategies {
-            let federation = ClientSession::federation(&cfg, &strategy, &clients, k);
-            assert_eq!(federation.len(), clients.len());
-            for (i, (mut cloned, client)) in federation.into_iter().zip(&clients).enumerate() {
-                let mut built = ClientSession::new(&cfg, &strategy, i, client, k);
+        for (i, (mut cloned, client)) in federation(Strategy::FedOmd(omd))
+            .into_iter()
+            .zip(&clients)
+            .enumerate()
+        {
+            let mut built = ClientSession::new(&cfg, &omd, client, k);
+            assert_eq!(bits(&cloned.model.params()), bits(&built.model.params()));
+            assert_eq!(cloned.model.steps(), built.model.steps());
+            cloned.forward(client);
+            built.forward(client);
+            let a = cloned.step(client, None).unwrap();
+            let b = built.step(client, None).unwrap();
+            assert_eq!(a, b, "client {i}");
+            assert_eq!(bits(&cloned.model.params()), bits(&built.model.params()));
+            assert_eq!(cloned.model.steps(), built.model.steps());
+        }
+        for (which, kind, salt) in [
+            (Baseline::FedMlp, ModelKind::Mlp, 0xA000),
+            (Baseline::FedProx, ModelKind::Mlp, 0xA000),
+            (Baseline::FedGcn, ModelKind::Gcn, 0xA000),
+            (Baseline::Scaffold, ModelKind::Mlp, 0xB000),
+        ] {
+            for (s, client) in federation(Strategy::Baseline(which)).iter().zip(&clients) {
+                let expected = build_model(kind, client, k, cfg.hidden_dim, derive(0, salt));
                 assert_eq!(
-                    bits(&cloned),
-                    bits(&built),
-                    "{} client {i}",
-                    strategy.name()
+                    bits(&s.model.params()),
+                    bits(&expected.params()),
+                    "{which:?}"
                 );
-                assert_eq!(cloned.model.steps(), built.model.steps());
-                cloned.forward(client);
-                built.forward(client);
-                let a = cloned.step(client, None).unwrap();
-                let b = built.step(client, None).unwrap();
-                assert_eq!(a, b);
-                assert_eq!(
-                    bits(&cloned),
-                    bits(&built),
-                    "{} client {i}",
-                    strategy.name()
-                );
-                assert_eq!(cloned.model.steps(), built.model.steps());
             }
         }
+        let loc = federation(Strategy::Baseline(Baseline::LocGcn));
+        for (i, (s, client)) in loc.iter().zip(&clients).enumerate() {
+            let salt = 0xA000 + 1 + i as u64;
+            let expected = build_model(ModelKind::Gcn, client, k, cfg.hidden_dim, derive(0, salt));
+            assert_eq!(
+                bits(&s.model.params()),
+                bits(&expected.params()),
+                "LocGCN {i}"
+            );
+        }
+    }
+
+    /// With a huge μ the proximal pull keeps the weights pinned to each
+    /// round's starting model, so after many rounds the training loss must
+    /// stay above the unconstrained (μ = 0) session's.
+    #[test]
+    fn prox_term_slows_drift_from_the_round_start() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let clients = setup_federation(&ds, &FederationConfig::mini(2, 0));
+        // Several passes a round, so the weights drift from the anchor
+        // within a round (on the first pass the term is zero).
+        let cfg = TrainConfig {
+            local_epochs: 3,
+            ..TrainConfig::mini(0)
+        };
+        let strategy = Strategy::Baseline(Baseline::FedProx);
+        let loss_with = |mu: f32| {
+            let mut fed = ClientSession::federation(
+                &cfg,
+                &strategy,
+                &clients,
+                ds.n_classes,
+                &mut NullObserver,
+            );
+            let s = &mut fed.0[0];
+            s.prox_mu = mu;
+            let mut last = f32::NAN;
+            for _ in 0..30 {
+                s.forward(&clients[0]);
+                last = s.step(&clients[0], None).unwrap()[2].total;
+            }
+            last
+        };
+        assert!(loss_with(1000.0) > loss_with(0.0));
+    }
+
+    /// SCAFFOLD's upload is `w ‖ Δc_i`, its refresh is option II, and the
+    /// broadcast moves `c` by `(|S|/N)·mean Δc`.
+    #[test]
+    fn scaffold_uploads_weights_and_control_deltas() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let clients = setup_federation(&ds, &FederationConfig::mini(4, 0));
+        let cfg = TrainConfig {
+            local_epochs: 2,
+            cohort: crate::CohortConfig::fraction(0.5, 1),
+            ..TrainConfig::mini(0)
+        };
+        let strategy = Strategy::Baseline(Baseline::Scaffold);
+        let mut fed =
+            ClientSession::federation(&cfg, &strategy, &clients, ds.n_classes, &mut NullObserver);
+        let s = &mut fed.0[0];
+        let start = s.model.params();
+        s.forward(&clients[0]);
+        assert_eq!(s.step(&clients[0], None).unwrap().len(), 2);
+        let now = s.model.params();
+        let Payload::WeightUpdate { params } = s.weights() else {
+            panic!("weights() is a WeightUpdate");
+        };
+        let params = from_tensors(params);
+        assert_eq!(params.len(), 2 * start.len());
+        assert_eq!(bits(&params[..start.len()]), bits(&now));
+        // From c = c_i = 0: Δc_i = c_i⁺ = (w₀ − w)/(K·η), η = 3·lr.
+        let inv = 1.0 / (2.0 * (cfg.lr * 3.0));
+        for ((d, w0), w) in params[start.len()..].iter().zip(&start).zip(&now) {
+            for ((&d, &w0), &w) in d.as_slice().iter().zip(w0.as_slice()).zip(w.as_slice()) {
+                assert_eq!(d.to_bits(), ((w0 - w) * inv).to_bits());
+            }
+        }
+        let LocalOptim::Scaffold(sc) = &s.opt else {
+            panic!("SCAFFOLD runs momentum SGD");
+        };
+        assert_eq!(bits(&sc.local), bits(&params[start.len()..]));
+        assert_eq!(sc.share, 0.5);
+        s.install(to_tensors(&params)).unwrap();
+        let LocalOptim::Scaffold(sc) = &s.opt else {
+            panic!("SCAFFOLD runs momentum SGD");
+        };
+        for (c, d) in sc.global.iter().zip(&params[start.len()..]) {
+            for (&c, &d) in c.as_slice().iter().zip(d.as_slice()) {
+                assert_eq!(c.to_bits(), (0.5 * d).to_bits());
+            }
+        }
+        assert_eq!(
+            s.install(to_tensors(&params[..start.len()])),
+            Err(UpdateShapeError::Arity {
+                expected: 2 * start.len(),
+                got: start.len(),
+            })
+        );
     }
 
     #[test]
@@ -808,14 +1113,8 @@ mod tests {
         let ds = generate(&spec(DatasetName::CoraMini), 0);
         let client = &setup_federation(&ds, &FederationConfig::mini(1, 0))[0];
         let cfg = TrainConfig::mini(0);
-        let omd = Strategy::FedOmd(FedOmdConfig::paper());
-        let mut s = ClientSession::new(&cfg, &omd, 0, client, ds.n_classes);
+        let mut s = ClientSession::new(&cfg, &FedOmdConfig::paper(), client, ds.n_classes);
         let before = s.model.params();
-        let bits = |ps: &[Matrix]| -> Vec<u32> {
-            ps.iter()
-                .flat_map(|p| p.as_slice().iter().map(|v| v.to_bits()))
-                .collect()
-        };
         let mut global: Vec<Matrix> = before
             .iter()
             .map(|p| Matrix::zeros(p.rows(), p.cols()))

@@ -17,7 +17,7 @@ use fedomd_core::{
     FileCheckpointer, RunCheckpoint, RunConfig, ServerOpts,
 };
 use fedomd_federated::helpers::UpdateShapeError;
-use fedomd_federated::{ClientData, Persistence, ResumeState, RunResult, Strategy};
+use fedomd_federated::{ClientData, Persistence, ResumeState, RunResult};
 use fedomd_telemetry::RoundObserver;
 use fedomd_transport::{to_tensors, Envelope, Payload, SERVER_SENDER};
 
@@ -347,9 +347,7 @@ pub fn run_client(
 ) -> Result<ClientReport, NetError> {
     run.train.validate(n_clients)?;
     let digest = run_config_digest(&run.train, &run.omd, dataset, n_clients);
-    let strategy = Strategy::FedOmd(run.omd);
-    let id = opts.id as usize;
-    let mut session = ClientSession::new(&run.train, &strategy, id, client, n_classes);
+    let mut session = ClientSession::new(&run.train, &run.omd, client, n_classes);
     let mut reconnects = 0u32;
     loop {
         let mut stream = connect_with_backoff(&opts.addr, &opts.net)?;

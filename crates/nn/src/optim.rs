@@ -41,6 +41,19 @@ impl Sgd {
             velocity: Vec::new(),
         }
     }
+
+    /// Snapshots the momentum velocity (empty before the first step), for
+    /// run checkpoints.
+    pub fn state(&self) -> Vec<Matrix> {
+        self.velocity.clone()
+    }
+
+    /// Restores a snapshot taken by [`Sgd::state`]. Like
+    /// [`Adam::set_state`], a list not aligned with the parameters of the
+    /// upcoming steps is silently re-initialised.
+    pub fn set_state(&mut self, velocity: Vec<Matrix>) {
+        self.velocity = velocity;
+    }
 }
 
 impl Optimizer for Sgd {
@@ -250,6 +263,24 @@ mod tests {
         opt.reset();
         assert_eq!(opt.t, 0);
         assert!(opt.m.is_empty());
+    }
+
+    #[test]
+    fn sgd_velocity_roundtrip_continues_identically() {
+        let grad = [Matrix::from_vec(1, 2, vec![0.5, -1.0])];
+        let mut straight = Sgd::with_momentum(0.1, 0.9, 0.0);
+        let mut a = vec![Matrix::zeros(1, 2)];
+        straight.step(&mut a, &grad);
+        let mut restored = Sgd::with_momentum(0.1, 0.9, 0.0);
+        restored.set_state(straight.state());
+        let mut b = a.clone();
+        straight.step(&mut a, &grad);
+        restored.step(&mut b, &grad);
+        assert_eq!(a[0].as_slice(), b[0].as_slice());
+        assert_eq!(
+            straight.state()[0].as_slice(),
+            restored.state()[0].as_slice()
+        );
     }
 
     #[test]

@@ -57,6 +57,15 @@ cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo fedprox \
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo fedprox \
     --rounds 4 --resume "$ckpt_dir/p.ckpt"
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo locgcn --rounds 2
+# The baselines that used to run their own loops: SCAFFOLD's SGD velocity
+# and control variates through a checkpoint and a resume, and FedLIT's and
+# FedSage+'s set-up exchanges on the shared round.
+cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo scaffold \
+    --rounds 2 --checkpoint "$ckpt_dir/s.ckpt" --checkpoint-every 1
+cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo scaffold \
+    --rounds 4 --resume "$ckpt_dir/s.ckpt"
+cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo fedlit --rounds 2
+cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo fedsage+ --rounds 2
 rm -rf "$ckpt_dir"
 # Serves the global model of a reloaded run checkpoint and checks it
 # against the checkpointed client copy bit for bit.

@@ -5,6 +5,7 @@ use fedomd_core::{FedOmdConfig, FedRun};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::baselines::{run_baseline, Baseline, ALL_BASELINES};
 use fedomd_federated::{setup_federation, ClientData, FederationConfig, RunResult, TrainConfig};
+use fedomd_transport::{FaultConfig, SimNetChannel};
 
 fn run_fedomd(
     clients: &[ClientData],
@@ -111,4 +112,38 @@ fn graph_models_beat_the_mlp_family_on_homophilous_data() {
         gcn.max(loc) > mlp - 0.05,
         "graph models ({gcn:.3}/{loc:.3}) collapsed below MLP ({mlp:.3})"
     );
+}
+
+#[test]
+fn scaffold_fedlit_and_fedsage_degrade_gracefully_on_a_lossy_channel() {
+    // SCAFFOLD, FedLIT and FedSage+ run on the one round, so a lossy
+    // channel drops their frames like anyone's and the run carries on.
+    let (clients, k, cfg) = quick();
+    for which in [Baseline::Scaffold, Baseline::FedLit, Baseline::FedSagePlus] {
+        let mut chan = SimNetChannel::new(FaultConfig {
+            seed: 11,
+            drop_prob: 0.25,
+            max_retries: 1,
+            ..Default::default()
+        });
+        let r = FedRun::new(&clients, k)
+            .train(cfg.clone())
+            .baseline(which)
+            .channel(&mut chan)
+            .run();
+        assert_eq!(r.algorithm, which.name());
+        assert!(
+            r.comms.dropped_messages > 0,
+            "{}: nothing dropped",
+            r.algorithm
+        );
+        assert!(
+            r.test_acc.is_finite(),
+            "{}: non-finite accuracy",
+            r.algorithm
+        );
+        for h in &r.history {
+            assert!(h.train_loss.is_finite(), "{}: non-finite loss", r.algorithm);
+        }
+    }
 }

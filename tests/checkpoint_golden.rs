@@ -8,10 +8,10 @@
 use fedomd_core::{CheckpointError, FedRun, RunCheckpoint, RunConfig};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::{
-    setup_federation, ClientData, FederationConfig, GenericOpts, ModelKind, RunResult,
+    setup_federation, Baseline, ClientData, FederationConfig, OptimState, RunResult,
 };
 use fedomd_telemetry::MemoryObserver;
-use fedomd_transport::{FaultConfig, SimNetChannel};
+use fedomd_transport::{Channel, FaultConfig, InProcChannel, SimNetChannel};
 use std::path::PathBuf;
 
 fn mini_setup(seed: u64) -> (Vec<ClientData>, usize) {
@@ -157,18 +157,13 @@ fn generic_engine_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
     let dir = scratch("fedgcn-lossy");
     let (clients, n_classes) = mini_setup(3);
     let (rounds, k) = (8, 4);
-    let opts = GenericOpts {
-        name: "FedGCN",
-        model: ModelKind::Gcn,
-        aggregate: true,
-        prox_mu: 0.0,
-    };
+    let opts = Baseline::FedGcn;
 
     let full_path = dir.join("full.ckpt");
     let mut chan = SimNetChannel::new(lossy());
     let uninterrupted = FedRun::new(&clients, n_classes)
         .config(cfg(3, rounds))
-        .generic(opts)
+        .baseline(opts)
         .channel(&mut chan)
         .checkpoint_every(k, &full_path)
         .run();
@@ -177,7 +172,7 @@ fn generic_engine_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
     let mut chan = SimNetChannel::new(lossy());
     FedRun::new(&clients, n_classes)
         .config(cfg(3, k))
-        .generic(opts)
+        .baseline(opts)
         .channel(&mut chan)
         .checkpoint_every(k, &kill_path)
         .run();
@@ -186,7 +181,7 @@ fn generic_engine_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
     let mut chan = SimNetChannel::new(lossy());
     let resumed = FedRun::new(&clients, n_classes)
         .config(cfg(3, rounds))
-        .generic(opts)
+        .baseline(opts)
         .channel(&mut chan)
         .resume_from(&kill_path)
         .expect("load snapshot")
@@ -199,6 +194,75 @@ fn generic_engine_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
     assert_eq!(a, b, "final run state diverged after resume");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `which` for 8 rounds uninterrupted, and killed at round 4 then
+/// resumed, each leg over a fresh `chan()`; asserts the two agree bit for
+/// bit and returns the final snapshot.
+fn assert_baseline_resumes_bit_identically(
+    which: Baseline,
+    seed: u64,
+    chan: &dyn Fn() -> Box<dyn Channel>,
+) -> RunCheckpoint {
+    let dir = scratch(&format!("{which:?}"));
+    let (clients, n_classes) = mini_setup(seed);
+    let (rounds, k) = (8, 4);
+    let leg = |rounds: usize, path: &PathBuf, resume: Option<&PathBuf>| {
+        let mut c = chan();
+        let mut run = FedRun::new(&clients, n_classes)
+            .config(cfg(seed, rounds))
+            .baseline(which)
+            .channel(c.as_mut());
+        if let Some(from) = resume {
+            run = run.resume_from(from).expect("load snapshot");
+        }
+        run.checkpoint_every(k, path).run()
+    };
+    let full_path = dir.join("full.ckpt");
+    let uninterrupted = leg(rounds, &full_path, None);
+    let kill_path = dir.join("killed.ckpt");
+    leg(k, &kill_path, None);
+    let resumed_path = dir.join("resumed.ckpt");
+    let resumed = leg(rounds, &resumed_path, Some(&kill_path));
+
+    assert_same_run(&uninterrupted, &resumed);
+    let a = RunCheckpoint::load(&full_path).expect("full leg snapshot");
+    let b = RunCheckpoint::load(&resumed_path).expect("resumed leg snapshot");
+    assert_eq!(a, b, "final run state diverged after resume");
+    let _ = std::fs::remove_dir_all(&dir);
+    a
+}
+
+#[test]
+fn scaffold_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
+    // SCAFFOLD is the one baseline with per-client state beyond Adam: its
+    // SGD velocity and both control variates ride in the snapshot.
+    let a = assert_baseline_resumes_bit_identically(Baseline::Scaffold, 8, &|| {
+        Box::new(SimNetChannel::new(lossy()))
+    });
+    assert!(a.state.channel.stats.dropped_frames > 0, "nothing dropped");
+    for optim in &a.state.optim {
+        let OptimState::Scaffold {
+            velocity,
+            local,
+            global,
+        } = optim
+        else {
+            panic!("a SCAFFOLD snapshot carries control variates");
+        };
+        assert!(!velocity.is_empty());
+        assert_eq!(local.len(), global.len());
+    }
+}
+
+#[test]
+fn fedsage_kill_and_resume_is_bit_identical_inproc() {
+    // FedSage+'s NeighGen set-up is re-derived on resume from (seed,
+    // shards), and its bytes are charged once.
+    let a = assert_baseline_resumes_bit_identically(Baseline::FedSagePlus, 9, &|| {
+        Box::new(InProcChannel::new())
+    });
+    assert_eq!(a.state.next_round, 8);
 }
 
 #[test]
@@ -298,12 +362,7 @@ fn resuming_into_a_different_algorithm_is_rejected() {
         .run();
     let _ = FedRun::new(&clients, n_classes)
         .config(cfg(6, 4))
-        .generic(GenericOpts {
-            name: "FedMLP",
-            model: ModelKind::Mlp,
-            aggregate: true,
-            prox_mu: 0.0,
-        })
+        .baseline(Baseline::FedMlp)
         .resume_from(&path)
         .expect("file loads fine; the mismatch is caught at run()")
         .run();

@@ -1,5 +1,6 @@
 //! Secure aggregation composed with real model parameters: masked uploads
-//! must aggregate to exactly the plaintext FedAvg result, while each
+//! must aggregate to the plaintext FedAvg result within 1e-4 (the masks
+//! cancel up to f32 rounding, not exactly), while each
 //! individual upload reveals nothing — the property the paper's
 //! "upload their model parameters with encryption" (§1) requires.
 

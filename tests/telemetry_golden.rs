@@ -6,8 +6,8 @@
 use fedomd_core::{FedOmdConfig, FedRun, RunConfig};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::{
-    run, setup_federation, ClientData, FederationConfig, GenericOpts, ModelKind, Persistence,
-    RunResult, Strategy, TrainConfig,
+    run, setup_federation, Baseline, ClientData, FederationConfig, Persistence, RunResult,
+    Strategy, TrainConfig,
 };
 use fedomd_jsonio::Json;
 use fedomd_telemetry::{JsonlObserver, MemoryObserver, NullObserver, ObservedChannel};
@@ -138,24 +138,19 @@ fn observers_do_not_perturb_a_lossy_channel_run() {
 fn fedrun_builder_matches_the_raw_generic_loop() {
     let (clients, n_classes) = mini_setup(3);
     let cfg = short_cfg(3, 4);
-    let opts = GenericOpts {
-        name: "FedGCN",
-        model: ModelKind::Gcn,
-        aggregate: true,
-        prox_mu: 0.0,
-    };
+    let opts = Baseline::FedGcn;
     let raw = run(
         &clients,
         n_classes,
         &cfg,
-        &Strategy::FedAvg(opts),
+        &Strategy::Baseline(opts),
         &mut InProcChannel::new(),
         &mut NullObserver,
         Persistence::default(),
     );
     let built = FedRun::new(&clients, n_classes)
         .config(RunConfig::mini(3).with_train(cfg))
-        .generic(opts)
+        .baseline(opts)
         .run();
     assert_same_run(&raw, &built);
 }
