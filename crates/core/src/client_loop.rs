@@ -13,10 +13,11 @@
 //! reconnect logic can re-enter it after a server loss, optionally after
 //! installing a fresher global model into the session.
 
+use fedomd_federated::engine::{report_losses, upload};
 use fedomd_federated::helpers::UpdateShapeError;
 use fedomd_federated::protocol::GlobalStats;
 use fedomd_federated::{ClientData, ClientSession, EvalCounts, FedOmdConfig, TrainConfig};
-use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
+use fedomd_telemetry::{Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_transport::{Channel, Control, Envelope, Payload};
 
 /// Why [`run_fedomd_client_rounds`] returned.
@@ -46,6 +47,10 @@ pub enum ClientOutcome {
 /// without it the client cannot know whether the run early-stopped. A
 /// global model whose shapes do not fit this client's model is an error:
 /// the server is serving another configuration.
+///
+/// Every upload is reported to `obs` as `FrameSent`, and every frame the
+/// channel discarded (a late downlink, an upload the connection refused)
+/// as `FrameDropped`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_fedomd_client_rounds(
     id: u32,
@@ -57,7 +62,6 @@ pub fn run_fedomd_client_rounds(
     chan: &mut dyn Channel,
     obs: &mut dyn RoundObserver,
 ) -> Result<ClientOutcome, UpdateShapeError> {
-    let mut chan = ObservedChannel::new(chan);
     let mut stash: Vec<Envelope> = Vec::new();
 
     for round in start_round..cfg.rounds {
@@ -80,14 +84,14 @@ pub fn run_fedomd_client_rounds(
         if omd.use_cmd {
             let sw = PhaseStopwatch::start(Phase::Comms);
             if let Some(means) = session.means() {
-                chan.upload(up(means));
+                upload(chan, obs, up(means));
             }
             // First GlobalStats down: the means. A slow client may find the
             // full statistics already queued behind them — both shapes are
             // accepted here, keyed on whether the moment list is empty.
             let mut global_means: Option<Vec<Vec<f32>>> = None;
             if let Some(Payload::GlobalStats { means, moments }) =
-                collect_matching(&mut chan, id, r, &mut stash, |p| {
+                collect_matching(chan, obs, id, r, &mut stash, |p| {
                     matches!(p, Payload::GlobalStats { .. })
                 })
             {
@@ -98,9 +102,10 @@ pub fn run_fedomd_client_rounds(
                 }
             }
             if let Some(moments) = global_means.as_ref().and_then(|g| session.moments(g)) {
-                chan.upload(up(moments));
+                upload(chan, obs, up(moments));
                 if let Some(Payload::GlobalStats { means, moments }) = collect_matching(
-                    &mut chan,
+                    chan,
+                    obs,
                     id,
                     r,
                     &mut stash,
@@ -109,7 +114,6 @@ pub fn run_fedomd_client_rounds(
                     stats = Some(GlobalStats { means, moments });
                 }
             }
-            chan.flush_into(obs);
             sw.finish(obs);
         }
 
@@ -122,15 +126,14 @@ pub fn run_fedomd_client_rounds(
 
         // --- Weights up, aggregated global model down ---
         let sw = PhaseStopwatch::start(Phase::Comms);
-        chan.upload(up(session.weights()));
+        upload(chan, obs, up(session.weights()));
         if let Some(Payload::GlobalModel { params }) =
-            collect_matching(&mut chan, id, r, &mut stash, |p| {
+            collect_matching(chan, obs, id, r, &mut stash, |p| {
                 matches!(p, Payload::GlobalModel { .. })
             })
         {
             session.install(params)?;
         }
-        chan.flush_into(obs);
         sw.finish(obs);
 
         // --- Round outcome: local eval on the post-aggregation model, the
@@ -143,24 +146,26 @@ pub fn run_fedomd_client_rounds(
         } else {
             EvalCounts::default()
         };
-        chan.upload(up(Payload::Metrics {
-            train_loss: passes.last().map_or(f32::NAN, |l| l.total),
-            val_correct: counts.val.0,
-            val_total: counts.val.1,
-            test_correct: counts.test.0,
-            test_total: counts.test.1,
-        }));
-        chan.flush_into(obs);
+        upload(
+            chan,
+            obs,
+            up(Payload::Metrics {
+                train_loss: passes.last().map_or(f32::NAN, |l| l.total),
+                val_correct: counts.val.0,
+                val_total: counts.val.1,
+                test_correct: counts.test.0,
+                test_total: counts.test.1,
+            }),
+        );
 
         // --- Verdict: continue, stop, or conclude the server is gone. On
         // its last scheduled round the client leaves without waiting. ---
         if round + 1 >= cfg.rounds {
             continue;
         }
-        let verdict = collect_matching(&mut chan, id, r, &mut stash, |p| {
+        let verdict = collect_matching(chan, obs, id, r, &mut stash, |p| {
             matches!(p, Payload::Control(_))
         });
-        chan.flush_into(obs);
         let Some(verdict) = verdict else {
             return Ok(ClientOutcome::ServerLost { round: round + 1 });
         };
@@ -174,9 +179,11 @@ pub fn run_fedomd_client_rounds(
 /// Takes the payload of the first round-`round` frame matching `want` —
 /// from the stash first, then from the channel until it reports nothing
 /// new (deadline). Non-matching current-or-future frames are stashed for
-/// later phases; frames of closed rounds are discarded.
+/// later phases; frames of closed rounds are discarded. Frames the
+/// channel discarded are reported to `obs` after each collect.
 fn collect_matching(
-    chan: &mut ObservedChannel<'_>,
+    chan: &mut dyn Channel,
+    obs: &mut dyn RoundObserver,
     id: u32,
     round: u64,
     stash: &mut Vec<Envelope>,
@@ -191,6 +198,7 @@ fn collect_matching(
     stash.retain(|e| e.round >= round);
     loop {
         let batch = chan.client_collect(id, round);
+        report_losses(chan, obs);
         if batch.is_empty() {
             return None;
         }

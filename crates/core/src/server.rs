@@ -19,15 +19,19 @@
 //! aggregation: the collector closes a phase once every sender it awaits
 //! has reported or left, the channel's deadline bounds the wait, and the
 //! round aggregates whoever made it.
+//!
+//! The server reports each uplink frame as `FrameSent` when the collector
+//! folds it, each broadcast copy when it is written, and each frame the
+//! channel discarded as `FrameDropped` after the phase or broadcast that
+//! lost it; the run's byte ledger is the fold of those events.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fedomd_federated::engine::{open_run, save_if_due, traffic_class};
+use fedomd_federated::engine::{open_run, report_losses, save_if_due};
 use fedomd_federated::{
-    CohortConfig, CommsLog, Direction, EvalCounts, FedOmdConfig, Persistence, RunResult,
-    ServerRound, TrafficClass, TrainConfig,
+    CohortConfig, EvalCounts, FedOmdConfig, Persistence, RunResult, ServerRound, TrainConfig,
 };
-use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
+use fedomd_telemetry::{NullObserver, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_transport::{Channel, Control, Envelope, Payload, SERVER_SENDER};
 
 /// Options of the standalone server driver.
@@ -85,7 +89,6 @@ pub fn run_fedomd_server(
     }
     let m = opts.n_clients;
     let (mut driver, mut server, start_round) = open_run(cfg, "FedOMD", m, &mut persist, chan, obs);
-    let mut chan = ObservedChannel::new(chan);
     let mut collector = Collector::default();
     let everyone: Vec<u32> = (0..m as u32).collect();
 
@@ -98,16 +101,14 @@ pub fn run_fedomd_server(
             round: round as u64,
         });
         let r = round as u64;
-        let mut phase = |chan: &mut ObservedChannel<'_>,
+        let mut phase = |chan: &mut dyn Channel,
                          server: &mut ServerRound,
-                         comms: &mut CommsLog,
+                         frames: &mut dyn RoundObserver,
                          candidates: &[u32],
                          kind: fn(&Payload) -> bool| {
             let want =
                 |e: &Envelope| kind(&e.payload) && candidates.binary_search(&e.sender).is_ok();
-            collector.fold(chan, r, candidates, want, |env| {
-                let class = traffic_class(&env.payload);
-                comms.record(Direction::Uplink, class, env.encoded_len() as u64);
+            collector.fold(chan, frames, r, candidates, want, |env| {
                 let _admitted = server.admit(env).is_ok();
             });
         };
@@ -115,28 +116,24 @@ pub fn run_fedomd_server(
         // --- The 2-round statistics exchange (server side) ---
         if omd.use_cmd {
             let sw = PhaseStopwatch::start(Phase::Comms);
-            phase(&mut chan, &mut server, driver.comms(), &everyone, |p| {
+            phase(chan, &mut server, &mut driver.tee(obs), &everyone, |p| {
                 matches!(p, Payload::StatsRound1 { .. })
             });
-            chan.flush_into(obs);
             let (done, down) = server.close_means();
             obs.on_event(&done);
             // An empty phase (or all-zero sample counts) sends no means
             // down, so no client will report moments: the second phase
             // closes without a wait.
             if let Some(payload) = down {
-                broadcast(&mut chan, driver.comms(), r, &everyone, payload);
-                chan.flush_into(obs);
-                phase(&mut chan, &mut server, driver.comms(), &everyone, |p| {
+                broadcast(chan, &mut driver.tee(obs), r, &everyone, payload);
+                phase(chan, &mut server, &mut driver.tee(obs), &everyone, |p| {
                     matches!(p, Payload::StatsRound2 { .. })
                 });
-                chan.flush_into(obs);
             }
             let (done, down) = server.close_moments();
             obs.on_event(&done);
             if let Some(payload) = down {
-                broadcast(&mut chan, driver.comms(), r, &everyone, payload);
-                chan.flush_into(obs);
+                broadcast(chan, &mut driver.tee(obs), r, &everyone, payload);
             }
             sw.finish(obs);
         }
@@ -156,10 +153,9 @@ pub fn run_fedomd_server(
             .into_iter()
             .map(|i| i as u32)
             .collect();
-        phase(&mut chan, &mut server, driver.comms(), &cohort, |p| {
+        phase(chan, &mut server, &mut driver.tee(obs), &cohort, |p| {
             matches!(p, Payload::WeightUpdate { .. })
         });
-        chan.flush_into(obs);
         sw.finish(obs);
         let sw = PhaseStopwatch::start(Phase::Aggregation);
         let (done, down) = server.close_updates();
@@ -167,8 +163,7 @@ pub fn run_fedomd_server(
         obs.on_event(&done);
         if let Some(payload) = down {
             let sw = PhaseStopwatch::start(Phase::Comms);
-            broadcast(&mut chan, driver.comms(), r, &everyone, payload);
-            chan.flush_into(obs);
+            broadcast(chan, &mut driver.tee(obs), r, &everyone, payload);
             sw.finish(obs);
         }
 
@@ -179,16 +174,12 @@ pub fn run_fedomd_server(
         let mut losses: Vec<f64> = Vec::new();
         let mut counts = EvalCounts::default();
         collector.fold(
-            &mut chan,
+            chan,
+            &mut driver.tee(obs),
             r,
             &everyone,
             |e| matches!(e.payload, Payload::Metrics { .. }),
             |env| {
-                driver.comms().record(
-                    Direction::Uplink,
-                    TrafficClass::Stats,
-                    env.encoded_len() as u64,
-                );
                 if let Payload::Metrics {
                     train_loss,
                     val_correct,
@@ -205,7 +196,6 @@ pub fn run_fedomd_server(
                 }
             },
         );
-        chan.flush_into(obs);
         sw.finish(obs);
         // Sender-ordered f64 sum over f32 readings: the same float summation
         // the in-process loop performs over its client-ordered losses.
@@ -215,7 +205,6 @@ pub fn run_fedomd_server(
             losses.iter().sum::<f64>() / losses.len() as f64
         };
         let eval = (driver.eval_due(round) && !losses.is_empty()).then_some(counts);
-        driver.comms().sync_dropped(chan.stats().dropped_frames);
         driver.end_round(round, mean_loss, eval, obs);
         save_if_due(&mut persist, round, obs, || {
             server.checkpoint(round + 1, driver.snapshot(), chan.export_state(), &[])
@@ -235,13 +224,12 @@ pub fn run_fedomd_server(
                 Control::Ack
             };
             broadcast(
-                &mut chan,
-                driver.comms(),
+                chan,
+                &mut driver.tee(obs),
                 r,
                 &everyone,
                 Payload::Control(verdict),
             );
-            chan.flush_into(obs);
             sw.finish(obs);
         }
         if driver.stopped() {
@@ -251,22 +239,26 @@ pub fn run_fedomd_server(
     driver.finish_observed("FedOMD", obs)
 }
 
-/// Sends `payload` to every client in `to`, accounting one copy each.
+/// Sends `payload` to every client in `to`, reporting one `FrameSent` per
+/// copy, then the copies the channel could not deliver.
 fn broadcast(
-    chan: &mut ObservedChannel<'_>,
-    comms: &mut CommsLog,
+    chan: &mut dyn Channel,
+    frames: &mut dyn RoundObserver,
     round: u64,
     to: &[u32],
     payload: Payload,
 ) {
-    let class = traffic_class(&payload);
+    let kind = payload.kind();
     let env = Envelope {
         round,
         sender: SERVER_SENDER,
         payload,
     };
-    let bytes = chan.download_many(to, env);
-    comms.record(Direction::Downlink, class, (bytes * to.len()) as u64);
+    let bytes = chan.download_many(to, env) as u64;
+    for _ in to {
+        frames.on_event(&RoundEvent::FrameSent { kind, bytes });
+    }
+    report_losses(chan, frames);
 }
 
 /// Phase-aware uplink collector: the one server-side collection loop, and
@@ -303,14 +295,26 @@ impl Collector {
     /// must not let the phase close one live sender early, and a stray
     /// frame from a sender the phase does not await must not stand in for
     /// one it does.
+    ///
+    /// Each folded frame is reported to `frames` as `FrameSent` as it
+    /// folds, and the frames the transport discarded during the phase as
+    /// `FrameDropped` when it closes.
     fn fold(
         &mut self,
-        chan: &mut ObservedChannel<'_>,
+        chan: &mut dyn Channel,
+        frames: &mut dyn RoundObserver,
         round: u64,
         candidates: &[u32],
         want: impl Fn(&Envelope) -> bool,
         mut fold: impl FnMut(Envelope),
     ) {
+        let mut fold = |env: Envelope| {
+            frames.on_event(&RoundEvent::FrameSent {
+                kind: env.payload.kind(),
+                bytes: env.encoded_len() as u64,
+            });
+            fold(env);
+        };
         let mut window: BTreeMap<u32, Envelope> = BTreeMap::new();
         let mut seen: BTreeSet<u32> = BTreeSet::new();
         let mut missing: Vec<u32> = candidates.to_vec();
@@ -328,8 +332,8 @@ impl Collector {
                     self.stash.push(env);
                 }
                 // Frames of closed rounds are silently discarded; the
-                // transport already counted them dropped when it admitted
-                // the round's deadline.
+                // transport already listed them lost when it admitted the
+                // round's deadline.
             }
             // Fold the contiguous arrived prefix of the candidate list.
             while next < candidates.len() {
@@ -352,6 +356,7 @@ impl Collector {
         while let Some((_, env)) = window.pop_first() {
             fold(env);
         }
+        report_losses(chan, frames);
     }
 }
 
@@ -366,8 +371,7 @@ pub fn drive_phase_fold(
     want: impl Fn(&Envelope) -> bool,
     fold: impl FnMut(Envelope),
 ) {
-    let mut observed = ObservedChannel::new(chan);
-    Collector::default().fold(&mut observed, round, candidates, want, fold)
+    Collector::default().fold(chan, &mut NullObserver, round, candidates, want, fold)
 }
 
 #[cfg(test)]
@@ -457,9 +461,6 @@ mod tests {
         fn client_collect(&mut self, _id: u32, _round: u64) -> Vec<Envelope> {
             Vec::new()
         }
-        fn stats(&self) -> fedomd_transport::NetStats {
-            fedomd_transport::NetStats::default()
-        }
     }
 
     fn is_weight(e: &Envelope) -> bool {
@@ -477,9 +478,8 @@ mod tests {
         candidates: &[u32],
         want: impl Fn(&Envelope) -> bool,
     ) -> Vec<u32> {
-        let mut observed = ObservedChannel::new(chan);
         let mut order = Vec::new();
-        c.fold(&mut observed, 0, candidates, want, |env| {
+        c.fold(chan, &mut NullObserver, 0, candidates, want, |env| {
             order.push(env.sender)
         });
         order

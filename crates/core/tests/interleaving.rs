@@ -21,7 +21,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use fedomd_core::drive_phase_fold;
-use fedomd_transport::{Channel, Envelope, NetStats, Payload, Tensor};
+use fedomd_transport::{Channel, Envelope, Payload, Tensor};
 
 /// A server-side transport mock that surfaces exactly one pre-loaded
 /// frame per `server_await` — the finest-grained interleaving a transport
@@ -75,10 +75,6 @@ impl Channel for Trickle {
 
     fn client_collect(&mut self, _id: u32, _round: u64) -> Vec<Envelope> {
         Vec::new()
-    }
-
-    fn stats(&self) -> NetStats {
-        NetStats::default()
     }
 }
 

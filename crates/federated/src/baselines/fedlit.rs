@@ -31,7 +31,6 @@ use fedomd_tensor::{xavier_uniform, Matrix};
 use fedomd_transport::{Envelope, Payload, SERVER_SENDER};
 
 use crate::client::ClientData;
-use crate::comms::{CommsLog, Direction};
 use crate::config::TrainConfig;
 use crate::engine::charge;
 use crate::protocol::MeanAccumulator;
@@ -87,12 +86,13 @@ fn assign(c: &ClientData, centroids: &[Vec<f32>]) -> (Vec<usize>, Vec<(Vec<f64>,
 /// Federated k-means over all clients' edge embeddings: clients assign
 /// locally and upload their per-type means weighted by edge count, the
 /// server averages them into the next centroids. The last of the
-/// `KMEANS_ITERS` assignments needs no exchange. Charges every frame to
-/// `comms` and returns per client the type of each local edge.
+/// `KMEANS_ITERS` assignments needs no exchange. Reports every frame to
+/// `obs` as `FrameSent` and returns per client the type of each local
+/// edge.
 fn federated_edge_kmeans(
     clients: &[ClientData],
     seed: u64,
-    comms: &mut CommsLog,
+    obs: &mut dyn RoundObserver,
 ) -> Vec<Vec<usize>> {
     let f = clients.first().map_or(0, |c| c.input.n_features());
     // Initialise centroids from a deterministic spread of one client's edges.
@@ -125,7 +125,7 @@ fn federated_edge_kmeans(
                         n_samples: n as u64,
                     },
                 };
-                charge(comms, Direction::Uplink, &up, 1);
+                charge(obs, &up, 1);
             }
         }
         for (centroid, acc) in centroids.iter_mut().zip(accs) {
@@ -141,7 +141,7 @@ fn federated_edge_kmeans(
                 moments: Vec::new(),
             },
         };
-        charge(comms, Direction::Downlink, &down, clients.len());
+        charge(obs, &down, clients.len());
     }
     clients
         .par_iter()
@@ -249,18 +249,17 @@ impl Model for FedLitModel {
 }
 
 /// FedLIT's set-up: the federated link-type clustering (timed as a
-/// [`Phase::Aggregation`] segment, its frames charged to `comms`), then
+/// [`Phase::Aggregation`] segment, its frames reported to `obs`), then
 /// per client a [`FedLitModel`] over its own type operators, all from one
 /// common init.
 pub(crate) fn setup(
     cfg: &TrainConfig,
     clients: &[ClientData],
     n_classes: usize,
-    comms: &mut CommsLog,
     obs: &mut dyn RoundObserver,
 ) -> Vec<Box<dyn Model>> {
     let sw = PhaseStopwatch::start(Phase::Aggregation);
-    let assignments = federated_edge_kmeans(clients, cfg.seed, comms);
+    let assignments = federated_edge_kmeans(clients, cfg.seed, obs);
     sw.finish(obs);
     clients
         .iter()
@@ -282,6 +281,7 @@ mod tests {
     use super::*;
     use crate::baselines::{run_baseline, Baseline};
     use crate::client::{setup_federation, FederationConfig};
+    use crate::comms::CommsLog;
     use fedomd_data::{generate, spec, DatasetName};
 
     fn mini_clients() -> (Vec<ClientData>, usize) {

@@ -34,7 +34,6 @@ use fedomd_tensor::{xavier_uniform, Matrix};
 use fedomd_transport::{from_tensors, to_tensors, Envelope, Payload, SERVER_SENDER};
 
 use crate::client::ClientData;
-use crate::comms::{CommsLog, Direction};
 use crate::config::TrainConfig;
 use crate::engine::charge;
 use crate::session::ServerRound;
@@ -212,14 +211,13 @@ fn mend(client: &ClientData, gen: &NeighGen, seed: u64) -> (ClientData, Arc<fedo
 }
 
 /// FedSage+'s set-up: federated NeighGen training (timed as a
-/// [`Phase::LocalTrain`] segment, its frames charged to `comms`), then the
+/// [`Phase::LocalTrain`] segment, its frames reported to `obs`), then the
 /// mended shards, each with a [`GraphSage`] over its own mean aggregator,
 /// all from one common init.
 pub(crate) fn setup(
     cfg: &TrainConfig,
     clients: &[ClientData],
     n_classes: usize,
-    comms: &mut CommsLog,
     obs: &mut dyn RoundObserver,
 ) -> (Vec<ClientData>, Vec<Box<dyn Model>>) {
     let m = clients.len();
@@ -251,7 +249,7 @@ pub(crate) fn setup(
                     params: to_tensors(&g.params()),
                 },
             };
-            charge(comms, Direction::Uplink, &up, 1);
+            charge(obs, &up, 1);
             let _admitted = server.admit(up).is_ok();
         }
         if let (_, Some(down)) = server.close_updates() {
@@ -260,7 +258,7 @@ pub(crate) fn setup(
                 sender: SERVER_SENDER,
                 payload: down,
             };
-            charge(comms, Direction::Downlink, &down, m);
+            charge(obs, &down, m);
             if let Payload::GlobalModel { params } = down.payload {
                 let global = from_tensors(params);
                 for g in &mut gens {
@@ -296,8 +294,8 @@ mod tests {
     use super::*;
     use crate::baselines::{run_baseline, Baseline};
     use crate::client::{setup_federation, FederationConfig};
+    use crate::comms::CommsLog;
     use fedomd_data::{generate, spec, DatasetName};
-    use fedomd_telemetry::NullObserver;
 
     fn mini_clients() -> (Vec<ClientData>, usize) {
         let ds = generate(&spec(DatasetName::CoraMini), 0);
@@ -362,7 +360,7 @@ mod tests {
         let (clients, k) = mini_clients();
         let mut comms = CommsLog::new();
         let cfg = TrainConfig::mini(0);
-        let (mended, models) = setup(&cfg, &clients, k, &mut comms, &mut NullObserver);
+        let (mended, models) = setup(&cfg, &clients, k, &mut comms);
         assert_eq!((mended.len(), models.len()), (clients.len(), clients.len()));
         let f = clients[0].input.n_features();
         let frame = Envelope {

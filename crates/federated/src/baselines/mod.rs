@@ -128,9 +128,10 @@ pub fn run_baseline_observed(
 mod tests {
     use super::*;
     use crate::client::{setup_federation, FederationConfig};
+    use crate::comms::CommsLog;
     use crate::config::CohortConfig;
     use fedomd_data::{generate, spec, DatasetName};
-    use fedomd_telemetry::{MemoryObserver, RoundEvent};
+    use fedomd_telemetry::{MemoryObserver, RoundEvent, RoundObserver};
     use std::collections::BTreeSet;
 
     /// A 2-of-3 cohort trains only the sampled clients, every round, for
@@ -167,6 +168,41 @@ mod tests {
                 let want: BTreeSet<u32> = cohort.iter().map(|&i| i as u32).collect();
                 assert_eq!(got, &want, "{which:?} round {round}");
             }
+        }
+    }
+
+    /// A fresh FedLIT or FedSage+ run reports its set-up exchange as
+    /// frames before round 0, and its ledger is the fold of its trace.
+    #[test]
+    fn the_ledger_is_the_fold_of_the_trace_set_up_included() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let clients = setup_federation(&ds, &FederationConfig::mini(3, 0));
+        let cfg = TrainConfig {
+            rounds: 3,
+            ..TrainConfig::mini(0)
+        };
+        for which in [Baseline::FedLit, Baseline::FedSagePlus] {
+            let mut mem = MemoryObserver::new();
+            let r = run_baseline_observed(which, &clients, ds.n_classes, &cfg, &mut mem);
+            let mut folded = CommsLog::new();
+            for e in &mem.events {
+                folded.on_event(e);
+            }
+            assert_eq!(folded, r.comms, "{which:?}");
+            let round_0 = mem
+                .events
+                .iter()
+                .position(|e| matches!(e, RoundEvent::RoundStarted { .. }))
+                .expect("round 0 ran");
+            let mut set_up = CommsLog::new();
+            for e in &mem.events[..round_0] {
+                set_up.on_event(e);
+            }
+            assert!(set_up.uplink_bytes > 0, "{which:?}: no set-up uplink");
+            assert!(set_up.downlink_bytes > 0, "{which:?}: no set-up downlink");
+            // FedLIT's centroids are statistics; NeighGen is weights.
+            let stats_only = set_up.stats_uplink_bytes == set_up.uplink_bytes;
+            assert_eq!(stats_only, which == Baseline::FedLit, "{which:?}");
         }
     }
 

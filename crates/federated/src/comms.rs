@@ -5,31 +5,15 @@
 //! local features are required..., causing negligible communication
 //! costs"); this log measures exactly that.
 //!
-//! All recording funnels through one entry point, [`CommsLog::record`]:
-//! a [`Direction`] (which way the bytes flew), a [`TrafficClass`] (model
-//! weights vs. distribution statistics — the split Table 3 is about), and
-//! the size of an encoded transport frame (header + payload + checksum)
-//! as produced by `fedomd-transport`.
+//! A [`CommsLog`] is the fold of a run's frame events, as `PhaseTotals`
+//! is of its `PhaseDone` segments: each `FrameSent` is one encoded
+//! transport frame (header + payload + checksum), sorted by its payload
+//! kind into uplink or downlink, and model weights or statistics
+//! (`Payload::travels_up`, `Payload::carries_weights`); each
+//! `FrameDropped` is one lost message; each `RoundFinished` one round.
 
-/// Which way bytes crossed the star topology.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Client → server.
-    Uplink,
-    /// Server → client.
-    Downlink,
-}
-
-/// What the bytes carried, at the granularity the paper's Table 3 cares
-/// about.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrafficClass {
-    /// Model parameters (weight updates, global model broadcasts).
-    Weights,
-    /// Distribution statistics (FedOMD's means and central moments,
-    /// FedLIT's centroids, ...).
-    Stats,
-}
+use fedomd_telemetry::{RoundEvent, RoundObserver};
+use fedomd_transport::Payload;
 
 /// Accumulated traffic of one federated run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,8 +28,7 @@ pub struct CommsLog {
     /// Communication rounds completed.
     pub rounds: u64,
     /// Messages lost in transit (dropped, or late past the round
-    /// deadline). Always 0 on the in-process channel; fed from the
-    /// simulated network's fault counters.
+    /// deadline). Always 0 on the in-process channel.
     pub dropped_messages: u64,
 }
 
@@ -53,33 +36,6 @@ impl CommsLog {
     /// An empty log.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records `bytes` of traffic — the single entry point every recorder
-    /// funnels through. Statistics uplink is additionally counted in the
-    /// `stats_uplink_bytes` sub-bucket (downlink statistics are not
-    /// sub-bucketed: Table 3's claim is about client upload cost).
-    pub fn record(&mut self, dir: Direction, class: TrafficClass, bytes: u64) {
-        match dir {
-            Direction::Uplink => {
-                self.uplink_bytes += bytes;
-                if class == TrafficClass::Stats {
-                    self.stats_uplink_bytes += bytes;
-                }
-            }
-            Direction::Downlink => self.downlink_bytes += bytes,
-        }
-    }
-
-    /// Overwrites the dropped-message count with the transport's current
-    /// cumulative fault counter (idempotent; called once per round).
-    pub fn sync_dropped(&mut self, transport_dropped_frames: u64) {
-        self.dropped_messages = transport_dropped_frames;
-    }
-
-    /// Marks one communication round finished.
-    pub fn end_round(&mut self) {
-        self.rounds += 1;
     }
 
     /// Total traffic in both directions.
@@ -97,15 +53,49 @@ impl CommsLog {
     }
 }
 
+impl RoundObserver for CommsLog {
+    /// Statistics uplink is additionally counted in the
+    /// `stats_uplink_bytes` sub-bucket (downlink statistics are not
+    /// sub-bucketed: Table 3's claim is about client upload cost).
+    fn on_event(&mut self, event: &RoundEvent) {
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "the ledger folds three events; every other event carries no traffic"
+        )]
+        match event {
+            RoundEvent::FrameSent { kind, bytes } if Payload::travels_up(kind) => {
+                self.uplink_bytes += bytes;
+                if !Payload::carries_weights(kind) {
+                    self.stats_uplink_bytes += bytes;
+                }
+            }
+            RoundEvent::FrameSent { bytes, .. } => self.downlink_bytes += bytes,
+            RoundEvent::FrameDropped { .. } => self.dropped_messages += 1,
+            RoundEvent::RoundFinished { .. } => self.rounds += 1,
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn record_sums_per_direction() {
+    fn fold(events: &[RoundEvent]) -> CommsLog {
         let mut log = CommsLog::new();
-        log.record(Direction::Uplink, TrafficClass::Weights, 400);
-        log.record(Direction::Downlink, TrafficClass::Weights, 200);
+        for e in events {
+            log.on_event(e);
+        }
+        log
+    }
+
+    fn sent(kind: &'static str, bytes: u64) -> RoundEvent {
+        RoundEvent::FrameSent { kind, bytes }
+    }
+
+    #[test]
+    fn sends_sum_per_direction() {
+        let log = fold(&[sent("WeightUpdate", 400), sent("GlobalModel", 200)]);
         assert_eq!(log.uplink_bytes, 400);
         assert_eq!(log.downlink_bytes, 200);
         assert_eq!(log.total_bytes(), 600);
@@ -114,9 +104,7 @@ mod tests {
 
     #[test]
     fn stats_are_a_sub_bucket_of_uplink() {
-        let mut log = CommsLog::new();
-        log.record(Direction::Uplink, TrafficClass::Weights, 4000);
-        log.record(Direction::Uplink, TrafficClass::Stats, 40);
+        let log = fold(&[sent("WeightUpdate", 4000), sent("StatsRound1", 40)]);
         assert_eq!(log.uplink_bytes, 4040);
         assert_eq!(log.stats_uplink_bytes, 40);
         assert!((log.stats_fraction() - 40.0 / 4040.0).abs() < 1e-12);
@@ -124,35 +112,44 @@ mod tests {
 
     #[test]
     fn downlink_stats_do_not_touch_the_uplink_sub_bucket() {
-        let mut log = CommsLog::new();
-        log.record(Direction::Downlink, TrafficClass::Stats, 66);
+        let log = fold(&[sent("GlobalStats", 66)]);
         assert_eq!(log.downlink_bytes, 66);
         assert_eq!(log.uplink_bytes, 0);
         assert_eq!(log.stats_uplink_bytes, 0);
     }
 
     #[test]
-    fn record_counts_whole_frames() {
+    fn sends_count_whole_frames() {
         // 100 scalars plus framing (header, shapes, checksum).
         let frame_bytes = 426u64;
-        let mut log = CommsLog::new();
-        log.record(Direction::Uplink, TrafficClass::Weights, frame_bytes);
-        log.record(Direction::Uplink, TrafficClass::Stats, 66);
-        log.record(Direction::Downlink, TrafficClass::Weights, frame_bytes);
-        log.record(Direction::Downlink, TrafficClass::Stats, 66);
+        let log = fold(&[
+            sent("WeightUpdate", frame_bytes),
+            sent("StatsRound2", 66),
+            sent("GlobalModel", frame_bytes),
+            sent("GlobalStats", 66),
+        ]);
         assert_eq!(log.uplink_bytes, 492);
         assert_eq!(log.stats_uplink_bytes, 66);
         assert_eq!(log.downlink_bytes, 492);
     }
 
     #[test]
-    fn sync_dropped_is_idempotent_per_cumulative_counter() {
-        let mut log = CommsLog::new();
-        log.sync_dropped(4);
-        log.sync_dropped(4); // same cumulative value: no double count
-        assert_eq!(log.dropped_messages, 4);
-        log.sync_dropped(7);
-        assert_eq!(log.dropped_messages, 7);
+    fn each_drop_and_round_is_counted_once() {
+        let finished = RoundEvent::RoundFinished {
+            round: 0,
+            uplink_bytes: 0,
+            downlink_bytes: 0,
+            dropped_messages: 0,
+        };
+        let dropped = RoundEvent::FrameDropped {
+            kind: "WeightUpdate",
+            bytes: 426,
+        };
+        let log = fold(&[dropped.clone(), dropped, finished.clone(), finished]);
+        assert_eq!(log.dropped_messages, 2);
+        assert_eq!(log.rounds, 2);
+        // A lost frame's bytes were counted when it was sent, not again.
+        assert_eq!(log.total_bytes(), 0);
     }
 
     #[test]
@@ -164,8 +161,12 @@ mod tests {
     fn zero_uplink_with_stats_bucket_untouched() {
         // A purely local run (no aggregation) must report a 0/0 stats
         // fraction as 0, not NaN.
-        let mut log = CommsLog::new();
-        log.end_round();
+        let log = fold(&[RoundEvent::RoundFinished {
+            round: 0,
+            uplink_bytes: 0,
+            downlink_bytes: 0,
+            dropped_messages: 0,
+        }]);
         assert_eq!(log.uplink_bytes, 0);
         assert_eq!(log.stats_fraction(), 0.0);
         assert!(log.stats_fraction().is_finite());

@@ -27,10 +27,13 @@
 //!
 //! [`RoundDriver`] centralises what every loop needs per round —
 //! evaluation, early stopping on validation accuracy, history for the
-//! convergence curves (paper Fig. 5), communication accounting; `run` and
-//! `fedomd-core`'s TCP server build on it. Every milestone is reported to a
-//! [`RoundObserver`]; observers are pure sinks, so a run with any observer
-//! is bit-identical to the same run with
+//! convergence curves (paper Fig. 5), and the byte ledger: the loop
+//! reports every frame it sends as `FrameSent` and every frame the
+//! transport lost as `FrameDropped`, and the driver folds those events
+//! into the run's [`CommsLog`] on their way to the observer. `run` and
+//! `fedomd-core`'s TCP server and client build on it. Every milestone is
+//! reported to a [`RoundObserver`]; observers are pure sinks, so a run
+//! with any observer is bit-identical to the same run with
 //! [`fedomd_telemetry::NullObserver`] (golden-tested). Wall-clock time is
 //! reported only as `PhaseDone` segments. The `FedRun` builder in
 //! `fedomd-core` is the user-facing entry point.
@@ -43,11 +46,11 @@ use fedomd_tensor::Matrix;
 
 use crate::baselines::Baseline;
 use crate::client::ClientData;
-use crate::comms::{CommsLog, Direction, TrafficClass};
+use crate::comms::CommsLog;
 use crate::config::{FedOmdConfig, RoundStats, RunResult, TrainConfig};
 use crate::protocol::GlobalStats;
 use crate::session::{ClientSession, EvalCounts, ServerRound, StepLosses};
-use fedomd_telemetry::{ObservedChannel, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
+use fedomd_telemetry::{Phase, PhaseStopwatch, RoundEvent, RoundObserver, TeeObserver};
 use fedomd_transport::{Channel, ChannelState, Envelope, Payload, SERVER_SENDER};
 
 /// Which plain architecture [`build_model`] instantiates.
@@ -109,13 +112,13 @@ pub struct DriverState {
     pub rounds_since_improve: usize,
     /// Whether early stopping has already triggered.
     pub stopped: bool,
-    /// Communication accounting so far.
+    /// The byte ledger so far: the fold of the run's frame events.
     pub comms: CommsLog,
 }
 
 /// Everything a run needs to continue from a round boundary exactly as if
 /// it had never stopped. Captured after round `next_round - 1` completed
-/// (history recorded, comms synced, no frames in flight).
+/// (history recorded, every frame on the ledger, none in flight).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResumeState {
     /// The round the resumed loop enters first.
@@ -128,9 +131,9 @@ pub struct ResumeState {
     /// depends on the step index beyond their parameters (OrthoGcn's
     /// periodic Newton–Schulz). Always zero for the baselines' models.
     pub model_steps: Vec<u64>,
-    /// Driver bookkeeping (history, early stopping, comms).
+    /// Driver bookkeeping (history, early stopping, the byte ledger).
     pub driver: DriverState,
-    /// Transport state (fault-stream cursor + cumulative counters).
+    /// Transport state (the fault-stream cursor).
     pub channel: ChannelState,
     /// Last aggregated global model (Algorithm 1 line 27).
     pub global: Option<Vec<Matrix>>,
@@ -213,9 +216,11 @@ impl RoundDriver {
         self.state.clone()
     }
 
-    /// The communication log, which the loops record their traffic into.
-    pub fn comms(&mut self) -> &mut CommsLog {
-        &mut self.state.comms
+    /// `obs` behind the run's byte ledger: every event reported through
+    /// the tee is folded into the driver's [`CommsLog`] first, whichever
+    /// observer the caller attached.
+    pub fn tee<'a>(&'a mut self, obs: &'a mut dyn RoundObserver) -> TeeObserver<'a> {
+        TeeObserver::new(&mut self.state.comms, obs)
     }
 
     /// True once early stopping has triggered.
@@ -242,7 +247,6 @@ impl RoundDriver {
         obs: &mut dyn RoundObserver,
     ) {
         let state = &mut self.state;
-        state.comms.end_round();
         if let Some((val, test)) = eval.map(|c| c.accuracy()) {
             obs.on_event(&RoundEvent::EvalDone {
                 round: round as u64,
@@ -270,12 +274,13 @@ impl RoundDriver {
                 }
             }
         }
-        obs.on_event(&RoundEvent::RoundFinished {
+        let finished = RoundEvent::RoundFinished {
             round: round as u64,
             uplink_bytes: state.comms.uplink_bytes,
             downlink_bytes: state.comms.downlink_bytes,
             dropped_messages: state.comms.dropped_messages,
-        });
+        };
+        self.tee(obs).on_event(&finished);
     }
 
     /// Finalises into a [`RunResult`], reporting `RunFinished` to `obs`.
@@ -381,29 +386,28 @@ pub fn run(
     let (mut driver, mut server, start_round) =
         open_run(cfg, algorithm, m, &mut persist, chan, obs);
     // The set-up is a pure function of (seed, shards): a resumed run
-    // re-derives it, and its checkpointed comms already hold its bytes,
-    // while a fresh run's comms start from them.
-    let (mut sessions, shards, setup) =
-        ClientSession::federation(cfg, strategy, clients, n_classes, obs);
-    match resume {
-        Some((params, steps, optim)) => {
-            assert_eq!(
-                params.len(),
-                m,
-                "resume: checkpoint has {} clients, federation has {m}",
-                params.len()
+    // re-derives it, but its checkpointed ledger already holds the set-up
+    // frames, so only a fresh run reports them.
+    let (mut sessions, shards) = if resume.is_some() {
+        ClientSession::federation(cfg, strategy, clients, n_classes, &mut WithoutFrames(obs))
+    } else {
+        ClientSession::federation(cfg, strategy, clients, n_classes, &mut driver.tee(obs))
+    };
+    if let Some((params, steps, optim)) = resume {
+        assert_eq!(
+            params.len(),
+            m,
+            "resume: checkpoint has {} clients, federation has {m}",
+            params.len()
+        );
+        for (((s, p), steps), st) in sessions.iter_mut().zip(&params).zip(steps).zip(optim) {
+            assert!(
+                s.restore(p, steps, st),
+                "resume: checkpoint optimiser state does not fit {algorithm}"
             );
-            for (((s, p), steps), st) in sessions.iter_mut().zip(&params).zip(steps).zip(optim) {
-                assert!(
-                    s.restore(p, steps, st),
-                    "resume: checkpoint optimiser state does not fit {algorithm}"
-                );
-            }
         }
-        None => *driver.comms() = setup,
     }
     let clients = &shards[..];
-    let mut chan = ObservedChannel::new(chan);
 
     for round in start_round..cfg.rounds {
         // A checkpoint taken after early stopping resumes already-stopped.
@@ -441,43 +445,39 @@ pub fn run(
             let sw = PhaseStopwatch::start(Phase::Comms);
             for &i in &cohort {
                 if let Some(means) = sessions[i].means() {
-                    up(&mut chan, driver.comms(), &mut server, r, i, means);
+                    up(chan, &mut driver.tee(obs), &mut server, r, i, means);
                 }
             }
-            chan.flush_into(obs);
             let (done, down) = server.close_means();
             obs.on_event(&done);
             let mut global_means: Vec<Option<Vec<Vec<f32>>>> = vec![None; m];
             if let Some(payload) = down {
                 for &i in &cohort {
-                    for got in send(&mut chan, driver.comms(), r, i, payload.clone()) {
+                    for got in send(chan, &mut driver.tee(obs), r, i, payload.clone()) {
                         if let Payload::GlobalStats { means, .. } = got {
                             global_means[i] = Some(means);
                         }
                     }
                 }
             }
-            chan.flush_into(obs);
             // A client that never received the means sits round 2 out.
             for &i in &cohort {
                 let global = global_means[i].as_ref();
                 if let Some(moments) = global.and_then(|g| sessions[i].moments(g)) {
-                    up(&mut chan, driver.comms(), &mut server, r, i, moments);
+                    up(chan, &mut driver.tee(obs), &mut server, r, i, moments);
                 }
             }
-            chan.flush_into(obs);
             let (done, down) = server.close_moments();
             obs.on_event(&done);
             if let Some(payload) = down {
                 for &i in &cohort {
-                    for got in send(&mut chan, driver.comms(), r, i, payload.clone()) {
+                    for got in send(chan, &mut driver.tee(obs), r, i, payload.clone()) {
                         if let Payload::GlobalStats { means, moments } = got {
                             stats[i] = Some(GlobalStats { means, moments });
                         }
                     }
                 }
             }
-            chan.flush_into(obs);
             sw.finish(obs);
         }
 
@@ -501,7 +501,7 @@ pub fn run(
             let sw = PhaseStopwatch::start(Phase::Comms);
             for &i in &cohort {
                 let weights = sessions[i].weights();
-                up(&mut chan, driver.comms(), &mut server, r, i, weights);
+                up(chan, &mut driver.tee(obs), &mut server, r, i, weights);
             }
             // Straggler drain: both in-process channels resolve every
             // pending frame at the first collect after its upload, but a
@@ -509,7 +509,7 @@ pub fn run(
             for env in chan.server_collect(r) {
                 let _admitted = server.admit(env).is_ok();
             }
-            chan.flush_into(obs);
+            report_losses(chan, &mut driver.tee(obs));
             sw.finish(obs);
             let sw = PhaseStopwatch::start(Phase::Aggregation);
             let (done, down) = server.close_updates();
@@ -520,7 +520,7 @@ pub fn run(
                 // federation stays synchronised for pooled evaluation.
                 let sw = PhaseStopwatch::start(Phase::Comms);
                 for (i, s) in sessions.iter_mut().enumerate() {
-                    for got in send(&mut chan, driver.comms(), r, i, payload.clone()) {
+                    for got in send(chan, &mut driver.tee(obs), r, i, payload.clone()) {
                         if let Payload::GlobalModel { params } = got {
                             // A refused model degrades like a lost downlink
                             // frame: the client keeps its weights.
@@ -528,10 +528,8 @@ pub fn run(
                         }
                     }
                 }
-                chan.flush_into(obs);
                 sw.finish(obs);
             }
-            driver.comms().sync_dropped(chan.stats().dropped_frames);
         }
 
         // The mean of each trained client's last-pass loss.
@@ -617,70 +615,92 @@ pub fn save_if_due(
     }
 }
 
-/// The class a frame's bytes are accounted under: model weights, or
-/// everything else (statistics, metrics, control).
-pub fn traffic_class(p: &Payload) -> TrafficClass {
-    if matches!(
-        p,
-        Payload::WeightUpdate { .. } | Payload::GlobalModel { .. }
-    ) {
-        TrafficClass::Weights
-    } else {
-        TrafficClass::Stats
+/// Forwards everything but frame events: the set-up of a resumed run,
+/// whose frames its checkpointed ledger already holds.
+struct WithoutFrames<'a>(&'a mut dyn RoundObserver);
+
+impl RoundObserver for WithoutFrames<'_> {
+    fn on_event(&mut self, event: &RoundEvent) {
+        if !matches!(
+            event,
+            RoundEvent::FrameSent { .. } | RoundEvent::FrameDropped { .. }
+        ) {
+            self.0.on_event(event);
+        }
     }
 }
 
-/// Charges `copies` frames of `env` to `comms` at its encoded size: the
+/// Reports `copies` sends of `env` to `obs` at its encoded size: the
 /// set-up exchanges of FedLIT and FedSage+, which fold in-process rather
 /// than over the run's channel.
-pub(crate) fn charge(comms: &mut CommsLog, dir: Direction, env: &Envelope, copies: usize) {
-    let class = traffic_class(&env.payload);
-    let bytes = env.encoded_len() as u64;
+pub(crate) fn charge(obs: &mut dyn RoundObserver, env: &Envelope, copies: usize) {
+    let sent = RoundEvent::FrameSent {
+        kind: env.payload.kind(),
+        bytes: env.encoded_len() as u64,
+    };
     for _ in 0..copies {
-        comms.record(dir, class, bytes);
+        obs.on_event(&sent);
     }
+}
+
+/// Reports every frame `chan` lost since the last call as one
+/// `FrameDropped`, in the order the transport gave up on them. Drivers
+/// call it right after the collect that answered for the lost frames.
+pub fn report_losses(chan: &mut dyn Channel, obs: &mut dyn RoundObserver) {
+    for (kind, bytes) in chan.drain_lost() {
+        obs.on_event(&RoundEvent::FrameDropped { kind, bytes });
+    }
+}
+
+/// A client uploads `env`, reporting it to `obs` as `FrameSent` (then
+/// as `FrameDropped` if the transport lost it on the way out).
+pub fn upload(chan: &mut dyn Channel, obs: &mut dyn RoundObserver, env: Envelope) {
+    let kind = env.payload.kind();
+    let bytes = chan.upload(env) as u64;
+    obs.on_event(&RoundEvent::FrameSent { kind, bytes });
+    report_losses(chan, obs);
 }
 
 /// Client `sender` uploads `payload`; the server collects and admits.
 fn up(
-    chan: &mut ObservedChannel<'_>,
-    comms: &mut CommsLog,
+    chan: &mut dyn Channel,
+    obs: &mut dyn RoundObserver,
     server: &mut ServerRound,
     round: u64,
     sender: usize,
     payload: Payload,
 ) {
-    let class = traffic_class(&payload);
     let env = Envelope {
         round,
         sender: sender as u32,
         payload,
     };
-    comms.record(Direction::Uplink, class, chan.upload(env) as u64);
+    upload(chan, obs, env);
     for env in chan.server_collect(round) {
         let _admitted = server.admit(env).is_ok();
     }
+    report_losses(chan, obs);
 }
 
 /// The server sends `payload` to client `to`; returns what it collects.
 fn send(
-    chan: &mut ObservedChannel<'_>,
-    comms: &mut CommsLog,
+    chan: &mut dyn Channel,
+    obs: &mut dyn RoundObserver,
     round: u64,
     to: usize,
     payload: Payload,
 ) -> impl Iterator<Item = Payload> {
-    let class = traffic_class(&payload);
+    let kind = payload.kind();
     let env = Envelope {
         round,
         sender: SERVER_SENDER,
         payload,
     };
-    let bytes = chan.download(to as u32, env);
-    comms.record(Direction::Downlink, class, bytes as u64);
-    chan.client_collect(to as u32, round)
-        .into_iter()
-        .map(|env| env.payload)
+    let bytes = chan.download(to as u32, env) as u64;
+    obs.on_event(&RoundEvent::FrameSent { kind, bytes });
+    let got = chan.client_collect(to as u32, round);
+    report_losses(chan, obs);
+    got.into_iter().map(|env| env.payload)
 }
 
 #[cfg(test)]
@@ -948,9 +968,6 @@ mod tests {
         }
         fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope> {
             self.0.client_collect(id, round)
-        }
-        fn stats(&self) -> fedomd_transport::NetStats {
-            self.0.stats()
         }
     }
 
@@ -1269,6 +1286,135 @@ mod tests {
         cfg.cohort.seed = 6;
         let c = run_omd(&clients, k, &cfg, &FedOmdConfig::paper());
         assert!(c.test_acc.is_finite());
+    }
+
+    fn weights(v: f32) -> Payload {
+        Payload::WeightUpdate {
+            params: vec![fedomd_transport::Tensor {
+                rows: 1,
+                cols: 2,
+                data: vec![v, -v],
+            }],
+        }
+    }
+
+    fn encoded_len(round: u64, sender: u32, payload: Payload) -> u64 {
+        Envelope {
+            round,
+            sender,
+            payload,
+        }
+        .encoded_len() as u64
+    }
+
+    #[test]
+    fn faultless_channel_reports_sends_and_no_drops() {
+        let mut chan = InProcChannel::new();
+        let mut server = ServerRound::new(false);
+        let mut mem = MemoryObserver::new();
+        up(&mut chan, &mut mem, &mut server, 0, 0, weights(1.0));
+        up(&mut chan, &mut mem, &mut server, 0, 1, weights(2.0));
+        let ack = Payload::Control(fedomd_transport::Control::Ack);
+        let got: Vec<Payload> = send(&mut chan, &mut mem, 0, 0, ack.clone()).collect();
+        assert_eq!(got, std::slice::from_ref(&ack));
+        assert_eq!(
+            mem.events,
+            [
+                RoundEvent::FrameSent {
+                    kind: "WeightUpdate",
+                    bytes: encoded_len(0, 0, weights(1.0)),
+                },
+                RoundEvent::FrameSent {
+                    kind: "WeightUpdate",
+                    bytes: encoded_len(0, 1, weights(2.0)),
+                },
+                RoundEvent::FrameSent {
+                    kind: "Control",
+                    bytes: encoded_len(0, SERVER_SENDER, ack),
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_lost_frame_becomes_one_dropped_event_with_the_sent_kind_and_bytes() {
+        use fedomd_transport::{FaultConfig, SimNetChannel};
+        let mut chan = SimNetChannel::new(FaultConfig {
+            drop_prob: 1.0,
+            max_retries: 0,
+            ..Default::default()
+        });
+        let mut server = ServerRound::new(false);
+        let mut mem = MemoryObserver::new();
+        up(&mut chan, &mut mem, &mut server, 0, 3, weights(1.0));
+        let model = Payload::GlobalModel { params: Vec::new() };
+        assert_eq!(send(&mut chan, &mut mem, 0, 3, model.clone()).count(), 0);
+        let up_bytes = encoded_len(0, 3, weights(1.0));
+        let down_bytes = encoded_len(0, SERVER_SENDER, model);
+        assert_eq!(
+            mem.events,
+            [
+                RoundEvent::FrameSent {
+                    kind: "WeightUpdate",
+                    bytes: up_bytes,
+                },
+                RoundEvent::FrameDropped {
+                    kind: "WeightUpdate",
+                    bytes: up_bytes,
+                },
+                RoundEvent::FrameSent {
+                    kind: "GlobalModel",
+                    bytes: down_bytes,
+                },
+                RoundEvent::FrameDropped {
+                    kind: "GlobalModel",
+                    bytes: down_bytes,
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn the_ledger_is_the_fold_of_a_lossy_fedomd_trace() {
+        use fedomd_transport::{FaultConfig, SimNetChannel};
+        let (clients, k) = omd_clients(3, 7);
+        let mut cfg = omd_cfg(7);
+        cfg.rounds = 10;
+        let mut sim = SimNetChannel::new(FaultConfig {
+            seed: 9,
+            drop_prob: 0.2,
+            max_retries: 1,
+            ..Default::default()
+        });
+        let mut mem = MemoryObserver::new();
+        let r = run(
+            &clients,
+            k,
+            &cfg,
+            &Strategy::FedOmd(FedOmdConfig::paper()),
+            &mut sim,
+            &mut mem,
+            Persistence::default(),
+        );
+        let mut folded = CommsLog::new();
+        for e in &mem.events {
+            folded.on_event(e);
+            // Each round closes on the cumulative ledger so far.
+            if let RoundEvent::RoundFinished {
+                uplink_bytes,
+                downlink_bytes,
+                dropped_messages,
+                ..
+            } = *e
+            {
+                assert_eq!(uplink_bytes, folded.uplink_bytes);
+                assert_eq!(downlink_bytes, folded.downlink_bytes);
+                assert_eq!(dropped_messages, folded.dropped_messages);
+            }
+        }
+        assert_eq!(folded, r.comms);
+        assert!(r.comms.dropped_messages > 0, "20% loss dropped nothing");
+        assert_eq!(mem.count("frame_dropped") as u64, r.comms.dropped_messages);
     }
 
     #[test]

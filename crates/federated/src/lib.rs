@@ -36,7 +36,7 @@ pub use baselines::Baseline;
 pub use client::{
     client_shard, setup_federation, setup_federation_planted, ClientData, FederationConfig,
 };
-pub use comms::{CommsLog, Direction, TrafficClass};
+pub use comms::CommsLog;
 pub use config::{
     CohortConfig, CohortConfigError, FedOmdConfig, RoundStats, RunResult, TrainConfig,
 };

@@ -36,7 +36,6 @@ use fedomd_transport::{from_tensors, to_tensors, ChannelState, Envelope, Payload
 
 use crate::baselines::{fedlit, fedsage, Baseline};
 use crate::client::ClientData;
-use crate::comms::CommsLog;
 use crate::config::{FedOmdConfig, TrainConfig};
 use crate::engine::{
     build_fedomd_model, build_model, DriverState, ModelKind, OptimState, ResumeState, Strategy,
@@ -87,13 +86,13 @@ impl ClientSession {
         Self::with_model(cfg, &Strategy::FedOmd(*omd), model, 1.0)
     }
 
-    /// One fresh session per client; the shards they train and evaluate
-    /// on (the clients' own, or FedSage+'s mended graphs); and the traffic
-    /// of the set-up exchange, in encoded frame bytes. A strategy that
-    /// starts every client from one common model builds it once and clones
-    /// it; LocGCN builds independent models. FedLIT and FedSage+ first run
-    /// their federated set-up exchange, timed as `PhaseDone` segments on
-    /// `obs`; it is a pure function of the seed and the shards, so a
+    /// One fresh session per client, and the shards they train and
+    /// evaluate on (the clients' own, or FedSage+'s mended graphs). A
+    /// strategy that starts every client from one common model builds it
+    /// once and clones it; LocGCN builds independent models. FedLIT and
+    /// FedSage+ first run their federated set-up exchange, timed as
+    /// `PhaseDone` segments on `obs`, its frames reported to `obs` as
+    /// `FrameSent`; it is a pure function of the seed and the shards, so a
     /// resumed run re-derives it.
     pub(crate) fn federation<'c>(
         cfg: &TrainConfig,
@@ -101,15 +100,14 @@ impl ClientSession {
         clients: &'c [ClientData],
         n_classes: usize,
         obs: &mut dyn RoundObserver,
-    ) -> (Vec<Self>, Cow<'c, [ClientData]>, CommsLog) {
-        let mut setup = CommsLog::new();
-        let (shards, models) = initial_models(cfg, strategy, clients, n_classes, &mut setup, obs);
+    ) -> (Vec<Self>, Cow<'c, [ClientData]>) {
+        let (shards, models) = initial_models(cfg, strategy, clients, n_classes, obs);
         let m = clients.len();
         let share = cfg.cohort.cohort_size(m) as f32 / m as f32;
         let sessions = models
             .map(|model| Self::with_model(cfg, strategy, model, share))
             .collect();
-        (sessions, shards, setup)
+        (sessions, shards)
     }
 
     /// A session around `model`; `share` is the fraction of the federation
@@ -683,7 +681,6 @@ fn initial_models<'c>(
     strategy: &Strategy,
     clients: &'c [ClientData],
     n_classes: usize,
-    setup: &mut CommsLog,
     obs: &mut dyn RoundObserver,
 ) -> (Cow<'c, [ClientData]>, InitialModels) {
     let Some(first) = clients.first() else {
@@ -717,11 +714,11 @@ fn initial_models<'c>(
                 return (Cow::Borrowed(clients), Box::new(models.into_iter()));
             }
             Baseline::FedLit => {
-                let models = fedlit::setup(cfg, clients, n_classes, setup, obs);
+                let models = fedlit::setup(cfg, clients, n_classes, obs);
                 return (Cow::Borrowed(clients), Box::new(models.into_iter()));
             }
             Baseline::FedSagePlus => {
-                let (mended, models) = fedsage::setup(cfg, clients, n_classes, setup, obs);
+                let (mended, models) = fedsage::setup(cfg, clients, n_classes, obs);
                 return (Cow::Owned(mended), Box::new(models.into_iter()));
             }
         },
@@ -850,7 +847,7 @@ mod tests {
         cfg: &TrainConfig,
         strategy: &Strategy,
     ) -> RunResult {
-        let (mut sessions, shards, _) =
+        let (mut sessions, shards) =
             ClientSession::federation(cfg, strategy, clients, n_classes, &mut NullObserver);
         let clients = &shards[..];
         let mut server = ServerRound::new(false);

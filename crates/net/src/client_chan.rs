@@ -13,7 +13,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
-use fedomd_transport::{admit_by_deadline, Channel, ChannelState, Envelope, NetStats};
+use fedomd_transport::{admit_by_deadline, Channel, Envelope, LostFrame};
 
 use crate::stream::{read_frame, write_prefixed};
 
@@ -28,7 +28,9 @@ pub struct TcpClientChannel {
     writer: TcpStream,
     rx: Receiver<(Envelope, usize)>,
     carry: Vec<(Envelope, usize)>,
-    stats: NetStats,
+    /// Frames discarded since the last [`Channel::drain_lost`]: late
+    /// downlinks, and uploads the connection refused.
+    lost: Vec<LostFrame>,
     phase_timeout: Duration,
     dead: bool,
 }
@@ -63,7 +65,7 @@ impl TcpClientChannel {
             writer: stream,
             rx,
             carry: Vec::new(),
-            stats: NetStats::default(),
+            lost: Vec::new(),
             phase_timeout,
             dead: false,
         })
@@ -87,19 +89,11 @@ impl Channel for TcpClientChannel {
     fn upload(&mut self, env: Envelope) -> usize {
         let frame = env.encode();
         let n = frame.len();
-        self.stats.sent_frames += 1;
-        self.stats.sent_bytes += n as u64;
-        match write_prefixed(&mut self.writer, &frame) {
-            Ok(()) => {
-                // Handed to the OS; a server-side deadline miss is counted
-                // dropped by the server's accounting, not ours.
-                self.stats.delivered_frames += 1;
-                self.stats.delivered_bytes += n as u64;
-            }
-            Err(_) => {
-                self.stats.dropped_frames += 1;
-                self.dead = true;
-            }
+        // Once handed to the OS, a server-side deadline miss is the
+        // server's loss to report, not ours.
+        if write_prefixed(&mut self.writer, &frame).is_err() {
+            self.lost.push((env.payload.kind(), n as u64));
+            self.dead = true;
         }
         n
     }
@@ -182,20 +176,18 @@ impl Channel for TcpClientChannel {
         }
 
         let mut envs: Vec<Envelope> =
-            admit_by_deadline(batch, deadline_ms, &mut self.stats, |(_, len)| *len)
-                .into_iter()
-                .map(|(env, _)| env)
-                .collect();
+            admit_by_deadline(batch, deadline_ms, &mut self.lost, |(env, len)| {
+                (env.payload.kind(), *len as u64)
+            })
+            .into_iter()
+            .map(|(env, _)| env)
+            .collect();
         envs.sort_by_key(|e| e.sender);
         envs
     }
 
-    fn stats(&self) -> NetStats {
-        self.stats
-    }
-
-    fn restore_state(&mut self, state: &ChannelState) {
-        self.stats = state.stats;
+    fn drain_lost(&mut self) -> Vec<LostFrame> {
+        std::mem::take(&mut self.lost)
     }
 }
 
@@ -236,8 +228,7 @@ mod tests {
         let (got, len) = read_frame(&mut s, DEFAULT_MAX_FRAME_BYTES).expect("server read");
         assert_eq!(len, n);
         assert_eq!(got, up);
-        assert_eq!(chan.stats().sent_frames, 1);
-        assert_eq!(chan.stats().delivered_frames, 1);
+        assert!(chan.drain_lost().is_empty());
 
         // Server pushes this round's frame and a future one: the collect
         // returns the first and carries the second.
@@ -274,7 +265,11 @@ mod tests {
         let got = chan.client_collect(1, 2);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].round, 2);
-        assert_eq!(chan.stats().dropped_frames, 1, "the round-0 leftover");
-        assert_eq!(chan.stats().delivered_frames, 1);
+        let late = env(0).encoded_len() as u64;
+        assert_eq!(
+            chan.drain_lost(),
+            [("Control", late)],
+            "the round-0 leftover"
+        );
     }
 }

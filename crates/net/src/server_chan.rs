@@ -12,8 +12,8 @@
 //! blocks until a frame for the round lands, until none of the named
 //! senders is connected any more (a `Left` wakes it), or until the phase
 //! deadline passes, then routes the arrivals through
-//! [`admit_by_deadline`] — the same admit/drop accounting the in-process
-//! fault simulator uses — so a straggler or disconnect degrades the
+//! [`admit_by_deadline`] — the same admit/drop rule the in-process fault
+//! simulator uses — so a straggler or disconnect degrades the
 //! round to partial aggregation instead of wedging it. The channel knows
 //! nothing about phases: it answers liveness per sender and blocks.
 
@@ -25,7 +25,7 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use fedomd_transport::{admit_by_deadline, Channel, ChannelState, Envelope, NetStats, Payload};
+use fedomd_transport::{admit_by_deadline, Channel, Envelope, LostFrame, Payload};
 
 use crate::stream::write_prefixed;
 
@@ -217,7 +217,9 @@ pub struct TcpServerChannel {
     rx: Receiver<Inbound>,
     peers: BTreeMap<u32, Peer>,
     carry: Vec<(Envelope, usize)>,
-    stats: NetStats,
+    /// Frames discarded since the last [`Channel::drain_lost`]: stale,
+    /// late, or written to a peer that is gone.
+    lost: Vec<LostFrame>,
     phase_timeout: Duration,
     shared: Arc<SyncShared>,
 }
@@ -230,7 +232,7 @@ impl TcpServerChannel {
             rx,
             peers: BTreeMap::new(),
             carry: Vec::new(),
-            stats: NetStats::default(),
+            lost: Vec::new(),
             phase_timeout,
             shared,
         }
@@ -296,7 +298,7 @@ impl TcpServerChannel {
                 if self.peers.get(&id).map(|p| p.gen) != Some(gen) {
                     // Raced out of a connection that was since evicted:
                     // the client already moved on, the frame is stale.
-                    self.stats.dropped_frames += 1;
+                    self.lost.push((env.payload.kind(), len as u64));
                     return;
                 }
                 match collecting {
@@ -400,10 +402,12 @@ impl Channel for TcpServerChannel {
         }
 
         let mut envs: Vec<Envelope> =
-            admit_by_deadline(c.batch, deadline_ms, &mut self.stats, |(_, len)| *len)
-                .into_iter()
-                .map(|(env, _)| env)
-                .collect();
+            admit_by_deadline(c.batch, deadline_ms, &mut self.lost, |(env, len)| {
+                (env.payload.kind(), *len as u64)
+            })
+            .into_iter()
+            .map(|(env, _)| env)
+            .collect();
         envs.sort_by_key(|e| e.sender);
         envs
     }
@@ -411,29 +415,22 @@ impl Channel for TcpServerChannel {
     fn download(&mut self, to: u32, env: Envelope) -> usize {
         let frame = env.encode();
         let n = frame.len();
-        self.stats.sent_frames += 1;
-        self.stats.sent_bytes += n as u64;
+        let gone = (env.payload.kind(), n as u64);
         if matches!(env.payload, Payload::GlobalModel { .. }) {
             // Snooped for the handshake: a client joining later starts
             // from this aggregation.
             self.shared.set_model(frame.clone());
         }
         match self.peers.get_mut(&to) {
-            Some(peer) => match write_prefixed(&mut peer.writer, &frame) {
-                Ok(()) => {
-                    self.stats.delivered_frames += 1;
-                    self.stats.delivered_bytes += n as u64;
-                }
-                Err(_) => {
+            Some(peer) => {
+                if write_prefixed(&mut peer.writer, &frame).is_err() {
                     // A dead connection; the reader thread's `Left` will
                     // follow, but stop writing to it right away.
-                    self.stats.dropped_frames += 1;
+                    self.lost.push(gone);
                     self.peers.remove(&to);
                 }
-            },
-            None => {
-                self.stats.dropped_frames += 1;
             }
+            None => self.lost.push(gone),
         }
         n
     }
@@ -454,13 +451,12 @@ impl Channel for TcpServerChannel {
         const SLICE: usize = 128 * 1024;
         let frame = env.encode();
         let n = frame.len();
+        let gone = (env.payload.kind(), n as u64);
         if matches!(env.payload, Payload::GlobalModel { .. }) {
             // Snooped for the handshake: a client joining later starts
             // from this aggregation.
             self.shared.set_model(frame.clone());
         }
-        self.stats.sent_frames += to.len() as u64;
-        self.stats.sent_bytes += (to.len() * n) as u64;
         let mut live: Vec<u32> = Vec::with_capacity(to.len());
         for &id in to {
             match self.peers.get_mut(&id) {
@@ -471,26 +467,24 @@ impl Channel for TcpServerChannel {
                     Err(_) => {
                         // A dead connection; the reader thread's `Left`
                         // will follow, but stop writing to it right away.
-                        self.stats.dropped_frames += 1;
+                        self.lost.push(gone);
                         self.peers.remove(&id);
                     }
                 },
-                None => {
-                    self.stats.dropped_frames += 1;
-                }
+                None => self.lost.push(gone),
             }
         }
         for start in (0..n).step_by(SLICE) {
             let slice = &frame[start..(start + SLICE).min(n)];
             live.retain(|&id| {
                 let Some(peer) = self.peers.get_mut(&id) else {
-                    self.stats.dropped_frames += 1;
+                    self.lost.push(gone);
                     return false;
                 };
                 match peer.writer.write_all(slice) {
                     Ok(()) => true,
                     Err(_) => {
-                        self.stats.dropped_frames += 1;
+                        self.lost.push(gone);
                         self.peers.remove(&id);
                         false
                     }
@@ -499,11 +493,8 @@ impl Channel for TcpServerChannel {
         }
         for &id in &live {
             if let Some(peer) = self.peers.get_mut(&id) {
-                if peer.writer.flush().is_ok() {
-                    self.stats.delivered_frames += 1;
-                    self.stats.delivered_bytes += n as u64;
-                } else {
-                    self.stats.dropped_frames += 1;
+                if peer.writer.flush().is_err() {
+                    self.lost.push(gone);
                     self.peers.remove(&id);
                 }
             }
@@ -516,12 +507,8 @@ impl Channel for TcpServerChannel {
         Vec::new()
     }
 
-    fn stats(&self) -> NetStats {
-        self.stats
-    }
-
-    fn restore_state(&mut self, state: &ChannelState) {
-        self.stats = state.stats;
+    fn drain_lost(&mut self) -> Vec<LostFrame> {
+        std::mem::take(&mut self.lost)
     }
 }
 
@@ -598,8 +585,7 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].sender, 0);
         assert_eq!(got[1].sender, 1);
-        assert_eq!(chan.stats().delivered_frames, 2);
-        assert_eq!(chan.stats().dropped_frames, 0);
+        assert!(chan.drain_lost().is_empty());
     }
 
     /// A channel with `ids` joined (all active from round 0), a 5 s phase
@@ -637,7 +623,7 @@ mod tests {
         let got = chan.server_await(0, &[0]);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].sender, 0);
-        assert_eq!(chan.stats().delivered_frames, 2);
+        assert!(chan.drain_lost().is_empty());
         assert!(t.elapsed() < Duration::from_secs(1), "must not wait");
     }
 
@@ -719,12 +705,13 @@ mod tests {
         let got = chan.server_collect(1);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].round, 1);
-        // A round-0 straggler arriving during round 2 is counted dropped.
+        // A round-0 straggler arriving during round 2 is listed lost.
         tx.send(frame_ev(0, 0)).unwrap();
         tx.send(frame_ev(2, 0)).unwrap();
         let got = chan.server_collect(2);
         assert_eq!(got.len(), 1);
-        assert_eq!(chan.stats().dropped_frames, 1);
+        let late = env(0, 0).encoded_len() as u64;
+        assert_eq!(chan.drain_lost(), [("Metrics", late)]);
     }
 
     #[test]
@@ -746,8 +733,11 @@ mod tests {
         assert!(shared.model_frame().is_none());
         let n = chan.download(9, model.clone());
         assert_eq!(n, model.encoded_len());
-        assert_eq!(chan.stats().sent_frames, 1);
-        assert_eq!(chan.stats().dropped_frames, 1, "no such peer");
+        assert_eq!(
+            chan.drain_lost(),
+            [("GlobalModel", n as u64)],
+            "no such peer"
+        );
         // ... but the model frame is still remembered for joiners.
         assert_eq!(shared.model_frame(), Some(model.encode()));
     }
@@ -780,12 +770,10 @@ mod tests {
                 }],
             },
         };
-        // Peer 7 never joined: counted dropped, the rest still delivered.
+        // Peer 7 never joined: listed lost, the rest still delivered.
         let n = chan.download_many(&[0, 1, 7], model.clone());
         assert_eq!(n, model.encoded_len());
-        assert_eq!(chan.stats().sent_frames, 3);
-        assert_eq!(chan.stats().delivered_frames, 2);
-        assert_eq!(chan.stats().dropped_frames, 1);
+        assert_eq!(chan.drain_lost(), [("GlobalModel", n as u64)]);
         // Both live peers got the identical encoded frame...
         for far in [&mut far0, &mut far1] {
             let body = crate::stream::read_prefixed(far, fedomd_transport::DEFAULT_MAX_FRAME_BYTES)
@@ -827,8 +815,12 @@ mod tests {
         let got = chan.server_collect(0);
         assert_eq!(chan.n_peers(), 1, "the rejoined peer must survive");
         assert_eq!(got.len(), 1);
-        assert_eq!(chan.stats().delivered_frames, 1);
-        assert_eq!(chan.stats().dropped_frames, 1, "the stale-gen frame");
+        let stale = env(0, 0).encoded_len() as u64;
+        assert_eq!(
+            chan.drain_lost(),
+            [("Metrics", stale)],
+            "the stale-gen frame"
+        );
         // The *matching* Left still evicts.
         tx.send(Inbound::Left { id: 0, gen: 2 }).unwrap();
         let _ = chan.server_collect(1);

@@ -77,14 +77,19 @@ pub enum RoundEvent {
         /// missed the global statistics).
         cmd: f64,
     },
-    /// An encoded frame was handed to the channel.
+    /// An encoded frame crossed the wire, reported once by the run's
+    /// driver: at send on the in-process round and the TCP client, at
+    /// admission (uplink) and broadcast (downlink) on the TCP server. The
+    /// run's byte ledger is the fold of these events, sorted by `kind`.
     FrameSent {
         /// Payload kind (`"WeightUpdate"`, `"StatsRound1"`, ...).
         kind: &'static str,
         /// Encoded frame size in bytes.
         bytes: u64,
     },
-    /// A frame never reached its destination (dropped or past deadline).
+    /// A frame never reached its destination (dropped, past its deadline,
+    /// or written to a peer that is gone), reported once by the driver of
+    /// the transport that discarded it.
     FrameDropped {
         /// Payload kind of the lost frame.
         kind: &'static str,

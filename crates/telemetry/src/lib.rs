@@ -3,7 +3,7 @@
 //! Production FL systems treat per-round telemetry as the substrate that
 //! straggler debugging, drop analysis, and convergence monitoring are
 //! built on (FedScale's runtime metrics, Flower's event-driven API). This
-//! crate is that substrate for the FedOMD workspace, in four pieces:
+//! crate is that substrate for the FedOMD workspace, in three pieces:
 //!
 //! * [`event`] — the [`RoundEvent`] taxonomy (run/round lifecycle, local
 //!   steps with loss components, frame sends/drops, statistics-exchange
@@ -15,9 +15,6 @@
 //!   [`JsonlObserver`] streaming one event per line (what
 //!   `fedomd_run --telemetry <path>` writes). [`MemoryObserver`] and
 //!   [`TeeObserver`] support tests and composition.
-//! * [`observed`] — [`ObservedChannel`], the transparent transport
-//!   wrapper that converts wire activity of *any* [`fedomd_transport`]
-//!   channel into frame events without changing its behaviour.
 //! * [`stopwatch`] — [`PhaseStopwatch`], one-shot phase timing that emits
 //!   `PhaseDone` segments.
 //!
@@ -28,12 +25,10 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
-pub mod observed;
 pub mod observer;
 pub mod stopwatch;
 
 pub use event::{Phase, RoundEvent};
-pub use observed::ObservedChannel;
 pub use observer::{
     ConsoleObserver, JsonlObserver, MemoryObserver, NullObserver, RoundObserver, TeeObserver,
 };

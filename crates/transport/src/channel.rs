@@ -9,46 +9,29 @@
 //! [`client_collect`](Channel::client_collect)s. Every message crosses the
 //! boundary as encoded frame bytes — the byte counts the comms accounting
 //! reports are the sizes of real serialised frames, not hand-counted
-//! scalars — and faults surface as *missing envelopes* plus counters in
-//! [`NetStats`], never as panics, so the round logic can degrade to
-//! partial aggregation.
+//! scalars — and faults surface as *missing envelopes*, each also listed
+//! once by [`Channel::drain_lost`], never as panics, so the round logic
+//! can degrade to partial aggregation.
 
 use crate::frame::Envelope;
 
-/// Transport-level counters accumulated over a channel's lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Frames handed to the channel for transmission, counting each
-    /// retransmission attempt separately.
-    pub sent_frames: u64,
-    /// Bytes across all transmission attempts.
-    pub sent_bytes: u64,
-    /// Frames that reached their destination in time.
-    pub delivered_frames: u64,
-    /// Bytes of delivered frames.
-    pub delivered_bytes: u64,
-    /// Frames lost for good: every retry dropped, or the frame arrived
-    /// after the receiver's round deadline.
-    pub dropped_frames: u64,
-    /// Retransmission attempts beyond each frame's first send.
-    pub retries: u64,
-}
+/// A frame a transport discarded: its payload kind and encoded size.
+pub type LostFrame = (&'static str, u64);
 
 /// Persistent channel state carried across a checkpoint/resume cycle.
 ///
 /// This is everything a resumed run needs to replay the *remaining* rounds
-/// exactly: the fault-stream cursor (so a simulated network draws the same
-/// drop/jitter decisions it would have drawn uninterrupted) and the
-/// cumulative counters (so drop accounting keeps counting from where it
-/// was). In-flight frames are deliberately absent — snapshots are taken at
-/// round boundaries, where every pending queue has been drained.
+/// exactly: the fault-stream cursor, so a simulated network draws the same
+/// drop/jitter decisions it would have drawn uninterrupted. Traffic and
+/// losses are not here: the run's byte ledger, checkpointed with the
+/// driver, holds them. In-flight frames are deliberately absent —
+/// snapshots are taken at round boundaries, where every pending queue has
+/// been drained.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelState {
     /// Per-frame sequence number of the fault RNG stream
     /// ([`crate::SimNetChannel`]); 0 for channels without one.
     pub seq: u64,
-    /// Cumulative transport counters at the snapshot.
-    pub stats: NetStats,
 }
 
 /// A bidirectional star topology between one server and `n` clients.
@@ -100,17 +83,21 @@ pub trait Channel {
     /// when everything addressed to it was dropped.
     fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope>;
 
-    /// Counters so far.
-    fn stats(&self) -> NetStats;
+    /// The frames this transport discarded since the last call, in the
+    /// order it gave up on them: every retry lost, past the deadline, a
+    /// stale connection's, or written to a peer that is gone. A driver
+    /// reports each as one `FrameDropped`, right after the collect that
+    /// answered for it. The default is empty: a lockstep in-process
+    /// channel never loses a frame.
+    fn drain_lost(&mut self) -> Vec<LostFrame> {
+        Vec::new()
+    }
 
     /// Snapshots the state a run checkpoint must carry so the resumed run
     /// replays the remaining rounds exactly. Call only at a round
     /// boundary, when no frames are in flight.
     fn export_state(&self) -> ChannelState {
-        ChannelState {
-            seq: 0,
-            stats: self.stats(),
-        }
+        ChannelState::default()
     }
 
     /// Restores a snapshot taken by [`Channel::export_state`] into an
@@ -122,31 +109,29 @@ pub trait Channel {
 }
 
 /// Splits arrival-stamped items at a phase deadline: in-time items are
-/// delivered (counted into `stats.delivered_*`), late ones are counted
-/// dropped and discarded — the single code path that turns stragglers into
+/// delivered, late ones are appended to `lost` (as `frame_of` describes
+/// them) and discarded — the single code path that turns stragglers into
 /// partial aggregation.
 ///
 /// Both the virtual-time [`crate::SimNetChannel`] and the wall-clock TCP
-/// channel (`fedomd-net`) route every admit/drop decision through here, so
-/// "a frame that misses its phase deadline is dropped, and the counters
-/// say so" means exactly the same thing on both transports. `arrival_ms`
-/// is milliseconds since the phase opened (virtual or real);
-/// `f64::INFINITY` marks a frame known to be late regardless of the
-/// deadline (e.g. one that surfaced after its round already closed).
+/// channels (`fedomd-net`) route every admit/drop decision through here, so
+/// "a frame that misses its phase deadline is dropped, and reported lost"
+/// means exactly the same thing on both transports. `arrival_ms` is
+/// milliseconds since the phase opened (virtual or real); `f64::INFINITY`
+/// marks a frame known to be late regardless of the deadline (e.g. one
+/// that surfaced after its round already closed).
 pub fn admit_by_deadline<T>(
     pending: Vec<(f64, T)>,
     deadline_ms: f64,
-    stats: &mut NetStats,
-    size_of: impl Fn(&T) -> usize,
+    lost: &mut Vec<LostFrame>,
+    frame_of: impl Fn(&T) -> LostFrame,
 ) -> Vec<T> {
     let mut in_time = Vec::new();
     for (arrival, item) in pending {
         if arrival <= deadline_ms {
-            stats.delivered_frames += 1;
-            stats.delivered_bytes += size_of(&item) as u64;
             in_time.push(item);
         } else {
-            stats.dropped_frames += 1;
+            lost.push(frame_of(&item));
         }
     }
     in_time

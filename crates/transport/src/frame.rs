@@ -236,6 +236,22 @@ impl Payload {
         }
     }
 
+    /// Whether a frame of `kind` (a [`Payload::kind`]) travels client →
+    /// server. With [`Payload::carries_weights`] this is the one table the
+    /// byte ledger sorts traffic by.
+    pub fn travels_up(kind: &str) -> bool {
+        matches!(
+            kind,
+            "WeightUpdate" | "StatsRound1" | "StatsRound2" | "Metrics"
+        )
+    }
+
+    /// Whether a frame of `kind` carries model weights; every other kind
+    /// counts as statistics (the split the paper's Table 3 is about).
+    pub fn carries_weights(kind: &str) -> bool {
+        matches!(kind, "WeightUpdate" | "GlobalModel")
+    }
+
     fn encode(&self, w: &mut ByteWriter) {
         match self {
             Payload::WeightUpdate { params } | Payload::GlobalModel { params } => {
@@ -550,6 +566,35 @@ mod tests {
                 payload: Payload::Control(Control::Abort("client lost".into())),
             },
         ]
+    }
+
+    #[test]
+    fn every_payload_kind_has_one_direction_and_class() {
+        let table: Vec<(&str, bool, bool)> = sample_envelopes()
+            .iter()
+            .map(|env| {
+                let kind = env.payload.kind();
+                (
+                    kind,
+                    Payload::travels_up(kind),
+                    Payload::carries_weights(kind),
+                )
+            })
+            .collect();
+        // (kind, uplink, weights) for all seven kinds, Control twice.
+        assert_eq!(
+            table,
+            [
+                ("WeightUpdate", true, true),
+                ("StatsRound1", true, false),
+                ("StatsRound2", true, false),
+                ("GlobalModel", false, true),
+                ("GlobalStats", false, false),
+                ("Control", false, false),
+                ("Metrics", true, false),
+                ("Control", false, false),
+            ]
+        );
     }
 
     #[test]

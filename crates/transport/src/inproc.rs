@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use crate::channel::{decode_round, Channel, ChannelState, NetStats};
+use crate::channel::{decode_round, Channel};
 use crate::frame::Envelope;
 
 /// Fault-free in-process channel over plain byte queues.
@@ -22,7 +22,6 @@ pub struct InProcChannel {
     up: VecDeque<Vec<u8>>,
     /// Downlink queue per client, grown on first use.
     down: Vec<VecDeque<Vec<u8>>>,
-    stats: NetStats,
 }
 
 impl InProcChannel {
@@ -31,7 +30,6 @@ impl InProcChannel {
         Self {
             up: VecDeque::new(),
             down: Vec::new(),
-            stats: NetStats::default(),
         }
     }
 
@@ -41,13 +39,6 @@ impl InProcChannel {
             self.down.push(VecDeque::new());
         }
         &mut self.down[idx]
-    }
-
-    fn record_send(&mut self, bytes: usize) {
-        self.stats.sent_frames += 1;
-        self.stats.sent_bytes += bytes as u64;
-        self.stats.delivered_frames += 1;
-        self.stats.delivered_bytes += bytes as u64;
     }
 }
 
@@ -62,7 +53,6 @@ impl Channel for InProcChannel {
         let frame = env.encode();
         let n = frame.len();
         self.up.push_back(frame);
-        self.record_send(n);
         n
     }
 
@@ -75,7 +65,6 @@ impl Channel for InProcChannel {
         let frame = env.encode();
         let n = frame.len();
         self.down_queue(to).push_back(frame);
-        self.record_send(n);
         n
     }
 
@@ -85,16 +74,6 @@ impl Channel for InProcChannel {
             None => Vec::new(),
         };
         decode_round(&frames, round)
-    }
-
-    fn stats(&self) -> NetStats {
-        self.stats
-    }
-
-    /// The channel draws no randomness, so only the cumulative counters
-    /// need restoring for resumed accounting to continue exactly.
-    fn restore_state(&mut self, state: &ChannelState) {
-        self.stats = state.stats;
     }
 }
 
@@ -157,19 +136,16 @@ mod tests {
         let expect = env.encode().len();
         let n = ch.upload(env.clone());
         assert_eq!(n, expect);
-        let m = ch.download(
-            0,
-            Envelope {
-                payload: Payload::Control(Control::Ack),
-                ..env
-            },
-        );
-        let s = ch.stats();
-        assert_eq!(s.sent_frames, 2);
-        assert_eq!(s.sent_bytes, (n + m) as u64);
-        assert_eq!(s.delivered_bytes, s.sent_bytes);
-        assert_eq!(s.dropped_frames, 0);
-        assert_eq!(s.retries, 0);
+        let ack = Envelope {
+            payload: Payload::Control(Control::Ack),
+            ..env
+        };
+        let m = ch.download(0, ack.clone());
+        assert_eq!(m, ack.encode().len());
+        // Both frames are delivered, and nothing is ever lost.
+        assert_eq!(ch.server_collect(0).len(), 1);
+        assert_eq!(ch.client_collect(0, 0).len(), 1);
+        assert!(ch.drain_lost().is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use rand::Rng;
 
-use crate::channel::{admit_by_deadline, decode_round, Channel, ChannelState, NetStats};
+use crate::channel::{admit_by_deadline, decode_round, Channel, ChannelState, LostFrame};
 use crate::frame::Envelope;
 use fedomd_tensor::rng::{derive, seeded};
 
@@ -64,8 +64,9 @@ impl Default for FaultConfig {
     }
 }
 
-/// A frame in flight: virtual arrival time plus its bytes.
-type InFlight = (f64, Vec<u8>);
+/// A frame in flight: virtual arrival time, then its payload kind and
+/// bytes.
+type InFlight = (f64, (&'static str, Vec<u8>));
 
 /// Simulated lossy star network between a server and its clients.
 pub struct SimNetChannel {
@@ -74,7 +75,10 @@ pub struct SimNetChannel {
     seq: u64,
     up_pending: Vec<InFlight>,
     down_pending: Vec<Vec<InFlight>>,
-    stats: NetStats,
+    /// Frames given up on since the last [`Channel::drain_lost`].
+    lost: Vec<LostFrame>,
+    /// Retransmission attempts beyond each frame's first send.
+    retries: u64,
 }
 
 impl SimNetChannel {
@@ -94,7 +98,8 @@ impl SimNetChannel {
             seq: 0,
             up_pending: Vec::new(),
             down_pending: Vec::new(),
-            stats: NetStats::default(),
+            lost: Vec::new(),
+            retries: 0,
         }
     }
 
@@ -103,11 +108,18 @@ impl SimNetChannel {
         &self.cfg
     }
 
-    /// Simulates transmitting `frame` over the link of client `endpoint`
-    /// (the client end of the link, whichever direction the frame moves).
-    /// Returns the virtual arrival time, or `None` when every attempt
-    /// dropped.
-    fn transmit(&mut self, endpoint: u32, frame_len: usize) -> Option<f64> {
+    /// Retransmission attempts beyond each frame's first send, since this
+    /// channel was constructed — what only the transport knows; every
+    /// frame it lost is reported through [`Channel::drain_lost`].
+    pub fn retries(&self) -> u64 {
+        self.retries
+    }
+
+    /// Simulates transmitting a `kind` frame of `frame_len` bytes over the
+    /// link of client `endpoint` (the client end of the link, whichever
+    /// direction the frame moves). Returns the virtual arrival time, or
+    /// `None` (the frame listed lost) when every attempt dropped.
+    fn transmit(&mut self, endpoint: u32, kind: &'static str, frame_len: usize) -> Option<f64> {
         let mut rng = seeded(derive(self.cfg.seed, self.seq));
         self.seq += 1;
 
@@ -120,10 +132,8 @@ impl SimNetChannel {
         let mut depart = 0.0f64; // backoff accumulates departure time
         let mut backoff = self.cfg.backoff_ms;
         for attempt in 0..=self.cfg.max_retries {
-            self.stats.sent_frames += 1;
-            self.stats.sent_bytes += frame_len as u64;
             if attempt > 0 {
-                self.stats.retries += 1;
+                self.retries += 1;
             }
             let jitter = if self.cfg.jitter_ms > 0.0 {
                 rng.gen_range(0.0..self.cfg.jitter_ms)
@@ -138,20 +148,23 @@ impl SimNetChannel {
             depart += backoff;
             backoff *= 2.0;
         }
-        self.stats.dropped_frames += 1;
+        self.lost.push((kind, frame_len as u64));
         None
     }
 
     /// Splits `pending` at the phase deadline via the shared
     /// [`admit_by_deadline`] helper: in-time frames are delivered, late
-    /// ones are counted dropped (stragglers that missed the round).
+    /// ones are listed lost (stragglers that missed the round).
     fn drain_by_deadline(&mut self, pending: Vec<InFlight>, round: u64) -> Vec<Envelope> {
-        let in_time = admit_by_deadline(
+        let in_time: Vec<Vec<u8>> = admit_by_deadline(
             pending,
             self.cfg.round_timeout_ms,
-            &mut self.stats,
-            Vec::len,
-        );
+            &mut self.lost,
+            |(kind, frame)| (*kind, frame.len() as u64),
+        )
+        .into_iter()
+        .map(|(_, frame)| frame)
+        .collect();
         decode_round(&in_time, round)
     }
 }
@@ -160,8 +173,9 @@ impl Channel for SimNetChannel {
     fn upload(&mut self, env: Envelope) -> usize {
         let frame = env.encode();
         let n = frame.len();
-        if let Some(arrival) = self.transmit(env.sender, n) {
-            self.up_pending.push((arrival, frame));
+        let kind = env.payload.kind();
+        if let Some(arrival) = self.transmit(env.sender, kind, n) {
+            self.up_pending.push((arrival, (kind, frame)));
         }
         n
     }
@@ -174,12 +188,13 @@ impl Channel for SimNetChannel {
     fn download(&mut self, to: u32, env: Envelope) -> usize {
         let frame = env.encode();
         let n = frame.len();
-        if let Some(arrival) = self.transmit(to, n) {
+        let kind = env.payload.kind();
+        if let Some(arrival) = self.transmit(to, kind, n) {
             let idx = to as usize;
             while self.down_pending.len() <= idx {
                 self.down_pending.push(Vec::new());
             }
-            self.down_pending[idx].push((arrival, frame));
+            self.down_pending[idx].push((arrival, (kind, frame)));
         }
         n
     }
@@ -192,15 +207,12 @@ impl Channel for SimNetChannel {
         self.drain_by_deadline(pending, round)
     }
 
-    fn stats(&self) -> NetStats {
-        self.stats
+    fn drain_lost(&mut self) -> Vec<LostFrame> {
+        std::mem::take(&mut self.lost)
     }
 
     fn export_state(&self) -> ChannelState {
-        ChannelState {
-            seq: self.seq,
-            stats: self.stats,
-        }
+        ChannelState { seq: self.seq }
     }
 
     /// Restoring `seq` realigns the per-frame fault RNG stream, so the
@@ -208,7 +220,6 @@ impl Channel for SimNetChannel {
     /// uninterrupted one would have drawn from this point on.
     fn restore_state(&mut self, state: &ChannelState) {
         self.seq = state.seq;
-        self.stats = state.stats;
     }
 }
 
@@ -243,10 +254,8 @@ mod tests {
             got.iter().map(|e| e.sender).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 4]
         );
-        let s = ch.stats();
-        assert_eq!(s.dropped_frames, 0);
-        assert_eq!(s.retries, 0);
-        assert_eq!(s.delivered_frames, 5);
+        assert!(ch.drain_lost().is_empty());
+        assert_eq!(ch.retries(), 0);
     }
 
     #[test]
@@ -257,13 +266,11 @@ mod tests {
             ..Default::default()
         };
         let mut ch = SimNetChannel::new(cfg);
-        ch.upload(env(0, 0));
+        let bytes = ch.upload(env(0, 0)) as u64;
         assert!(ch.server_collect(0).is_empty());
-        let s = ch.stats();
-        assert_eq!(s.dropped_frames, 1);
-        assert_eq!(s.sent_frames, 3, "1 original + 2 retries");
-        assert_eq!(s.retries, 2);
-        assert_eq!(s.delivered_frames, 0);
+        assert_eq!(ch.drain_lost(), [("WeightUpdate", bytes)]);
+        assert_eq!(ch.retries(), 2, "1 original + 2 retries");
+        assert!(ch.drain_lost().is_empty(), "each loss is listed once");
     }
 
     #[test]
@@ -276,15 +283,19 @@ mod tests {
                 ..Default::default()
             };
             let mut ch = SimNetChannel::new(cfg);
+            let mut delivered = Vec::new();
             for round in 0..10u64 {
                 for s in 0..4 {
                     ch.upload(env(round, s));
                 }
-                let got: Vec<u32> = ch.server_collect(round).iter().map(|e| e.sender).collect();
-                // consume got into a fingerprint via stats below
-                let _ = got;
+                delivered.push(
+                    ch.server_collect(round)
+                        .iter()
+                        .map(|e| e.sender)
+                        .collect::<Vec<_>>(),
+                );
             }
-            ch.stats()
+            (delivered, ch.drain_lost(), ch.retries())
         };
         assert_eq!(run(7), run(7));
         assert_ne!(
@@ -308,10 +319,9 @@ mod tests {
             ch.upload(env(0, i as u32));
         }
         let delivered = ch.server_collect(0).len() as u64;
-        let s = ch.stats();
-        assert_eq!(delivered + s.dropped_frames, total);
+        assert_eq!(delivered + ch.drain_lost().len() as u64, total);
         assert!(
-            s.retries > 0,
+            ch.retries() > 0,
             "with 50% loss some first attempts must have failed"
         );
         // P(all 4 attempts lost) = 1/16, so most frames should make it.
@@ -337,7 +347,10 @@ mod tests {
             vec![0, 2],
             "client 1 (latency 100ms) must miss the 50ms deadline"
         );
-        assert_eq!(ch.stats().dropped_frames, 1);
+        assert_eq!(
+            ch.drain_lost(),
+            [("WeightUpdate", env(2, 1).encoded_len() as u64)]
+        );
     }
 
     #[test]
@@ -350,7 +363,7 @@ mod tests {
         let mut ch = SimNetChannel::new(cfg);
         ch.download(0, env(0, crate::frame::SERVER_SENDER));
         assert!(ch.client_collect(0, 0).is_empty());
-        assert_eq!(ch.stats().dropped_frames, 1);
+        assert_eq!(ch.drain_lost().len(), 1);
     }
 
     #[test]
@@ -361,20 +374,18 @@ mod tests {
             jitter_ms: 2.0,
             ..Default::default()
         };
+        // Per round: who was delivered, and what was listed lost.
         let drive = |ch: &mut SimNetChannel, rounds: std::ops::Range<u64>| {
-            let mut delivered = Vec::new();
+            let mut trace = Vec::new();
             for round in rounds {
                 for s in 0..4 {
                     ch.upload(env(round, s));
                 }
-                delivered.push(
-                    ch.server_collect(round)
-                        .iter()
-                        .map(|e| e.sender)
-                        .collect::<Vec<_>>(),
-                );
+                let delivered: Vec<u32> =
+                    ch.server_collect(round).iter().map(|e| e.sender).collect();
+                trace.push((delivered, ch.drain_lost()));
             }
-            delivered
+            trace
         };
 
         // Uninterrupted reference run: 10 rounds straight through.
@@ -391,8 +402,10 @@ mod tests {
         let tail = drive(&mut resumed, 5..10);
 
         let stitched: Vec<_> = head.into_iter().chain(tail).collect();
-        assert_eq!(stitched, reference, "fault pattern must continue exactly");
-        assert_eq!(resumed.stats(), full.stats(), "counters must be cumulative");
+        assert_eq!(
+            stitched, reference,
+            "fault pattern and losses must continue exactly"
+        );
         assert_eq!(resumed.export_state(), full.export_state());
     }
 
@@ -417,13 +430,10 @@ mod tests {
             ch.upload(env(0, s));
         }
         let got = ch.server_collect(0);
-        let s = ch.stats();
+        let lost = ch.drain_lost().len();
         // Every delivered frame must have succeeded on its FIRST attempt:
         // any retry arrives at >= 100ms + 1ms > 10ms deadline.
-        assert_eq!(got.len() as u64 + s.dropped_frames, 20);
-        assert!(
-            s.dropped_frames > 0,
-            "some first attempts must drop at p=0.5"
-        );
+        assert_eq!(got.len() + lost, 20);
+        assert!(lost > 0, "some first attempts must drop at p=0.5");
     }
 }

@@ -12,7 +12,7 @@ use fedomd_core::{FedOmdConfig, FedRun};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::{setup_federation, FederationConfig, TrainConfig};
 use fedomd_telemetry::{MemoryObserver, RoundEvent};
-use fedomd_transport::{Channel, FaultConfig, InProcChannel, SimNetChannel};
+use fedomd_transport::{FaultConfig, SimNetChannel};
 
 fn main() {
     let dataset = generate(&spec(DatasetName::CoraMini), 0);
@@ -21,12 +21,10 @@ fn main() {
     let omd = FedOmdConfig::paper();
 
     // Baseline: the fault-free in-process channel a `FedRun` uses by
-    // default (routed explicitly here so we can read its stats after).
-    let mut inproc = InProcChannel::new();
+    // default.
     let clean = FedRun::new(&clients, dataset.n_classes)
         .train(cfg.clone())
         .omd(omd)
-        .channel(&mut inproc)
         .run();
 
     // The same run across a lossy network: 15 % frame loss, one retry,
@@ -42,9 +40,9 @@ fn main() {
         ..Default::default()
     };
     let mut simnet = SimNetChannel::new(faults);
-    // A telemetry observer rides along and attributes every lost frame to
-    // its payload kind — something the transport's aggregate counters
-    // cannot tell you.
+    // A telemetry observer rides along: the trace reports every frame
+    // sent and every frame lost, with its payload kind and size — the run's
+    // byte ledger is the fold of exactly these events.
     let mut mem = MemoryObserver::new();
     let lossy = FedRun::new(&clients, dataset.n_classes)
         .train(cfg.clone())
@@ -52,26 +50,26 @@ fn main() {
         .channel(&mut simnet)
         .observer(&mut mem)
         .run();
-    let net = simnet.stats();
 
     println!("channel    test acc   uplink MB   dropped frames   retries");
     println!(
-        "in-proc    {:6.2}%    {:8.2}    {:14}   {:7}",
+        "in-proc    {:6.2}%    {:8.2}    {:14}   {:>7}",
         100.0 * clean.test_acc,
         clean.comms.uplink_bytes as f64 / 1e6,
         clean.comms.dropped_messages,
-        inproc.stats().retries,
+        "-",
     );
     println!(
         "simnet     {:6.2}%    {:8.2}    {:14}   {:7}",
         100.0 * lossy.test_acc,
         lossy.comms.uplink_bytes as f64 / 1e6,
         lossy.comms.dropped_messages,
-        net.retries,
+        simnet.retries(),
     );
+    let sent = mem.count("frame_sent");
     println!(
-        "\nsimnet sent {} frames, delivered {} — the server aggregates whatever",
-        net.sent_frames, net.delivered_frames
+        "\nsimnet sent {sent} frames, delivered {} — the server aggregates whatever",
+        sent - mem.count("frame_dropped")
     );
     println!("arrives by the deadline; missing parties just sit a round out.");
 

@@ -70,6 +70,9 @@ rm -rf "$ckpt_dir"
 # Serves the global model of a reloaded run checkpoint and checks it
 # against the checkpointed client copy bit for bit.
 cargo run -q --release --example train_and_checkpoint
+# A FedOMD run over the simulated lossy network: retries from the
+# transport, sent and lost frames from the telemetry trace.
+cargo run -q --release --example lossy_network
 echo "::endgroup::"
 
 echo "::group::Workspace invariant lints (clippy)"
@@ -80,12 +83,13 @@ echo "::group::Workspace invariant lints (clippy)"
 cargo clippy --workspace --all-targets -- -D warnings
 echo "::endgroup::"
 
-echo "::group::Exhaustive fold interleaving sweep (n ≤ 5)"
+echo "::group::Exhaustive fold interleaving sweep (n ≤ 6)"
 # DESIGN.md §17: every arrival permutation and straggler subset for
-# cohorts n ≤ 5 folds bit-identically to the sort-by-sender oracle
-# through the server collector. (Also part of the workspace tests, in
-# debug; this is the release build. n = 6 stays `--ignored`.)
-cargo test -q --release -p fedomd-core --test interleaving
+# cohorts n ≤ 6 folds bit-identically to the sort-by-sender oracle
+# through the server collector. (The n ≤ 5 sweeps are also part of the
+# workspace tests, in debug; the n = 6 sweep, 3,914 collector runs, is
+# `#[ignore]`d there and runs here, in release, with the rest.)
+cargo test -q --release -p fedomd-core --test interleaving -- --include-ignored
 echo "::endgroup::"
 
 echo "::group::Sparse input layer equals the dense product (1024 cases)"

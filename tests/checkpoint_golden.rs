@@ -10,7 +10,7 @@ use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::{
     setup_federation, Baseline, ClientData, FederationConfig, OptimState, RunResult,
 };
-use fedomd_telemetry::MemoryObserver;
+use fedomd_telemetry::{MemoryObserver, RoundEvent};
 use fedomd_transport::{Channel, FaultConfig, InProcChannel, SimNetChannel};
 use std::path::PathBuf;
 
@@ -198,49 +198,52 @@ fn generic_engine_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
 
 /// Runs `which` for 8 rounds uninterrupted, and killed at round 4 then
 /// resumed, each leg over a fresh `chan()`; asserts the two agree bit for
-/// bit and returns the final snapshot.
+/// bit and returns the final snapshot and the resumed leg's events.
 fn assert_baseline_resumes_bit_identically(
     which: Baseline,
     seed: u64,
     chan: &dyn Fn() -> Box<dyn Channel>,
-) -> RunCheckpoint {
+) -> (RunCheckpoint, MemoryObserver) {
     let dir = scratch(&format!("{which:?}"));
     let (clients, n_classes) = mini_setup(seed);
     let (rounds, k) = (8, 4);
     let leg = |rounds: usize, path: &PathBuf, resume: Option<&PathBuf>| {
         let mut c = chan();
+        let mut mem = MemoryObserver::new();
         let mut run = FedRun::new(&clients, n_classes)
             .config(cfg(seed, rounds))
             .baseline(which)
-            .channel(c.as_mut());
+            .channel(c.as_mut())
+            .observer(&mut mem);
         if let Some(from) = resume {
             run = run.resume_from(from).expect("load snapshot");
         }
-        run.checkpoint_every(k, path).run()
+        let result = run.checkpoint_every(k, path).run();
+        (result, mem)
     };
     let full_path = dir.join("full.ckpt");
-    let uninterrupted = leg(rounds, &full_path, None);
+    let (uninterrupted, _) = leg(rounds, &full_path, None);
     let kill_path = dir.join("killed.ckpt");
     leg(k, &kill_path, None);
     let resumed_path = dir.join("resumed.ckpt");
-    let resumed = leg(rounds, &resumed_path, Some(&kill_path));
+    let (resumed, events) = leg(rounds, &resumed_path, Some(&kill_path));
 
     assert_same_run(&uninterrupted, &resumed);
     let a = RunCheckpoint::load(&full_path).expect("full leg snapshot");
     let b = RunCheckpoint::load(&resumed_path).expect("resumed leg snapshot");
     assert_eq!(a, b, "final run state diverged after resume");
     let _ = std::fs::remove_dir_all(&dir);
-    a
+    (a, events)
 }
 
 #[test]
 fn scaffold_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
     // SCAFFOLD is the one baseline with per-client state beyond Adam: its
     // SGD velocity and both control variates ride in the snapshot.
-    let a = assert_baseline_resumes_bit_identically(Baseline::Scaffold, 8, &|| {
+    let (a, _) = assert_baseline_resumes_bit_identically(Baseline::Scaffold, 8, &|| {
         Box::new(SimNetChannel::new(lossy()))
     });
-    assert!(a.state.channel.stats.dropped_frames > 0, "nothing dropped");
+    assert!(a.state.driver.comms.dropped_messages > 0, "nothing dropped");
     for optim in &a.state.optim {
         let OptimState::Scaffold {
             velocity,
@@ -258,11 +261,27 @@ fn scaffold_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
 #[test]
 fn fedsage_kill_and_resume_is_bit_identical_inproc() {
     // FedSage+'s NeighGen set-up is re-derived on resume from (seed,
-    // shards), and its bytes are charged once.
-    let a = assert_baseline_resumes_bit_identically(Baseline::FedSagePlus, 9, &|| {
+    // shards), and its bytes are charged once: the resumed leg times its
+    // set-up again but reports none of its frames.
+    let (a, resumed) = assert_baseline_resumes_bit_identically(Baseline::FedSagePlus, 9, &|| {
         Box::new(InProcChannel::new())
     });
     assert_eq!(a.state.next_round, 8);
+    let round_4 = resumed
+        .events
+        .iter()
+        .position(|e| matches!(e, RoundEvent::RoundStarted { .. }))
+        .expect("the resumed leg ran a round");
+    let set_up = &resumed.events[..round_4];
+    assert!(set_up
+        .iter()
+        .any(|e| matches!(e, RoundEvent::PhaseDone { .. })));
+    assert!(
+        !set_up
+            .iter()
+            .any(|e| matches!(e, RoundEvent::FrameSent { .. })),
+        "the resumed leg reported its set-up frames again"
+    );
 }
 
 #[test]

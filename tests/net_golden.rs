@@ -25,7 +25,8 @@ use fedomd_core::{ClientOutcome, FedRun, RunCheckpoint, RunConfig};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::{setup_federation, ClientData, FederationConfig};
 use fedomd_net::{run_client, serve_on, ClientOpts, ClientReport, NetConfig, ServeOpts};
-use fedomd_telemetry::NullObserver;
+use fedomd_telemetry::{MemoryObserver, NullObserver, RoundEvent};
+use fedomd_transport::Payload;
 
 fn mini_setup(seed: u64) -> (String, Vec<ClientData>, usize) {
     let ds = generate(&spec(DatasetName::CoraMini), seed);
@@ -302,7 +303,11 @@ fn a_departing_client_degrades_to_partial_aggregation() {
             net: server_net,
             ..ServeOpts::new(clients.len())
         };
-        std::thread::spawn(move || serve_on(listener, &opts, &run, &name, &mut NullObserver))
+        std::thread::spawn(move || {
+            let mut trace = MemoryObserver::new();
+            let result = serve_on(listener, &opts, &run, &name, &mut trace);
+            (result, trace)
+        })
     };
     // Client 2 is scheduled for only 3 of the 8 rounds; the handshake
     // digest deliberately excludes the round budget, so the server admits
@@ -329,10 +334,8 @@ fn a_departing_client_degrades_to_partial_aggregation() {
         })
         .collect();
 
-    let result = server
-        .join()
-        .expect("server thread")
-        .expect("server run completes");
+    let (result, trace) = server.join().expect("server thread");
+    let result = result.expect("server run completes");
     for (id, worker) in workers.into_iter().enumerate() {
         let report = worker.join().expect("client thread");
         assert_eq!(report.outcome, ClientOutcome::Finished, "client {id}");
@@ -357,6 +360,26 @@ fn a_departing_client_degrades_to_partial_aggregation() {
         result.improved(),
         "two live parties must still learn something"
     );
+
+    // The server's trace is its ledger: per direction, the bytes of its
+    // `frame_sent` events are the result's traffic, and every frame lost
+    // to the departed client is one `frame_dropped`.
+    let (mut up, mut down) = (0u64, 0u64);
+    for e in &trace.events {
+        if let RoundEvent::FrameSent { kind, bytes } = *e {
+            if Payload::travels_up(kind) {
+                up += bytes;
+            } else {
+                down += bytes;
+            }
+        }
+    }
+    assert_eq!(up, result.comms.uplink_bytes);
+    assert_eq!(down, result.comms.downlink_bytes);
+    assert!(up > 0 && down > 0);
+    let dropped = trace.count("frame_dropped") as u64;
+    assert_eq!(dropped, result.comms.dropped_messages);
+    assert!(dropped > 0, "the departed client's frames must be dropped");
 }
 
 #[test]
