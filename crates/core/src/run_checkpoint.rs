@@ -5,11 +5,12 @@
 //! experiments need to survive a crash: the next round index, every
 //! client's model parameters and optimiser state (Adam moments, or
 //! SCAFFOLD's SGD velocity and control variates), the driver's history and
-//! early-stopping state, the byte ledger, the transport's
-//! fault-stream cursor, and (for FedOMD) the last aggregated global model
-//! and global statistics. A run killed at round `k` and resumed from its
-//! latest snapshot replays the remaining rounds **bit-identically** to the
-//! uninterrupted run — golden-tested in `tests/checkpoint_golden.rs`.
+//! early-stopping state, the byte ledger, and (for FedOMD) the last
+//! aggregated global model and global statistics. A run killed at round
+//! `k` and resumed from its latest snapshot replays the remaining rounds
+//! **bit-identically** to the uninterrupted run — golden-tested in
+//! `tests/checkpoint_golden.rs`. The transport has nothing to save: a
+//! simulated network keys each frame's faults by the frame itself.
 //!
 //! The file is one binary record, little-endian, written with the wire
 //! codec (`fedomd_transport::{wire, frame}`), so an `f32` tensor has the
@@ -23,7 +24,7 @@
 //!            | u8 1 · tensors sgd.velocity · tensors c_i · tensors c
 //! u32 history × (u64 round · f64 train_loss · f64 val_acc · f64 test_acc)
 //! f64 best_val · f64 best_test · u64 best_round · u64 rounds_since_improve · u8 stopped
-//! 5 × u64 comms · u64 channel.seq
+//! 5 × u64 comms
 //! u8 has_global [· tensors global] · u8 has_stats [· layers means · moments]
 //! u32 crc32 of every preceding byte
 //! ```
@@ -52,12 +53,12 @@ use fedomd_transport::frame::{
     decode_layers, decode_moments, decode_tensors, encode_layers, encode_moments, encode_tensors,
 };
 use fedomd_transport::wire::{crc32, ByteReader, ByteWriter};
-use fedomd_transport::{from_tensors, to_tensors, ChannelState, WireError};
+use fedomd_transport::{from_tensors, to_tensors, WireError};
 
 /// First bytes of every run checkpoint.
 const MAGIC: &[u8; 8] = b"FOMDCKPT";
 /// Current format version; bumped on incompatible layout changes.
-const VERSION: u64 = 4;
+const VERSION: u64 = 5;
 /// Bytes of the trailing checksum.
 const CRC_BYTES: usize = 4;
 
@@ -115,7 +116,7 @@ impl From<WireError> for CheckpointError {
 /// One durable snapshot of a federated run at a round boundary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunCheckpoint {
-    /// Format version (currently 4).
+    /// Format version (currently 5).
     pub version: u64,
     /// Algorithm name (`"FedOMD"`, `"FedGCN"`, ...); checked on resume so
     /// a snapshot never restores into a different algorithm's run.
@@ -216,7 +217,6 @@ fn put_state(w: &mut ByteWriter, s: &ResumeState) {
         c.stats_uplink_bytes,
         c.rounds,
         c.dropped_messages,
-        s.channel.seq,
     ] {
         w.put_u64(v);
     }
@@ -282,7 +282,6 @@ fn get_state(r: &mut ByteReader<'_>) -> Result<ResumeState, WireError> {
             dropped_messages: r.get_u64()?,
         },
     };
-    let channel = ChannelState { seq: r.get_u64()? };
     let global = if get_flag(r)? {
         Some(get_matrices(r)?)
     } else {
@@ -302,7 +301,6 @@ fn get_state(r: &mut ByteReader<'_>) -> Result<ResumeState, WireError> {
         optim,
         model_steps,
         driver,
-        channel,
         global,
         stats,
     })
@@ -515,7 +513,6 @@ mod tests {
                     dropped_messages: 2,
                 },
             },
-            channel: ChannelState { seq: 42 },
             global: Some(vec![m(9.0)]),
             stats: Some(GlobalStats {
                 means: vec![vec![0.25, -0.5]],
@@ -686,13 +683,12 @@ mod tests {
             })
             .sum();
         let driver = 4 + 32 * s.driver.history.len() + 8 + 8 + 8 + 8 + 1 + 5 * 8;
-        let channel = 8;
         let global = 1 + s.global.as_deref().map_or(0, tensors_len);
         let stats = 1 + s.stats.as_ref().map_or(0, |st| {
             let layers = |ls: &[Vec<f32>]| 4 + ls.iter().map(|l| 4 + 4 * l.len()).sum::<usize>();
             layers(&st.means) + 4 + st.moments.iter().map(|l| layers(l)).sum::<usize>()
         });
-        let expected = header + 4 + clients + driver + channel + global + stats + CRC_BYTES;
+        let expected = header + 4 + clients + driver + global + stats + CRC_BYTES;
         assert_eq!(ckpt.to_bytes().len(), expected);
     }
 
@@ -834,10 +830,11 @@ mod tests {
             "{err}"
         );
 
-        // A newer record, a version-3 one (a second counter set after the
-        // SimNet cursor) and a version-2 one (no optimiser tag, so no
-        // SCAFFOLD state) are all refused by version.
-        for version in [VERSION + 1, 3, 2] {
+        // A newer record, a version-4 one (a SimNet cursor after the
+        // ledger), a version-3 one (a second counter set after that cursor)
+        // and a version-2 one (no optimiser tag, so no SCAFFOLD state) are
+        // all refused by version.
+        for version in [VERSION + 1, 4, 3, 2] {
             let mut other = RunCheckpoint::new("FedOMD", 7, sample_state());
             other.version = version;
             let err = RunCheckpoint::from_bytes(&other.to_bytes()).expect_err("version");

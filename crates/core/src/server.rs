@@ -68,9 +68,9 @@ impl ServerOpts {
 /// early stopping, with checkpoint/resume via `persist` exactly as
 /// [`fedomd_federated::run`] — except the snapshots carry
 /// no per-client state (`params`/`optim`/`model_steps` stay empty): the
-/// server's durable state is the driver bookkeeping, the channel cursor,
-/// and the last aggregated global model/statistics, which is what a
-/// reconnecting client needs to rejoin.
+/// server's durable state is the driver bookkeeping and the last
+/// aggregated global model/statistics, which is what a reconnecting
+/// client needs to rejoin.
 ///
 /// # Panics
 /// Panics with no clients or an invalid cohort configuration.
@@ -88,7 +88,7 @@ pub fn run_fedomd_server(
         panic!("run_fedomd_server: {e}");
     }
     let m = opts.n_clients;
-    let (mut driver, mut server, start_round) = open_run(cfg, "FedOMD", m, &mut persist, chan, obs);
+    let (mut driver, mut server, start_round) = open_run(cfg, "FedOMD", m, &mut persist, obs);
     let mut collector = Collector::default();
     let everyone: Vec<u32> = (0..m as u32).collect();
 
@@ -207,7 +207,7 @@ pub fn run_fedomd_server(
         let eval = (driver.eval_due(round) && !losses.is_empty()).then_some(counts);
         driver.end_round(round, mean_loss, eval, obs);
         save_if_due(&mut persist, round, obs, || {
-            server.checkpoint(round + 1, driver.snapshot(), chan.export_state(), &[])
+            server.checkpoint(round + 1, driver.snapshot(), &[])
         });
         if opts.halt_after == Some(round) {
             // Simulated crash: the checkpoint (if due) is durable, the
@@ -381,7 +381,7 @@ mod tests {
     use fedomd_federated::CommsLog;
     use fedomd_federated::ResumeState;
     use fedomd_telemetry::{MemoryObserver, NullObserver};
-    use fedomd_transport::{ChannelState, InProcChannel, Tensor};
+    use fedomd_transport::{InProcChannel, Tensor};
     use std::collections::VecDeque;
 
     fn weight_env(round: u64, sender: u32, v: f32) -> Envelope {
@@ -799,7 +799,6 @@ mod tests {
             optim: Vec::new(),
             model_steps: Vec::new(),
             driver: prior,
-            channel: ChannelState::default(),
             global: None,
             stats: None,
         };

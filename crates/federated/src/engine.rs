@@ -51,7 +51,7 @@ use crate::config::{FedOmdConfig, RoundStats, RunResult, TrainConfig};
 use crate::protocol::GlobalStats;
 use crate::session::{ClientSession, EvalCounts, ServerRound, StepLosses};
 use fedomd_telemetry::{Phase, PhaseStopwatch, RoundEvent, RoundObserver, TeeObserver};
-use fedomd_transport::{Channel, ChannelState, Envelope, Payload, SERVER_SENDER};
+use fedomd_transport::{Channel, Envelope, Payload, SERVER_SENDER};
 
 /// Which plain architecture [`build_model`] instantiates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,8 +133,6 @@ pub struct ResumeState {
     pub model_steps: Vec<u64>,
     /// Driver bookkeeping (history, early stopping, the byte ledger).
     pub driver: DriverState,
-    /// Transport state (the fault-stream cursor).
-    pub channel: ChannelState,
     /// Last aggregated global model (Algorithm 1 line 27).
     pub global: Option<Vec<Matrix>>,
     /// Last global statistics exchange (FedOMD, lines 4–18).
@@ -347,14 +345,14 @@ pub fn build_fedomd_model(
 /// frames over `chan` and every round milestone reported to `obs`.
 ///
 /// `persist` wires checkpoint/resume: the loop restores `persist.resume`
-/// (per-client parameters and optimiser state, driver bookkeeping, channel
-/// fault-stream cursor), enters at the restored round, and hands
-/// `persist.sink` a [`ResumeState`] every `sink.every()` rounds — including
-/// the last aggregated global model and global statistics. A resumed run
-/// is bit-identical to the same run left uninterrupted: every RNG stream,
-/// the cohort sampler included, is derived from `(seed, round)` or a
-/// checkpointed cursor, and snapshots land on round boundaries where the
-/// channel has no frames in flight.
+/// (per-client parameters and optimiser state, driver bookkeeping), enters
+/// at the restored round, and hands `persist.sink` a [`ResumeState`] every
+/// `sink.every()` rounds — including the last aggregated global model and
+/// global statistics. A resumed run is bit-identical to the same run left
+/// uninterrupted: every RNG stream, the cohort sampler and a simulated
+/// network's faults included, is derived from `(seed, round)` and the
+/// frame or client it serves, and snapshots land on round boundaries
+/// where the channel has no frames in flight.
 ///
 /// # Panics
 /// Panics with no clients, an invalid cohort configuration, or a resume
@@ -383,8 +381,7 @@ pub fn run(
             optim,
         )
     });
-    let (mut driver, mut server, start_round) =
-        open_run(cfg, algorithm, m, &mut persist, chan, obs);
+    let (mut driver, mut server, start_round) = open_run(cfg, algorithm, m, &mut persist, obs);
     // The set-up is a pure function of (seed, shards): a resumed run
     // re-derives it, but its checkpointed ledger already holds the set-up
     // frames, so only a fresh run reports them.
@@ -554,7 +551,7 @@ pub fn run(
         });
         driver.end_round(round, mean_loss, eval, obs);
         save_if_due(&mut persist, round, obs, || {
-            server.checkpoint(round + 1, driver.snapshot(), chan.export_state(), &sessions)
+            server.checkpoint(round + 1, driver.snapshot(), &sessions)
         });
         if driver.stopped() {
             break;
@@ -564,8 +561,8 @@ pub fn run(
 }
 
 /// Opens the server side of a run, in-process or over TCP: restores the
-/// transport cursor, driver bookkeeping and last global model/statistics
-/// from `persist.resume` (or starts fresh), announces `algorithm`, and
+/// driver bookkeeping and last global model/statistics from
+/// `persist.resume` (or starts fresh), announces `algorithm`, and
 /// returns the driver, the server state and the first round to enter. The
 /// server keeps the last global model and statistics when there is a
 /// checkpoint sink to hand them to.
@@ -574,13 +571,11 @@ pub fn open_run(
     algorithm: &str,
     n_clients: usize,
     persist: &mut Persistence<'_>,
-    chan: &mut dyn Channel,
     obs: &mut dyn RoundObserver,
 ) -> (RoundDriver, ServerRound, usize) {
     let mut server = ServerRound::new(persist.sink.is_some());
     let (driver, start_round) = match persist.resume.take() {
         Some(resume) => {
-            chan.restore_state(&resume.channel);
             server.last_global = resume.global;
             server.last_stats = resume.stats;
             (RoundDriver::resume(cfg, resume.driver), resume.next_round)
@@ -1199,6 +1194,107 @@ mod tests {
             "same fault seed must replay identically"
         );
         assert_eq!(r.comms, r2.comms);
+    }
+
+    /// Hands each upload phase to a SimNet in reverse sender order: the
+    /// uploads are held until every client due to upload has, then sent
+    /// highest sender first. With a full cohort every client uploads its
+    /// means and weights; moments come from the clients the means reached.
+    struct ReversedUploads {
+        net: fedomd_transport::SimNetChannel,
+        clients: usize,
+        held: Vec<Envelope>,
+        /// Clients the round's global means reached.
+        means_reached: usize,
+    }
+
+    impl Channel for ReversedUploads {
+        fn upload(&mut self, env: Envelope) -> usize {
+            let n = env.encoded_len();
+            self.held.push(env);
+            n
+        }
+        fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
+            let due = match self.held.first().map(|e| &e.payload) {
+                Some(Payload::StatsRound2 { .. }) => self.means_reached,
+                _ => self.clients,
+            };
+            if self.held.len() == due {
+                if matches!(self.held[0].payload, Payload::StatsRound1 { .. }) {
+                    self.means_reached = 0;
+                }
+                for env in self.held.drain(..).rev() {
+                    self.net.upload(env);
+                }
+            }
+            self.net.server_collect(round)
+        }
+        fn download(&mut self, to: u32, env: Envelope) -> usize {
+            self.net.download(to, env)
+        }
+        fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope> {
+            let got = self.net.client_collect(id, round);
+            let means = |e: &Envelope| matches!(&e.payload, Payload::GlobalStats { moments, .. } if moments.is_empty());
+            self.means_reached += usize::from(got.iter().any(means));
+            got
+        }
+        fn drain_lost(&mut self) -> Vec<fedomd_transport::LostFrame> {
+            self.net.drain_lost()
+        }
+    }
+
+    #[test]
+    fn a_lossy_run_does_not_depend_on_the_upload_order() {
+        use fedomd_transport::{FaultConfig, SimNetChannel};
+        let (clients, k) = omd_clients(4, 3);
+        let mut cfg = omd_cfg(3);
+        cfg.rounds = 20;
+        let fault = FaultConfig {
+            seed: 13,
+            drop_prob: 0.2,
+            max_retries: 1,
+            jitter_ms: 2.0,
+            ..Default::default()
+        };
+        let omd = FedOmdConfig::paper();
+        let plain = run_omd_over(
+            &clients,
+            k,
+            &cfg,
+            &omd,
+            &mut SimNetChannel::new(fault.clone()),
+        );
+        let mut reversed = ReversedUploads {
+            net: SimNetChannel::new(fault),
+            clients: clients.len(),
+            held: Vec::new(),
+            means_reached: 0,
+        };
+        let rev = run_omd_over(&clients, k, &cfg, &omd, &mut reversed);
+        assert!(reversed.held.is_empty(), "every held upload was sent");
+        assert!(plain.comms.dropped_messages > 0, "the run must lose frames");
+        let bits = |r: &RunResult| {
+            let history: Vec<_> = r
+                .history
+                .iter()
+                .map(|h| {
+                    (
+                        h.round,
+                        h.train_loss.to_bits(),
+                        h.val_acc.to_bits(),
+                        h.test_acc.to_bits(),
+                    )
+                })
+                .collect();
+            (
+                history,
+                r.test_acc.to_bits(),
+                r.val_acc.to_bits(),
+                r.best_round,
+            )
+        };
+        assert_eq!(bits(&plain), bits(&rev));
+        assert_eq!(plain.comms, rev.comms);
     }
 
     #[test]

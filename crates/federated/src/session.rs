@@ -32,7 +32,7 @@ use fedomd_telemetry::{RoundEvent, RoundObserver};
 use fedomd_tensor::ops::axpy;
 use fedomd_tensor::rng::derive;
 use fedomd_tensor::Matrix;
-use fedomd_transport::{from_tensors, to_tensors, ChannelState, Envelope, Payload, Tensor};
+use fedomd_transport::{from_tensors, to_tensors, Envelope, Payload, Tensor};
 
 use crate::baselines::{fedlit, fedsage, Baseline};
 use crate::client::ClientData;
@@ -652,7 +652,6 @@ impl ServerRound {
         &self,
         next_round: usize,
         driver: DriverState,
-        channel: ChannelState,
         sessions: &[ClientSession],
     ) -> ResumeState {
         ResumeState {
@@ -661,7 +660,6 @@ impl ServerRound {
             optim: sessions.iter().map(ClientSession::optim_state).collect(),
             model_steps: sessions.iter().map(|s| s.model.steps() as u64).collect(),
             driver,
-            channel,
             global: self.last_global.clone(),
             stats: self.last_stats.clone(),
         }

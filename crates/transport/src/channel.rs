@@ -18,22 +18,6 @@ use crate::frame::Envelope;
 /// A frame a transport discarded: its payload kind and encoded size.
 pub type LostFrame = (&'static str, u64);
 
-/// Persistent channel state carried across a checkpoint/resume cycle.
-///
-/// This is everything a resumed run needs to replay the *remaining* rounds
-/// exactly: the fault-stream cursor, so a simulated network draws the same
-/// drop/jitter decisions it would have drawn uninterrupted. Traffic and
-/// losses are not here: the run's byte ledger, checkpointed with the
-/// driver, holds them. In-flight frames are deliberately absent —
-/// snapshots are taken at round boundaries, where every pending queue has
-/// been drained.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChannelState {
-    /// Per-frame sequence number of the fault RNG stream
-    /// ([`crate::SimNetChannel`]); 0 for channels without one.
-    pub seq: u64,
-}
-
 /// A bidirectional star topology between one server and `n` clients.
 pub trait Channel {
     /// Client `env.sender` uploads to the server. Returns the encoded
@@ -91,20 +75,6 @@ pub trait Channel {
     /// channel never loses a frame.
     fn drain_lost(&mut self) -> Vec<LostFrame> {
         Vec::new()
-    }
-
-    /// Snapshots the state a run checkpoint must carry so the resumed run
-    /// replays the remaining rounds exactly. Call only at a round
-    /// boundary, when no frames are in flight.
-    fn export_state(&self) -> ChannelState {
-        ChannelState::default()
-    }
-
-    /// Restores a snapshot taken by [`Channel::export_state`] into an
-    /// equivalently configured, freshly constructed channel. The default
-    /// is a no-op for stateless channels.
-    fn restore_state(&mut self, state: &ChannelState) {
-        let _ = state;
     }
 }
 

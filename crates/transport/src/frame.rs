@@ -211,7 +211,7 @@ pub enum Payload {
 
 impl Payload {
     /// Wire discriminant.
-    fn msg_type(&self) -> u8 {
+    pub(crate) fn msg_type(&self) -> u8 {
         match self {
             Payload::WeightUpdate { .. } => 1,
             Payload::StatsRound1 { .. } => 2,

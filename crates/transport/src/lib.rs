@@ -29,7 +29,7 @@ pub mod inproc;
 pub mod simnet;
 pub mod wire;
 
-pub use channel::{admit_by_deadline, Channel, ChannelState, LostFrame};
+pub use channel::{admit_by_deadline, Channel, LostFrame};
 pub use frame::{
     check_frame_len, from_tensors, to_tensors, Control, Envelope, Payload, Tensor,
     DEFAULT_MAX_FRAME_BYTES, SERVER_SENDER,

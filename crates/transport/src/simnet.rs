@@ -10,13 +10,19 @@
 //! network: as frames that never show up.
 //!
 //! Every random decision (drop, jitter) draws from a ChaCha stream keyed
-//! by the config seed and a per-frame sequence number, so a given seed
-//! replays the identical fault pattern — the property the partial
-//! aggregation tests rely on.
+//! by the frame's identity: the config seed, the frame's round, its link
+//! (the client end), its wire kind, and `k`, how many frames of that kind
+//! the link already carried in the round. A frame's fate is therefore a
+//! function of the frame alone — not of the order a driver sends in, nor
+//! of how many frames came before it — so a given seed replays the
+//! identical fault pattern, and a run resumed at a round boundary needs no
+//! cursor to continue it.
+
+use std::collections::BTreeMap;
 
 use rand::Rng;
 
-use crate::channel::{admit_by_deadline, decode_round, Channel, ChannelState, LostFrame};
+use crate::channel::{admit_by_deadline, decode_round, Channel, LostFrame};
 use crate::frame::Envelope;
 use fedomd_tensor::rng::{derive, seeded};
 
@@ -71,8 +77,9 @@ type InFlight = (f64, (&'static str, Vec<u8>));
 /// Simulated lossy star network between a server and its clients.
 pub struct SimNetChannel {
     cfg: FaultConfig,
-    /// Per-frame sequence number keying the fault RNG stream.
-    seq: u64,
+    /// Frames sent per `(round, link, kind)`, the `k` of each frame's
+    /// fault key; entries of rounds before the latest are dropped.
+    sent: BTreeMap<(u64, u32, u8), u64>,
     up_pending: Vec<InFlight>,
     down_pending: Vec<Vec<InFlight>>,
     /// Frames given up on since the last [`Channel::drain_lost`].
@@ -85,27 +92,23 @@ impl SimNetChannel {
     /// Creates a channel with the given fault model.
     ///
     /// # Panics
-    /// Panics when `drop_prob` is outside `[0, 1]` or a latency knob is
-    /// negative.
+    /// Panics when `drop_prob` is outside `[0, 1]`, or a latency knob, the
+    /// straggler factor or the round deadline is negative or NaN.
     pub fn new(cfg: FaultConfig) -> Self {
         assert!(
             (0.0..=1.0).contains(&cfg.drop_prob),
             "drop_prob must be in [0,1]"
         );
         assert!(cfg.base_latency_ms >= 0.0 && cfg.jitter_ms >= 0.0 && cfg.backoff_ms >= 0.0);
+        assert!(cfg.straggler_factor >= 0.0 && cfg.round_timeout_ms >= 0.0);
         Self {
             cfg,
-            seq: 0,
+            sent: BTreeMap::new(),
             up_pending: Vec::new(),
             down_pending: Vec::new(),
             lost: Vec::new(),
             retries: 0,
         }
-    }
-
-    /// The fault model actually in force (for logging/tests).
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
     }
 
     /// Retransmission attempts beyond each frame's first send, since this
@@ -115,13 +118,23 @@ impl SimNetChannel {
         self.retries
     }
 
-    /// Simulates transmitting a `kind` frame of `frame_len` bytes over the
+    /// Simulates transmitting `env`, `frame_len` bytes encoded, over the
     /// link of client `endpoint` (the client end of the link, whichever
     /// direction the frame moves). Returns the virtual arrival time, or
     /// `None` (the frame listed lost) when every attempt dropped.
-    fn transmit(&mut self, endpoint: u32, kind: &'static str, frame_len: usize) -> Option<f64> {
-        let mut rng = seeded(derive(self.cfg.seed, self.seq));
-        self.seq += 1;
+    fn transmit(&mut self, env: &Envelope, endpoint: u32, frame_len: usize) -> Option<f64> {
+        let (round, kind) = (env.round, env.payload.msg_type());
+        if self
+            .sent
+            .first_key_value()
+            .is_some_and(|(&(r, ..), _)| r < round)
+        {
+            self.sent = self.sent.split_off(&(round, 0, 0));
+        }
+        let k = self.sent.entry((round, endpoint, kind)).or_default();
+        let key = [round, u64::from(endpoint), u64::from(kind), *k];
+        let mut rng = seeded(key.into_iter().fold(self.cfg.seed, derive));
+        *k += 1;
 
         let factor = if self.cfg.straggler_ids.contains(&endpoint) {
             self.cfg.straggler_factor
@@ -148,7 +161,7 @@ impl SimNetChannel {
             depart += backoff;
             backoff *= 2.0;
         }
-        self.lost.push((kind, frame_len as u64));
+        self.lost.push((env.payload.kind(), frame_len as u64));
         None
     }
 
@@ -173,9 +186,8 @@ impl Channel for SimNetChannel {
     fn upload(&mut self, env: Envelope) -> usize {
         let frame = env.encode();
         let n = frame.len();
-        let kind = env.payload.kind();
-        if let Some(arrival) = self.transmit(env.sender, kind, n) {
-            self.up_pending.push((arrival, (kind, frame)));
+        if let Some(arrival) = self.transmit(&env, env.sender, n) {
+            self.up_pending.push((arrival, (env.payload.kind(), frame)));
         }
         n
     }
@@ -188,13 +200,12 @@ impl Channel for SimNetChannel {
     fn download(&mut self, to: u32, env: Envelope) -> usize {
         let frame = env.encode();
         let n = frame.len();
-        let kind = env.payload.kind();
-        if let Some(arrival) = self.transmit(to, kind, n) {
+        if let Some(arrival) = self.transmit(&env, to, n) {
             let idx = to as usize;
             while self.down_pending.len() <= idx {
                 self.down_pending.push(Vec::new());
             }
-            self.down_pending[idx].push((arrival, (kind, frame)));
+            self.down_pending[idx].push((arrival, (env.payload.kind(), frame)));
         }
         n
     }
@@ -209,17 +220,6 @@ impl Channel for SimNetChannel {
 
     fn drain_lost(&mut self) -> Vec<LostFrame> {
         std::mem::take(&mut self.lost)
-    }
-
-    fn export_state(&self) -> ChannelState {
-        ChannelState { seq: self.seq }
-    }
-
-    /// Restoring `seq` realigns the per-frame fault RNG stream, so the
-    /// resumed channel draws exactly the drop/jitter decisions the
-    /// uninterrupted one would have drawn from this point on.
-    fn restore_state(&mut self, state: &ChannelState) {
-        self.seq = state.seq;
     }
 }
 
@@ -366,47 +366,79 @@ mod tests {
         assert_eq!(ch.drain_lost().len(), 1);
     }
 
+    /// Stats round 2 of `round` from every client, then the global means
+    /// and moments down to each: two `GlobalStats` frames on every link.
+    fn drive_rounds(
+        ch: &mut SimNetChannel,
+        rounds: std::ops::Range<u64>,
+    ) -> Vec<(Vec<u32>, Vec<usize>, Vec<LostFrame>)> {
+        let mut trace = Vec::new();
+        for round in rounds {
+            for s in 0..4 {
+                ch.upload(env(round, s));
+            }
+            let delivered = ch.server_collect(round).iter().map(|e| e.sender).collect();
+            for id in 0..4 {
+                ch.download(id, stats_down(round, 0.5));
+                ch.download(id, stats_down(round, 0.25));
+            }
+            let received = (0..4)
+                .map(|id| ch.client_collect(id, round).len())
+                .collect();
+            trace.push((delivered, received, ch.drain_lost()));
+        }
+        trace
+    }
+
+    fn stats_down(round: u64, mean: f32) -> Envelope {
+        Envelope {
+            round,
+            sender: crate::frame::SERVER_SENDER,
+            payload: Payload::GlobalStats {
+                means: vec![vec![mean; 3]],
+                moments: Vec::new(),
+            },
+        }
+    }
+
     #[test]
-    fn restored_channel_continues_the_fault_stream_exactly() {
+    fn a_fresh_channel_continues_the_fault_stream_exactly() {
         let cfg = FaultConfig {
             seed: 11,
             drop_prob: 0.4,
+            max_retries: 1,
             jitter_ms: 2.0,
             ..Default::default()
         };
-        // Per round: who was delivered, and what was listed lost.
-        let drive = |ch: &mut SimNetChannel, rounds: std::ops::Range<u64>| {
-            let mut trace = Vec::new();
-            for round in rounds {
-                for s in 0..4 {
-                    ch.upload(env(round, s));
-                }
-                let delivered: Vec<u32> =
-                    ch.server_collect(round).iter().map(|e| e.sender).collect();
-                trace.push((delivered, ch.drain_lost()));
-            }
-            trace
-        };
-
         // Uninterrupted reference run: 10 rounds straight through.
-        let mut full = SimNetChannel::new(cfg.clone());
-        let reference = drive(&mut full, 0..10);
-
-        // Interrupted run: 5 rounds, snapshot, "crash", restore into a
-        // fresh channel, 5 more rounds.
-        let mut first = SimNetChannel::new(cfg.clone());
-        let head = drive(&mut first, 0..5);
-        let snap = first.export_state();
-        let mut resumed = SimNetChannel::new(cfg);
-        resumed.restore_state(&snap);
-        let tail = drive(&mut resumed, 5..10);
-
-        let stitched: Vec<_> = head.into_iter().chain(tail).collect();
+        let reference = drive_rounds(&mut SimNetChannel::new(cfg.clone()), 0..10);
+        // A resumed run: a channel built afresh enters at round 5.
+        let tail = drive_rounds(&mut SimNetChannel::new(cfg), 5..10);
         assert_eq!(
-            stitched, reference,
+            tail,
+            reference[5..],
             "fault pattern and losses must continue exactly"
         );
-        assert_eq!(resumed.export_state(), full.export_state());
+        assert!(
+            reference.iter().any(|(.., lost)| !lost.is_empty()),
+            "the fault model must drop something"
+        );
+    }
+
+    #[test]
+    fn negative_or_nan_fault_knobs_are_refused() {
+        let bad: [fn(&mut FaultConfig); 4] = [
+            |c| c.straggler_factor = -1.0,
+            |c| c.straggler_factor = f64::NAN,
+            |c| c.round_timeout_ms = -1.0,
+            |c| c.round_timeout_ms = f64::NAN,
+        ];
+        for (i, set) in bad.iter().enumerate() {
+            let mut cfg = FaultConfig::default();
+            set(&mut cfg);
+            let built = std::panic::catch_unwind(|| SimNetChannel::new(cfg));
+            assert!(built.is_err(), "bad knob {i} was accepted");
+        }
     }
 
     #[test]
@@ -435,5 +467,106 @@ mod tests {
         // any retry arrives at >= 100ms + 1ms > 10ms deadline.
         assert_eq!(got.len() + lost, 20);
         assert!(lost > 0, "some first attempts must drop at p=0.5");
+    }
+
+    mod order {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// One frame a phase sends: an upload, or a download to a client.
+        #[derive(Clone)]
+        enum Op {
+            Up(Envelope),
+            Down(u32, Envelope),
+        }
+
+        impl Op {
+            /// The link and wire kind: frames sharing both keep their
+            /// relative order, since the `k`-th of them is the `k`-th sent.
+            fn link(&self) -> (u32, u8) {
+                match self {
+                    Op::Up(e) => (e.sender, e.payload.msg_type()),
+                    Op::Down(to, e) => (*to, e.payload.msg_type()),
+                }
+            }
+        }
+
+        /// Four uploads and every client's global model, with the global
+        /// means and moments (two `GlobalStats`) down to client 1.
+        fn phase(round: u64) -> Vec<Op> {
+            let mut sends: Vec<Op> = (0..4).map(|s| Op::Up(env(round, s))).collect();
+            sends.push(Op::Down(1, stats_down(round, 0.5)));
+            sends.push(Op::Down(1, stats_down(round, 0.25)));
+            for to in 0..4 {
+                let mut model = env(round, crate::frame::SERVER_SENDER);
+                model.payload = Payload::GlobalModel {
+                    params: vec![Tensor {
+                        rows: 1,
+                        cols: 1,
+                        data: vec![to as f32],
+                    }],
+                };
+                sends.push(Op::Down(to, model));
+            }
+            sends
+        }
+
+        /// Each frame's queue (`None` up, `Some(client)` down), arrival
+        /// time and bytes, sorted; and the lost frames, sorted.
+        type Fates = (Vec<(Option<usize>, u64, Vec<u8>)>, Vec<LostFrame>);
+
+        fn fates(cfg: &FaultConfig, sends: Vec<Op>) -> Fates {
+            let mut ch = SimNetChannel::new(cfg.clone());
+            for send in sends {
+                match send {
+                    Op::Up(e) => ch.upload(e),
+                    Op::Down(to, e) => ch.download(to, e),
+                };
+            }
+            let up = ch.up_pending.iter().map(|f| (None, f));
+            let down = ch.down_pending.iter().enumerate();
+            let down = down.flat_map(|(id, q)| q.iter().map(move |f| (Some(id), f)));
+            let mut arrived: Vec<_> = up
+                .chain(down)
+                .map(|(q, (at, (_, frame)))| (q, at.to_bits(), frame.clone()))
+                .collect();
+            arrived.sort();
+            let mut lost = ch.drain_lost();
+            lost.sort();
+            (arrived, lost)
+        }
+
+        proptest! {
+            #[test]
+            fn a_frames_fate_does_not_depend_on_send_order(
+                seed in 0u64..u64::MAX,
+                round in 0u64..1000,
+                keys in vec(0u64..u64::MAX, 10),
+            ) {
+                let cfg = FaultConfig {
+                    seed,
+                    drop_prob: 0.3,
+                    jitter_ms: 2.0,
+                    straggler_ids: vec![2],
+                    ..Default::default()
+                };
+                let sends = phase(round);
+                // A random permutation (argsort of the keys), then each
+                // (link, kind) group refilled in its original order.
+                let mut order: Vec<usize> = (0..sends.len()).collect();
+                order.sort_by_key(|&i| keys[i]);
+                let mut groups: BTreeMap<(u32, u8), Vec<Op>> = BTreeMap::new();
+                for send in sends.iter().rev() {
+                    groups.entry(send.link()).or_default().push(send.clone());
+                }
+                let shuffled: Vec<Op> = order
+                    .iter()
+                    .filter_map(|&i| groups.get_mut(&sends[i].link()).and_then(Vec::pop))
+                    .collect();
+                prop_assert_eq!(shuffled.len(), sends.len());
+                prop_assert_eq!(fates(&cfg, shuffled), fates(&cfg, sends));
+            }
+        }
     }
 }

@@ -100,6 +100,14 @@ echo "::group::Sparse input layer equals the dense product (1024 cases)"
 PROPTEST_CASES=1024 cargo test -q --release -p fedomd-autograd csr_matmul_is_the_dense_product
 echo "::endgroup::"
 
+echo "::group::SimNet faults do not depend on send order (1024 cases)"
+# DESIGN.md §9: a frame's drops and arrival time are keyed by the frame
+# (round, link, kind, k), so one phase's uploads and downloads sent in any
+# order meet the same fate. (Also part of the workspace tests at the
+# stub's default 64 cases; this is the release build.)
+PROPTEST_CASES=1024 cargo test -q --release -p fedomd-transport a_frames_fate_does_not_depend_on_send_order
+echo "::endgroup::"
+
 echo "::group::Contention step (net_golden + interleaving under load)"
 # DESIGN.md §16: the TCP goldens and the interleaving sweep must hold
 # with both cores saturated, not just on a quiet box. The goldens fail on

@@ -131,9 +131,9 @@ fn fedomd_kill_and_resume_is_bit_identical_on_a_lossy_channel() {
         .checkpoint_every(k, &kill_path)
         .run();
 
-    // The resumed leg starts from a *fresh* channel: restoring the
-    // checkpointed ChannelState realigns the per-frame fault RNG cursor,
-    // so the drop pattern of rounds k.. replays exactly.
+    // The resumed leg starts from a *fresh* channel: each frame's faults
+    // are keyed by the frame itself (round, link, kind), so the drop
+    // pattern of rounds k.. replays exactly with no cursor to restore.
     let resumed_path = dir.join("resumed.ckpt");
     let mut chan = SimNetChannel::new(lossy());
     let resumed = FedRun::new(&clients, n_classes)
