@@ -817,6 +817,7 @@ mod tests {
     use super::*;
     use crate::baselines::{run_baseline, Baseline};
     use crate::engine::{run, Persistence, RoundDriver};
+    use crate::helpers::predict;
     use crate::{setup_federation, FederationConfig, RunResult};
     use fedomd_data::{generate, spec, DatasetName};
     use fedomd_telemetry::NullObserver;
@@ -1011,6 +1012,63 @@ mod tests {
                 bits(&expected.params()),
                 "LocGCN {i}"
             );
+        }
+    }
+
+    /// The logits of the pass recorded by `s`'s pending forward.
+    fn pending_logits(s: &ClientSession) -> Vec<u32> {
+        let (tape, out) = s.pending.as_ref().expect("a pending forward");
+        bits(std::slice::from_ref(tape.value(out.logits)))
+    }
+
+    /// The premise of sharing one forward between the pooled evaluation
+    /// and the next round: no model has a train/eval mode and nothing
+    /// between `install` and the next round's line 3 touches the weights,
+    /// so the logits the evaluation reads after `install` (on a fresh
+    /// tape) are the bits the next round's forward records (on the
+    /// session's warm buffer pool) — for FedOMD, FedGCN, two-pass FedProx
+    /// and SCAFFOLD, whose install also moves the server variate.
+    #[test]
+    fn the_eval_forward_is_the_next_rounds_forward() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let clients = setup_federation(&ds, &FederationConfig::mini(3, 0));
+        for (strategy, epochs) in [
+            (Strategy::FedOmd(FedOmdConfig::paper()), 1),
+            (Strategy::Baseline(Baseline::FedGcn), 1),
+            (Strategy::Baseline(Baseline::FedProx), 2),
+            (Strategy::Baseline(Baseline::Scaffold), 2),
+        ] {
+            let cfg = TrainConfig {
+                local_epochs: epochs,
+                ..TrainConfig::mini(0)
+            };
+            let (mut sessions, shards) = ClientSession::federation(
+                &cfg,
+                &strategy,
+                &clients,
+                ds.n_classes,
+                &mut NullObserver,
+            );
+            let mut server = ServerRound::new(false);
+            for (i, (s, client)) in sessions.iter_mut().zip(&shards[..]).enumerate() {
+                s.forward(client);
+                s.step(client, None).unwrap();
+                server.admit(env(i, s.weights())).unwrap();
+            }
+            let Some(Payload::GlobalModel { params }) = server.close_updates().1 else {
+                panic!("no global model");
+            };
+            for (i, (s, client)) in sessions.iter_mut().zip(&shards[..]).enumerate() {
+                s.install(params.clone()).unwrap();
+                let eval = predict(s.model(), client);
+                s.forward(client);
+                assert_eq!(
+                    bits(std::slice::from_ref(&eval)),
+                    pending_logits(s),
+                    "{} client {i}",
+                    strategy.name()
+                );
+            }
         }
     }
 
