@@ -137,10 +137,12 @@ pub fn run_fedomd_client_rounds(
         sw.finish(obs);
 
         // --- Round outcome: local eval on the post-aggregation model, the
-        // counts shipped for the server's pooled accuracy. ---
+        // counts shipped for the server's pooled accuracy. Every TCP client
+        // trains every round, so the eval forward is kept as the next
+        // round's line 3. ---
         let counts = if round.is_multiple_of(cfg.eval_every) {
             let sw = PhaseStopwatch::start(Phase::Eval);
-            let counts = session.eval_counts(client);
+            let counts = session.eval_counts(client, round + 1 < cfg.rounds);
             sw.finish(obs);
             counts
         } else {

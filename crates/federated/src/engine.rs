@@ -418,10 +418,7 @@ pub fn run(
         // The round's cohort: pure function of (cohort seed, round),
         // ascending, so a resumed run replays the same participation.
         let cohort = cfg.cohort.sample(r, m);
-        let mut in_cohort = vec![false; m];
-        for &i in &cohort {
-            in_cohort[i] = true;
-        }
+        let in_cohort = membership(&cohort, m);
 
         // --- Forward passes (cohort, parallel) ---
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
@@ -541,10 +538,18 @@ pub fn run(
             active.iter().sum::<f64>() / active.len() as f64
         };
         let eval = driver.eval_due(round).then(|| {
+            // Next round's cohort keeps its evaluation forward as that
+            // round's line 3; everyone else evaluates on a throwaway tape.
+            let next = if round + 1 < cfg.rounds {
+                cfg.cohort.sample(r + 1, m)
+            } else {
+                Vec::new()
+            };
+            let keep = membership(&next, m);
             let sw = PhaseStopwatch::start(Phase::Eval);
             let mut counts = EvalCounts::default();
-            for (s, client) in sessions.iter().zip(clients) {
-                counts += s.eval_counts(client);
+            for ((s, client), &keep) in sessions.iter_mut().zip(clients).zip(&keep) {
+                counts += s.eval_counts(client, keep);
             }
             sw.finish(obs);
             counts
@@ -558,6 +563,15 @@ pub fn run(
         }
     }
     driver.finish_observed(algorithm, obs)
+}
+
+/// `member[i]` iff client `i` is in `cohort`.
+fn membership(cohort: &[usize], m: usize) -> Vec<bool> {
+    let mut member = vec![false; m];
+    for &i in cohort {
+        member[i] = true;
+    }
+    member
 }
 
 /// Opens the server side of a run, in-process or over TCP: restores the

@@ -1,5 +1,5 @@
 //! Shared machinery for every federated algorithm: prediction, argmax,
-//! per-client evaluation counts, the FedAvg reduction (batch [`fedavg`] and streaming
+//! correct-prediction counts, the FedAvg reduction (batch [`fedavg`] and streaming
 //! [`UpdateAccumulator`]), and the single-client training step.
 
 use fedomd_autograd::{Tape, Var, Workspace};
@@ -8,7 +8,6 @@ use fedomd_tensor::Matrix;
 use std::fmt;
 
 use crate::client::ClientData;
-use crate::session::EvalCounts;
 
 /// Forward pass without gradient bookkeeping; returns the logits matrix.
 pub fn predict(model: &dyn Model, client: &ClientData) -> Matrix {
@@ -40,19 +39,6 @@ pub fn count_correct(logits: &Matrix, labels: &[usize], mask: &[usize]) -> (usiz
         .filter(|&&r| argmax_row(logits.row(r)) == labels[r])
         .count();
     (correct, mask.len())
-}
-
-/// `(correct, total)` of `model` over `client`'s validation and test nodes.
-pub fn eval_counts(model: &dyn Model, client: &ClientData) -> EvalCounts {
-    let logits = predict(model, client);
-    let count = |mask: &[usize]| {
-        let (c, t) = count_correct(&logits, &client.labels, mask);
-        (c as u64, t as u64)
-    };
-    EvalCounts {
-        val: count(&client.splits.val),
-        test: count(&client.splits.test),
-    }
 }
 
 /// Weighted FedAvg: `W̄ = Σ_i λ_i W_i` with `λ` normalised to sum to 1
@@ -326,6 +312,7 @@ pub(crate) fn descend(
 mod tests {
     use super::*;
     use crate::client::{setup_federation, FederationConfig};
+    use crate::session::EvalCounts;
     use fedomd_data::{generate, spec, DatasetName};
     use fedomd_nn::{Mlp, Sgd};
     use fedomd_tensor::rng::seeded;
@@ -389,7 +376,7 @@ mod tests {
         let client = one_client();
         let mut rng = seeded(2);
         let model = Mlp::new(client.input.n_features(), 8, 7, &mut rng);
-        let counts = eval_counts(&model, &client);
+        let counts = EvalCounts::of(&predict(&model, &client), &client);
         assert_eq!(counts.val.1, client.splits.val.len() as u64);
         assert_eq!(counts.test.1, client.splits.test.len() as u64);
         let (val, test) = counts.accuracy();

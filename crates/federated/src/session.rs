@@ -41,7 +41,7 @@ use crate::engine::{
     build_fedomd_model, build_model, DriverState, ModelKind, OptimState, ResumeState, Strategy,
 };
 use crate::helpers::{
-    check_shapes, descend, eval_counts, finish_step, UpdateAccumulator, UpdateShapeError,
+    check_shapes, count_correct, descend, finish_step, UpdateAccumulator, UpdateShapeError,
 };
 use crate::protocol::{
     build_targets, client_means, client_moments_about, GlobalStats, MeanAccumulator,
@@ -66,8 +66,10 @@ pub struct ClientSession {
     /// The parameter shapes of an upload and of the global model: the
     /// model's, and for SCAFFOLD the model's twice (`w ‖ Δc`).
     shapes: Vec<(usize, usize)>,
-    /// This round's recorded forward pass, from [`Self::forward`] until
-    /// [`Self::step`] consumes it.
+    /// The forward pass of the current weights, from [`Self::forward`] or
+    /// a kept [`Self::eval_counts`] until [`Self::step`] consumes it or
+    /// [`Self::install`] / [`Self::restore`] drop it. Never checkpointed:
+    /// it is a pure function of the weights.
     pending: Option<(Tape, ForwardOut)>,
 }
 
@@ -167,6 +169,7 @@ impl ClientSession {
         }
         self.model.set_params(params);
         self.model.set_steps(steps as usize);
+        self.pending = None;
         true
     }
 
@@ -183,11 +186,19 @@ impl ClientSession {
     }
 
     /// Line 3: records this round's forward pass on a tape drawn from the
-    /// session's buffer pool.
+    /// session's buffer pool — unless the pass of these weights is already
+    /// pending, kept by the last round's [`Self::eval_counts`].
     pub fn forward(&mut self, client: &ClientData) {
-        let mut tape = Tape::with_workspace(std::mem::take(&mut self.ws));
-        let out = self.model.forward(&mut tape, &client.input);
-        self.pending = Some((tape, out));
+        self.pending_forward(client);
+    }
+
+    fn pending_forward(&mut self, client: &ClientData) -> &(Tape, ForwardOut) {
+        let (model, ws) = (&self.model, &mut self.ws);
+        self.pending.get_or_insert_with(|| {
+            let mut tape = Tape::with_workspace(std::mem::take(ws));
+            let out = model.forward(&mut tape, &client.input);
+            (tape, out)
+        })
     }
 
     fn hidden(&self) -> Option<Vec<&Matrix>> {
@@ -331,6 +342,7 @@ impl ClientSession {
             }
         }
         self.model.set_params(&params);
+        self.pending = None;
         Ok(())
     }
 
@@ -339,9 +351,24 @@ impl ClientSession {
         self.model.as_ref()
     }
 
-    /// Pooled-evaluation counts of the current model on `client`.
-    pub fn eval_counts(&self, client: &ClientData) -> EvalCounts {
-        eval_counts(self.model.as_ref(), client)
+    /// Pooled-evaluation counts of the current model on `client`, from one
+    /// forward pass.
+    ///
+    /// With `keep` (a client that trains next round) the pass is recorded
+    /// as the pending forward, on the session's own buffer pool, and the
+    /// next round's [`Self::forward`] is free: no model has a train/eval
+    /// mode, and only `step`, `install` and `restore` change the weights,
+    /// each of which consumes or drops the pass. Without `keep` the pass
+    /// runs on a throwaway tape and pool, so the session holds no tape and
+    /// its pool does not grow.
+    pub fn eval_counts(&mut self, client: &ClientData, keep: bool) -> EvalCounts {
+        if keep {
+            let (tape, out) = self.pending_forward(client);
+            return EvalCounts::of(tape.value(out.logits), client);
+        }
+        let mut tape = Tape::new();
+        let out = self.model.forward(&mut tape, &client.input);
+        EvalCounts::of(tape.value(out.logits), client)
     }
 }
 
@@ -488,6 +515,18 @@ impl AddAssign for EvalCounts {
 }
 
 impl EvalCounts {
+    /// The counts of `logits` over `client`'s validation and test nodes.
+    pub(crate) fn of(logits: &Matrix, client: &ClientData) -> Self {
+        let count = |mask: &[usize]| {
+            let (c, t) = count_correct(logits, &client.labels, mask);
+            (c as u64, t as u64)
+        };
+        Self {
+            val: count(&client.splits.val),
+            test: count(&client.splits.test),
+        }
+    }
+
     /// Pooled `(val_acc, test_acc)`; 0 for an empty split.
     pub fn accuracy(&self) -> (f64, f64) {
         let frac = |(c, t): (u64, u64)| if t == 0 { 0.0 } else { c as f64 / t as f64 };
@@ -883,8 +922,8 @@ mod tests {
                 }
             }
             let mut counts = EvalCounts::default();
-            for (s, client) in sessions.iter().zip(clients) {
-                counts += s.eval_counts(client);
+            for (s, client) in sessions.iter_mut().zip(clients) {
+                counts += s.eval_counts(client, round + 1 < cfg.rounds);
             }
             let mean_loss = loss / sessions.len() as f64;
             driver.end_round(round, mean_loss, Some(counts), &mut NullObserver);
@@ -1070,6 +1109,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A FedOMD session on `client` after one local step, so its buffer
+    /// pool is warm.
+    fn stepped(client: &ClientData, k: usize) -> ClientSession {
+        let mut s = ClientSession::new(&TrainConfig::mini(0), &FedOmdConfig::paper(), client, k);
+        s.forward(client);
+        s.step(client, None).unwrap();
+        s
+    }
+
+    /// A kept evaluation forward belongs to the weights it ran on: after
+    /// `install` or `restore` the next step must run on a fresh forward of
+    /// the new weights, exactly as in a session that never kept one.
+    #[test]
+    fn install_and_restore_drop_a_kept_forward() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let client = &setup_federation(&ds, &FederationConfig::mini(1, 0))[0];
+        let k = ds.n_classes;
+        let halved: Vec<Matrix> = stepped(client, k)
+            .model
+            .params()
+            .iter()
+            .map(|p| {
+                let mut h = Matrix::zeros(p.rows(), p.cols());
+                axpy(&mut h, 0.5, p);
+                h
+            })
+            .collect();
+        let step_after = |keep: bool, restore: bool| {
+            let mut s = stepped(client, k);
+            s.eval_counts(client, keep);
+            assert_eq!(s.pending.is_some(), keep);
+            if restore {
+                let steps = s.model.steps() as u64;
+                let optim = s.optim_state();
+                assert!(s.restore(&halved, steps, optim));
+            } else {
+                s.install(to_tensors(&halved)).unwrap();
+            }
+            assert!(s.pending.is_none(), "the kept forward outlived new weights");
+            s.forward(client);
+            let losses = s.step(client, None).unwrap();
+            (losses, bits(&s.model.params()))
+        };
+        for restore in [false, true] {
+            assert_eq!(step_after(true, restore), step_after(false, restore));
+        }
+    }
+
+    /// A client outside the next cohort evaluates on a throwaway tape and
+    /// pool: it keeps no forward and its own pool neither grows nor
+    /// shrinks. A kept evaluation counts the same bits.
+    #[test]
+    fn a_spectator_eval_keeps_no_tape_and_no_pool() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let client = &setup_federation(&ds, &FederationConfig::mini(1, 0))[0];
+        let mut s = stepped(client, ds.n_classes);
+        let pooled = s.ws.pooled_buffers();
+        assert!(pooled > 0);
+        let spectator = s.eval_counts(client, false);
+        assert!(s.pending.is_none());
+        assert_eq!(s.ws.pooled_buffers(), pooled);
+        assert_eq!(
+            spectator,
+            EvalCounts::of(&predict(s.model(), client), client)
+        );
+        assert_eq!(s.eval_counts(client, true), spectator);
+        assert!(s.pending.is_some());
     }
 
     /// With a huge μ the proximal pull keeps the weights pinned to each
