@@ -118,12 +118,18 @@ fn graph_models_beat_the_mlp_family_on_homophilous_data() {
 fn scaffold_fedlit_and_fedsage_degrade_gracefully_on_a_lossy_channel() {
     // SCAFFOLD, FedLIT and FedSage+ run on the one round, so a lossy
     // channel drops their frames like anyone's and the run carries on.
+    //
+    // Each frame is lost with probability 0.25 (one attempt, no retry). A
+    // run that drops nothing sends exactly its fault-free frames, at least
+    // 12 rounds × 3 clients × weights up and model down = 72, so with
+    // independent per-frame fates "nothing dropped" has probability at
+    // most 0.75^72 ≈ 1e-9 per algorithm.
     let (clients, k, cfg) = quick();
     for which in [Baseline::Scaffold, Baseline::FedLit, Baseline::FedSagePlus] {
         let mut chan = SimNetChannel::new(FaultConfig {
             seed: 11,
             drop_prob: 0.25,
-            max_retries: 1,
+            max_retries: 0,
             ..Default::default()
         });
         let r = FedRun::new(&clients, k)
