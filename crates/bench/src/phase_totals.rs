@@ -28,7 +28,9 @@ impl PhaseTotals {
         phases.iter().map(|&p| self.micros(p)).sum::<u64>() as f64 / 1e3
     }
 
-    /// Client time: local training.
+    /// Client time: local training. After an evaluated round a trained
+    /// client's next forward pass was recorded by the evaluation, so it
+    /// counts as inference, not here.
     pub fn client_ms(&self) -> f64 {
         self.ms(&[Phase::LocalTrain])
     }
@@ -38,7 +40,8 @@ impl PhaseTotals {
         self.ms(&[Phase::Comms, Phase::Aggregation, Phase::FoldOverlap])
     }
 
-    /// Inference time: evaluation.
+    /// Inference time: evaluation, including the forward pass it shares
+    /// with the next round's local training.
     pub fn inference_ms(&self) -> f64 {
         self.ms(&[Phase::Eval])
     }

@@ -41,7 +41,7 @@ use crate::engine::{
     build_fedomd_model, build_model, DriverState, ModelKind, OptimState, ResumeState, Strategy,
 };
 use crate::helpers::{
-    check_shapes, count_correct, descend, finish_step, UpdateAccumulator, UpdateShapeError,
+    check_shapes, count_correct, descend, finish_step, predict, UpdateAccumulator, UpdateShapeError,
 };
 use crate::protocol::{
     build_targets, client_means, client_moments_about, GlobalStats, MeanAccumulator,
@@ -366,9 +366,7 @@ impl ClientSession {
             let (tape, out) = self.pending_forward(client);
             return EvalCounts::of(tape.value(out.logits), client);
         }
-        let mut tape = Tape::new();
-        let out = self.model.forward(&mut tape, &client.input);
-        EvalCounts::of(tape.value(out.logits), client)
+        EvalCounts::of(&predict(self.model.as_ref(), client), client)
     }
 }
 
@@ -856,7 +854,6 @@ mod tests {
     use super::*;
     use crate::baselines::{run_baseline, Baseline};
     use crate::engine::{run, Persistence, RoundDriver};
-    use crate::helpers::predict;
     use crate::{setup_federation, FederationConfig, RunResult};
     use fedomd_data::{generate, spec, DatasetName};
     use fedomd_telemetry::NullObserver;
