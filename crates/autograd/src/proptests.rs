@@ -42,13 +42,15 @@ fn arb_poisoned(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     )
 }
 
-/// `(A, W, G)` for `Y = A·W` with upstream gradient `G`: `A` is 0–30 %
+/// `(A, W, G)` for `Y = A·W` with upstream gradient `G`: `A` is 0–65 %
 /// non-zero, its zeros a mix of `+0.0` and `-0.0`, and every third row is
 /// emptied in about half the cases. Up to 96 × 40 × 20, so both sides of
-/// the dense dispatcher's small-product cut-off and of the SpMM register
-/// chunk are covered.
+/// the dense dispatcher's small-product cut-off, of its zero-skip
+/// threshold (`SPARSE_MAX_DENSITY`, ¼: the skip kernels below, the packed
+/// kernel above), of the input layer's CSR cut-over (½) and of the SpMM
+/// register chunk are covered.
 fn arb_sparse_product() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
-    (1usize..96, 1usize..40, 1usize..20, 0u32..=30, 0u8..2).prop_flat_map(
+    (1usize..96, 1usize..40, 1usize..20, 0u32..=65, 0u8..2).prop_flat_map(
         |(m, k, n, pct, empty_rows)| {
             let entries = vec((0u32..100, -2.0f32..2.0, 0u8..2), m * k);
             (entries, arb_poisoned(k, n), arb_poisoned(m, n)).prop_map(move |(entries, w, g)| {
@@ -76,44 +78,81 @@ fn assert_bits_eq(got: &Matrix, want: &Matrix) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Checks `csr_matmul`'s forward `A·W` and weight gradient `Aᵀ·G`
+/// against the dense dispatcher and the serial reference kernels on the
+/// dense twin of `A`, `to_bits`.
+fn check_csr_matmul(a: Matrix, w: Matrix, g: Matrix) -> Result<(), TestCaseError> {
+    let (m, k) = a.shape();
+    let n = w.cols();
+    let mut nonzeros = Vec::new();
+    for r in 0..m {
+        for c in 0..k {
+            if a[(r, c)] != 0.0 {
+                nonzeros.push((r, c, a[(r, c)]));
+            }
+        }
+    }
+    let csr = Arc::new(Csr::from_coo(m, k, nonzeros));
+    let dense = Arc::new(a);
+
+    let mut t = Tape::new();
+    let wv = t.param(w.clone());
+    let y = t.csr_matmul(&csr, &dense, wv);
+    // loss = 1ᵀ·(Y ⊙ G)·1, whose gradient with respect to Y is
+    // exactly G.
+    let yg = t.mask_mul(y, g.clone());
+    let ones_l = t.constant(Matrix::full(1, m, 1.0));
+    let ones_r = t.constant(Matrix::full(n, 1, 1.0));
+    let s = t.matmul(ones_l, yg);
+    let loss = t.matmul(s, ones_r);
+    t.backward(loss);
+
+    assert_bits_eq(t.value(y), &matmul(&dense, &w))?;
+    assert_bits_eq(t.value(y), &matmul_ref(&dense, &w))?;
+    let dw = t.grad(wv).expect("W gets a gradient");
+    assert_bits_eq(dw, &matmul_tn(&dense, &g))?;
+    assert_bits_eq(dw, &matmul_tn_ref(&dense, &g))?;
+    Ok(())
+}
+
+/// A `computer_paper`-shaped case, fixed seed: `A` is 300 × 767 at about
+/// 38 % density, so the packed kernel's `KC` = 256-deep summation panels
+/// split every output element's sum twice (the panel boundaries that a
+/// 767-feature shard crosses), with a finite and a poisoned `W` and `G`.
+#[test]
+fn csr_matmul_is_the_packed_product_across_summation_panels() {
+    use rand::Rng;
+    let (m, k, n) = (300, 767, 64);
+    let mut rng = fedomd_tensor::rng::seeded(38);
+    let a = Matrix::from_fn(m, k, |_, _| {
+        if rng.gen_range(0..100) < 38 {
+            rng.gen_range(-2.0f32..2.0)
+        } else if rng.gen_range(0..2) == 0 {
+            -0.0
+        } else {
+            0.0
+        }
+    });
+    let w = fedomd_tensor::init::standard_normal(k, n, &mut rng);
+    let g = fedomd_tensor::init::standard_normal(m, n, &mut rng);
+    check_csr_matmul(a.clone(), w.clone(), g.clone()).expect("finite W and G");
+    let (mut w_bad, mut g_bad) = (w, g);
+    w_bad[(300, 5)] = f32::NAN;
+    g_bad[(17, 40)] = f32::INFINITY;
+    check_csr_matmul(a, w_bad, g_bad).expect("non-finite W and G");
+}
+
 proptest! {
     /// The sparse input layer is the dense product, bit for bit: the
     /// forward `A·W` and the weight gradient `Aᵀ·G` of `csr_matmul` equal
     /// the dense dispatcher's and the serial reference kernels' on the
-    /// dense twin of `A`, non-finite `W` and `G` included.
+    /// dense twin of `A`, at densities on both sides of the dispatcher's
+    /// zero-skip threshold and of the input layer's CSR cut-over,
+    /// non-finite `W` and `G` included.
     #[test]
     fn csr_matmul_is_the_dense_product(case in arb_sparse_product()) {
         let (a, w, g) = case;
-        let (m, k) = a.shape();
-        let n = w.cols();
-        let mut nonzeros = Vec::new();
-        for r in 0..m {
-            for c in 0..k {
-                if a[(r, c)] != 0.0 {
-                    nonzeros.push((r, c, a[(r, c)]));
-                }
-            }
-        }
-        let csr = Arc::new(Csr::from_coo(m, k, nonzeros));
-        let dense = Arc::new(a);
-
-        let mut t = Tape::new();
-        let wv = t.param(w.clone());
-        let y = t.csr_matmul(&csr, &dense, wv);
-        // loss = 1ᵀ·(Y ⊙ G)·1, whose gradient with respect to Y is
-        // exactly G.
-        let yg = t.mask_mul(y, g.clone());
-        let ones_l = t.constant(Matrix::full(1, m, 1.0));
-        let ones_r = t.constant(Matrix::full(n, 1, 1.0));
-        let s = t.matmul(ones_l, yg);
-        let loss = t.matmul(s, ones_r);
-        t.backward(loss);
-
-        assert_bits_eq(t.value(y), &matmul(&dense, &w))?;
-        assert_bits_eq(t.value(y), &matmul_ref(&dense, &w))?;
-        let dw = t.grad(wv).expect("W gets a gradient");
-        assert_bits_eq(dw, &matmul_tn(&dense, &g))?;
-        assert_bits_eq(dw, &matmul_tn_ref(&dense, &g))?;
+        check_csr_matmul(a, w, g)?;
     }
 
     /// d(sum(A·B))/dA is linear in B: doubling B doubles the gradient.

@@ -238,11 +238,14 @@ impl Tape {
     /// `constant(dense)`, without copying `dense` onto the tape.
     ///
     /// The forward runs through [`Csr::spmm_into`] and the weight gradient
-    /// `Aᵀ·G` through the workspace's cached transpose. Both accumulate the
-    /// stored entries in ascending `k` from `+0.0`, which is what the dense
-    /// zero-skip kernels do when the right operand is finite. When `W`
-    /// (forward) or `G` (backward) holds a NaN or ±inf, the dense kernels
-    /// add every `0 · x` term, so those products run on `dense` instead.
+    /// `Aᵀ·G` through [`Csr::spmm_t_into`], which scatters from `A`'s rows,
+    /// so no transpose of `A` is stored. Both accumulate the stored
+    /// entries in ascending `k` from `+0.0`, which is what the dense
+    /// kernels do when the right operand is finite: the zero-skip kernels
+    /// skip the `0 · x` terms, and the packed kernel adds them, which
+    /// leaves a sum that starts at `+0.0` unchanged. When `W` (forward) or
+    /// `G` (backward) holds a NaN or ±inf, a `0 · x` term is no longer a
+    /// no-op, so those products run on `dense` instead.
     pub fn csr_matmul(&mut self, a: &Arc<Csr>, dense: &Arc<Matrix>, w: Var) -> Var {
         debug_assert_eq!(
             (a.rows(), a.cols()),
@@ -504,8 +507,7 @@ impl Tape {
                 if self.nodes[w].requires_grad {
                     let mut d = self.ws.take_uninit(a.cols(), g.cols());
                     if g.all_finite() {
-                        let at = self.ws.transposed(a);
-                        at.spmm_into(g, &mut d);
+                        a.spmm_t_into(g, &mut d);
                     } else {
                         matmul_tn_into(dense, g, &mut d);
                     }

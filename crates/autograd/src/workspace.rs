@@ -12,9 +12,9 @@
 //! Because every write path produces exactly the bytes the allocating path
 //! would have produced, a pooled step is bit-identical to an unpooled one.
 //!
-//! The workspace also caches CSR transposes: the backward rule of `Ŝ·X`
-//! multiplies by `Ŝᵀ`, and recomputing the transpose from scratch every
-//! step dwarfs the SpMM itself on small graphs. Entries are keyed by
+//! The workspace also caches CSR transposes: the backward rule of the
+//! propagation `Ŝ·H` multiplies by `Ŝᵀ`, and recomputing the transpose from
+//! scratch every step dwarfs the SpMM itself on small graphs. Entries are keyed by
 //! `Arc` pointer identity *and keep the source `Arc` alive*, so a freed
 //! allocation can never alias a stale cache slot.
 
@@ -34,8 +34,11 @@ use fedomd_tensor::Matrix;
 /// many live buffers of any one size.
 const MAX_PER_CLASS: usize = 32;
 
-/// Cached CSR transposes (a federation client sees one or two distinct
-/// propagation operators; FedLIT's per-type operators are the most at 3).
+/// Cached CSR transposes. Only the propagation operators `Ŝ` of
+/// [`Tape::spmm`](crate::Tape::spmm) land here: a federation client sees
+/// one or two of them (FedLIT's per-type operators are the most at 3). The
+/// CSR input layer ([`Tape::csr_matmul`](crate::Tape::csr_matmul)) takes
+/// its weight gradient by scattering from its own rows and caches none.
 const MAX_TRANSPOSES: usize = 8;
 
 /// A size-keyed pool of `f32` buffers plus a CSR-transpose cache,

@@ -2,13 +2,14 @@
 //! client-time row of the paper's Table 3 — and of the sparse input layer
 //! that replaces the first of them on zero-heavy `Ŝ·X`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::{setup_federation, FederationConfig};
 use fedomd_sparse::Csr;
 use fedomd_tensor::gemm::{matmul, matmul_nt, matmul_tn};
 use fedomd_tensor::rng::seeded;
 use fedomd_tensor::Matrix;
+use rand::Rng;
 
 fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = seeded(seed);
@@ -48,34 +49,58 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-/// The first layer's two products on a `cora_paper` shard (Cora, 3
-/// parties, seed 0, hidden 64): the dense dispatcher on `Ŝ·X` against the
-/// CSR forward and the CSR-transpose weight gradient. Same bits either way.
+/// The first layer's two products on `A = Ŝ·X` with hidden width 64: the
+/// dense dispatcher against the CSR forward, and for the weight gradient
+/// `Aᵀ·G` the dense `matmul_tn` against the CSR row scatter
+/// (`csr_wgrad`, what the tape runs) and SpMM on a stored transpose
+/// (`csr_t_wgrad`). Same bits on every path.
+///
+/// Operands: a `cora_paper` shard (Cora, 3 parties, seed 0), and a
+/// `computer_paper`-shaped 2700 × 767 matrix at 10/25/35/50/65 %
+/// density, the sweep that sets `fedomd_nn::INPUT_CSR_MAX_DENSITY`.
 fn bench_input_layer(c: &mut Criterion) {
+    let hidden = 64;
     let ds = generate(&spec(DatasetName::Cora), 0);
     let clients = setup_federation(&ds, &FederationConfig::paper(3, 0));
-    let sx = &clients[0].input.sx;
-    let csr = Csr::from_zero_heavy(sx).expect("Cora's Ŝ·X is zero-heavy");
-    let csr_t = csr.transpose();
-    let (n, f) = sx.shape();
-    let hidden = 64;
-    let w = rand_matrix(f, hidden, 4);
-    let g = rand_matrix(n, hidden, 5);
-    let shape = format!("{n}x{f}x{hidden}");
+    let cora = (*clients[0].input.sx).clone();
+    let (n, f) = cora.shape();
+    let mut operands = vec![(format!("{n}x{f}x{hidden}"), cora)];
+    for pct in [10u64, 25, 35, 50, 65] {
+        let mut rng = seeded(6 + pct);
+        let a = Matrix::from_fn(2700, 767, |_, _| {
+            if rng.gen_range(0u64..100) < pct {
+                rng.gen_range(-1.0f32..1.0)
+            } else {
+                0.0
+            }
+        });
+        operands.push((format!("2700x767x{hidden}@{pct}%"), a));
+    }
 
     let mut group = c.benchmark_group("input_layer");
-    group.bench_function(BenchmarkId::new("dense_fwd", &shape), |b| {
-        b.iter(|| matmul(sx, &w))
-    });
-    group.bench_function(BenchmarkId::new("csr_fwd", &shape), |b| {
-        b.iter(|| csr.spmm(&w))
-    });
-    group.bench_function(BenchmarkId::new("dense_wgrad", &shape), |b| {
-        b.iter(|| matmul_tn(sx, &g))
-    });
-    group.bench_function(BenchmarkId::new("csr_wgrad", &shape), |b| {
-        b.iter(|| csr_t.spmm(&g))
-    });
+    for (shape, a) in &operands {
+        let csr = Csr::from_zero_heavy(a, 1.0).expect("every operand has a zero");
+        let csr_t = csr.transpose();
+        let (n, f) = a.shape();
+        let w = rand_matrix(f, hidden, 4);
+        let g = rand_matrix(n, hidden, 5);
+        let mut out = Matrix::zeros(f, hidden);
+        group.bench_function(BenchmarkId::new("dense_fwd", shape), |b| {
+            b.iter(|| matmul(a, &w))
+        });
+        group.bench_function(BenchmarkId::new("csr_fwd", shape), |b| {
+            b.iter(|| csr.spmm(&w))
+        });
+        group.bench_function(BenchmarkId::new("dense_wgrad", shape), |b| {
+            b.iter(|| matmul_tn(a, &g))
+        });
+        group.bench_function(BenchmarkId::new("csr_wgrad", shape), |b| {
+            b.iter(|| csr.spmm_t_into(&g, black_box(&mut out)))
+        });
+        group.bench_function(BenchmarkId::new("csr_t_wgrad", shape), |b| {
+            b.iter(|| csr_t.spmm(&g))
+        });
+    }
     group.finish();
 }
 

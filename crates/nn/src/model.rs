@@ -6,16 +6,32 @@ use fedomd_autograd::{Tape, Var};
 use fedomd_sparse::Csr;
 use fedomd_tensor::Matrix;
 
+/// Non-zero fraction of `Ŝ·X` below which [`GraphInput`] also keeps it as
+/// CSR and runs the first layer on it. Chosen from the `input_layer`
+/// kernel sweep in `benches/gemm.rs` (a `computer_paper`-shaped 2,700 ×
+/// 767 operand, hidden 64, recorded in `BENCH_kernels.json`; medians on
+/// a shared 2-core x86-64 box). The CSR forward and the scatter weight
+/// gradient beat the dense products from 10 % up to 50 % density (at
+/// 50 %: forward 11.3 vs 13.2 ms, weight gradient 10.6 vs 13.8 ms) and
+/// lose at 65 % (14.0 vs 12.2 ms, 14.4 vs 12.5 ms), so the costs cross
+/// between 50 and 65 %. ½ also bounds the memory: at ½ the CSR copy
+/// (4-byte value plus 4-byte column per stored entry) is as large as the
+/// dense one. This is the input layer's own cut-over; the dense GEMM
+/// dispatcher keeps
+/// [`SPARSE_MAX_DENSITY`](fedomd_tensor::gemm::SPARSE_MAX_DENSITY) for
+/// its zero-skip kernels.
+pub const INPUT_CSR_MAX_DENSITY: f64 = 0.5;
+
 /// The per-client graph input: normalised adjacency `Ŝ`, raw features `X`,
 /// and the cached product `ŜX` (constant across epochs, so computed once).
 ///
-/// `ŜX` is the left operand of the GCN models' first layer. Over
-/// bag-of-words features it is mostly zeros, so when fewer than
-/// [`SPARSE_MAX_DENSITY`](fedomd_tensor::gemm::SPARSE_MAX_DENSITY) of its
-/// entries are non-zero the input also keeps it as CSR, and
-/// [`GraphInput::sx_matmul`] runs the first layer through SpMM instead of
-/// the dense product. Denser inputs keep only the dense copy and the dense
-/// path.
+/// `ŜX` is the left operand of the GCN models' first layer. When fewer
+/// than [`INPUT_CSR_MAX_DENSITY`] of its entries are non-zero (bag-of-words
+/// features: Cora's shards are ~6 %, Amazon Computer's 35–40 %) the input
+/// also keeps it as CSR, and [`GraphInput::sx_matmul`] runs the first
+/// layer's forward and weight gradient on it instead of the dense
+/// products. The dense copy stays either way: it is the operand of the
+/// non-finite fallback and of denser inputs.
 #[derive(Clone)]
 pub struct GraphInput {
     /// Symmetrically normalised adjacency with self-loops.
@@ -24,13 +40,14 @@ pub struct GraphInput {
     pub x: Arc<Matrix>,
     /// Cached `Ŝ · X`.
     pub sx: Arc<Matrix>,
-    /// `sx` as CSR when it is zero-heavy, else `None`.
+    /// `sx` as CSR when it is less than [`INPUT_CSR_MAX_DENSITY`]
+    /// non-zero, else `None`.
     pub sx_csr: Option<Arc<Csr>>,
 }
 
 impl GraphInput {
-    /// Builds the input, precomputing `Ŝ·X` and, when it is zero-heavy,
-    /// its CSR form.
+    /// Builds the input, precomputing `Ŝ·X` and, below
+    /// [`INPUT_CSR_MAX_DENSITY`], its CSR form.
     pub fn new(s: Arc<Csr>, x: Matrix) -> Self {
         assert_eq!(
             s.rows(),
@@ -38,7 +55,7 @@ impl GraphInput {
             "GraphInput: S and X row counts disagree"
         );
         let sx = s.spmm(&x);
-        let sx_csr = Csr::from_zero_heavy(&sx).map(Arc::new);
+        let sx_csr = Csr::from_zero_heavy(&sx, INPUT_CSR_MAX_DENSITY).map(Arc::new);
         Self {
             s,
             x: Arc::new(x),
@@ -221,6 +238,7 @@ mod tests {
     use crate::models::ortho_gcn::OrthoGcnConfig;
     use crate::optim::{Adam, Optimizer};
     use crate::{Gcn, OrthoGcn};
+    use fedomd_autograd::Workspace;
     use fedomd_sparse::normalized_adjacency;
     use fedomd_tensor::rng::seeded;
 
@@ -314,6 +332,114 @@ mod tests {
                 assert_ne!(bits(&got), bits(&start), "the step moved nothing");
             }
         }
+    }
+
+    /// The same ring with eight of 64 features set per node, shifted by
+    /// one column per node, so each row of `Ŝ·X` sums three neighbours'
+    /// disjoint patterns: 24 of 64 = 37.5 % non-zero, the density of the
+    /// `computer_paper` shards.
+    fn dense_ring_input() -> GraphInput {
+        let n = 48;
+        let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let s = Arc::new(normalized_adjacency(n, &edges));
+        let x = Matrix::from_fn(n, 64, |r, c| {
+            if (r + c) % 8 == 0 {
+                1.0 + ((r + c) % 5) as f32 * 0.25
+            } else {
+                0.0
+            }
+        });
+        GraphInput::new(s, x)
+    }
+
+    /// `Ŝ = I` (no edges), so `Ŝ·X = X`: a 10 × 10 input whose first
+    /// `cols` columns are non-zero.
+    fn input_with_dense_columns(cols: usize) -> GraphInput {
+        let s = Arc::new(normalized_adjacency(10, &[]));
+        let x = Matrix::from_fn(10, 10, |r, c| if c < cols { 1.0 + r as f32 } else { 0.0 });
+        GraphInput::new(s, x)
+    }
+
+    #[test]
+    fn the_input_layer_keeps_csr_below_its_own_cut_over() {
+        let forty = input_with_dense_columns(4);
+        let csr = forty
+            .sx_csr
+            .as_ref()
+            .expect("40 % dense is below the cut-over");
+        assert_eq!(csr.nnz(), 40);
+        assert!(
+            input_with_dense_columns(6).sx_csr.is_none(),
+            "60 % dense keeps only the dense copy"
+        );
+    }
+
+    /// The step test above on an input as dense as a `computer_paper`
+    /// shard, which the dense dispatcher would run on its packed kernel.
+    #[test]
+    fn the_sparse_first_layer_steps_to_the_packed_bits() {
+        let sparse = dense_ring_input();
+        let csr = sparse
+            .sx_csr
+            .as_ref()
+            .expect("37.5 % is below the cut-over");
+        let density = csr.nnz() as f64 / sparse.sx.len() as f64;
+        assert!((0.35..0.40).contains(&density), "density {density}");
+        let dense = GraphInput {
+            sx_csr: None,
+            ..sparse.clone()
+        };
+        let classes = 3;
+        let mut rng = seeded(11);
+        let models: Vec<Box<dyn Model>> = vec![
+            Box::new(Gcn::new(64, 16, classes, &mut rng)),
+            Box::new(OrthoGcn::new(OrthoGcnConfig::paper(64, classes), &mut rng)),
+        ];
+        for model in models {
+            let init = model.params();
+            let last = init.len() - 1;
+            for poison in [None, Some(0), Some(last)] {
+                let mut start = init.clone();
+                if let Some(p) = poison {
+                    start[p].as_mut_slice()[3] = f32::NAN;
+                }
+                let mut a = model.boxed_clone();
+                let mut b = model.boxed_clone();
+                a.set_params(&start);
+                b.set_params(&start);
+                let got = one_step(a.as_mut(), &sparse, classes);
+                let want = one_step(b.as_mut(), &dense, classes);
+                assert_eq!(bits(&got), bits(&want), "NaN in param {poison:?}");
+                assert_ne!(bits(&got), bits(&start), "the step moved nothing");
+            }
+        }
+    }
+
+    /// The CSR first layer's weight gradient scatters from the CSR rows,
+    /// so an `OrthoGcn` step leaves one cached transpose in its
+    /// workspace, `Ŝ`'s (the later layers' `Ŝ·H` backward), and none of
+    /// `Ŝ·X`.
+    #[test]
+    fn a_csr_step_caches_only_the_adjacency_transpose() {
+        let input = dense_ring_input();
+        assert!(input.sx_csr.is_some());
+        let classes = 3;
+        let mut model = OrthoGcn::new(OrthoGcnConfig::paper(64, classes), &mut seeded(11));
+        let labels: Vec<usize> = (0..input.n_nodes()).map(|i| i % classes).collect();
+        let mask: Vec<usize> = (0..input.n_nodes()).collect();
+        let mut tape = Tape::with_workspace(Workspace::new());
+        let out = model.forward(&mut tape, &input);
+        let loss = tape.softmax_cross_entropy(out.logits, &labels, &mask);
+        tape.backward(loss);
+        let grads: Vec<Matrix> = out
+            .param_vars
+            .iter()
+            .map(|&v| tape.grad_or_zeros(v))
+            .collect();
+        let mut params = model.params();
+        Adam::new(0.01, 5e-4).step(&mut params, &grads);
+        model.set_params(&params);
+        assert_eq!(tape.recycle().cached_transposes(), 1);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Compressed-sparse-row matrices and the parallel SpMM kernel.
 
-use fedomd_tensor::gemm::SPARSE_MAX_DENSITY;
 use fedomd_tensor::Matrix;
 use rayon::prelude::*;
 
@@ -128,6 +127,61 @@ fn run_spmm_rows(
     spmm_rows_generic(indptr, indices, values, x_data, n, r0, out);
 }
 
+/// Transposed-product scatter `out += Aᵀ·G`: walks `A`'s rows in
+/// ascending order and adds `v · g_row(r)` into `out`'s row `c` for each
+/// stored `(c, v)` of row `r`. Every output element therefore sees its
+/// terms in ascending `r`, the order in which row `c` of
+/// [`Csr::transpose`] stores them, so from a `+0.0` start it is
+/// bit-identical to `A.transpose().spmm(G)` when `A`'s values and `G` are
+/// finite (see [`Csr::spmm_t_into`] for why that condition).
+#[inline(always)]
+fn spmm_t_body(
+    indptr: &[usize],
+    indices: &[u32],
+    values: &[f32],
+    g_data: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    for (r, g_row) in g_data.chunks_exact(n).enumerate() {
+        let (lo, hi) = (indptr[r], indptr[r + 1]);
+        for (&c, &v) in indices[lo..hi].iter().zip(&values[lo..hi]) {
+            let out_row = &mut out[c as usize * n..(c as usize + 1) * n];
+            for (o, &gv) in out_row.iter_mut().zip(g_row) {
+                *o += v * gv;
+            }
+        }
+    }
+}
+
+/// Baseline-ISA instantiation of the scatter kernel.
+fn spmm_t_generic(
+    indptr: &[usize],
+    indices: &[u32],
+    values: &[f32],
+    g_data: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    spmm_t_body(indptr, indices, values, g_data, n, out);
+}
+
+/// AVX2 instantiation of the scatter kernel: identical Rust code, wider
+/// auto-vectorisation, separate lane-wise multiply and add (no FMA), so
+/// it is bit-identical to [`spmm_t_generic`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn spmm_t_avx2(
+    indptr: &[usize],
+    indices: &[u32],
+    values: &[f32],
+    g_data: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    spmm_t_body(indptr, indices, values, g_data, n, out);
+}
+
 #[inline]
 fn detect_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -206,29 +260,35 @@ impl Csr {
         out
     }
 
-    /// `dense` as CSR when it is zero-heavy — fewer than
-    /// [`SPARSE_MAX_DENSITY`] of its entries non-zero, the test the dense
-    /// GEMM dispatcher applies to a left operand — else `None`.
+    /// `dense` as CSR when fewer than `max_density` of its entries are
+    /// non-zero, else `None`. The caller picks the cut-over: the input
+    /// layer (`fedomd_nn::GraphInput`) passes its own, measured for the
+    /// CSR product pair, not the dense GEMM dispatcher's zero-skip
+    /// threshold.
     ///
     /// Stores exactly the `v != 0.0` entries (a `-0.0` is not stored), in
     /// ascending column order: the terms, and the order, in which the
     /// zero-skip GEMM kernels accumulate a product whose right operand is
     /// finite. One pass: each row is compacted into a row-sized scratch
-    /// window and appended to buffers reserved at the density cap, and
-    /// the first row that reaches the cap ends the scan, so a dense
-    /// operand costs a partial scan and nothing is counted twice. The
-    /// compaction writes every entry and advances only past non-zeros, so
-    /// it does not branch on the data.
-    pub fn from_zero_heavy(dense: &Matrix) -> Option<Csr> {
+    /// window and appended, and the first row that reaches the cap ends
+    /// the scan, so a dense operand costs a partial scan and nothing is
+    /// counted twice. The compaction writes every entry and advances only
+    /// past non-zeros, so it does not branch on the data. The buffers are
+    /// reserved for at most a quarter of the entries and grow past that
+    /// only for a denser operand: reserving at a cap of ½, or counting
+    /// first and reserving exactly, both measured a slower set-up
+    /// (`wide_tcp`'s `setup_s` +17 to +38 %, with more page faults).
+    pub fn from_zero_heavy(dense: &Matrix, max_density: f64) -> Option<Csr> {
         let (rows, cols) = dense.shape();
         // For an integer count, `nnz < d·len` ⟺ `nnz < ⌈d·len⌉`.
-        let cap = (SPARSE_MAX_DENSITY * dense.len() as f64).ceil() as usize;
+        let cap = (max_density * dense.len() as f64).ceil() as usize;
         if cap == 0 {
             return None;
         }
+        let reserve = cap.min(dense.len().div_ceil(4));
         let mut indptr = vec![0usize; rows + 1];
-        let mut indices = Vec::with_capacity(cap);
-        let mut values = Vec::with_capacity(cap);
+        let mut indices = Vec::with_capacity(reserve);
+        let mut values = Vec::with_capacity(reserve);
         let mut row_idx = vec![0u32; cols];
         let mut row_val = vec![0.0f32; cols];
         for (r, row) in dense.as_slice().chunks_exact(cols).enumerate() {
@@ -455,6 +515,66 @@ impl Csr {
                 chunk,
             );
         });
+    }
+
+    /// Transposed product `out = Aᵀ · G` without forming `Aᵀ` (`out` is
+    /// overwritten, any prior contents ignored): the weight gradient of a
+    /// layer whose constant left operand is this matrix. `out` is cleared
+    /// to `+0.0`, then `A`'s rows are walked in ascending order and each
+    /// stored `(c, v)` of row `r` adds `v · G[r, :]` into `out[c, :]`.
+    /// Each output element gets the same IEEE operations, in the same
+    /// ascending-row order, as in `A.transpose().spmm(G)`, so the two are
+    /// bit-identical for every input. Serial.
+    ///
+    /// The one freedom left is the operand order of each add, which the
+    /// compiler picks: the scatter reads its accumulator from memory, so
+    /// it issues `o + p` as `p + o`. IEEE addition commutes except in
+    /// which NaN it returns when both operands are NaN, and that needs a
+    /// NaN product `p`, which finite values never make. So when a stored
+    /// value or an entry of `G` is not finite, the product runs on a
+    /// temporary transpose instead. The check is two vectorised passes,
+    /// a few per cent of the scatter.
+    ///
+    /// # Panics
+    /// Panics when `self.rows() != g.rows()` or `out` is not
+    /// `self.cols() × g.cols()`.
+    #[allow(unsafe_code, reason = "AVX2 dispatch after runtime detection")]
+    pub fn spmm_t_into(&self, g: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.rows,
+            g.rows(),
+            "spmm_t_into: inner dimensions disagree ({}x{}ᵀ · {}x{})",
+            self.rows,
+            self.cols,
+            g.rows(),
+            g.cols()
+        );
+        let n = g.cols();
+        assert_eq!(
+            out.shape(),
+            (self.cols, n),
+            "spmm_t_into: output shape mismatch"
+        );
+        // `fold` rather than `all`: no early exit, so the loop vectorises.
+        let finite = self.values.iter().fold(true, |ok, v| ok & v.is_finite());
+        if !(finite && g.all_finite()) {
+            self.transpose().spmm_into(g, out);
+            return;
+        }
+        out.as_mut_slice().fill(0.0);
+        if n == 0 {
+            return;
+        }
+        let (indptr, indices, values) = (&self.indptr, &self.indices, &self.values);
+        let (g_data, out_data) = (g.as_slice(), out.as_mut_slice());
+        #[cfg(target_arch = "x86_64")]
+        if detect_avx2() {
+            // SAFETY: `detect_avx2` just confirmed AVX2 support via
+            // `is_x86_feature_detected!`.
+            unsafe { spmm_t_avx2(indptr, indices, values, g_data, n, out_data) };
+            return;
+        }
+        spmm_t_generic(indptr, indices, values, g_data, n, out_data);
     }
 
     /// Serial reference SpMM (the pre-PR4 per-row kernel, minus the
@@ -715,6 +835,18 @@ mod tests {
         }
     }
 
+    #[test]
+    fn spmm_t_into_overwrites_stale_contents() {
+        let s = small();
+        let g = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32 - 5.0);
+        let mut out = Matrix::from_fn(3, 4, |_, _| f32::NAN);
+        s.spmm_t_into(&g, &mut out);
+        assert_bits_eq(&out, &s.transpose().spmm_ref(&g));
+    }
+
+    /// The density cut-over most extraction tests use.
+    const QUARTER: f64 = 0.25;
+
     fn assert_bits_eq(a: &Matrix, b: &Matrix) {
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -733,7 +865,7 @@ mod tests {
         m[(2, 2)] = f32::MIN_POSITIVE / 8.0;
         m[(3, 1)] = f32::NEG_INFINITY;
         m[(3, 4)] = 7.0;
-        let s = Csr::from_zero_heavy(&m).expect("15 % dense");
+        let s = Csr::from_zero_heavy(&m, QUARTER).expect("15 % dense");
         s.validate().expect("valid");
         assert_eq!(s.nnz(), 6);
         assert_eq!(s.row(0), (&[3u32, 4][..], &[1.5f32, -2.25][..]));
@@ -748,10 +880,10 @@ mod tests {
         for i in 0..3 {
             m[(i, i)] = 1.0;
         }
-        assert_eq!(Csr::from_zero_heavy(&m).map(|s| s.nnz()), Some(3));
+        assert_eq!(Csr::from_zero_heavy(&m, QUARTER).map(|s| s.nnz()), Some(3));
         m[(3, 3)] = 1.0; // exactly ¼ non-zero: not zero-heavy
-        assert!(Csr::from_zero_heavy(&m).is_none());
-        assert!(Csr::from_zero_heavy(&Matrix::full(3, 3, 1.0)).is_none());
+        assert!(Csr::from_zero_heavy(&m, QUARTER).is_none());
+        assert!(Csr::from_zero_heavy(&Matrix::full(3, 3, 1.0), QUARTER).is_none());
     }
 
     #[test]
@@ -760,18 +892,18 @@ mod tests {
         m[(0, 1)] = -0.0;
         m[(1, 2)] = -0.0;
         m[(2, 0)] = 0.5;
-        let s = Csr::from_zero_heavy(&m).expect("zero-heavy");
+        let s = Csr::from_zero_heavy(&m, QUARTER).expect("zero-heavy");
         assert_eq!(s.nnz(), 1);
         assert_eq!(s.row(2), (&[0u32][..], &[0.5f32][..]));
     }
 
     #[test]
     fn from_zero_heavy_handles_all_zero_and_empty_shapes() {
-        let z = Csr::from_zero_heavy(&Matrix::zeros(6, 3)).expect("all zero");
+        let z = Csr::from_zero_heavy(&Matrix::zeros(6, 3), QUARTER).expect("all zero");
         assert_eq!(z, Csr::zeros(6, 3));
         // No entries at all: `0 < ¼·0` is false, as in the GEMM dispatcher.
-        assert!(Csr::from_zero_heavy(&Matrix::zeros(0, 5)).is_none());
-        assert!(Csr::from_zero_heavy(&Matrix::zeros(5, 0)).is_none());
+        assert!(Csr::from_zero_heavy(&Matrix::zeros(0, 5), QUARTER).is_none());
+        assert!(Csr::from_zero_heavy(&Matrix::zeros(5, 0), QUARTER).is_none());
     }
 
     #[test]
@@ -837,13 +969,14 @@ mod tests {
         }
 
         /// The one-pass extraction keeps exactly the non-zeros, and only
-        /// below the density cap.
+        /// below the density cap it is given.
         #[test]
         fn prop_from_zero_heavy_is_the_nonzeros_below_the_cap(
             rows in 0usize..12, cols in 0usize..12,
             cells in proptest::collection::vec((0u32..100, -2.0f32..2.0), 144),
-            pct in 0u32..60,
+            pct in 0u32..80, half in 0u8..2,
         ) {
+            let cap = if half == 1 { 0.5 } else { QUARTER };
             let m = Matrix::from_fn(rows, cols, |r, c| {
                 let (roll, v) = cells[r * 12 + c];
                 if roll < pct { v } else if roll % 2 == 0 { -0.0 } else { 0.0 }
@@ -856,9 +989,58 @@ mod tests {
                     }
                 }
             }
-            let zero_heavy = (entries.len() as f64) < SPARSE_MAX_DENSITY * m.len() as f64;
+            let zero_heavy = (entries.len() as f64) < cap * m.len() as f64;
             let want = zero_heavy.then(|| Csr::from_coo(rows, cols, entries));
-            prop_assert_eq!(Csr::from_zero_heavy(&m), want);
+            prop_assert_eq!(Csr::from_zero_heavy(&m, cap), want);
+        }
+
+        /// The scatter `Aᵀ·G` is `to_bits` equal to SpMM on the stored
+        /// transpose and to the reference kernel on it: `A` with empty
+        /// rows and columns and explicitly stored `±0.0`, `G` with NaN and
+        /// ±inf, widths from 0 across the 16-column register chunk, and
+        /// an output buffer full of stale NaNs. Where two different NaNs
+        /// meet in an add (`0·inf` then a NaN of `G`), the register-blocked
+        /// SpMM and the reference already return different ones, so
+        /// against the reference a NaN only has to be a NaN.
+        #[test]
+        fn prop_spmm_t_into_is_the_transposed_spmm(
+            rows in 0usize..40, cols in 1usize..24, n in 0usize..40,
+            entries in proptest::collection::vec((0usize..40, 0usize..24, 0u8..4, -2.0f32..2.0), 0..240),
+            empty in 0u8..2,
+            specials in proptest::collection::vec((0usize..4096, 0u8..4), 0..4),
+        ) {
+            let entries: Vec<_> = entries
+                .into_iter()
+                .filter(|&(r, c, _, _)| r < rows && c < cols)
+                .filter(|&(r, c, _, _)| empty == 0 || (r % 3 != 1 && c % 4 != 2))
+                .map(|(r, c, kind, v)| match kind {
+                    0 => (r, c, 0.0),
+                    1 => (r, c, -0.0),
+                    _ => (r, c, v),
+                })
+                .collect();
+            let s = Csr::from_coo(rows, cols, entries);
+            let mut g = Matrix::from_fn(rows, n, |r, c| ((r * 5 + c * 3) % 7) as f32 * 0.5 - 1.5);
+            if rows * n > 0 {
+                for (i, kind) in specials {
+                    g.as_mut_slice()[i % (rows * n)] = match kind {
+                        0 => f32::NAN,
+                        1 => f32::INFINITY,
+                        2 => f32::NEG_INFINITY,
+                        _ => -0.0,
+                    };
+                }
+            }
+            let mut got = Matrix::from_fn(cols, n, |_, _| f32::NAN);
+            s.spmm_t_into(&g, &mut got);
+            let t = s.transpose();
+            let (spmm, reference) = (t.spmm(&g), t.spmm_ref(&g));
+            prop_assert_eq!(got.shape(), spmm.shape());
+            prop_assert_eq!(got.shape(), reference.shape());
+            for ((a, b), c) in got.as_slice().iter().zip(spmm.as_slice()).zip(reference.as_slice()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+                prop_assert!(a.to_bits() == c.to_bits() || (a.is_nan() && c.is_nan()));
+            }
         }
 
         #[test]

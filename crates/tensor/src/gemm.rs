@@ -66,12 +66,17 @@
 //! inner loop never had a skip to lose.
 //!
 //! The largest such product, a model's first layer `Ŝ·X·W`, no longer
-//! comes through here when `Ŝ·X` is zero-heavy: `fedomd_nn::GraphInput`
-//! extracts it to CSR once at set-up (`Csr::from_zero_heavy`, by the same
-//! [`SPARSE_MAX_DENSITY`] test) and the autograd tape runs the forward and
-//! the weight gradient as SpMM, which accumulates the skip kernels' terms
-//! in their order. It falls back to [`matmul`] / [`matmul_tn`] exactly
-//! when the skip kernels would not skip: a non-finite right operand.
+//! comes through here when `Ŝ·X` is less than half non-zero:
+//! `fedomd_nn::GraphInput` extracts it to CSR once at set-up
+//! (`Csr::from_zero_heavy`, at the input layer's own cut-over, which is
+//! measured for the CSR kernel pair and sits above
+//! [`SPARSE_MAX_DENSITY`]) and the autograd tape runs the forward as SpMM
+//! and the weight gradient as a scatter from the CSR rows. Both
+//! accumulate the stored terms in ascending `k`, so they match the skip
+//! kernels below the dispatcher's threshold and, by the
+//! skip-invisibility argument above, the packed kernel above it. The tape
+//! falls back to [`matmul`] / [`matmul_tn`] exactly when a skipped term
+//! would not be invisible: a non-finite right operand.
 //!
 //! The pre-PR4 kernels are additionally retained serially as
 //! [`matmul_ref`] / [`matmul_tn_ref`] / [`matmul_nt_ref`]: they serve as
@@ -102,8 +107,9 @@ const SMALL_FLOPS: usize = 32 * 32 * 32;
 /// kernel is ~3× faster per MAC, so the skip (which eliminates MACs
 /// outright) wins once fewer than roughly a third of the terms survive;
 /// ¼ keeps a safety margin for the skip kernel's poorer vectorisation.
-/// `fedomd-sparse` reuses it to decide when a constant left operand is
-/// worth storing as CSR.
+/// It is this dispatcher's threshold only: the model input layer keeps a
+/// constant left operand as CSR up to its own, higher cut-over
+/// (`fedomd_nn::INPUT_CSR_MAX_DENSITY`).
 pub const SPARSE_MAX_DENSITY: f64 = 0.25;
 /// Row-block size of the zero-skip kernels' parallel splitting (the
 /// pre-PR4 kernels' blocking, kept verbatim).

@@ -100,6 +100,15 @@ echo "::group::Sparse input layer equals the dense product (1024 cases)"
 PROPTEST_CASES=1024 cargo test -q --release -p fedomd-autograd csr_matmul_is_the_dense_product
 echo "::endgroup::"
 
+echo "::group::CSR weight-gradient scatter equals SpMM on the transpose (1024 cases)"
+# DESIGN.md §12: `Csr::spmm_t_into` scatters Aᵀ·G from A's rows without
+# storing the transpose, and is bit-identical to `A.transpose().spmm(G)`:
+# empty rows and columns, stored ±0.0, NaN/±inf in G, any width. (Also
+# part of the workspace tests at the stub's default 64 cases; this is the
+# release build.)
+PROPTEST_CASES=1024 cargo test -q --release -p fedomd-sparse prop_spmm_t_into_is_the_transposed_spmm
+echo "::endgroup::"
+
 echo "::group::SimNet faults do not depend on send order (1024 cases)"
 # DESIGN.md §9: a frame's drops and arrival time are keyed by the frame
 # (round, link, kind, k), so one phase's uploads and downloads sent in any
