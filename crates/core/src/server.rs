@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use fedomd_federated::engine::{open_run, report_losses, save_if_due};
+use fedomd_federated::engine::{charge, open_run, report_losses, save_if_due};
 use fedomd_federated::{
     CohortConfig, EvalCounts, FedOmdConfig, Persistence, RunResult, ServerRound, TrainConfig,
 };
@@ -248,16 +248,13 @@ fn broadcast(
     to: &[u32],
     payload: Payload,
 ) {
-    let kind = payload.kind();
     let env = Envelope {
         round,
         sender: SERVER_SENDER,
         payload,
     };
-    let bytes = chan.download_many(to, env) as u64;
-    for _ in to {
-        frames.on_event(&RoundEvent::FrameSent { kind, bytes });
-    }
+    charge(frames, &env, to.len());
+    chan.download_many(to, env);
     report_losses(chan, frames);
 }
 
@@ -309,10 +306,7 @@ impl Collector {
         mut fold: impl FnMut(Envelope),
     ) {
         let mut fold = |env: Envelope| {
-            frames.on_event(&RoundEvent::FrameSent {
-                kind: env.payload.kind(),
-                bytes: env.encoded_len() as u64,
-            });
+            charge(frames, &env, 1);
             fold(env);
         };
         let mut window: BTreeMap<u32, Envelope> = BTreeMap::new();
@@ -437,9 +431,8 @@ mod tests {
     }
 
     impl Channel for Scripted {
-        fn upload(&mut self, env: Envelope) -> usize {
+        fn upload(&mut self, env: Envelope) {
             self.frames.push_back(env);
-            0
         }
         fn server_collect(&mut self, _round: u64) -> Vec<Envelope> {
             self.frames.drain(..).collect()
@@ -455,9 +448,7 @@ mod tests {
             }
             Vec::new()
         }
-        fn download(&mut self, _to: u32, _env: Envelope) -> usize {
-            0
-        }
+        fn download(&mut self, _to: u32, _env: Envelope) {}
         fn client_collect(&mut self, _id: u32, _round: u64) -> Vec<Envelope> {
             Vec::new()
         }

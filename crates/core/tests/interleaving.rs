@@ -49,9 +49,8 @@ impl Trickle {
 }
 
 impl Channel for Trickle {
-    fn upload(&mut self, env: Envelope) -> usize {
+    fn upload(&mut self, env: Envelope) {
         self.frames.push_back(env);
-        0
     }
 
     fn server_collect(&mut self, _round: u64) -> Vec<Envelope> {
@@ -69,9 +68,7 @@ impl Channel for Trickle {
         Vec::new()
     }
 
-    fn download(&mut self, _to: u32, _env: Envelope) -> usize {
-        0
-    }
+    fn download(&mut self, _to: u32, _env: Envelope) {}
 
     fn client_collect(&mut self, _id: u32, _round: u64) -> Vec<Envelope> {
         Vec::new()

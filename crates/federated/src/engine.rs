@@ -639,10 +639,11 @@ impl RoundObserver for WithoutFrames<'_> {
     }
 }
 
-/// Reports `copies` sends of `env` to `obs` at its encoded size: the
-/// set-up exchanges of FedLIT and FedSage+, which fold in-process rather
-/// than over the run's channel.
-pub(crate) fn charge(obs: &mut dyn RoundObserver, env: &Envelope, copies: usize) {
+/// Reports `copies` sends of `env` to `obs` as `FrameSent`, at its
+/// [`Envelope::encoded_len`]: every driver's sends, and the set-up
+/// exchanges of FedLIT and FedSage+, which fold in-process rather than
+/// over the run's channel.
+pub fn charge(obs: &mut dyn RoundObserver, env: &Envelope, copies: usize) {
     let sent = RoundEvent::FrameSent {
         kind: env.payload.kind(),
         bytes: env.encoded_len() as u64,
@@ -664,9 +665,8 @@ pub fn report_losses(chan: &mut dyn Channel, obs: &mut dyn RoundObserver) {
 /// A client uploads `env`, reporting it to `obs` as `FrameSent` (then
 /// as `FrameDropped` if the transport lost it on the way out).
 pub fn upload(chan: &mut dyn Channel, obs: &mut dyn RoundObserver, env: Envelope) {
-    let kind = env.payload.kind();
-    let bytes = chan.upload(env) as u64;
-    obs.on_event(&RoundEvent::FrameSent { kind, bytes });
+    charge(obs, &env, 1);
+    chan.upload(env);
     report_losses(chan, obs);
 }
 
@@ -699,14 +699,13 @@ fn send(
     to: usize,
     payload: Payload,
 ) -> impl Iterator<Item = Payload> {
-    let kind = payload.kind();
     let env = Envelope {
         round,
         sender: SERVER_SENDER,
         payload,
     };
-    let bytes = chan.download(to as u32, env) as u64;
-    obs.on_event(&RoundEvent::FrameSent { kind, bytes });
+    charge(obs, &env, 1);
+    chan.download(to as u32, env);
     let got = chan.client_collect(to as u32, round);
     report_losses(chan, obs);
     got.into_iter().map(|env| env.payload)
@@ -959,7 +958,7 @@ mod tests {
     struct Poisoned(InProcChannel);
 
     impl Channel for Poisoned {
-        fn upload(&mut self, mut env: Envelope) -> usize {
+        fn upload(&mut self, mut env: Envelope) {
             if let Payload::WeightUpdate { params } = &mut env.payload {
                 if env.sender == 0 {
                     for t in params.iter_mut() {
@@ -967,13 +966,13 @@ mod tests {
                     }
                 }
             }
-            self.0.upload(env)
+            self.0.upload(env);
         }
         fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
             self.0.server_collect(round)
         }
-        fn download(&mut self, to: u32, env: Envelope) -> usize {
-            self.0.download(to, env)
+        fn download(&mut self, to: u32, env: Envelope) {
+            self.0.download(to, env);
         }
         fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope> {
             self.0.client_collect(id, round)
@@ -1125,7 +1124,7 @@ mod tests {
 
     #[test]
     fn stats_cost_vanishes_as_the_model_grows() {
-        // The Table 3 asymptotics, measured on real encoded frames: the
+        // The Table 3 asymptotics, measured at exact frame sizes: the
         // statistics uplink is O(L·d) per client per round (5 vectors of
         // dimension d per hidden layer) while the weight uplink is O(d²),
         // so the stats fraction must shrink as the hidden dim grows — at
@@ -1223,10 +1222,8 @@ mod tests {
     }
 
     impl Channel for ReversedUploads {
-        fn upload(&mut self, env: Envelope) -> usize {
-            let n = env.encoded_len();
+        fn upload(&mut self, env: Envelope) {
             self.held.push(env);
-            n
         }
         fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
             let due = match self.held.first().map(|e| &e.payload) {
@@ -1243,8 +1240,8 @@ mod tests {
             }
             self.net.server_collect(round)
         }
-        fn download(&mut self, to: u32, env: Envelope) -> usize {
-            self.net.download(to, env)
+        fn download(&mut self, to: u32, env: Envelope) {
+            self.net.download(to, env);
         }
         fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope> {
             let got = self.net.client_collect(id, round);

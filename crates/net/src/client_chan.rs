@@ -26,8 +26,8 @@ const READER_QUEUE_SLOTS: usize = 256;
 /// connection.
 pub struct TcpClientChannel {
     writer: TcpStream,
-    rx: Receiver<(Envelope, usize)>,
-    carry: Vec<(Envelope, usize)>,
+    rx: Receiver<Envelope>,
+    carry: Vec<Envelope>,
     /// Frames discarded since the last [`Channel::drain_lost`]: late
     /// downlinks, and uploads the connection refused.
     lost: Vec<LostFrame>,
@@ -55,8 +55,8 @@ impl TcpClientChannel {
         std::thread::spawn(move || {
             // Exits (dropping `tx`, disconnecting the queue) on EOF, any
             // I/O error, or a frame that fails the codec.
-            while let Ok(item) = read_frame(&mut read_half, max_frame_bytes) {
-                if tx.send(item).is_err() {
+            while let Ok((env, _)) = read_frame(&mut read_half, max_frame_bytes) {
+                if tx.send(env).is_err() {
                     break;
                 }
             }
@@ -86,16 +86,14 @@ impl Drop for TcpClientChannel {
 }
 
 impl Channel for TcpClientChannel {
-    fn upload(&mut self, env: Envelope) -> usize {
+    fn upload(&mut self, env: Envelope) {
         let frame = env.encode();
-        let n = frame.len();
         // Once handed to the OS, a server-side deadline miss is the
         // server's loss to report, not ours.
         if write_prefixed(&mut self.writer, &frame).is_err() {
-            self.lost.push((env.payload.kind(), n as u64));
+            self.lost.push((env.payload.kind(), frame.len() as u64));
             self.dead = true;
         }
-        n
     }
 
     /// The client never serves; empty so the trait is total.
@@ -104,9 +102,7 @@ impl Channel for TcpClientChannel {
     }
 
     /// The client never downloads; a no-op so the trait is total.
-    fn download(&mut self, _to: u32, _env: Envelope) -> usize {
-        0
-    }
+    fn download(&mut self, _to: u32, _env: Envelope) {}
 
     fn client_collect(&mut self, _id: u32, round: u64) -> Vec<Envelope> {
         #[expect(
@@ -118,24 +114,21 @@ impl Channel for TcpClientChannel {
         let phase_start = Instant::now();
         let deadline_ms = self.phase_timeout.as_secs_f64() * 1e3;
 
-        let mut batch: Vec<(f64, (Envelope, usize))> = Vec::new();
+        let mut batch: Vec<(f64, Envelope)> = Vec::new();
         let mut have_current = false;
-        let mut route = |arrival: f64,
-                         env: Envelope,
-                         len: usize,
-                         carry: &mut Vec<(Envelope, usize)>,
-                         have_current: &mut bool| {
-            match env.round.cmp(&round) {
-                Ordering::Equal => {
-                    *have_current = true;
-                    batch.push((arrival, (env, len)));
+        let mut route =
+            |arrival: f64, env: Envelope, carry: &mut Vec<Envelope>, have_current: &mut bool| {
+                match env.round.cmp(&round) {
+                    Ordering::Equal => {
+                        *have_current = true;
+                        batch.push((arrival, env));
+                    }
+                    Ordering::Greater => carry.push(env),
+                    Ordering::Less => batch.push((f64::INFINITY, env)),
                 }
-                Ordering::Greater => carry.push((env, len)),
-                Ordering::Less => batch.push((f64::INFINITY, (env, len))),
-            }
-        };
-        for (env, len) in std::mem::take(&mut self.carry) {
-            route(0.0, env, len, &mut self.carry, &mut have_current);
+            };
+        for env in std::mem::take(&mut self.carry) {
+            route(0.0, env, &mut self.carry, &mut have_current);
         }
 
         // Block until the first frame of this round (the round loop asks
@@ -144,9 +137,9 @@ impl Channel for TcpClientChannel {
         loop {
             if have_current {
                 match self.rx.try_recv() {
-                    Ok((env, len)) => {
+                    Ok(env) => {
                         let ms = phase_start.elapsed().as_secs_f64() * 1e3;
-                        route(ms, env, len, &mut self.carry, &mut have_current);
+                        route(ms, env, &mut self.carry, &mut have_current);
                     }
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
@@ -162,9 +155,9 @@ impl Channel for TcpClientChannel {
                     break;
                 };
                 match self.rx.recv_timeout(left) {
-                    Ok((env, len)) => {
+                    Ok(env) => {
                         let ms = phase_start.elapsed().as_secs_f64() * 1e3;
-                        route(ms, env, len, &mut self.carry, &mut have_current);
+                        route(ms, env, &mut self.carry, &mut have_current);
                     }
                     Err(RecvTimeoutError::Timeout) => break,
                     Err(RecvTimeoutError::Disconnected) => {
@@ -175,13 +168,9 @@ impl Channel for TcpClientChannel {
             }
         }
 
-        let mut envs: Vec<Envelope> =
-            admit_by_deadline(batch, deadline_ms, &mut self.lost, |(env, len)| {
-                (env.payload.kind(), *len as u64)
-            })
-            .into_iter()
-            .map(|(env, _)| env)
-            .collect();
+        let mut envs = admit_by_deadline(batch, deadline_ms, &mut self.lost, |env| {
+            (env.payload.kind(), env.encoded_len() as u64)
+        });
         envs.sort_by_key(|e| e.sender);
         envs
     }
@@ -224,9 +213,9 @@ mod tests {
             sender: 1,
             payload: Payload::Control(fedomd_transport::Control::BeginRound),
         };
-        let n = chan.upload(up.clone());
+        chan.upload(up.clone());
         let (got, len) = read_frame(&mut s, DEFAULT_MAX_FRAME_BYTES).expect("server read");
-        assert_eq!(len, n);
+        assert_eq!(len, up.encoded_len());
         assert_eq!(got, up);
         assert!(chan.drain_lost().is_empty());
 

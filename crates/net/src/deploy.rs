@@ -319,8 +319,8 @@ fn admit(
         // Exits on EOF, I/O error, an invalid frame, or an eviction's
         // shutdown — all the same to the federation: this connection is
         // done, and the client is gone until it re-handshakes.
-        while let Ok((env, len)) = read_frame(&mut stream, max_frame) {
-            if tx.send(Inbound::Frame { id, gen, env, len }).is_err() {
+        while let Ok((env, _)) = read_frame(&mut stream, max_frame) {
+            if tx.send(Inbound::Frame { id, gen, env }).is_err() {
                 break;
             }
         }

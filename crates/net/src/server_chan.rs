@@ -66,7 +66,9 @@ pub enum Inbound {
         /// First round this client participates in.
         active_from: u64,
     },
-    /// A decoded frame arrived from a connected client.
+    /// A decoded frame arrived from a connected client. A frame that
+    /// decodes re-encodes to the identical bytes, so its size is the
+    /// envelope's [`Envelope::encoded_len`].
     Frame {
         /// Sending client.
         id: u32,
@@ -74,8 +76,6 @@ pub enum Inbound {
         gen: u64,
         /// The decoded envelope.
         env: Envelope,
-        /// Encoded frame size in bytes (for the delivery accounting).
-        len: usize,
     },
     /// The client's connection ended (EOF, I/O error, a frame that
     /// failed the codec, or eviction by a newer connection for the same
@@ -216,7 +216,7 @@ struct Peer {
 pub struct TcpServerChannel {
     rx: Receiver<Inbound>,
     peers: BTreeMap<u32, Peer>,
-    carry: Vec<(Envelope, usize)>,
+    carry: Vec<Envelope>,
     /// Frames discarded since the last [`Channel::drain_lost`]: stale,
     /// late, or written to a peer that is gone.
     lost: Vec<LostFrame>,
@@ -294,16 +294,17 @@ impl TcpServerChannel {
                     self.peers.remove(&id);
                 }
             }
-            Inbound::Frame { id, gen, env, len } => {
+            Inbound::Frame { id, gen, env } => {
                 if self.peers.get(&id).map(|p| p.gen) != Some(gen) {
                     // Raced out of a connection that was since evicted:
                     // the client already moved on, the frame is stale.
-                    self.lost.push((env.payload.kind(), len as u64));
+                    self.lost
+                        .push((env.payload.kind(), env.encoded_len() as u64));
                     return;
                 }
                 match collecting {
-                    Some(c) => c.take(env, len, &mut self.carry),
-                    None => self.carry.push((env, len)),
+                    Some(c) => c.take(env, &mut self.carry),
+                    None => self.carry.push(env),
                 }
             }
         }
@@ -315,34 +316,31 @@ struct CollectState {
     round: u64,
     /// Milliseconds since the call began (the arrival stamps).
     elapsed_ms: f64,
-    /// `(arrival_ms, (envelope, frame bytes))`, the
-    /// [`admit_by_deadline`] input shape.
-    batch: Vec<(f64, (Envelope, usize))>,
+    /// `(arrival_ms, envelope)`, the [`admit_by_deadline`] input shape.
+    batch: Vec<(f64, Envelope)>,
     /// Whether a frame for `round` is in the batch — what the caller is
     /// blocked on.
     landed: bool,
 }
 
 impl CollectState {
-    fn take(&mut self, env: Envelope, len: usize, carry: &mut Vec<(Envelope, usize)>) {
+    fn take(&mut self, env: Envelope, carry: &mut Vec<Envelope>) {
         match env.round.cmp(&self.round) {
             Ordering::Equal => {
                 self.landed = true;
-                self.batch.push((self.elapsed_ms, (env, len)));
+                self.batch.push((self.elapsed_ms, env));
             }
-            Ordering::Greater => carry.push((env, len)),
+            Ordering::Greater => carry.push(env),
             // A frame of an already-closed round: known late whatever the
             // deadline, so it flows to the admit helper as unreachable.
-            Ordering::Less => self.batch.push((f64::INFINITY, (env, len))),
+            Ordering::Less => self.batch.push((f64::INFINITY, env)),
         }
     }
 }
 
 impl Channel for TcpServerChannel {
     /// The server never uploads; a no-op so the trait is total.
-    fn upload(&mut self, _env: Envelope) -> usize {
-        0
-    }
+    fn upload(&mut self, _env: Envelope) {}
 
     /// With no collector to name senders, awaits every connected peer.
     fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
@@ -368,8 +366,8 @@ impl Channel for TcpServerChannel {
             landed: false,
         };
         // Frames carried over from earlier collects count as instant.
-        for (env, len) in std::mem::take(&mut self.carry) {
-            c.take(env, len, &mut self.carry);
+        for env in std::mem::take(&mut self.carry) {
+            c.take(env, &mut self.carry);
         }
         // Drain whatever is already queued — join/leave notices and
         // frames that raced ahead of this call — before deciding whether
@@ -401,21 +399,16 @@ impl Channel for TcpServerChannel {
             }
         }
 
-        let mut envs: Vec<Envelope> =
-            admit_by_deadline(c.batch, deadline_ms, &mut self.lost, |(env, len)| {
-                (env.payload.kind(), *len as u64)
-            })
-            .into_iter()
-            .map(|(env, _)| env)
-            .collect();
+        let mut envs = admit_by_deadline(c.batch, deadline_ms, &mut self.lost, |env| {
+            (env.payload.kind(), env.encoded_len() as u64)
+        });
         envs.sort_by_key(|e| e.sender);
         envs
     }
 
-    fn download(&mut self, to: u32, env: Envelope) -> usize {
+    fn download(&mut self, to: u32, env: Envelope) {
         let frame = env.encode();
-        let n = frame.len();
-        let gone = (env.payload.kind(), n as u64);
+        let gone = (env.payload.kind(), frame.len() as u64);
         if matches!(env.payload, Payload::GlobalModel { .. }) {
             // Snooped for the handshake: a client joining later starts
             // from this aggregation.
@@ -432,7 +425,6 @@ impl Channel for TcpServerChannel {
             }
             None => self.lost.push(gone),
         }
-        n
     }
 
     /// Broadcast override: one `encode()` (checksum included) for the
@@ -445,7 +437,7 @@ impl Channel for TcpServerChannel {
     /// peer-by-peer drain ping-pong, not the copies, dominated the
     /// downlink tail. Each peer still observes plain `write_prefixed`
     /// bytes, in order.
-    fn download_many(&mut self, to: &[u32], env: Envelope) -> usize {
+    fn download_many(&mut self, to: &[u32], env: Envelope) {
         /// Stay under default socket buffers so a slice to a draining
         /// peer usually fits without blocking.
         const SLICE: usize = 128 * 1024;
@@ -499,7 +491,6 @@ impl Channel for TcpServerChannel {
                 }
             }
         }
-        n
     }
 
     /// The server never collects downlink; empty so the trait is total.
@@ -547,13 +538,10 @@ mod tests {
     }
 
     fn frame_ev_gen(round: u64, sender: u32, gen: u64) -> Inbound {
-        let e = env(round, sender);
-        let len = e.encoded_len();
         Inbound::Frame {
             id: sender,
             gen,
-            env: e,
-            len,
+            env: env(round, sender),
         }
     }
 
@@ -731,11 +719,10 @@ mod tests {
             },
         };
         assert!(shared.model_frame().is_none());
-        let n = chan.download(9, model.clone());
-        assert_eq!(n, model.encoded_len());
+        chan.download(9, model.clone());
         assert_eq!(
             chan.drain_lost(),
-            [("GlobalModel", n as u64)],
+            [("GlobalModel", model.encoded_len() as u64)],
             "no such peer"
         );
         // ... but the model frame is still remembered for joiners.
@@ -771,9 +758,9 @@ mod tests {
             },
         };
         // Peer 7 never joined: listed lost, the rest still delivered.
-        let n = chan.download_many(&[0, 1, 7], model.clone());
-        assert_eq!(n, model.encoded_len());
-        assert_eq!(chan.drain_lost(), [("GlobalModel", n as u64)]);
+        chan.download_many(&[0, 1, 7], model.clone());
+        let n = model.encoded_len() as u64;
+        assert_eq!(chan.drain_lost(), [("GlobalModel", n)]);
         // Both live peers got the identical encoded frame...
         for far in [&mut far0, &mut far1] {
             let body = crate::stream::read_prefixed(far, fedomd_transport::DEFAULT_MAX_FRAME_BYTES)

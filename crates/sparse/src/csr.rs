@@ -26,7 +26,8 @@ const SPMM_CHUNK: usize = 16;
 /// stored entries run in CSR order into a stack accumulator, so every
 /// output element sees exactly the entry-order accumulation (from `0.0`)
 /// of [`Csr::spmm_ref`] — bit-identical by construction, pinned by
-/// `prop_spmm_bitwise_matches_ref`.
+/// `prop_spmm_bitwise_matches_ref`, except in which NaN survives where two
+/// different NaNs meet in one add (`prop_spmm_matches_ref_up_to_which_nan`).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn spmm_rows_body(
@@ -415,7 +416,10 @@ impl Csr {
     /// imbalance on power-law degree graphs; a one-thread pool takes the
     /// plain row sweep instead, since partitioning cannot pay off there.
     /// Per-row accumulation order is unchanged on every path, so results
-    /// are bit-identical to [`Csr::spmm_ref`].
+    /// are bit-identical to [`Csr::spmm_ref`] — up to which NaN comes out
+    /// where two different NaNs meet in one output (a stored `0.0` times
+    /// an inf, or `inf - inf`, then a NaN feature): that choice is the
+    /// operand order the compiler gives each add, and is unspecified.
     ///
     /// # Panics
     /// Panics when `self.cols() != x.rows()`.
@@ -1053,7 +1057,10 @@ mod tests {
 
         /// The tentpole invariant: nnz-balanced, register-blocked SpMM is
         /// bit-identical to the retained per-row reference, including
-        /// empty rows, all-zero stored values, and non-finite features.
+        /// empty rows and a NaN and an inf among the features. The stored
+        /// values are non-zero and one column holds the only inf, so no
+        /// output meets two different NaNs; where that can happen,
+        /// `prop_spmm_matches_ref_up_to_which_nan` holds the contract.
         /// `n` up to 36 crosses the 16-column register chunk (full chunks,
         /// a ragged tail, and `n < SPMM_CHUNK` entirely-ragged shapes).
         #[test]
@@ -1094,6 +1101,74 @@ mod tests {
             for w in blocks.windows(2) {
                 prop_assert_eq!(w[0].1, w[1].0);
             }
+        }
+
+        /// The contract where two different NaNs can meet: stored `±0.0`
+        /// next to non-zeros, and NaN, ±inf and `-0.0` anywhere among the
+        /// features, so `0·inf` or `inf - inf` meets a NaN feature in one
+        /// output. Which NaN survives is unspecified; every element that
+        /// is not NaN on both sides is `to_bits` equal, on the serial
+        /// sweep and on the blocked kernel at every block granularity.
+        #[test]
+        fn prop_spmm_matches_ref_up_to_which_nan(
+            rows in 1usize..30, cols in 1usize..12, n in 0usize..36,
+            entries in proptest::collection::vec((0usize..30, 0usize..12, 0u8..4, -2.0f32..2.0), 0..120),
+            specials in proptest::collection::vec((0usize..4096, 0u8..4), 0..8),
+            target in 1usize..32,
+        ) {
+            let entries: Vec<_> = entries
+                .into_iter()
+                .filter(|&(r, c, _, _)| r < rows && c < cols)
+                .map(|(r, c, kind, v)| match kind {
+                    0 => (r, c, 0.0),
+                    1 => (r, c, -0.0),
+                    _ => (r, c, v),
+                })
+                .collect();
+            let s = Csr::from_coo(rows, cols, entries);
+            let mut x = Matrix::from_fn(cols, n, |r, c| ((r * 3 + c * 7) % 5) as f32 - 2.0);
+            if n > 0 {
+                for (i, kind) in specials {
+                    x.as_mut_slice()[i % (cols * n)] = match kind {
+                        0 => f32::NAN,
+                        1 => f32::INFINITY,
+                        2 => f32::NEG_INFINITY,
+                        _ => -0.0,
+                    };
+                }
+            }
+            let want = s.spmm_ref(&x);
+            let mut blocked = Matrix::zeros(rows, n);
+            if n > 0 {
+                s.spmm_blocked(&x, &mut blocked, target);
+            }
+            for got in [s.spmm(&x), blocked] {
+                prop_assert_eq!(got.shape(), want.shape());
+                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                    prop_assert!(
+                        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                        "{:#010x} vs {:#010x}", a.to_bits(), b.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Two different NaNs meeting in one output: a stored `0.0` times an
+    /// infinite feature makes the default NaN (`0xFFC0_0000` on x86-64),
+    /// and the next term brings a NaN feature (`f32::NAN`, `0x7FC0_0000`).
+    /// At width 8 the register-blocked kernel keeps one and the reference
+    /// the other on x86-64; each add's operand order is the compiler's, so
+    /// the contract is only that both are NaN.
+    #[test]
+    fn two_nans_meeting_in_one_output_leave_either_nan() {
+        let s = Csr::from_coo(1, 2, vec![(0, 0, 0.0), (0, 1, 1.0)]);
+        let mut x = Matrix::zeros(2, 8);
+        x.row_mut(0).fill(f32::INFINITY);
+        x.row_mut(1).fill(f32::NAN);
+        let (got, want) = (s.spmm(&x), s.spmm_ref(&x));
+        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+            assert!(a.is_nan() && b.is_nan(), "{a} vs {b}");
         }
     }
 }

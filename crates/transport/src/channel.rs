@@ -6,12 +6,14 @@
 //! [`upload`](Channel::upload), the server
 //! [`server_collect`](Channel::server_collect)s whatever actually arrived,
 //! the server [`download`](Channel::download)s, and each client
-//! [`client_collect`](Channel::client_collect)s. Every message crosses the
-//! boundary as encoded frame bytes — the byte counts the comms accounting
-//! reports are the sizes of real serialised frames, not hand-counted
-//! scalars — and faults surface as *missing envelopes*, each also listed
-//! once by [`Channel::drain_lost`], never as panics, so the round logic
-//! can degrade to partial aggregation.
+//! [`client_collect`](Channel::client_collect)s. A channel moves
+//! [`Envelope`]s; only one that writes to a socket turns them into frame
+//! bytes. Every byte count — what the drivers report sent, what a
+//! transport lists lost — is [`Envelope::encoded_len`], the exact size of
+//! the frame [`Envelope::encode`] would write, so the accounting is the
+//! same whether or not the frame is ever materialised. Faults surface as
+//! *missing envelopes*, each also listed once by [`Channel::drain_lost`],
+//! never as panics, so the round logic can degrade to partial aggregation.
 
 use crate::frame::Envelope;
 
@@ -20,9 +22,8 @@ pub type LostFrame = (&'static str, u64);
 
 /// A bidirectional star topology between one server and `n` clients.
 pub trait Channel {
-    /// Client `env.sender` uploads to the server. Returns the encoded
-    /// frame size in bytes (what the client actually put on the wire).
-    fn upload(&mut self, env: Envelope) -> usize;
+    /// Client `env.sender` uploads to the server.
+    fn upload(&mut self, env: Envelope);
 
     /// Server gathers this round's uploads. Under faults a subset of
     /// clients may be missing; the result is sorted by sender id so
@@ -44,23 +45,18 @@ pub trait Channel {
         self.server_collect(round)
     }
 
-    /// Server sends `env` to client `to`. Returns the encoded frame size.
-    fn download(&mut self, to: u32, env: Envelope) -> usize;
+    /// Server sends `env` to client `to`.
+    fn download(&mut self, to: u32, env: Envelope);
 
     /// Server sends the same `env` to every client in `to`, in the given
-    /// order. Returns the encoded frame size — the copies are identical,
-    /// so total downlink traffic is `to.len()` times the return value
-    /// (0 when `to` is empty). The default clones through
-    /// [`Channel::download`]; transports with a real serialisation step
-    /// override it to encode the frame once per broadcast instead of
-    /// once per peer, which matters when the payload is a multi-megabyte
-    /// global model.
-    fn download_many(&mut self, to: &[u32], env: Envelope) -> usize {
-        let mut n = 0;
+    /// order. The default clones through [`Channel::download`]; a
+    /// transport that writes to sockets overrides it to encode the frame
+    /// once per broadcast instead of once per peer, which matters when the
+    /// payload is a multi-megabyte global model.
+    fn download_many(&mut self, to: &[u32], env: Envelope) {
         for &id in to {
-            n = self.download(id, env.clone());
+            self.download(id, env.clone());
         }
-        n
     }
 
     /// Client `id` gathers the frames addressed to it for `round`; empty
@@ -107,23 +103,10 @@ pub fn admit_by_deadline<T>(
     in_time
 }
 
-/// Decodes raw frames, keeps those stamped with `round`, sorted by sender.
-///
-/// Frames are produced by [`Envelope::encode`] inside the same process, so
-/// a decode failure is a codec bug, not a network fault — it panics rather
-/// than being silently dropped.
-pub(crate) fn decode_round(frames: &[Vec<u8>], round: u64) -> Vec<Envelope> {
-    #[expect(
-        clippy::expect_used,
-        reason = "frames come from `Envelope::encode` in the same process (see doc \
-                  above): a decode failure is a codec bug that must fail loudly, not a \
-                  recoverable network fault"
-    )]
-    let mut out: Vec<Envelope> = frames
-        .iter()
-        .map(|bytes| Envelope::decode(bytes).expect("in-process frame must decode"))
-        .filter(|env| env.round == round)
-        .collect();
+/// Keeps the envelopes stamped with `round`, sorted by sender (stable, so
+/// one sender's frames keep their send order).
+pub(crate) fn of_round(envs: impl IntoIterator<Item = Envelope>, round: u64) -> Vec<Envelope> {
+    let mut out: Vec<Envelope> = envs.into_iter().filter(|env| env.round == round).collect();
     out.sort_by_key(|env| env.sender);
     out
 }

@@ -11,10 +11,12 @@
 //! checksum covers every preceding byte (header *and* payload), so any
 //! single-byte corruption anywhere in the frame is rejected at decode.
 //! `f32` tensors travel as raw IEEE-754 bits, so an encode → decode cycle
-//! is bit-exact — the property that lets the in-process channel reproduce
-//! direct-function-call training runs bit for bit. The tensor and layer
-//! encoders are public because run checkpoints store `f32` state with
-//! them too, so there is one byte form of a tensor, at rest and in flight.
+//! is bit-exact — the property that makes a run whose frames cross sockets
+//! bit-identical to one whose envelopes stay in process. A frame's size is
+//! [`Envelope::encoded_len`], in closed form, without encoding. The tensor
+//! and layer encoders are public because run checkpoints store `f32` state
+//! with them too, so there is one byte form of a tensor, at rest and in
+//! flight.
 
 use crate::wire::{crc32, ByteReader, ByteWriter, WireError};
 use fedomd_tensor::Matrix;
@@ -89,6 +91,11 @@ impl Tensor {
     /// Converts back to a [`Matrix`].
     pub fn into_matrix(self) -> Matrix {
         Matrix::from_vec(self.rows as usize, self.cols as usize, self.data)
+    }
+
+    /// Bytes [`Tensor::encode`] writes.
+    fn encoded_len(&self) -> usize {
+        8 + 4 * self.data.len()
     }
 
     /// Writes `rows`, `cols` and the row-major elements as raw
@@ -252,6 +259,21 @@ impl Payload {
         matches!(kind, "WeightUpdate" | "GlobalModel")
     }
 
+    /// Bytes [`Payload::encode`] writes, summed from the payload's shape.
+    fn encoded_len(&self) -> usize {
+        match self {
+            Payload::WeightUpdate { params } | Payload::GlobalModel { params } => {
+                4 + params.iter().map(Tensor::encoded_len).sum::<usize>()
+            }
+            Payload::StatsRound1 { means, .. } => layers_len(means) + 8,
+            Payload::StatsRound2 { moments } => moments_len(moments),
+            Payload::GlobalStats { means, moments } => layers_len(means) + moments_len(moments),
+            Payload::Metrics { .. } => 4 + 4 * 8,
+            Payload::Control(Control::Abort(reason)) => 1 + 4 + reason.len(),
+            Payload::Control(Control::BeginRound | Control::EndRound | Control::Ack) => 1,
+        }
+    }
+
     fn encode(&self, w: &mut ByteWriter) {
         match self {
             Payload::WeightUpdate { params } | Payload::GlobalModel { params } => {
@@ -358,6 +380,16 @@ pub fn decode_tensors(r: &mut ByteReader<'_>) -> Result<Vec<Tensor>, WireError> 
     Ok(out)
 }
 
+/// Bytes [`encode_layers`] writes.
+fn layers_len(layers: &[Vec<f32>]) -> usize {
+    4 + layers.iter().map(|l| 4 + 4 * l.len()).sum::<usize>()
+}
+
+/// Bytes [`encode_moments`] writes.
+fn moments_len(moments: &[Vec<Vec<f32>>]) -> usize {
+    4 + moments.iter().map(|l| layers_len(l)).sum::<usize>()
+}
+
 /// Writes a `u32`-counted list of `u32`-counted `f32` runs (per-layer
 /// means).
 pub fn encode_layers(w: &mut ByteWriter, layers: &[Vec<f32>]) {
@@ -408,20 +440,23 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Serialises to a complete checksummed frame.
+    /// Serialises to a complete checksummed frame, written once into a
+    /// buffer of exactly [`Envelope::encoded_len`] bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = ByteWriter::new();
-        self.payload.encode(&mut body);
-        let body = body.into_bytes();
-
-        let mut w = ByteWriter::with_capacity(HEADER_BYTES + body.len() + TRAILER_BYTES);
+        let payload_len = self.payload.encoded_len();
+        let mut w = ByteWriter::with_capacity(HEADER_BYTES + payload_len + TRAILER_BYTES);
         w.put_u32(MAGIC);
         w.put_u8(VERSION);
         w.put_u8(self.payload.msg_type());
         w.put_u32(self.sender);
         w.put_u64(self.round);
-        w.put_u32(body.len() as u32);
-        w.put_raw(&body);
+        w.put_u32(payload_len as u32);
+        self.payload.encode(&mut w);
+        debug_assert_eq!(
+            w.len(),
+            HEADER_BYTES + payload_len,
+            "payload length drifted"
+        );
         let crc = crc32(w.as_slice());
         w.put_u32(crc);
         w.into_bytes()
@@ -466,11 +501,15 @@ impl Envelope {
         if stored != computed {
             return Err(WireError::BadChecksum { stored, computed });
         }
-        let payload = Payload::decode(msg_type, &mut r)?;
-        if r.remaining() != TRAILER_BYTES {
+        // The payload reader ends where the checksum starts, so a payload
+        // that claims more than its declared length is truncated, never
+        // read on into the trailer.
+        let mut body = ByteReader::new(&frame[r.position()..checksummed]);
+        let payload = Payload::decode(msg_type, &mut body)?;
+        if body.remaining() != 0 {
             return Err(WireError::Malformed(format!(
                 "{} payload bytes left undecoded",
-                r.remaining() - TRAILER_BYTES
+                body.remaining()
             )));
         }
         Ok(Self {
@@ -480,9 +519,12 @@ impl Envelope {
         })
     }
 
-    /// Encoded size in bytes without materialising the frame twice.
+    /// Size in bytes of the frame [`Envelope::encode`] writes, summed in
+    /// closed form from the header, the payload's shape and the trailer,
+    /// without encoding or allocating. Every byte count the round drivers
+    /// and transports report is this number.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        HEADER_BYTES + self.payload.encoded_len() + TRAILER_BYTES
     }
 }
 
@@ -601,6 +643,7 @@ mod tests {
     fn every_payload_kind_roundtrips() {
         for env in sample_envelopes() {
             let bytes = env.encode();
+            assert_eq!(env.encoded_len(), bytes.len(), "{}", env.payload.kind());
             let back = Envelope::decode(&bytes)
                 .unwrap_or_else(|e| panic!("{} failed to decode: {e:?}", env.payload.kind()));
             assert_eq!(back, env);

@@ -1,44 +1,36 @@
 //! [`InProcChannel`]: the default, fault-free transport.
 //!
-//! Frames travel as encoded bytes through plain `VecDeque` buffers — one
-//! uplink queue shared by all clients, one downlink queue per client — and
-//! are decoded on arrival. The channel is driven single-threaded through
-//! `&mut self` (the `Channel` trait's contract), so there is nothing to
-//! synchronize: queues are just memory, sends cannot fail, and the
-//! lock-free path keeps the fault-free baseline trivially allocation- and
-//! panic-free. Because the `f32` wire format is bit-exact and
+//! Envelopes move by value through plain queues — one uplink queue shared
+//! by all clients, one downlink queue per client — and are never
+//! serialised: nothing here meets a socket, and the frame's size, which
+//! the drivers report, is [`Envelope::encoded_len`] without the frame.
+//! The channel is driven single-threaded through `&mut self` (the
+//! `Channel` trait's contract), so there is nothing to synchronise: queues
+//! are just memory and sends cannot fail. Because
 //! [`server_collect`](crate::Channel::server_collect) returns envelopes in
 //! sender order (the order the lockstep loop uploaded them in), a training
 //! run over this channel is bit-identical to one passing values by direct
-//! function call. Nothing is ever dropped, reordered, or delayed.
+//! function call — and, the `f32` wire format being bit-exact, to one
+//! whose frames cross a socket. Nothing is ever dropped, reordered, or
+//! delayed.
 
-use std::collections::VecDeque;
-
-use crate::channel::{decode_round, Channel};
+use crate::channel::{of_round, Channel};
 use crate::frame::Envelope;
 
-/// Fault-free in-process channel over plain byte queues.
+/// Fault-free in-process channel over plain envelope queues.
 pub struct InProcChannel {
-    up: VecDeque<Vec<u8>>,
+    up: Vec<Envelope>,
     /// Downlink queue per client, grown on first use.
-    down: Vec<VecDeque<Vec<u8>>>,
+    down: Vec<Vec<Envelope>>,
 }
 
 impl InProcChannel {
     /// Creates a channel; client queues are allocated lazily.
     pub fn new() -> Self {
         Self {
-            up: VecDeque::new(),
+            up: Vec::new(),
             down: Vec::new(),
         }
-    }
-
-    fn down_queue(&mut self, client: u32) -> &mut VecDeque<Vec<u8>> {
-        let idx = client as usize;
-        while self.down.len() <= idx {
-            self.down.push(VecDeque::new());
-        }
-        &mut self.down[idx]
     }
 }
 
@@ -49,31 +41,27 @@ impl Default for InProcChannel {
 }
 
 impl Channel for InProcChannel {
-    fn upload(&mut self, env: Envelope) -> usize {
-        let frame = env.encode();
-        let n = frame.len();
-        self.up.push_back(frame);
-        n
+    fn upload(&mut self, env: Envelope) {
+        self.up.push(env);
     }
 
     fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
-        let frames: Vec<Vec<u8>> = self.up.drain(..).collect();
-        decode_round(&frames, round)
+        of_round(self.up.drain(..), round)
     }
 
-    fn download(&mut self, to: u32, env: Envelope) -> usize {
-        let frame = env.encode();
-        let n = frame.len();
-        self.down_queue(to).push_back(frame);
-        n
+    fn download(&mut self, to: u32, env: Envelope) {
+        let idx = to as usize;
+        if self.down.len() <= idx {
+            self.down.resize_with(idx + 1, Vec::new);
+        }
+        self.down[idx].push(env);
     }
 
     fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope> {
-        let frames: Vec<Vec<u8>> = match self.down.get_mut(id as usize) {
-            Some(q) => q.drain(..).collect(),
+        match self.down.get_mut(id as usize) {
+            Some(q) => of_round(q.drain(..), round),
             None => Vec::new(),
-        };
-        decode_round(&frames, round)
+        }
     }
 }
 
@@ -130,21 +118,17 @@ mod tests {
     }
 
     #[test]
-    fn byte_counts_match_encoded_frames() {
+    fn envelopes_arrive_unchanged_and_nothing_is_lost() {
         let mut ch = InProcChannel::new();
         let env = weight_env(0, 0, 1.0);
-        let expect = env.encode().len();
-        let n = ch.upload(env.clone());
-        assert_eq!(n, expect);
+        ch.upload(env.clone());
         let ack = Envelope {
             payload: Payload::Control(Control::Ack),
-            ..env
+            ..env.clone()
         };
-        let m = ch.download(0, ack.clone());
-        assert_eq!(m, ack.encode().len());
-        // Both frames are delivered, and nothing is ever lost.
-        assert_eq!(ch.server_collect(0).len(), 1);
-        assert_eq!(ch.client_collect(0, 0).len(), 1);
+        ch.download(0, ack.clone());
+        assert_eq!(ch.server_collect(0), [env]);
+        assert_eq!(ch.client_collect(0, 0), [ack]);
         assert!(ch.drain_lost().is_empty());
     }
 

@@ -11,8 +11,9 @@
 //!   `StatsRound1`, `StatsRound2`, `GlobalModel`, `GlobalStats`, and
 //!   `Control`.
 //! * [`channel`] — the [`Channel`] trait moving envelopes between server
-//!   and clients, with two implementations: [`InProcChannel`] (crossbeam
-//!   queues, fault-free, bit-identical to direct calls) and
+//!   and clients, with two implementations that move envelopes without
+//!   encoding them: [`InProcChannel`] (plain queues, fault-free,
+//!   bit-identical to direct calls) and
 //!   [`SimNetChannel`] (virtual-time fault simulation: drops, latency,
 //!   jitter, stragglers, retry with exponential backoff, and a per-round
 //!   deadline that degrades rounds to partial aggregation).

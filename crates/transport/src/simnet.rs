@@ -7,7 +7,8 @@
 //! exponential-backoff retransmission delays, and the receiver's collect
 //! call admits only frames whose accumulated arrival time beats the round
 //! deadline. Faults therefore surface exactly as they do on a real
-//! network: as frames that never show up.
+//! network: as frames that never show up. Envelopes travel by value, never
+//! serialised; a lost frame is listed at its [`Envelope::encoded_len`].
 //!
 //! Every random decision (drop, jitter) draws from a ChaCha stream keyed
 //! by the frame's identity: the config seed, the frame's round, its link
@@ -22,7 +23,7 @@ use std::collections::BTreeMap;
 
 use rand::Rng;
 
-use crate::channel::{admit_by_deadline, decode_round, Channel, LostFrame};
+use crate::channel::{admit_by_deadline, of_round, Channel, LostFrame};
 use crate::frame::Envelope;
 use fedomd_tensor::rng::{derive, seeded};
 
@@ -70,9 +71,8 @@ impl Default for FaultConfig {
     }
 }
 
-/// A frame in flight: virtual arrival time, then its payload kind and
-/// bytes.
-type InFlight = (f64, (&'static str, Vec<u8>));
+/// A frame in flight: virtual arrival time, then the envelope.
+type InFlight = (f64, Envelope);
 
 /// Simulated lossy star network between a server and its clients.
 pub struct SimNetChannel {
@@ -118,11 +118,11 @@ impl SimNetChannel {
         self.retries
     }
 
-    /// Simulates transmitting `env`, `frame_len` bytes encoded, over the
-    /// link of client `endpoint` (the client end of the link, whichever
-    /// direction the frame moves). Returns the virtual arrival time, or
-    /// `None` (the frame listed lost) when every attempt dropped.
-    fn transmit(&mut self, env: &Envelope, endpoint: u32, frame_len: usize) -> Option<f64> {
+    /// Simulates transmitting `env` over the link of client `endpoint`
+    /// (the client end of the link, whichever direction the frame moves).
+    /// Returns the virtual arrival time, or `None` (the frame listed lost)
+    /// when every attempt dropped.
+    fn transmit(&mut self, env: &Envelope, endpoint: u32) -> Option<f64> {
         let (round, kind) = (env.round, env.payload.msg_type());
         if self
             .sent
@@ -161,7 +161,8 @@ impl SimNetChannel {
             depart += backoff;
             backoff *= 2.0;
         }
-        self.lost.push((env.payload.kind(), frame_len as u64));
+        self.lost
+            .push((env.payload.kind(), env.encoded_len() as u64));
         None
     }
 
@@ -169,27 +170,19 @@ impl SimNetChannel {
     /// [`admit_by_deadline`] helper: in-time frames are delivered, late
     /// ones are listed lost (stragglers that missed the round).
     fn drain_by_deadline(&mut self, pending: Vec<InFlight>, round: u64) -> Vec<Envelope> {
-        let in_time: Vec<Vec<u8>> = admit_by_deadline(
-            pending,
-            self.cfg.round_timeout_ms,
-            &mut self.lost,
-            |(kind, frame)| (*kind, frame.len() as u64),
-        )
-        .into_iter()
-        .map(|(_, frame)| frame)
-        .collect();
-        decode_round(&in_time, round)
+        let in_time =
+            admit_by_deadline(pending, self.cfg.round_timeout_ms, &mut self.lost, |env| {
+                (env.payload.kind(), env.encoded_len() as u64)
+            });
+        of_round(in_time, round)
     }
 }
 
 impl Channel for SimNetChannel {
-    fn upload(&mut self, env: Envelope) -> usize {
-        let frame = env.encode();
-        let n = frame.len();
-        if let Some(arrival) = self.transmit(&env, env.sender, n) {
-            self.up_pending.push((arrival, (env.payload.kind(), frame)));
+    fn upload(&mut self, env: Envelope) {
+        if let Some(arrival) = self.transmit(&env, env.sender) {
+            self.up_pending.push((arrival, env));
         }
-        n
     }
 
     fn server_collect(&mut self, round: u64) -> Vec<Envelope> {
@@ -197,17 +190,14 @@ impl Channel for SimNetChannel {
         self.drain_by_deadline(pending, round)
     }
 
-    fn download(&mut self, to: u32, env: Envelope) -> usize {
-        let frame = env.encode();
-        let n = frame.len();
-        if let Some(arrival) = self.transmit(&env, to, n) {
+    fn download(&mut self, to: u32, env: Envelope) {
+        if let Some(arrival) = self.transmit(&env, to) {
             let idx = to as usize;
-            while self.down_pending.len() <= idx {
-                self.down_pending.push(Vec::new());
+            if self.down_pending.len() <= idx {
+                self.down_pending.resize_with(idx + 1, Vec::new);
             }
-            self.down_pending[idx].push((arrival, (env.payload.kind(), frame)));
+            self.down_pending[idx].push((arrival, env));
         }
-        n
     }
 
     fn client_collect(&mut self, id: u32, round: u64) -> Vec<Envelope> {
@@ -266,7 +256,8 @@ mod tests {
             ..Default::default()
         };
         let mut ch = SimNetChannel::new(cfg);
-        let bytes = ch.upload(env(0, 0)) as u64;
+        ch.upload(env(0, 0));
+        let bytes = env(0, 0).encoded_len() as u64;
         assert!(ch.server_collect(0).is_empty());
         assert_eq!(ch.drain_lost(), [("WeightUpdate", bytes)]);
         assert_eq!(ch.retries(), 2, "1 original + 2 retries");
@@ -513,7 +504,7 @@ mod tests {
         }
 
         /// Each frame's queue (`None` up, `Some(client)` down), arrival
-        /// time and bytes, sorted; and the lost frames, sorted.
+        /// time and encoded frame, sorted; and the lost frames, sorted.
         type Fates = (Vec<(Option<usize>, u64, Vec<u8>)>, Vec<LostFrame>);
 
         fn fates(cfg: &FaultConfig, sends: Vec<Op>) -> Fates {
@@ -529,7 +520,7 @@ mod tests {
             let down = down.flat_map(|(id, q)| q.iter().map(move |f| (Some(id), f)));
             let mut arrived: Vec<_> = up
                 .chain(down)
-                .map(|(q, (at, (_, frame)))| (q, at.to_bits(), frame.clone()))
+                .map(|(q, (at, env))| (q, at.to_bits(), env.encode()))
                 .collect();
             arrived.sort();
             let mut lost = ch.drain_lost();

@@ -115,11 +115,6 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
-    /// Writes a `u16`, little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Writes a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -153,12 +148,6 @@ impl ByteWriter {
     /// Writes raw bytes with no prefix.
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Overwrites 4 bytes at `at` with a little-endian `u32` (for
-    /// back-patching length fields).
-    pub fn patch_u32(&mut self, at: usize, v: u32) {
-        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -211,11 +200,6 @@ impl<'a> ByteReader<'a> {
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `u16`, little-endian.
-    pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take_array::<2>()?))
     }
 
     /// Reads a `u32`, little-endian.
@@ -346,7 +330,6 @@ mod tests {
     fn primitives_roundtrip() {
         let mut w = ByteWriter::new();
         w.put_u8(0xAB);
-        w.put_u16(0x1234);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
         w.put_f32(-1.5e-7);
@@ -355,7 +338,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 0xAB);
-        assert_eq!(r.get_u16().unwrap(), 0x1234);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.get_f32().unwrap().to_bits(), (-1.5e-7f32).to_bits());

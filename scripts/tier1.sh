@@ -109,6 +109,25 @@ echo "::group::CSR weight-gradient scatter equals SpMM on the transpose (1024 ca
 PROPTEST_CASES=1024 cargo test -q --release -p fedomd-sparse prop_spmm_t_into_is_the_transposed_spmm
 echo "::endgroup::"
 
+echo "::group::SpMM and GEMM kernels match their references (1024 cases)"
+# DESIGN.md §12: the register-blocked SpMM is `to_bits` equal to its serial
+# reference (up to which NaN survives where two different NaNs meet), and
+# the GEMM kernels agree with the naive product on non-finite inputs.
+# (Also part of the workspace tests at the stub's default 64 cases; this
+# is the release build.)
+PROPTEST_CASES=1024 cargo test -q --release -p fedomd-sparse -- \
+    prop_spmm_bitwise_matches_ref prop_spmm_matches_ref_up_to_which_nan
+PROPTEST_CASES=1024 cargo test -q --release -p fedomd-tensor prop_kernels_match_naive_on_nonfinite_inputs
+echo "::endgroup::"
+
+echo "::group::Frame codec: exact lengths and canonical frames (1024 cases)"
+# DESIGN.md §9: every envelope roundtrips at exactly `encoded_len()` bytes,
+# and every frame the decoder accepts is the one `encode` writes for what
+# it decoded, so a received frame's size is its envelope's `encoded_len()`.
+PROPTEST_CASES=1024 cargo test -q --release -p fedomd-transport --test codec_props -- \
+    encode_decode_roundtrips_exactly every_accepted_frame_is_the_one_encode_writes
+echo "::endgroup::"
+
 echo "::group::SimNet faults do not depend on send order (1024 cases)"
 # DESIGN.md §9: a frame's drops and arrival time are keyed by the frame
 # (round, link, kind, k), so one phase's uploads and downloads sent in any
