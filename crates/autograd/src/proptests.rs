@@ -45,10 +45,9 @@ fn arb_poisoned(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
 /// `(A, W, G)` for `Y = A·W` with upstream gradient `G`: `A` is 0–65 %
 /// non-zero, its zeros a mix of `+0.0` and `-0.0`, and every third row is
 /// emptied in about half the cases. Up to 96 × 40 × 20, so both sides of
-/// the dense dispatcher's small-product cut-off, of its zero-skip
-/// threshold (`SPARSE_MAX_DENSITY`, ¼: the skip kernels below, the packed
-/// kernel above), of the input layer's CSR cut-over (½) and of the SpMM
-/// register chunk are covered.
+/// the dense dispatcher's small-product cut-off (the serial reference
+/// kernels below, the packed and direct-`tn` kernels above), of the input
+/// layer's CSR cut-over (½) and of the SpMM register chunk are covered.
 fn arb_sparse_product() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
     (1usize..96, 1usize..40, 1usize..20, 0u32..=65, 0u8..2).prop_flat_map(
         |(m, k, n, pct, empty_rows)| {
@@ -70,17 +69,25 @@ fn arb_sparse_product() -> impl Strategy<Value = (Matrix, Matrix, Matrix)> {
     )
 }
 
-fn assert_bits_eq(got: &Matrix, want: &Matrix) -> Result<(), TestCaseError> {
+/// `to_bits` equality, except that with `nan_may_differ` both sides being
+/// NaN is enough: which NaN survives where two different NaNs meet is
+/// unspecified for the packed GEMM kernels against their serial
+/// references (`fedomd_tensor::gemm` module docs).
+fn assert_bits_eq(got: &Matrix, want: &Matrix, nan_may_differ: bool) -> Result<(), TestCaseError> {
     prop_assert_eq!(got.shape(), want.shape());
     for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
-        prop_assert_eq!(x.to_bits(), y.to_bits());
+        if !(nan_may_differ && x.is_nan() && y.is_nan()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
     }
     Ok(())
 }
 
 /// Checks `csr_matmul`'s forward `A·W` and weight gradient `Aᵀ·G`
-/// against the dense dispatcher and the serial reference kernels on the
-/// dense twin of `A`, `to_bits`.
+/// against the dense dispatcher and the serial reference kernels on `A`
+/// itself, `-0.0` entries included, `to_bits` (against the references up
+/// to which NaN survives). A NaN or ±inf in `W` or `G` sends the op to
+/// its fallback on the densified CSR, which stores no zeros at all.
 fn check_csr_matmul(a: Matrix, w: Matrix, g: Matrix) -> Result<(), TestCaseError> {
     let (m, k) = a.shape();
     let n = w.cols();
@@ -93,11 +100,10 @@ fn check_csr_matmul(a: Matrix, w: Matrix, g: Matrix) -> Result<(), TestCaseError
         }
     }
     let csr = Arc::new(Csr::from_coo(m, k, nonzeros));
-    let dense = Arc::new(a);
 
     let mut t = Tape::new();
     let wv = t.param(w.clone());
-    let y = t.csr_matmul(&csr, &dense, wv);
+    let y = t.csr_matmul(&csr, wv);
     // loss = 1ᵀ·(Y ⊙ G)·1, whose gradient with respect to Y is
     // exactly G.
     let yg = t.mask_mul(y, g.clone());
@@ -107,11 +113,11 @@ fn check_csr_matmul(a: Matrix, w: Matrix, g: Matrix) -> Result<(), TestCaseError
     let loss = t.matmul(s, ones_r);
     t.backward(loss);
 
-    assert_bits_eq(t.value(y), &matmul(&dense, &w))?;
-    assert_bits_eq(t.value(y), &matmul_ref(&dense, &w))?;
+    assert_bits_eq(t.value(y), &matmul(&a, &w), false)?;
+    assert_bits_eq(t.value(y), &matmul_ref(&a, &w), true)?;
     let dw = t.grad(wv).expect("W gets a gradient");
-    assert_bits_eq(dw, &matmul_tn(&dense, &g))?;
-    assert_bits_eq(dw, &matmul_tn_ref(&dense, &g))?;
+    assert_bits_eq(dw, &matmul_tn(&a, &g), false)?;
+    assert_bits_eq(dw, &matmul_tn_ref(&a, &g), true)?;
     Ok(())
 }
 
@@ -145,10 +151,10 @@ fn csr_matmul_is_the_packed_product_across_summation_panels() {
 proptest! {
     /// The sparse input layer is the dense product, bit for bit: the
     /// forward `A·W` and the weight gradient `Aᵀ·G` of `csr_matmul` equal
-    /// the dense dispatcher's and the serial reference kernels' on the
-    /// dense twin of `A`, at densities on both sides of the dispatcher's
-    /// zero-skip threshold and of the input layer's CSR cut-over,
-    /// non-finite `W` and `G` included.
+    /// the dense dispatcher's and the serial reference kernels' on `A`,
+    /// at densities on both sides of the input layer's CSR cut-over.
+    /// About two thirds of the draws put a NaN, ±inf or `-0.0` into `W`
+    /// or `G`; a NaN or ±inf runs the op's densify fallback.
     #[test]
     fn csr_matmul_is_the_dense_product(case in arb_sparse_product()) {
         let (a, w, g) = case;

@@ -23,13 +23,8 @@ enum Op {
     MatMul(usize, usize),
     /// `Y = S · X` for a constant sparse `S`.
     SpMM(Arc<Csr>, usize),
-    /// `Y = A · W` for a constant CSR `A` with its dense twin (the
-    /// non-finite fallback).
-    CsrMatMul {
-        a: Arc<Csr>,
-        dense: Arc<Matrix>,
-        w: usize,
-    },
+    /// `Y = A · W` for a constant CSR `A`.
+    CsrMatMul(Arc<Csr>, usize),
     /// `C = A + alpha · B` (same shapes).
     AddScaled(usize, usize, f32),
     /// Row-broadcast bias add: `Y = X + 1·bᵀ`, `b` is `1 × cols`.
@@ -232,40 +227,28 @@ impl Tape {
         self.push(value, Op::SpMM(s, x.0), rg)
     }
 
-    /// `Y = A · W` for a constant `A` held both as CSR (`a`) and dense
-    /// (`dense`, the same matrix) — the first layer's `Ŝ·X·W` on a
-    /// zero-heavy input. Bit-identical to [`Tape::matmul`] on
-    /// `constant(dense)`, without copying `dense` onto the tape.
+    /// `Y = A · W` for a constant CSR `A` — a zero-heavy operand such
+    /// as the first layer's `Ŝ·X`. Bit-identical to [`Tape::matmul`] on
+    /// `constant(a.to_dense())`, without a dense copy of `A` on the tape.
     ///
     /// The forward runs through [`Csr::spmm_into`] and the weight gradient
     /// `Aᵀ·G` through [`Csr::spmm_t_into`], which scatters from `A`'s rows,
     /// so no transpose of `A` is stored. Both accumulate the stored
-    /// entries in ascending `k` from `+0.0`, which is what the dense
-    /// kernels do when the right operand is finite: the zero-skip kernels
-    /// skip the `0 · x` terms, and the packed kernel adds them, which
-    /// leaves a sum that starts at `+0.0` unchanged. When `W` (forward) or
-    /// `G` (backward) holds a NaN or ±inf, a `0 · x` term is no longer a
-    /// no-op, so those products run on `dense` instead.
-    pub fn csr_matmul(&mut self, a: &Arc<Csr>, dense: &Arc<Matrix>, w: Var) -> Var {
-        debug_assert_eq!(
-            (a.rows(), a.cols()),
-            dense.shape(),
-            "csr_matmul: twin shapes differ"
-        );
+    /// entries in ascending `k` from `+0.0`. The dense kernels add the
+    /// `0 · x` terms too, which leaves such a sum unchanged while `x` is
+    /// finite. When `W` (forward) or `G` (backward) holds a NaN or ±inf,
+    /// a `0 · x` term is no longer a no-op, so that product runs on
+    /// [`Csr::to_dense`] instead.
+    pub fn csr_matmul(&mut self, a: &Arc<Csr>, w: Var) -> Var {
         let vw = &self.nodes[w.0].value;
         let mut value = self.ws.take_uninit(a.rows(), vw.cols());
         if vw.all_finite() {
             a.spmm_into(vw, &mut value);
         } else {
-            matmul_into(dense, vw, &mut value);
+            matmul_into(&a.to_dense(), vw, &mut value);
         }
         let rg = self.rg(w);
-        let op = Op::CsrMatMul {
-            a: a.clone(),
-            dense: dense.clone(),
-            w: w.0,
-        };
-        self.push(value, op, rg)
+        self.push(value, Op::CsrMatMul(a.clone(), w.0), rg)
     }
 
     /// `a + b`.
@@ -502,14 +485,14 @@ impl Tape {
                     self.accumulate(x, d);
                 }
             }
-            Op::CsrMatMul { a, dense, w } => {
+            Op::CsrMatMul(a, w) => {
                 let w = *w;
                 if self.nodes[w].requires_grad {
                     let mut d = self.ws.take_uninit(a.cols(), g.cols());
                     if g.all_finite() {
                         a.spmm_t_into(g, &mut d);
                     } else {
-                        matmul_tn_into(dense, g, &mut d);
+                        matmul_tn_into(&a.to_dense(), g, &mut d);
                     }
                     self.accumulate(w, d);
                 }

@@ -50,10 +50,11 @@ fn bench_gemm(c: &mut Criterion) {
 }
 
 /// The first layer's two products on `A = Ŝ·X` with hidden width 64: the
-/// dense dispatcher against the CSR forward, and for the weight gradient
-/// `Aᵀ·G` the dense `matmul_tn` against the CSR row scatter
-/// (`csr_wgrad`, what the tape runs) and SpMM on a stored transpose
-/// (`csr_t_wgrad`). Same bits on every path.
+/// dense `matmul` (the packed kernel, which never skips a zero) against
+/// the CSR forward, and for the weight gradient `Aᵀ·G` the dense
+/// `matmul_tn` against the CSR row scatter (`csr_wgrad`, what the tape
+/// runs) and SpMM on a stored transpose (`csr_t_wgrad`). Same bits on
+/// every path.
 ///
 /// Operands: a `cora_paper` shard (Cora, 3 parties, seed 0), and a
 /// `computer_paper`-shaped 2700 × 767 matrix at 10/25/35/50/65 %

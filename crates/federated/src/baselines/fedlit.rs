@@ -23,7 +23,7 @@ use std::sync::Arc;
 use rayon::prelude::*;
 
 use fedomd_autograd::{Tape, Var};
-use fedomd_nn::{ForwardOut, GraphInput, Model};
+use fedomd_nn::{ConstOperand, ForwardOut, GraphInput, Model};
 use fedomd_sparse::{normalized_adjacency, Csr};
 use fedomd_telemetry::{Phase, PhaseStopwatch, RoundObserver};
 use fedomd_tensor::rng::{derive, seeded};
@@ -171,54 +171,67 @@ fn type_operators(client: &ClientData, assign: &[usize]) -> Vec<Arc<Csr>> {
 #[derive(Clone)]
 struct FedLitModel {
     ops: Vec<Arc<Csr>>,
+    /// Per type `Ŝ_t·X`: the first layer's operands, constant across
+    /// steps, so built once with the model.
+    sx: Vec<ConstOperand>,
     w0: Vec<Matrix>,
     w1: Vec<Matrix>,
 }
 
 impl FedLitModel {
-    fn new(ops: Vec<Arc<Csr>>, f: usize, hidden: usize, classes: usize, seed: u64) -> Self {
+    fn new(ops: Vec<Arc<Csr>>, x: &Matrix, hidden: usize, classes: usize, seed: u64) -> Self {
         let mut rng = seeded(seed);
         let w0 = (0..ops.len())
-            .map(|_| xavier_uniform(f, hidden, &mut rng))
+            .map(|_| xavier_uniform(x.cols(), hidden, &mut rng))
             .collect();
         let w1 = (0..ops.len())
             .map(|_| xavier_uniform(hidden, classes, &mut rng))
             .collect();
-        Self { ops, w0, w1 }
+        let sx = ops
+            .iter()
+            .map(|op| ConstOperand::new(Arc::new(op.spmm(x))))
+            .collect();
+        Self { ops, sx, w0, w1 }
     }
 }
 
-impl FedLitModel {
-    /// One layer's pre-activation `Σ_t Ŝ_t·input·W_t`, recording each
-    /// type's weight in `vars`.
-    fn type_sum(&self, tape: &mut Tape, input: Var, ws: &[Matrix], vars: &mut Vec<Var>) -> Var {
-        let mut sum = None;
-        for (op, w) in self.ops.iter().zip(ws) {
-            let w = tape.param_copied(w);
-            vars.push(w);
-            let propagated = tape.spmm(op.clone(), input);
-            let term = tape.matmul(propagated, w);
-            sum = Some(match sum {
-                None => term,
-                Some(acc) => tape.add(acc, term),
-            });
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "`self.ops` holds one operator per edge type and N_TYPES is a \
-                      positive constant, so the accumulator is Some"
-        )]
-        sum.expect("at least one type")
+/// One layer's pre-activation `Σ_t term(t, W_t)` in type order, recording
+/// each type's weight in `vars`.
+fn type_sum(
+    tape: &mut Tape,
+    ws: &[Matrix],
+    vars: &mut Vec<Var>,
+    mut term: impl FnMut(&mut Tape, usize, Var) -> Var,
+) -> Var {
+    let mut sum = None;
+    for (t, w) in ws.iter().enumerate() {
+        let w = tape.param_copied(w);
+        vars.push(w);
+        let term = term(tape, t, w);
+        sum = Some(match sum {
+            None => term,
+            Some(acc) => tape.add(acc, term),
+        });
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "the model holds one weight per edge type and N_TYPES is a \
+                  positive constant, so the accumulator is Some"
+    )]
+    sum.expect("at least one type")
 }
 
 impl Model for FedLitModel {
-    fn forward(&self, tape: &mut Tape, input: &GraphInput) -> ForwardOut {
-        let x = tape.constant_copied(&input.x);
+    fn forward(&self, tape: &mut Tape, _input: &GraphInput) -> ForwardOut {
         let mut param_vars = Vec::with_capacity(2 * self.ops.len());
-        let pre = self.type_sum(tape, x, &self.w0, &mut param_vars);
+        let pre = type_sum(tape, &self.w0, &mut param_vars, |tape, t, w| {
+            self.sx[t].matmul(tape, w)
+        });
         let h = tape.relu(pre);
-        let logits = self.type_sum(tape, h, &self.w1, &mut param_vars);
+        let logits = type_sum(tape, &self.w1, &mut param_vars, |tape, t, w| {
+            let propagated = tape.spmm(self.ops[t].clone(), h);
+            tape.matmul(propagated, w)
+        });
         ForwardOut {
             logits,
             hidden: vec![h],
@@ -267,7 +280,7 @@ pub(crate) fn setup(
         .map(|(c, assign)| {
             Box::new(FedLitModel::new(
                 type_operators(c, assign),
-                c.input.n_features(),
+                &c.input.x,
                 cfg.hidden_dim,
                 n_classes,
                 derive(cfg.seed, 0xE100),
@@ -321,8 +334,7 @@ mod tests {
         let (clients, k) = mini_clients();
         let assigns = federated_edge_kmeans(&clients, 0, &mut CommsLog::new());
         let ops = type_operators(&clients[0], &assigns[0]);
-        let f = clients[0].input.n_features();
-        let model = FedLitModel::new(ops, f, 16, k, 0);
+        let model = FedLitModel::new(ops, &clients[0].input.x, 16, k, 0);
         let mut tape = Tape::new();
         let out = model.forward(&mut tape, &clients[0].input);
         assert_eq!(tape.value(out.logits).shape(), (clients[0].n_nodes(), k));

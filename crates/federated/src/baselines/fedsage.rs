@@ -26,7 +26,7 @@ use std::sync::Arc;
 use rayon::prelude::*;
 
 use fedomd_autograd::Tape;
-use fedomd_nn::{Adam, GraphSage, Model, Optimizer};
+use fedomd_nn::{Adam, ConstOperand, GraphInput, GraphSage, Model, Optimizer};
 use fedomd_sparse::row_normalized_adjacency;
 use fedomd_telemetry::{Phase, PhaseStopwatch, RoundObserver};
 use fedomd_tensor::rng::{derive, seeded};
@@ -74,17 +74,16 @@ impl NeighGen {
     fn train_step(
         &mut self,
         opt: &mut Adam,
-        x_impaired: &Matrix,
+        x_impaired: &ConstOperand,
         target_counts: &Matrix,
         target_feats: &Matrix,
     ) {
-        let n = x_impaired.rows().max(1) as f32;
+        let n = target_counts.rows().max(1) as f32;
         let mut tape = Tape::new();
-        let x = tape.constant(x_impaired.clone());
         let wc = tape.param(self.w_count.clone());
         let wf = tape.param(self.w_feat.clone());
-        let pred_c = tape.matmul(x, wc);
-        let pred_f = tape.matmul(x, wf);
+        let pred_c = x_impaired.matmul(&mut tape, wc);
+        let pred_f = x_impaired.matmul(&mut tape, wf);
         let lc = tape.sq_diff(pred_c, target_counts);
         let lf = tape.sq_diff(pred_f, target_feats);
         let lc = tape.scale(lc, 1.0 / n);
@@ -106,11 +105,8 @@ impl NeighGen {
     }
 
     /// Predicted (counts, features) on the intact graph.
-    fn predict(&self, x: &Matrix) -> (Matrix, Matrix) {
-        (
-            fedomd_tensor::gemm::matmul(x, &self.w_count),
-            fedomd_tensor::gemm::matmul(x, &self.w_feat),
-        )
+    fn predict(&self, x: &ConstOperand) -> (Matrix, Matrix) {
+        (x.product(&self.w_count), x.product(&self.w_feat))
     }
 }
 
@@ -161,12 +157,13 @@ fn impair(client: &ClientData, seed: u64) -> (Matrix, Matrix, Matrix) {
     (x, counts, feats)
 }
 
-/// The mended client: original data plus synthetic neighbours, with the
-/// row-stochastic aggregator SAGE uses.
-fn mend(client: &ClientData, gen: &NeighGen, seed: u64) -> (ClientData, Arc<fedomd_sparse::Csr>) {
+/// The mended client: original data plus synthetic neighbours, its input
+/// built on the row-stochastic aggregator SAGE uses, so that the input's
+/// cached `sx` is SAGE's first-layer `Ā·X`.
+fn mend(client: &ClientData, gen: &NeighGen, seed: u64) -> ClientData {
     let n = client.n_nodes();
     let f = client.input.n_features();
-    let (counts, feats) = gen.predict(&client.input.x);
+    let (counts, feats) = gen.predict(client.input.x_operand());
     let mut rng = seeded(seed);
 
     let mut new_feats: Vec<Vec<f32>> = Vec::new();
@@ -195,25 +192,20 @@ fn mend(client: &ClientData, gen: &NeighGen, seed: u64) -> (ClientData, Arc<fedo
     let mut labels = client.labels.clone();
     labels.extend(std::iter::repeat_n(0, new_feats.len())); // never in any mask
 
-    let s = Arc::new(fedomd_sparse::normalized_adjacency(total, &new_edges));
     let agg = Arc::new(row_normalized_adjacency(total, &new_edges));
-    let input = fedomd_nn::GraphInput::new(s, x);
-    (
-        ClientData {
-            input,
-            labels,
-            splits: client.splits.clone(),
-            global_ids: client.global_ids.clone(),
-            edges: new_edges,
-        },
-        agg,
-    )
+    ClientData {
+        input: GraphInput::new(agg, x),
+        labels,
+        splits: client.splits.clone(),
+        global_ids: client.global_ids.clone(),
+        edges: new_edges,
+    }
 }
 
 /// FedSage+'s set-up: federated NeighGen training (timed as a
 /// [`Phase::LocalTrain`] segment, its frames reported to `obs`), then the
-/// mended shards, each with a [`GraphSage`] over its own mean aggregator,
-/// all from one common init.
+/// mended shards, whose inputs carry their mean aggregators, each with a
+/// [`GraphSage`], all from one common init.
 pub(crate) fn setup(
     cfg: &TrainConfig,
     clients: &[ClientData],
@@ -225,10 +217,13 @@ pub(crate) fn setup(
 
     // --- Phase 1+2: federated NeighGen training ---
     let sw = PhaseStopwatch::start(Phase::LocalTrain);
-    let supervision: Vec<(Matrix, Matrix, Matrix)> = clients
+    let supervision: Vec<(ConstOperand, Matrix, Matrix)> = clients
         .par_iter()
         .enumerate()
-        .map(|(i, c)| impair(c, derive(cfg.seed, 0xC100 + i as u64)))
+        .map(|(i, c)| {
+            let (x, counts, feats) = impair(c, derive(cfg.seed, 0xC100 + i as u64));
+            (ConstOperand::new(Arc::new(x)), counts, feats)
+        })
         .collect();
     let mut gens: Vec<NeighGen> = (0..m)
         .map(|_| NeighGen::new(f, derive(cfg.seed, 0xC200)))
@@ -270,7 +265,7 @@ pub(crate) fn setup(
     sw.finish(obs);
 
     // --- Phase 3: mend local graphs ---
-    let mended: Vec<(ClientData, Arc<fedomd_sparse::Csr>)> = clients
+    let mended: Vec<ClientData> = clients
         .par_iter()
         .zip(gens.par_iter())
         .enumerate()
@@ -278,15 +273,14 @@ pub(crate) fn setup(
         .collect();
 
     // --- Phase 4's local models: GraphSage on the mended graphs ---
-    mended
-        .into_iter()
-        .map(|(c, agg)| {
+    let models = mended
+        .iter()
+        .map(|_| {
             let mut rng = seeded(derive(cfg.seed, 0xC400));
-            let model =
-                GraphSage::new(f, cfg.hidden_dim, n_classes, &mut rng).with_mean_aggregator(agg);
-            (c, Box::new(model) as Box<dyn Model>)
+            Box::new(GraphSage::new(f, cfg.hidden_dim, n_classes, &mut rng)) as Box<dyn Model>
         })
-        .unzip()
+        .collect();
+    (mended, models)
 }
 
 #[cfg(test)]
@@ -329,10 +323,15 @@ mod tests {
         // Force positive predicted counts by biasing the count head.
         let mut g = gen;
         g.w_count = Matrix::full(clients[0].input.n_features(), 1, 1.0);
-        let (mended, agg) = mend(&clients[0], &g, 2);
+        let mended = mend(&clients[0], &g, 2);
         assert!(mended.n_nodes() >= clients[0].n_nodes());
         assert!(mended.edges.len() >= clients[0].edges.len());
+        // The input's operator is the row-stochastic mean aggregator.
+        let agg = &mended.input.s;
         assert_eq!(agg.rows(), mended.n_nodes());
+        for (sum, r) in agg.row_abs_sums().iter().zip(0..) {
+            assert!((sum - 1.0).abs() < 1e-5, "row {r} sums to {sum}");
+        }
         // Original masks survive untouched.
         assert_eq!(mended.splits.train, clients[0].splits.train);
     }

@@ -4,8 +4,8 @@
 //! `fedomd-client` binaries are thin CLI shells over these two functions,
 //! and the loopback golden tests call them directly from threads.
 
-use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::io;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -126,7 +126,9 @@ pub fn serve(
 /// The acceptor thread admits clients that present the right protocol
 /// version, an id in range, and the same run-configuration digest this
 /// server computed; each admitted connection gets a reader thread and the
-/// round driver runs single-threaded over the merged event queue. The
+/// round driver runs single-threaded over the merged event queue. It
+/// blocks in `accept`, so a client joins as soon as it connects; at
+/// shutdown one throwaway connection, closed at once, wakes it. The
 /// run starts once `opts.n_clients` are connected or the join timeout
 /// passes (late clients can still join mid-run and participate from the
 /// next round).
@@ -184,7 +186,7 @@ pub fn serve_on(
 
     let (tx, rx) = inbound_queue();
     let stop = Arc::new(AtomicBool::new(false));
-    listener.set_nonblocking(true)?;
+    let wake = wake_addr(&listener)?;
     #[expect(
         clippy::disallowed_methods,
         reason = "joined once the rounds are done, below"
@@ -194,20 +196,15 @@ pub fn serve_on(
         let shared = Arc::clone(&shared);
         let n_clients = opts.n_clients;
         let max_frame = opts.net.max_frame_bytes;
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // A failed handshake just drops the connection;
-                        // the client retries or gives up on its own.
-                        let _ = admit(stream, digest, n_clients, max_frame, &tx, &shared);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
+        std::thread::spawn(move || loop {
+            let accepted = listener.accept();
+            if stop.load(Ordering::Acquire) {
+                break;
             }
+            let Ok((stream, _)) = accepted else { break };
+            // A failed handshake just drops the connection; the client
+            // retries or gives up on its own.
+            let _ = admit(stream, digest, n_clients, max_frame, &tx, &shared);
         })
     };
 
@@ -232,9 +229,26 @@ pub fn serve_on(
 
     // Closing the inbound queue first wakes an acceptor blocked on it.
     drop(chan);
-    stop.store(true, Ordering::Relaxed);
+    stop.store(true, Ordering::Release);
+    // Wake the acceptor out of `accept`; it sees `stop` and exits. The
+    // connection closes at once, so a later server on the same socket
+    // that accepts it instead reads EOF in its handshake, not a stall.
+    drop(TcpStream::connect(wake));
     let _ = acceptor.join();
     Ok(result)
+}
+
+/// The address a connection to `listener` reaches it at: its own, on
+/// loopback when it is bound to every interface.
+fn wake_addr(listener: &TcpListener) -> io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    Ok(addr)
 }
 
 /// Handshakes one fresh connection and, if admitted, hands it to the

@@ -13,7 +13,7 @@ pub mod models;
 pub mod optim;
 pub mod ortho;
 
-pub use model::{ForwardOut, GraphInput, Model, INPUT_CSR_MAX_DENSITY};
+pub use model::{ConstOperand, ForwardOut, GraphInput, Model, INPUT_CSR_MAX_DENSITY};
 pub use models::gcn::Gcn;
 pub use models::mlp::Mlp;
 pub use models::ortho_gcn::{OrthoGcn, OrthoGcnConfig};

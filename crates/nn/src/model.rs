@@ -1,80 +1,123 @@
 //! The [`Model`] abstraction shared by every local model in the federation.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fedomd_autograd::{Tape, Var};
 use fedomd_sparse::Csr;
+use fedomd_tensor::gemm::matmul;
 use fedomd_tensor::Matrix;
 
-/// Non-zero fraction of `Ŝ·X` below which [`GraphInput`] also keeps it as
-/// CSR and runs the first layer on it. Chosen from the `input_layer`
-/// kernel sweep in `benches/gemm.rs` (a `computer_paper`-shaped 2,700 ×
-/// 767 operand, hidden 64, recorded in `BENCH_kernels.json`; medians on
-/// a shared 2-core x86-64 box). The CSR forward and the scatter weight
-/// gradient beat the dense products from 10 % up to 50 % density (at
-/// 50 %: forward 11.3 vs 13.2 ms, weight gradient 10.6 vs 13.8 ms) and
-/// lose at 65 % (14.0 vs 12.2 ms, 14.4 vs 12.5 ms), so the costs cross
-/// between 50 and 65 %. ½ also bounds the memory: at ½ the CSR copy
-/// (4-byte value plus 4-byte column per stored entry) is as large as the
-/// dense one. This is the input layer's own cut-over; the dense GEMM
-/// dispatcher keeps
-/// [`SPARSE_MAX_DENSITY`](fedomd_tensor::gemm::SPARSE_MAX_DENSITY) for
-/// its zero-skip kernels.
+/// Non-zero fraction below which a [`ConstOperand`] is kept as CSR: the
+/// one density cut-over in the workspace, so the one place zeros are
+/// skipped. Chosen from the `input_layer` kernel sweep in
+/// `benches/gemm.rs` (a `computer_paper`-shaped 2,700 × 767 operand,
+/// hidden 64, recorded in `BENCH_kernels.json`; medians on a shared
+/// 2-core x86-64 box). The CSR forward and the scatter weight gradient
+/// beat the packed dense products from 10 % up to 50 % density (at 50 %:
+/// forward 3.9 vs 4.8 ms, weight gradient 4.4 vs 5.5 ms) and lose at
+/// 65 % (5.1 vs 4.8 ms, 5.8 vs 5.4 ms), so the costs cross between 50
+/// and 65 %. The packed kernel's cost does not fall with the density, so
+/// below 10 % the gap only widens. ½ also bounds the memory: at ½ the CSR
+/// copy (4-byte value plus 4-byte column per stored entry) is as large as
+/// the dense one.
 pub const INPUT_CSR_MAX_DENSITY: f64 = 0.5;
 
-/// The per-client graph input: normalised adjacency `Ŝ`, raw features `X`,
-/// and the cached product `ŜX` (constant across epochs, so computed once).
+/// A constant left operand `A` of a product `A·W` with a trained `W`:
+/// `Ŝ·X`, raw `X`, FedLIT's per-type `Ŝ_t·X`, FedSage+'s impaired
+/// features. Which form it takes is decided once, when it is built, by
+/// [`INPUT_CSR_MAX_DENSITY`]; the dense GEMM kernels never look at a
+/// value.
+#[derive(Clone)]
+pub enum ConstOperand {
+    /// Fewer than [`INPUT_CSR_MAX_DENSITY`] of the entries are non-zero:
+    /// the products run through [`Tape::csr_matmul`].
+    Sparse(Arc<Csr>),
+    /// Denser: the products run on the dense kernels.
+    Dense(Arc<Matrix>),
+}
+
+impl ConstOperand {
+    /// `a` as CSR when it is less than [`INPUT_CSR_MAX_DENSITY`]
+    /// non-zero (the dense copy is then dropped here), else `a` itself.
+    pub fn new(a: Arc<Matrix>) -> Self {
+        match Csr::from_zero_heavy(&a, INPUT_CSR_MAX_DENSITY) {
+            Some(csr) => Self::Sparse(Arc::new(csr)),
+            None => Self::Dense(a),
+        }
+    }
+
+    /// Records `A·W` on `tape`. Both forms give the same bits.
+    pub fn matmul(&self, tape: &mut Tape, w: Var) -> Var {
+        match self {
+            Self::Sparse(a) => tape.csr_matmul(a, w),
+            Self::Dense(a) => {
+                let a = tape.constant_copied(a);
+                tape.matmul(a, w)
+            }
+        }
+    }
+
+    /// `A·W` off the tape, with the bits of [`ConstOperand::matmul`]'s
+    /// forward (the same non-finite fallback).
+    pub fn product(&self, w: &Matrix) -> Matrix {
+        match self {
+            Self::Sparse(a) if w.all_finite() => a.spmm(w),
+            Self::Sparse(a) => matmul(&a.to_dense(), w),
+            Self::Dense(a) => matmul(a, w),
+        }
+    }
+}
+
+/// The per-client graph input: the propagation operator `Ŝ`, raw
+/// features `X`, and the cached product `ŜX` (constant across epochs, so
+/// computed once).
 ///
-/// `ŜX` is the left operand of the GCN models' first layer. When fewer
-/// than [`INPUT_CSR_MAX_DENSITY`] of its entries are non-zero (bag-of-words
-/// features: Cora's shards are ~6 %, Amazon Computer's 35–40 %) the input
-/// also keeps it as CSR, and [`GraphInput::sx_matmul`] runs the first
-/// layer's forward and weight gradient on it instead of the dense
-/// products. The dense copy stays either way: it is the operand of the
-/// non-finite fallback and of denser inputs.
+/// `Ŝ` is the symmetrically normalised adjacency for the GCN family and
+/// the row-stochastic mean aggregator for FedSage+'s mended graphs.
+/// `ŜX` is the left operand of the first layer and is built as a
+/// [`ConstOperand`] with the input (bag-of-words features: Cora's shards
+/// are ~6 % non-zero, Amazon Computer's 35–40 %, so both are CSR). `X` is
+/// the first layer's operand only for the models that read raw features
+/// (`Mlp`, `GraphSage`), so its operand is built on first use and the
+/// GCN family never pays for it.
 #[derive(Clone)]
 pub struct GraphInput {
-    /// Symmetrically normalised adjacency with self-loops.
+    /// Propagation operator: normalised adjacency with self-loops.
     pub s: Arc<Csr>,
     /// Node feature matrix (`n × d`).
     pub x: Arc<Matrix>,
     /// Cached `Ŝ · X`.
     pub sx: Arc<Matrix>,
-    /// `sx` as CSR when it is less than [`INPUT_CSR_MAX_DENSITY`]
-    /// non-zero, else `None`.
-    pub sx_csr: Option<Arc<Csr>>,
+    sx_op: ConstOperand,
+    x_op: OnceLock<ConstOperand>,
 }
 
 impl GraphInput {
-    /// Builds the input, precomputing `Ŝ·X` and, below
-    /// [`INPUT_CSR_MAX_DENSITY`], its CSR form.
+    /// Builds the input, precomputing `Ŝ·X` and its operand.
     pub fn new(s: Arc<Csr>, x: Matrix) -> Self {
         assert_eq!(
             s.rows(),
             x.rows(),
             "GraphInput: S and X row counts disagree"
         );
-        let sx = s.spmm(&x);
-        let sx_csr = Csr::from_zero_heavy(&sx, INPUT_CSR_MAX_DENSITY).map(Arc::new);
+        let sx = Arc::new(s.spmm(&x));
         Self {
             s,
             x: Arc::new(x),
-            sx: Arc::new(sx),
-            sx_csr,
+            sx_op: ConstOperand::new(sx.clone()),
+            sx,
+            x_op: OnceLock::new(),
         }
     }
 
-    /// Records the first layer's `Ŝ·X·W` on `tape`: through the CSR form
-    /// when the input has one, else as a dense product on a pooled copy of
-    /// `sx`. Both paths give the same bits.
-    pub fn sx_matmul(&self, tape: &mut Tape, w: Var) -> Var {
-        match &self.sx_csr {
-            Some(a) => tape.csr_matmul(a, &self.sx, w),
-            None => {
-                let sx = tape.constant_copied(&self.sx);
-                tape.matmul(sx, w)
-            }
-        }
+    /// `Ŝ·X` as a first layer's left operand.
+    pub fn sx_operand(&self) -> &ConstOperand {
+        &self.sx_op
+    }
+
+    /// `X` as a first layer's left operand, built on the first call.
+    pub fn x_operand(&self) -> &ConstOperand {
+        self.x_op.get_or_init(|| ConstOperand::new(self.x.clone()))
     }
 
     /// Number of nodes.
@@ -237,7 +280,7 @@ mod tests {
     use super::*;
     use crate::models::ortho_gcn::OrthoGcnConfig;
     use crate::optim::{Adam, Optimizer};
-    use crate::{Gcn, OrthoGcn};
+    use crate::{Gcn, GraphSage, Mlp, OrthoGcn};
     use fedomd_autograd::Workspace;
     use fedomd_sparse::normalized_adjacency;
     use fedomd_tensor::rng::seeded;
@@ -296,37 +339,51 @@ mod tests {
             .collect()
     }
 
-    /// A step on the sparse first layer leaves the same bits as the same
-    /// step on the dense one, for both models that use it — also when the
-    /// step starts with a NaN in the first or in the last weight matrix,
-    /// where the op has to fall back to the dense product.
-    #[test]
-    fn the_sparse_first_layer_steps_to_the_dense_bits() {
-        let sparse = sparse_ring_input();
-        assert!(sparse.sx_csr.is_some(), "Ŝ·X should be zero-heavy");
-        let dense = GraphInput {
-            sx_csr: None,
-            ..sparse.clone()
-        };
+    /// `input` with both operands withheld: dense, as a denser input
+    /// would hold them.
+    fn all_dense(input: &GraphInput) -> GraphInput {
+        GraphInput {
+            sx_op: ConstOperand::Dense(input.sx.clone()),
+            x_op: OnceLock::from(ConstOperand::Dense(input.x.clone())),
+            ..input.clone()
+        }
+    }
+
+    fn is_sparse(op: &ConstOperand) -> bool {
+        matches!(op, ConstOperand::Sparse(_))
+    }
+
+    /// One step on `sparse`'s CSR operands leaves the same bits as the
+    /// same step with them withheld, for every model with a constant
+    /// first-layer operand: `Ŝ·X` for `Gcn` and `OrthoGcn`, `X` for
+    /// `Mlp`, both for `GraphSage`. Also when the step starts with a NaN
+    /// in the first, the second or the last parameter, where an op has
+    /// to fall back to the dense product on the densified CSR.
+    fn assert_csr_steps_to_the_dense_bits(sparse: &GraphInput) {
+        assert!(is_sparse(sparse.sx_operand()) && is_sparse(sparse.x_operand()));
+        let dense = all_dense(sparse);
         let classes = 3;
         let mut rng = seeded(11);
         let models: Vec<Box<dyn Model>> = vec![
             Box::new(Gcn::new(64, 16, classes, &mut rng)),
             Box::new(OrthoGcn::new(OrthoGcnConfig::paper(64, classes), &mut rng)),
+            Box::new(Mlp::new(64, 16, classes, &mut rng)),
+            Box::new(GraphSage::new(64, 16, classes, &mut rng)),
         ];
         for model in models {
             let init = model.params();
             let last = init.len() - 1;
-            for poison in [None, Some(0), Some(last)] {
+            for poison in [None, Some(0), Some(1), Some(last)] {
                 let mut start = init.clone();
                 if let Some(p) = poison {
-                    start[p].as_mut_slice()[3] = f32::NAN;
+                    let values = start[p].as_mut_slice();
+                    values[3 % values.len()] = f32::NAN;
                 }
                 let mut a = model.boxed_clone();
                 let mut b = model.boxed_clone();
                 a.set_params(&start);
                 b.set_params(&start);
-                let got = one_step(a.as_mut(), &sparse, classes);
+                let got = one_step(a.as_mut(), sparse, classes);
                 let want = one_step(b.as_mut(), &dense, classes);
                 assert_eq!(bits(&got), bits(&want), "NaN in param {poison:?}");
                 assert_ne!(bits(&got), bits(&start), "the step moved nothing");
@@ -334,10 +391,15 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_sparse_first_layer_steps_to_the_dense_bits() {
+        assert_csr_steps_to_the_dense_bits(&sparse_ring_input());
+    }
+
     /// The same ring with eight of 64 features set per node, shifted by
     /// one column per node, so each row of `Ŝ·X` sums three neighbours'
     /// disjoint patterns: 24 of 64 = 37.5 % non-zero, the density of the
-    /// `computer_paper` shards.
+    /// `computer_paper` shards (and `X` is 12.5 % non-zero).
     fn dense_ring_input() -> GraphInput {
         let n = 48;
         let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
@@ -361,57 +423,63 @@ mod tests {
     }
 
     #[test]
-    fn the_input_layer_keeps_csr_below_its_own_cut_over() {
+    fn operands_are_csr_below_the_cut_over() {
         let forty = input_with_dense_columns(4);
-        let csr = forty
-            .sx_csr
-            .as_ref()
-            .expect("40 % dense is below the cut-over");
+        let ConstOperand::Sparse(csr) = forty.sx_operand() else {
+            panic!("40 % dense is below the cut-over");
+        };
         assert_eq!(csr.nnz(), 40);
+        assert!(is_sparse(forty.x_operand()));
+        let sixty = input_with_dense_columns(6);
         assert!(
-            input_with_dense_columns(6).sx_csr.is_none(),
+            !is_sparse(sixty.sx_operand()) && !is_sparse(sixty.x_operand()),
             "60 % dense keeps only the dense copy"
         );
     }
 
+    #[test]
+    fn the_x_operand_is_built_on_first_use() {
+        let input = sparse_ring_input();
+        assert!(input.x_op.get().is_none());
+        let mut tape = Tape::new();
+        let _ = Gcn::new(64, 16, 3, &mut seeded(1)).forward(&mut tape, &input);
+        assert!(input.x_op.get().is_none(), "a GCN does not read X");
+        let _ = Mlp::new(64, 16, 3, &mut seeded(1)).forward(&mut tape, &input);
+        assert!(input.x_op.get().is_some());
+    }
+
     /// The step test above on an input as dense as a `computer_paper`
-    /// shard, which the dense dispatcher would run on its packed kernel.
+    /// shard, where the dense side runs on the packed kernel.
     #[test]
     fn the_sparse_first_layer_steps_to_the_packed_bits() {
         let sparse = dense_ring_input();
-        let csr = sparse
-            .sx_csr
-            .as_ref()
-            .expect("37.5 % is below the cut-over");
+        let ConstOperand::Sparse(csr) = sparse.sx_operand() else {
+            panic!("37.5 % is below the cut-over");
+        };
         let density = csr.nnz() as f64 / sparse.sx.len() as f64;
         assert!((0.35..0.40).contains(&density), "density {density}");
-        let dense = GraphInput {
-            sx_csr: None,
-            ..sparse.clone()
-        };
-        let classes = 3;
-        let mut rng = seeded(11);
-        let models: Vec<Box<dyn Model>> = vec![
-            Box::new(Gcn::new(64, 16, classes, &mut rng)),
-            Box::new(OrthoGcn::new(OrthoGcnConfig::paper(64, classes), &mut rng)),
-        ];
-        for model in models {
-            let init = model.params();
-            let last = init.len() - 1;
-            for poison in [None, Some(0), Some(last)] {
-                let mut start = init.clone();
-                if let Some(p) = poison {
-                    start[p].as_mut_slice()[3] = f32::NAN;
-                }
-                let mut a = model.boxed_clone();
-                let mut b = model.boxed_clone();
-                a.set_params(&start);
-                b.set_params(&start);
-                let got = one_step(a.as_mut(), &sparse, classes);
-                let want = one_step(b.as_mut(), &dense, classes);
-                assert_eq!(bits(&got), bits(&want), "NaN in param {poison:?}");
-                assert_ne!(bits(&got), bits(&start), "the step moved nothing");
+        assert_csr_steps_to_the_dense_bits(&sparse);
+    }
+
+    #[test]
+    fn an_off_tape_product_has_the_tape_bits() {
+        let input = sparse_ring_input();
+        let mut w = fedomd_tensor::init::standard_normal(64, 16, &mut seeded(3));
+        for poisoned in [false, true] {
+            if poisoned {
+                w[(5, 2)] = f32::INFINITY;
             }
+            let mut tape = Tape::new();
+            let wv = tape.param_copied(&w);
+            let y = input.x_operand().matmul(&mut tape, wv);
+            let want: Vec<u32> = tape
+                .value(y)
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let got = input.x_operand().product(&w);
+            assert_eq!(bits(&[got]), want, "poisoned {poisoned}");
         }
     }
 
@@ -422,7 +490,7 @@ mod tests {
     #[test]
     fn a_csr_step_caches_only_the_adjacency_transpose() {
         let input = dense_ring_input();
-        assert!(input.sx_csr.is_some());
+        assert!(is_sparse(input.sx_operand()));
         let classes = 3;
         let mut model = OrthoGcn::new(OrthoGcnConfig::paper(64, classes), &mut seeded(11));
         let labels: Vec<usize> = (0..input.n_nodes()).map(|i| i % classes).collect();

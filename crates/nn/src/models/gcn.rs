@@ -36,7 +36,7 @@ impl Model for Gcn {
         let w1 = tape.param_copied(&self.w1);
 
         // First propagation Ŝ·X is cached in the input.
-        let h = input.sx_matmul(tape, w0);
+        let h = input.sx_operand().matmul(tape, w0);
         let h = tape.relu(h);
         let hp = tape.spmm(input.s.clone(), h);
         let logits = tape.matmul(hp, w1);

@@ -31,13 +31,12 @@ impl Mlp {
 
 impl Model for Mlp {
     fn forward(&self, tape: &mut Tape, input: &GraphInput) -> ForwardOut {
-        let x = tape.constant_copied(&input.x);
         let w1 = tape.param_copied(&self.w1);
         let b1 = tape.param_copied(&self.b1);
         let w2 = tape.param_copied(&self.w2);
         let b2 = tape.param_copied(&self.b2);
 
-        let h = tape.matmul(x, w1);
+        let h = input.x_operand().matmul(tape, w1);
         let h = tape.add_bias(h, b1);
         let h = tape.relu(h);
         let logits = tape.matmul(h, w2);

@@ -97,7 +97,7 @@ impl Model for OrthoGcn {
         let w_in = tape.param_copied(&self.w_in);
 
         // Layer 1 (GCNConv): Z¹ = ReLU(Ŝ·X·W⁰); Ŝ·X is cached.
-        let mut z = input.sx_matmul(tape, w_in);
+        let mut z = input.sx_operand().matmul(tape, w_in);
         z = tape.relu(z);
 
         let mut hidden = vec![z];

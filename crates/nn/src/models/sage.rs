@@ -1,12 +1,11 @@
 //! A two-layer GraphSAGE with mean aggregation (paper ref. 12) — the local
 //! model inside the FedSage+ baseline. Each layer computes
-//! `h = ReLU(X·W_self + Ā·X·W_neigh)` where `Ā` is the row-stochastic
-//! (mean) aggregator.
-
-use std::sync::Arc;
+//! `h = ReLU(X·W_self + Ā·X·W_neigh)` where `Ā` is the input's
+//! propagation operator `s`: FedSage+ builds its mended inputs on the
+//! row-stochastic (mean) aggregator, so the first layer's `Ā·X` is the
+//! input's cached `sx`.
 
 use fedomd_autograd::Tape;
-use fedomd_sparse::Csr;
 use fedomd_tensor::{xavier_uniform, Matrix};
 use rand_chacha::ChaCha8Rng;
 
@@ -19,9 +18,6 @@ pub struct GraphSage {
     w_neigh0: Matrix,
     w_self1: Matrix,
     w_neigh1: Matrix,
-    /// Row-stochastic mean aggregator (kept by the model because the
-    /// generic [`GraphInput`] carries the symmetric Ŝ instead).
-    mean_agg: Option<Arc<Csr>>,
 }
 
 impl GraphSage {
@@ -32,38 +28,23 @@ impl GraphSage {
             w_neigh0: xavier_uniform(in_dim, hidden, rng),
             w_self1: xavier_uniform(hidden, out_dim, rng),
             w_neigh1: xavier_uniform(hidden, out_dim, rng),
-            mean_agg: None,
         }
-    }
-
-    /// Installs a row-stochastic aggregator to use instead of the input's
-    /// symmetric Ŝ (FedSage+ builds it from the augmented local graph).
-    pub fn with_mean_aggregator(mut self, agg: Arc<Csr>) -> Self {
-        self.mean_agg = Some(agg);
-        self
-    }
-
-    fn aggregator(&self, input: &GraphInput) -> Arc<Csr> {
-        self.mean_agg.clone().unwrap_or_else(|| input.s.clone())
     }
 }
 
 impl Model for GraphSage {
     fn forward(&self, tape: &mut Tape, input: &GraphInput) -> ForwardOut {
-        let agg = self.aggregator(input);
-        let x = tape.constant_copied(&input.x);
         let ws0 = tape.param_copied(&self.w_self0);
         let wn0 = tape.param_copied(&self.w_neigh0);
         let ws1 = tape.param_copied(&self.w_self1);
         let wn1 = tape.param_copied(&self.w_neigh1);
 
-        let ax = tape.spmm(agg.clone(), x);
-        let h_self = tape.matmul(x, ws0);
-        let h_neigh = tape.matmul(ax, wn0);
+        let h_self = input.x_operand().matmul(tape, ws0);
+        let h_neigh = input.sx_operand().matmul(tape, wn0);
         let h = tape.add(h_self, h_neigh);
         let h = tape.relu(h);
 
-        let ah = tape.spmm(agg, h);
+        let ah = tape.spmm(input.s.clone(), h);
         let o_self = tape.matmul(h, ws1);
         let o_neigh = tape.matmul(ah, wn1);
         let logits = tape.add(o_self, o_neigh);
@@ -116,7 +97,10 @@ mod tests {
     use super::*;
     use crate::model::tests_support::{ring_input, train_to_fit};
     use fedomd_sparse::row_normalized_adjacency;
+    use fedomd_tensor::gemm::matmul;
+    use fedomd_tensor::ops::axpy;
     use fedomd_tensor::rng::seeded;
+    use std::sync::Arc;
 
     #[test]
     fn forward_shapes() {
@@ -129,28 +113,28 @@ mod tests {
         assert_eq!(out.param_vars.len(), 4);
     }
 
+    /// On an input built on a row-stochastic aggregator `Ā` (a path, so
+    /// degrees differ and `Ā` is not the symmetric `Ŝ`), the forward is
+    /// `ReLU(X·Ws0 + Ā·X·Wn0)·Ws1 + Ā·H·Wn1`.
     #[test]
-    fn custom_mean_aggregator_is_used() {
-        let mut rng = seeded(1);
-        let input = ring_input(6, 4);
-        // A path (not the ring): degrees differ, so the row-stochastic
-        // aggregator genuinely differs from the input's symmetric Ŝ.
+    fn the_input_operator_is_the_mean_aggregator() {
+        let ring = ring_input(6, 4);
         let agg = Arc::new(row_normalized_adjacency(
             6,
             &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
         ));
-        let base = GraphSage::new(4, 8, 3, &mut rng);
-        let snap = base.params();
-        let mut with_agg = GraphSage::new(4, 8, 3, &mut seeded(1)).with_mean_aggregator(agg);
-        with_agg.set_params(&snap);
+        let input = GraphInput::new(agg.clone(), (*ring.x).clone());
+        let m = GraphSage::new(4, 8, 3, &mut seeded(1));
+        let mut tape = Tape::new();
+        let out = m.forward(&mut tape, &input);
 
-        let mut t1 = Tape::new();
-        let o1 = base.forward(&mut t1, &input);
-        let mut t2 = Tape::new();
-        let o2 = with_agg.forward(&mut t2, &input);
-        // Different aggregators must change the logits.
-        let d = fedomd_tensor::ops::sq_distance(t1.value(o1.logits), t2.value(o2.logits));
-        assert!(d > 1e-8, "aggregator had no effect");
+        let x = &*input.x;
+        let mut h = matmul(x, &m.w_self0);
+        axpy(&mut h, 1.0, &matmul(&agg.spmm(x), &m.w_neigh0));
+        h.map_inplace(|v| v.max(0.0));
+        let mut want = matmul(&h, &m.w_self1);
+        axpy(&mut want, 1.0, &matmul(&agg.spmm(&h), &m.w_neigh1));
+        tape.value(out.logits).assert_close(&want, 1e-5);
     }
 
     #[test]

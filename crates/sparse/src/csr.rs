@@ -262,15 +262,15 @@ impl Csr {
     }
 
     /// `dense` as CSR when fewer than `max_density` of its entries are
-    /// non-zero, else `None`. The caller picks the cut-over: the input
-    /// layer (`fedomd_nn::GraphInput`) passes its own, measured for the
-    /// CSR product pair, not the dense GEMM dispatcher's zero-skip
-    /// threshold.
+    /// non-zero, else `None`. The caller picks the cut-over: the
+    /// workspace's one is `fedomd_nn::INPUT_CSR_MAX_DENSITY`, applied by
+    /// `fedomd_nn::ConstOperand` to every constant left operand of a
+    /// trained product.
     ///
     /// Stores exactly the `v != 0.0` entries (a `-0.0` is not stored), in
     /// ascending column order: the terms, and the order, in which the
-    /// zero-skip GEMM kernels accumulate a product whose right operand is
-    /// finite. One pass: each row is compacted into a row-sized scratch
+    /// serial reference GEMM kernels accumulate a product whose right
+    /// operand is finite. One pass: each row is compacted into a row-sized scratch
     /// window and appended, and the first row that reaches the cap ends
     /// the scan, so a dense operand costs a partial scan and nothing is
     /// counted twice. The compaction writes every entry and advances only
@@ -693,7 +693,8 @@ impl Csr {
         Csr::from_coo(self.rows, self.cols, entries)
     }
 
-    /// Densifies (tests / small matrices only).
+    /// Densifies: for tests, and for the rare product whose dense
+    /// operand holds a NaN or ±inf (`Tape::csr_matmul`'s fallback).
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
@@ -905,7 +906,7 @@ mod tests {
     fn from_zero_heavy_handles_all_zero_and_empty_shapes() {
         let z = Csr::from_zero_heavy(&Matrix::zeros(6, 3), QUARTER).expect("all zero");
         assert_eq!(z, Csr::zeros(6, 3));
-        // No entries at all: `0 < ¼·0` is false, as in the GEMM dispatcher.
+        // No entries at all: `0 < ¼·0` is false.
         assert!(Csr::from_zero_heavy(&Matrix::zeros(0, 5), QUARTER).is_none());
         assert!(Csr::from_zero_heavy(&Matrix::zeros(5, 0), QUARTER).is_none());
     }

@@ -95,7 +95,7 @@ echo "::endgroup::"
 echo "::group::Sparse input layer equals the dense product (1024 cases)"
 # DESIGN.md §12: the CSR first layer's forward and weight gradient are
 # bit-identical to the dense GEMM dispatcher and the reference kernels,
-# non-finite weights and gradients included. (Also part of the workspace
+# non-finite weights and gradients (the densify fallback) included. (Also part of the workspace
 # tests at the stub's default 64 cases; this is the release build.)
 PROPTEST_CASES=1024 cargo test -q --release -p fedomd-autograd csr_matmul_is_the_dense_product
 echo "::endgroup::"
@@ -110,14 +110,17 @@ PROPTEST_CASES=1024 cargo test -q --release -p fedomd-sparse prop_spmm_t_into_is
 echo "::endgroup::"
 
 echo "::group::SpMM and GEMM kernels match their references (1024 cases)"
-# DESIGN.md §12: the register-blocked SpMM is `to_bits` equal to its serial
-# reference (up to which NaN survives where two different NaNs meet), and
-# the GEMM kernels agree with the naive product on non-finite inputs.
-# (Also part of the workspace tests at the stub's default 64 cases; this
-# is the release build.)
+# DESIGN.md §12: the register-blocked SpMM and the packed and direct-tn
+# GEMM kernels are `to_bits` equal to their serial references (up to which
+# NaN survives where two different NaNs meet; strictly on finite
+# operands, zero-heavy ones included), and the GEMM kernels agree with the
+# naive product on non-finite inputs. (Also part of the workspace tests at
+# the stub's default 64 cases; this is the release build.)
 PROPTEST_CASES=1024 cargo test -q --release -p fedomd-sparse -- \
     prop_spmm_bitwise_matches_ref prop_spmm_matches_ref_up_to_which_nan
-PROPTEST_CASES=1024 cargo test -q --release -p fedomd-tensor prop_kernels_match_naive_on_nonfinite_inputs
+PROPTEST_CASES=1024 cargo test -q --release -p fedomd-tensor -- \
+    prop_kernels_match_naive_on_nonfinite_inputs prop_packed_bitwise_matches_ref \
+    prop_tn_direct_bitwise_matches_ref
 echo "::endgroup::"
 
 echo "::group::Frame codec: exact lengths and canonical frames (1024 cases)"
