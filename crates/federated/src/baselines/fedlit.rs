@@ -341,6 +341,19 @@ mod tests {
         assert_eq!(out.param_vars.len(), 2 * N_TYPES);
     }
 
+    /// FedLIT's model reads its own client's operands, not its input, so
+    /// a stacked evaluation of it refuses the logits instead of counting
+    /// other shards on them.
+    #[test]
+    #[should_panic(expected = "ignored its stacked input")]
+    fn a_stacked_fedlit_model_is_refused() {
+        let (clients, k) = mini_clients();
+        let assigns = federated_edge_kmeans(&clients, 0, &mut CommsLog::new());
+        let ops = type_operators(&clients[0], &assigns[0]);
+        let model = FedLitModel::new(ops, &clients[0].input.x, 16, k, 0);
+        let _ = crate::EvalCounts::stacked(&model, &[&clients[0], &clients[1]]);
+    }
+
     #[test]
     fn fedlit_runs_and_learns_something() {
         let (clients, k) = mini_clients();

@@ -94,7 +94,27 @@ impl Strategy {
     pub(crate) fn aggregates(&self) -> bool {
         !matches!(self, Strategy::Baseline(Baseline::LocGcn))
     }
+
+    /// Whether sessions holding one broadcast model may be evaluated as
+    /// one stacked forward: every model but FedLIT's reads only its
+    /// input, and FedLIT's reads its own per-client operands.
+    /// [`EvalCounts::stacked`] panics on a model that ignores its input,
+    /// so a new one of those fails there rather than counting wrongly.
+    fn stacks_eval(&self) -> bool {
+        !matches!(self, Strategy::Baseline(Baseline::FedLit))
+    }
 }
+
+/// Most entries (rows × features) of `Ŝ·X` one stacked evaluation block
+/// holds ([`evaluate`]): the size of each of the block's copies of `X`
+/// and `Ŝ·X`, which are rebuilt at every evaluation and dropped after it.
+/// A shard larger than the cap is its own block and is evaluated on its
+/// own input. 2¹⁴ entries is 512 of `cohort_sampled`'s 32-feature rows
+/// (64 KiB of `f32` per copy). In a sweep of the cap from 2¹² to the
+/// whole federation, its traced Eval was flat from 2¹³ to 2¹⁴ and slower
+/// on either side; at 2¹⁵ `fedavg_mini`'s peak RSS rose 1.5 % over the
+/// per-shard evaluation's.
+const EVAL_BLOCK_ENTRIES: usize = 1 << 14;
 
 /// The [`RoundDriver`]'s persistent bookkeeping, exportable for run
 /// checkpoints.
@@ -491,6 +511,8 @@ pub fn run(
         sw.finish(obs);
 
         // --- FedAvg over the channel (partial under faults) ---
+        // `installed[i]`: session `i` holds this round's global model.
+        let mut installed = vec![false; m];
         if strategy.aggregates() {
             let sw = PhaseStopwatch::start(Phase::Comms);
             for &i in &cohort {
@@ -518,7 +540,7 @@ pub fn run(
                         if let Payload::GlobalModel { params } = got {
                             // A refused model degrades like a lost downlink
                             // frame: the client keeps its weights.
-                            let _installed = s.install(params).is_ok();
+                            installed[i] = s.install(params).is_ok();
                         }
                     }
                 }
@@ -538,19 +560,20 @@ pub fn run(
             active.iter().sum::<f64>() / active.len() as f64
         };
         let eval = driver.eval_due(round).then(|| {
-            // Next round's cohort keeps its evaluation forward as that
-            // round's line 3; everyone else evaluates on a throwaway tape.
             let next = if round + 1 < cfg.rounds {
                 cfg.cohort.sample(r + 1, m)
             } else {
                 Vec::new()
             };
             let keep = membership(&next, m);
+            let stacks = strategy.stacks_eval();
+            let spectator: Vec<bool> = installed
+                .iter()
+                .zip(&keep)
+                .map(|(&installed, &keep)| stacks && installed && !keep)
+                .collect();
             let sw = PhaseStopwatch::start(Phase::Eval);
-            let mut counts = EvalCounts::default();
-            for ((s, client), &keep) in sessions.iter_mut().zip(clients).zip(&keep) {
-                counts += s.eval_counts(client, keep);
-            }
+            let counts = evaluate(&mut sessions, clients, &keep, &spectator);
             sw.finish(obs);
             counts
         });
@@ -563,6 +586,47 @@ pub fn run(
         }
     }
     driver.finish_observed(algorithm, obs)
+}
+
+/// The pooled counts of every session on its shard. Next round's cohort
+/// (`keep`) keeps its evaluation forward as that round's line 3. The
+/// spectators, sessions that hold this round's broadcast model and sit
+/// next round out, all hold the same weights: they are evaluated in
+/// blocks of consecutive shards of at most [`EVAL_BLOCK_ENTRIES`], one
+/// [`EvalCounts::stacked`] forward per block. Everyone else evaluates
+/// its own weights on its own shard.
+fn evaluate(
+    sessions: &mut [ClientSession],
+    clients: &[ClientData],
+    keep: &[bool],
+    spectator: &[bool],
+) -> EvalCounts {
+    let mut counts = EvalCounts::default();
+    for (((s, client), &keep), &spectator) in
+        sessions.iter_mut().zip(clients).zip(keep).zip(spectator)
+    {
+        if !spectator {
+            counts += s.eval_counts(client, keep);
+        }
+    }
+    let spectators: Vec<usize> = (0..sessions.len()).filter(|&i| spectator[i]).collect();
+    let mut rest = &spectators[..];
+    while let Some(&first) = rest.first() {
+        let mut entries = 0;
+        let len = rest
+            .iter()
+            .take_while(|&&i| {
+                entries += clients[i].n_nodes() * clients[i].input.n_features();
+                entries <= EVAL_BLOCK_ENTRIES
+            })
+            .count()
+            .max(1);
+        let (block, tail) = rest.split_at(len);
+        let shards: Vec<&ClientData> = block.iter().map(|&i| &clients[i]).collect();
+        counts += EvalCounts::stacked(sessions[first].model(), &shards);
+        rest = tail;
+    }
+    counts
 }
 
 /// `member[i]` iff client `i` is in `cohort`.
@@ -1522,6 +1586,113 @@ mod tests {
         assert_eq!(folded, r.comms);
         assert!(r.comms.dropped_messages > 0, "20% loss dropped nothing");
         assert_eq!(mem.count("frame_dropped") as u64, r.comms.dropped_messages);
+    }
+
+    /// Keeps every round's snapshot.
+    #[derive(Default)]
+    struct Snapshots(Vec<ResumeState>);
+
+    impl CheckpointSink for Snapshots {
+        fn every(&self) -> usize {
+            1
+        }
+        fn save(&mut self, state: ResumeState, _obs: &mut dyn RoundObserver) {
+            self.0.push(state);
+        }
+    }
+
+    /// Runs `strategy` over a lossy SimNet (no retries, so a share of the
+    /// broadcasts is lost and those sessions keep their own weights), half
+    /// the federation a round, and checks every round's pooled accuracy
+    /// against each session's own evaluation, rebuilt from that round's
+    /// snapshot of its weights. Returns how many rounds ended with some
+    /// sessions sharing one model and others on weights of their own.
+    fn assert_eval_is_per_session(strategy: &Strategy, clients: &[ClientData], k: usize) -> usize {
+        use crate::helpers::predict;
+        use fedomd_transport::{FaultConfig, SimNetChannel};
+        let cfg = TrainConfig {
+            rounds: 6,
+            patience: 6,
+            eval_every: 1,
+            cohort: CohortConfig::fraction(0.5, 1),
+            ..TrainConfig::mini(0)
+        };
+        let mut sim = SimNetChannel::new(FaultConfig {
+            seed: 3,
+            drop_prob: 0.3,
+            max_retries: 0,
+            ..Default::default()
+        });
+        let mut snaps = Snapshots::default();
+        let persist = Persistence {
+            resume: None,
+            sink: Some(&mut snaps),
+        };
+        let r = run(
+            clients,
+            k,
+            &cfg,
+            strategy,
+            &mut sim,
+            &mut NullObserver,
+            persist,
+        );
+        assert_eq!(r.comms.dropped_messages > 0, strategy.aggregates());
+        assert_eq!(r.history.len(), snaps.0.len());
+        let (mut sessions, shards) =
+            ClientSession::federation(&cfg, strategy, clients, k, &mut NullObserver);
+        let mut mixed = 0;
+        for (h, snap) in r.history.iter().zip(&snaps.0) {
+            let mut counts = EvalCounts::default();
+            for ((s, client), params) in sessions.iter_mut().zip(&shards[..]).zip(&snap.params) {
+                s.model.set_params(params);
+                counts += EvalCounts::of(&predict(s.model(), client), client);
+            }
+            assert_eq!(
+                (h.val_acc, h.test_acc),
+                counts.accuracy(),
+                "{} round {}",
+                strategy.name(),
+                h.round
+            );
+            let sharing = |p: &Vec<Matrix>| snap.params.iter().filter(|q| *q == p).count();
+            let shared = snap.params.iter().map(sharing).max().unwrap_or(0);
+            mixed += usize::from(shared > 1 && shared < snap.params.len());
+        }
+        mixed
+    }
+
+    /// Sessions that missed a broadcast are evaluated on their own
+    /// weights, the rest in stacked blocks: 150 planted shards of ~16
+    /// rows, so a round's spectators fill more than one block.
+    #[test]
+    fn a_partial_broadcast_evaluates_like_each_session_alone() {
+        use crate::client::setup_federation_planted;
+        use fedomd_data::SynthParams;
+        let ds = generate(&SynthParams::many_party(150), 0);
+        let clients = setup_federation_planted(&ds, &FederationConfig::mini(150, 0));
+        let entries = |c: &ClientData| c.n_nodes() * c.input.n_features();
+        assert!(clients.iter().map(entries).sum::<usize>() > 2 * EVAL_BLOCK_ENTRIES);
+        for strategy in [
+            Strategy::FedOmd(FedOmdConfig::paper()),
+            Strategy::Baseline(Baseline::FedGcn),
+            Strategy::Baseline(Baseline::Scaffold),
+        ] {
+            let mixed = assert_eval_is_per_session(&strategy, &clients, ds.n_classes);
+            assert!(mixed > 0, "{}: no round mixed weights", strategy.name());
+        }
+    }
+
+    /// FedLIT's model reads its own per-client operands, not its input, so
+    /// its sessions are never stacked: its pooled counts are each
+    /// session's own. The same holds for FedSage+'s mended shards (stacked)
+    /// and LocGCN's independent models (never broadcast).
+    #[test]
+    fn fedlit_fedsage_and_locgcn_evaluate_like_each_session_alone() {
+        let (clients, k) = clients(6);
+        for b in [Baseline::FedLit, Baseline::FedSagePlus, Baseline::LocGcn] {
+            assert_eval_is_per_session(&Strategy::Baseline(b), &clients, k);
+        }
     }
 
     #[test]

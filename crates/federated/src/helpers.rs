@@ -9,11 +9,9 @@ use std::fmt;
 
 use crate::client::ClientData;
 
-/// Forward pass without gradient bookkeeping; returns the logits matrix.
+/// The logits of `model` on `client` ([`Model::infer`]), keeping no tape.
 pub fn predict(model: &dyn Model, client: &ClientData) -> Matrix {
-    let mut tape = Tape::new();
-    let out = model.forward(&mut tape, &client.input);
-    tape.value(out.logits).clone()
+    model.infer(&client.input)
 }
 
 /// Index of the maximum element of a row (first on ties).
@@ -32,11 +30,27 @@ pub fn argmax_row(row: &[f32]) -> usize {
     best
 }
 
-/// `(correct, total)` over the given local node indices.
+/// `(correct, total)` over the given local node indices. A row holding a
+/// NaN or an infinity (a diverged model's) predicts no class, so it
+/// counts as wrong.
 pub fn count_correct(logits: &Matrix, labels: &[usize], mask: &[usize]) -> (usize, usize) {
+    count_correct_from(logits, 0, labels, mask)
+}
+
+/// [`count_correct`] for a shard whose node `r` is row `first + r` of
+/// `logits` (its rows of a stacked evaluation).
+pub(crate) fn count_correct_from(
+    logits: &Matrix,
+    first: usize,
+    labels: &[usize],
+    mask: &[usize],
+) -> (usize, usize) {
     let correct = mask
         .iter()
-        .filter(|&&r| argmax_row(logits.row(r)) == labels[r])
+        .filter(|&&r| {
+            let row = logits.row(first + r);
+            row.iter().all(|v| v.is_finite()) && argmax_row(row) == labels[r]
+        })
         .count();
     (correct, mask.len())
 }
@@ -402,6 +416,28 @@ mod tests {
         let labels = vec![0, 0];
         let (c, t) = count_correct(&logits, &labels, &[0, 1]);
         assert_eq!((c, t), (1, 2));
+    }
+
+    /// A row with a NaN or an infinity counts as wrong, even where its
+    /// finite entries would pick the label.
+    #[test]
+    fn a_non_finite_row_counts_as_wrong() {
+        let logits = Matrix::from_vec(
+            4,
+            2,
+            vec![
+                2.0,
+                f32::NAN,
+                f32::INFINITY,
+                0.0,
+                1.0,
+                f32::NEG_INFINITY,
+                3.0,
+                1.0,
+            ],
+        );
+        let labels = vec![0; 4];
+        assert_eq!(count_correct(&logits, &labels, &[0, 1, 2, 3]), (1, 4));
     }
 
     #[test]

@@ -20,14 +20,14 @@
 //! | 12–18 | [`ClientSession::moments`] | [`ServerRound::admit`], [`ServerRound::close_moments`] |
 //! | 19–20 | [`ClientSession::step`] | |
 //! | 21, 25–29 | [`ClientSession::weights`], [`ClientSession::install`] | [`ServerRound::admit`], [`ServerRound::close_updates`] |
-//! | eval | [`ClientSession::eval_counts`] | [`EvalCounts::accuracy`] |
+//! | eval | [`ClientSession::eval_counts`]; a block of sessions holding one broadcast model: `EvalCounts::stacked` | [`EvalCounts::accuracy`] |
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::AddAssign;
 
 use fedomd_autograd::{CmdTargets, Tape, Var, Workspace};
-use fedomd_nn::{Adam, ForwardOut, Model, Optimizer, Sgd};
+use fedomd_nn::{Adam, ForwardOut, GraphInput, Model, Optimizer, Sgd};
 use fedomd_telemetry::{RoundEvent, RoundObserver};
 use fedomd_tensor::ops::axpy;
 use fedomd_tensor::rng::derive;
@@ -41,7 +41,7 @@ use crate::engine::{
     build_fedomd_model, build_model, DriverState, ModelKind, OptimState, ResumeState, Strategy,
 };
 use crate::helpers::{
-    check_shapes, count_correct, descend, finish_step, predict, UpdateAccumulator, UpdateShapeError,
+    check_shapes, count_correct_from, descend, finish_step, UpdateAccumulator, UpdateShapeError,
 };
 use crate::protocol::{
     build_targets, client_means, client_moments_about, GlobalStats, MeanAccumulator,
@@ -359,14 +359,15 @@ impl ClientSession {
     /// next round's [`Self::forward`] is free: no model has a train/eval
     /// mode, and only `step`, `install` and `restore` change the weights,
     /// each of which consumes or drops the pass. Without `keep` the pass
-    /// runs on a throwaway tape and pool, so the session holds no tape and
-    /// its pool does not grow.
+    /// is [`Model::infer`], on a throwaway tape, so the session holds no
+    /// tape and its pool does not grow. Sessions that hold one broadcast model
+    /// evaluate together instead (`EvalCounts::stacked`).
     pub fn eval_counts(&mut self, client: &ClientData, keep: bool) -> EvalCounts {
         if keep {
             let (tape, out) = self.pending_forward(client);
             return EvalCounts::of(tape.value(out.logits), client);
         }
-        EvalCounts::of(&predict(self.model.as_ref(), client), client)
+        EvalCounts::of(&self.model.infer(&client.input), client)
     }
 }
 
@@ -515,14 +516,50 @@ impl AddAssign for EvalCounts {
 impl EvalCounts {
     /// The counts of `logits` over `client`'s validation and test nodes.
     pub(crate) fn of(logits: &Matrix, client: &ClientData) -> Self {
+        Self::from_rows(logits, 0, client)
+    }
+
+    /// [`Self::of`] on `client`'s rows of a stacked evaluation, from row
+    /// `first` of `logits`.
+    fn from_rows(logits: &Matrix, first: usize, client: &ClientData) -> Self {
         let count = |mask: &[usize]| {
-            let (c, t) = count_correct(logits, &client.labels, mask);
+            let (c, t) = count_correct_from(logits, first, &client.labels, mask);
             (c as u64, t as u64)
         };
         Self {
             val: count(&client.splits.val),
             test: count(&client.splits.test),
         }
+    }
+
+    /// The summed counts of `model` on each of `shards`, from one
+    /// [`Model::infer`] on their [`GraphInput::stack`]: each shard is
+    /// counted on its own rows of the stack's logits, which are the
+    /// logits of its own forward (the stacked property in `fedomd-nn`).
+    /// A single shard is evaluated on its own input, with no copy.
+    ///
+    /// # Panics
+    /// Panics when the logits do not have one row per stacked node: a
+    /// model that ignores its input (FedLIT's) must not be stacked.
+    pub(crate) fn stacked(model: &dyn Model, shards: &[&ClientData]) -> Self {
+        if let [client] = shards {
+            return Self::of(&model.infer(&client.input), client);
+        }
+        let inputs: Vec<&GraphInput> = shards.iter().map(|c| &c.input).collect();
+        let stack = GraphInput::stack(&inputs);
+        let logits = model.infer(&stack);
+        assert_eq!(
+            logits.rows(),
+            stack.n_nodes(),
+            "EvalCounts::stacked: the model ignored its stacked input"
+        );
+        let mut counts = Self::default();
+        let mut first = 0;
+        for client in shards {
+            counts += Self::from_rows(&logits, first, client);
+            first += client.n_nodes();
+        }
+        counts
     }
 
     /// Pooled `(val_acc, test_acc)`; 0 for an empty split.
@@ -854,6 +891,7 @@ mod tests {
     use super::*;
     use crate::baselines::{run_baseline, Baseline};
     use crate::engine::{run, Persistence, RoundDriver};
+    use crate::helpers::predict;
     use crate::{setup_federation, FederationConfig, RunResult};
     use fedomd_data::{generate, spec, DatasetName};
     use fedomd_telemetry::NullObserver;
@@ -1156,9 +1194,10 @@ mod tests {
         }
     }
 
-    /// A client outside the next cohort evaluates on a throwaway tape and
-    /// pool: it keeps no forward and its own pool neither grows nor
-    /// shrinks. A kept evaluation counts the same bits.
+    /// A client outside the next cohort evaluates through
+    /// [`Model::infer`]: it keeps no forward and its own pool neither
+    /// grows nor shrinks. A kept (taped) evaluation counts the same, and
+    /// a stack of the shard twice counts it twice.
     #[test]
     fn a_spectator_eval_keeps_no_tape_and_no_pool() {
         let ds = generate(&spec(DatasetName::CoraMini), 0);
@@ -1171,10 +1210,38 @@ mod tests {
         assert_eq!(s.ws.pooled_buffers(), pooled);
         assert_eq!(
             spectator,
-            EvalCounts::of(&predict(s.model(), client), client)
+            EvalCounts::of(&s.model().infer(&client.input), client)
         );
+        let mut twice = spectator;
+        twice += spectator;
+        assert_eq!(EvalCounts::stacked(s.model(), &[client, client]), twice);
+        assert_eq!(s.ws.pooled_buffers(), pooled);
         assert_eq!(s.eval_counts(client, true), spectator);
         assert!(s.pending.is_some());
+    }
+
+    /// A diverged model (NaN weights: a LocGCN session, or one whose
+    /// round had no aggregate) predicts no class, so every evaluated node
+    /// counts as wrong, taped or not; evaluation does not panic.
+    #[test]
+    fn a_diverged_session_counts_every_node_wrong() {
+        let ds = generate(&spec(DatasetName::CoraMini), 0);
+        let client = &setup_federation(&ds, &FederationConfig::mini(1, 0))[0];
+        let mut s = stepped(client, ds.n_classes);
+        let nan: Vec<Matrix> = s
+            .model
+            .params()
+            .iter()
+            .map(|p| p.map(|_| f32::NAN))
+            .collect();
+        s.model.set_params(&nan);
+        let wrong = EvalCounts {
+            val: (0, client.splits.val.len() as u64),
+            test: (0, client.splits.test.len() as u64),
+        };
+        assert!(wrong.val.1 > 0 && wrong.test.1 > 0);
+        assert_eq!(s.eval_counts(client, false), wrong);
+        assert_eq!(s.eval_counts(client, true), wrong);
     }
 
     /// With a huge μ the proximal pull keeps the weights pinned to each

@@ -664,6 +664,37 @@ impl Csr {
         }
     }
 
+    /// The block-diagonal matrix `diag(parts[0], parts[1], ..)`: part `p`'s
+    /// rows and columns, both shifted past those of the parts before it.
+    /// Each row keeps its part's entries in their order, so a product
+    /// with it computes every row with the terms, and in the order, of
+    /// that part's own product.
+    pub fn block_diag(parts: &[&Csr]) -> Csr {
+        let rows = parts.iter().map(|p| p.rows).sum();
+        let nnz = parts.iter().map(|p| p.nnz()).sum();
+        let mut indptr = Vec::with_capacity(rows + 1);
+        indptr.push(0);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        let mut cols = 0;
+        for p in parts {
+            let base = indices.len();
+            indptr.extend(p.indptr[1..].iter().map(|&e| base + e));
+            indices.extend(p.indices.iter().map(|&c| c + cols as u32));
+            values.extend_from_slice(&p.values);
+            cols += p.cols;
+        }
+        let out = Csr {
+            rows,
+            cols,
+            indptr,
+            indices,
+            values,
+        };
+        debug_assert!(out.validate().is_ok());
+        out
+    }
+
     /// True when the matrix equals its transpose (within `tol`).
     pub fn is_symmetric(&self, tol: f32) -> bool {
         if self.rows != self.cols {
@@ -947,6 +978,36 @@ mod tests {
         // The hub row starts a block and is heavier than the target, so
         // it sits alone instead of dragging light rows into its task.
         assert_eq!(blocks[0], (0, 1));
+    }
+
+    /// Every row of a block-diagonal matrix is its part's row, shifted
+    /// right past the earlier parts' columns; parts with no rows, no
+    /// columns or no entries add exactly their shape.
+    #[test]
+    fn block_diag_rows_are_the_parts_rows_shifted() {
+        let (a, b) = (small(), Csr::identity(2));
+        let parts = [
+            &Csr::zeros(0, 2),
+            &a,
+            &Csr::zeros(2, 0),
+            &b,
+            &Csr::zeros(1, 1),
+        ];
+        let d = Csr::block_diag(&parts);
+        d.validate().expect("valid");
+        assert_eq!((d.rows(), d.cols(), d.nnz()), (8, 8, a.nnz() + b.nnz()));
+        let (mut row, mut col) = (0, 0);
+        for p in parts {
+            for r in 0..p.rows() {
+                let (idx, vals) = p.row(r);
+                let shifted: Vec<u32> = idx.iter().map(|&c| c + col as u32).collect();
+                assert_eq!(d.row(row + r), (&shifted[..], vals));
+            }
+            (row, col) = (row + p.rows(), col + p.cols());
+        }
+        let empty = Csr::block_diag(&[]);
+        empty.validate().expect("valid");
+        assert_eq!((empty.rows(), empty.cols(), empty.nnz()), (0, 0, 0));
     }
 
     #[test]

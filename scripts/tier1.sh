@@ -100,6 +100,15 @@ echo "::group::Sparse input layer equals the dense product (1024 cases)"
 PROPTEST_CASES=1024 cargo test -q --release -p fedomd-autograd csr_matmul_is_the_dense_product
 echo "::endgroup::"
 
+echo "::group::A stacked evaluation is each shard's forward (1024 cases)"
+# DESIGN.md §4: `Model::infer` on a `GraphInput::stack` of 1-6 shards
+# gives, on each shard's rows, the bits of that shard's taped forward, for
+# all four models, with CSR and dense `Ŝ·X` operands mixed in one stack.
+# (Also part of the workspace tests at the stub's default 64 cases; this
+# is the release build.)
+PROPTEST_CASES=1024 cargo test -q --release -p fedomd-nn stacked_infer_is_each_shards_forward
+echo "::endgroup::"
+
 echo "::group::CSR weight-gradient scatter equals SpMM on the transpose (1024 cases)"
 # DESIGN.md §12: `Csr::spmm_t_into` scatters Aᵀ·G from A's rows without
 # storing the transpose, and is bit-identical to `A.transpose().spmm(G)`:
