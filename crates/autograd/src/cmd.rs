@@ -22,7 +22,6 @@
 
 use fedomd_tensor::stats::{central_moments, central_moments_upto, column_means, l2_distance};
 use fedomd_tensor::Matrix;
-use rayon::prelude::*;
 
 /// Server-side CMD targets for one hidden layer: the global mean `M` and
 /// the global central moments `S_j` for `j = 2..=max_order`.
@@ -110,8 +109,8 @@ pub fn cmd_grad(z: &Matrix, targets: &CmdTargets, width: f32, gout: f32) -> Matr
     cmd_grad_weighted(z, targets, width, gout, 1.0)
 }
 
-/// Rows per parallel task of the gradient sweep; also amortises the
-/// per-call SIMD dispatch over a block of rows.
+/// Rows per block of the gradient sweep: amortises the per-call SIMD
+/// dispatch over a block of rows.
 const GRAD_ROW_BLOCK: usize = 64;
 
 /// The per-row gradient kernel over a block of rows, monomorphised on the
@@ -326,7 +325,7 @@ pub fn cmd_grad_weighted(
     let avx2 = false;
     let z_data = z.as_slice();
     grad.as_mut_slice()
-        .par_chunks_mut(d * GRAD_ROW_BLOCK)
+        .chunks_mut(d * GRAD_ROW_BLOCK)
         .enumerate()
         .for_each(|(blk, gchunk)| {
             cmd_grad_rows_dyn(

@@ -14,7 +14,7 @@
 //!
 //! Design notes: nodes are addressed by index ([`Var`] is `Copy`), so the
 //! tape is `Send` and each simulated client can differentiate on its own
-//! rayon worker with zero shared state.
+//! pool worker ([`fedomd_tensor::par`]) with zero shared state.
 //!
 //! Every intermediate a tape produces is drawn from a [`Workspace`] — a
 //! size-keyed buffer pool carried across steps via

@@ -45,7 +45,7 @@ const MAX_TRANSPOSES: usize = 8;
 /// recycled across optimisation steps, epochs, and federated rounds.
 ///
 /// A `Workspace` is plain data (`Send`), so each simulated client can own
-/// one and carry it across rayon worker threads between rounds.
+/// one and carry it across pool worker threads between rounds.
 #[derive(Default)]
 pub struct Workspace {
     pool: HashMap<usize, Vec<Vec<f32>>>,

@@ -86,6 +86,6 @@ fn main() {
         eprintln!("  {} done", algo.name());
     }
     print!("{}", table.render());
-    println!("\nn/m/f/N as in the paper; measured on this machine's rayon pool.");
+    println!("\nn/m/f/N as in the paper; measured on this machine's cores.");
     fedomd_bench::emit(&record, &opts);
 }

@@ -20,14 +20,12 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use fedomd_autograd::{Tape, Var};
 use fedomd_nn::{ConstOperand, ForwardOut, GraphInput, Model};
 use fedomd_sparse::{normalized_adjacency, Csr};
 use fedomd_telemetry::{Phase, PhaseStopwatch, RoundObserver};
 use fedomd_tensor::rng::{derive, seeded};
-use fedomd_tensor::{xavier_uniform, Matrix};
+use fedomd_tensor::{par, xavier_uniform, Matrix};
 use fedomd_transport::{Envelope, Payload, SERVER_SENDER};
 
 use crate::client::ClientData;
@@ -106,7 +104,7 @@ fn federated_edge_kmeans(
         .collect();
 
     for _ in 1..KMEANS_ITERS {
-        let locals: Vec<_> = clients.par_iter().map(|c| assign(c, &centroids)).collect();
+        let locals = par::map(clients, |_, c| assign(c, &centroids));
         // Server: fold each type's means into its new centroid; a type no
         // client saw keeps its centroid.
         let mut accs: Vec<MeanAccumulator> = (0..N_TYPES).map(|_| MeanAccumulator::new()).collect();
@@ -143,10 +141,7 @@ fn federated_edge_kmeans(
         };
         charge(obs, &down, clients.len());
     }
-    clients
-        .par_iter()
-        .map(|c| assign(c, &centroids).0)
-        .collect()
+    par::map(clients, |_, c| assign(c, &centroids).0)
 }
 
 /// Per-type propagation operators for one client (self-loops everywhere so

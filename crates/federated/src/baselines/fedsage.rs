@@ -23,14 +23,12 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use fedomd_autograd::Tape;
 use fedomd_nn::{Adam, ConstOperand, GraphInput, GraphSage, Model, Optimizer};
 use fedomd_sparse::row_normalized_adjacency;
 use fedomd_telemetry::{Phase, PhaseStopwatch, RoundObserver};
 use fedomd_tensor::rng::{derive, seeded};
-use fedomd_tensor::{xavier_uniform, Matrix};
+use fedomd_tensor::{par, xavier_uniform, Matrix};
 use fedomd_transport::{from_tensors, to_tensors, Envelope, Payload, SERVER_SENDER};
 
 use crate::client::ClientData;
@@ -217,23 +215,20 @@ pub(crate) fn setup(
 
     // --- Phase 1+2: federated NeighGen training ---
     let sw = PhaseStopwatch::start(Phase::LocalTrain);
-    let supervision: Vec<(ConstOperand, Matrix, Matrix)> = clients
-        .par_iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let (x, counts, feats) = impair(c, derive(cfg.seed, 0xC100 + i as u64));
-            (ConstOperand::new(Arc::new(x)), counts, feats)
-        })
-        .collect();
+    let supervision: Vec<(ConstOperand, Matrix, Matrix)> = par::map(clients, |i, c| {
+        let (x, counts, feats) = impair(c, derive(cfg.seed, 0xC100 + i as u64));
+        (ConstOperand::new(Arc::new(x)), counts, feats)
+    });
     let mut gens: Vec<NeighGen> = (0..m)
         .map(|_| NeighGen::new(f, derive(cfg.seed, 0xC200)))
         .collect();
     let mut gen_opts: Vec<Adam> = (0..m).map(|_| Adam::new(cfg.lr, 0.0)).collect();
     for _ in 0..GEN_EPOCHS {
-        gens.par_iter_mut()
-            .zip(gen_opts.par_iter_mut())
-            .zip(supervision.par_iter())
-            .for_each(|((g, opt), (x, tc, tf))| g.train_step(opt, x, tc, tf));
+        let mut local: Vec<_> = gens.iter_mut().zip(&mut gen_opts).collect();
+        par::map_mut(&mut local, |i, (g, opt)| {
+            let (x, tc, tf) = &supervision[i];
+            g.train_step(opt, x, tc, tf);
+        });
         // The "+": federate the generator itself.
         let mut server = ServerRound::new(false);
         for (i, g) in gens.iter().enumerate() {
@@ -265,12 +260,9 @@ pub(crate) fn setup(
     sw.finish(obs);
 
     // --- Phase 3: mend local graphs ---
-    let mended: Vec<ClientData> = clients
-        .par_iter()
-        .zip(gens.par_iter())
-        .enumerate()
-        .map(|(i, (c, g))| mend(c, g, derive(cfg.seed, 0xC300 + i as u64)))
-        .collect();
+    let mended = par::map(clients, |i, c| {
+        mend(c, &gens[i], derive(cfg.seed, 0xC300 + i as u64))
+    });
 
     // --- Phase 4's local models: GraphSage on the mended graphs ---
     let models = mended

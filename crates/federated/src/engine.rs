@@ -9,13 +9,19 @@
 //!
 //! Per communication round the loop samples the cohort
 //! ([`crate::CohortConfig`]), sweeps the cohort's sessions through the
-//! forward pass, carries the statistics rounds (FedOMD with the CMD term)
-//! and the weight upload as encoded frames between the sessions and the
-//! server, sweeps the cohort through its local step, and broadcasts the
+//! forward pass on the machine's cores ([`fedomd_tensor::par`]), carries
+//! the statistics rounds (FedOMD with the CMD term) and the weight upload
+//! as encoded frames between the sessions and the server, sweeps the cohort through its local step, and broadcasts the
 //! FedAvg model to *every* client — spectators included — so pooled
 //! evaluation always sees a synchronised federation. The protocol steps
 //! themselves are the session and server methods ([`crate::session`]);
-//! this loop only moves frames and accounts their bytes.
+//! this loop only moves frames and accounts their bytes. The three
+//! sweeps (forward, local step, evaluation) are the only work that leaves
+//! the calling thread: each session's work is independent of every
+//! other's, and the sweeps return their results in session order, so a
+//! run is the same bits at any worker count. The channel, the
+//! [`ServerRound`], the observer and every fold stay on the calling
+//! thread, in ascending sender order.
 //!
 //! Each upload is collected and folded before the next is sent, so the
 //! uplink queue never holds more than one payload and server aggregation
@@ -38,18 +44,16 @@
 //! reported only as `PhaseDone` segments. The `FedRun` builder in
 //! `fedomd-core` is the user-facing entry point.
 
-use rayon::prelude::*;
-
 use fedomd_nn::{AdamState, Gcn, Mlp, Model, OrthoGcn, OrthoGcnConfig};
 use fedomd_tensor::rng::{derive, seeded};
-use fedomd_tensor::Matrix;
+use fedomd_tensor::{par, Matrix};
 
 use crate::baselines::Baseline;
 use crate::client::ClientData;
 use crate::comms::CommsLog;
 use crate::config::{FedOmdConfig, RoundStats, RunResult, TrainConfig};
 use crate::protocol::GlobalStats;
-use crate::session::{ClientSession, EvalCounts, ServerRound, StepLosses};
+use crate::session::{ClientSession, EvalCounts, ServerRound};
 use fedomd_telemetry::{Phase, PhaseStopwatch, RoundEvent, RoundObserver, TeeObserver};
 use fedomd_transport::{Channel, Envelope, Payload, SERVER_SENDER};
 
@@ -442,15 +446,9 @@ pub fn run(
 
         // --- Forward passes (cohort, parallel) ---
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        sessions
-            .par_iter_mut()
-            .zip(clients.par_iter())
-            .zip(in_cohort.par_iter())
-            .for_each(|((s, client), &active)| {
-                if active {
-                    s.forward(client);
-                }
-            });
+        par::map_mut(&mut members(&mut sessions, &in_cohort), |_, (i, s)| {
+            s.forward(&clients[*i]);
+        });
         sw.finish(obs);
 
         // --- The 2-round statistics exchange, to and from the cohort ---
@@ -497,15 +495,12 @@ pub fn run(
 
         // --- Local steps (cohort, parallel) ---
         let sw = PhaseStopwatch::start(Phase::LocalTrain);
-        let losses: Vec<Option<Vec<StepLosses>>> = sessions
-            .par_iter_mut()
-            .zip(clients.par_iter())
-            .zip(stats.par_iter())
-            .map(|((s, client), stats)| s.step(client, stats.as_ref()))
-            .collect();
-        for (i, passes) in losses.iter().enumerate() {
+        let losses = par::map_mut(&mut members(&mut sessions, &in_cohort), |_, (i, s)| {
+            (*i, s.step(&clients[*i], stats[*i].as_ref()))
+        });
+        for (i, passes) in &losses {
             for (epoch, l) in passes.iter().flatten().enumerate() {
-                obs.on_event(&l.event(i as u32, epoch as u32));
+                obs.on_event(&l.event(*i as u32, epoch as u32));
             }
         }
         sw.finish(obs);
@@ -551,7 +546,7 @@ pub fn run(
         // The mean of each trained client's last-pass loss.
         let active: Vec<f64> = losses
             .iter()
-            .filter_map(|l| l.as_ref().and_then(|l| l.last()))
+            .filter_map(|(_, l)| l.as_ref().and_then(|l| l.last()))
             .map(|l| l.total as f64)
             .collect();
         let mean_loss = if active.is_empty() {
@@ -588,43 +583,75 @@ pub fn run(
     driver.finish_observed(algorithm, obs)
 }
 
-/// The pooled counts of every session on its shard. Next round's cohort
-/// (`keep`) keeps its evaluation forward as that round's line 3. The
-/// spectators, sessions that hold this round's broadcast model and sit
-/// next round out, all hold the same weights: they are evaluated in
-/// blocks of consecutive shards of at most [`EVAL_BLOCK_ENTRIES`], one
-/// [`EvalCounts::stacked`] forward per block. Everyone else evaluates
-/// its own weights on its own shard.
+/// The cohort's sessions in ascending order, each with its index: the
+/// job list of the forward and step sweeps.
+fn members<'s>(
+    sessions: &'s mut [ClientSession],
+    in_cohort: &[bool],
+) -> Vec<(usize, &'s mut ClientSession)> {
+    sessions
+        .iter_mut()
+        .enumerate()
+        .zip(in_cohort)
+        .filter_map(|(member, &active)| active.then_some(member))
+        .collect()
+}
+
+/// One job of the evaluation sweep.
+enum EvalJob<'a> {
+    /// A session on its own shard, keeping the forward when it trains
+    /// next round.
+    Own(&'a mut ClientSession, &'a ClientData, bool),
+    /// One stacked forward of a block of spectators' shards.
+    Block(&'a dyn Model, Vec<&'a ClientData>),
+}
+
+/// The pooled counts of every session on its shard, from one sweep over
+/// the machine's cores. Next round's cohort (`keep`) keeps its evaluation
+/// forward as that round's line 3. The spectators, sessions that hold
+/// this round's broadcast model and sit next round out, all hold the same
+/// weights: they are evaluated in blocks of consecutive shards of at most
+/// [`EVAL_BLOCK_ENTRIES`], one [`EvalCounts::stacked`] forward per block.
+/// Everyone else evaluates its own weights on its own shard.
 fn evaluate(
     sessions: &mut [ClientSession],
     clients: &[ClientData],
     keep: &[bool],
     spectator: &[bool],
 ) -> EvalCounts {
-    let mut counts = EvalCounts::default();
+    let mut jobs = Vec::new();
+    let mut spectators = Vec::new();
     for (((s, client), &keep), &spectator) in
         sessions.iter_mut().zip(clients).zip(keep).zip(spectator)
     {
-        if !spectator {
-            counts += s.eval_counts(client, keep);
+        if spectator {
+            spectators.push((&*s, client));
+        } else {
+            jobs.push(EvalJob::Own(s, client, keep));
         }
     }
-    let spectators: Vec<usize> = (0..sessions.len()).filter(|&i| spectator[i]).collect();
     let mut rest = &spectators[..];
-    while let Some(&first) = rest.first() {
+    while let Some(&(first, _)) = rest.first() {
         let mut entries = 0;
         let len = rest
             .iter()
-            .take_while(|&&i| {
-                entries += clients[i].n_nodes() * clients[i].input.n_features();
+            .take_while(|(_, c)| {
+                entries += c.n_nodes() * c.input.n_features();
                 entries <= EVAL_BLOCK_ENTRIES
             })
             .count()
             .max(1);
         let (block, tail) = rest.split_at(len);
-        let shards: Vec<&ClientData> = block.iter().map(|&i| &clients[i]).collect();
-        counts += EvalCounts::stacked(sessions[first].model(), &shards);
+        let shards = block.iter().map(|&(_, c)| c).collect();
+        jobs.push(EvalJob::Block(first.model(), shards));
         rest = tail;
+    }
+    let mut counts = EvalCounts::default();
+    for c in par::map_mut(&mut jobs, |_, job| match job {
+        EvalJob::Own(s, client, keep) => s.eval_counts(client, *keep),
+        EvalJob::Block(model, shards) => EvalCounts::stacked(*model, shards),
+    }) {
+        counts += c;
     }
     counts
 }
@@ -1692,6 +1719,120 @@ mod tests {
         let (clients, k) = clients(6);
         for b in [Baseline::FedLit, Baseline::FedSagePlus, Baseline::LocGcn] {
             assert_eval_is_per_session(&Strategy::Baseline(b), &clients, k);
+        }
+    }
+
+    /// Everything a run reports but its wall-clock time: the result's
+    /// numbers as bits, its ledger, and every event but `PhaseDone`.
+    fn run_on_workers(
+        workers: usize,
+        strategy: &Strategy,
+        clients: &[ClientData],
+        k: usize,
+        cfg: &TrainConfig,
+    ) -> (Vec<u64>, CommsLog, Vec<String>) {
+        let mut mem = MemoryObserver::new();
+        let r = par::with_workers(workers, || {
+            run(
+                clients,
+                k,
+                cfg,
+                strategy,
+                &mut InProcChannel::new(),
+                &mut mem,
+                Persistence::default(),
+            )
+        });
+        let mut bits = vec![
+            r.test_acc.to_bits(),
+            r.val_acc.to_bits(),
+            r.best_round as u64,
+        ];
+        for h in &r.history {
+            bits.extend([
+                h.round as u64,
+                h.train_loss.to_bits(),
+                h.val_acc.to_bits(),
+                h.test_acc.to_bits(),
+            ]);
+        }
+        let events = mem
+            .events
+            .iter()
+            .filter(|e| !matches!(e, RoundEvent::PhaseDone { .. }))
+            .map(|e| format!("{e:?}"))
+            .collect();
+        (bits, r.comms, events)
+    }
+
+    /// A run is the same bits at 1, 2 and 4 workers: every sweep returns
+    /// its results in session order, and everything that depends on order
+    /// stays on the calling thread.
+    fn assert_worker_count_is_invisible(
+        strategy: &Strategy,
+        clients: &[ClientData],
+        k: usize,
+        cfg: &TrainConfig,
+    ) {
+        let one = run_on_workers(1, strategy, clients, k, cfg);
+        assert!(one.2.iter().any(|e| e.starts_with("LocalStepDone")));
+        for workers in [2, 4] {
+            let many = run_on_workers(workers, strategy, clients, k, cfg);
+            assert_eq!(one.0, many.0, "{} at {workers} workers", strategy.name());
+            assert_eq!(one.1, many.1, "{} at {workers} workers", strategy.name());
+            assert_eq!(one.2, many.2, "{} at {workers} workers", strategy.name());
+        }
+    }
+
+    #[test]
+    fn a_run_is_the_same_at_any_worker_count() {
+        let (clients, k) = clients(5);
+        let cfg = TrainConfig {
+            rounds: 6,
+            patience: 6,
+            eval_every: 1,
+            ..TrainConfig::mini(0)
+        };
+        for strategy in [
+            Strategy::FedOmd(FedOmdConfig::paper()),
+            Strategy::Baseline(Baseline::FedGcn),
+            Strategy::Baseline(Baseline::Scaffold),
+            Strategy::Baseline(Baseline::FedSagePlus),
+            Strategy::Baseline(Baseline::FedLit),
+        ] {
+            assert_worker_count_is_invisible(&strategy, &clients, k, &cfg);
+        }
+    }
+
+    /// Half of 150 planted shards train each round; the other half are
+    /// spectators whose shards fill several stacked evaluation blocks,
+    /// evaluated in one sweep with the next cohort's own forwards.
+    #[test]
+    fn a_sampled_run_is_the_same_at_any_worker_count() {
+        use crate::client::setup_federation_planted;
+        use fedomd_data::SynthParams;
+        let ds = generate(&SynthParams::many_party(150), 0);
+        let clients = setup_federation_planted(&ds, &FederationConfig::mini(150, 0));
+        let cfg = TrainConfig {
+            rounds: 5,
+            patience: 5,
+            eval_every: 1,
+            cohort: CohortConfig::fraction(0.5, 1),
+            ..TrainConfig::mini(0)
+        };
+        let next = membership(&cfg.cohort.sample(1, clients.len()), clients.len());
+        let spectator_entries: usize = clients
+            .iter()
+            .zip(&next)
+            .filter(|(_, &keep)| !keep)
+            .map(|(c, _)| c.n_nodes() * c.input.n_features())
+            .sum();
+        assert!(spectator_entries > 2 * EVAL_BLOCK_ENTRIES);
+        for strategy in [
+            Strategy::FedOmd(FedOmdConfig::paper()),
+            Strategy::Baseline(Baseline::FedGcn),
+        ] {
+            assert_worker_count_is_invisible(&strategy, &clients, ds.n_classes, &cfg);
         }
     }
 

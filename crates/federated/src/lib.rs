@@ -12,9 +12,11 @@
 //! `fedomd-core` adds the TCP deployment, run checkpoint files and the
 //! `FedRun` builder.
 //!
-//! Clients train in parallel on rayon workers inside every communication
-//! round; all randomness is derived from the run seed, so a full federated
-//! run is reproducible bit-for-bit.
+//! Inside every communication round the clients' forward passes, local
+//! steps and evaluations run on the machine's cores
+//! ([`fedomd_tensor::par`]); all randomness is derived from the run seed
+//! and every fold consumes senders in ascending id, so a full federated
+//! run is reproducible bit-for-bit at any worker count.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

@@ -1,27 +1,15 @@
-//! Compressed-sparse-row matrices and the parallel SpMM kernel.
+//! Compressed-sparse-row matrices and the SpMM kernels.
 
 use fedomd_tensor::Matrix;
-use rayon::prelude::*;
 
-/// Ceiling on stored entries per parallel SpMM task: large enough that
-/// task overhead amortises over thousands of multiply-adds. The actual
-/// target also divides the matrix's nnz across the rayon pool (with 4×
-/// oversubscription for work stealing) so small graphs still fan out
-/// instead of collapsing into one serial block; see
-/// [`Csr::spmm`]. Scheduling never affects results — every output row is
-/// accumulated independently in its own task.
-const SPMM_TARGET_NNZ: usize = 4096;
-/// Floor on stored entries per parallel SpMM task, so the thread-scaled
-/// target can't shatter tiny graphs into tasks dominated by overhead.
-const SPMM_MIN_TARGET_NNZ: usize = 256;
 /// Column-chunk width of the register-blocked row kernel: 16 f32 lanes =
 /// two AVX2 vectors of accumulators living in registers across all of a
 /// row's stored entries, instead of a load/store of the output row per
 /// entry.
 const SPMM_CHUNK: usize = 16;
 
-/// Register-blocked kernel over the row range starting at `r0` covering
-/// `out` (`out.len() / n` rows, `out` fully overwritten). Columns are
+/// Register-blocked kernel over every row of `out` (`out.len() / n`
+/// rows, `out` fully overwritten). Columns are
 /// processed in [`SPMM_CHUNK`]-wide chunks; within a chunk the row's
 /// stored entries run in CSR order into a stack accumulator, so every
 /// output element sees exactly the entry-order accumulation (from `0.0`)
@@ -29,18 +17,15 @@ const SPMM_CHUNK: usize = 16;
 /// `prop_spmm_bitwise_matches_ref`, except in which NaN survives where two
 /// different NaNs meet in one add (`prop_spmm_matches_ref_up_to_which_nan`).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn spmm_rows_body(
     indptr: &[usize],
     indices: &[u32],
     values: &[f32],
     x_data: &[f32],
     n: usize,
-    r0: usize,
     out: &mut [f32],
 ) {
-    for (i, out_row) in out.chunks_mut(n).enumerate() {
-        let r = r0 + i;
+    for (r, out_row) in out.chunks_mut(n).enumerate() {
         let (lo, hi) = (indptr[r], indptr[r + 1]);
         let idx = &indices[lo..hi];
         let vals = &values[lo..hi];
@@ -73,17 +58,15 @@ fn spmm_rows_body(
 }
 
 /// Baseline-ISA instantiation of the row kernel.
-#[allow(clippy::too_many_arguments)]
 fn spmm_rows_generic(
     indptr: &[usize],
     indices: &[u32],
     values: &[f32],
     x_data: &[f32],
     n: usize,
-    r0: usize,
     out: &mut [f32],
 ) {
-    spmm_rows_body(indptr, indices, values, x_data, n, r0, out);
+    spmm_rows_body(indptr, indices, values, x_data, n, out);
 }
 
 /// AVX2 instantiation: identical Rust code, wider auto-vectorisation.
@@ -91,21 +74,18 @@ fn spmm_rows_generic(
 /// to [`spmm_rows_generic`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 fn spmm_rows_avx2(
     indptr: &[usize],
     indices: &[u32],
     values: &[f32],
     x_data: &[f32],
     n: usize,
-    r0: usize,
     out: &mut [f32],
 ) {
-    spmm_rows_body(indptr, indices, values, x_data, n, r0, out);
+    spmm_rows_body(indptr, indices, values, x_data, n, out);
 }
 
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 #[allow(unsafe_code, reason = "AVX2 dispatch after runtime detection")]
 fn run_spmm_rows(
     avx2: bool,
@@ -114,18 +94,17 @@ fn run_spmm_rows(
     values: &[f32],
     x_data: &[f32],
     n: usize,
-    r0: usize,
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2 {
         // SAFETY: `avx2` is only true when `is_x86_feature_detected!`
         // confirmed support at the kernel entry point.
-        unsafe { spmm_rows_avx2(indptr, indices, values, x_data, n, r0, out) };
+        unsafe { spmm_rows_avx2(indptr, indices, values, x_data, n, out) };
         return;
     }
     let _ = avx2;
-    spmm_rows_generic(indptr, indices, values, x_data, n, r0, out);
+    spmm_rows_generic(indptr, indices, values, x_data, n, out);
 }
 
 /// Transposed-product scatter `out += Aᵀ·G`: walks `A`'s rows in
@@ -407,19 +386,14 @@ impl Csr {
 
     /// Sparse-dense product `C = S · X` (the graph-propagation kernel).
     ///
-    /// Parallelised over nnz-balanced row blocks: the `indptr` array *is*
-    /// the prefix sum of per-row nnz, so [`Csr::balanced_row_blocks`] cuts
-    /// the rows into blocks of roughly equal stored-entry counts (scaled
-    /// to the rayon pool, bounded by [`SPMM_MIN_TARGET_NNZ`] and
-    /// [`SPMM_TARGET_NNZ`]) by binary-searching it. One task per block
-    /// fixes both the task-per-row overhead on small rows and the load
-    /// imbalance on power-law degree graphs; a one-thread pool takes the
-    /// plain row sweep instead, since partitioning cannot pay off there.
-    /// Per-row accumulation order is unchanged on every path, so results
-    /// are bit-identical to [`Csr::spmm_ref`] — up to which NaN comes out
-    /// where two different NaNs meet in one output (a stored `0.0` times
-    /// an inf, or `inf - inf`, then a NaN feature): that choice is the
-    /// operand order the compiler gives each add, and is unspecified.
+    /// One sweep over the rows on the calling thread, each row through
+    /// the register-blocked kernel (client-level sweeps own the cores,
+    /// `fedomd_tensor::par`). Per-row accumulation runs in CSR order, so
+    /// results are bit-identical to [`Csr::spmm_ref`] — up to which NaN
+    /// comes out where two different NaNs meet in one output (a stored
+    /// `0.0` times an inf, or `inf - inf`, then a NaN feature): that
+    /// choice is the operand order the compiler gives each add, and is
+    /// unspecified.
     ///
     /// # Panics
     /// Panics when `self.cols() != x.rows()`.
@@ -463,62 +437,15 @@ impl Csr {
             // degenerated into one bogus task per output element here.
             return;
         }
-        // Aim for ~4 blocks per thread (work-stealing slack) but keep each
-        // block big enough to amortise its task, and never bigger than the
-        // ceiling that bounds load imbalance on power-law graphs. On a
-        // one-thread pool (the vendored sequential rayon shim) the plain
-        // row sweep is optimal and partitioning is pure overhead, so skip
-        // it — likewise when the whole matrix fits one block anyway.
-        let threads = rayon::current_num_threads();
-        let per_thread = self.nnz() / (4 * threads).max(1);
-        let target = per_thread.clamp(SPMM_MIN_TARGET_NNZ, SPMM_TARGET_NNZ);
-        if threads <= 1 || self.nnz() <= target {
-            run_spmm_rows(
-                detect_avx2(),
-                &self.indptr,
-                &self.indices,
-                &self.values,
-                x.as_slice(),
-                n,
-                0,
-                out.as_mut_slice(),
-            );
-        } else {
-            self.spmm_blocked(x, out, target);
-        }
-    }
-
-    /// The nnz-balanced blocked kernel behind [`Csr::spmm`]: one rayon
-    /// task per ≈`target`-entry row block, each running the
-    /// register-blocked row kernel. Per-row accumulation is identical to
-    /// the serial sweep — partitioning only changes which task computes a
-    /// row, never the arithmetic inside it.
-    fn spmm_blocked(&self, x: &Matrix, out: &mut Matrix, target: usize) {
-        let n = x.cols();
-        let x_data = x.as_slice();
-        let blocks = self.balanced_row_blocks(target);
-        let avx2 = detect_avx2();
-
-        // Carve the output into one contiguous mutable slice per block.
-        let mut tasks = Vec::with_capacity(blocks.len());
-        let mut rest = out.as_mut_slice();
-        for &(r0, r1) in &blocks {
-            let (head, tail) = rest.split_at_mut((r1 - r0) * n);
-            tasks.push((r0, head));
-            rest = tail;
-        }
-        tasks.into_par_iter().for_each(|(r0, chunk)| {
-            run_spmm_rows(
-                avx2,
-                &self.indptr,
-                &self.indices,
-                &self.values,
-                x_data,
-                n,
-                r0,
-                chunk,
-            );
-        });
+        run_spmm_rows(
+            detect_avx2(),
+            &self.indptr,
+            &self.indices,
+            &self.values,
+            x.as_slice(),
+            n,
+            out.as_mut_slice(),
+        );
     }
 
     /// Transposed product `out = Aᵀ · G` without forming `Aᵀ` (`out` is
@@ -536,8 +463,9 @@ impl Csr {
     /// which NaN it returns when both operands are NaN, and that needs a
     /// NaN product `p`, which finite values never make. So when a stored
     /// value or an entry of `G` is not finite, the product runs on a
-    /// temporary transpose instead. The check is two vectorised passes,
-    /// a few per cent of the scatter.
+    /// temporary transpose instead. The check is two vectorised passes;
+    /// on Cora and Computer shards at width 64 it added 9–19 % to the
+    /// scatter. `A`'s half could be done once at set-up (ROADMAP 5(f)).
     ///
     /// # Panics
     /// Panics when `self.rows() != g.rows()` or `out` is not
@@ -581,8 +509,8 @@ impl Csr {
         spmm_t_generic(indptr, indices, values, g_data, n, out_data);
     }
 
-    /// Serial reference SpMM (the pre-PR4 per-row kernel, minus the
-    /// per-row rayon task). Oracle for the bit-identity proptests.
+    /// Reference SpMM, the plain per-row kernel. Oracle for the
+    /// bit-identity proptests.
     pub fn spmm_ref(&self, x: &Matrix) -> Matrix {
         assert_eq!(self.cols, x.rows(), "spmm_ref: inner dimensions disagree");
         let n = x.cols();
@@ -601,25 +529,6 @@ impl Csr {
             }
         }
         out
-    }
-
-    /// Partitions `[0, rows)` into contiguous blocks of ≈`target` stored
-    /// entries (each at least one row): each block is the shortest row
-    /// range from its start whose nnz reaches `target`, found by binary
-    /// search over the `indptr` prefix sums. Rows heavier than `target`
-    /// become single-row blocks; trailing light rows pool into one block.
-    fn balanced_row_blocks(&self, target: usize) -> Vec<(usize, usize)> {
-        let mut blocks = Vec::new();
-        let mut r0 = 0;
-        while r0 < self.rows {
-            let goal = self.indptr[r0] + target;
-            let boundaries = &self.indptr[r0 + 1..self.rows + 1];
-            let i = boundaries.partition_point(|&v| v < goal);
-            let r1 = (r0 + 1 + i).min(self.rows);
-            blocks.push((r0, r1));
-            r0 = r1;
-        }
-        blocks
     }
 
     /// Sparse-vector product `y = S · x`.
@@ -942,44 +851,6 @@ mod tests {
         assert!(Csr::from_zero_heavy(&Matrix::zeros(5, 0), QUARTER).is_none());
     }
 
-    #[test]
-    fn balanced_blocks_partition_and_balance() {
-        // Power-law-ish degrees: one hub row, many light rows.
-        let mut entries = Vec::new();
-        for c in 0..200 {
-            entries.push((0, c, 1.0)); // hub
-        }
-        for r in 1..50 {
-            entries.push((r, r % 7, 1.0));
-        }
-        let s = Csr::from_coo(50, 200, entries);
-        let target = 16;
-        let blocks = s.balanced_row_blocks(target);
-        // Contiguous cover of [0, rows).
-        assert_eq!(blocks.first().expect("nonempty").0, 0);
-        assert_eq!(blocks.last().expect("nonempty").1, 50);
-        for w in blocks.windows(2) {
-            assert_eq!(w[0].1, w[1].0);
-        }
-        for &(r0, r1) in &blocks {
-            assert!(r1 > r0);
-            let nnz: usize = (r0..r1).map(|r| s.row_nnz(r)).sum();
-            // Every block is the *shortest* prefix reaching the target:
-            // dropping its last row must fall below target (or the block
-            // is the tail).
-            if r1 < 50 {
-                assert!(nnz >= target);
-            }
-            if r1 - r0 > 1 {
-                let without_last: usize = (r0..r1 - 1).map(|r| s.row_nnz(r)).sum();
-                assert!(without_last < target);
-            }
-        }
-        // The hub row starts a block and is heavier than the target, so
-        // it sits alone instead of dragging light rows into its task.
-        assert_eq!(blocks[0], (0, 1));
-    }
-
     /// Every row of a block-diagonal matrix is its part's row, shifted
     /// right past the earlier parts' columns; parts with no rows, no
     /// columns or no entries add exactly their shape.
@@ -1008,12 +879,6 @@ mod tests {
         let empty = Csr::block_diag(&[]);
         empty.validate().expect("valid");
         assert_eq!((empty.rows(), empty.cols(), empty.nnz()), (0, 0, 0));
-    }
-
-    #[test]
-    fn balanced_blocks_of_all_empty_rows_is_single_block() {
-        let s = Csr::zeros(17, 5);
-        assert_eq!(s.balanced_row_blocks(64), vec![(0, 17)]);
     }
 
     proptest! {
@@ -1117,8 +982,8 @@ mod tests {
             prop_assert_eq!(s.transpose().transpose(), s);
         }
 
-        /// The tentpole invariant: nnz-balanced, register-blocked SpMM is
-        /// bit-identical to the retained per-row reference, including
+        /// The register-blocked SpMM is bit-identical to the retained
+        /// per-row reference, including
         /// empty rows and a NaN and an inf among the features. The stored
         /// values are non-zero and one column holds the only inf, so no
         /// output meets two different NaNs; where that can happen,
@@ -1129,7 +994,7 @@ mod tests {
         fn prop_spmm_bitwise_matches_ref(
             rows in 1usize..60, cols in 1usize..20, n in 0usize..36,
             entries in proptest::collection::vec((0usize..60, 0usize..20, -2.0f32..2.0), 0..200),
-            nonfinite in 0usize..3, target in 1usize..32,
+            nonfinite in 0usize..3,
         ) {
             let entries: Vec<_> = entries
                 .into_iter()
@@ -1148,35 +1013,18 @@ mod tests {
             for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
-            // The blocked kernel (which a one-thread pool skips) stays
-            // bit-identical at every block granularity.
-            if n > 0 {
-                let mut blocked = Matrix::zeros(rows, n);
-                s.spmm_blocked(&x, &mut blocked, target);
-                for (a, b) in blocked.as_slice().iter().zip(want.as_slice()) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-            // The partition is a contiguous cover regardless of target.
-            let blocks = s.balanced_row_blocks(target);
-            prop_assert_eq!(blocks.iter().map(|&(r0, r1)| r1 - r0).sum::<usize>(), rows);
-            for w in blocks.windows(2) {
-                prop_assert_eq!(w[0].1, w[1].0);
-            }
         }
 
         /// The contract where two different NaNs can meet: stored `±0.0`
         /// next to non-zeros, and NaN, ±inf and `-0.0` anywhere among the
         /// features, so `0·inf` or `inf - inf` meets a NaN feature in one
         /// output. Which NaN survives is unspecified; every element that
-        /// is not NaN on both sides is `to_bits` equal, on the serial
-        /// sweep and on the blocked kernel at every block granularity.
+        /// is not NaN on both sides is `to_bits` equal.
         #[test]
         fn prop_spmm_matches_ref_up_to_which_nan(
             rows in 1usize..30, cols in 1usize..12, n in 0usize..36,
             entries in proptest::collection::vec((0usize..30, 0usize..12, 0u8..4, -2.0f32..2.0), 0..120),
             specials in proptest::collection::vec((0usize..4096, 0u8..4), 0..8),
-            target in 1usize..32,
         ) {
             let entries: Vec<_> = entries
                 .into_iter()
@@ -1199,19 +1047,13 @@ mod tests {
                     };
                 }
             }
-            let want = s.spmm_ref(&x);
-            let mut blocked = Matrix::zeros(rows, n);
-            if n > 0 {
-                s.spmm_blocked(&x, &mut blocked, target);
-            }
-            for got in [s.spmm(&x), blocked] {
-                prop_assert_eq!(got.shape(), want.shape());
-                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-                    prop_assert!(
-                        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
-                        "{:#010x} vs {:#010x}", a.to_bits(), b.to_bits()
-                    );
-                }
+            let (got, want) = (s.spmm(&x), s.spmm_ref(&x));
+            prop_assert_eq!(got.shape(), want.shape());
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                prop_assert!(
+                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                    "{:#010x} vs {:#010x}", a.to_bits(), b.to_bits()
+                );
             }
         }
     }

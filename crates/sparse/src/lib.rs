@@ -3,7 +3,7 @@
 //! The paper's graph convolutions all propagate through the symmetrically
 //! normalised adjacency `Ŝ = D^{-1/2}(A + I)D^{-1/2}` (its Eq. 7/9 and the
 //! `Ã` of §4.1). This crate provides the CSR storage for that operator, a
-//! rayon-parallel sparse-dense product ([`Csr::spmm`]), and the
+//! register-blocked sparse-dense product ([`Csr::spmm`]), and the
 //! normalisation constructors ([`normalized_adjacency`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

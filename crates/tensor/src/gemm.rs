@@ -10,10 +10,10 @@
 //! # Kernel architecture
 //!
 //! All three shapes funnel into one BLIS-style blocked driver
-//! ([`gemm_packed`]): the output is split into `MC`-row blocks
-//! (parallelised with rayon), the summation dimension into `KC`-deep
-//! panels, and the columns into `NC`-wide panels. Each task packs the
-//! operands into thread-local scratch buffers — `A` micro-panels
+//! ([`gemm_packed`]): the output is split into `MC`-row blocks, the
+//! summation dimension into `KC`-deep panels, and the columns into
+//! `NC`-wide panels. Each block packs the operands into thread-local
+//! scratch buffers — `A` micro-panels
 //! interleaved `MR` rows at a time, `B` micro-panels `NR` columns at a
 //! time — so the register-tiled microkernel reads both operands
 //! contiguously regardless of the logical transpose. The packing buffers
@@ -82,7 +82,6 @@
 //! target for tiny products where packing overhead dominates.
 
 use crate::matrix::Matrix;
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Microkernel register-tile height (output rows held in registers).
@@ -90,7 +89,7 @@ const MR: usize = 4;
 /// Microkernel register-tile width (output columns held in registers).
 /// `MR × NR` accumulators fill 8 YMM registers under AVX2.
 const NR: usize = 16;
-/// Output rows per parallel task / packed `A` block (multiple of `MR`).
+/// Output rows per packed `A` block (multiple of `MR`).
 const MC: usize = 128;
 /// Summation depth per packed panel; `KC × MR` and `KC × NR` micro-panels
 /// stay L1-resident.
@@ -405,62 +404,60 @@ fn gemm_packed(m: usize, n: usize, kdim: usize, a: View<'_>, b: View<'_>, c: &mu
     // possible when its rows are contiguous).
     let direct_a = a.cs == 1 && n <= NR;
 
-    c.par_chunks_mut(MC * n)
-        .enumerate()
-        .for_each(|(blk, c_chunk)| {
-            let i0 = blk * MC;
-            let mc = c_chunk.len() / n;
-            PACK_A.with(|pa_cell| {
-                PACK_B.with(|pb_cell| {
-                    let pa = &mut *pa_cell.borrow_mut();
-                    let pb = &mut *pb_cell.borrow_mut();
-                    for p0 in (0..kdim).step_by(KC) {
-                        let kc = KC.min(kdim - p0);
-                        if !direct_a {
-                            pack_a(a, i0, mc, p0, kc, pa);
-                        }
-                        for j0 in (0..n).step_by(NC) {
-                            let nc = NC.min(n - j0);
-                            pack_b(b, p0, kc, j0, nc, pb);
-                            for jr in 0..nc.div_ceil(NR) {
-                                let nr_eff = NR.min(nc - jr * NR);
-                                let b_panel = &pb[jr * kc * NR..(jr + 1) * kc * NR];
-                                for ir in 0..mc.div_ceil(MR) {
-                                    let mr_eff = MR.min(mc - ir * MR);
-                                    let c_off = ir * MR * n + j0 + jr * NR;
-                                    if direct_a {
-                                        let a_sub = &a.data[(i0 + ir * MR) * a.rs + p0..];
-                                        run_tile_direct(
-                                            avx2,
-                                            kc,
-                                            a_sub,
-                                            a.rs,
-                                            mr_eff,
-                                            b_panel,
-                                            &mut c_chunk[c_off..],
-                                            n,
-                                            nr_eff,
-                                        );
-                                    } else {
-                                        let a_panel = &pa[ir * kc * MR..(ir + 1) * kc * MR];
-                                        run_tile(
-                                            avx2,
-                                            kc,
-                                            a_panel,
-                                            b_panel,
-                                            &mut c_chunk[c_off..],
-                                            n,
-                                            mr_eff,
-                                            nr_eff,
-                                        );
-                                    }
+    c.chunks_mut(MC * n).enumerate().for_each(|(blk, c_chunk)| {
+        let i0 = blk * MC;
+        let mc = c_chunk.len() / n;
+        PACK_A.with(|pa_cell| {
+            PACK_B.with(|pb_cell| {
+                let pa = &mut *pa_cell.borrow_mut();
+                let pb = &mut *pb_cell.borrow_mut();
+                for p0 in (0..kdim).step_by(KC) {
+                    let kc = KC.min(kdim - p0);
+                    if !direct_a {
+                        pack_a(a, i0, mc, p0, kc, pa);
+                    }
+                    for j0 in (0..n).step_by(NC) {
+                        let nc = NC.min(n - j0);
+                        pack_b(b, p0, kc, j0, nc, pb);
+                        for jr in 0..nc.div_ceil(NR) {
+                            let nr_eff = NR.min(nc - jr * NR);
+                            let b_panel = &pb[jr * kc * NR..(jr + 1) * kc * NR];
+                            for ir in 0..mc.div_ceil(MR) {
+                                let mr_eff = MR.min(mc - ir * MR);
+                                let c_off = ir * MR * n + j0 + jr * NR;
+                                if direct_a {
+                                    let a_sub = &a.data[(i0 + ir * MR) * a.rs + p0..];
+                                    run_tile_direct(
+                                        avx2,
+                                        kc,
+                                        a_sub,
+                                        a.rs,
+                                        mr_eff,
+                                        b_panel,
+                                        &mut c_chunk[c_off..],
+                                        n,
+                                        nr_eff,
+                                    );
+                                } else {
+                                    let a_panel = &pa[ir * kc * MR..(ir + 1) * kc * MR];
+                                    run_tile(
+                                        avx2,
+                                        kc,
+                                        a_panel,
+                                        b_panel,
+                                        &mut c_chunk[c_off..],
+                                        n,
+                                        mr_eff,
+                                        nr_eff,
+                                    );
                                 }
                             }
                         }
                     }
-                })
-            });
+                }
+            })
         });
+    });
 }
 
 // `run_tile_direct`'s monomorphised dispatch enumerates 1..=MR.
@@ -592,7 +589,7 @@ fn gemm_tn_direct(a_data: &[f32], b_data: &[f32], m: usize, k: usize, n: usize, 
         bp[l * NR..l * NR + n].copy_from_slice(row);
     }
 
-    c.par_chunks_mut(TN_STRIPE * n)
+    c.chunks_mut(TN_STRIPE * n)
         .enumerate()
         .for_each(|(blk, tile)| {
             let i0 = blk * TN_STRIPE;

@@ -2,10 +2,12 @@
 //!
 //! This crate stands in for the dense-tensor half of the deep-learning
 //! framework the paper runs on (PyTorch): a row-major [`Matrix`] type with
-//! rayon-parallel GEMM kernels, element-wise operations, reductions,
-//! activation functions, weight initialisers, and the column-statistics
-//! routines (means and higher-order central moments) that the CMD loss of
-//! the paper is built from.
+//! packed GEMM kernels, element-wise operations, reductions, activation
+//! functions, weight initialisers, and the column-statistics routines
+//! (means and higher-order central moments) that the CMD loss of the paper
+//! is built from. It also holds the workspace's one thread pool
+//! ([`par`]), which runs client-level sweeps on the machine's cores; the
+//! kernels here run on the thread that calls them.
 //!
 //! Everything is deterministic given a seed: all randomness flows through
 //! [`rng::seeded`], a ChaCha8 generator whose stream is stable across
@@ -19,6 +21,7 @@ pub mod gemm;
 pub mod init;
 pub mod matrix;
 pub mod ops;
+pub mod par;
 pub mod rng;
 pub mod stats;
 

@@ -8,7 +8,6 @@
 //! different `center` argument.
 
 use crate::matrix::Matrix;
-use rayon::prelude::*;
 
 /// Per-column means, `E(Z)` in the paper (a length-`cols` vector).
 pub fn column_means(z: &Matrix) -> Vec<f32> {
@@ -198,7 +197,7 @@ fn moment_sweep_dyn(
 /// vector (empty when `max_order == 1`).
 ///
 /// This is the hot path of the FedOMD round (orders 2..=5 for every hidden
-/// layer), so the pass is parallelised over column blocks and dispatched to
+/// layer), so the pass runs over L1-sized column blocks and is dispatched to
 /// an AVX2 instantiation when the CPU supports it (bit-identical — see
 /// [`moment_sweep_avx2`]).
 pub fn central_moments_upto(z: &Matrix, center: &[f32], max_order: u32) -> Vec<Vec<f32>> {
@@ -227,7 +226,6 @@ pub fn central_moments_upto(z: &Matrix, center: &[f32], max_order: u32) -> Vec<V
     let avx2 = false;
 
     let per_block: Vec<Vec<f64>> = (0..n_blocks)
-        .into_par_iter()
         .map(|blk| {
             let c0 = blk * COL_BLOCK;
             let width = (c0 + COL_BLOCK).min(cols) - c0;

@@ -92,6 +92,16 @@ echo "::group::Exhaustive fold interleaving sweep (n ≤ 6)"
 cargo test -q --release -p fedomd-core --test interleaving -- --include-ignored
 echo "::endgroup::"
 
+echo "::group::Worker count is invisible (the client pool at 1, 2 and 4 workers)"
+# DESIGN.md §8: the pool's properties (index order, uneven items, empty
+# and 1-item slices, a panicking item), and whole runs of FedOMD, FedGCN,
+# SCAFFOLD, FedSage+, FedLIT and a cohort-sampled federation giving the
+# same result bits and event stream at 1, 2 and 4 workers. (Also part of
+# the workspace tests; this is the release build.)
+cargo test -q --release -p fedomd-tensor par::
+cargo test -q --release -p fedomd-federated --lib same_at_any_worker_count
+echo "::endgroup::"
+
 echo "::group::Sparse input layer equals the dense product (1024 cases)"
 # DESIGN.md §12: the CSR first layer's forward and weight gradient are
 # bit-identical to the dense GEMM dispatcher and the reference kernels,
@@ -148,10 +158,11 @@ echo "::group::SimNet faults do not depend on send order (1024 cases)"
 PROPTEST_CASES=1024 cargo test -q --release -p fedomd-transport a_frames_fate_does_not_depend_on_send_order
 echo "::endgroup::"
 
-echo "::group::Contention step (net_golden + interleaving under load)"
-# DESIGN.md §16: the TCP goldens and the interleaving sweep must hold
-# with both cores saturated, not just on a quiet box. The goldens fail on
-# wall time if any phase sits out its deadline.
+echo "::group::Contention step (net_golden, interleaving, determinism, telemetry goldens under load)"
+# DESIGN.md §16: the TCP goldens, the interleaving sweep and the
+# in-process determinism and telemetry goldens must hold with both cores
+# saturated, not just on a quiet box. The TCP goldens fail on wall time if
+# any phase sits out its deadline.
 scripts/contention.sh 5
 echo "::endgroup::"
 
