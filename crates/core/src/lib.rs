@@ -54,8 +54,8 @@ pub use fedomd_federated::{config, protocol, session};
 pub use client_loop::{run_fedomd_client_rounds, ClientOutcome};
 pub use deploy::run_config_digest;
 pub use fedomd_federated::protocol::{
-    aggregate_means, aggregate_moments, build_targets, client_means, client_moments_about,
-    GlobalStats, MeanAccumulator, MomentAccumulator, ProtocolError,
+    build_targets, client_means, client_moments_about, GlobalStats, MeanAccumulator,
+    MomentAccumulator,
 };
 pub use fedomd_federated::{
     build_fedomd_model, helpers::AGG_LANES, ClientSession, EvalCounts, FedOmdConfig, Rejected,

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use fedomd_federated::engine::{charge, open_run, report_losses, save_if_due};
 use fedomd_federated::{
-    CohortConfig, EvalCounts, FedOmdConfig, Persistence, RunResult, ServerRound, TrainConfig,
+    EvalCounts, FedOmdConfig, Persistence, RunResult, ServerRound, TrainConfig,
 };
 use fedomd_telemetry::{NullObserver, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_transport::{Channel, Control, Envelope, Payload, SERVER_SENDER};
@@ -40,12 +40,6 @@ pub struct ServerOpts {
     /// Number of federated parties the run is configured for. Phases wait
     /// for up to this many reports; fewer degrade to partial aggregation.
     pub n_clients: usize,
-    /// Per-round client sampling for the weight phase. With a non-full
-    /// cohort, the server awaits only `cohort_size` weight updates and
-    /// discards same-round updates from unsampled senders; statistics and
-    /// metrics phases keep awaiting the full federation. Defaults to full
-    /// participation, which reproduces the unsampled protocol exactly.
-    pub cohort: CohortConfig,
     /// Fault injection for the kill-and-resume tests: return right after
     /// the named round's bookkeeping (and checkpoint, if due) completes,
     /// **before** the verdict broadcast — exactly the window in which a
@@ -58,7 +52,6 @@ impl ServerOpts {
     pub fn new(n_clients: usize) -> Self {
         Self {
             n_clients,
-            cohort: CohortConfig::full(),
             halt_after: None,
         }
     }
@@ -72,6 +65,11 @@ impl ServerOpts {
 /// aggregated global model/statistics, which is what a reconnecting
 /// client needs to rejoin.
 ///
+/// The weight phase awaits only `cfg.cohort`'s sample of the round, the
+/// cohort the clients' handshake digest agreed to, and discards
+/// same-round updates from unsampled senders; the statistics and metrics
+/// phases await the full federation.
+///
 /// # Panics
 /// Panics with no clients or an invalid cohort configuration.
 pub fn run_fedomd_server(
@@ -84,7 +82,7 @@ pub fn run_fedomd_server(
 ) -> RunResult {
     assert!(opts.n_clients > 0, "run_fedomd_server: no clients");
     #[expect(clippy::panic, reason = "documented contract (see `# Panics`)")]
-    if let Err(e) = opts.cohort.validate(opts.n_clients) {
+    if let Err(e) = cfg.cohort.validate(opts.n_clients) {
         panic!("run_fedomd_server: {e}");
     }
     let m = opts.n_clients;
@@ -147,7 +145,7 @@ pub fn run_fedomd_server(
         // training — the wait is the overlap the `FoldOverlap` segment
         // measures.
         let sw = PhaseStopwatch::start(Phase::FoldOverlap);
-        let cohort: Vec<u32> = opts
+        let cohort: Vec<u32> = cfg
             .cohort
             .sample(r, m)
             .into_iter()

@@ -127,7 +127,7 @@ fn federated_edge_kmeans(
             }
         }
         for (centroid, acc) in centroids.iter_mut().zip(accs) {
-            if let Some(mean) = acc.finish().ok().and_then(|l| l.into_iter().next()) {
+            if let Some(mean) = acc.finish().and_then(|l| l.into_iter().next()) {
                 *centroid = mean;
             }
         }

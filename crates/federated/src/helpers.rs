@@ -1,6 +1,7 @@
 //! Shared machinery for every federated algorithm: prediction, argmax,
-//! correct-prediction counts, the FedAvg reduction (batch [`fedavg`] and streaming
-//! [`UpdateAccumulator`]), and the single-client training step.
+//! correct-prediction counts, the one weighted fold of every uplink
+//! payload ([`Lanes`], and FedAvg's [`UpdateAccumulator`] over it), and
+//! the single-client training step.
 
 use fedomd_autograd::{Tape, Var, Workspace};
 use fedomd_nn::{ForwardOut, Model, Optimizer};
@@ -55,72 +56,133 @@ pub(crate) fn count_correct_from(
     (correct, mask.len())
 }
 
-/// Weighted FedAvg: `W̄ = Σ_i λ_i W_i` with `λ` normalised to sum to 1
-/// (paper Eq. 2 / Algorithm 1 line 27).
-///
-/// # Panics
-/// Panics on empty input, arity/shape mismatch, or non-positive total
-/// weight.
-pub fn fedavg(param_sets: &[Vec<Matrix>], weights: &[f64]) -> Vec<Matrix> {
-    assert!(!param_sets.is_empty(), "fedavg: no clients");
-    assert_eq!(
-        param_sets.len(),
-        weights.len(),
-        "fedavg: weights arity mismatch"
-    );
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "fedavg: total weight must be positive");
-    let arity = param_sets[0].len();
-    let mut out: Vec<Matrix> = param_sets[0]
-        .iter()
-        .map(|p| Matrix::zeros(p.rows(), p.cols()))
-        .collect();
-    for (set, &w) in param_sets.iter().zip(weights) {
-        assert_eq!(set.len(), arity, "fedavg: param arity mismatch");
-        let lambda = (w / total) as f32;
-        for (acc, p) in out.iter_mut().zip(set) {
-            assert_eq!(acc.shape(), p.shape(), "fedavg: shape mismatch");
-            fedomd_tensor::ops::axpy(acc, lambda, p);
-        }
-    }
-    out
-}
-
-/// Fixed lane count of every streaming aggregate: [`UpdateAccumulator`]
-/// and [`crate::protocol`]'s statistics accumulators. A constant
-/// (rather than the worker-pool width) so the reduction order, and
-/// therefore the bit pattern of every aggregate, is the same on every
-/// machine and at every parallelism level.
+/// Lane count of [`Lanes`], the fold behind every uplink aggregate. A
+/// constant (rather than the worker-pool width) so the reduction order,
+/// and therefore the bit pattern of every aggregate, is the same on every
+/// machine and at every parallelism level. One lane would give the same
+/// bits up to 8 senders only, so every larger cohort's golden pins 8.
 pub const AGG_LANES: usize = 8;
 
-/// Streaming FedAvg (paper Eq. 2 / Algorithm 1 line 27): folds one
-/// client's parameter set at a time so the server never materialises the
-/// O(clients × model) vector of updates — peak memory is
-/// `AGG_LANES × model` f64 partials, O(model).
+/// The one weighted average of Algorithm 1's server: the round-1 means
+/// (Eq. 10), the round-2 central moments and the FedAvg weights (Eq. 2)
+/// are each a payload of `(rows, cols)` blocks folded here, one payload
+/// at a time, so the server never holds the O(clients × model) uploads.
 ///
-/// Accumulates `Σ_i w_i · W_i` in f64 across [`AGG_LANES`] fixed lanes
-/// (push `i` lands in lane `i % AGG_LANES`); [`finish`](Self::finish)
-/// folds the lanes in lane order and divides by `Σ w_i` once. The lane an
-/// update maps to depends only on its push index, so the result is a
-/// function of the push order alone.
+/// `Σ_i w_i · v_i` accumulates in `f64` across [`AGG_LANES`] fixed lanes:
+/// push `i` lands in lane `i % AGG_LANES`, and [`Self::finish`] adds the
+/// lanes in lane order and divides by `Σ w_i` once. The lane a payload
+/// maps to depends only on its push index, so the result is a function of
+/// the push order alone. The total is exact while the weights are sample
+/// counts below 2⁵³.
+///
+/// Lanes are allocated on first use (lane `i` at push `i`), and `finish`
+/// adds only those. That is the sum over all eight lanes, bit for bit: a
+/// lane starts at `+0.0`, and under round-to-nearest a sum is `−0.0` only
+/// when both operands are, so a lane is never `−0.0` and each skipped
+/// `+ 0.0` is the identity.
 #[derive(Clone, Debug, Default)]
-pub struct UpdateAccumulator {
-    /// `lanes[lane][param][element]`.
-    lanes: Vec<Vec<Vec<f64>>>,
-    /// Per-parameter `(rows, cols)`, fixed by the first push.
+pub(crate) struct Lanes {
+    /// `lanes[lane][element]`, one per push up to [`AGG_LANES`].
+    lanes: Vec<Vec<f64>>,
+    /// Per-block `(rows, cols)`, fixed by the first push.
     shapes: Vec<(usize, usize)>,
-    total_weight: f64,
+    total: f64,
     pushed: usize,
 }
 
-/// Folds one parameter set into a lane partial: `acc += w · params`.
-fn fold_update(acc: &mut [Vec<f64>], params: &[Matrix], weight: f64) {
-    for (lane_param, p) in acc.iter_mut().zip(params) {
-        for (a, &v) in lane_param.iter_mut().zip(p.as_slice()) {
-            *a += weight * v as f64;
+impl Lanes {
+    /// Payloads folded so far.
+    pub(crate) fn pushed(&self) -> usize {
+        self.pushed
+    }
+
+    /// Folds one payload: its blocks' `shapes`, and their values as
+    /// row-major slices in block order, weighted by `weight`. The first
+    /// push fixes the shapes; a payload whose shapes differ, or that holds
+    /// a NaN or an infinity, is refused and leaves the fold untouched.
+    /// This is the one admission rule for every uplink payload, on every
+    /// transport: a refused payload is a hostile or diverged peer's, and
+    /// degrades the round like a lost frame.
+    pub(crate) fn push<'a>(
+        &mut self,
+        shapes: impl ExactSizeIterator<Item = (usize, usize)> + Clone,
+        values: impl Iterator<Item = &'a [f32]> + Clone,
+        weight: f64,
+    ) -> Result<(), UpdateShapeError> {
+        assert!(weight >= 0.0, "Lanes: negative weight");
+        if self.pushed > 0 {
+            check_shapes(&self.shapes, shapes.clone())?;
         }
+        // `fold` rather than `all` so the inner loop has no early exit and
+        // vectorises.
+        if !values
+            .clone()
+            .all(|s| s.iter().fold(true, |ok, v| ok & v.is_finite()))
+        {
+            return Err(UpdateShapeError::NonFinite);
+        }
+        if self.pushed == 0 {
+            self.shapes = shapes.collect();
+        }
+        // Block by block, so each inner loop runs over one slice.
+        if let Some(lane) = self.lanes.get_mut(self.pushed % AGG_LANES) {
+            let mut rest = lane.as_mut_slice();
+            for s in values {
+                let (head, tail) = rest.split_at_mut(s.len());
+                for (a, &v) in head.iter_mut().zip(s) {
+                    *a += weight * f64::from(v);
+                }
+                rest = tail;
+            }
+        } else {
+            let len = self.shapes.iter().map(|&(r, c)| r * c).sum();
+            let mut lane = Vec::with_capacity(len);
+            for s in values {
+                lane.extend(s.iter().map(|&v| 0.0 + weight * f64::from(v)));
+            }
+            self.lanes.push(lane);
+        }
+        self.total += weight;
+        self.pushed += 1;
+        Ok(())
+    }
+
+    /// The weighted average, flat in push order: the lanes added in lane
+    /// order, divided by the total weight. `None` when nothing was pushed
+    /// or every weight was zero.
+    pub(crate) fn finish(self) -> Option<Vec<f32>> {
+        if self.total <= 0.0 {
+            return None;
+        }
+        let mut lanes = self.lanes.into_iter();
+        let mut sum = lanes.next()?;
+        for lane in lanes {
+            for (s, v) in sum.iter_mut().zip(lane) {
+                *s += v;
+            }
+        }
+        Some(sum.into_iter().map(|s| (s / self.total) as f32).collect())
+    }
+
+    /// [`Self::finish`], cut back into the pushed blocks, each built by
+    /// `block((rows, cols), values)`.
+    pub(crate) fn finish_blocks<T>(
+        mut self,
+        mut block: impl FnMut((usize, usize), Vec<f32>) -> T,
+    ) -> Option<Vec<T>> {
+        let shapes = std::mem::take(&mut self.shapes);
+        let mut flat = self.finish()?.into_iter();
+        let blocks = shapes
+            .into_iter()
+            .map(|(r, c)| block((r, c), flat.by_ref().take(r * c).collect()));
+        Some(blocks.collect())
     }
 }
+
+/// Streaming FedAvg (paper Eq. 2 / Algorithm 1 line 27): [`Lanes`] over
+/// parameter lists, each matrix one block.
+#[derive(Clone, Debug, Default)]
+pub struct UpdateAccumulator(Lanes);
 
 impl UpdateAccumulator {
     pub fn new() -> Self {
@@ -129,43 +191,15 @@ impl UpdateAccumulator {
 
     /// Updates folded so far.
     pub fn pushed(&self) -> usize {
-        self.pushed
+        self.0.pushed()
     }
 
-    fn init_shape(&mut self, params: &[Matrix]) {
-        self.shapes = params.iter().map(|p| p.shape()).collect();
-        self.lanes = (0..AGG_LANES)
-            .map(|_| {
-                self.shapes
-                    .iter()
-                    .map(|&(r, c)| vec![0.0f64; r * c])
-                    .collect()
-            })
-            .collect();
-    }
-
-    /// Folds one client's parameters with FedAvg weight `weight`. The
-    /// first fold fixes the expected shapes; a later update that does not
-    /// match, or any update holding a NaN or an infinity, is refused and
-    /// leaves the accumulator untouched. This is the one admission rule
-    /// for weight updates, on every transport: a refused update is a
-    /// hostile or diverged peer, and degrades the round like a lost frame.
+    /// Folds one client's parameters with FedAvg weight `weight`, or
+    /// refuses them by [`Lanes`]' admission rule.
     pub fn try_push(&mut self, params: &[Matrix], weight: f64) -> Result<(), UpdateShapeError> {
-        assert!(weight >= 0.0, "UpdateAccumulator: negative weight");
-        if self.pushed > 0 {
-            check_shapes(&self.shapes, params.iter().map(Matrix::shape))?;
-        }
-        if !params.iter().all(Matrix::all_finite) {
-            return Err(UpdateShapeError::NonFinite);
-        }
-        if self.pushed == 0 {
-            self.init_shape(params);
-        }
-        let lane = self.pushed % AGG_LANES;
-        fold_update(&mut self.lanes[lane], params, weight);
-        self.total_weight += weight;
-        self.pushed += 1;
-        Ok(())
+        let shapes = params.iter().map(Matrix::shape);
+        self.0
+            .push(shapes, params.iter().map(Matrix::as_slice), weight)
     }
 
     /// [`Self::try_push`] for callers whose updates cannot be refused.
@@ -179,53 +213,35 @@ impl UpdateAccumulator {
         }
     }
 
-    /// Folds the lane partials in lane order, divides by the total weight,
-    /// and returns the averaged model. `None` when nothing was pushed (or
-    /// every weight was zero) — the caller keeps the previous global
-    /// model, exactly as an empty round does today.
+    /// The averaged model. `None` when nothing was pushed (or every weight
+    /// was zero): the caller keeps the previous global model, exactly as
+    /// an empty round does.
     pub fn finish(self) -> Option<Vec<Matrix>> {
-        if self.pushed == 0 || self.total_weight <= 0.0 {
-            return None;
-        }
-        let total = self.total_weight;
-        Some(
-            self.shapes
-                .iter()
-                .enumerate()
-                .map(|(pi, &(rows, cols))| {
-                    let data = (0..rows * cols)
-                        .map(|e| {
-                            let mut sum = 0.0f64;
-                            for lane in &self.lanes {
-                                sum += lane[pi][e];
-                            }
-                            (sum / total) as f32
-                        })
-                        .collect();
-                    Matrix::from_vec(rows, cols, data)
-                })
-                .collect(),
-        )
+        self.0
+            .finish_blocks(|(rows, cols), data| Matrix::from_vec(rows, cols, data))
     }
 }
 
-/// Why a parameter list was refused: its tensors do not match the
+/// Why an uplink payload was refused: its blocks do not match the
 /// expected shapes, or it holds a value no average can absorb.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateShapeError {
-    /// The update carries a different number of parameter matrices.
+    /// The payload carries a different number of blocks.
     Arity { expected: usize, got: usize },
-    /// Parameter `param` has a different `(rows, cols)`.
+    /// Block `param` has a different `(rows, cols)`.
     Shape {
         param: usize,
         expected: (usize, usize),
         got: (usize, usize),
     },
-    /// The update carries a NaN or an infinity.
+    /// Block `param`'s rows differ in length (a moment layer whose orders
+    /// do not share one dimension).
+    Ragged { param: usize },
+    /// The payload carries a NaN or an infinity.
     NonFinite,
 }
 
-/// Checks a parameter list's `(rows, cols)` against `expected`, in order.
+/// Checks a payload's block shapes against `expected`, in order.
 pub fn check_shapes(
     expected: &[(usize, usize)],
     got: impl ExactSizeIterator<Item = (usize, usize)>,
@@ -262,7 +278,8 @@ impl fmt::Display for UpdateShapeError {
                 f,
                 "shape mismatch at param {param}: expected {expected:?}, got {got:?}"
             ),
-            UpdateShapeError::NonFinite => write!(f, "non-finite parameter value"),
+            UpdateShapeError::Ragged { param } => write!(f, "ragged rows in param {param}"),
+            UpdateShapeError::NonFinite => write!(f, "non-finite value"),
         }
     }
 }
@@ -334,27 +351,6 @@ mod tests {
     fn one_client() -> ClientData {
         let ds = generate(&spec(DatasetName::CoraMini), 0);
         setup_federation(&ds, &FederationConfig::mini(1, 0)).remove(0)
-    }
-
-    #[test]
-    fn fedavg_of_identical_sets_is_identity() {
-        let p = vec![Matrix::from_vec(1, 2, vec![1.0, 2.0])];
-        let avg = fedavg(&[p.clone(), p.clone()], &[1.0, 1.0]);
-        avg[0].assert_close(&p[0], 1e-6);
-    }
-
-    #[test]
-    fn fedavg_weighted_mean() {
-        let a = vec![Matrix::from_vec(1, 1, vec![0.0])];
-        let b = vec![Matrix::from_vec(1, 1, vec![10.0])];
-        let avg = fedavg(&[a, b], &[3.0, 1.0]);
-        assert!((avg[0][(0, 0)] - 2.5).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "no clients")]
-    fn fedavg_rejects_empty() {
-        let _ = fedavg(&[], &[]);
     }
 
     #[test]
@@ -458,32 +454,6 @@ mod tests {
         let mut acc = UpdateAccumulator::new();
         acc.push(&[Matrix::from_vec(1, 1, vec![4.0])], 0.0);
         assert!(acc.finish().is_none());
-    }
-
-    #[test]
-    fn update_accumulator_sits_within_tolerance_of_batch_fedavg() {
-        let mut rng = seeded(11);
-        use rand::Rng;
-        let batch: Vec<(Vec<Matrix>, f64)> = (0..23)
-            .map(|_| {
-                let params = vec![
-                    Matrix::from_vec(2, 3, (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect()),
-                    Matrix::from_vec(1, 4, (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect()),
-                ];
-                (params, rng.gen_range(0.0..3.0f64))
-            })
-            .collect();
-        let mut acc = UpdateAccumulator::new();
-        for (params, w) in &batch {
-            acc.push(params, *w);
-        }
-        let streamed = acc.finish().expect("23 updates");
-        let sets: Vec<Vec<Matrix>> = batch.iter().map(|(p, _)| p.clone()).collect();
-        let weights: Vec<f64> = batch.iter().map(|(_, w)| *w).collect();
-        let reference = fedavg(&sets, &weights);
-        for (a, b) in streamed.iter().zip(&reference) {
-            a.assert_close(b, 1e-5);
-        }
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod config;
 pub mod engine;
 pub mod helpers;
 pub mod protocol;
-pub mod secure_agg;
 pub mod session;
 
 pub use baselines::Baseline;
@@ -47,7 +46,4 @@ pub use engine::{
     ResumeState, Strategy,
 };
 pub use helpers::UpdateAccumulator;
-pub use secure_agg::{
-    aggregate_masked, secure_weighted_sum, secure_weighted_sum_frames, MaskingContext,
-};
 pub use session::{ClientSession, EvalCounts, Rejected, ServerRound, StepLosses};

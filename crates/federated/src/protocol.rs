@@ -25,76 +25,19 @@
 //! O(clients × model) — the property that makes 1k–10k client cohorts
 //! possible.
 //!
-//! Accumulation runs in `f64` across [`AGG_LANES`] fixed lanes: push `i`
-//! lands in lane `i % AGG_LANES`, and `finish` folds the lane partials in
-//! lane order before the single division. Because the lane an item maps to
-//! depends only on its push index — never on thread count or arrival
-//! timing — the result is a function of the push order alone: the
-//! streaming round loops and the batch references ([`aggregate_means`],
-//! [`aggregate_moments`]) build identical lane partials and produce
-//! bit-identical results.
+//! Both are reshaping wrappers over the crate's one weighted fold (in
+//! [`crate::helpers`], beside [`AGG_LANES`](crate::helpers::AGG_LANES)),
+//! which FedAvg's [`UpdateAccumulator`](crate::UpdateAccumulator) shares:
+//! a mean layer is a `1 × d` block and a moment layer an `orders × d`
+//! block, so one shape rule, fixed by the first push, and one finiteness
+//! check admit every uplink payload. The result is a function of the push
+//! order alone.
 
 use fedomd_autograd::CmdTargets;
 use fedomd_tensor::stats::{central_moments_upto, column_means};
 use fedomd_tensor::Matrix;
-use std::fmt;
 
-use crate::helpers::AGG_LANES;
-
-/// Typed failure of a server-side aggregation (replaces the panics the
-/// aggregation entry points used to raise on malformed input).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// `finish` was called before any payload was pushed (an empty round).
-    NoClients,
-    /// Every pushed payload reported zero samples, so the weighted average
-    /// is undefined.
-    ZeroTotalSamples,
-    /// A payload's hidden-layer count differs from the first payload's.
-    LayerArity { expected: usize, got: usize },
-    /// A payload's moment-order count differs from the first payload's.
-    OrderArity {
-        layer: usize,
-        expected: usize,
-        got: usize,
-    },
-    /// A payload's per-layer dimension differs from the first payload's.
-    Dimension {
-        layer: usize,
-        expected: usize,
-        got: usize,
-    },
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::NoClients => write!(f, "no clients: nothing was pushed"),
-            ProtocolError::ZeroTotalSamples => write!(f, "zero total samples across clients"),
-            ProtocolError::LayerArity { expected, got } => {
-                write!(f, "layer arity mismatch: expected {expected}, got {got}")
-            }
-            ProtocolError::OrderArity {
-                layer,
-                expected,
-                got,
-            } => write!(
-                f,
-                "order arity mismatch at layer {layer}: expected {expected}, got {got}"
-            ),
-            ProtocolError::Dimension {
-                layer,
-                expected,
-                got,
-            } => write!(
-                f,
-                "dimension mismatch at layer {layer}: expected {expected}, got {got}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
+use crate::helpers::{Lanes, UpdateShapeError};
 
 /// Server-side result of the exchange: per hidden layer, the global mean
 /// and the global central moments (orders `2..=max`).
@@ -126,69 +69,12 @@ pub fn client_means(hidden: &[&Matrix]) -> Vec<Vec<f32>> {
     hidden.iter().map(|z| column_means(z)).collect()
 }
 
-/// The fixed-lane `f64` partial sums behind both statistics accumulators,
-/// over payloads flattened in row-major order: push `i` folds `n · payload`
-/// into lane `i % AGG_LANES`.
+/// Streaming fold of round-1 client means (Eq. 10), each layer a `1 × d`
+/// block. `push` one `(means, n_samples)` payload per client as it
+/// arrives — payloads are consumed, never retained — then `finish` to
+/// obtain the sample-weighted global means.
 #[derive(Clone, Debug, Default)]
-struct Lanes {
-    /// `lanes[lane][element]`.
-    lanes: Vec<Vec<f64>>,
-    total_samples: u64,
-    pushed: u64,
-}
-
-impl Lanes {
-    /// Folds one flattened payload of `len` elements, weighted by its
-    /// sample count.
-    fn push<'a>(&mut self, len: usize, values: impl Iterator<Item = &'a f32>, n_samples: usize) {
-        if self.pushed == 0 {
-            self.lanes = vec![vec![0.0f64; len]; AGG_LANES];
-        }
-        let w = n_samples as f64;
-        let lane = &mut self.lanes[(self.pushed % AGG_LANES as u64) as usize];
-        for (a, &m) in lane.iter_mut().zip(values) {
-            *a += w * m as f64;
-        }
-        self.total_samples += n_samples as u64;
-        self.pushed += 1;
-    }
-
-    /// Folds the lane partials in lane order and divides by the total
-    /// sample count, element by element.
-    fn finish(&self) -> Result<std::vec::IntoIter<f32>, ProtocolError> {
-        if self.pushed == 0 {
-            return Err(ProtocolError::NoClients);
-        }
-        if self.total_samples == 0 {
-            return Err(ProtocolError::ZeroTotalSamples);
-        }
-        let total = self.total_samples as f64;
-        let len = self.lanes.first().map_or(0, Vec::len);
-        let avg: Vec<f32> = (0..len)
-            .map(|e| {
-                let mut sum = 0.0f64;
-                for lane in &self.lanes {
-                    sum += lane[e];
-                }
-                (sum / total) as f32
-            })
-            .collect();
-        Ok(avg.into_iter())
-    }
-}
-
-/// Streaming fold of round-1 client means (Eq. 10).
-///
-/// `push` one `(means, n_samples)` payload per client as it arrives —
-/// payloads are consumed, never retained — then `finish` to obtain the
-/// sample-weighted global means. See the module docs for the lane scheme
-/// that keeps streaming and batch reductions bit-identical.
-#[derive(Clone, Debug, Default)]
-pub struct MeanAccumulator {
-    lanes: Lanes,
-    /// Per-layer dimension, fixed by the first push.
-    dims: Vec<usize>,
-}
+pub struct MeanAccumulator(Lanes);
 
 impl MeanAccumulator {
     pub fn new() -> Self {
@@ -196,64 +82,24 @@ impl MeanAccumulator {
     }
 
     /// Payloads folded so far.
-    pub fn pushed(&self) -> u64 {
-        self.lanes.pushed
+    pub fn pushed(&self) -> usize {
+        self.0.pushed()
     }
 
-    /// Folds one client's means, weighted by its sample count. The first
-    /// push fixes the expected shape; later pushes are validated against
-    /// it (and leave the accumulator untouched when they mismatch).
-    pub fn push(&mut self, means: &[Vec<f32>], n_samples: usize) -> Result<(), ProtocolError> {
-        let dims: Vec<usize> = means.iter().map(Vec::len).collect();
-        if self.lanes.pushed == 0 {
-            self.dims = dims;
-        } else if dims.len() != self.dims.len() {
-            return Err(ProtocolError::LayerArity {
-                expected: self.dims.len(),
-                got: dims.len(),
-            });
-        } else if let Some((layer, (&expected, &got))) = self
-            .dims
-            .iter()
-            .zip(&dims)
-            .enumerate()
-            .find(|(_, (e, g))| e != g)
-        {
-            return Err(ProtocolError::Dimension {
-                layer,
-                expected,
-                got,
-            });
-        }
-        let len = self.dims.iter().sum();
-        self.lanes.push(len, means.iter().flatten(), n_samples);
-        Ok(())
+    /// Folds one client's means, weighted by its sample count, or refuses
+    /// them (leaving the accumulator untouched) when their layers differ
+    /// from the first push's or hold a NaN or an infinity.
+    pub fn push(&mut self, means: &[Vec<f32>], n_samples: usize) -> Result<(), UpdateShapeError> {
+        let shapes = means.iter().map(|m| (1, m.len()));
+        self.0
+            .push(shapes, means.iter().map(Vec::as_slice), n_samples as f64)
     }
 
-    /// Folds the lane partials in lane order and divides by the total
-    /// sample count: the weighted global means.
-    pub fn finish(self) -> Result<Vec<Vec<f32>>, ProtocolError> {
-        let mut avg = self.lanes.finish()?;
-        Ok(self
-            .dims
-            .iter()
-            .map(|&d| avg.by_ref().take(d).collect())
-            .collect())
+    /// The weighted global means; `None` for an empty round or a zero
+    /// total sample count.
+    pub fn finish(self) -> Option<Vec<Vec<f32>>> {
+        self.0.finish_blocks(|_, mean| mean)
     }
-}
-
-/// Server side of round 1 (Eq. 10): sample-weighted average of client
-/// means, per layer. Batch wrapper over [`MeanAccumulator`] — the
-/// sequential reference the streaming round loops are pinned
-/// bit-identical to.
-pub fn aggregate_means(
-    client_stats: &[(Vec<Vec<f32>>, usize)],
-) -> Result<Vec<Vec<f32>>, ProtocolError> {
-    let mut acc = MeanAccumulator::new();
-    for (means, n) in client_stats {
-        acc.push(means, *n)?;
-    }
-    acc.finish()
 }
 
 /// Client side of round 2 (Algorithm 1 lines 12-13): central moments of
@@ -275,15 +121,12 @@ pub fn client_moments_about(
         .collect()
 }
 
-/// Streaming fold of round-2 client central moments — the
-/// `moments[layer][order][dim]` counterpart of [`MeanAccumulator`], with
-/// the same lane scheme and bit-identity guarantees.
+/// Streaming fold of round-2 client central moments
+/// (`moments[layer][order][dim]`), each layer an `orders × d` block: the
+/// counterpart of [`MeanAccumulator`]. A layer whose orders differ in
+/// length is refused as [`UpdateShapeError::Ragged`].
 #[derive(Clone, Debug, Default)]
-pub struct MomentAccumulator {
-    lanes: Lanes,
-    /// `dims[layer][order]`, fixed by the first push.
-    dims: Vec<Vec<usize>>,
-}
+pub struct MomentAccumulator(Lanes);
 
 impl MomentAccumulator {
     pub fn new() -> Self {
@@ -291,108 +134,66 @@ impl MomentAccumulator {
     }
 
     /// Payloads folded so far.
-    pub fn pushed(&self) -> u64 {
-        self.lanes.pushed
+    pub fn pushed(&self) -> usize {
+        self.0.pushed()
     }
 
-    fn check_shape(&self, dims: &[Vec<usize>]) -> Result<(), ProtocolError> {
-        if dims.len() != self.dims.len() {
-            return Err(ProtocolError::LayerArity {
-                expected: self.dims.len(),
-                got: dims.len(),
-            });
-        }
-        for (layer, (want, got)) in self.dims.iter().zip(dims).enumerate() {
-            if want.len() != got.len() {
-                return Err(ProtocolError::OrderArity {
-                    layer,
-                    expected: want.len(),
-                    got: got.len(),
-                });
-            }
-            if let Some((&expected, &got)) = want.iter().zip(got).find(|(e, g)| e != g) {
-                return Err(ProtocolError::Dimension {
-                    layer,
-                    expected,
-                    got,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds one client's moments, weighted by its sample count.
+    /// Folds one client's moments, weighted by its sample count, or
+    /// refuses them as [`MeanAccumulator::push`] does.
     pub fn push(
         &mut self,
         moments: &[Vec<Vec<f32>>],
         n_samples: usize,
-    ) -> Result<(), ProtocolError> {
-        let dims: Vec<Vec<usize>> = moments
+    ) -> Result<(), UpdateShapeError> {
+        let shapes = moments
             .iter()
-            .map(|layer| layer.iter().map(Vec::len).collect())
-            .collect();
-        if self.lanes.pushed == 0 {
-            self.dims = dims;
-        } else {
-            self.check_shape(&dims)?;
-        }
-        let len = self.dims.iter().flatten().sum();
-        self.lanes
-            .push(len, moments.iter().flatten().flatten(), n_samples);
-        Ok(())
-    }
-
-    /// Folds the lane partials in lane order and divides by the total
-    /// sample count: the weighted global moments.
-    pub fn finish(self) -> Result<Vec<Vec<Vec<f32>>>, ProtocolError> {
-        let mut avg = self.lanes.finish()?;
-        Ok(self
-            .dims
-            .iter()
-            .map(|layer| {
-                layer
-                    .iter()
-                    .map(|&d| avg.by_ref().take(d).collect())
-                    .collect()
+            .enumerate()
+            .map(|(param, orders)| {
+                let d = orders.first().map_or(0, Vec::len);
+                if orders.iter().all(|o| o.len() == d) {
+                    Ok((orders.len(), d))
+                } else {
+                    Err(UpdateShapeError::Ragged { param })
+                }
             })
-            .collect())
+            .collect::<Result<Vec<_>, _>>()?;
+        self.0.push(
+            shapes.into_iter(),
+            moments.iter().flatten().map(Vec::as_slice),
+            n_samples as f64,
+        )
     }
-}
 
-/// Server side of round 2: sample-weighted average of client moments.
-/// Batch wrapper over [`MomentAccumulator`].
-pub fn aggregate_moments(
-    client_stats: &[(Vec<Vec<Vec<f32>>>, usize)],
-) -> Result<Vec<Vec<Vec<f32>>>, ProtocolError> {
-    let mut acc = MomentAccumulator::new();
-    for (moments, n) in client_stats {
-        acc.push(moments, *n)?;
+    /// The weighted global moments; `None` for an empty round or a zero
+    /// total sample count.
+    pub fn finish(self) -> Option<Vec<Vec<Vec<f32>>>> {
+        self.0.finish_blocks(|(orders, d), layer| {
+            (0..orders)
+                .map(|o| layer[o * d..(o + 1) * d].to_vec())
+                .collect()
+        })
     }
-    acc.finish()
 }
 
 /// Runs the full 2-round protocol over per-client hidden activations and
-/// returns the global stats.
-pub fn exchange(
-    per_client_hidden: &[Vec<&Matrix>],
-    max_order: u32,
-) -> Result<GlobalStats, ProtocolError> {
+/// returns the global stats; `None` when a round aggregates nothing or
+/// refuses a payload.
+pub fn exchange(per_client_hidden: &[Vec<&Matrix>], max_order: u32) -> Option<GlobalStats> {
+    let n_samples = |h: &[&Matrix]| h.first().map_or(0, |z| z.rows());
     // Round 1.
     let mut mean_acc = MeanAccumulator::new();
     for h in per_client_hidden {
-        mean_acc.push(&client_means(h), h.first().map_or(0, |z| z.rows()))?;
+        mean_acc.push(&client_means(h), n_samples(h)).ok()?;
     }
     let means = mean_acc.finish()?;
     // Round 2.
     let mut moment_acc = MomentAccumulator::new();
     for h in per_client_hidden {
-        moment_acc.push(
-            &client_moments_about(h, &means, max_order),
-            h.first().map_or(0, |z| z.rows()),
-        )?;
+        let moments = client_moments_about(h, &means, max_order);
+        moment_acc.push(&moments, n_samples(h)).ok()?;
     }
     let moments = moment_acc.finish()?;
-    Ok(GlobalStats { means, moments })
+    Some(GlobalStats { means, moments })
 }
 
 /// Converts global stats into per-layer CMD targets for the loss.
@@ -411,6 +212,7 @@ pub fn build_targets(stats: &GlobalStats) -> Vec<CmdTargets> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UpdateAccumulator;
     use fedomd_tensor::rng::seeded;
     use proptest::prelude::*;
     use rand::Rng;
@@ -421,10 +223,11 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_means_is_weighted() {
-        let a = (vec![vec![0.0f32, 0.0]], 1usize);
-        let b = (vec![vec![3.0f32, 6.0]], 2usize);
-        let m = aggregate_means(&[a, b]).expect("two well-formed clients");
+    fn mean_fold_is_weighted() {
+        let mut acc = MeanAccumulator::new();
+        acc.push(&[vec![0.0f32, 0.0]], 1).expect("well-formed");
+        acc.push(&[vec![3.0f32, 6.0]], 2).expect("well-formed");
+        let m = acc.finish().expect("two clients");
         assert!((m[0][0] - 2.0).abs() < 1e-6);
         assert!((m[0][1] - 4.0).abs() < 1e-6);
     }
@@ -497,21 +300,25 @@ mod tests {
 
     #[test]
     fn empty_exchange_rejected() {
-        assert_eq!(exchange(&[], 5).unwrap_err(), ProtocolError::NoClients);
-        assert_eq!(aggregate_means(&[]).unwrap_err(), ProtocolError::NoClients);
-        assert_eq!(
-            aggregate_moments(&[]).unwrap_err(),
-            ProtocolError::NoClients
-        );
+        assert_eq!(exchange(&[], 5), None);
+        assert_eq!(MeanAccumulator::new().finish(), None);
+        assert_eq!(MomentAccumulator::new().finish(), None);
     }
 
     #[test]
     fn zero_total_samples_rejected() {
-        let stats = vec![(vec![vec![1.0f32, 2.0]], 0usize); 3];
-        assert_eq!(
-            aggregate_means(&stats).unwrap_err(),
-            ProtocolError::ZeroTotalSamples
-        );
+        let mut acc = MeanAccumulator::new();
+        for _ in 0..3 {
+            acc.push(&[vec![1.0f32, 2.0]], 0).expect("well-formed");
+        }
+        assert_eq!(acc.finish(), None);
+    }
+
+    /// Moments whose per-layer, per-order lengths are `dims`.
+    fn moments_of(dims: &[&[usize]]) -> Vec<Vec<Vec<f32>>> {
+        dims.iter()
+            .map(|layer| layer.iter().map(|&d| vec![1.0; d]).collect())
+            .collect()
     }
 
     #[test]
@@ -521,17 +328,17 @@ mod tests {
             .expect("first push");
         assert_eq!(
             acc.push(&[vec![1.0, 2.0]], 4).unwrap_err(),
-            ProtocolError::LayerArity {
+            UpdateShapeError::Arity {
                 expected: 2,
                 got: 1
             }
         );
         assert_eq!(
             acc.push(&[vec![1.0, 2.0], vec![3.0, 4.0]], 4).unwrap_err(),
-            ProtocolError::Dimension {
-                layer: 1,
-                expected: 1,
-                got: 2
+            UpdateShapeError::Shape {
+                param: 1,
+                expected: (1, 1),
+                got: (1, 2)
             }
         );
         // A failed push leaves the accumulator usable.
@@ -544,38 +351,125 @@ mod tests {
             .expect("first push");
         assert_eq!(
             macc.push(&[vec![vec![1.0]]], 3).unwrap_err(),
-            ProtocolError::OrderArity {
-                layer: 0,
-                expected: 2,
-                got: 1
+            UpdateShapeError::Shape {
+                param: 0,
+                expected: (2, 1),
+                got: (1, 1)
             }
         );
+
+        // Moments regrouped across layers, with equal flat lengths: one
+        // order moved from layer 1 to layer 0.
+        let mut macc = MomentAccumulator::new();
+        macc.push(&moments_of(&[&[3], &[3, 3]]), 3)
+            .expect("first push");
+        assert_eq!(
+            macc.push(&moments_of(&[&[3, 3], &[3]]), 3).unwrap_err(),
+            UpdateShapeError::Shape {
+                param: 0,
+                expected: (1, 3),
+                got: (2, 3)
+            }
+        );
+        // A layer whose orders differ in length, as the first push or a
+        // later one, and with the flat length of the fixed shape.
+        assert_eq!(
+            MomentAccumulator::new()
+                .push(&moments_of(&[&[3], &[3, 4]]), 3)
+                .unwrap_err(),
+            UpdateShapeError::Ragged { param: 1 }
+        );
+        assert_eq!(
+            macc.push(&moments_of(&[&[3], &[2, 4]]), 3).unwrap_err(),
+            UpdateShapeError::Ragged { param: 1 }
+        );
+        assert_eq!(macc.pushed(), 1);
     }
 
-    /// Deterministic per-client payload for the bit-identity proptests.
-    fn mean_payload(dims: &[usize], seed: u64) -> Vec<Vec<f32>> {
-        let mut rng = seeded(seed);
-        dims.iter()
-            .map(|&d| (0..d).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
-            .collect()
+    /// The fold every accumulator must equal bit for bit, written eagerly
+    /// and independently of `helpers`: eight lanes allocated and zeroed up
+    /// front, payload `i` added into lane `i % 8`, and every element summed
+    /// over all eight lanes from `+0.0` before the one division.
+    fn eager_oracle(payloads: &[(Vec<f32>, f64)]) -> Option<Vec<f32>> {
+        let len = payloads.first()?.0.len();
+        let mut lanes = vec![vec![0.0f64; len]; 8];
+        let mut total = 0.0f64;
+        for (i, (values, w)) in payloads.iter().enumerate() {
+            for (a, &v) in lanes[i % 8].iter_mut().zip(values) {
+                *a += w * v as f64;
+            }
+            total += w;
+        }
+        if total <= 0.0 {
+            return None;
+        }
+        let avg = (0..len).map(|e| {
+            let mut sum = 0.0f64;
+            for lane in &lanes {
+                sum += lane[e];
+            }
+            (sum / total) as f32
+        });
+        Some(avg.collect())
     }
 
-    fn moment_payload(dims: &[usize], orders: usize, seed: u64) -> Vec<Vec<Vec<f32>>> {
-        let mut rng = seeded(seed);
-        dims.iter()
-            .map(|&d| {
-                (0..orders)
-                    .map(|_| (0..d).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
-                    .collect()
+    /// `len` values of payload `i`: spread over 2⁸⁰ in magnitude, so the
+    /// `f64` sums round (`zeros` 0), all `−0.0` (`zeros` 1), or a mix of
+    /// `+0.0`, `−0.0` and spread values (`zeros` 2).
+    fn values(len: usize, seed: u64, i: usize, zeros: u8) -> Vec<f32> {
+        let mut rng = seeded(seed.wrapping_add(i as u64));
+        (0..len)
+            .map(|_| match (zeros, rng.gen_range(0..3)) {
+                (0, _) | (2, 2) => rng.gen_range(-2.0f32..2.0) * 2f32.powi(rng.gen_range(-40..40)),
+                (1, _) | (2, 1) => -0.0,
+                _ => 0.0,
             })
             .collect()
     }
 
-    /// Overwrites a few entries with NaN/±∞. The aggregation paths make
-    /// no finiteness checks, so a poisoned upload must flow through the
-    /// streaming and batch folds bit-identically — the same IEEE
-    /// operations in the same order — rather than diverging in one of
-    /// them.
+    /// The lane count shows in the bits only where the `f64` sums round
+    /// differently, which spread values alone rarely make visible in an
+    /// `f32` result. Nine pushes that cancel pin it: in eight lanes push 8
+    /// cancels push 0 in lane 0 and the seven ones survive; in one lane
+    /// each `1e20 + 1` rounds the one away and the mean would be 0.
+    #[test]
+    fn nine_pushes_fold_in_eight_lanes() {
+        let payloads: Vec<(Vec<f32>, f64)> = (0..9)
+            .map(|i| match i {
+                0 => (vec![1e20], 1.0),
+                8 => (vec![-1e20], 1.0),
+                _ => (vec![1.0], 1.0),
+            })
+            .collect();
+        let mut acc = MeanAccumulator::new();
+        for (v, _) in &payloads {
+            acc.push(std::slice::from_ref(v), 1).expect("well-formed");
+        }
+        let got = acc.finish().expect("nine clients");
+        assert_eq!(bits(&got[0]), [((7.0f64 / 9.0) as f32).to_bits()]);
+        assert_eq!(
+            Some(bits(&got[0])),
+            eager_oracle(&payloads).map(|m| bits(&m))
+        );
+    }
+
+    /// Cuts `flat` into the lengths of `lens`.
+    fn split(flat: &[f32], lens: impl IntoIterator<Item = usize>) -> Vec<Vec<f32>> {
+        let mut rest = flat;
+        lens.into_iter()
+            .map(|n| {
+                let (head, tail) = rest.split_at(n);
+                rest = tail;
+                head.to_vec()
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Overwrites a few entries with NaN/±∞.
     fn poison_slice(values: &mut [f32], seed: u64) {
         const SPECIALS: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
         let mut rng = seeded(seed);
@@ -586,156 +480,144 @@ mod tests {
     }
 
     proptest! {
-        /// The streaming accumulator and the batch reference agree bit for
-        /// bit on ragged sample counts — including agreeing on the error
-        /// when every count is zero.
+        /// The mean fold is the eager oracle, bit for bit, over 1–20
+        /// pushes with ragged and zero sample counts and signed zeros —
+        /// including agreeing that an all-zero-count round has no mean.
         #[test]
-        fn mean_streaming_batch_bit_identical(
+        fn mean_fold_is_the_eager_oracle(
             seed in 0u64..1_000_000,
             dims in proptest::collection::vec(1usize..6, 1..4),
-            samples in proptest::collection::vec(0usize..50, 1..24),
+            samples in proptest::collection::vec(0usize..50, 1..21),
+            zeros in 0u8..3,
         ) {
-            let payloads: Vec<(Vec<Vec<f32>>, usize)> = samples
+            let len: usize = dims.iter().sum();
+            let flat: Vec<(Vec<f32>, f64)> = samples
                 .iter()
                 .enumerate()
-                .map(|(i, &n)| (mean_payload(&dims, seed.wrapping_add(i as u64)), n))
+                .map(|(i, &n)| (values(len, seed, i, zeros), n as f64))
                 .collect();
-
-            let batch = aggregate_means(&payloads);
             let mut acc = MeanAccumulator::new();
-            for (m, n) in &payloads {
-                acc.push(m, *n).unwrap();
+            for ((v, _), &n) in flat.iter().zip(&samples) {
+                acc.push(&split(v, dims.iter().copied()), n).unwrap();
             }
-            let streaming = acc.finish();
-
-            match batch {
-                Ok(ref b) => {
-                    let t = streaming.unwrap();
-                    for l in 0..b.len() {
-                        for d in 0..b[l].len() {
-                            prop_assert_eq!(b[l][d].to_bits(), t[l][d].to_bits());
-                        }
-                    }
-                }
-                Err(e) => {
-                    prop_assert_eq!(streaming.unwrap_err(), e);
-                }
-            }
+            let got = acc.finish().map(|m| bits(&m.concat()));
+            prop_assert_eq!(got, eager_oracle(&flat).map(|m| bits(&m)));
         }
 
         #[test]
-        fn moment_streaming_batch_bit_identical(
+        fn moment_fold_is_the_eager_oracle(
             seed in 0u64..1_000_000,
             dims in proptest::collection::vec(1usize..5, 1..3),
             orders in 1usize..5,
-            samples in proptest::collection::vec(0usize..50, 1..24),
+            samples in proptest::collection::vec(0usize..50, 1..21),
+            zeros in 0u8..3,
         ) {
-            let payloads: Vec<(Vec<Vec<Vec<f32>>>, usize)> = samples
+            let len = orders * dims.iter().sum::<usize>();
+            let flat: Vec<(Vec<f32>, f64)> = samples
                 .iter()
                 .enumerate()
-                .map(|(i, &n)| {
-                    (moment_payload(&dims, orders, seed.wrapping_add(i as u64)), n)
-                })
+                .map(|(i, &n)| (values(len, seed, i, zeros), n as f64))
                 .collect();
-
-            let batch = aggregate_moments(&payloads);
             let mut acc = MomentAccumulator::new();
-            for (m, n) in &payloads {
-                acc.push(m, *n).unwrap();
+            for ((v, _), &n) in flat.iter().zip(&samples) {
+                let layers = split(v, dims.iter().map(|d| orders * d));
+                let moments: Vec<Vec<Vec<f32>>> = layers
+                    .iter()
+                    .zip(&dims)
+                    .map(|(layer, &d)| split(layer, vec![d; orders]))
+                    .collect();
+                acc.push(&moments, n).unwrap();
             }
-            let streaming = acc.finish();
-
-            match batch {
-                Ok(ref b) => {
-                    let t = streaming.unwrap();
-                    for l in 0..b.len() {
-                        for o in 0..b[l].len() {
-                            for d in 0..b[l][o].len() {
-                                prop_assert_eq!(b[l][o][d].to_bits(), t[l][o][d].to_bits());
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    prop_assert_eq!(streaming.unwrap_err(), e);
-                }
-            }
+            let got = acc.finish().map(|m| bits(&m.concat().concat()));
+            prop_assert_eq!(got, eager_oracle(&flat).map(|m| bits(&m)));
         }
 
-        /// A poisoned mean upload (NaN/±∞ entries) corrupts the streaming
-        /// and batch paths identically — bit for bit, NaN payloads
-        /// included.
+        /// FedAvg's fold is the same oracle, over parameter lists with
+        /// fractional and zero weights.
         #[test]
-        fn mean_nonfinite_payloads_stay_bit_identical(
+        fn update_fold_is_the_eager_oracle(
+            seed in 0u64..1_000_000,
+            shapes in proptest::collection::vec((1usize..4, 1usize..5), 1..4),
+            weights in proptest::collection::vec(0usize..12, 1..21),
+            zeros in 0u8..3,
+        ) {
+            let len: usize = shapes.iter().map(|&(r, c)| r * c).sum();
+            let flat: Vec<(Vec<f32>, f64)> = weights
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| (values(len, seed, i, zeros), w as f64 * 0.25))
+                .collect();
+            let mut acc = UpdateAccumulator::new();
+            for (v, w) in &flat {
+                let params: Vec<Matrix> = split(v, shapes.iter().map(|&(r, c)| r * c))
+                    .into_iter()
+                    .zip(&shapes)
+                    .map(|(data, &(r, c))| Matrix::from_vec(r, c, data))
+                    .collect();
+                acc.try_push(&params, *w).unwrap();
+            }
+            let got = acc.finish().map(|ps| {
+                let flat: Vec<f32> = ps.iter().flat_map(|p| p.as_slice().to_vec()).collect();
+                bits(&flat)
+            });
+            prop_assert_eq!(got, eager_oracle(&flat).map(|m| bits(&m)));
+        }
+
+        /// A mean upload holding a NaN or an infinity is refused, and the
+        /// fold is then the oracle over the other uploads.
+        #[test]
+        fn a_non_finite_mean_upload_is_refused_and_leaves_the_fold_untouched(
             seed in 0u64..1_000_000,
             dims in proptest::collection::vec(1usize..6, 1..4),
-            samples in proptest::collection::vec(1usize..50, 2..24),
-            victim in 0usize..24,
+            samples in proptest::collection::vec(1usize..50, 2..21),
+            victim in 0usize..20,
         ) {
-            let mut payloads: Vec<(Vec<Vec<f32>>, usize)> = samples
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| (mean_payload(&dims, seed.wrapping_add(i as u64)), n))
-                .collect();
-            let victim = victim % payloads.len();
-            for (l, layer) in payloads[victim].0.iter_mut().enumerate() {
-                poison_slice(layer, seed ^ (l as u64 + 1));
-            }
-
-            let batch = aggregate_means(&payloads).unwrap();
-            let mut seq = MeanAccumulator::new();
-            for (m, n) in &payloads {
-                seq.push(m, *n).unwrap();
-            }
-            let seq = seq.finish().unwrap();
-
-            for l in 0..batch.len() {
-                for d in 0..batch[l].len() {
-                    let want = batch[l][d].to_bits();
-                    prop_assert_eq!(want, seq[l][d].to_bits());
+            let len: usize = dims.iter().sum();
+            let victim = victim % samples.len();
+            let mut acc = MeanAccumulator::new();
+            let mut kept = Vec::new();
+            for (i, &n) in samples.iter().enumerate() {
+                let mut v = values(len, seed, i, 0);
+                if i == victim {
+                    poison_slice(&mut v, seed ^ 0x5EED);
+                    let refused = acc.push(&split(&v, dims.iter().copied()), n);
+                    prop_assert_eq!(refused, Err(UpdateShapeError::NonFinite));
+                } else {
+                    acc.push(&split(&v, dims.iter().copied()), n).unwrap();
+                    kept.push((v, n as f64));
                 }
             }
+            prop_assert_eq!(acc.pushed(), samples.len() - 1);
+            let got = acc.finish().map(|m| bits(&m.concat()));
+            prop_assert_eq!(got, eager_oracle(&kept).map(|m| bits(&m)));
         }
 
-        /// Same pinning for the raw-moment paths: one client uploading
-        /// non-finite moments poisons every aggregation path the same way.
+        /// The same refusal for central moments.
         #[test]
-        fn moment_nonfinite_payloads_stay_bit_identical(
+        fn a_non_finite_moment_upload_is_refused_and_leaves_the_fold_untouched(
             seed in 0u64..1_000_000,
-            dims in proptest::collection::vec(1usize..5, 1..3),
+            d in 1usize..5,
             orders in 1usize..5,
-            samples in proptest::collection::vec(1usize..50, 2..24),
-            victim in 0usize..24,
+            samples in proptest::collection::vec(1usize..50, 2..21),
+            victim in 0usize..20,
         ) {
-            let mut payloads: Vec<(Vec<Vec<Vec<f32>>>, usize)> = samples
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| {
-                    (moment_payload(&dims, orders, seed.wrapping_add(i as u64)), n)
-                })
-                .collect();
-            let victim = victim % payloads.len();
-            for (l, layer) in payloads[victim].0.iter_mut().enumerate() {
-                for (o, ord) in layer.iter_mut().enumerate() {
-                    poison_slice(ord, seed ^ ((l * 8 + o) as u64 + 1));
+            let victim = victim % samples.len();
+            let mut acc = MomentAccumulator::new();
+            let mut kept = Vec::new();
+            for (i, &n) in samples.iter().enumerate() {
+                let mut v = values(orders * d, seed, i, 0);
+                if i == victim {
+                    poison_slice(&mut v, seed ^ 0x5EED);
+                    let refused = acc.push(&[split(&v, vec![d; orders])], n);
+                    prop_assert_eq!(refused, Err(UpdateShapeError::NonFinite));
+                } else {
+                    acc.push(&[split(&v, vec![d; orders])], n).unwrap();
+                    kept.push((v, n as f64));
                 }
             }
-
-            let batch = aggregate_moments(&payloads).unwrap();
-            let mut seq = MomentAccumulator::new();
-            for (m, n) in &payloads {
-                seq.push(m, *n).unwrap();
-            }
-            let seq = seq.finish().unwrap();
-
-            for l in 0..batch.len() {
-                for o in 0..batch[l].len() {
-                    for d in 0..batch[l][o].len() {
-                        let want = batch[l][o][d].to_bits();
-                        prop_assert_eq!(want, seq[l][o][d].to_bits());
-                    }
-                }
-            }
+            prop_assert_eq!(acc.pushed(), samples.len() - 1);
+            let got = acc.finish().map(|m| bits(&m.concat().concat()));
+            prop_assert_eq!(got, eager_oracle(&kept).map(|m| bits(&m)));
         }
     }
 }

@@ -45,7 +45,7 @@ use crate::helpers::{
 };
 use crate::protocol::{
     build_targets, client_means, client_moments_about, GlobalStats, MeanAccumulator,
-    MomentAccumulator, ProtocolError,
+    MomentAccumulator,
 };
 
 /// One client's training state, owned by the caller so it survives
@@ -573,27 +573,13 @@ impl EvalCounts {
 /// degrades exactly like a dropped frame: nothing of it is folded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rejected {
-    /// A statistics payload whose shape differs from the first folded one.
-    StatsShape(ProtocolError),
-    /// A weight update whose shapes differ from the first folded one.
-    UpdateShape(UpdateShapeError),
-    /// The payload carries a NaN or an infinity.
-    NonFinite,
+    /// The payload's blocks differ from the first folded one's, or it
+    /// carries a NaN or an infinity.
+    Shape(UpdateShapeError),
     /// Central moments from a sender with no round-1 sample count.
     Unannounced,
     /// A payload kind the server does not fold.
     Unexpected(&'static str),
-}
-
-impl From<UpdateShapeError> for Rejected {
-    fn from(e: UpdateShapeError) -> Self {
-        match e {
-            UpdateShapeError::NonFinite => Rejected::NonFinite,
-            UpdateShapeError::Arity { .. } | UpdateShapeError::Shape { .. } => {
-                Rejected::UpdateShape(e)
-            }
-        }
-    }
 }
 
 /// The server's side of one round: streaming folds of the uplink phases,
@@ -630,16 +616,15 @@ impl ServerRound {
     /// Folds one uplink envelope into its phase's accumulator. Shapes off a
     /// socket are hostile until checked, and so are values: an envelope
     /// that does not match the first folded one, or carries a NaN or an
-    /// infinity, is refused and leaves the round untouched. Weight updates
-    /// are judged by [`UpdateAccumulator::try_push`], the rule every
-    /// transport shares.
+    /// infinity, is refused and leaves the round untouched. All three
+    /// payloads are judged by the one rule of the crate's weighted fold,
+    /// which every transport shares.
     pub fn admit(&mut self, env: Envelope) -> Result<(), Rejected> {
         let kind = env.payload.kind();
         match env.payload {
             Payload::StatsRound1 { means, n_samples } => {
-                finite(means.iter().map(Vec::as_slice))?;
                 let n = n_samples as usize;
-                self.means.push(&means, n).map_err(Rejected::StatsShape)?;
+                self.means.push(&means, n).map_err(Rejected::Shape)?;
                 self.round1_n.insert(env.sender, n);
             }
             Payload::StatsRound2 { moments } => {
@@ -647,13 +632,12 @@ impl ServerRound {
                     .round1_n
                     .get(&env.sender)
                     .ok_or(Rejected::Unannounced)?;
-                finite(moments.iter().flatten().map(Vec::as_slice))?;
-                self.moments
-                    .push(&moments, n)
-                    .map_err(Rejected::StatsShape)?;
+                self.moments.push(&moments, n).map_err(Rejected::Shape)?;
             }
             Payload::WeightUpdate { params } => {
-                self.updates.try_push(&from_tensors(params), 1.0)?;
+                self.updates
+                    .try_push(&from_tensors(params), 1.0)
+                    .map_err(Rejected::Shape)?;
             }
             Payload::GlobalModel { .. }
             | Payload::GlobalStats { .. }
@@ -668,9 +652,9 @@ impl ServerRound {
     pub fn close_means(&mut self) -> (RoundEvent, Option<Payload>) {
         let acc = std::mem::replace(&mut self.means, MeanAccumulator::new());
         let done = RoundEvent::StatsRound1Done {
-            participants: acc.pushed() as usize,
+            participants: acc.pushed(),
         };
-        self.global_means = acc.finish().ok();
+        self.global_means = acc.finish();
         let down = self
             .global_means
             .as_ref()
@@ -687,9 +671,9 @@ impl ServerRound {
         let acc = std::mem::replace(&mut self.moments, MomentAccumulator::new());
         self.round1_n.clear();
         let done = RoundEvent::StatsRound2Done {
-            participants: acc.pushed() as usize,
+            participants: acc.pushed(),
         };
-        let Some((means, moments)) = self.global_means.take().zip(acc.finish().ok()) else {
+        let Some((means, moments)) = self.global_means.take().zip(acc.finish()) else {
             return (done, None);
         };
         if self.track {
@@ -797,20 +781,6 @@ fn initial_models<'c>(
     };
     let models = (0..clients.len()).map(move |_| common.boxed_clone());
     (Cow::Borrowed(clients), Box::new(models))
-}
-
-/// Refuses a payload holding a NaN or an infinity.
-fn finite<'a>(slices: impl IntoIterator<Item = &'a [f32]>) -> Result<(), Rejected> {
-    // `fold` rather than `all` so the inner loop has no early exit and
-    // vectorises.
-    if slices
-        .into_iter()
-        .all(|s| s.iter().fold(true, |ok, v| ok & v.is_finite()))
-    {
-        Ok(())
-    } else {
-        Err(Rejected::NonFinite)
-    }
 }
 
 /// One client's Phase-3 turn: builds `CE + α·L_ortho + β·d_CMD` (Eq. 12) on
@@ -1377,7 +1347,7 @@ mod tests {
         };
         assert_eq!(
             server.admit(env(0, means(f32::INFINITY))),
-            Err(Rejected::NonFinite)
+            Err(Rejected::Shape(UpdateShapeError::NonFinite))
         );
         server.admit(env(1, means(0.5))).unwrap();
         let moments = Payload::StatsRound2 {
@@ -1390,7 +1360,10 @@ mod tests {
         let poisoned = Payload::StatsRound2 {
             moments: vec![vec![vec![f32::NAN, 0.2]]],
         };
-        assert_eq!(server.admit(env(1, poisoned)), Err(Rejected::NonFinite));
+        assert_eq!(
+            server.admit(env(1, poisoned)),
+            Err(Rejected::Shape(UpdateShapeError::NonFinite))
+        );
         server.admit(env(1, moments)).unwrap();
         assert_eq!(
             server.admit(env(1, Payload::Control(fedomd_transport::Control::Ack))),

@@ -222,7 +222,6 @@ pub fn serve_on(
     };
     let sopts = ServerOpts {
         n_clients: opts.n_clients,
-        cohort: run.train.cohort,
         halt_after: opts.halt_after,
     };
     let result = run_fedomd_server(&sopts, &run.train, &run.omd, &mut chan, obs, persist);

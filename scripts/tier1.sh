@@ -75,6 +75,22 @@ cargo run -q --release --example train_and_checkpoint
 cargo run -q --release --example lossy_network
 echo "::endgroup::"
 
+echo "::group::results/ is current (table2, fig4, fig5 regenerate byte-identical)"
+# results/README.md: the committed tables are the bench binaries' output,
+# bit-reproducible per seed, so a change that moves them must regenerate
+# them. These three take about a second together. The JSON must match
+# byte for byte; the text differs only in the path its last line names.
+res_dir=$(mktemp -d)
+for bin in table2 fig4 fig5; do
+    cargo run -q --release -p fedomd-bench --bin "$bin" -- \
+        --json "$res_dir/$bin.json" > "$res_dir/$bin.txt"
+    cmp "$res_dir/$bin.json" "results/$bin.json"
+    sed "s|^\[json written to $res_dir/|[json written to results/|" "$res_dir/$bin.txt" |
+        diff - "results/$bin.txt"
+done
+rm -rf "$res_dir"
+echo "::endgroup::"
+
 echo "::group::Workspace invariant lints (clippy)"
 # DESIGN.md §13: unsafe hygiene, unordered maps, wall-clock reads,
 # unjoined threads, unbounded queues, panics and protocol wildcards are

@@ -11,7 +11,7 @@ use fedomd_federated::{
 };
 use fedomd_jsonio::Json;
 use fedomd_telemetry::{JsonlObserver, MemoryObserver, NullObserver};
-use fedomd_transport::{Channel, FaultConfig, InProcChannel, SimNetChannel};
+use fedomd_transport::{FaultConfig, InProcChannel, SimNetChannel};
 
 fn mini_setup(seed: u64) -> (Vec<ClientData>, usize) {
     let ds = generate(&spec(DatasetName::CoraMini), seed);
@@ -208,30 +208,6 @@ fn jsonl_trace_parses_and_covers_every_round() {
     assert!(kinds.iter().any(|k| k == "local_step_done"));
     assert!(kinds.iter().any(|k| k == "phase_done"));
     assert!(kinds.iter().any(|k| k == "frame_sent"));
-}
-
-#[test]
-fn secure_aggregation_uploads_are_ordinary_frames_on_any_channel() {
-    use fedomd_federated::secure_agg::secure_weighted_sum_frames;
-    use fedomd_tensor::Matrix;
-
-    let values: Vec<Matrix> = (0..3)
-        .map(|i| Matrix::from_vec(2, 2, vec![i as f32, 1.0, 2.0, 3.0 + i as f32]))
-        .collect();
-    let weights = [1.0f32, 1.0, 1.0];
-
-    let mut plain = InProcChannel::new();
-    let (expected, _) = secure_weighted_sum_frames(&values, &weights, 42, 0, &mut plain);
-
-    // The same masked uploads over a faultless simulated network.
-    let mut sim = SimNetChannel::new(FaultConfig::default());
-    let (sum, senders) = secure_weighted_sum_frames(&values, &weights, 42, 0, &mut sim);
-
-    assert_eq!(senders, [0, 1, 2]);
-    assert_eq!(sum.as_slice(), expected.as_slice(), "masks must cancel");
-    // All three frames arrived on both channels; neither lost any.
-    assert!(plain.drain_lost().is_empty());
-    assert!(sim.drain_lost().is_empty());
 }
 
 #[test]
