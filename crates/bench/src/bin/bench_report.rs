@@ -30,68 +30,8 @@
 
 use std::process::ExitCode;
 
+use fedomd_federated::Flags;
 use fedomd_jsonio::Json;
-
-struct Args {
-    label: String,
-    input: Input,
-    out: Option<String>,
-    notes: Option<String>,
-}
-
-enum Input {
-    Kernels {
-        jsonl: String,
-    },
-    Round {
-        jsonl: String,
-        seed: f64,
-        seconds: f64,
-        benchmark: String,
-    },
-}
-
-fn parse_args() -> Result<Args, String> {
-    let (mut label, mut jsonl, mut round, mut out, mut notes) = (None, None, None, None, None);
-    let (mut seed, mut seconds) = (None, None);
-    let mut benchmark = "BENCHMARK.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut grab = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        let number = |name: &str, v: String| {
-            v.parse::<f64>()
-                .map_err(|e| format!("{name}: {e}"))
-                .map(Some)
-        };
-        match flag.as_str() {
-            "--label" => label = Some(grab("--label")?),
-            "--jsonl" => jsonl = Some(grab("--jsonl")?),
-            "--round" => round = Some(grab("--round")?),
-            "--seed" => seed = number("--seed", grab("--seed")?)?,
-            "--seconds" => seconds = number("--seconds", grab("--seconds")?)?,
-            "--benchmark" => benchmark = grab("--benchmark")?,
-            "--out" => out = Some(grab("--out")?),
-            "--notes" => notes = Some(grab("--notes")?),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    let input = match (jsonl, round) {
-        (Some(jsonl), None) => Input::Kernels { jsonl },
-        (None, Some(jsonl)) => Input::Round {
-            jsonl,
-            seed: seed.ok_or("--round requires --seed")?,
-            seconds: seconds.ok_or("--round requires --seconds")?,
-            benchmark,
-        },
-        _ => return Err("exactly one of --jsonl and --round is required".into()),
-    };
-    Ok(Args {
-        label: label.ok_or("--label is required")?,
-        input,
-        out,
-        notes,
-    })
-}
 
 /// Parses the stub's JSONL into `(bench_label, record)` pairs. Later
 /// duplicates win, so re-run suites within one collection overwrite.
@@ -253,17 +193,26 @@ fn upsert_run(
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
+    let mut flags = Flags::parse(std::env::args().skip(1), &[])?;
+    let label: String = flags.take("label")?.ok_or("--label is required")?;
+    let notes: Option<String> = flags.take("notes")?;
+    let kernels: Option<String> = flags.take("jsonl")?;
+    let round: Option<String> = flags.take("round")?;
+    let seed: Option<f64> = flags.take("seed")?;
+    let seconds: Option<f64> = flags.take("seconds")?;
+    let benchmark = flags.take_or("benchmark", "BENCHMARK.json".to_string())?;
+    let out: Option<String> = flags.take("out")?;
+    flags.finish()?;
     let read =
         |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
     let str_field = |k: &str, v: &str| (k.to_string(), Json::Str(v.to_string()));
-    let mut run = vec![str_field("label", &args.label)];
-    if let Some(notes) = &args.notes {
+    let mut run = vec![str_field("label", &label)];
+    if let Some(notes) = &notes {
         run.push(str_field("notes", notes));
     }
-    let (out, header) = match &args.input {
-        Input::Kernels { jsonl } => {
-            let benches = parse_jsonl(&read(jsonl)?)?;
+    let (default_out, header) = match (kernels, round) {
+        (Some(jsonl), None) => {
+            let benches = parse_jsonl(&read(&jsonl)?)?;
             run.push(("benches".to_string(), Json::Obj(benches)));
             let header = vec![
                 str_field("schema", "fedomd-bench-trajectory/v1"),
@@ -271,17 +220,14 @@ fn run() -> Result<(), String> {
             ];
             ("BENCH_kernels.json", header)
         }
-        Input::Round {
-            jsonl,
-            seed,
-            seconds,
-            benchmark,
-        } => {
+        (None, Some(jsonl)) => {
+            let seed = seed.ok_or("--round requires --seed")?;
+            let seconds = seconds.ok_or("--round requires --seconds")?;
             let names =
-                end_to_end_names(&read(benchmark)?).map_err(|e| format!("{benchmark}: {e}"))?;
-            let workloads = fold_round(&read(jsonl)?, &names)?;
-            run.push(("seed".to_string(), Json::Num(*seed)));
-            run.push(("seconds".to_string(), Json::Num(*seconds)));
+                end_to_end_names(&read(&benchmark)?).map_err(|e| format!("{benchmark}: {e}"))?;
+            let workloads = fold_round(&read(&jsonl)?, &names)?;
+            run.push(("seed".to_string(), Json::Num(seed)));
+            run.push(("seconds".to_string(), Json::Num(seconds)));
             run.push(("workloads".to_string(), workloads));
             let header = vec![
                 str_field("schema", "fedomd-round-trajectory/v1"),
@@ -289,15 +235,16 @@ fn run() -> Result<(), String> {
             ];
             ("BENCH_round.json", header)
         }
+        _ => return Err("exactly one of --jsonl and --round is required".into()),
     };
-    let out = args.out.as_deref().unwrap_or(out);
+    let out = out.as_deref().unwrap_or(default_out);
     let existing = std::fs::read_to_string(out).ok();
     let doc = upsert_run(existing.as_deref(), header, Json::Obj(run))
         .map_err(|e| format!("{out}: {e}"))?;
     let mut body = doc.to_pretty();
     body.push('\n');
     std::fs::write(out, body).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("bench_report: wrote run '{}' to {out}", args.label);
+    println!("bench_report: wrote run '{label}' to {out}");
     Ok(())
 }
 

@@ -9,6 +9,10 @@
 //!     --algo fedomd --telemetry trace.jsonl --verbose
 //! ```
 //!
+//! Every run spec key is a flag (`fedomd_federated::RunSpec::read`):
+//! `--rounds`, `--lr`, `--beta`, `--sample_frac`, ...; an absent key keeps
+//! the dataset's preset.
+//!
 //! `--telemetry <path>` writes the full round-event stream as JSONL (one
 //! event per line, see DESIGN.md §10); `--verbose` prints per-evaluation
 //! round lines to stderr. Both are pure observers: attaching them does not
@@ -16,163 +20,90 @@
 //! run's `PhaseDone` segments, folded by [`PhaseTotals`] as Table 3 does.
 //!
 //! `--checkpoint <path>` snapshots the full run state to `path` every
-//! `--checkpoint-every N` rounds (default 1); `--resume <path>` picks a
+//! `--checkpoint_every N` rounds (default 1); `--resume <path>` picks a
 //! killed run back up from its latest snapshot, bit-identical to the
 //! uninterrupted run (DESIGN.md §11), for FedOMD and every baseline.
 
 use fedomd_bench::PhaseTotals;
-use fedomd_core::{FedOmdConfig, FedRun, RunConfig};
-use fedomd_data::{generate, spec, DatasetName};
-use fedomd_federated::baselines::Baseline;
+use fedomd_core::{FedRun, RunConfig};
+use fedomd_data::{generate, spec};
 use fedomd_federated::helpers::argmax_row;
-use fedomd_federated::{setup_federation, FederationConfig, TrainConfig};
-use fedomd_telemetry::{ConsoleObserver, JsonlObserver, RoundObserver, TeeObserver};
+use fedomd_federated::{setup_federation, Flags, RunSpec, Strategy};
+use fedomd_telemetry::{ConsoleObserver, JsonlObserver, TeeObserver};
 
-struct Args {
-    algo: String,
-    dataset: DatasetName,
-    parties: usize,
-    seed: u64,
-    rounds: Option<usize>,
-    resolution: f64,
-    telemetry: Option<String>,
-    verbose: bool,
-    checkpoint: Option<String>,
-    checkpoint_every: usize,
-    resume: Option<String>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: fedomd_run --algo <fedomd|fedmlp|fedprox|scaffold|locgcn|fedgcn|fedsage+|fedlit>\n\
-         \x20                --dataset <name[-mini]> [--parties M] [--seed S]\n\
-         \x20                [--rounds R] [--resolution RES]\n\
-         \x20                [--telemetry PATH.jsonl] [--verbose]\n\
-         \x20                [--checkpoint PATH.ckpt] [--checkpoint-every N] [--resume PATH.ckpt]"
-    );
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut algo = "fedomd".to_string();
-    let mut dataset = DatasetName::CoraMini;
-    let mut parties = 3usize;
-    let mut seed = 0u64;
-    let mut rounds = None;
-    let mut resolution = 1.0f64;
-    let mut telemetry = None;
-    let mut verbose = false;
-    let mut checkpoint = None;
-    let mut checkpoint_every = 1usize;
-    let mut resume = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--algo" => algo = value(),
-            "--dataset" => {
-                dataset = DatasetName::parse(&value()).unwrap_or_else(|| usage());
-            }
-            "--parties" => parties = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = value().parse().unwrap_or_else(|_| usage()),
-            "--rounds" => rounds = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--resolution" => resolution = value().parse().unwrap_or_else(|_| usage()),
-            "--telemetry" => telemetry = Some(value()),
-            "--verbose" | "-v" => verbose = true,
-            "--checkpoint" => checkpoint = Some(value()),
-            "--checkpoint-every" => {
-                checkpoint_every = value().parse().unwrap_or_else(|_| usage());
-            }
-            "--resume" => resume = Some(value()),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    Args {
-        algo,
-        dataset,
-        parties,
-        seed,
-        rounds,
-        resolution,
-        telemetry,
-        verbose,
-        checkpoint,
-        checkpoint_every,
-        resume,
-    }
-}
+const USAGE: &str =
+    "usage: fedomd_run [--algo fedomd|fedmlp|fedprox|scaffold|locgcn|fedgcn|fedsage+|fedlit]
+                  [--dataset NAME[-mini]] [--parties M] [--seed S] [--rounds R]
+                  [--KEY VALUE for any other run spec key: --lr, --beta, --sample_frac, ...]
+                  [--resolution RES] [--telemetry PATH.jsonl] [--verbose]
+                  [--checkpoint PATH.ckpt] [--checkpoint_every N] [--resume PATH.ckpt]";
 
 fn main() {
-    let args = parse_args();
-    let ds = generate(&spec(args.dataset), args.seed);
-    let is_mini = ds.name.ends_with("-mini");
-    let mut fed = if is_mini {
-        FederationConfig::mini(args.parties, args.seed)
-    } else {
-        FederationConfig::paper(args.parties, args.seed)
-    };
-    fed.resolution = args.resolution;
-    let clients = setup_federation(&ds, &fed);
-    let mut cfg = if is_mini {
-        TrainConfig::mini(args.seed)
-    } else {
-        TrainConfig::paper(args.seed)
-    };
-    if let Some(r) = args.rounds {
-        cfg.rounds = r;
-        cfg.patience = r;
+    if let Err(e) = run_cli() {
+        eprintln!("fedomd_run: {e}\n{USAGE}");
+        std::process::exit(2)
     }
+}
+
+fn run_cli() -> Result<(), String> {
+    let mut flags = Flags::parse(std::env::args().skip(1), &["verbose"])?;
+    let resolution = flags.take_or("resolution", 1.0)?;
+    let telemetry: Option<String> = flags.take("telemetry")?;
+    let verbose = flags.take_or("verbose", false)?;
+    let checkpoint: Option<String> = flags.take("checkpoint")?;
+    let checkpoint_every = flags.take_or("checkpoint_every", 1)?;
+    let resume: Option<String> = flags.take("resume")?;
+    let run_spec = RunSpec::read(&mut flags)?;
+    flags.finish()?;
+    let name = run_spec.dataset_name().ok_or("no --dataset")?;
+    let seed = run_spec.train.seed;
+    let ds = generate(&spec(name), seed);
+    let mut fed = run_spec.federation();
+    fed.resolution = resolution;
+    let clients = setup_federation(&ds, &fed);
 
     println!(
-        "{} on {} · M={} · resolution {} · seed {}",
-        args.algo, ds.name, args.parties, args.resolution, args.seed
+        "{} on {} · M={} · resolution {resolution} · seed {seed}",
+        run_spec.strategy.name(),
+        ds.name,
+        run_spec.parties,
     );
-    let mut jsonl = args.telemetry.as_deref().map(|path| {
-        JsonlObserver::create(path).unwrap_or_else(|e| {
-            eprintln!("fedomd_run: cannot open telemetry file {path}: {e}");
-            std::process::exit(2)
-        })
+    let mut jsonl = (telemetry.as_deref().map(JsonlObserver::create).transpose())
+        .map_err(|e| format!("cannot open the telemetry file: {e}"))?;
+    let mut console = verbose.then(ConsoleObserver::stderr);
+    let mut fed_run = FedRun::new(&clients, ds.n_classes).config(RunConfig {
+        train: run_spec.train.clone(),
+        omd: run_spec.omd().unwrap_or_default(),
     });
-    let mut console = args.verbose.then(ConsoleObserver::stderr);
-    let baseline = if args.algo.eq_ignore_ascii_case("fedomd") {
-        None
-    } else {
-        Some(Baseline::parse(&args.algo).unwrap_or_else(|| usage()))
-    };
-    let run = |obs: &mut dyn RoundObserver| {
-        let mut fed_run = FedRun::new(&clients, ds.n_classes)
-            .config(RunConfig {
-                train: cfg.clone(),
-                omd: FedOmdConfig::paper(),
-            })
-            .observer(obs);
-        if let Some(b) = baseline {
-            fed_run = fed_run.baseline(b);
-        }
-        if let Some(path) = &args.checkpoint {
-            fed_run = fed_run.checkpoint_every(args.checkpoint_every, path);
-        }
-        if let Some(path) = &args.resume {
-            fed_run = fed_run.resume_from(path).unwrap_or_else(|e| {
-                eprintln!("fedomd_run: cannot resume from {path}: {e}");
-                std::process::exit(2)
-            });
-        }
-        fed_run.run()
-    };
+    if let Strategy::Baseline(b) = run_spec.strategy {
+        fed_run = fed_run.baseline(b);
+    }
+    if let Some(path) = &checkpoint {
+        fed_run = fed_run.checkpoint_every(checkpoint_every, path);
+    }
+    if let Some(path) = &resume {
+        fed_run = fed_run
+            .resume_from(path)
+            .map_err(|e| format!("cannot resume from {path}: {e}"))?;
+    }
     let mut totals = PhaseTotals::default();
     let result = match (&mut jsonl, &mut console) {
-        (Some(j), Some(c)) => run(&mut TeeObserver::new(
-            &mut totals,
-            &mut TeeObserver::new(j, c),
-        )),
-        (Some(j), None) => run(&mut TeeObserver::new(&mut totals, j)),
-        (None, Some(c)) => run(&mut TeeObserver::new(&mut totals, c)),
-        (None, None) => run(&mut totals),
+        (Some(j), Some(c)) => fed_run
+            .observer(&mut TeeObserver::new(
+                &mut totals,
+                &mut TeeObserver::new(j, c),
+            ))
+            .run(),
+        (Some(j), None) => fed_run
+            .observer(&mut TeeObserver::new(&mut totals, j))
+            .run(),
+        (None, Some(c)) => fed_run
+            .observer(&mut TeeObserver::new(&mut totals, c))
+            .run(),
+        (None, None) => fed_run.observer(&mut totals).run(),
     };
     drop(jsonl); // flush the JSONL buffer before reporting
-    if let Some(path) = &args.telemetry {
+    if let Some(path) = &telemetry {
         eprintln!("telemetry trace written to {path}");
     }
 
@@ -213,4 +144,5 @@ fn main() {
     println!("  time[client]         : {:.1} ms", totals.client_ms());
     println!("  time[server]         : {:.1} ms", totals.server_ms());
     println!("  time[inference]      : {:.1} ms", totals.inference_ms());
+    Ok(())
 }

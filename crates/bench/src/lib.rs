@@ -28,8 +28,8 @@ use std::path::PathBuf;
 
 use fedomd_data::{generate, spec, Dataset, DatasetName};
 use fedomd_federated::{
-    setup_federation, ClientData, FedOmdConfig, FederationConfig, Persistence, RunResult, Strategy,
-    TrainConfig,
+    setup_federation, ClientData, FedOmdConfig, FederationConfig, Flags, Persistence, RunResult,
+    Strategy, TrainConfig,
 };
 use fedomd_telemetry::{NullObserver, RoundObserver};
 use fedomd_transport::InProcChannel;
@@ -70,43 +70,30 @@ impl HarnessOpts {
 
     /// Parses an explicit argument iterator (testable).
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
-        let mut scale = Scale::Mini;
-        let mut n_seeds: Option<usize> = None;
-        let mut json = None;
-        let mut quick = false;
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--scale" => {
-                    let v = it.next().expect("--scale needs a value");
-                    scale = match v.as_str() {
-                        "mini" => Scale::Mini,
-                        "paper" => Scale::Paper,
-                        other => panic!("unknown scale {other:?} (use mini|paper)"),
-                    };
-                }
-                "--seeds" => {
-                    let v = it.next().expect("--seeds needs a value");
-                    n_seeds = Some(v.parse().expect("--seeds needs an integer"));
-                }
-                "--json" => {
-                    json = Some(PathBuf::from(it.next().expect("--json needs a path")));
-                }
-                "--quick" => quick = true,
-                other => panic!("unknown argument {other:?}"),
-            }
-        }
-        let default_seeds = match scale {
-            Scale::Mini => 3,
-            Scale::Paper => 5, // the paper averages 5 runs
+        Self::read(args).unwrap_or_else(|e| {
+            panic!("{e} (flags: --scale mini|paper, --seeds N, --json PATH, --quick)")
+        })
+    }
+
+    fn read(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut flags = Flags::parse(args, &["quick"])?;
+        let scale = match flags.take_or("scale", "mini".to_string())?.as_str() {
+            "mini" => Scale::Mini,
+            "paper" => Scale::Paper,
+            other => return Err(format!("unknown scale {other:?} (use mini|paper)")),
         };
-        let seeds: Vec<u64> = (0..n_seeds.unwrap_or(default_seeds) as u64).collect();
-        Self {
+        // The paper averages 5 runs.
+        let default_seeds = if scale == Scale::Paper { 5 } else { 3 };
+        let seeds = (0..flags.take_or("seeds", default_seeds)?).collect();
+        let json = flags.take("json")?;
+        let quick = flags.take_or("quick", false)?;
+        flags.finish()?;
+        Ok(Self {
             scale,
             seeds,
             json,
             quick,
-        }
+        })
     }
 }
 
@@ -242,9 +229,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
+    #[should_panic(expected = "unknown flag --nope")]
     fn unknown_flag_rejected() {
-        let _ = args(&["--nope"]);
+        let _ = args(&["--nope", "1"]);
     }
 
     #[test]

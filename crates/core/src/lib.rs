@@ -18,8 +18,8 @@
 //! The algorithm itself — the session halves, the statistics protocol and
 //! the in-process round — lives in `fedomd-federated`, where the seven
 //! baselines run on the same round; this crate re-exports it and adds what
-//! only FedOMD runs: the TCP server and client drivers, the handshake
-//! digest, the run-checkpoint file and the [`FedRun`] builder.
+//! only FedOMD runs: the TCP server and client drivers, the run-checkpoint
+//! file and the [`FedRun`] builder.
 //!
 //! ```no_run
 //! use fedomd_core::{FedRun, RunConfig};
@@ -41,7 +41,6 @@
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 pub mod client_loop;
-pub mod deploy;
 pub mod run;
 pub mod run_checkpoint;
 pub mod server;
@@ -52,7 +51,6 @@ pub mod server;
 pub use fedomd_federated::{config, protocol, session};
 
 pub use client_loop::{run_fedomd_client_rounds, ClientOutcome};
-pub use deploy::run_config_digest;
 pub use fedomd_federated::protocol::{
     build_targets, client_means, client_moments_about, GlobalStats, MeanAccumulator,
     MomentAccumulator,
@@ -63,4 +61,4 @@ pub use fedomd_federated::{
 };
 pub use run::{FedRun, RunConfig};
 pub use run_checkpoint::{CheckpointError, FileCheckpointer, RunCheckpoint};
-pub use server::{drive_phase_fold, run_fedomd_server, ServerOpts};
+pub use server::{drive_phase_fold, run_fedomd_server};

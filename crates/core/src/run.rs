@@ -32,7 +32,8 @@
 use std::path::{Path, PathBuf};
 
 use fedomd_federated::{
-    Baseline, ClientData, CohortConfig, FedOmdConfig, Persistence, RunResult, Strategy, TrainConfig,
+    Baseline, ClientData, CohortConfig, FedOmdConfig, Persistence, RunResult, RunSpec, Strategy,
+    TrainConfig,
 };
 use fedomd_telemetry::{NullObserver, RoundObserver};
 use fedomd_transport::{Channel, InProcChannel};
@@ -210,9 +211,9 @@ impl<'a> FedRun<'a> {
     /// Executes the run to completion.
     ///
     /// # Panics
-    /// Panics when a resume checkpoint's algorithm or seed does not match
-    /// this run's configuration — restoring foreign state would produce
-    /// silently wrong results.
+    /// Panics when a resume checkpoint's run spec differs from this run's
+    /// in any key but `rounds` and `patience`, naming the key: restoring
+    /// foreign state would produce silently wrong results.
     pub fn run(self) -> RunResult {
         let mut default_chan = InProcChannel::new();
         let mut default_obs = NullObserver;
@@ -222,21 +223,24 @@ impl<'a> FedRun<'a> {
             Some(which) => Strategy::Baseline(which),
             None => Strategy::FedOmd(self.config.omd),
         };
-        let algorithm = strategy.name();
+        let spec = RunSpec {
+            strategy,
+            parties: self.clients.len(),
+            dataset: None,
+            train: self.config.train.clone(),
+        }
+        .flags();
         let resume = self.resume.map(|ckpt| {
-            assert_eq!(
-                ckpt.algorithm, algorithm,
-                "resume: checkpoint was taken by a different algorithm"
-            );
-            assert_eq!(
-                ckpt.seed, self.config.train.seed,
-                "resume: checkpoint was taken under a different seed"
-            );
+            #[expect(clippy::panic, reason = "documented contract (see `# Panics`)")]
+            if let Some(m) = spec.mismatch(&ckpt.spec) {
+                panic!("resume: the checkpoint is another run's: {m} (this run vs the checkpoint)");
+            }
             ckpt.state
         });
-        let mut sink = self.ckpt_path.filter(|_| self.ckpt_every > 0).map(|path| {
-            FileCheckpointer::new(path, self.ckpt_every, algorithm, self.config.train.seed)
-        });
+        let mut sink = self
+            .ckpt_path
+            .filter(|_| self.ckpt_every > 0)
+            .map(|path| FileCheckpointer::new(path, self.ckpt_every, spec));
         let persist = Persistence {
             resume,
             sink: sink.as_mut().map(|s| s as _),

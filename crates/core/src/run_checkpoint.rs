@@ -18,7 +18,7 @@
 //! payloads, infinities, subnormals — reloads bit for bit:
 //!
 //! ```text
-//! magic "FOMDCKPT" · u32 version · str algorithm · u64 seed · u64 next_round
+//! magic "FOMDCKPT" · u32 version · spec · u64 next_round
 //! u32 clients × (tensors params · optimiser · u64 model_steps)
 //!   optimiser: u8 0 · u64 adam.t · tensors adam.m · tensors adam.v
 //!            | u8 1 · tensors sgd.velocity · tensors c_i · tensors c
@@ -29,6 +29,8 @@
 //! u32 crc32 of every preceding byte
 //! ```
 //!
+//! `spec` is the run's [`Flags`] (`u32` count, then per pair `str key ·
+//! str value`), which a resume compares key by key before restoring.
 //! `tensors` is the frame codec's parameter list (`u32` count, then per
 //! tensor `u32 rows · u32 cols · rows·cols × f32`); an `f64` is its
 //! `to_bits`. Snapshots are written atomically (tmp file, fsync, rename),
@@ -44,7 +46,7 @@ use std::path::{Path, PathBuf};
 
 use fedomd_federated::protocol::GlobalStats;
 use fedomd_federated::{
-    CheckpointSink, CommsLog, DriverState, OptimState, ResumeState, RoundStats,
+    CheckpointSink, CommsLog, DriverState, Flags, OptimState, ResumeState, RoundStats,
 };
 use fedomd_nn::AdamState;
 use fedomd_telemetry::{RoundEvent, RoundObserver};
@@ -58,7 +60,7 @@ use fedomd_transport::{from_tensors, to_tensors, WireError};
 /// First bytes of every run checkpoint.
 const MAGIC: &[u8; 8] = b"FOMDCKPT";
 /// Current format version; bumped on incompatible layout changes.
-const VERSION: u64 = 5;
+const VERSION: u64 = 6;
 /// Bytes of the trailing checksum.
 const CRC_BYTES: usize = 4;
 
@@ -116,13 +118,12 @@ impl From<WireError> for CheckpointError {
 /// One durable snapshot of a federated run at a round boundary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunCheckpoint {
-    /// Format version (currently 5).
+    /// Format version (currently 6).
     pub version: u64,
-    /// Algorithm name (`"FedOMD"`, `"FedGCN"`, ...); checked on resume so
-    /// a snapshot never restores into a different algorithm's run.
-    pub algorithm: String,
-    /// Run seed; checked on resume for the same reason.
-    pub seed: u64,
+    /// The run's spec ([`fedomd_federated::RunSpec::flags`]); a resume
+    /// compares it with its own so a snapshot never restores into another
+    /// run.
+    pub spec: Flags,
     /// The actual resume payload.
     pub state: ResumeState,
 }
@@ -145,15 +146,6 @@ fn get_f64(r: &mut ByteReader<'_>) -> Result<f64, WireError> {
 
 fn get_usize(r: &mut ByteReader<'_>) -> Result<usize, WireError> {
     Ok(r.get_u64()? as usize)
-}
-
-/// A `0`/`1` byte; anything else is corruption, not `true`.
-fn get_flag(r: &mut ByteReader<'_>) -> Result<bool, WireError> {
-    match r.get_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        b => Err(WireError::Malformed(format!("flag byte {b}"))),
-    }
 }
 
 /// A `u32` count of items at least `min_bytes` long each, refused when the
@@ -242,7 +234,7 @@ fn get_state(r: &mut ByteReader<'_>) -> Result<ResumeState, WireError> {
     for _ in 0..n {
         params.push(get_matrices(r)?);
         // The optimiser tag: 0 is Adam, 1 is SCAFFOLD.
-        optim.push(if get_flag(r)? {
+        optim.push(if r.get_flag()? {
             OptimState::Scaffold {
                 velocity: get_matrices(r)?,
                 local: get_matrices(r)?,
@@ -273,7 +265,7 @@ fn get_state(r: &mut ByteReader<'_>) -> Result<ResumeState, WireError> {
         best_test: get_f64(r)?,
         best_round: get_usize(r)?,
         rounds_since_improve: get_usize(r)?,
-        stopped: get_flag(r)?,
+        stopped: r.get_flag()?,
         comms: CommsLog {
             uplink_bytes: r.get_u64()?,
             downlink_bytes: r.get_u64()?,
@@ -282,12 +274,12 @@ fn get_state(r: &mut ByteReader<'_>) -> Result<ResumeState, WireError> {
             dropped_messages: r.get_u64()?,
         },
     };
-    let global = if get_flag(r)? {
+    let global = if r.get_flag()? {
         Some(get_matrices(r)?)
     } else {
         None
     };
-    let stats = if get_flag(r)? {
+    let stats = if r.get_flag()? {
         Some(GlobalStats {
             means: decode_layers(r)?,
             moments: decode_moments(r)?,
@@ -307,13 +299,12 @@ fn get_state(r: &mut ByteReader<'_>) -> Result<ResumeState, WireError> {
 }
 
 impl RunCheckpoint {
-    /// Wraps a [`ResumeState`] with run identity metadata at the current
-    /// format version.
-    pub fn new(algorithm: impl Into<String>, seed: u64, state: ResumeState) -> Self {
+    /// Wraps a [`ResumeState`] with its run's spec at the current format
+    /// version.
+    pub fn new(spec: Flags, state: ResumeState) -> Self {
         Self {
             version: VERSION,
-            algorithm: algorithm.into(),
-            seed,
+            spec,
             state,
         }
     }
@@ -324,8 +315,7 @@ impl RunCheckpoint {
         w.put_raw(MAGIC);
         // A version no `u32` can hold is written as one no build reads.
         w.put_u32(u32::try_from(self.version).unwrap_or(u32::MAX));
-        w.put_str(&self.algorithm);
-        w.put_u64(self.seed);
+        self.spec.encode(&mut w);
         put_state(&mut w, &self.state);
         let crc = crc32(w.as_slice());
         w.put_u32(crc);
@@ -361,14 +351,12 @@ impl RunCheckpoint {
                 expected: VERSION.to_string(),
             });
         }
-        let algorithm = r.get_str()?;
-        let seed = r.get_u64()?;
+        let spec = Flags::decode(&mut r)?;
         let state = get_state(&mut r)?;
         r.expect_end()?;
         Ok(Self {
             version,
-            algorithm,
-            seed,
+            spec,
             state,
         })
     }
@@ -419,24 +407,17 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<u64> {
 pub struct FileCheckpointer {
     path: PathBuf,
     every: usize,
-    algorithm: String,
-    seed: u64,
+    spec: Flags,
 }
 
 impl FileCheckpointer {
     /// A checkpointer saving to `path` every `every` rounds, stamping the
-    /// snapshots with the run's identity.
-    pub fn new(
-        path: impl Into<PathBuf>,
-        every: usize,
-        algorithm: impl Into<String>,
-        seed: u64,
-    ) -> Self {
+    /// snapshots with the run's spec.
+    pub fn new(path: impl Into<PathBuf>, every: usize, spec: Flags) -> Self {
         Self {
             path: path.into(),
             every,
-            algorithm: algorithm.into(),
-            seed,
+            spec,
         }
     }
 }
@@ -451,7 +432,7 @@ impl CheckpointSink for FileCheckpointer {
     /// the crash-safety the caller asked for.
     fn save(&mut self, state: ResumeState, obs: &mut dyn RoundObserver) {
         let round = state.next_round.saturating_sub(1) as u64;
-        let ckpt = RunCheckpoint::new(self.algorithm.clone(), self.seed, state);
+        let ckpt = RunCheckpoint::new(self.spec.clone(), state);
         #[expect(
             clippy::panic,
             reason = "documented contract (see `# Panics`): silently losing snapshots \
@@ -473,7 +454,27 @@ impl CheckpointSink for FileCheckpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedomd_federated::{FedOmdConfig, RunSpec, Strategy, TrainConfig};
     use fedomd_telemetry::MemoryObserver;
+
+    fn spec() -> Flags {
+        RunSpec {
+            strategy: Strategy::FedOmd(FedOmdConfig::paper()),
+            parties: 2,
+            dataset: None,
+            train: TrainConfig::mini(7),
+        }
+        .flags()
+    }
+
+    /// Encoded bytes of the spec.
+    fn spec_len() -> usize {
+        4 + spec()
+            .0
+            .iter()
+            .map(|(k, v)| 8 + k.len() + v.len())
+            .sum::<usize>()
+    }
 
     fn sample_state() -> ResumeState {
         let m = |v: f32| Matrix::from_vec(2, 2, vec![v, v + 0.5, -v, 0.0]);
@@ -563,7 +564,7 @@ mod tests {
 
     #[test]
     fn bytes_roundtrip_is_exact() {
-        let ckpt = RunCheckpoint::new("FedOMD", 7, sample_state());
+        let ckpt = RunCheckpoint::new(spec(), sample_state());
         let back = RunCheckpoint::from_bytes(&ckpt.to_bytes()).expect("decode");
         assert_eq!(back, ckpt);
     }
@@ -603,7 +604,7 @@ mod tests {
         state.driver.history[0].test_acc = f64::NEG_INFINITY;
         state.driver.best_val = f64::NEG_INFINITY;
         state.driver.best_test = f64::from_bits(0x7ff8_0000_0000_0001);
-        let ckpt = RunCheckpoint::new("FedOMD", 7, state);
+        let ckpt = RunCheckpoint::new(spec(), state);
 
         let dir = scratch_dir();
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -654,8 +655,8 @@ mod tests {
         // Determinism regression guard: two independent encodings of equal
         // checkpoints, and a decode → re-encode cycle, produce the same
         // bytes.
-        let a = RunCheckpoint::new("FedOMD", 7, sample_state()).to_bytes();
-        let b = RunCheckpoint::new("FedOMD", 7, sample_state()).to_bytes();
+        let a = RunCheckpoint::new(spec(), sample_state()).to_bytes();
+        let b = RunCheckpoint::new(spec(), sample_state()).to_bytes();
         assert_eq!(a, b);
         let re = RunCheckpoint::from_bytes(&a).expect("decode").to_bytes();
         assert_eq!(re, a);
@@ -664,8 +665,8 @@ mod tests {
     #[test]
     fn encoded_size_is_closed_form() {
         let s = sample_state();
-        let ckpt = RunCheckpoint::new("FedOMD", 7, s.clone());
-        let header = MAGIC.len() + 4 + (4 + "FedOMD".len()) + 8 + 8;
+        let ckpt = RunCheckpoint::new(spec(), s.clone());
+        let header = MAGIC.len() + 4 + spec_len() + 8;
         let clients: usize = s
             .params
             .iter()
@@ -718,7 +719,7 @@ mod tests {
             means: vec![vec![0.25]],
             moments: vec![vec![vec![0.1]]],
         });
-        let good = RunCheckpoint::new("FedOMD", 7, s).to_bytes();
+        let good = RunCheckpoint::new(spec(), s).to_bytes();
         assert!(good.len() <= 4096, "{} bytes", good.len());
         for len in 0..good.len() {
             assert!(
@@ -748,8 +749,7 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_raw(MAGIC);
         w.put_u32(VERSION as u32);
-        w.put_str("FedOMD");
-        w.put_u64(7); // seed
+        spec().encode(&mut w);
         w.put_u64(1); // next_round
         w.put_u32(1); // one client
         w.put_u32(1); // one parameter tensor
@@ -762,9 +762,28 @@ mod tests {
         // A client count no file this size could hold is refused the same
         // way, before any per-client vector is sized.
         let mut bytes = bytes;
-        let count_at = MAGIC.len() + 4 + 4 + "FedOMD".len() + 8 + 8;
+        let count_at = MAGIC.len() + 4 + spec_len() + 8;
         bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(is_parse(RunCheckpoint::from_bytes(&reseal(bytes))));
+    }
+
+    #[test]
+    fn a_lying_spec_header_is_refused_without_allocating() {
+        // Resealed, so only the spec decoder's own bounds stand between a
+        // lie and an allocation: a pair count of u32::MAX, then a 4 GiB
+        // first key.
+        let good = RunCheckpoint::new(spec(), sample_state()).to_bytes();
+        let count_at = MAGIC.len() + 4;
+        for at in [count_at, count_at + 4] {
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(is_parse(RunCheckpoint::from_bytes(&reseal(bad))), "at {at}");
+        }
+        // A byte added before the checksum is refused, resealed or not.
+        let mut long = good.clone();
+        long.insert(good.len() - CRC_BYTES, 0);
+        assert!(is_parse(RunCheckpoint::from_bytes(&long)));
+        assert!(is_parse(RunCheckpoint::from_bytes(&reseal(long))));
     }
 
     #[test]
@@ -772,7 +791,7 @@ mod tests {
         let mut state = sample_state();
         state.global = None;
         state.stats = None;
-        let ckpt = RunCheckpoint::new("FedMLP", 0, state);
+        let ckpt = RunCheckpoint::new(Flags::default(), state);
         let back = RunCheckpoint::from_bytes(&ckpt.to_bytes()).expect("decode");
         assert_eq!(back.state.global, None);
         assert_eq!(back.state.stats, None);
@@ -789,11 +808,11 @@ mod tests {
         let dir = scratch_dir();
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("run.ckpt");
-        let a = RunCheckpoint::new("FedOMD", 7, sample_state());
+        let a = RunCheckpoint::new(spec(), sample_state());
         assert_eq!(a.save(&path).expect("save"), a.to_bytes().len() as u64);
         let mut later = sample_state();
         later.next_round = 8;
-        let b = RunCheckpoint::new("FedOMD", 7, later);
+        let b = RunCheckpoint::new(spec(), later);
         b.save(&path).expect("overwrite");
         let back = RunCheckpoint::load(&path).expect("load");
         assert_eq!(back, b);
@@ -806,7 +825,7 @@ mod tests {
         let dir = scratch_dir();
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("truncated.ckpt");
-        let bytes = RunCheckpoint::new("FedOMD", 7, sample_state()).to_bytes();
+        let bytes = RunCheckpoint::new(spec(), sample_state()).to_bytes();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("write");
         let err = RunCheckpoint::load(&path).expect_err("must fail");
         assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
@@ -821,7 +840,7 @@ mod tests {
 
     #[test]
     fn wrong_format_and_version_are_mismatches() {
-        let good = RunCheckpoint::new("FedOMD", 7, sample_state()).to_bytes();
+        let good = RunCheckpoint::new(spec(), sample_state()).to_bytes();
         let mut bad = good.clone();
         bad[..MAGIC.len()].copy_from_slice(b"NOTACKPT");
         let err = RunCheckpoint::from_bytes(&reseal(bad)).expect_err("format");
@@ -830,12 +849,13 @@ mod tests {
             "{err}"
         );
 
-        // A newer record, a version-4 one (a SimNet cursor after the
-        // ledger), a version-3 one (a second counter set after that cursor)
-        // and a version-2 one (no optimiser tag, so no SCAFFOLD state) are
-        // all refused by version.
-        for version in [VERSION + 1, 4, 3, 2] {
-            let mut other = RunCheckpoint::new("FedOMD", 7, sample_state());
+        // A newer record, a version-5 one (algorithm and seed where the
+        // spec is), a version-4 one (a SimNet cursor after the ledger), a
+        // version-3 one (a second counter set after that cursor) and a
+        // version-2 one (no optimiser tag, so no SCAFFOLD state) are all
+        // refused by version.
+        for version in [VERSION + 1, 5, 4, 3, 2] {
+            let mut other = RunCheckpoint::new(spec(), sample_state());
             other.version = version;
             let err = RunCheckpoint::from_bytes(&other.to_bytes()).expect_err("version");
             assert!(
@@ -847,9 +867,9 @@ mod tests {
 
     #[test]
     fn an_unknown_optimiser_tag_is_a_parse_error() {
-        let mut bytes = RunCheckpoint::new("FedOMD", 7, sample_state()).to_bytes();
+        let mut bytes = RunCheckpoint::new(spec(), sample_state()).to_bytes();
         let params = &sample_state().params[0];
-        let tag_at = MAGIC.len() + 4 + 4 + "FedOMD".len() + 8 + 8 + 4 + tensors_len(params);
+        let tag_at = MAGIC.len() + 4 + spec_len() + 8 + 4 + tensors_len(params);
         assert_eq!(bytes[tag_at], 0, "client 0 runs Adam");
         bytes[tag_at] = 2;
         assert!(is_parse(RunCheckpoint::from_bytes(&reseal(bytes))));
@@ -860,7 +880,7 @@ mod tests {
         let dir = scratch_dir();
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("sink.ckpt");
-        let mut sink = FileCheckpointer::new(&path, 2, "FedOMD", 7);
+        let mut sink = FileCheckpointer::new(&path, 2, spec());
         assert_eq!(sink.every(), 2);
         let mut mem = MemoryObserver::new();
         sink.save(sample_state(), &mut mem);

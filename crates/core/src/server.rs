@@ -28,65 +28,48 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fedomd_federated::engine::{charge, open_run, report_losses, save_if_due};
-use fedomd_federated::{
-    EvalCounts, FedOmdConfig, Persistence, RunResult, ServerRound, TrainConfig,
-};
+use fedomd_federated::{EvalCounts, Persistence, RunResult, RunSpec, ServerRound};
 use fedomd_telemetry::{NullObserver, Phase, PhaseStopwatch, RoundEvent, RoundObserver};
 use fedomd_transport::{Channel, Control, Envelope, Payload, SERVER_SENDER};
 
-/// Options of the standalone server driver.
-#[derive(Clone, Copy, Debug)]
-pub struct ServerOpts {
-    /// Number of federated parties the run is configured for. Phases wait
-    /// for up to this many reports; fewer degrade to partial aggregation.
-    pub n_clients: usize,
-    /// Fault injection for the kill-and-resume tests: return right after
-    /// the named round's bookkeeping (and checkpoint, if due) completes,
-    /// **before** the verdict broadcast — exactly the window in which a
-    /// real server crash strands its clients mid-wait.
-    pub halt_after: Option<usize>,
-}
-
-impl ServerOpts {
-    /// A plain full run for `n_clients` parties.
-    pub fn new(n_clients: usize) -> Self {
-        Self {
-            n_clients,
-            halt_after: None,
-        }
-    }
-}
-
-/// Runs the FedOMD server rounds over `chan` until the round budget or
-/// early stopping, with checkpoint/resume via `persist` exactly as
+/// Runs the FedOMD server rounds of `spec` over `chan` until the round
+/// budget or early stopping, with checkpoint/resume via `persist` exactly as
 /// [`fedomd_federated::run`] — except the snapshots carry
 /// no per-client state (`params`/`optim`/`model_steps` stay empty): the
 /// server's durable state is the driver bookkeeping and the last
 /// aggregated global model/statistics, which is what a reconnecting
 /// client needs to rejoin.
 ///
-/// The weight phase awaits only `cfg.cohort`'s sample of the round, the
-/// cohort the clients' handshake digest agreed to, and discards
-/// same-round updates from unsampled senders; the statistics and metrics
-/// phases await the full federation.
+/// Phases wait for up to `spec.parties` reports; fewer degrade to
+/// partial aggregation. The weight phase awaits only the cohort's sample
+/// of the round, the cohort the clients' handshake agreed to, and
+/// discards same-round updates from unsampled senders; the statistics and
+/// metrics phases await the full federation.
+///
+/// `halt_after` is fault injection for the kill-and-resume tests: return
+/// right after the named round's bookkeeping (and checkpoint, if due)
+/// completes, **before** the verdict broadcast — exactly the window in
+/// which a real server crash strands its clients mid-wait.
 ///
 /// # Panics
-/// Panics with no clients or an invalid cohort configuration.
+/// Panics with no clients, an invalid cohort configuration, or a baseline
+/// strategy.
 pub fn run_fedomd_server(
-    opts: &ServerOpts,
-    cfg: &TrainConfig,
-    omd: &FedOmdConfig,
+    spec: &RunSpec,
+    halt_after: Option<usize>,
     chan: &mut dyn Channel,
     obs: &mut dyn RoundObserver,
     mut persist: Persistence<'_>,
 ) -> RunResult {
-    assert!(opts.n_clients > 0, "run_fedomd_server: no clients");
+    let (m, cfg) = (spec.parties, &spec.train);
+    assert!(m > 0, "run_fedomd_server: no clients");
     #[expect(clippy::panic, reason = "documented contract (see `# Panics`)")]
-    if let Err(e) = cfg.cohort.validate(opts.n_clients) {
+    if let Err(e) = cfg.cohort.validate(m) {
         panic!("run_fedomd_server: {e}");
     }
-    let m = opts.n_clients;
-    let (mut driver, mut server, start_round) = open_run(cfg, "FedOMD", m, &mut persist, obs);
+    #[expect(clippy::expect_used, reason = "documented contract (see `# Panics`)")]
+    let omd = spec.omd().expect("run_fedomd_server: a baseline spec");
+    let (mut driver, mut server, start_round) = open_run(spec, &mut persist, obs);
     let mut collector = Collector::default();
     let everyone: Vec<u32> = (0..m as u32).collect();
 
@@ -207,7 +190,7 @@ pub fn run_fedomd_server(
         save_if_due(&mut persist, round, obs, || {
             server.checkpoint(round + 1, driver.snapshot(), &[])
         });
-        if opts.halt_after == Some(round) {
+        if halt_after == Some(round) {
             // Simulated crash: the checkpoint (if due) is durable, the
             // verdict is not sent — clients stall, then reconnect.
             return driver.finish_observed("FedOMD", obs);
@@ -372,9 +355,19 @@ mod tests {
     use fedomd_federated::engine::DriverState;
     use fedomd_federated::CommsLog;
     use fedomd_federated::ResumeState;
+    use fedomd_federated::{FedOmdConfig, Strategy, TrainConfig};
     use fedomd_telemetry::{MemoryObserver, NullObserver};
     use fedomd_transport::{InProcChannel, Tensor};
     use std::collections::VecDeque;
+
+    fn spec(parties: usize, train: TrainConfig, omd: FedOmdConfig) -> RunSpec {
+        RunSpec {
+            strategy: Strategy::FedOmd(omd),
+            parties,
+            dataset: None,
+            train,
+        }
+    }
 
     fn weight_env(round: u64, sender: u32, v: f32) -> Envelope {
         Envelope {
@@ -568,9 +561,8 @@ mod tests {
         };
         let mut mem = MemoryObserver::new();
         let r = run_fedomd_server(
-            &ServerOpts::new(3),
-            &cfg,
-            &FedOmdConfig::ortho_only(),
+            &spec(3, cfg, FedOmdConfig::ortho_only()),
+            None,
             &mut chan,
             &mut mem,
             Persistence::default(),
@@ -639,9 +631,8 @@ mod tests {
         let omd = FedOmdConfig::ortho_only(); // no stats exchange
         let mut mem = MemoryObserver::new();
         let r = run_fedomd_server(
-            &ServerOpts::new(2),
-            &cfg,
-            &omd,
+            &spec(2, cfg, omd),
+            None,
             &mut chan,
             &mut mem,
             Persistence::default(),
@@ -681,9 +672,8 @@ mod tests {
         };
         let mut mem = MemoryObserver::new();
         run_fedomd_server(
-            &ServerOpts::new(1),
-            &cfg,
-            &FedOmdConfig::ortho_only(),
+            &spec(1, cfg, FedOmdConfig::ortho_only()),
+            None,
             &mut chan,
             &mut mem,
             Persistence::default(),
@@ -712,9 +702,8 @@ mod tests {
             ..TrainConfig::mini(0)
         };
         let r = run_fedomd_server(
-            &ServerOpts::new(3),
-            &cfg,
-            &FedOmdConfig::paper(),
+            &spec(3, cfg, FedOmdConfig::paper()),
+            None,
             &mut chan,
             &mut NullObserver,
             Persistence::default(),
@@ -733,14 +722,9 @@ mod tests {
             ..TrainConfig::mini(0)
         };
         let omd = FedOmdConfig::ortho_only();
-        let opts = ServerOpts {
-            halt_after: Some(0),
-            ..ServerOpts::new(1)
-        };
         let r = run_fedomd_server(
-            &opts,
-            &cfg,
-            &omd,
+            &spec(1, cfg, omd),
+            Some(0),
             &mut chan,
             &mut NullObserver,
             Persistence::default(),
@@ -792,9 +776,8 @@ mod tests {
             stats: None,
         };
         let r = run_fedomd_server(
-            &ServerOpts::new(1),
-            &cfg,
-            &omd,
+            &spec(1, cfg, omd),
+            None,
             &mut chan,
             &mut NullObserver,
             Persistence {

@@ -2,9 +2,16 @@
 //! FedOMD's objective hyper-parameters (paper §4.5, §5.1).
 
 use std::fmt;
+use std::str::FromStr;
 
+use crate::baselines::Baseline;
+use crate::client::FederationConfig;
 use crate::comms::CommsLog;
+use crate::engine::Strategy;
+use fedomd_data::{spec, DatasetName};
 use fedomd_tensor::rng::{derive, seeded};
+use fedomd_transport::wire::{ByteReader, ByteWriter};
+use fedomd_transport::WireError;
 use rand::Rng;
 
 /// Salt separating the cohort-sampling RNG stream from every other
@@ -377,9 +384,567 @@ impl RunResult {
     }
 }
 
+/// A command line and a run's identity, in one form: ordered `(key,
+/// value)` pairs.
+///
+/// [`RunSpec::flags`] writes a run's pairs and [`RunSpec::read`] reads
+/// them back, so the flags a bin is launched with, the spec a client
+/// presents in its handshake, a checkpoint's header and a trace's
+/// `run_started` event are one list. [`Flags::mismatch`] compares two.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Flags(pub Vec<(String, String)>);
+
+impl Flags {
+    /// Reads `--key value` arguments. A key in `switches` takes no value
+    /// and reads as `true`; a key given twice is refused.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        switches: &[&str],
+    ) -> Result<Self, String> {
+        let mut flags = Self::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let key = arg
+                .strip_prefix("--")
+                .ok_or_else(|| format!("expected --key, got `{arg}`"))?;
+            let value = if switches.contains(&key) {
+                "true".to_string()
+            } else {
+                args.next()
+                    .ok_or_else(|| format!("--{key} needs a value"))?
+            };
+            if flags.get(key).is_some() {
+                return Err(format!("--{key} given twice"));
+            }
+            flags.0.push((key.to_string(), value));
+        }
+        Ok(flags)
+    }
+
+    fn get(&self, key: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Removes `key` and parses its value; `None` when it is absent.
+    pub fn take<T: FromStr>(&mut self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: fmt::Display,
+    {
+        let Some(i) = self.0.iter().position(|(k, _)| k == key) else {
+            return Ok(None);
+        };
+        let (_, value) = self.0.remove(i);
+        let parsed = value.parse().map_err(|e| format!("--{key} {value}: {e}"))?;
+        Ok(Some(parsed))
+    }
+
+    /// [`Self::take`] with a default for an absent key.
+    pub fn take_or<T: FromStr>(&mut self, key: &str, default: T) -> Result<T, String>
+    where
+        T::Err: fmt::Display,
+    {
+        Ok(self.take(key)?.unwrap_or(default))
+    }
+
+    /// Refuses the first key no reader took.
+    pub fn finish(self) -> Result<(), String> {
+        match self.0.first() {
+            Some((key, _)) => Err(format!("unknown flag --{key}")),
+            None => Ok(()),
+        }
+    }
+
+    /// The first key, in `self`'s order and then `theirs`', whose value
+    /// differs between the two, a key on one side only included.
+    /// `rounds` and `patience` are ignored: the round budget and early
+    /// stopping are the server's to drive, so a client may leave early
+    /// and a resumed leg may run longer.
+    pub fn mismatch(&self, theirs: &Flags) -> Option<SpecMismatch> {
+        let mut keys = self.0.iter().chain(&theirs.0).map(|(k, _)| k.as_str());
+        let key =
+            keys.find(|k| !matches!(*k, "rounds" | "patience") && self.get(k) != theirs.get(k))?;
+        Some(SpecMismatch {
+            key: key.to_string(),
+            ours: self.get(key).map(str::to_string),
+            theirs: theirs.get(key).map(str::to_string),
+        })
+    }
+
+    /// Writes the pairs on the wire codec: a `u32` count, then each key
+    /// and value as a string.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        w.put_u32(self.0.len() as u32);
+        for (key, value) in &self.0 {
+            w.put_str(key);
+            w.put_str(value);
+        }
+    }
+
+    /// Reads what [`Self::encode`] wrote. A count the remaining bytes
+    /// cannot hold is refused before anything is allocated.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
+        let n = r.get_u32()? as usize;
+        // Each pair is at least its two string lengths.
+        let needed = n.saturating_mul(8);
+        if needed > r.remaining() {
+            return Err(WireError::Truncated {
+                needed,
+                available: r.remaining(),
+            });
+        }
+        let mut pairs = Vec::with_capacity(n);
+        for _ in 0..n {
+            pairs.push((r.get_str()?, r.get_str()?));
+        }
+        Ok(Self(pairs))
+    }
+}
+
+/// Two run specs disagree at `key`; a side without the key is `None`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SpecMismatch {
+    /// The first key that differs.
+    pub key: String,
+    /// This side's value.
+    pub ours: Option<String>,
+    /// The other side's value.
+    pub theirs: Option<String>,
+}
+
+impl fmt::Display for SpecMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let show = |v: &Option<String>| v.clone().unwrap_or_else(|| "absent".into());
+        let (ours, theirs) = (show(&self.ours), show(&self.theirs));
+        write!(f, "`{}` differs: {ours} vs {theirs}", self.key)
+    }
+}
+
+/// What every party and every resumed leg of a run must agree on: the
+/// algorithm (with FedOMD's objective), the party count, the dataset where
+/// the entry point knows it, and the training schedule. Its one encoding
+/// is [`Self::flags`].
+#[derive(Clone, Debug)]
+pub struct RunSpec {
+    /// FedOMD with its objective, or a baseline.
+    pub strategy: Strategy,
+    /// Number of federated parties.
+    pub parties: usize,
+    /// Dataset name; `None` where the entry point only sees the shards.
+    /// [`Self::read`] stores a registry name in its canonical spelling,
+    /// whatever alias was typed.
+    pub dataset: Option<String>,
+    /// The training schedule.
+    pub train: TrainConfig,
+}
+
+impl RunSpec {
+    /// The one writer. It destructures [`TrainConfig`], [`CohortConfig`]
+    /// and, for FedOMD, [`FedOmdConfig`] without `..`, so a field added
+    /// to any of them does not compile until it has a key here and in
+    /// [`Self::read`]. Floats are written in Rust's shortest round-trip
+    /// form, so `-0.0` and subnormals read back bit for bit.
+    pub fn flags(&self) -> Flags {
+        let Self {
+            strategy,
+            parties,
+            dataset,
+            train,
+        } = self;
+        let TrainConfig {
+            rounds,
+            local_epochs,
+            lr,
+            weight_decay,
+            patience,
+            hidden_dim,
+            seed,
+            eval_every,
+            cohort,
+        } = train;
+        let CohortConfig {
+            sample_frac,
+            min_cohort,
+            seed: cohort_seed,
+        } = cohort;
+        let s = |v: &dyn fmt::Debug| format!("{v:?}");
+        let mut pairs = vec![("algo", strategy.name().to_string())];
+        pairs.extend(dataset.as_ref().map(|d| ("dataset", d.clone())));
+        pairs.extend([
+            ("parties", s(parties)),
+            ("rounds", s(rounds)),
+            ("local_epochs", s(local_epochs)),
+            ("lr", s(lr)),
+            ("weight_decay", s(weight_decay)),
+            ("patience", s(patience)),
+            ("hidden_dim", s(hidden_dim)),
+            ("seed", s(seed)),
+            ("eval_every", s(eval_every)),
+            ("sample_frac", s(sample_frac)),
+            ("min_cohort", s(min_cohort)),
+            ("cohort_seed", s(cohort_seed)),
+        ]);
+        if let Strategy::FedOmd(omd) = strategy {
+            let FedOmdConfig {
+                alpha,
+                beta,
+                width,
+                max_moment,
+                hidden_layers,
+                use_ortho,
+                use_cmd,
+                cmd_mean_scale,
+                cmd_first_layer_only,
+            } = omd;
+            pairs.extend([
+                ("alpha", s(alpha)),
+                ("beta", s(beta)),
+                ("width", s(width)),
+                ("max_moment", s(max_moment)),
+                ("hidden_layers", s(hidden_layers)),
+                ("use_ortho", s(use_ortho)),
+                ("use_cmd", s(use_cmd)),
+                ("cmd_mean_scale", s(cmd_mean_scale)),
+                ("cmd_first_layer_only", s(cmd_first_layer_only)),
+            ]);
+        }
+        Flags(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// The one reader: takes the spec's keys out of `flags`, a command
+    /// line or a list [`Self::flags`] wrote, and leaves the rest. An
+    /// absent key keeps its preset: `algo` fedomd, `dataset` cora-mini,
+    /// `parties` 3, `seed` 0, [`TrainConfig::mini`] for a mini dataset
+    /// and [`TrainConfig::paper`] otherwise, and [`FedOmdConfig::paper`].
+    /// The dataset is always set, to a name [`Self::dataset_name`] knows.
+    pub fn read(flags: &mut Flags) -> Result<Self, String> {
+        let algo: String = flags.take_or("algo", "fedomd".into())?;
+        let dataset: String = flags.take_or("dataset", "cora-mini".into())?;
+        let dataset =
+            DatasetName::parse(&dataset).ok_or(format!("--dataset {dataset}: unknown"))?;
+        let parties = flags.take_or("parties", 3)?;
+        let seed = flags.take_or("seed", 0)?;
+        let t = if dataset.mini() == dataset {
+            TrainConfig::mini(seed)
+        } else {
+            TrainConfig::paper(seed)
+        };
+        let train = TrainConfig {
+            rounds: flags.take_or("rounds", t.rounds)?,
+            local_epochs: flags.take_or("local_epochs", t.local_epochs)?,
+            lr: flags.take_or("lr", t.lr)?,
+            weight_decay: flags.take_or("weight_decay", t.weight_decay)?,
+            patience: flags.take_or("patience", t.patience)?,
+            hidden_dim: flags.take_or("hidden_dim", t.hidden_dim)?,
+            seed,
+            eval_every: flags.take_or("eval_every", t.eval_every)?,
+            cohort: CohortConfig {
+                sample_frac: flags.take_or("sample_frac", t.cohort.sample_frac)?,
+                min_cohort: flags.take_or("min_cohort", t.cohort.min_cohort)?,
+                seed: flags.take_or("cohort_seed", t.cohort.seed)?,
+            },
+        };
+        let strategy = if algo.eq_ignore_ascii_case("fedomd") {
+            let o = FedOmdConfig::paper();
+            Strategy::FedOmd(FedOmdConfig {
+                alpha: flags.take_or("alpha", o.alpha)?,
+                beta: flags.take_or("beta", o.beta)?,
+                width: flags.take_or("width", o.width)?,
+                max_moment: flags.take_or("max_moment", o.max_moment)?,
+                hidden_layers: flags.take_or("hidden_layers", o.hidden_layers)?,
+                use_ortho: flags.take_or("use_ortho", o.use_ortho)?,
+                use_cmd: flags.take_or("use_cmd", o.use_cmd)?,
+                cmd_mean_scale: flags.take_or("cmd_mean_scale", o.cmd_mean_scale)?,
+                cmd_first_layer_only: flags
+                    .take_or("cmd_first_layer_only", o.cmd_first_layer_only)?,
+            })
+        } else {
+            let b = Baseline::parse(&algo).ok_or_else(|| format!("--algo {algo}: unknown"))?;
+            Strategy::Baseline(b)
+        };
+        Ok(Self {
+            strategy,
+            parties,
+            dataset: Some(spec(dataset).name),
+            train,
+        })
+    }
+
+    /// FedOMD's objective; `None` for a baseline.
+    pub fn omd(&self) -> Option<FedOmdConfig> {
+        match self.strategy {
+            Strategy::FedOmd(omd) => Some(omd),
+            Strategy::Baseline(_) => None,
+        }
+    }
+
+    /// The cut the dataset calls for: [`FederationConfig::paper`] for a
+    /// paper-scale registry dataset, [`FederationConfig::mini`] otherwise.
+    pub fn federation(&self) -> FederationConfig {
+        let (m, seed) = (self.parties, self.train.seed);
+        match self.dataset_name() {
+            Some(d) if d.mini() != d => FederationConfig::paper(m, seed),
+            _ => FederationConfig::mini(m, seed),
+        }
+    }
+
+    /// The registry's dataset of this name; `None` without a name or for
+    /// one the registry does not know.
+    pub fn dataset_name(&self) -> Option<DatasetName> {
+        self.dataset.as_deref().and_then(DatasetName::parse)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::ALL_BASELINES;
+    use proptest::prelude::{prop_assert, prop_assert_eq, proptest};
+
+    /// An `f32` from a random word: one time in four a value whose text
+    /// form is delicate (signed zeros, subnormals, extremes), otherwise
+    /// raw bits. NaN is left out: its text form carries no payload.
+    fn f32_of(w: u64) -> f32 {
+        const SPECIAL: [f32; 7] = [
+            -0.0,
+            0.0,
+            1e-45,
+            -5.9e-39,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let v = match w % 4 {
+            0 => SPECIAL[(w >> 2) as usize % SPECIAL.len()],
+            _ => f32::from_bits((w >> 32) as u32),
+        };
+        if v.is_nan() {
+            -0.0
+        } else {
+            v
+        }
+    }
+
+    fn f64_of(w: u64) -> f64 {
+        match w % 4 {
+            0 => [-0.0, 5e-324, -2.2e-308, f64::MAX][(w >> 2) as usize % 4],
+            _ => Some(f64::from_bits(w.rotate_left(7)))
+                .filter(|v| !v.is_nan())
+                .unwrap_or(-0.0),
+        }
+    }
+
+    /// A spec with every field drawn from `w`; `algo` past the baselines
+    /// is FedOMD.
+    fn arbitrary_spec(w: &[u64], algo: usize) -> RunSpec {
+        let strategy = match ALL_BASELINES.get(algo) {
+            Some(&b) => Strategy::Baseline(b),
+            None => Strategy::FedOmd(FedOmdConfig {
+                alpha: f32_of(w[0]),
+                beta: f32_of(w[1]),
+                width: f32_of(w[2]),
+                max_moment: w[3] as u32,
+                hidden_layers: w[4] as usize,
+                use_ortho: w[5] % 2 == 1,
+                use_cmd: w[6] % 2 == 1,
+                cmd_mean_scale: f32_of(w[7]),
+                cmd_first_layer_only: w[8] % 2 == 1,
+            }),
+        };
+        let datasets = [
+            DatasetName::CoraMini,
+            DatasetName::Computer,
+            DatasetName::CoauthorCsMini,
+        ];
+        RunSpec {
+            strategy,
+            parties: w[9] as usize,
+            dataset: Some(spec(datasets[w[10] as usize % datasets.len()]).name),
+            train: TrainConfig {
+                rounds: w[11] as usize,
+                local_epochs: w[12] as usize,
+                lr: f32_of(w[13]),
+                weight_decay: f32_of(w[14]),
+                patience: w[15] as usize,
+                hidden_dim: w[16] as usize,
+                seed: w[17],
+                eval_every: w[18] as usize,
+                cohort: CohortConfig {
+                    sample_frac: f64_of(w[19]),
+                    min_cohort: w[20] as usize,
+                    seed: w[21],
+                },
+            },
+        }
+    }
+
+    /// Every float of a spec, as bits.
+    fn float_bits(s: &RunSpec) -> Vec<u64> {
+        let t = &s.train;
+        let mut bits = vec![
+            u64::from(t.lr.to_bits()),
+            u64::from(t.weight_decay.to_bits()),
+            t.cohort.sample_frac.to_bits(),
+        ];
+        if let Some(o) = s.omd() {
+            bits.extend(
+                [o.alpha, o.beta, o.width, o.cmd_mean_scale].map(|v| u64::from(v.to_bits())),
+            );
+        }
+        bits
+    }
+
+    /// `v` with its sign flipped: always another value and another text
+    /// form, `0.0` against `-0.0` included.
+    fn flip(v: f32) -> f32 {
+        -v
+    }
+
+    /// One change per key, each touching that key alone.
+    type Change = (&'static str, fn(&mut RunSpec));
+
+    fn omd_change(s: &mut RunSpec, f: fn(&mut FedOmdConfig)) {
+        if let Strategy::FedOmd(o) = &mut s.strategy {
+            f(o);
+        }
+    }
+
+    const CHANGES: [Change; 24] = [
+        ("algo", |s| {
+            s.strategy = Strategy::Baseline(Baseline::FedGcn)
+        }),
+        ("dataset", |s| s.dataset = Some("photo-mini".into())),
+        ("parties", |s| s.parties = s.parties.wrapping_add(1)),
+        ("rounds", |s| {
+            s.train.rounds = s.train.rounds.wrapping_add(1)
+        }),
+        ("local_epochs", |s| s.train.local_epochs ^= 1),
+        ("lr", |s| s.train.lr = flip(s.train.lr)),
+        ("weight_decay", |s| {
+            s.train.weight_decay = flip(s.train.weight_decay)
+        }),
+        ("patience", |s| {
+            s.train.patience = s.train.patience.wrapping_add(1)
+        }),
+        ("hidden_dim", |s| s.train.hidden_dim ^= 1),
+        ("seed", |s| s.train.seed ^= 1),
+        ("eval_every", |s| s.train.eval_every ^= 1),
+        ("sample_frac", |s| {
+            s.train.cohort.sample_frac = -s.train.cohort.sample_frac
+        }),
+        ("min_cohort", |s| s.train.cohort.min_cohort ^= 1),
+        ("cohort_seed", |s| s.train.cohort.seed ^= 1),
+        ("alpha", |s| omd_change(s, |o| o.alpha = flip(o.alpha))),
+        ("beta", |s| omd_change(s, |o| o.beta = flip(o.beta))),
+        ("width", |s| omd_change(s, |o| o.width = flip(o.width))),
+        ("max_moment", |s| omd_change(s, |o| o.max_moment ^= 1)),
+        ("hidden_layers", |s| omd_change(s, |o| o.hidden_layers ^= 1)),
+        ("use_ortho", |s| {
+            omd_change(s, |o| o.use_ortho = !o.use_ortho)
+        }),
+        ("use_cmd", |s| omd_change(s, |o| o.use_cmd = !o.use_cmd)),
+        ("cmd_mean_scale", |s| {
+            omd_change(s, |o| o.cmd_mean_scale = flip(o.cmd_mean_scale))
+        }),
+        ("cmd_first_layer_only", |s| {
+            omd_change(s, |o| o.cmd_first_layer_only = !o.cmd_first_layer_only)
+        }),
+        ("dataset", |s| s.dataset = None),
+    ];
+
+    proptest! {
+        /// The one writer and the one reader agree bit for bit, and every
+        /// key the writer emits is one the reader takes.
+        #[test]
+        fn a_written_spec_reads_back_bit_for_bit(
+            w in proptest::collection::vec(0u64..=u64::MAX, 22..23),
+            algo in 0usize..9,
+        ) {
+            let spec = arbitrary_spec(&w, algo);
+            let written = spec.flags();
+            let mut flags = written.clone();
+            let back = RunSpec::read(&mut flags);
+            prop_assert!(back.is_ok(), "{back:?}");
+            let back = back.unwrap_or_else(|_| spec.clone());
+            prop_assert_eq!(flags.finish(), Ok(()));
+            prop_assert_eq!(float_bits(&back), float_bits(&spec));
+            prop_assert_eq!(back.flags(), written);
+        }
+
+        /// A change to one identity key is named; a change to `rounds` or
+        /// `patience` alone is not a mismatch.
+        #[test]
+        fn each_identity_key_changed_alone_is_named(
+            w in proptest::collection::vec(0u64..=u64::MAX, 22..23),
+        ) {
+            let spec = arbitrary_spec(&w, ALL_BASELINES.len());
+            for (key, change) in CHANGES {
+                let mut other = spec.clone();
+                change(&mut other);
+                let named = spec.flags().mismatch(&other.flags()).map(|m| m.key);
+                match key {
+                    "rounds" | "patience" => prop_assert_eq!(named, None),
+                    _ => prop_assert_eq!(named.as_deref(), Some(key)),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_command_line_reads_into_the_dataset_preset() {
+        let args = [
+            "--dataset",
+            "cora",
+            "--lr",
+            "0.05",
+            "--verbose",
+            "--rounds",
+            "7",
+        ];
+        let mut flags = Flags::parse(args.map(String::from), &["verbose"]).unwrap();
+        let spec = RunSpec::read(&mut flags).unwrap();
+        assert_eq!(flags.take("verbose"), Ok(Some(true)));
+        assert_eq!(flags.finish(), Ok(()));
+        assert_eq!(spec.train.lr, 0.05);
+        assert_eq!(spec.train.rounds, 7);
+        // Everything else is the paper preset for a paper-scale dataset.
+        assert_eq!(spec.train.patience, TrainConfig::paper(0).patience);
+        let label_rate = |f: FederationConfig| f.ratios.train.to_bits();
+        assert_eq!(
+            label_rate(spec.federation()),
+            label_rate(FederationConfig::paper(3, 0))
+        );
+        assert_eq!(spec.omd().map(|o| o.beta), Some(FedOmdConfig::paper().beta));
+
+        let mut extra =
+            Flags::parse(["--algo", "fedgcn", "--beta", "2"].map(String::from), &[]).unwrap();
+        RunSpec::read(&mut extra).unwrap();
+        assert_eq!(extra.finish(), Err("unknown flag --beta".into()));
+        for bad in [&["--lr"][..], &["lr", "1"], &["--seed", "1", "--seed", "2"]] {
+            assert!(
+                Flags::parse(bad.iter().map(|a| a.to_string()), &[]).is_err(),
+                "{bad:?}"
+            );
+        }
+        let mut typo = Flags::parse(["--lr", "fast"].map(String::from), &[]).unwrap();
+        assert!(RunSpec::read(&mut typo).unwrap_err().contains("--lr fast"));
+    }
+
+    #[test]
+    fn a_dataset_alias_is_written_under_its_canonical_name() {
+        let read = |d: &str| {
+            let mut flags = Flags::parse(["--dataset", d].map(String::from), &[]).unwrap();
+            RunSpec::read(&mut flags).map(|s| s.flags())
+        };
+        for (alias, canonical) in [("Computers", "computer"), ("CS-mini", "coauthor-cs-mini")] {
+            let written = read(alias).unwrap();
+            assert_eq!(written, read(canonical).unwrap(), "{alias}");
+            assert_eq!(written.get("dataset"), Some(canonical));
+        }
+        assert_eq!(read("mnist"), Err("--dataset mnist: unknown".into()));
+    }
 
     #[test]
     fn paper_defaults_match_section_5_1() {

@@ -51,7 +51,7 @@ use fedomd_tensor::{par, Matrix};
 use crate::baselines::Baseline;
 use crate::client::ClientData;
 use crate::comms::CommsLog;
-use crate::config::{FedOmdConfig, RoundStats, RunResult, TrainConfig};
+use crate::config::{FedOmdConfig, RoundStats, RunResult, RunSpec, TrainConfig};
 use crate::protocol::GlobalStats;
 use crate::session::{ClientSession, EvalCounts, ServerRound};
 use fedomd_telemetry::{Phase, PhaseStopwatch, RoundEvent, RoundObserver, TeeObserver};
@@ -405,7 +405,13 @@ pub fn run(
             optim,
         )
     });
-    let (mut driver, mut server, start_round) = open_run(cfg, algorithm, m, &mut persist, obs);
+    let spec = RunSpec {
+        strategy: *strategy,
+        parties: m,
+        dataset: None,
+        train: cfg.clone(),
+    };
+    let (mut driver, mut server, start_round) = open_run(&spec, &mut persist, obs);
     // The set-up is a pure function of (seed, shards): a resumed run
     // re-derives it, but its checkpointed ledger already holds the set-up
     // frames, so only a fresh run reports them.
@@ -667,17 +673,16 @@ fn membership(cohort: &[usize], m: usize) -> Vec<bool> {
 
 /// Opens the server side of a run, in-process or over TCP: restores the
 /// driver bookkeeping and last global model/statistics from
-/// `persist.resume` (or starts fresh), announces `algorithm`, and
-/// returns the driver, the server state and the first round to enter. The
-/// server keeps the last global model and statistics when there is a
-/// checkpoint sink to hand them to.
+/// `persist.resume` (or starts fresh), announces `spec`, and returns the
+/// driver, the server state and the first round to enter. The server
+/// keeps the last global model and statistics when there is a checkpoint
+/// sink to hand them to.
 pub fn open_run(
-    cfg: &TrainConfig,
-    algorithm: &str,
-    n_clients: usize,
+    spec: &RunSpec,
     persist: &mut Persistence<'_>,
     obs: &mut dyn RoundObserver,
 ) -> (RoundDriver, ServerRound, usize) {
+    let cfg = &spec.train;
     let mut server = ServerRound::new(persist.sink.is_some());
     let (driver, start_round) = match persist.resume.take() {
         Some(resume) => {
@@ -688,9 +693,7 @@ pub fn open_run(
         None => (RoundDriver::new(cfg), 0),
     };
     obs.on_event(&RoundEvent::RunStarted {
-        algorithm: algorithm.to_string(),
-        n_clients,
-        max_rounds: cfg.rounds,
+        spec: spec.flags().0,
     });
     if start_round > 0 {
         obs.on_event(&RoundEvent::Resumed {

@@ -39,7 +39,8 @@ pub use client::{
 };
 pub use comms::CommsLog;
 pub use config::{
-    CohortConfig, CohortConfigError, FedOmdConfig, RoundStats, RunResult, TrainConfig,
+    CohortConfig, CohortConfigError, FedOmdConfig, Flags, RoundStats, RunResult, RunSpec,
+    SpecMismatch, TrainConfig,
 };
 pub use engine::{
     build_fedomd_model, run, CheckpointSink, DriverState, ModelKind, OptimState, Persistence,

@@ -1,19 +1,20 @@
 //! `fedomd-client` — trains one federated party against `fedomd-server`.
 //!
 //! ```text
-//! fedomd-client --addr 127.0.0.1:7447 --id 0 --clients 3
+//! fedomd-client --id I [--addr 127.0.0.1:7447] [--parties 3]
 //!               [--dataset cora-mini] [--seed 0] [--rounds N]
-//!               [--phase-timeout-ms MS] [--quiet]
+//!               [--KEY VALUE for any other run spec key]
+//!               [--phase_timeout_ms MS] [--quiet]
 //! ```
 //!
 //! The client regenerates the dataset and takes its own Louvain shard
-//! (`--id` of `--clients`) — no files move between processes; the
-//! handshake digest guarantees every process derived the same federation.
-//! It keeps training through server restarts, reconnecting with backoff
-//! and resuming at whatever round the server's handshake names. Exit
-//! codes: 0 run complete (or stopped early by the server's verdict), 1
-//! the server stayed unreachable or rejected the handshake, 2 usage
-//! error.
+//! (`--id` of `--parties`) — no files move between processes; the
+//! handshake's run spec comparison guarantees every process derived the
+//! same federation and trains the same objective. It keeps training
+//! through server restarts, reconnecting with backoff and resuming at
+//! whatever round the server's handshake names. Exit codes: 0 run
+//! complete (or stopped early by the server's verdict), 1 the server
+//! stayed unreachable or rejected the handshake, 2 usage error.
 
 #![forbid(unsafe_code)]
 
@@ -21,164 +22,72 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use fedomd_core::RunConfig;
-use fedomd_data::{generate, spec, DatasetName};
-use fedomd_federated::client_shard;
+use fedomd_data::{generate, spec};
+use fedomd_federated::{client_shard, Flags, RunSpec};
 use fedomd_net::{run_client, ClientOpts, NetConfig};
 use fedomd_telemetry::{ConsoleObserver, NullObserver, RoundObserver};
 
-struct Args {
-    addr: String,
-    id: u32,
-    clients: usize,
-    dataset: String,
-    seed: u64,
-    rounds: Option<usize>,
-    phase_timeout_ms: Option<u64>,
-    quiet: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        addr: "127.0.0.1:7447".into(),
-        id: u32::MAX,
-        clients: 0,
-        dataset: "cora-mini".into(),
-        seed: 0,
-        rounds: None,
-        phase_timeout_ms: None,
-        quiet: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
-        match a.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--id" => args.id = value("--id")?.parse().map_err(|e| format!("--id: {e}"))?,
-            "--clients" => {
-                args.clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--dataset" => args.dataset = value("--dataset")?,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--rounds" => {
-                args.rounds = Some(
-                    value("--rounds")?
-                        .parse()
-                        .map_err(|e| format!("--rounds: {e}"))?,
-                )
-            }
-            "--phase-timeout-ms" => {
-                args.phase_timeout_ms = Some(
-                    value("--phase-timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--phase-timeout-ms: {e}"))?,
-                )
-            }
-            "--quiet" => args.quiet = true,
-            "--help" | "-h" => {
-                return Err("usage: fedomd-client --addr HOST:PORT --id I --clients N \
-                     [--dataset NAME] [--seed S] [--rounds R] [--phase-timeout-ms MS] [--quiet]"
-                    .into())
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if args.clients == 0 {
-        return Err("--clients is required and must be > 0".into());
-    }
-    if args.id == u32::MAX {
-        return Err("--id is required".into());
-    }
-    if args.id as usize >= args.clients {
-        return Err(format!(
-            "--id {} out of range for {} clients",
-            args.id, args.clients
-        ));
-    }
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("fedomd-client: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let Some(name) = DatasetName::parse(&args.dataset) else {
-        eprintln!("fedomd-client: unknown dataset `{}`", args.dataset);
-        return ExitCode::from(2);
-    };
-    let params = spec(name);
-    let mut run = if params.name.ends_with("-mini") {
-        RunConfig::mini(args.seed)
-    } else {
-        RunConfig::paper(args.seed)
-    };
-    if let Some(rounds) = args.rounds {
-        run.train.rounds = rounds;
-    }
+    client_cli().unwrap_or_else(|msg| {
+        eprintln!("fedomd-client: {msg}");
+        ExitCode::from(2)
+    })
+}
+
+fn client_cli() -> Result<ExitCode, String> {
+    let mut flags = Flags::parse(std::env::args().skip(1), &["quiet"])?;
+    let addr = flags.take_or("addr", "127.0.0.1:7447".to_string())?;
+    let id: u32 = flags.take("id")?.ok_or("--id is required")?;
     let mut net = NetConfig::default();
-    if let Some(ms) = args.phase_timeout_ms {
+    if let Some(ms) = flags.take("phase_timeout_ms")? {
         net.phase_timeout = Duration::from_millis(ms);
     }
-
-    eprintln!(
-        "fedomd-client {}: generating {} (seed {}) and cutting shard {}/{}",
-        args.id, params.name, args.seed, args.id, args.clients
-    );
-    let ds = generate(&params, args.seed);
-    let fed = if params.name.ends_with("-mini") {
-        fedomd_federated::FederationConfig::mini(args.clients, args.seed)
-    } else {
-        fedomd_federated::FederationConfig::paper(args.clients, args.seed)
+    let quiet = flags.take_or("quiet", false)?;
+    let run_spec = RunSpec::read(&mut flags)?;
+    flags.finish()?;
+    let omd = run_spec.omd().ok_or("fedomd-client runs FedOMD only")?;
+    let name = run_spec.dataset_name().ok_or("no --dataset")?;
+    let parties = run_spec.parties;
+    if id as usize >= parties {
+        return Err(format!("--id {id} out of range for {parties} parties"));
+    }
+    let run = RunConfig {
+        train: run_spec.train.clone(),
+        omd,
     };
-    let Some(shard) = client_shard(&ds, &fed, args.id as usize) else {
-        eprintln!(
-            "fedomd-client: the Louvain cut produced no shard {} of {}",
-            args.id, args.clients
-        );
-        return ExitCode::from(1);
+
+    let seed = run.train.seed;
+    let params = spec(name);
+    eprintln!(
+        "fedomd-client {id}: generating {} (seed {seed}) and cutting shard {id}/{parties}",
+        params.name
+    );
+    let ds = generate(&params, seed);
+    let Some(shard) = client_shard(&ds, &run_spec.federation(), id as usize) else {
+        eprintln!("fedomd-client: the Louvain cut produced no shard {id} of {parties}");
+        return Ok(ExitCode::from(1));
     };
 
     let mut console;
     let mut null = NullObserver;
-    let obs: &mut dyn RoundObserver = if args.quiet {
+    let obs: &mut dyn RoundObserver = if quiet {
         &mut null
     } else {
         console = ConsoleObserver::stderr();
         &mut console
     };
-    let opts = ClientOpts {
-        addr: args.addr,
-        id: args.id,
-        net,
-    };
-    match run_client(
-        &opts,
-        &run,
-        &ds.name,
-        args.clients,
-        &shard,
-        ds.n_classes,
-        obs,
-    ) {
+    let opts = ClientOpts { addr, id, net };
+    match run_client(&opts, &run, &ds.name, parties, &shard, ds.n_classes, obs) {
         Ok(report) => {
             println!(
-                "fedomd-client {}: {:?} after {} reconnect(s)",
-                args.id, report.outcome, report.reconnects
+                "fedomd-client {id}: {:?} after {} reconnect(s)",
+                report.outcome, report.reconnects
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
-            eprintln!("fedomd-client {}: {e}", args.id);
-            ExitCode::from(1)
+            eprintln!("fedomd-client {id}: {e}");
+            Ok(ExitCode::from(1))
         }
     }
 }

@@ -13,11 +13,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fedomd_core::{
-    run_config_digest, run_fedomd_client_rounds, run_fedomd_server, ClientOutcome, ClientSession,
-    FileCheckpointer, RunCheckpoint, RunConfig, ServerOpts,
+    run_fedomd_client_rounds, run_fedomd_server, ClientOutcome, ClientSession, FileCheckpointer,
+    RunCheckpoint, RunConfig,
 };
+use fedomd_data::DatasetName;
 use fedomd_federated::helpers::UpdateShapeError;
-use fedomd_federated::{ClientData, Persistence, ResumeState, RunResult};
+use fedomd_federated::{ClientData, Flags, Persistence, ResumeState, RunResult, RunSpec, Strategy};
 use fedomd_telemetry::RoundObserver;
 use fedomd_transport::{to_tensors, Envelope, Payload, SERVER_SENDER};
 
@@ -61,12 +62,12 @@ pub struct ServeOpts {
     /// Number of federated parties.
     pub n_clients: usize,
     /// Crash-injection hook for the resume tests (see
-    /// [`fedomd_core::ServerOpts::halt_after`]).
+    /// [`fedomd_core::run_fedomd_server`]'s `halt_after`).
     pub halt_after: Option<usize>,
     /// Checkpoint file and period in rounds (`0` disables saving).
     pub checkpoint: Option<(PathBuf, usize)>,
-    /// Restore from the checkpoint file before the first round.
-    pub resume: bool,
+    /// Checkpoint file to restore from before the first round.
+    pub resume: Option<PathBuf>,
     /// Transport knobs.
     pub net: NetConfig,
 }
@@ -78,7 +79,7 @@ impl ServeOpts {
             n_clients,
             halt_after: None,
             checkpoint: None,
-            resume: false,
+            resume: None,
             net: NetConfig::default(),
         }
     }
@@ -124,8 +125,9 @@ pub fn serve(
 /// rebinding race exists.
 ///
 /// The acceptor thread admits clients that present the right protocol
-/// version, an id in range, and the same run-configuration digest this
-/// server computed; each admitted connection gets a reader thread and the
+/// version, an id in range, and this server's run spec (`rounds` and
+/// `patience` aside); a rejection names the first key that differs. Each
+/// admitted connection gets a reader thread and the
 /// round driver runs single-threaded over the merged event queue. It
 /// blocks in `accept`, so a client joins as soon as it connects; at
 /// shutdown one throwaway connection, closed at once, wakes it. The
@@ -134,9 +136,10 @@ pub fn serve(
 /// next round).
 ///
 /// An invalid run configuration (e.g. a NaN cohort `sample_frac`) is
-/// [`NetError::Config`] before the listener accepts anything — the digest
-/// of a config the server would refuse to run must never be handed to
-/// clients as something to match.
+/// [`NetError::Config`] before the listener accepts anything — a config
+/// the server would refuse to run must never be handed to clients as
+/// something to match. A resume checkpoint whose spec differs from this
+/// run's is [`NetError::Checkpoint`], naming the key.
 pub fn serve_on(
     listener: TcpListener,
     opts: &ServeOpts,
@@ -145,26 +148,15 @@ pub fn serve_on(
     obs: &mut dyn RoundObserver,
 ) -> Result<RunResult, NetError> {
     run.train.validate(opts.n_clients)?;
-    let digest = run_config_digest(&run.train, &run.omd, dataset, opts.n_clients);
+    let spec = deployed_spec(run, dataset, opts.n_clients);
+    let flags = spec.flags();
 
     let mut resume_state: Option<ResumeState> = None;
-    if opts.resume {
-        let Some((path, _)) = &opts.checkpoint else {
-            return Err(NetError::Checkpoint(
-                "resume requested without a checkpoint path".into(),
-            ));
-        };
+    if let Some(path) = &opts.resume {
         let ckpt = RunCheckpoint::load(path).map_err(|e| NetError::Checkpoint(e.to_string()))?;
-        if ckpt.algorithm != "FedOMD" {
+        if let Some(m) = flags.mismatch(&ckpt.spec) {
             return Err(NetError::Checkpoint(format!(
-                "checkpoint algorithm {:?} is not FedOMD",
-                ckpt.algorithm
-            )));
-        }
-        if ckpt.seed != run.train.seed {
-            return Err(NetError::Checkpoint(format!(
-                "checkpoint seed {} does not match the run seed {}",
-                ckpt.seed, run.train.seed
+                "{path:?} is another run's: {m} (this server vs the checkpoint)"
             )));
         }
         resume_state = Some(ckpt.state);
@@ -196,6 +188,7 @@ pub fn serve_on(
         let shared = Arc::clone(&shared);
         let n_clients = opts.n_clients;
         let max_frame = opts.net.max_frame_bytes;
+        let flags = flags.clone();
         std::thread::spawn(move || loop {
             let accepted = listener.accept();
             if stop.load(Ordering::Acquire) {
@@ -204,7 +197,7 @@ pub fn serve_on(
             let Ok((stream, _)) = accepted else { break };
             // A failed handshake just drops the connection; the client
             // retries or gives up on its own.
-            let _ = admit(stream, digest, n_clients, max_frame, &tx, &shared);
+            let _ = admit(stream, &flags, n_clients, max_frame, &tx, &shared);
         })
     };
 
@@ -215,16 +208,12 @@ pub fn serve_on(
         .checkpoint
         .as_ref()
         .filter(|(_, every)| *every > 0)
-        .map(|(path, every)| FileCheckpointer::new(path, *every, "FedOMD", run.train.seed));
+        .map(|(path, every)| FileCheckpointer::new(path, *every, flags));
     let persist = Persistence {
         resume: resume_state,
         sink: sink.as_mut().map(|s| s as _),
     };
-    let sopts = ServerOpts {
-        n_clients: opts.n_clients,
-        halt_after: opts.halt_after,
-    };
-    let result = run_fedomd_server(&sopts, &run.train, &run.omd, &mut chan, obs, persist);
+    let result = run_fedomd_server(&spec, opts.halt_after, &mut chan, obs, persist);
 
     // Closing the inbound queue first wakes an acceptor blocked on it.
     drop(chan);
@@ -235,6 +224,20 @@ pub fn serve_on(
     drop(TcpStream::connect(wake));
     let _ = acceptor.join();
     Ok(result)
+}
+
+/// The spec both processes of a deployment present: FedOMD on `dataset`
+/// cut into `parties`. A registry name is written in its canonical
+/// spelling, as [`RunSpec::read`] writes it; any other name (a caller's
+/// own variant of a dataset) as given.
+fn deployed_spec(run: &RunConfig, dataset: &str, parties: usize) -> RunSpec {
+    let canonical = DatasetName::parse(dataset).map(|d| fedomd_data::spec(d).name);
+    RunSpec {
+        strategy: Strategy::FedOmd(run.omd),
+        parties,
+        dataset: Some(canonical.unwrap_or_else(|| dataset.into())),
+        train: run.train.clone(),
+    }
 }
 
 /// The address a connection to `listener` reaches it at: its own, on
@@ -254,7 +257,7 @@ fn wake_addr(listener: &TcpListener) -> io::Result<SocketAddr> {
 /// round driver as a peer with its own reader thread.
 fn admit(
     mut stream: TcpStream,
-    digest: u64,
+    spec: &Flags,
     n_clients: usize,
     max_frame: u32,
     tx: &SyncSender<Inbound>,
@@ -276,10 +279,9 @@ fn admit(
             "client id {} out of range for {n_clients} parties",
             hello.client_id
         ))
-    } else if hello.digest != digest {
-        Some("run-configuration digest mismatch".into())
     } else {
-        None
+        let m = spec.mismatch(&hello.spec);
+        m.map(|m| format!("run spec mismatch: {m} (server vs client)"))
     };
     if let Some(reason) = reason {
         Welcome::reject(reason).write_to(&mut stream)?;
@@ -359,7 +361,7 @@ pub fn run_client(
     obs: &mut dyn RoundObserver,
 ) -> Result<ClientReport, NetError> {
     run.train.validate(n_clients)?;
-    let digest = run_config_digest(&run.train, &run.omd, dataset, n_clients);
+    let spec = deployed_spec(run, dataset, n_clients).flags();
     let mut session = ClientSession::new(&run.train, &run.omd, client, n_classes);
     let mut reconnects = 0u32;
     loop {
@@ -367,7 +369,7 @@ pub fn run_client(
         Hello {
             version: PROTOCOL_VERSION,
             client_id: opts.id,
-            digest,
+            spec: spec.clone(),
         }
         .write_to(&mut stream)?;
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
@@ -463,6 +465,30 @@ mod tests {
     use crate::server_chan::TcpServerChannel;
     use std::io::Read;
 
+    /// A dataset alias presents the same spec as its canonical name; a
+    /// name the registry does not know goes into the spec as given.
+    #[test]
+    fn a_deployed_spec_names_its_dataset_canonically() {
+        let run = RunConfig::mini(0);
+        let dataset = |d: &str| deployed_spec(&run, d, 3).flags();
+        assert_eq!(dataset("Computers"), dataset("computer"));
+        assert_eq!(dataset("CS-mini"), dataset("coauthor-cs-mini"));
+        let own = dataset("cora-mini-sparse");
+        assert_eq!(
+            own.mismatch(&dataset("cora-mini"))
+                .map(|m| m.key)
+                .as_deref(),
+            Some("dataset")
+        );
+        assert_eq!(
+            own.0
+                .iter()
+                .find(|(k, _)| k == "dataset")
+                .map(|(_, v)| v.as_str()),
+            Some("cora-mini-sparse")
+        );
+    }
+
     /// A half-open or still-draining connection must not hold a client id
     /// hostage: a re-handshake for the same id is admitted (latest wins)
     /// and the stale connection is shut down, instead of the rejoin being
@@ -471,7 +497,7 @@ mod tests {
     fn a_reconnect_evicts_the_stale_connection_instead_of_rejecting() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let digest = 0xF00D;
+        let spec = Flags(vec![("algo".into(), "FedOMD".into())]);
         let (tx, rx) = inbound_queue();
         let shared = Arc::new(SyncShared::new(0));
 
@@ -480,12 +506,12 @@ mod tests {
             Hello {
                 version: PROTOCOL_VERSION,
                 client_id: 0,
-                digest,
+                spec: spec.clone(),
             }
             .write_to(&mut client)
             .expect("hello");
             let (server_side, _) = listener.accept().expect("accept");
-            admit(server_side, digest, 1, 1024, &tx, &shared).expect("admit");
+            admit(server_side, &spec, 1, 1024, &tx, &shared).expect("admit");
             client
         };
 

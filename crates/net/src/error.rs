@@ -11,15 +11,15 @@ pub enum NetError {
     /// The run configuration itself is invalid (e.g. a NaN cohort
     /// `sample_frac`); rejected before any socket is touched, on both the
     /// server and the client side, so a bad config can never reach the
-    /// handshake digest looking legitimate.
+    /// handshake's run spec looking legitimate.
     Config(CohortConfigError),
     /// Socket-level failure (connect, read, write, bind).
     Io(std::io::Error),
     /// A frame failed the codec (bad magic, checksum, oversized prefix).
     Wire(WireError),
     /// The server refused this client's handshake; the string is the
-    /// server's stated reason (version skew, bad id, config digest
-    /// mismatch, duplicate join).
+    /// server's stated reason (version skew, bad id, the first run spec
+    /// key that differs, duplicate join).
     Rejected(String),
     /// The peer violated the join protocol (e.g. garbage where a
     /// handshake message belongs).

@@ -7,7 +7,7 @@
 //! * [`stream`] — length-prefixed frame I/O over a byte stream (the
 //!   prefix is capped by [`fedomd_transport::check_frame_len`] before any
 //!   allocation) and the join handshake (protocol version, client id,
-//!   run-config digest).
+//!   the run spec's key/value pairs).
 //! * [`server_chan`] / [`client_chan`] — the two halves of the
 //!   [`fedomd_transport::Channel`] trait over TCP. Both route every
 //!   admit/drop decision through the shared

@@ -49,12 +49,11 @@ impl Phase {
 pub enum RoundEvent {
     /// A run began.
     RunStarted {
-        /// Algorithm name as stamped on the eventual `RunResult`.
-        algorithm: String,
-        /// Number of federated parties.
-        n_clients: usize,
-        /// Configured maximum communication rounds.
-        max_rounds: usize,
+        /// The run's spec, `(key, value)` pairs in order: the algorithm,
+        /// the party count, the dataset where the entry point knows it,
+        /// the training schedule and FedOMD's objective (the flags that
+        /// would launch it, `fedomd_federated::RunSpec`).
+        spec: Vec<(String, String)>,
     },
     /// A communication round began.
     RoundStarted {
@@ -201,16 +200,10 @@ impl RoundEvent {
     pub fn to_json(&self) -> Json {
         let tag = ("event", Json::from(self.kind()));
         match self {
-            RoundEvent::RunStarted {
-                algorithm,
-                n_clients,
-                max_rounds,
-            } => obj([
-                tag,
-                ("algorithm", algorithm.as_str().into()),
-                ("n_clients", (*n_clients).into()),
-                ("max_rounds", (*max_rounds).into()),
-            ]),
+            RoundEvent::RunStarted { spec } => {
+                let pairs = spec.iter().map(|(k, v)| (k.clone(), v.as_str().into()));
+                obj([tag, ("spec", Json::Obj(pairs.collect()))])
+            }
             RoundEvent::RoundStarted { round } => obj([tag, ("round", (*round).into())]),
             RoundEvent::LocalStepDone {
                 client,
@@ -332,9 +325,7 @@ mod tests {
     fn every_variant_roundtrips_through_jsonio() {
         let events = vec![
             RoundEvent::RunStarted {
-                algorithm: "FedOMD".into(),
-                n_clients: 3,
-                max_rounds: 10,
+                spec: vec![("algo".into(), "FedOMD".into())],
             },
             RoundEvent::RoundStarted { round: 0 },
             RoundEvent::LocalStepDone {

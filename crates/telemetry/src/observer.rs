@@ -90,15 +90,9 @@ impl<W: Write> ConsoleObserver<W> {
 impl<W: Write> RoundObserver for ConsoleObserver<W> {
     fn on_event(&mut self, event: &RoundEvent) {
         match event {
-            RoundEvent::RunStarted {
-                algorithm,
-                n_clients,
-                max_rounds,
-            } => {
-                let _ = writeln!(
-                    self.out,
-                    "[telemetry] {algorithm}: {n_clients} clients, ≤{max_rounds} rounds"
-                );
+            RoundEvent::RunStarted { spec } => {
+                let flags: String = spec.iter().map(|(k, v)| format!(" --{k} {v}")).collect();
+                let _ = writeln!(self.out, "[telemetry] run{flags}");
             }
             RoundEvent::RoundStarted { round } => {
                 self.round = *round;
@@ -221,9 +215,10 @@ mod tests {
     fn sample_events() -> Vec<RoundEvent> {
         vec![
             RoundEvent::RunStarted {
-                algorithm: "FedOMD".into(),
-                n_clients: 2,
-                max_rounds: 4,
+                spec: vec![
+                    ("algo".into(), "FedOMD".into()),
+                    ("parties".into(), "2".into()),
+                ],
             },
             RoundEvent::RoundStarted { round: 0 },
             RoundEvent::LocalStepDone {
@@ -322,7 +317,7 @@ mod tests {
             con.on_event(&ev);
         }
         let text = String::from_utf8(con.out).expect("utf8");
-        assert!(text.contains("FedOMD: 2 clients"));
+        assert!(text.contains("run --algo FedOMD --parties 2"));
         assert!(text.contains("round    0"));
         assert!(text.contains("finished: test 50.00%"));
     }

@@ -202,6 +202,15 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Reads a `0`/`1` byte; anything else is corruption, not `true`.
+    pub fn get_flag(&mut self) -> Result<bool, WireError> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::Malformed(format!("flag byte {b}"))),
+        }
+    }
+
     /// Reads a `u32`, little-endian.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take_array::<4>()?))

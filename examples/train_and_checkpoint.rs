@@ -42,9 +42,9 @@ fn main() {
     let ckpt = RunCheckpoint::load(&path).expect("load checkpoint");
     let _ = std::fs::remove_file(&path);
     println!(
-        "checkpoint {}: {} algorithm, next round {}",
+        "checkpoint {}: {} run, next round {}",
         path.display(),
-        ckpt.algorithm,
+        ckpt.spec.0[0].1,
         ckpt.state.next_round
     );
     let global = ckpt

@@ -46,14 +46,14 @@ cargo run -q --release -p fedomd-bench --bin fedomd_run -- --rounds 2
 # then resume the two-round snapshot into a four-round run.
 ckpt_dir=$(mktemp -d)
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- \
-    --rounds 2 --checkpoint "$ckpt_dir/run.ckpt" --checkpoint-every 1
+    --rounds 2 --checkpoint "$ckpt_dir/run.ckpt" --checkpoint_every 1
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- \
     --rounds 4 --resume "$ckpt_dir/run.ckpt"
 # The FedAvg family on the shared round: FedProx's two local passes and
 # proximal anchor through a checkpoint that tracks the global model and a
 # resume, and LocGCN's round without a weight exchange.
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo fedprox \
-    --rounds 2 --checkpoint "$ckpt_dir/p.ckpt" --checkpoint-every 1
+    --rounds 2 --checkpoint "$ckpt_dir/p.ckpt" --checkpoint_every 1
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo fedprox \
     --rounds 4 --resume "$ckpt_dir/p.ckpt"
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo locgcn --rounds 2
@@ -61,7 +61,7 @@ cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo locgcn --round
 # and control variates through a checkpoint and a resume, and FedLIT's and
 # FedSage+'s set-up exchanges on the shared round.
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo scaffold \
-    --rounds 2 --checkpoint "$ckpt_dir/s.ckpt" --checkpoint-every 1
+    --rounds 2 --checkpoint "$ckpt_dir/s.ckpt" --checkpoint_every 1
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo scaffold \
     --rounds 4 --resume "$ckpt_dir/s.ckpt"
 cargo run -q --release -p fedomd-bench --bin fedomd_run -- --algo fedlit --rounds 2

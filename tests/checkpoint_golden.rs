@@ -8,7 +8,7 @@
 use fedomd_core::{CheckpointError, FedRun, RunCheckpoint, RunConfig};
 use fedomd_data::{generate, spec, DatasetName};
 use fedomd_federated::{
-    setup_federation, Baseline, ClientData, FederationConfig, OptimState, RunResult,
+    setup_federation, Baseline, ClientData, FedOmdConfig, FederationConfig, OptimState, RunResult,
 };
 use fedomd_telemetry::{MemoryObserver, RoundEvent};
 use fedomd_transport::{Channel, FaultConfig, InProcChannel, SimNetChannel};
@@ -361,7 +361,7 @@ fn a_half_written_checkpoint_is_never_loaded() {
 }
 
 #[test]
-#[should_panic(expected = "different seed")]
+#[should_panic(expected = "`seed` differs")]
 fn resuming_under_a_different_seed_is_rejected() {
     let dir = scratch("seed-mismatch");
     let (clients, n_classes) = mini_setup(4);
@@ -378,7 +378,28 @@ fn resuming_under_a_different_seed_is_rejected() {
 }
 
 #[test]
-#[should_panic(expected = "different algorithm")]
+#[should_panic(expected = "`beta` differs")]
+fn resuming_under_a_different_beta_is_rejected() {
+    let dir = scratch("beta-mismatch");
+    let (clients, n_classes) = mini_setup(5);
+    let path = dir.join("run.ckpt");
+    FedRun::new(&clients, n_classes)
+        .config(cfg(5, 2))
+        .checkpoint_every(2, &path)
+        .run();
+    let other = FedOmdConfig {
+        beta: 2.0,
+        ..FedOmdConfig::paper()
+    };
+    let _ = FedRun::new(&clients, n_classes)
+        .config(cfg(5, 4).with_omd(other))
+        .resume_from(&path)
+        .expect("file loads fine; the mismatch is caught at run()")
+        .run();
+}
+
+#[test]
+#[should_panic(expected = "`algo` differs")]
 fn resuming_into_a_different_algorithm_is_rejected() {
     let dir = scratch("algo-mismatch");
     let (clients, n_classes) = mini_setup(6);

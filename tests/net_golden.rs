@@ -309,10 +309,9 @@ fn a_departing_client_degrades_to_partial_aggregation() {
             (result, trace)
         })
     };
-    // Client 2 is scheduled for only 3 of the 8 rounds; the handshake
-    // digest deliberately excludes the round budget, so the server admits
-    // it and then sees it leave. The digest-relevant hyperparameters all
-    // match.
+    // Client 2 is scheduled for only 3 of the 8 rounds; the handshake's
+    // spec comparison deliberately ignores the round budget, so the server
+    // admits it and then sees it leave. Every other spec key matches.
     let workers: Vec<_> = clients
         .iter()
         .enumerate()
@@ -442,7 +441,7 @@ fn a_killed_server_resumes_from_its_checkpoint_and_the_clients_reconnect() {
     // The clients are still alive, spinning in their reconnect loops.
     let opts = ServeOpts {
         checkpoint: Some((path.clone(), 5)),
-        resume: true,
+        resume: Some(path.clone()),
         net: server_net,
         ..ServeOpts::new(clients.len())
     };
@@ -473,6 +472,106 @@ fn a_killed_server_resumes_from_its_checkpoint_and_the_clients_reconnect() {
         last.val_acc
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server for one party that gives up waiting for it at once: a run
+/// nobody joins closes each phase as soon as it opens.
+fn lonely_server(
+    run: &RunConfig,
+    name: &str,
+    opts: ServeOpts,
+) -> (
+    String,
+    JoinHandle<Result<fedomd_federated::RunResult, fedomd_net::NetError>>,
+) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let (run, name) = (run.clone(), name.to_string());
+    let server =
+        std::thread::spawn(move || serve_on(listener, &opts, &run, &name, &mut NullObserver));
+    (addr, server)
+}
+
+fn lonely_opts() -> ServeOpts {
+    ServeOpts {
+        net: NetConfig {
+            join_timeout: Duration::from_millis(300),
+            ..quick_net(Duration::from_millis(300))
+        },
+        ..ServeOpts::new(1)
+    }
+}
+
+#[test]
+fn a_client_with_another_learning_rate_is_refused_naming_lr() {
+    let (name, clients, n_classes) = mini_setup(4);
+    let run = RunConfig::mini(4).with_rounds(1);
+    let (addr, server) = lonely_server(&run, &name, lonely_opts());
+    let mut other = run.clone();
+    other.train.lr *= 2.0;
+    let opts = ClientOpts {
+        addr,
+        id: 0,
+        net: quick_net(Duration::from_secs(2)),
+    };
+    let err = run_client(
+        &opts,
+        &other,
+        &name,
+        1,
+        &clients[0],
+        n_classes,
+        &mut NullObserver,
+    )
+    .expect_err("a client training another objective must not join");
+    match &err {
+        fedomd_net::NetError::Rejected(reason) => {
+            assert!(reason.contains("`lr` differs"), "got: {reason}")
+        }
+        other => panic!("expected a rejection, got {other}"),
+    }
+    // What the server makes of a run nobody joined is not this test's
+    // concern; only that it ends.
+    let _ = server.join().expect("server thread");
+}
+
+#[test]
+fn a_resume_under_another_cohort_fraction_is_refused_naming_the_key() {
+    let dir = scratch("cohort-resume");
+    let path = dir.join("net.ckpt");
+    let (name, _, _) = mini_setup(6);
+    let run = RunConfig::mini(6).with_rounds(3);
+    // Round 0 runs with nobody, checkpoints and halts. This leans on a
+    // server still running the rounds of a run nobody joined; should that
+    // become an error before round 0, this leg needs a client.
+    let opts = ServeOpts {
+        halt_after: Some(0),
+        checkpoint: Some((path.clone(), 1)),
+        ..lonely_opts()
+    };
+    let (_, first) = lonely_server(&run, &name, opts);
+    let _ = first.join().expect("server thread");
+    assert!(path.exists(), "the first leg wrote no round-0 checkpoint");
+
+    let other = run
+        .clone()
+        .with_cohort(fedomd_federated::CohortConfig::fraction(0.5, 0));
+    let opts = ServeOpts {
+        resume: Some(path.clone()),
+        ..lonely_opts()
+    };
+    let (_, resumed) = lonely_server(&other, &name, opts);
+    let err = resumed
+        .join()
+        .expect("server thread")
+        .expect_err("another run's checkpoint must not restore");
+    match &err {
+        fedomd_net::NetError::Checkpoint(msg) => {
+            assert!(msg.contains("`sample_frac` differs"), "got: {msg}")
+        }
+        other => panic!("expected a checkpoint error, got {other}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
